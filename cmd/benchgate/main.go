@@ -1,22 +1,20 @@
-// Command benchgate is the perf ratchet: it re-runs the gated
-// benchmark suite (the same pattern `make bench` records) and compares
-// the fresh numbers against the committed baseline BENCH_kernels.json.
+// Command benchgate is the perf ratchet. It runs the gated kernel
+// benchmark suite — the one place its -bench pattern and package list
+// are written down — and either compares the fresh numbers against the
+// committed baseline BENCH_kernels.json or, with -write, records them
+// as the new baseline.
 //
-// The alloc gate is always on — an allocs/op increase on a gated
-// kernel fails (exact below 1000 allocs/op, 0.1% slack above for
-// amortized macro counts; see internal/benchgate). The time gate (default
-// +10% ns/op) only fails the run in strict mode (-strict or
-// BENCHGATE_STRICT=1); outside strict mode time regressions are
-// printed as warnings, since shared-hardware timings jitter.
+// An allocs/op increase on a gated kernel fails (exact below 1000
+// allocs/op, 0.1% slack above for amortized macro counts; see
+// internal/benchgate), and so does a benchmark present in the baseline
+// but absent from the current run: a silently vanished kernel is not a
+// passing gate. Times are recorded for review, not gated.
 //
 // Usage:
 //
-//	go run ./cmd/benchgate                  # run suite, alloc gate only
-//	go run ./cmd/benchgate -strict          # also enforce the time gate
-//	go run ./cmd/benchgate -input out.txt   # gate a pre-recorded run
-//
-// A benchmark present in the baseline but absent from the current run
-// always fails: a silently vanished kernel is not a passing gate.
+//	go run ./cmd/benchgate                  # run suite, gate against the baseline
+//	go run ./cmd/benchgate -input out.txt   # gate a pre-recorded `go test -bench` run ('-' = stdin)
+//	go run ./cmd/benchgate -write           # run suite, rewrite the baseline
 package main
 
 import (
@@ -27,73 +25,68 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 
-	"p2prank/internal/benchfmt"
 	"p2prank/internal/benchgate"
 )
 
-// benchPattern and benchPackages mirror the `make bench` invocation
-// that produces the baseline; the gate must measure what was recorded.
+// The gated suite.
 const benchPattern = "MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish"
 
 var benchPackages = []string{"./internal/vecmath/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/serve/", "."}
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_kernels.json", "committed baseline report")
-	input := flag.String("input", "", "gate this `go test -bench` output file instead of running the suite ('-' for stdin)")
-	strict := flag.Bool("strict", os.Getenv("BENCHGATE_STRICT") == "1", "enforce the time gate (default: BENCHGATE_STRICT=1)")
-	threshold := flag.Float64("threshold", benchgate.DefaultThreshold, "fractional ns/op growth the time gate tolerates")
+	input := flag.String("input", "", "use this `go test -bench` output file instead of running the suite ('-' for stdin)")
+	write := flag.Bool("write", false, "record the run as the new baseline instead of gating against it")
 	flag.Parse()
 
-	baseline, err := readBaseline(*baselinePath)
+	if *write {
+		current, err := currentReport(*input)
+		if err != nil {
+			fatal(err)
+		}
+		current.GoVersion = runtime.Version()
+		current.GoMaxProcs = runtime.GOMAXPROCS(0)
+		current.Sort()
+		data, err := json.MarshalIndent(current, "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("benchgate: recorded %d kernel(s) in %s\n", len(current.Results), *baselinePath)
+		return
+	}
+
+	// Baseline first: a missing or malformed one should not cost a suite run.
+	data, err := os.ReadFile(*baselinePath)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("reading baseline: %w (run `make bench` to record one)", err))
+	}
+	baseline := &benchgate.Report{}
+	if err := json.Unmarshal(data, baseline); err != nil {
+		fatal(fmt.Errorf("parsing baseline %s: %w", *baselinePath, err))
 	}
 	current, err := currentReport(*input)
 	if err != nil {
 		fatal(err)
 	}
-
-	opts := benchgate.Options{Strict: *strict, Threshold: *threshold}
-	violations := benchgate.Compare(baseline, current, opts)
-	fatalViolations := benchgate.Fatal(violations, opts)
+	violations := benchgate.Compare(baseline, current)
 	for _, v := range violations {
-		tag := "WARN"
-		for _, f := range fatalViolations {
-			if f == v {
-				tag = "FAIL"
-				break
-			}
-		}
-		fmt.Fprintf(os.Stderr, "benchgate: %s: %s\n", tag, v)
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s\n", v)
 	}
-	if len(fatalViolations) > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d violation(s) against %s\n", len(fatalViolations), *baselinePath)
+	if len(violations) > 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: %d violation(s) against %s\n", len(violations), *baselinePath)
 		os.Exit(1)
 	}
-	mode := "alloc gate"
-	if *strict {
-		mode = fmt.Sprintf("alloc + time gate (%.0f%%)", *threshold*100)
-	}
-	fmt.Printf("benchgate: %d kernel(s) within baseline %s [%s]\n",
-		len(baseline.Results), *baselinePath, mode)
-}
-
-func readBaseline(path string) (*benchfmt.Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w (run `make bench` to record one)", err)
-	}
-	rep := &benchfmt.Report{}
-	if err := json.Unmarshal(data, rep); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return rep, nil
+	fmt.Printf("benchgate: %d kernel(s) within baseline %s [alloc gate]\n", len(baseline.Results), *baselinePath)
 }
 
 // currentReport produces the fresh numbers: from a recorded file, from
-// stdin, or by running the gated suite like `make bench` does.
-func currentReport(input string) (*benchfmt.Report, error) {
+// stdin, or by running the gated suite.
+func currentReport(input string) (*benchgate.Report, error) {
 	var sc *bufio.Scanner
 	switch input {
 	case "":
@@ -117,7 +110,7 @@ func currentReport(input string) (*benchfmt.Report, error) {
 		defer f.Close()
 		sc = bufio.NewScanner(f)
 	}
-	rep, err := benchfmt.Parse(sc)
+	rep, err := benchgate.Parse(sc)
 	if err != nil {
 		return nil, err
 	}

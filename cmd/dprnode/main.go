@@ -13,8 +13,9 @@
 //	        -peers 1=host1:7000,2=host2:7000
 //
 // Both modes accept -transport indirect (route score frames hop-by-hop
-// along the Pastry overlay, §4.4), -codec (wire encoding: gob, plain,
-// delta, or quantized-N for N mantissa bits), -fault (injected message
+// along the Pastry overlay, §4.4), -codec (chunk encoding inside the
+// wire frames: plain, the default, delta, or quantized-N for N mantissa
+// bits), -fault (injected message
 // faults), -reliable (ack/retry/backoff delivery — pair it with -fault
 // to ride out real loss), and -obs addr:port, which serves live
 // telemetry over HTTP:
@@ -32,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -190,14 +190,12 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 		fatal(err)
 	}
 	defer cl.Close()
-	var served *int64
+	var stopServe func() serve.StormStats
 	if store != nil {
-		stopServe, counter, err := startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, seed, epoch)
+		stopServe, err = startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, seed, epoch)
 		if err != nil {
 			fatal(err)
 		}
-		defer stopServe()
-		served = counter
 	}
 	start := time.Now()
 	for {
@@ -223,12 +221,8 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 		fmt.Printf("  %-40s rank %.4f\n", g.URL(int32(p)), ranks[p])
 	}
 	if store != nil {
-		n := int64(0)
-		if served != nil {
-			n = atomic.LoadInt64(served)
-		}
 		fmt.Printf("served %d load-gen queries, max served staleness %d rounds\n",
-			n, store.MaxStaleness())
+			stopServe().Answered, store.MaxStaleness())
 	}
 }
 
@@ -239,8 +233,8 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 // reporting per-query latency and staleness to the live collector. When
 // -fault injects partitions or stragglers, the frontend shares the
 // peers' lattice so its fan-outs route around the cut. The returned
-// func stops all of it; the int64 counts load-gen queries.
-func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Store, col *telemetry.LiveCollector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func(), *int64, error) {
+// func stops all of it and reports the load generator's storm.
+func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Store, col *telemetry.LiveCollector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func() serve.StormStats, error) {
 	var tel serve.Telemetry
 	if col != nil {
 		tel = col
@@ -250,7 +244,7 @@ func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Sto
 	// hop accounting matches the cluster the shards live on.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg := serve.Config{}
 	if fault.PartitionFrac > 0 || fault.StraggleFrac > 0 {
@@ -270,17 +264,17 @@ func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Sto
 			return float64(time.Since(epoch))
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg.Health = health
 	}
 	fe, err := serve.NewFrontend(g, ov, cl.Assignment, store, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -313,7 +307,7 @@ func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Sto
 		}
 	}()
 	fmt.Printf("serving: http://%s/search?terms=0,1&k=%d\n", ln.Addr(), topk)
-	served := new(int64)
+	var storm serve.StormStats
 	if qps > 0 {
 		wg.Add(1)
 		go func() { // load generator
@@ -321,40 +315,28 @@ func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Sto
 			q := fe.NewQuerier()
 			var resp search.Response
 			queries := [][]int32{{0}, {1, 2}, {0, 3}, {2, 4, 5}}
-			interval := time.Duration(float64(time.Second) / float64(qps))
-			next := time.Now()
-			for i := 0; ; i++ {
-				next = next.Add(interval)
-				if d := time.Until(next); d > 0 {
-					select {
-					case <-stop:
-						return
-					case <-time.After(d):
+			storm, _ = serve.Storm{
+				QPS: qps, Stop: stop,
+				Serve: func(i int) error {
+					return q.Serve(search.Request{Terms: queries[i%len(queries)], K: topk}, &resp)
+				},
+				// An error is no reason to stop: before the first publish
+				// the store is stale by definition.
+				After: func(_ int, latency time.Duration, err error) error {
+					if err == nil && col != nil {
+						col.QueryServed(latency.Seconds(), resp.Staleness)
 					}
-				} else {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-				t0 := time.Now()
-				err := q.Serve(search.Request{Terms: queries[i%len(queries)], K: topk}, &resp)
-				if err != nil {
-					continue // before the first publish the store is stale by definition
-				}
-				atomic.AddInt64(served, 1)
-				if col != nil {
-					col.QueryServed(time.Since(t0).Seconds(), resp.Staleness)
-				}
-			}
+					return nil
+				},
+			}.Run()
 		}()
 	}
-	return func() {
+	return func() serve.StormStats {
 		close(stop)
 		srv.Close()
 		wg.Wait()
-	}, served, nil
+		return storm
+	}, nil
 }
 
 func runPeer(graphPath string, k, index int, listen, peersFlag string, params dprcore.Params, seed uint64, indirect bool, wire transport.ChunkCodec) {

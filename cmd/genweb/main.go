@@ -17,6 +17,7 @@ import (
 
 	"p2prank/internal/core"
 	"p2prank/internal/experiments"
+	"p2prank/internal/metrics"
 	"p2prank/internal/webgraph"
 )
 
@@ -57,7 +58,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\npartition cut at K=%d rankers:\n%s", *k, experiments.RenderCut(rows))
+		fmt.Printf("\npartition cut at K=%d rankers:\n%s", *k, metrics.TableOf(rows))
 	}
 	if *out != "" {
 		asText := false

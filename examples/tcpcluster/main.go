@@ -1,6 +1,6 @@
 // tcpcluster runs the distributed algorithms over real TCP sockets: six
 // page-ranker peers on localhost, each with its own goroutine-driven
-// asynchronous loop, exchanging gob-encoded score vectors. Halfway
+// asynchronous loop, exchanging codec-framed score vectors. Halfway
 // through, one peer is killed to show the survivors keep converging —
 // the asynchrony/fault model of §4.2 on a real network stack.
 //

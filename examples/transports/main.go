@@ -14,6 +14,7 @@ import (
 
 	"p2prank/internal/bwmodel"
 	"p2prank/internal/experiments"
+	"p2prank/internal/metrics"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(experiments.RenderTransmission(rows))
+	fmt.Print(metrics.TableOf(rows))
 
 	last := rows[len(rows)-1]
 	fmt.Printf("\nat K=%d: indirect uses %.1f%% of direct's messages\n",

@@ -129,8 +129,8 @@ func PastryHops(n float64) float64 {
 
 // ValidationRow pairs one model quantity with its measured value — the
 // empirical check of §4.4–4.5 that the paper itself never ran. Rows are
-// produced per ranker population by ValidateIndirect and rendered with
-// RenderValidation.
+// produced per ranker population by ValidateIndirect and tabulated by
+// ValidationTable.
 type ValidationRow struct {
 	// Quantity names the model quantity (with its formula).
 	Quantity string
@@ -196,8 +196,8 @@ func ValidateIndirect(p Params, o IndirectObserved) []ValidationRow {
 	}
 }
 
-// RenderValidation formats one population's validation rows.
-func RenderValidation(rows []ValidationRow) string {
+// ValidationTable tabulates one population's validation rows.
+func ValidationTable(rows []ValidationRow) *metrics.Table {
 	t := metrics.NewTable("quantity", "predicted", "measured", "measured/predicted")
 	for _, r := range rows {
 		t.AddRow(r.Quantity,
@@ -205,7 +205,7 @@ func RenderValidation(rows []ValidationRow) string {
 			fmt.Sprintf("%.4g", r.Measured),
 			fmt.Sprintf("%.2f", r.Ratio()))
 	}
-	return t.String()
+	return t
 }
 
 // Table1Row is one row of Table 1.

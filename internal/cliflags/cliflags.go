@@ -3,14 +3,12 @@
 // the common flags independently and drifted (different names, help
 // text, and accepted values for the same concept); every shared flag
 // now registers through this package, so the two command lines stay
-// interchangeable. Old spellings stay accepted for one release through
-// Deprecations, which warns when a renamed flag is actually used.
+// interchangeable.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -38,14 +36,15 @@ func ParseAlgorithm(name string) (dprcore.Algorithm, error) {
 
 // Codec registers the shared -codec flag.
 func Codec(fs *flag.FlagSet) *string {
-	return fs.String("codec", "gob", "wire encoding: gob|plain|delta|quantized-N")
+	return fs.String("codec", "", "chunk encoding: plain|delta|quantized-N (empty = the default: plain on the wire, the paper's size model in-sim)")
 }
 
-// ParseCodec maps a -codec value to a wire codec; nil means the
-// default gob framing.
+// ParseCodec maps a -codec value to a chunk codec; empty means nil,
+// each runtime's default (netpeer frames with codec.Plain, the
+// simulator keeps the paper's l-bytes-per-link accounting).
 func ParseCodec(name string) (transport.ChunkCodec, error) {
 	switch {
-	case name == "" || strings.EqualFold(name, "gob"):
+	case name == "":
 		return nil, nil
 	case strings.EqualFold(name, "plain"):
 		return codec.Plain{}, nil
@@ -64,7 +63,7 @@ func ParseCodec(name string) (transport.ChunkCodec, error) {
 		}
 		return codec.NewQuantized(uint(bits)), nil
 	}
-	return nil, fmt.Errorf("unknown -codec %q (gob|plain|delta|quantized-N)", name)
+	return nil, fmt.Errorf("unknown -codec %q (plain|delta|quantized-N)", name)
 }
 
 // Fault registers the shared -fault flag.
@@ -227,34 +226,4 @@ func QPS(fs *flag.FlagSet) *int {
 // TopK registers the shared -topk flag: results returned per query.
 func TopK(fs *flag.FlagSet) *int {
 	return fs.Int("topk", 10, "results per query")
-}
-
-// Deprecations keeps renamed flags alive for one release: old
-// spellings register through it, and Warn prints a pointer at the new
-// spelling for each one the command line actually set.
-type Deprecations struct {
-	fs   *flag.FlagSet
-	repl map[string]string
-}
-
-// NewDeprecations builds a deprecation registry for fs.
-func NewDeprecations(fs *flag.FlagSet) *Deprecations {
-	return &Deprecations{fs: fs, repl: make(map[string]string)}
-}
-
-// Bool registers a deprecated boolean spelling whose replacement is
-// named by repl (e.g. "-transport indirect").
-func (d *Deprecations) Bool(name, usage, repl string) *bool {
-	d.repl[name] = repl
-	return d.fs.Bool(name, false, usage+" (deprecated: use "+repl+")")
-}
-
-// Warn writes one warning per deprecated flag the parsed command line
-// set. Call it after flag parsing.
-func (d *Deprecations) Warn(w io.Writer) {
-	d.fs.Visit(func(f *flag.Flag) {
-		if repl, ok := d.repl[f.Name]; ok {
-			fmt.Fprintf(w, "warning: -%s is deprecated and will be removed; use %s\n", f.Name, repl)
-		}
-	})
 }

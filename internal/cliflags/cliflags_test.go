@@ -2,8 +2,6 @@ package cliflags
 
 import (
 	"flag"
-	"io"
-	"strings"
 	"testing"
 
 	"p2prank/internal/codec"
@@ -35,9 +33,6 @@ func TestParseCodec(t *testing.T) {
 	if c, err := ParseCodec(""); err != nil || c != nil {
 		t.Errorf("empty codec = %v, %v; want nil default", c, err)
 	}
-	if c, err := ParseCodec("GOB"); err != nil || c != nil {
-		t.Errorf("gob codec = %v, %v; want nil default", c, err)
-	}
 	if c, err := ParseCodec("plain"); err != nil {
 		t.Errorf("plain: %v", err)
 	} else if _, ok := c.(codec.Plain); !ok {
@@ -53,7 +48,7 @@ func TestParseCodec(t *testing.T) {
 			t.Errorf("ParseCodec(%q) = %v, %v; want quantized codec", in, c, err)
 		}
 	}
-	for _, in := range []string{"quantized-3", "quantized-53", "quantized-x", "zstd"} {
+	for _, in := range []string{"quantized-3", "quantized-53", "quantized-x", "zstd", "gob"} {
 		if _, err := ParseCodec(in); err == nil {
 			t.Errorf("ParseCodec(%q) accepted", in)
 		}
@@ -141,7 +136,7 @@ func TestSharedSpellings(t *testing.T) {
 	QPS(fs)
 	TopK(fs)
 	for name, def := range map[string]string{
-		"alg": "dpr1", "codec": "gob", "fault": "", "reliable": "", "transport": "direct", "seed": "1",
+		"alg": "dpr1", "codec": "", "fault": "", "reliable": "", "transport": "direct", "seed": "1",
 		"serve": "", "qps": "0", "topk": "10",
 	} {
 		f := fs.Lookup(name)
@@ -152,44 +147,5 @@ func TestSharedSpellings(t *testing.T) {
 		if f.DefValue != def {
 			t.Errorf("-%s default = %q; want %q", name, f.DefValue, def)
 		}
-	}
-}
-
-// The -indirect grace window granted in PR 4 is over and no binary
-// registers a deprecated spelling anymore; this pins the generic
-// warning path of the Deprecations helper for the next rename.
-func TestDeprecationsWarnOnlyWhenSet(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	d := NewDeprecations(fs)
-	old := d.Bool("oldflag", "use the old behavior", "-newflag value")
-
-	var sb strings.Builder
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	d.Warn(&sb)
-	if sb.Len() != 0 {
-		t.Fatalf("warned without the flag set: %q", sb.String())
-	}
-
-	fs2 := flag.NewFlagSet("x", flag.ContinueOnError)
-	fs2.SetOutput(io.Discard)
-	d2 := NewDeprecations(fs2)
-	old2 := d2.Bool("oldflag", "use the old behavior", "-newflag value")
-	if err := fs2.Parse([]string{"-oldflag"}); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	d2.Warn(&sb)
-	if !strings.Contains(sb.String(), "-oldflag is deprecated") ||
-		!strings.Contains(sb.String(), "-newflag value") {
-		t.Fatalf("warning missing or wrong: %q", sb.String())
-	}
-	if !*old2 || *old {
-		t.Fatalf("deprecated flag values: set=%v unset=%v", *old2, *old)
-	}
-	if !strings.Contains(fs2.Lookup("oldflag").Usage, "(deprecated: use -newflag value)") {
-		t.Fatalf("usage missing deprecation note: %q", fs2.Lookup("oldflag").Usage)
 	}
 }

@@ -212,3 +212,45 @@ func TestDprnodeMultiProcess(t *testing.T) {
 		}
 	}
 }
+
+// TestReadmeListsEveryExperiment keeps README's experiment list in step
+// with the registry: every `-exp NAME  summary` line `dprsim -h` prints
+// must appear there verbatim, and -h must list at least the paper's
+// three figures.
+func TestReadmeListsEveryExperiment(t *testing.T) {
+	out := run(t, "dprsim", "-h")
+	readme, err := os.ReadFile(filepath.Join(repoRoot(), "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.HasPrefix(line, "  -exp ") {
+			continue
+		}
+		listed++
+		if !strings.Contains(string(readme), line+"\n") {
+			t.Errorf("README.md is missing the registry line %q", line)
+		}
+	}
+	if listed < 3 {
+		t.Fatalf("dprsim -h listed %d experiments:\n%s", listed, out)
+	}
+}
+
+// TestDprsimCSVForTables: -csv works for table experiments too, writing
+// the cells the terminal would have shown.
+func TestDprsimCSVForTables(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cut.csv")
+	out := run(t, "dprsim", "-exp", "cut", "-pages", "3000", "-sites", "20", "-k", "8", "-csv", path)
+	if !strings.Contains(out, "tables written to "+path) {
+		t.Fatalf("no confirmation line:\n%s", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "strategy,cut fraction,") || !strings.Contains(string(data), "\nby-site,") {
+		t.Fatalf("CSV malformed:\n%s", data)
+	}
+}

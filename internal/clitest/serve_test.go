@@ -20,8 +20,11 @@ var serveURLRx = regexp.MustCompile(`serving: (http://[^/\s]+)`)
 // /search over HTTP while it ranks, and check the query metrics land
 // on the same /metrics endpoint obs-smoke scrapes.
 func TestServeSmokeDprnode(t *testing.T) {
+	// The target is unreachable on purpose: a 3-ranker demo reaches 1e-9
+	// in ~0.3 s and exits, taking the servers down under the checks
+	// below; this one ranks until the test stops it.
 	cmd := exec.Command(filepath.Join(builtDir, "dprnode"),
-		"-demo", "-pages", "2500", "-k", "3", "-target", "1e-9",
+		"-demo", "-pages", "2500", "-k", "3", "-target", "1e-18",
 		"-serve", "127.0.0.1:0", "-qps", "50", "-topk", "5",
 		"-obs", "127.0.0.1:0")
 	sb := &syncBuf{}

@@ -1,8 +1,9 @@
 package dprcore
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
@@ -53,15 +54,16 @@ func BuildGroups(g webgraph.Store, a *partition.Assignment, alpha float64) ([]*G
 		return nil, fmt.Errorf("dprcore: alpha = %v, must be in (0,1)", alpha)
 	}
 	groups := make([]*Group, a.K)
-	type effKey struct {
+	// One record per cross-group link. Sorting a group's records by
+	// (dstGroup, dstLocal, localSrc) puts parallel links side by side
+	// and every destination's entries in their final order, without a
+	// counting map per group.
+	type effLink struct {
 		dstGroup           int32
-		localSrc, dstLocal int32
+		dstLocal, localSrc int32
 	}
 	inner := make([][][2]int32, a.K)
-	effCount := make([]map[effKey]int32, a.K)
-	for i := 0; i < a.K; i++ {
-		effCount[i] = make(map[effKey]int32)
-	}
+	eff := make([][]effLink, a.K)
 	for p := 0; p < g.NumPages(); p++ {
 		u := int32(p)
 		gu := a.GroupOf[u]
@@ -70,7 +72,7 @@ func BuildGroups(g webgraph.Store, a *partition.Assignment, alpha float64) ([]*G
 			if gu == gv {
 				inner[gu] = append(inner[gu], [2]int32{a.LocalIdx[u], a.LocalIdx[v]})
 			} else {
-				effCount[gu][effKey{gv, a.LocalIdx[u], a.LocalIdx[v]}]++
+				eff[gu] = append(eff[gu], effLink{gv, a.LocalIdx[v], a.LocalIdx[u]})
 			}
 		}
 	}
@@ -84,31 +86,39 @@ func BuildGroups(g webgraph.Store, a *partition.Assignment, alpha float64) ([]*G
 		if err != nil {
 			return nil, fmt.Errorf("dprcore: group %d: %w", i, err)
 		}
+		links := eff[i]
+		slices.SortFunc(links, func(x, y effLink) int {
+			if c := cmp.Compare(x.dstGroup, y.dstGroup); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(x.dstLocal, y.dstLocal); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.localSrc, y.localSrc)
+		})
 		grp := &Group{
-			Index: i,
-			Pages: pages,
-			Deg:   deg,
-			Sys:   sys,
-			Eff:   make(map[int32][]EffEntry),
+			Index:    i,
+			Pages:    pages,
+			Deg:      deg,
+			Sys:      sys,
+			Eff:      make(map[int32][]EffEntry),
+			EffLinks: int64(len(links)),
 		}
-		for key, links := range effCount[i] {
-			grp.Eff[key.dstGroup] = append(grp.Eff[key.dstGroup], EffEntry{
-				LocalSrc: key.localSrc,
-				DstLocal: key.dstLocal,
-				Links:    links,
-			})
-			grp.EffLinks += int64(links)
-		}
-		for dst, entries := range grp.Eff {
-			grp.EffDsts = append(grp.EffDsts, dst)
-			sort.Slice(entries, func(x, y int) bool {
-				if entries[x].DstLocal != entries[y].DstLocal {
-					return entries[x].DstLocal < entries[y].DstLocal
+		// The group's entries share one backing array, cut where each
+		// run of dstGroup ends.
+		entries := make([]EffEntry, 0, len(links))
+		for j := 0; j < len(links); {
+			dst, from := links[j].dstGroup, len(entries)
+			for ; j < len(links) && links[j].dstGroup == dst; j++ {
+				if l := links[j]; j > 0 && l == links[j-1] {
+					entries[len(entries)-1].Links++
+				} else {
+					entries = append(entries, EffEntry{LocalSrc: l.localSrc, DstLocal: l.dstLocal, Links: 1})
 				}
-				return entries[x].LocalSrc < entries[y].LocalSrc
-			})
+			}
+			grp.Eff[dst] = entries[from:len(entries):len(entries)]
+			grp.EffDsts = append(grp.EffDsts, dst)
 		}
-		sort.Slice(grp.EffDsts, func(x, y int) bool { return grp.EffDsts[x] < grp.EffDsts[y] })
 		groups[i] = grp
 	}
 	return groups, nil

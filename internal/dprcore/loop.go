@@ -2,7 +2,7 @@ package dprcore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"p2prank/internal/pagerank"
 	"p2prank/internal/telemetry"
@@ -240,7 +240,7 @@ func (l *Loop) refreshX() (sources, entries int) {
 		for src := range l.latest {
 			l.srcOrder = append(l.srcOrder, src)
 		}
-		sort.Slice(l.srcOrder, func(i, j int) bool { return l.srcOrder[i] < l.srcOrder[j] })
+		slices.Sort(l.srcOrder)
 	}
 	for _, src := range l.srcOrder {
 		es := l.latest[src].Entries

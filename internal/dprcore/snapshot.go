@@ -6,7 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"p2prank/internal/transport"
@@ -80,7 +80,7 @@ func (l *Loop) AppendSnapshot(buf []byte) []byte {
 	for src := range l.latest {
 		l.snapSrcs = append(l.snapSrcs, src)
 	}
-	sort.Slice(l.snapSrcs, func(i, j int) bool { return l.snapSrcs[i] < l.snapSrcs[j] })
+	slices.Sort(l.snapSrcs)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.snapSrcs)))
 	for _, src := range l.snapSrcs {
 		buf = appendChunk(buf, l.latest[src])

@@ -67,8 +67,9 @@ type Config struct {
 	K int
 	// Strategy selects the page-partitioning strategy (default BySite).
 	Strategy partition.Strategy
-	// Transport selects direct or indirect transmission (default
-	// Indirect, the paper's scalable scheme).
+	// Transport selects direct or indirect transmission. The zero
+	// value is Direct; the paper's scalable scheme, and what every
+	// experiment preset sets, is transport.Indirect.
 	Transport transport.Kind
 	// Overlay selects Pastry or Chord (default Pastry).
 	Overlay OverlayKind

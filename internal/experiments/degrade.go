@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"p2prank/internal/dprcore"
-	"p2prank/internal/metrics"
 	"p2prank/internal/search"
 	"p2prank/internal/serve"
 )
@@ -18,8 +18,8 @@ import (
 // is the query index — the partition window, staleness ticks, and
 // publish cadence are all expressed in queries, so every outcome
 // (which queries shed, which degrade, their coverage and rank error)
-// is reproducible. The wall-clock half — latency percentiles and QPS
-// pacing — lives in cmd/dprsim, like the serve experiment.
+// is reproducible. Only latency percentiles and QPS depend on the
+// clock Run is given, like the serve experiment.
 //
 // The storm's schedule, for Q queries:
 //
@@ -38,9 +38,6 @@ import (
 type DegradeBench struct {
 	*ServeBench
 
-	PartitionFrac float64
-	StraggleFrac  float64
-
 	deg  *serve.Frontend
 	dq   *serve.Querier
 	base *serve.Querier
@@ -49,14 +46,10 @@ type DegradeBench struct {
 	winFrom int
 	winTo   int
 
-	answered    int64
-	shed        int64
-	unavailable int64
-	degraded    int64
-	coverageSum float64
-	rankErrSum  float64
-	rankErrN    int64
-	recovery    int64 // queries from heal to first full-coverage answer; -1 until seen
+	// row collects the outcome as the storm runs; MeanCoverage and
+	// RankErr hold sums until Run divides them.
+	row      DegradeRow
+	rankErrN int64
 
 	full search.Response // scratch for the ground-truth serve
 }
@@ -79,12 +72,13 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 		return nil, err
 	}
 	b := &DegradeBench{
-		ServeBench:    sb,
-		PartitionFrac: partFrac,
-		StraggleFrac:  stragFrac,
-		winFrom:       queries / 4,
-		winTo:         queries / 2,
-		recovery:      -1,
+		ServeBench: sb,
+		winFrom:    queries / 4,
+		winTo:      queries / 2,
+		row: DegradeRow{
+			K: k, Pages: sb.Pages, PartitionFrac: partFrac, StraggleFrac: stragFrac,
+			RecoveryQueries: -1,
+		},
 	}
 
 	// The health source is the same fault lattice the injectors cut
@@ -132,59 +126,93 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 	return b, nil
 }
 
-// Advance runs the schedule up to query i: it must be called before
-// serving query i, in order.
-func (b *DegradeBench) Advance(i int) error {
+// Run drives the whole storm on clock, paced at qps when it is
+// positive, topk results per query.
+func (b *DegradeBench) Run(clock serve.Clock, qps, topk int) (DegradeRow, error) {
+	var (
+		resp search.Response
+		req  search.Request
+	)
+	st, err := serve.Storm{
+		Clock: clock, Queries: len(b.queries), QPS: qps,
+		Serve: func(i int) error {
+			req = b.queries[i]
+			req.K = topk
+			return b.dq.Serve(req, &resp)
+		},
+		After: func(i int, _ time.Duration, err error) error {
+			if err := b.record(i, req, &resp, err); err != nil {
+				return fmt.Errorf("degrade K=%d query %v: %w", b.K, req.Terms, err)
+			}
+			if i+1 < len(b.queries) {
+				return b.advance(i + 1)
+			}
+			return nil
+		},
+	}.Run()
+	if err != nil {
+		return DegradeRow{}, err
+	}
+	row := b.row
+	row.Queries = int64(st.Sent)
+	row.ShedRate = float64(row.Shed) / float64(st.Sent)
+	row.Hedged = b.deg.DegradeStats().Hedged
+	if row.Degraded > 0 {
+		row.MeanCoverage /= float64(row.Degraded)
+	}
+	if b.rankErrN > 0 {
+		row.RankErr /= float64(b.rankErrN)
+	}
+	row.AchievedQPS, row.P50Micros, row.P99Micros, row.WallSeconds = st.QPS, st.P50Micros, st.P99Micros, st.WallSeconds
+	return row, nil
+}
+
+// advance runs the schedule up to query i, ahead of serving it. Query
+// 0 needs none: the clock starts there and nothing is due.
+func (b *DegradeBench) advance(i int) error {
 	b.qi.Store(int64(i))
 	q := len(b.queries)
 	if tick := q / 16; tick > 0 && i > 0 && i%tick == 0 {
 		b.Tick()
 	}
 	pub := q / 8
-	frozen := b.PartitionFrac > 0 && i >= b.winFrom && i < b.winTo
+	frozen := b.row.PartitionFrac > 0 && i >= b.winFrom && i < b.winTo
 	if pub > 0 && i%pub == pub/2 && !frozen {
 		return b.Republish()
 	}
 	return nil
 }
 
-// Serve answers one query through the degraded tier. The caller times
-// this call and nothing else.
-func (b *DegradeBench) Serve(req search.Request, resp *search.Response) error {
-	return b.dq.Serve(req, resp)
-}
-
-// Record classifies query i's outcome: sheds are counted (and their
+// record classifies query i's outcome: sheds are counted (and their
 // error swallowed), degraded answers are scored against the
 // ground-truth fan-out, and the first full-coverage answer after the
-// heal pins the recovery time. Any other error is the bench's caller's
-// problem.
-func (b *DegradeBench) Record(i int, req search.Request, resp *search.Response, err error) error {
+// heal pins the recovery time. Any other error ends the storm.
+func (b *DegradeBench) record(i int, req search.Request, resp *search.Response, err error) error {
 	if err != nil {
 		if errors.Is(err, search.ErrOverloaded) {
-			b.shed++
+			b.row.Shed++
 			return nil
 		}
 		// A query whose every planned shard is behind the cut has
 		// nothing to serve from: zero coverage is an error, not a
 		// partial answer.
 		if errors.Is(err, search.ErrStaleIndex) && i >= b.winFrom && i < b.winTo {
-			b.unavailable++
+			b.row.Unavailable++
 			return nil
 		}
 		return err
 	}
-	b.answered++
+	b.row.Answered++
 	if resp.Degraded {
-		b.degraded++
-		b.coverageSum += resp.Coverage
+		b.row.Degraded++
+		b.row.MeanCoverage += resp.Coverage
 		if e, ok := b.rankErr(req, resp); ok {
-			b.rankErrSum += e
+			b.row.RankErr += e
 			b.rankErrN++
 		}
 	}
-	if b.recovery < 0 && i >= b.winTo && !resp.Degraded && resp.Coverage == 1 {
-		b.recovery = int64(i - b.winTo)
+	if b.row.RecoveryQueries < 0 && i >= b.winTo && !resp.Degraded && resp.Coverage == 1 {
+		b.row.RecoveryQueries = int64(i - b.winTo)
 	}
 	return nil
 }
@@ -213,94 +241,38 @@ func (b *DegradeBench) rankErr(req search.Request, resp *search.Response) (float
 }
 
 // DegradeRow is one (partition span, straggler fraction) cell of the
-// degrade sweep. The wall-clock fields are the caller's.
+// degrade sweep. The wall-clock fields are whatever the injected clock
+// measured.
 type DegradeRow struct {
-	K       int
+	K       int `tab:"K"`
 	Pages   int
 	Queries int64
 
-	PartitionFrac float64
-	StraggleFrac  float64
+	PartitionFrac float64 `tab:"part" pct:"%.0f%%"`
+	StraggleFrac  float64 `tab:"strag" pct:"%.0f%%"`
 
 	// Answered, Shed, and Unavailable partition the storm; ShedRate =
 	// Shed/Queries. Unavailable counts queries whose every planned
 	// shard was behind the cut (zero possible coverage).
-	Answered    int64
-	Shed        int64
-	Unavailable int64
+	Answered    int64   `tab:"answered"`
+	Shed        int64   `tab:"shed"`
+	ShedRate    float64 `tab:"" pct:" (%.0f%%)"`
+	Unavailable int64   `tab:"unavail"`
 	// Degraded counts partial-coverage answers; MeanCoverage averages
 	// their reported shard coverage.
-	Degraded     int64
-	MeanCoverage float64
+	Degraded     int64   `tab:"degraded"`
+	MeanCoverage float64 `tab:"coverage" fmt:"%.2f"`
 	// RankErr is the mean recall loss of degraded answers against the
 	// full fan-out at the same instant.
-	RankErr float64
+	RankErr float64 `tab:"rank err" fmt:"%.3f"`
 	// Hedged counts replica reads for slow shards.
-	Hedged int64
+	Hedged int64 `tab:"hedged"`
 	// RecoveryQueries is how many queries after the heal the frontend
 	// took to serve its first full-coverage answer again (-1 if never).
-	RecoveryQueries int64
+	RecoveryQueries int64 `tab:"recovery" fmt:"%dq" neg:"-"`
 
-	// Caller-measured.
-	TargetQPS   int
-	AchievedQPS float64
-	P50Micros   float64
-	P99Micros   float64
+	AchievedQPS float64 `tab:"QPS" fmt:"%.0f"`
+	P50Micros   float64 `tab:"p50" fmt:"%.0fµs"`
+	P99Micros   float64 `tab:"p99" fmt:"%.0fµs"`
 	WallSeconds float64
-}
-
-// Finish folds the bench's accumulators into a row.
-func (b *DegradeBench) Finish() DegradeRow {
-	st := b.deg.DegradeStats()
-	row := DegradeRow{
-		K:               b.K,
-		Pages:           b.Pages,
-		Queries:         int64(len(b.queries)),
-		PartitionFrac:   b.PartitionFrac,
-		StraggleFrac:    b.StraggleFrac,
-		Answered:        b.answered,
-		Shed:            b.shed,
-		Unavailable:     b.unavailable,
-		Degraded:        b.degraded,
-		Hedged:          st.Hedged,
-		RecoveryQueries: b.recovery,
-	}
-	if b.degraded > 0 {
-		row.MeanCoverage = b.coverageSum / float64(b.degraded)
-	}
-	if b.rankErrN > 0 {
-		row.RankErr = b.rankErrSum / float64(b.rankErrN)
-	}
-	return row
-}
-
-// RenderDegrade formats the degrade sweep.
-func RenderDegrade(rows []DegradeRow) string {
-	t := metrics.NewTable("K", "part", "strag", "answered", "shed", "unavail",
-		"degraded", "coverage", "rank err", "hedged", "recovery", "QPS", "p50", "p99")
-	for _, r := range rows {
-		shedRate := 0.0
-		if r.Queries > 0 {
-			shedRate = float64(r.Shed) / float64(r.Queries)
-		}
-		recovery := "-"
-		if r.RecoveryQueries >= 0 {
-			recovery = fmt.Sprintf("%dq", r.RecoveryQueries)
-		}
-		t.AddRow(r.K,
-			fmt.Sprintf("%.0f%%", 100*r.PartitionFrac),
-			fmt.Sprintf("%.0f%%", 100*r.StraggleFrac),
-			r.Answered,
-			fmt.Sprintf("%d (%.0f%%)", r.Shed, 100*shedRate),
-			r.Unavailable,
-			r.Degraded,
-			fmt.Sprintf("%.2f", r.MeanCoverage),
-			fmt.Sprintf("%.3f", r.RankErr),
-			r.Hedged,
-			recovery,
-			fmt.Sprintf("%.0f", r.AchievedQPS),
-			fmt.Sprintf("%.0fµs", r.P50Micros),
-			fmt.Sprintf("%.0fµs", r.P99Micros))
-	}
-	return t.String()
 }

@@ -4,29 +4,23 @@ import (
 	"strings"
 	"testing"
 
-	"p2prank/internal/search"
+	"p2prank/internal/metrics"
 )
 
-// runDegradeBench drives a bench's whole storm the way cmd/dprsim does,
-// minus the timing.
+// runDegradeBench drives a bench's whole storm the way dprsim does, on
+// a clock that never advances.
 func runDegradeBench(t *testing.T, part, strag float64) DegradeRow {
 	t.Helper()
 	const k, queries = 32, 800
-	b, err := NewDegradeBench(ServeWorkload(k, 7), k, queries, part, strag)
+	b, err := NewDegradeBench(ScaleWorkload(k, 7), k, queries, part, strag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp search.Response
-	for i, req := range b.Queries() {
-		if err := b.Advance(i); err != nil {
-			t.Fatal(err)
-		}
-		serveErr := b.Serve(req, &resp)
-		if err := b.Record(i, req, &resp, serveErr); err != nil {
-			t.Fatalf("query %d %v: %v", i, req.Terms, err)
-		}
+	row, err := b.Run(frozenClock{}, 0, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b.Finish()
+	return row
 }
 
 func TestDegradeBenchFaultFreeControl(t *testing.T) {
@@ -82,8 +76,8 @@ func TestDegradeBenchDeterministic(t *testing.T) {
 	}
 }
 
-func TestRenderDegrade(t *testing.T) {
-	out := RenderDegrade([]DegradeRow{runDegradeBench(t, 0.3, 0.25)})
+func TestDegradeTable(t *testing.T) {
+	out := metrics.TableOf([]DegradeRow{runDegradeBench(t, 0.3, 0.25)}).String()
 	for _, col := range []string{"part", "shed", "coverage", "rank err", "recovery"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("rendered table missing %q column:\n%s", col, out)
@@ -92,7 +86,7 @@ func TestRenderDegrade(t *testing.T) {
 }
 
 func TestDegradeBenchValidation(t *testing.T) {
-	if _, err := NewDegradeBench(ServeWorkload(8, 1), 8, 16, 0.3, 0); err == nil {
+	if _, err := NewDegradeBench(ScaleWorkload(8, 1), 8, 16, 0.3, 0); err == nil {
 		t.Fatal("accepted a storm too short for the schedule")
 	}
 }

@@ -1,9 +1,11 @@
-// Package experiments packages the paper's evaluation section as
-// runnable presets: one function per figure/table that builds the
-// workload, sweeps the parameters, and returns the series or rows the
-// paper plots. cmd/dprsim and the top-level benchmark harness both
-// consume these, so the numbers printed by either always come from the
-// same code.
+// Package experiments is the paper's evaluation section as code. Each
+// sweep is a typed function (Fig6, Fig8, Transmission, ...) whose rows
+// declare their own table columns in `tab` struct tags, and each
+// `dprsim -exp` scenario is one entry of the registry in registry.go:
+// a name, a summary, defaults, and a run function returning the tables
+// and curves to print. cmd/dprsim and the top-level benchmark harness
+// both consume these, so the numbers printed by either always come from
+// the same code.
 //
 // Scale note: the paper ranks ~1M real pages (Google programming
 // contest crawl, 100 .edu sites) on a simulator. The presets default to
@@ -25,6 +27,7 @@ import (
 	"p2prank/internal/simnet"
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
+	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
@@ -33,12 +36,75 @@ import (
 // on the default pass it to engine.Reference explicitly.
 const defaultAlpha = 0.85
 
-// firstErr returns the first non-nil error of a parallel sweep — the
-// same one a serial loop would have stopped at.
-func firstErr(errs []error) error {
+// bed is the front half every simulated sweep shares: the workload's
+// crawl and its centralized reference ranks (the dominant fixed cost),
+// computed once for all of the sweep's runs.
+type bed struct {
+	w   Workload
+	g   webgraph.Store
+	ref vecmath.Vec
+}
+
+func newBed(w Workload) (*bed, error) {
+	w.defaults()
+	g, err := w.Generate()
+	if err != nil {
+		return nil, err
+	}
+	ref, err := engine.Reference(g, defaultAlpha)
+	if err != nil {
+		return nil, err
+	}
+	return &bed{w: w, g: g, ref: ref}, nil
+}
+
+// config is one run's engine configuration on the bed: hash-by-site
+// partition and indirect transmission, the paper's recommended set-up,
+// sampled every sampleEvery up to maxTime — for the caller to adjust.
+func (b *bed) config(k int, p dprcore.Params, sampleEvery, maxTime float64) engine.Config {
+	return engine.Config{
+		Params:      p,
+		Graph:       b.g,
+		K:           k,
+		Seed:        b.w.Seed,
+		Reference:   b.ref,
+		Strategy:    partition.BySite,
+		Transport:   transport.Indirect,
+		SampleEvery: sampleEvery,
+		MaxTime:     maxTime,
+	}
+}
+
+// cells fills one row per cell. Cells are independent simulations —
+// each owns its simulator and rng — so they run on the worker pool; the
+// error returned is the one a serial loop would have stopped at.
+func cells[R any](n int, cell func(i int) (R, error)) ([]R, error) {
+	rows, errs := make([]R, n), make([]error, n)
+	par.Default().Run(n, func(i int) { rows[i], errs[i] = cell(i) })
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// sweep is cells on w's bed.
+func sweep[R any](w Workload, n int, cell func(b *bed, i int) (R, error)) ([]R, error) {
+	b, err := newBed(w)
+	if err != nil {
+		return nil, err
+	}
+	return cells(n, func(i int) (R, error) { return cell(b, i) })
+}
+
+func checkK(ks ...int) error {
+	if len(ks) == 0 {
+		return fmt.Errorf("experiments: no ranker counts")
+	}
+	for _, k := range ks {
+		if k <= 0 {
+			return fmt.Errorf("experiments: k = %d, must be positive", k)
 		}
 	}
 	return nil
@@ -122,80 +188,54 @@ type FigureResult struct {
 // PageRank over time, at K rankers (paper: 1000), for the three
 // loss/speed settings.
 func Fig6(w Workload, k int, maxTime float64) (*FigureResult, error) {
-	return errorOverTime(w, k, maxTime, func(s *engine.Sample) float64 {
+	return overTime(w, k, maxTime, func(s *engine.Sample) float64 {
 		return s.RelErr * 100 // the paper plots percent
-	}, "relative error (%)")
+	})
 }
 
 // Fig7 reproduces Figure 7: the monotone average-rank sequence of DPR1
 // at K rankers (paper: 100). The converged level sits near 0.25–0.3
 // because 8/15 of links leave the dataset.
 func Fig7(w Workload, k int, maxTime float64) (*FigureResult, error) {
-	return errorOverTime(w, k, maxTime, func(s *engine.Sample) float64 {
+	return overTime(w, k, maxTime, func(s *engine.Sample) float64 {
 		return s.AvgRank
-	}, "average rank")
+	})
 }
 
-func errorOverTime(w Workload, k int, maxTime float64, metric func(*engine.Sample) float64, _ string) (*FigureResult, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
+func overTime(w Workload, k int, maxTime float64, metric func(*engine.Sample) float64) (*FigureResult, error) {
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
 	if maxTime <= 0 {
 		return nil, fmt.Errorf("experiments: maxTime = %v, must be positive", maxTime)
 	}
-	w.defaults()
-	g, err := w.Generate()
+	b, err := newBed(w)
 	if err != nil {
 		return nil, err
 	}
-	res := &FigureResult{GraphStats: webgraph.ComputeStats(g)}
-	// The three curves share one graph, so they share one centralized
-	// reference (the dominant fixed cost) and run as independent
-	// simulations in parallel — each owns its simulator and rng.
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	curves := make([]*metrics.Series, len(curveParams))
-	errs := make([]error, len(curveParams))
-	par.Default().Run(len(curveParams), func(ci int) {
+	curves, err := cells(len(curveParams), func(ci int) (*metrics.Series, error) {
 		cp := curveParams[ci]
-		cfg := engine.Config{
-			Params:      dprcore.Params{Alg: dprcore.DPR1, SendProb: cp.sendProb, T1: cp.t1, T2: cp.t2},
-			Graph:       g,
-			K:           k,
-			Seed:        w.Seed,
-			Reference:   ref,
-			SampleEvery: 1,
-			MaxTime:     maxTime,
-			Transport:   transport.Indirect,
-			Strategy:    partition.BySite,
-		}
-		run, err := engine.Run(cfg)
+		p := dprcore.Params{Alg: dprcore.DPR1, SendProb: cp.sendProb, T1: cp.t1, T2: cp.t2}
+		run, err := engine.Run(b.config(k, p, 1, maxTime))
 		if err != nil {
-			errs[ci] = fmt.Errorf("experiments: curve %q: %w", cp.name, err)
-			return
+			return nil, fmt.Errorf("experiments: curve %q: %w", cp.name, err)
 		}
 		s := metrics.NewSeries(cp.name)
 		for i := range run.Samples {
 			s.Add(run.Samples[i].Time, metric(&run.Samples[i]))
 		}
-		curves[ci] = s
+		return s, nil
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	res.Curves = curves
-	return res, nil
+	return &FigureResult{Curves: curves, GraphStats: webgraph.ComputeStats(b.g)}, err
 }
 
 // Fig8Row is one point of Figure 8: iterations to reach the threshold
 // relative error for each algorithm at a ranker population.
 type Fig8Row struct {
-	K    int
-	DPR1 float64
-	DPR2 float64
-	CPR  float64
+	K    int     `tab:"# of Page Rankers"`
+	DPR1 float64 `tab:"DPR1" fmt:"%.1f"`
+	DPR2 float64 `tab:"DPR2" fmt:"%.1f"`
+	CPR  float64 `tab:"CPR" fmt:"%.0f"`
 }
 
 // Fig8 reproduces Figure 8: the number of iterations each algorithm
@@ -205,91 +245,57 @@ type Fig8Row struct {
 // crawl occupies at most 100 rankers, which is also why the paper's
 // curve is flat from K=100 to K=10000.
 func Fig8(w Workload, ks []int) ([]Fig8Row, error) {
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("experiments: no ranker counts")
+	if err := checkK(ks...); err != nil {
+		return nil, err
 	}
-	w.defaults()
-	g, err := w.Generate()
+	b, err := newBed(w)
 	if err != nil {
 		return nil, err
 	}
 	const target = 1e-4 // the paper's 0.01%
-	ref, err := engine.Reference(g, defaultAlpha)
+	cpr, err := engine.CPRIterationsFrom(b.g, defaultAlpha, target, b.ref)
 	if err != nil {
 		return nil, err
 	}
-	cpr, err := engine.CPRIterationsFrom(g, defaultAlpha, target, ref)
+	// Every (K, algorithm) cell is its own simulation.
+	algs := []dprcore.Algorithm{dprcore.DPR1, dprcore.DPR2}
+	loops, err := cells(len(ks)*len(algs), func(job int) (float64, error) {
+		k, alg := ks[job/len(algs)], algs[job%len(algs)]
+		cfg := b.config(k, dprcore.Params{Alg: alg, T1: 15, T2: 15}, 5, 6000)
+		cfg.TargetRelErr = target
+		run, err := engine.Run(cfg)
+		if err != nil {
+			return 0, fmt.Errorf("experiments: fig8 K=%d %v: %w", k, alg, err)
+		}
+		if run.ConvergedAt < 0 {
+			return 0, fmt.Errorf("experiments: fig8 K=%d %v did not converge (rel err %v)", k, alg, run.RelErr)
+		}
+		return run.LoopsAtConvergence, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig8Row, len(ks))
 	for i, k := range ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
-		}
-		rows[i] = Fig8Row{K: k, CPR: float64(cpr)}
-	}
-	// Every (K, algorithm) cell is an independent simulation; run the
-	// grid in parallel, each job writing only its own row field.
-	algs := []dprcore.Algorithm{dprcore.DPR1, dprcore.DPR2}
-	errs := make([]error, len(ks)*len(algs))
-	par.Default().Run(len(errs), func(job int) {
-		k, alg := ks[job/len(algs)], algs[job%len(algs)]
-		cfg := engine.Config{
-			Params:       dprcore.Params{Alg: alg, T1: 15, T2: 15},
-			Graph:        g,
-			K:            k,
-			Seed:         w.Seed,
-			Reference:    ref,
-			SampleEvery:  5,
-			MaxTime:      6000,
-			TargetRelErr: target,
-			Strategy:     partition.BySite,
-			Transport:    transport.Indirect,
-		}
-		run, err := engine.Run(cfg)
-		if err != nil {
-			errs[job] = fmt.Errorf("experiments: fig8 K=%d %v: %w", k, alg, err)
-			return
-		}
-		if run.ConvergedAt < 0 {
-			errs[job] = fmt.Errorf("experiments: fig8 K=%d %v did not converge (rel err %v)",
-				k, alg, run.RelErr)
-			return
-		}
-		switch alg {
-		case dprcore.DPR1:
-			rows[job/len(algs)].DPR1 = run.LoopsAtConvergence
-		case dprcore.DPR2:
-			rows[job/len(algs)].DPR2 = run.LoopsAtConvergence
-		}
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
+		rows[i] = Fig8Row{K: k, DPR1: loops[2*i], DPR2: loops[2*i+1], CPR: float64(cpr)}
 	}
 	return rows, nil
 }
 
-// RenderFig8 formats Figure 8 rows as a table.
-func RenderFig8(rows []Fig8Row) string {
-	t := metrics.NewTable("# of Page Rankers", "DPR1", "DPR2", "CPR")
-	for _, r := range rows {
-		t.AddRow(r.K, fmt.Sprintf("%.1f", r.DPR1), fmt.Sprintf("%.1f", r.DPR2), fmt.Sprintf("%.0f", r.CPR))
-	}
-	return t.String()
-}
-
 // TransmissionRow compares measured per-iteration traffic of the two
 // transmission schemes against the closed-form model (formulas
-// 4.1–4.4) at one ranker population.
+// 4.1–4.4, with the measured h and g plugged in) at one ranker
+// population.
 type TransmissionRow struct {
-	K int
-	// Measured per-iteration means.
-	DirectMsgs, IndirectMsgs   float64
-	DirectBytes, IndirectBytes float64
-	// Model predictions with the measured h and g plugged in.
-	ModelDirectMsgs, ModelIndirectMsgs float64
-	AvgHops, AvgNeighbors              float64
+	K                 int     `tab:"K"`
+	DirectMsgs        float64 `tab:"direct msgs/iter" fmt:"%.0f"`
+	IndirectMsgs      float64 `tab:"indirect msgs/iter" fmt:"%.0f"`
+	ModelDirectMsgs   float64 `tab:"model S_dt" fmt:"%.0f"`
+	ModelIndirectMsgs float64 `tab:"model S_it" fmt:"%.0f"`
+	DirectBytes       float64 `tab:"direct B/iter" fmt:"%.0f"`
+	IndirectBytes     float64 `tab:"indirect B/iter" fmt:"%.0f"`
+	AvgHops           float64
+	AvgNeighbors      float64
 }
 
 // Transmission measures both transports at each ranker population and
@@ -297,47 +303,23 @@ type TransmissionRow struct {
 // partitioned by URL hash so all ranker pairs communicate, the regime
 // formulas 4.1–4.4 assume.
 func Transmission(w Workload, ks []int, timePerRun float64) ([]TransmissionRow, error) {
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("experiments: no ranker counts")
+	if err := checkK(ks...); err != nil {
+		return nil, err
 	}
 	if timePerRun <= 0 {
 		return nil, fmt.Errorf("experiments: timePerRun must be positive")
 	}
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]TransmissionRow, len(ks))
-	for i, k := range ks {
-		rows[i] = TransmissionRow{K: k}
-	}
-	// One independent simulation per (K, transport) cell; the Direct and
-	// Indirect jobs for a row write disjoint fields.
+	// One simulation per (K, transport) cell, each filling its own half
+	// of a row; the halves are joined below.
 	kinds := []transport.Kind{transport.Direct, transport.Indirect}
-	errs := make([]error, len(ks)*len(kinds))
-	par.Default().Run(len(errs), func(job int) {
-		ki, kind := job/len(kinds), kinds[job%len(kinds)]
-		k := ks[ki]
-		cfg := engine.Config{
-			Params:      dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3},
-			Graph:       g,
-			K:           k,
-			Seed:        w.Seed,
-			Reference:   ref,
-			SampleEvery: timePerRun, // one sample at the end
-			MaxTime:     timePerRun,
-			Strategy:    partition.ByPage,
-			Transport:   kind,
-		}
+	halves, err := sweep(w, len(ks)*len(kinds), func(b *bed, job int) (TransmissionRow, error) {
+		k, kind := ks[job/len(kinds)], kinds[job%len(kinds)]
+		cfg := b.config(k, dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3}, timePerRun, timePerRun) // one sample, at the end
+		cfg.Strategy = partition.ByPage
+		cfg.Transport = kind
 		run, err := engine.Run(cfg)
 		if err != nil {
-			errs[job] = fmt.Errorf("experiments: transmission K=%d %v: %w", k, kind, err)
-			return
+			return TransmissionRow{}, fmt.Errorf("experiments: transmission K=%d %v: %w", k, kind, err)
 		}
 		iters := run.LoopsAtConvergence
 		if iters == 0 {
@@ -345,65 +327,53 @@ func Transmission(w Workload, ks []int, timePerRun float64) ([]TransmissionRow, 
 		}
 		msgs := float64(run.NetStats.MessagesSent) / iters
 		bytes := float64(run.NetStats.BytesSent) / iters
-		row := &rows[ki]
-		switch kind {
-		case transport.Direct:
-			row.DirectMsgs, row.DirectBytes = msgs, bytes
-		case transport.Indirect:
-			row.IndirectMsgs, row.IndirectBytes = msgs, bytes
-			row.AvgHops, row.AvgNeighbors = run.AvgHops, run.AvgNeighbors
+		if kind == transport.Direct {
+			return TransmissionRow{DirectMsgs: msgs, DirectBytes: bytes}, nil
 		}
+		p := bwmodel.Params{
+			W: float64(b.w.Pages), N: float64(k),
+			H: run.AvgHops, L: 100, R: 48, G: run.AvgNeighbors,
+		}
+		return TransmissionRow{
+			K: k, IndirectMsgs: msgs, IndirectBytes: bytes,
+			ModelDirectMsgs: p.DirectMessages(), ModelIndirectMsgs: p.IndirectMessages(),
+			AvgHops: run.AvgHops, AvgNeighbors: run.AvgNeighbors,
+		}, nil
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
+	rows := make([]TransmissionRow, len(ks))
 	for i := range rows {
-		p := bwmodel.Params{
-			W: float64(w.Pages), N: float64(rows[i].K),
-			H: rows[i].AvgHops, L: 100, R: 48, G: rows[i].AvgNeighbors,
-		}
-		rows[i].ModelDirectMsgs = p.DirectMessages()
-		rows[i].ModelIndirectMsgs = p.IndirectMessages()
+		rows[i] = halves[2*i+1]
+		rows[i].DirectMsgs, rows[i].DirectBytes = halves[2*i].DirectMsgs, halves[2*i].DirectBytes
 	}
 	return rows, nil
-}
-
-// RenderTransmission formats transmission rows as a table.
-func RenderTransmission(rows []TransmissionRow) string {
-	t := metrics.NewTable("K", "direct msgs/iter", "indirect msgs/iter",
-		"model S_dt", "model S_it", "direct B/iter", "indirect B/iter")
-	for _, r := range rows {
-		t.AddRow(r.K,
-			fmt.Sprintf("%.0f", r.DirectMsgs), fmt.Sprintf("%.0f", r.IndirectMsgs),
-			fmt.Sprintf("%.0f", r.ModelDirectMsgs), fmt.Sprintf("%.0f", r.ModelIndirectMsgs),
-			fmt.Sprintf("%.0f", r.DirectBytes), fmt.Sprintf("%.0f", r.IndirectBytes))
-	}
-	return t.String()
 }
 
 // TrafficRow is one §4.4 traffic measurement taken at the telemetry
 // seam: per-iteration chunk, message, and payload-byte counts from the
 // in-sim collector, paired with the closed-form model predictions.
 type TrafficRow struct {
-	K int
+	K int `tab:"K"`
 	// MeanRounds is the mean committed main-loop count per ranker.
-	MeanRounds float64
+	MeanRounds float64 `tab:"rounds/ranker" fmt:"%.1f"`
 	// ChunksPerIter counts score chunks emitted per iteration at the
 	// dprcore Sender seam (before transport framing).
-	ChunksPerIter float64
+	ChunksPerIter float64 `tab:"chunks/iter" fmt:"%.0f"`
 	// MsgsPerIter counts overlay messages per iteration: each chunk
 	// weighted by its route's hop count.
-	MsgsPerIter float64
+	MsgsPerIter float64 `tab:"msgs/iter" fmt:"%.0f"`
 	// BytesPerIter is the per-iteration payload volume (links × l).
-	BytesPerIter float64
+	BytesPerIter float64 `tab:"payload B/iter" fmt:"%.0f"`
 	// AvgHops is the measured mean overlay hops per chunk.
-	AvgHops float64
+	AvgHops float64 `tab:"hops/chunk" fmt:"%.2f"`
 	// ModelMsgs is formula 4.3's S_it = g·N with the measured overlay
 	// neighbor count plugged in.
-	ModelMsgs float64
+	ModelMsgs float64 `tab:"model S_it" fmt:"%.0f"`
 	// ModelBytes is formula 4.1's D_it = h·l·W with the measured h and
 	// the links actually shipped per iteration as W·l.
-	ModelBytes float64
+	ModelBytes float64 `tab:"model D_it" fmt:"%.0f"`
 }
 
 // Traffic reproduces the §4.4 message/data cost table from telemetry:
@@ -414,50 +384,24 @@ type TrafficRow struct {
 // partitioned by URL hash so all ranker pairs communicate, the regime
 // the formulas assume.
 func Traffic(w Workload, ks []int, timePerRun float64) ([]TrafficRow, error) {
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("experiments: no ranker counts")
+	if err := checkK(ks...); err != nil {
+		return nil, err
 	}
 	if timePerRun <= 0 {
 		return nil, fmt.Errorf("experiments: timePerRun must be positive")
 	}
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]TrafficRow, len(ks))
-	errs := make([]error, len(ks))
-	par.Default().Run(len(ks), func(i int) {
+	return sweep(w, len(ks), func(b *bed, i int) (TrafficRow, error) {
 		k := ks[i]
-		if k <= 0 {
-			errs[i] = fmt.Errorf("experiments: k = %d, must be positive", k)
-			return
-		}
-		col := telemetry.NewSimCollector(k)
-		cfg := engine.Config{
-			Params:      dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3, Observer: col},
-			Graph:       g,
-			K:           k,
-			Seed:        w.Seed,
-			Reference:   ref,
-			SampleEvery: timePerRun, // one sample at the end
-			MaxTime:     timePerRun,
-			Strategy:    partition.ByPage,
-			Transport:   transport.Indirect,
-		}
+		p := dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3, Observer: telemetry.NewSimCollector(k)}
+		cfg := b.config(k, p, timePerRun, timePerRun) // one sample, at the end
+		cfg.Strategy = partition.ByPage
 		run, err := engine.Run(cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: traffic K=%d: %w", k, err)
-			return
+			return TrafficRow{}, fmt.Errorf("experiments: traffic K=%d: %w", k, err)
 		}
 		sum := run.Telemetry
 		if sum == nil {
-			errs[i] = fmt.Errorf("experiments: traffic K=%d: no telemetry summary", k)
-			return
+			return TrafficRow{}, fmt.Errorf("experiments: traffic K=%d: no telemetry summary", k)
 		}
 		iters := sum.MeanRounds()
 		if iters == 0 {
@@ -465,7 +409,7 @@ func Traffic(w Workload, ks []int, timePerRun float64) ([]TrafficRow, error) {
 		}
 		h := sum.MeanChunkHops()
 		bytesPerIter := float64(sum.PayloadBytes) / iters
-		rows[i] = TrafficRow{
+		return TrafficRow{
 			K:             k,
 			MeanRounds:    sum.MeanRounds(),
 			ChunksPerIter: float64(sum.Chunks) / iters,
@@ -473,46 +417,28 @@ func Traffic(w Workload, ks []int, timePerRun float64) ([]TrafficRow, error) {
 			BytesPerIter:  bytesPerIter,
 			AvgHops:       h,
 			ModelMsgs: bwmodel.Params{
-				W: float64(w.Pages), N: float64(k),
+				W: float64(b.w.Pages), N: float64(k),
 				H: h, L: telemetry.DefaultBytesPerLink, R: 48, G: run.AvgNeighbors,
 			}.IndirectMessages(),
 			ModelBytes: h * bytesPerIter,
-		}
+		}, nil
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// RenderTraffic formats §4.4 traffic rows as a table.
-func RenderTraffic(rows []TrafficRow) string {
-	t := metrics.NewTable("K", "rounds/ranker", "chunks/iter", "msgs/iter",
-		"payload B/iter", "hops/chunk", "model S_it", "model D_it")
-	for _, r := range rows {
-		t.AddRow(r.K,
-			fmt.Sprintf("%.1f", r.MeanRounds),
-			fmt.Sprintf("%.0f", r.ChunksPerIter), fmt.Sprintf("%.0f", r.MsgsPerIter),
-			fmt.Sprintf("%.0f", r.BytesPerIter), fmt.Sprintf("%.2f", r.AvgHops),
-			fmt.Sprintf("%.0f", r.ModelMsgs), fmt.Sprintf("%.0f", r.ModelBytes))
-	}
-	return t.String()
 }
 
 // CutRow is the §4.1 partition comparison at one strategy.
 type CutRow struct {
-	Strategy partition.Strategy
-	CutFrac  float64
-	MaxPages int
-	MinPages int
+	Strategy partition.Strategy `tab:"strategy"`
+	CutFrac  float64            `tab:"cut fraction" fmt:"%.4f"`
+	MaxPages int                `tab:"max pages/ranker"`
+	MinPages int                `tab:"min pages/ranker"`
 }
 
 // PartitionCut measures the fraction of internal links crossing ranker
 // boundaries under each partitioning strategy — the evidence behind
 // §4.1's recommendation of hash-by-site.
 func PartitionCut(w Workload, k int) ([]CutRow, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
 	w.defaults()
 	g, err := w.Generate()
@@ -535,22 +461,13 @@ func PartitionCut(w Workload, k int) ([]CutRow, error) {
 	return rows, nil
 }
 
-// RenderCut formats partition-cut rows.
-func RenderCut(rows []CutRow) string {
-	t := metrics.NewTable("strategy", "cut fraction", "max pages/ranker", "min pages/ranker")
-	for _, r := range rows {
-		t.AddRow(r.Strategy, fmt.Sprintf("%.4f", r.CutFrac), r.MaxPages, r.MinPages)
-	}
-	return t.String()
-}
-
 // HopsRow pairs an overlay population with its measured mean lookup
 // hops — the h(N) inputs of Table 1.
 type HopsRow struct {
-	N       int
-	Hops    float64
-	PaperH  float64
-	Overlay engine.OverlayKind
+	Overlay engine.OverlayKind `tab:"overlay"`
+	N       int                `tab:"N"`
+	Hops    float64            `tab:"measured hops" fmt:"%.2f"`
+	PaperH  float64            `tab:"paper model" fmt:"%.2f"`
 }
 
 // OverlayHops measures mean lookup hop counts at each population.
@@ -579,12 +496,12 @@ func OverlayHops(kind engine.OverlayKind, ns []int, samples int, seed uint64) ([
 type BandwidthRow struct {
 	// Bandwidth is the per-node uplink in bytes per virtual time unit
 	// (0 = unlimited).
-	Bandwidth float64
+	Bandwidth float64 `tab:"node bandwidth (B/unit)" fmt:"%.0f" zero:"unlimited"`
 	// ConvergedAt is the virtual time the target error was reached, or
 	// -1 when the horizon expired first.
-	ConvergedAt float64
+	ConvergedAt float64 `tab:"converged at" fmt:"%.0f" neg:"never"`
 	// FinalRelErr is the relative error at the end of the run.
-	FinalRelErr float64
+	FinalRelErr float64 `tab:"final rel err" fmt:"%.2e"`
 }
 
 // ConvergenceVsBandwidth reruns the same DPR1 workload under shrinking
@@ -593,92 +510,40 @@ type BandwidthRow struct {
 // here the simulator serializes every message through the sender's
 // uplink, so the effect is measured instead of modeled.
 func ConvergenceVsBandwidth(w Workload, k int, bws []float64, maxTime float64) ([]BandwidthRow, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
 	if len(bws) == 0 {
 		return nil, fmt.Errorf("experiments: no bandwidth values")
-	}
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
 	}
 	for _, bw := range bws {
 		if bw < 0 {
 			return nil, fmt.Errorf("experiments: negative bandwidth %v", bw)
 		}
 	}
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]BandwidthRow, len(bws))
-	errs := make([]error, len(bws))
-	par.Default().Run(len(bws), func(i int) {
-		bw := bws[i]
-		cfg := engine.Config{
-			Params:       dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3},
-			Graph:        g,
-			K:            k,
-			Seed:         w.Seed,
-			Reference:    ref,
-			SampleEvery:  1,
-			MaxTime:      maxTime,
-			TargetRelErr: 1e-4,
-			Strategy:     partition.BySite,
-			Transport:    transport.Indirect,
-			Net: simnet.NetConfig{
-				MinLatency:    0.05,
-				MaxLatency:    0.15,
-				NodeBandwidth: bw,
-			},
-		}
+	return sweep(w, len(bws), func(b *bed, i int) (BandwidthRow, error) {
+		cfg := b.config(k, dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3}, 1, maxTime)
+		cfg.TargetRelErr = 1e-4
+		cfg.Net = simnet.NetConfig{MinLatency: 0.05, MaxLatency: 0.15, NodeBandwidth: bws[i]}
 		run, err := engine.Run(cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: bandwidth %v: %w", bw, err)
-			return
+			return BandwidthRow{}, fmt.Errorf("experiments: bandwidth %v: %w", bws[i], err)
 		}
-		rows[i] = BandwidthRow{
-			Bandwidth:   bw,
-			ConvergedAt: run.ConvergedAt,
-			FinalRelErr: run.RelErr,
-		}
+		return BandwidthRow{Bandwidth: bws[i], ConvergedAt: run.ConvergedAt, FinalRelErr: run.RelErr}, nil
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// RenderBandwidth formats bandwidth-sweep rows.
-func RenderBandwidth(rows []BandwidthRow) string {
-	t := metrics.NewTable("node bandwidth (B/unit)", "converged at", "final rel err")
-	for _, r := range rows {
-		conv := "never"
-		if r.ConvergedAt >= 0 {
-			conv = fmt.Sprintf("%.0f", r.ConvergedAt)
-		}
-		bw := "unlimited"
-		if r.Bandwidth > 0 {
-			bw = fmt.Sprintf("%.0f", r.Bandwidth)
-		}
-		t.AddRow(bw, conv, fmt.Sprintf("%.2e", r.FinalRelErr))
-	}
-	return t.String()
 }
 
 // FaultRow records convergence under one transport fault severity.
 type FaultRow struct {
 	// DropProb is the injected per-chunk drop probability.
-	DropProb float64
+	DropProb float64 `tab:"drop prob" fmt:"%.2f"`
 	// ConvergedAt is the virtual time the target error was reached, or
 	// -1 when the horizon expired first.
-	ConvergedAt float64
+	ConvergedAt float64 `tab:"converged at" fmt:"%.0f" neg:"never"`
 	// FinalRelErr is the relative error at the end of the run.
-	FinalRelErr float64
+	FinalRelErr float64 `tab:"final rel err" fmt:"%.2e"`
 	// Dropped is how many chunks the injector discarded.
-	Dropped int64
+	Dropped int64 `tab:"chunks dropped"`
 }
 
 // Faults reruns the same DPR1 workload under increasing message-drop
@@ -687,76 +552,46 @@ type FaultRow struct {
 // still converge. Delays and duplicates ride along at a fixed low rate
 // so all three fault kinds are exercised.
 func Faults(w Workload, k int, drops []float64, maxTime float64) ([]FaultRow, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
 	if len(drops) == 0 {
 		return nil, fmt.Errorf("experiments: no drop probabilities")
 	}
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FaultRow, len(drops))
-	errs := make([]error, len(drops))
-	par.Default().Run(len(drops), func(i int) {
-		cfg := engine.Config{
-			Params:       dprcore.Params{Alg: dprcore.DPR1, T1: 0, T2: 6},
-			Graph:        g,
-			K:            k,
-			Seed:         w.Seed,
-			Reference:    ref,
-			SampleEvery:  2,
-			MaxTime:      maxTime,
-			TargetRelErr: 1e-4,
-			Strategy:     partition.BySite,
-			Transport:    transport.Indirect,
-		}
+	return sweep(w, len(drops), func(b *bed, i int) (FaultRow, error) {
+		cfg := b.config(k, dprcore.Params{Alg: dprcore.DPR1, T1: 0, T2: 6}, 2, maxTime)
+		cfg.TargetRelErr = 1e-4
 		if drops[i] > 0 {
-			cfg.Fault = dprcore.FaultConfig{
-				DropProb:  drops[i],
-				DelayProb: 0.05,
-				MeanDelay: 5,
-				DupProb:   0.05,
-			}
+			cfg.Fault = dprcore.FaultConfig{DropProb: drops[i], DelayProb: 0.05, MeanDelay: 5, DupProb: 0.05}
 		}
 		run, err := engine.Run(cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: drop %v: %w", drops[i], err)
-			return
+			return FaultRow{}, fmt.Errorf("experiments: drop %v: %w", drops[i], err)
 		}
-		rows[i] = FaultRow{
+		return FaultRow{
 			DropProb:    drops[i],
 			ConvergedAt: run.ConvergedAt,
 			FinalRelErr: run.RelErr,
 			Dropped:     run.FaultStats.Dropped,
-		}
+		}, nil
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // ChurnRow records convergence under one churn severity: a number of
 // rankers crashed mid-run and restarted from their checkpoints.
 type ChurnRow struct {
 	// Crashes is how many rankers crash (and later restart) in the run.
-	Crashes int
+	Crashes int `tab:"crashes"`
 	// ConvergedAt is the virtual time the target error was reached, or
 	// -1 when the horizon expired first.
-	ConvergedAt float64
+	ConvergedAt float64 `tab:"converged at" fmt:"%.0f" neg:"never"`
 	// FinalRelErr is the relative error at the end of the run.
-	FinalRelErr float64
+	FinalRelErr float64 `tab:"final rel err" fmt:"%.2e"`
 	// Retries and Acks are the reliable layer's counters.
-	Retries, Acks int64
+	Retries int64 `tab:"retries"`
+	Acks    int64 `tab:"acks"`
 	// Recoveries is the number of checkpoint restores performed.
-	Recoveries int64
+	Recoveries int64 `tab:"recoveries"`
 }
 
 // Churn reruns the same DPR1 workload while crashing an increasing
@@ -766,8 +601,8 @@ type ChurnRow struct {
 // outage windows sit early in the run so convergence has to ride out
 // the churn rather than finish before it.
 func Churn(w Workload, k int, crashes []int, maxTime float64) ([]ChurnRow, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
 	if len(crashes) == 0 {
 		return nil, fmt.Errorf("experiments: no crash counts")
@@ -777,129 +612,71 @@ func Churn(w Workload, k int, crashes []int, maxTime float64) ([]ChurnRow, error
 			return nil, fmt.Errorf("experiments: %d crashes with %d rankers", c, k)
 		}
 	}
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ChurnRow, len(crashes))
-	errs := make([]error, len(crashes))
-	par.Default().Run(len(crashes), func(i int) {
+	return sweep(w, len(crashes), func(b *bed, i int) (ChurnRow, error) {
+		cfg := b.config(k, dprcore.Params{
+			Alg: dprcore.DPR1, T1: 0.5, T2: 3,
+			Fault:    dprcore.FaultConfig{DropProb: 0.1},
+			Reliable: dprcore.ReliableConfig{Timeout: 10},
+			// Per-round checkpoints: the crashes land early in the
+			// ramp, and a sparser cadence would turn them into cold
+			// restarts instead of recoveries.
+			Checkpoint: dprcore.CheckpointConfig{Every: 1},
+		}, 2, maxTime)
+		cfg.TargetRelErr = 1e-4
 		// Stagger the outages across the convergence ramp (these
 		// T1/T2 settings reach 1e-4 around t≈16-20): ranker j crashes
 		// at 6+2j and returns 7 time units later, so the run has to
 		// converge through the churn, not after it.
-		events := make([]engine.ChurnEvent, crashes[i])
-		for j := range events {
-			events[j] = engine.ChurnEvent{
+		cfg.Churn = make([]engine.ChurnEvent, crashes[i])
+		for j := range cfg.Churn {
+			cfg.Churn[j] = engine.ChurnEvent{
 				Ranker:         j,
 				CrashAt:        6 + 2*float64(j),
 				RestartAt:      13 + 2*float64(j),
 				FromCheckpoint: true,
 			}
 		}
-		cfg := engine.Config{
-			Params: dprcore.Params{
-				Alg: dprcore.DPR1, T1: 0.5, T2: 3,
-				Fault:    dprcore.FaultConfig{DropProb: 0.1},
-				Reliable: dprcore.ReliableConfig{Timeout: 10},
-				// Per-round checkpoints: the crashes land early in the
-				// ramp, and a sparser cadence would turn them into cold
-				// restarts instead of recoveries.
-				Checkpoint: dprcore.CheckpointConfig{Every: 1},
-			},
-			Graph:        g,
-			K:            k,
-			Seed:         w.Seed,
-			Reference:    ref,
-			SampleEvery:  2,
-			MaxTime:      maxTime,
-			TargetRelErr: 1e-4,
-			Strategy:     partition.BySite,
-			Transport:    transport.Indirect,
-			Churn:        events,
-		}
 		run, err := engine.Run(cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: churn %d: %w", crashes[i], err)
-			return
+			return ChurnRow{}, fmt.Errorf("experiments: churn %d: %w", crashes[i], err)
 		}
-		rows[i] = ChurnRow{
+		return ChurnRow{
 			Crashes:     crashes[i],
 			ConvergedAt: run.ConvergedAt,
 			FinalRelErr: run.RelErr,
 			Retries:     run.ReliableStats.Retries,
 			Acks:        run.ReliableStats.Acks,
 			Recoveries:  run.Recoveries,
-		}
+		}, nil
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// RenderChurn formats churn-sweep rows.
-func RenderChurn(rows []ChurnRow) string {
-	t := metrics.NewTable("crashes", "converged at", "final rel err",
-		"retries", "acks", "recoveries")
-	for _, r := range rows {
-		conv := "never"
-		if r.ConvergedAt >= 0 {
-			conv = fmt.Sprintf("%.0f", r.ConvergedAt)
-		}
-		t.AddRow(r.Crashes, conv, fmt.Sprintf("%.2e", r.FinalRelErr),
-			r.Retries, r.Acks, r.Recoveries)
-	}
-	return t.String()
-}
-
-// RenderFaults formats fault-sweep rows.
-func RenderFaults(rows []FaultRow) string {
-	t := metrics.NewTable("drop prob", "converged at", "final rel err", "chunks dropped")
-	for _, r := range rows {
-		conv := "never"
-		if r.ConvergedAt >= 0 {
-			conv = fmt.Sprintf("%.0f", r.ConvergedAt)
-		}
-		t.AddRow(fmt.Sprintf("%.2f", r.DropProb), conv,
-			fmt.Sprintf("%.2e", r.FinalRelErr), r.Dropped)
-	}
-	return t.String()
 }
 
 // ScaleRow is one decade of the paper-scale run: DPR at K rankers on a
 // proportionally sized crawl, with the §4.4–4.5 model validated against
 // what the run actually measured. WallSeconds, PeakRSSMB, and
-// EventsPerSec are filled by the caller (cmd/dprsim): wall-clock and
+// EventsPerSec come from the Meter the command injects: wall-clock and
 // process measurements are banned inside simulation-path packages by
 // the nowallclock analyzer, and belong with the process owner anyway.
 type ScaleRow struct {
-	K     int
-	Pages int
-	Alg   dprcore.Algorithm
-	// RelErr is the final relative error against centralized PageRank.
-	RelErr float64
+	Alg   dprcore.Algorithm `tab:"alg"`
+	K     int               `tab:"K"`
+	Pages int               `tab:"pages"`
 	// MeanRounds is the mean committed loop count per ranker.
-	MeanRounds float64
+	MeanRounds float64 `tab:"rounds" fmt:"%.1f"`
+	// RelErr is the final relative error against centralized PageRank.
+	RelErr float64 `tab:"rel err" fmt:"%.2e"`
 	// Events is the number of simulator events the run executed.
-	Events uint64
+	Events       uint64  `tab:"events"`
+	EventsPerSec float64 `tab:"events/s" fmt:"%.2e"`
 	// Messages and Bytes are network-level send totals.
-	Messages int64
-	Bytes    int64
+	Messages    int64   `tab:"msgs"`
+	Bytes       int64   `tab:"bytes"`
+	WallSeconds float64 `tab:"wall" fmt:"%.1fs"`
+	PeakRSSMB   float64 `tab:"peak RSS" fmt:"%.0fMB"`
 	// AvgHops is the overlay's sampled mean lookup hop count.
 	AvgHops float64
 	// Validation compares the bwmodel predictions against telemetry.
 	Validation []bwmodel.ValidationRow
-
-	// Caller-measured process metrics (see type comment).
-	WallSeconds  float64
-	PeakRSSMB    float64
-	EventsPerSec float64
 }
 
 // ScaleMaxTime is the virtual-time horizon of one scale run: with
@@ -910,7 +687,9 @@ const ScaleMaxTime = 30.0
 
 // ScaleWorkload returns the proportionally sized crawl for K rankers:
 // 20 pages per ranker (the Fig-6 ratio of 20k pages / 1k rankers),
-// keeping per-ranker work constant as K sweeps 10³ → 10⁵.
+// keeping per-ranker work constant as K sweeps 10³ → 10⁵. The serving
+// benches use the same crawl, hash-partitioned so every ranker serves
+// a shard.
 func ScaleWorkload(k int, seed uint64) Workload {
 	return Workload{Pages: 20 * k, Sites: 100, Seed: seed}
 }
@@ -922,21 +701,18 @@ func ScaleWorkload(k int, seed uint64) Workload {
 // scheduler and the coalesced network layer exist for. The returned
 // row carries the measured traffic and the bwmodel validation;
 // reference ranks are computed per run (the graph differs per K).
-func ScaleRun(w Workload, k int, alg dprcore.Algorithm, maxTime float64) (*ScaleRow, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: k = %d, must be positive", k)
+func ScaleRun(w Workload, k int, alg dprcore.Algorithm) (*ScaleRow, error) {
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
-	if maxTime <= 0 {
-		maxTime = ScaleMaxTime
-	}
+	const maxTime = ScaleMaxTime
 	w.defaults()
 	g, err := w.Generate()
 	if err != nil {
 		return nil, err
 	}
-	col := telemetry.NewSimCollector(k)
 	cfg := engine.Config{
-		Params:      dprcore.Params{Alg: alg, T1: 3, T2: 3, Observer: col},
+		Params:      dprcore.Params{Alg: alg, T1: 3, T2: 3, Observer: telemetry.NewSimCollector(k)},
 		Graph:       g,
 		K:           k,
 		Seed:        w.Seed,
@@ -989,28 +765,4 @@ func ScaleRun(w Workload, k int, alg dprcore.Algorithm, maxTime float64) (*Scale
 		AvgHops:    res.AvgHops,
 		Validation: bwmodel.ValidateIndirect(p, obs),
 	}, nil
-}
-
-// RenderScale formats the scale sweep: the headline wall-time/memory/
-// throughput table, then one bwmodel-vs-telemetry validation table per
-// decade of K.
-func RenderScale(rows []*ScaleRow) string {
-	t := metrics.NewTable("alg", "K", "pages", "rounds", "rel err", "events",
-		"events/s", "msgs", "bytes", "wall", "peak RSS")
-	for _, r := range rows {
-		t.AddRow(r.Alg, r.K, r.Pages,
-			fmt.Sprintf("%.1f", r.MeanRounds),
-			fmt.Sprintf("%.2e", r.RelErr),
-			r.Events,
-			fmt.Sprintf("%.2e", r.EventsPerSec),
-			r.Messages, r.Bytes,
-			fmt.Sprintf("%.1fs", r.WallSeconds),
-			fmt.Sprintf("%.0fMB", r.PeakRSSMB))
-	}
-	out := t.String()
-	for _, r := range rows {
-		out += fmt.Sprintf("\n%s K=%d: model vs telemetry\n%s",
-			r.Alg, r.K, bwmodel.RenderValidation(r.Validation))
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p2prank/internal/engine"
+	"p2prank/internal/metrics"
 	"p2prank/internal/partition"
 )
 
@@ -71,7 +72,7 @@ func TestFig8ShapeAndOrdering(t *testing.T) {
 			t.Errorf("K=%d: DPR2 %.1f not above DPR1 %.1f", r.K, r.DPR2, r.DPR1)
 		}
 	}
-	out := RenderFig8(rows)
+	out := metrics.TableOf(rows).String()
 	if !strings.Contains(out, "DPR1") || !strings.Contains(out, "CPR") {
 		t.Fatalf("render missing columns:\n%s", out)
 	}
@@ -95,7 +96,7 @@ func TestTransmissionModelAgreement(t *testing.T) {
 	if r.IndirectMsgs > r.ModelIndirectMsgs*20 {
 		t.Fatalf("indirect measurement %.0f wildly above model %.0f", r.IndirectMsgs, r.ModelIndirectMsgs)
 	}
-	out := RenderTransmission(rows)
+	out := metrics.TableOf(rows).String()
 	if !strings.Contains(out, "model S_it") {
 		t.Fatalf("render missing model column:\n%s", out)
 	}
@@ -123,7 +124,7 @@ func TestPartitionCutOrdering(t *testing.T) {
 	if bySite >= byPage || bySite >= random {
 		t.Fatalf("by-site cut %.3f not smallest (by-page %.3f, random %.3f)", bySite, byPage, random)
 	}
-	out := RenderCut(rows)
+	out := metrics.TableOf(rows).String()
 	if !strings.Contains(out, "by-site") {
 		t.Fatalf("render missing strategy:\n%s", out)
 	}
@@ -201,7 +202,7 @@ func TestConvergenceVsBandwidth(t *testing.T) {
 	if starved.FinalRelErr <= tight.FinalRelErr {
 		t.Fatalf("starved uplink not worse than tight: %+v", rows)
 	}
-	out := RenderBandwidth(rows)
+	out := metrics.TableOf(rows).String()
 	if !strings.Contains(out, "unlimited") {
 		t.Fatalf("render missing unlimited row:\n%s", out)
 	}
@@ -224,7 +225,7 @@ func TestChurnSweep(t *testing.T) {
 	if churned.Retries == 0 || churned.Acks == 0 {
 		t.Fatalf("churned row never exercised the reliable layer: %+v", churned)
 	}
-	out := RenderChurn(rows)
+	out := metrics.TableOf(rows).String()
 	if !strings.Contains(out, "recoveries") {
 		t.Fatalf("render missing recoveries column:\n%s", out)
 	}

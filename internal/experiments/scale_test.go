@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"p2prank/internal/dprcore"
+	"p2prank/internal/metrics"
 	"p2prank/internal/webgraph"
 )
 
@@ -34,7 +35,7 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	defer m.Close()
 	w.Source = m
-	row, err := ScaleRun(w, k, dprcore.DPR1, ScaleMaxTime)
+	row, err := ScaleRun(w, k, dprcore.DPR1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,5 +64,5 @@ func TestScaleSmoke(t *testing.T) {
 				v.Quantity, r, v.Predicted, v.Measured)
 		}
 	}
-	t.Log("\n" + RenderScale([]*ScaleRow{row}))
+	t.Logf("\n%s", metrics.TableOf([]*ScaleRow{row}))
 }

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
-	"p2prank/internal/metrics"
 	"p2prank/internal/overlay"
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
@@ -19,9 +19,9 @@ import (
 // ServeBench is the deterministic half of the serving experiment: a
 // ranked crawl sharded over K rankers, snapshots published through the
 // real checkpoint seam (EncodeRankSnapshot → Publisher.Save), and a
-// pre-drawn query workload. The wall-clock half — actually timing the
-// query storm — lives in cmd/dprsim: this package is in the
-// nowallclock analyzer's scope, like the rest of the simulation path.
+// pre-drawn query workload. Run times the query storm on whatever
+// serve.Clock the command injects: this package is in the nowallclock
+// analyzer's scope, like the rest of the simulation path.
 type ServeBench struct {
 	K     int
 	Pages int
@@ -40,13 +40,6 @@ type ServeBench struct {
 	round   int64
 	encBuf  []byte
 	scores  []float64
-}
-
-// ServeWorkload returns the crawl for a K-ranker serving bench: the
-// scale-sweep ratio of 20 pages per ranker, hash-partitioned so every
-// ranker serves a shard.
-func ServeWorkload(k int, seed uint64) Workload {
-	return ScaleWorkload(k, seed)
 }
 
 // NewServeBench ranks the workload centrally (the serving tier is
@@ -136,15 +129,6 @@ func NewServeBench(w Workload, k, queries int) (*ServeBench, error) {
 	return b, nil
 }
 
-// Frontend returns the query tier.
-func (b *ServeBench) Frontend() *serve.Frontend { return b.fe }
-
-// Store returns the snapshot store.
-func (b *ServeBench) Store() *serve.Store { return b.store }
-
-// Queries returns the pre-drawn workload; callers must not mutate it.
-func (b *ServeBench) Queries() []search.Request { return b.queries }
-
 // Tick advances every shard's staleness clock by one round, standing in
 // for the rankers' ComputeEnd hooks.
 func (b *ServeBench) Tick() {
@@ -172,79 +156,81 @@ func (b *ServeBench) Republish() error {
 	return nil
 }
 
-// ServeRow is one K of the serving sweep. The deterministic fields
-// come from Finish; WallSeconds, AchievedQPS, and the latency
-// percentiles are filled by the caller (cmd/dprsim) from its own
-// timing samples.
+// ServeRow is one K of the serving sweep. The wall-clock fields are
+// whatever the injected clock measured.
 type ServeRow struct {
-	K       int
-	Pages   int
-	Queries int64
+	K       int   `tab:"K"`
+	Pages   int   `tab:"pages"`
+	Queries int64 `tab:"queries"`
 	// Results is the total postings returned; a zero total would mean
 	// the sweep measured empty intersections.
 	Results int64
-	// CacheHits and CacheMisses are the frontend cache's counters.
+	// CacheHits and CacheMisses are the frontend cache's counters,
+	// HitRate the hits' share of both.
 	CacheHits   int64
 	CacheMisses int64
+	HitRate     float64 `tab:"hit rate" pct:"%.0f%%"`
 	// MeanShards and MeanHops are per-query averages from the Cost
 	// accounting: partial-result fan-out and overlay distance.
-	MeanShards float64
-	MeanHops   float64
+	MeanShards float64 `tab:"shards/q" fmt:"%.1f"`
+	MeanHops   float64 `tab:"hops/q" fmt:"%.1f"`
 	// MaxStaleness is the worst served staleness observed.
-	MaxStaleness int64
+	MaxStaleness int64 `tab:"max stale"`
 
-	// Caller-measured (see type comment).
-	WallSeconds float64
-	AchievedQPS float64
-	P50Micros   float64
-	P99Micros   float64
+	AchievedQPS float64 `tab:"QPS" fmt:"%.0f"`
+	P50Micros   float64 `tab:"p50" fmt:"%.0fµs"`
+	P99Micros   float64 `tab:"p99" fmt:"%.0fµs"`
+	WallSeconds float64 `tab:"wall" fmt:"%.1fs"`
 }
 
-// Finish folds the bench's own counters plus the caller's per-query
-// cost totals into a row.
-func (b *ServeBench) Finish(queries, results, shards, hops int64, maxStaleness int64) ServeRow {
-	hits, misses := b.fe.CacheStats()
-	row := ServeRow{
-		K:            b.K,
-		Pages:        b.Pages,
-		Queries:      queries,
-		Results:      results,
-		CacheHits:    hits,
-		CacheMisses:  misses,
-		MaxStaleness: maxStaleness,
+// Run drives the whole query plan as one storm on clock — paced at qps
+// when it is positive, topk results per query — with a mid-storm
+// staleness exercise (a tick every eighth of the plan, one republish
+// after the fifth) so the reported max staleness reflects a live
+// system, not a frozen store.
+func (b *ServeBench) Run(clock serve.Clock, qps, topk int) (ServeRow, error) {
+	var (
+		q         = b.fe.NewQuerier()
+		resp      search.Response
+		row       = ServeRow{K: b.K, Pages: b.Pages}
+		shards    int64
+		hops      int64
+		tickEvery = len(b.queries) / 8
+	)
+	st, err := serve.Storm{
+		Clock: clock, Queries: len(b.queries), QPS: qps,
+		Serve: func(i int) error {
+			req := b.queries[i]
+			req.K = topk
+			return q.Serve(req, &resp)
+		},
+		After: func(i int, _ time.Duration, err error) error {
+			if err != nil {
+				return fmt.Errorf("serve K=%d query %v: %w", b.K, b.queries[i].Terms, err)
+			}
+			row.Results += int64(len(resp.Postings))
+			shards += int64(resp.Cost.Responses)
+			hops += int64(resp.Cost.LookupHops)
+			row.MaxStaleness = max(row.MaxStaleness, resp.Staleness)
+			if next := i + 1; tickEvery > 0 && next < len(b.queries) && next%tickEvery == 0 {
+				b.Tick() // rankers commit a round without publishing
+				if next == 5*tickEvery {
+					return b.Republish()
+				}
+			}
+			return nil
+		},
+	}.Run()
+	if err != nil {
+		return row, err
 	}
-	if queries > 0 {
-		row.MeanShards = float64(shards) / float64(queries)
-		row.MeanHops = float64(hops) / float64(queries)
+	row.Queries = int64(st.Sent)
+	row.MeanShards = float64(shards) / float64(st.Sent)
+	row.MeanHops = float64(hops) / float64(st.Sent)
+	row.CacheHits, row.CacheMisses = b.fe.CacheStats()
+	if total := row.CacheHits + row.CacheMisses; total > 0 {
+		row.HitRate = float64(row.CacheHits) / float64(total)
 	}
-	return row
-}
-
-// LatencyMicros converts a seconds sample set to the two headline
-// percentiles in microseconds.
-func LatencyMicros(latSeconds []float64) (p50, p99 float64) {
-	return metrics.Percentile(latSeconds, 50) * 1e6, metrics.Percentile(latSeconds, 99) * 1e6
-}
-
-// RenderServe formats the serving sweep.
-func RenderServe(rows []ServeRow) string {
-	t := metrics.NewTable("K", "pages", "queries", "hit rate", "shards/q",
-		"hops/q", "max stale", "QPS", "p50", "p99", "wall")
-	for _, r := range rows {
-		total := r.CacheHits + r.CacheMisses
-		hitRate := 0.0
-		if total > 0 {
-			hitRate = float64(r.CacheHits) / float64(total)
-		}
-		t.AddRow(r.K, r.Pages, r.Queries,
-			fmt.Sprintf("%.0f%%", 100*hitRate),
-			fmt.Sprintf("%.1f", r.MeanShards),
-			fmt.Sprintf("%.1f", r.MeanHops),
-			r.MaxStaleness,
-			fmt.Sprintf("%.0f", r.AchievedQPS),
-			fmt.Sprintf("%.0fµs", r.P50Micros),
-			fmt.Sprintf("%.0fµs", r.P99Micros),
-			fmt.Sprintf("%.1fs", r.WallSeconds))
-	}
-	return t.String()
+	row.AchievedQPS, row.P50Micros, row.P99Micros, row.WallSeconds = st.QPS, st.P50Micros, st.P99Micros, st.WallSeconds
+	return row, nil
 }

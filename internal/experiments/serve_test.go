@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"p2prank/internal/search"
+	"p2prank/internal/metrics"
 )
 
 func TestServeBenchDeterministicAndServable(t *testing.T) {
-	w := ServeWorkload(16, 7)
+	w := ScaleWorkload(16, 7)
 	b, err := NewServeBench(w, 16, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -16,10 +16,10 @@ func TestServeBenchDeterministicAndServable(t *testing.T) {
 	if b.K != 16 || b.Pages != 320 {
 		t.Fatalf("bench sized K=%d pages=%d", b.K, b.Pages)
 	}
-	if len(b.Queries()) != 200 {
-		t.Fatalf("got %d queries", len(b.Queries()))
+	if len(b.queries) != 200 {
+		t.Fatalf("got %d queries", len(b.queries))
 	}
-	for i, q := range b.Queries() {
+	for i, q := range b.queries {
 		if len(q.Terms) < 1 || len(q.Terms) > 3 {
 			t.Fatalf("query %d has %d terms", i, len(q.Terms))
 		}
@@ -30,8 +30,8 @@ func TestServeBenchDeterministicAndServable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range b.Queries() {
-		a, c := b.Queries()[i], b2.Queries()[i]
+	for i := range b.queries {
+		a, c := b.queries[i], b2.queries[i]
 		if len(a.Terms) != len(c.Terms) {
 			t.Fatalf("query %d nondeterministic", i)
 		}
@@ -42,63 +42,48 @@ func TestServeBenchDeterministicAndServable(t *testing.T) {
 		}
 	}
 
-	// Run the workload; track cost totals like cmd/dprsim does.
-	q := b.Frontend().NewQuerier()
-	var resp search.Response
-	var results, shards, hops, maxStale int64
-	for _, req := range b.Queries() {
-		if err := q.Serve(req, &resp); err != nil {
-			t.Fatalf("query %v: %v", req.Terms, err)
-		}
-		results += int64(len(resp.Postings))
-		shards += int64(resp.Cost.Responses)
-		hops += int64(resp.Cost.LookupHops)
-		if resp.Staleness > maxStale {
-			maxStale = resp.Staleness
-		}
-	}
-	if results == 0 {
-		t.Fatal("workload produced no results at all")
-	}
-
 	// Staleness machinery: three ticks then a republish.
 	b.Tick()
 	b.Tick()
 	b.Tick()
-	if s := b.Store().MaxStaleness(); s != 3 {
+	if s := b.store.MaxStaleness(); s != 3 {
 		t.Fatalf("staleness after 3 ticks = %d", s)
 	}
-	v := b.Store().Version()
+	v := b.store.Version()
 	if err := b.Republish(); err != nil {
 		t.Fatal(err)
 	}
-	if s := b.Store().MaxStaleness(); s != 0 {
+	if s := b.store.MaxStaleness(); s != 0 {
 		t.Fatalf("staleness after republish = %d", s)
 	}
-	if nv := b.Store().Version(); nv != v+16 {
+	if nv := b.store.Version(); nv != v+16 {
 		t.Fatalf("republish minted %d versions, want 16", nv-v)
 	}
 
-	row := b.Finish(int64(len(b.Queries())), results, shards, hops, maxStale)
-	row.WallSeconds = 0.5
-	row.AchievedQPS = 400
-	row.P50Micros, row.P99Micros = LatencyMicros([]float64{100e-6, 200e-6, 300e-6})
-	if row.MeanShards <= 0 || row.Results != results {
+	// Run the storm the way dprsim does, on a clock that never advances.
+	row, err := b.Run(frozenClock{}, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Queries != 200 || row.Results == 0 || row.MeanShards <= 0 {
 		t.Fatalf("row not folded: %+v", row)
 	}
-	out := RenderServe([]ServeRow{row})
+	if row.MaxStaleness != 4 {
+		t.Fatalf("max staleness %d, want the 4 ticks before the mid-storm republish", row.MaxStaleness)
+	}
+	out := metrics.TableOf([]ServeRow{row}).String()
 	for _, want := range []string{"hit rate", "shards/q", "max stale", "p99", "16"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
+			t.Fatalf("table missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestServeBenchValidation(t *testing.T) {
-	if _, err := NewServeBench(ServeWorkload(4, 1), 0, 10); err == nil {
+	if _, err := NewServeBench(ScaleWorkload(4, 1), 0, 10); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewServeBench(ServeWorkload(4, 1), 4, 0); err == nil {
+	if _, err := NewServeBench(ScaleWorkload(4, 1), 4, 0); err == nil {
 		t.Fatal("queries=0 accepted")
 	}
 }

@@ -5,9 +5,11 @@
 package metrics
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -104,14 +106,17 @@ func formatFloat(v float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", v), "0"), ".")
 }
 
-// Table is a simple column-aligned text table.
+// Table is a column-aligned text table that also renders as CSV.
 type Table struct {
-	header []string
-	rows   [][]string
+	// Title, when set, is printed above the table by whoever lays out
+	// several tables in one report.
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
 // NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
+func NewTable(header ...string) *Table { return &Table{Header: header} }
 
 // AddRow appends a row; cells are stringified with %v. Rows shorter or
 // longer than the header are padded or truncated at render time.
@@ -120,20 +125,99 @@ func (t *Table) AddRow(cells ...any) {
 	for i, c := range cells {
 		row[i] = fmt.Sprintf("%v", c)
 	}
-	t.rows = append(t.rows, row)
+	t.Rows = append(t.Rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
+// TableOf builds a table from a slice of structs (or struct pointers):
+// one column per field tagged `tab:"header"`, in field order; untagged
+// fields are not shown. Further keys of the same field tag shape the
+// cell:
+//
+//	fmt:"%.1f"        the fmt verb (default %v, so Stringers print their names)
+//	pct:"%.0f%%"      instead of fmt: format 100× the value, a fraction shown as a percentage
+//	neg:"never"       text shown in place of a negative number
+//	zero:"unlimited"  text shown in place of a zero
+//
+// A field tagged with an empty header appends to the cell before it
+// ("50" + " (12%)").
+func TableOf(rows any) *Table {
+	v := reflect.ValueOf(rows)
+	typ := v.Type().Elem()
+	if typ.Kind() == reflect.Pointer {
+		typ = typ.Elem()
+	}
+	t := &Table{}
+	var fields []int
+	for i := 0; i < typ.NumField(); i++ {
+		if header, ok := typ.Field(i).Tag.Lookup("tab"); ok {
+			fields = append(fields, i)
+			if header != "" {
+				t.Header = append(t.Header, header)
+			}
+		}
+	}
+	for r := 0; r < v.Len(); r++ {
+		row := reflect.Indirect(v.Index(r))
+		cells := make([]string, 0, len(t.Header))
+		for _, i := range fields {
+			cell := formatCell(row.Field(i), typ.Field(i).Tag)
+			if typ.Field(i).Tag.Get("tab") == "" {
+				cells[len(cells)-1] += cell
+			} else {
+				cells = append(cells, cell)
+			}
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t
+}
+
+func formatCell(v reflect.Value, tag reflect.StructTag) string {
+	format := tag.Get("fmt")
+	if format == "" {
+		format = "%v"
+	}
+	var num float64
+	switch {
+	case v.CanInt():
+		num = float64(v.Int())
+	case v.CanUint():
+		num = float64(v.Uint())
+	case v.CanFloat():
+		num = v.Float()
+	default:
+		return fmt.Sprintf(format, v.Interface())
+	}
+	if alt, ok := tag.Lookup("neg"); ok && num < 0 {
+		return alt
+	}
+	if alt, ok := tag.Lookup("zero"); ok && num == 0 {
+		return alt
+	}
+	if pct, ok := tag.Lookup("pct"); ok {
+		return fmt.Sprintf(pct, 100*num)
+	}
+	return fmt.Sprintf(format, v.Interface())
+}
+
+// WriteCSV renders the table as CSV: the header, then one record per
+// row.
+func (t *Table) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
+		return err
+	}
+	return cw.WriteAll(t.Rows) // flushes
+}
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	cols := len(t.header)
+	cols := len(t.Header)
 	width := make([]int, cols)
-	for i, h := range t.header {
+	for i, h := range t.Header {
 		width[i] = len(h)
 	}
-	for _, row := range t.rows {
+	for _, row := range t.Rows {
 		for i := 0; i < cols && i < len(row); i++ {
 			if len(row[i]) > width[i] {
 				width[i] = len(row[i])
@@ -154,13 +238,13 @@ func (t *Table) String() string {
 		}
 		b.WriteString("\n")
 	}
-	writeRow(t.header)
+	writeRow(t.Header)
 	sep := make([]string, cols)
 	for i := range sep {
 		sep[i] = strings.Repeat("-", width[i])
 	}
 	writeRow(sep)
-	for _, row := range t.rows {
+	for _, row := range t.Rows {
 		writeRow(row)
 	}
 	return b.String()

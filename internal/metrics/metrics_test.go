@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,8 +56,8 @@ func TestTableRendering(t *testing.T) {
 	tb := NewTable("N", "Time", "Bandwidth")
 	tb.AddRow(1000, "7500s", "100KB/s")
 	tb.AddRow(100000, "12000s", "1KB/s")
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if len(tb.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	out := tb.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -101,5 +103,59 @@ func TestPercentile(t *testing.T) {
 	}
 	if got := Percentile(nil, 50); got != 0 {
 		t.Fatalf("Percentile(nil) = %v", got)
+	}
+}
+
+type tagKind int
+
+func (k tagKind) String() string { return [...]string{"alpha", "beta"}[k] }
+
+type tagRow struct {
+	Kind    tagKind `tab:"kind"`
+	N       int     `tab:"n"`
+	Share   float64 `tab:"share" pct:"%.0f%%"`
+	At      float64 `tab:"at" fmt:"%.0f" neg:"never"`
+	Budget  float64 `tab:"budget" fmt:"%.1f" zero:"unlimited"`
+	Shed    int64   `tab:"shed"`
+	ShedPct float64 `tab:"" pct:" (%.0f%%)"`
+	hidden  int
+	Untaged int
+}
+
+func TestTableOf(t *testing.T) {
+	rows := []tagRow{
+		{Kind: 1, N: 7, Share: 0.25, At: -1, Budget: 0, Shed: 50, ShedPct: 0.125},
+		{Kind: 0, N: 8, Share: 1, At: 12.4, Budget: 2.5, Shed: 0},
+	}
+	for _, tb := range []*Table{TableOf(rows), TableOf([]*tagRow{&rows[0], &rows[1]})} {
+		if want := []string{"kind", "n", "share", "at", "budget", "shed"}; !reflect.DeepEqual(tb.Header, want) {
+			t.Fatalf("header %q, want %q", tb.Header, want)
+		}
+		want := [][]string{
+			{"beta", "7", "25%", "never", "unlimited", "50 (12%)"},
+			{"alpha", "8", "100%", "12", "2.5", "0 (0%)"},
+		}
+		if !reflect.DeepEqual(tb.Rows, want) {
+			t.Fatalf("rows %q, want %q", tb.Rows, want)
+		}
+	}
+	if tb := TableOf([]tagRow(nil)); len(tb.Header) != 6 || len(tb.Rows) != 0 {
+		t.Fatalf("empty slice: %+v", tb)
+	}
+}
+
+func TestTableCSV(t *testing.T) {
+	tb := NewTable("name", "note")
+	tb.AddRow("a,b", `say "hi"`)
+	var sb strings.Builder
+	if err := tb.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	back, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"name", "note"}, {"a,b", `say "hi"`}}; !reflect.DeepEqual(back, want) {
+		t.Fatalf("round trip %q, want %q", back, want)
 	}
 }

@@ -35,8 +35,8 @@ type ClusterConfig struct {
 	// score frames hop along the Pastry overlay through intermediate
 	// peers instead of going point-to-point.
 	Indirect bool
-	// Codec optionally replaces gob framing with a compact wire codec
-	// shared by all peers (see internal/codec).
+	// Codec is the chunk encoding all peers frame with (see
+	// internal/codec; nil means codec.Plain).
 	Codec transport.ChunkCodec
 	// Seed makes partitioning and waits reproducible (default 1).
 	Seed uint64

@@ -1,7 +1,7 @@
 // Package netpeer runs page rankers as real network peers: each peer
 // listens on a TCP socket, executes its asynchronous DPR loop in its own
 // goroutine on wall-clock time, and exchanges score vectors with the
-// other rankers over length-delimited gob frames.
+// other rankers over length-prefixed codec frames (see wire.go).
 //
 // The simulator (internal/engine) is where the paper's measurements
 // come from; netpeer exists to demonstrate that the same algorithms run
@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/overlay"
 	"p2prank/internal/telemetry"
@@ -62,10 +63,10 @@ type Config struct {
 	// ranker indices) instead of going straight to their destination.
 	// All peers of a cluster must share the same overlay construction.
 	Overlay overlay.Network
-	// Codec, when non-nil, replaces gob framing with length-prefixed
-	// codec encodings (see internal/codec) — compact, and lossy codecs
-	// genuinely quantize the exchanged scores. All peers of a cluster
-	// must use the same codec.
+	// Codec encodes score chunks inside the wire frames (see
+	// internal/codec; nil means codec.Plain) — lossy codecs genuinely
+	// quantize the exchanged scores. All peers of a cluster must use
+	// the same codec.
 	Codec transport.ChunkCodec
 }
 
@@ -85,6 +86,9 @@ func (c *Config) validate() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Codec == nil {
+		c.Codec = codec.Plain{}
 	}
 	return nil
 }
@@ -136,7 +140,6 @@ type Peer struct {
 	closed  atomic.Bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	wire    wireFormat
 }
 
 type peerConn struct {
@@ -145,7 +148,7 @@ type peerConn struct {
 	// readLoops may send on the same connection concurrently, and
 	// frame writers are not goroutine-safe.
 	wmu sync.Mutex
-	w   frameWriter
+	w   *frameWriter
 }
 
 func (pc *peerConn) write(f frame) error {
@@ -224,7 +227,6 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 		conns:    make(map[int32]*peerConn),
 		accepted: make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
-		wire:     gobWire{},
 	}
 	var sender dprcore.Sender = p.out
 	if cfg.Fault.Enabled() {
@@ -283,9 +285,6 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 		return nil, err
 	}
 	p.loop = loop
-	if cfg.Codec != nil {
-		p.wire = codecWire{codec: cfg.Codec}
-	}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -437,6 +436,15 @@ func (p *Peer) acceptLoop() {
 			return // listener closed
 		}
 		p.connMu.Lock()
+		if p.closed.Load() {
+			// Accept returned just ahead of Close, which has already
+			// swept p.accepted: nothing local would ever close this
+			// connection, and Close would wait on its readLoop until
+			// the remote peer went away.
+			p.connMu.Unlock()
+			conn.Close()
+			continue
+		}
 		p.accepted[conn] = struct{}{}
 		p.connMu.Unlock()
 		p.wg.Add(1)
@@ -452,7 +460,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 		delete(p.accepted, conn)
 		p.connMu.Unlock()
 	}()
-	dec := p.wire.newReader(conn)
+	dec := newFrameReader(p.cfg.Codec, conn)
 	for {
 		f, err := dec.readFrame()
 		if err != nil {
@@ -616,7 +624,7 @@ func (p *Peer) conn(group int32, addr string) (*peerConn, error) {
 		c.Close()
 		return cached, nil
 	}
-	pc = &peerConn{c: c, w: p.wire.newWriter(c)}
+	pc = &peerConn{c: c, w: newFrameWriter(p.cfg.Codec, c)}
 	p.conns[group] = pc
 	return pc, nil
 }

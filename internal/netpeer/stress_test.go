@@ -103,3 +103,37 @@ func TestStressCloseDuringDial(t *testing.T) {
 		cl.Close()
 	}
 }
+
+// TestStressCloseUnderLoad starts and closes a ranking 8-peer indirect
+// cluster five hundred times. Peers close in order while the rest are
+// still dialing and relaying, so some acceptLoop is always handing a
+// fresh connection to a readLoop as its peer closes; a connection
+// registered after Close has swept the accepted set is closed by nobody
+// local, and Close then waits on a remote peer that Cluster.Close has
+// not reached yet. Every close gets a deadline.
+func TestStressCloseUnderLoad(t *testing.T) {
+	g := genGraph(t, 800, 19)
+	for i := 0; i < 500; i++ {
+		cl, err := StartCluster(g, ClusterConfig{
+			Params:   dprcore.Params{Alg: dprcore.DPR2},
+			K:        8,
+			MeanWait: time.Millisecond,
+			Indirect: true,
+			Seed:     uint64(1 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(i%8) * 500 * time.Microsecond)
+		done := make(chan struct{})
+		go func() {
+			cl.Close()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("close %d still blocked after 10 s", i)
+		}
+	}
+}

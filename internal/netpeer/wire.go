@@ -3,7 +3,6 @@ package netpeer
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -11,68 +10,30 @@ import (
 	"p2prank/internal/transport"
 )
 
-// wireFormat frames score chunks on a TCP connection. The default is
-// gob (self-describing, zero setup); installing a transport.ChunkCodec
-// switches to length-prefixed codec frames — the same compact encodings
-// internal/codec provides for the simulator, now on a real socket. Both
-// ends of a cluster must agree on the format.
-type wireFormat interface {
-	// newWriter wraps a connection for sending frames.
-	newWriter(c net.Conn) frameWriter
-	// newReader wraps a connection for receiving frames.
-	newReader(c net.Conn) frameReader
-}
+// The wire format is one frame per write: a uvarint chunk count, then
+// per chunk a uvarint byte length followed by its transport.ChunkCodec
+// encoding (internal/codec — the same compact encodings the simulator
+// sizes messages with, codec.Plain unless Config.Codec says otherwise);
+// then a uvarint ack count followed by per-ack uvarint group and round
+// (the reliable layer's piggyback section — zero-count when
+// reliability is off). Every length a peer advertises is capped before
+// anything is allocated for it. Both ends of a cluster must agree on
+// the codec.
 
-type frameWriter interface {
-	writeFrame(f frame) error
-}
-
-type frameReader interface {
-	readFrame() (frame, error)
-}
-
-// gobWire is the default format.
-type gobWire struct{}
-
-func (gobWire) newWriter(c net.Conn) frameWriter { return &gobWriter{enc: gob.NewEncoder(c)} }
-func (gobWire) newReader(c net.Conn) frameReader { return &gobReader{dec: gob.NewDecoder(c)} }
-
-type gobWriter struct{ enc *gob.Encoder }
-
-func (w *gobWriter) writeFrame(f frame) error { return w.enc.Encode(f) }
-
-type gobReader struct{ dec *gob.Decoder }
-
-func (r *gobReader) readFrame() (frame, error) {
-	var f frame
-	err := r.dec.Decode(&f)
-	return f, err
-}
-
-// codecWire frames chunks as: uvarint chunk count, then per chunk a
-// uvarint byte length followed by the codec encoding; then a uvarint
-// ack count followed by per-ack uvarint group and round (the reliable
-// layer's piggyback section — zero-count when reliability is off).
-type codecWire struct {
-	codec transport.ChunkCodec
-}
-
-func (cw codecWire) newWriter(c net.Conn) frameWriter {
-	return &codecWriter{codec: cw.codec, w: bufio.NewWriter(c)}
-}
-
-func (cw codecWire) newReader(c net.Conn) frameReader {
-	return &codecReader{codec: cw.codec, r: bufio.NewReader(c)}
-}
-
-type codecWriter struct {
+// frameWriter writes frames to one connection. It is not
+// goroutine-safe; peerConn serializes its callers.
+type frameWriter struct {
 	codec transport.ChunkCodec
 	w     *bufio.Writer
 	buf   []byte
 	hdr   [binary.MaxVarintLen64]byte
 }
 
-func (w *codecWriter) writeFrame(f frame) error {
+func newFrameWriter(codec transport.ChunkCodec, c net.Conn) *frameWriter {
+	return &frameWriter{codec: codec, w: bufio.NewWriter(c)}
+}
+
+func (w *frameWriter) writeFrame(f frame) error {
 	n := binary.PutUvarint(w.hdr[:], uint64(len(f.Chunks)))
 	if _, err := w.w.Write(w.hdr[:n]); err != nil {
 		return err
@@ -104,9 +65,14 @@ func (w *codecWriter) writeFrame(f frame) error {
 	return w.w.Flush()
 }
 
-type codecReader struct {
+// frameReader reads frames from one connection.
+type frameReader struct {
 	codec transport.ChunkCodec
 	r     *bufio.Reader
+}
+
+func newFrameReader(codec transport.ChunkCodec, c net.Conn) *frameReader {
+	return &frameReader{codec: codec, r: bufio.NewReader(c)}
 }
 
 // maxFrameChunks, maxChunkBytes, and maxFrameAcks bound what a reader
@@ -118,7 +84,7 @@ const (
 	maxFrameAcks   = 1 << 20
 )
 
-func (r *codecReader) readFrame() (frame, error) {
+func (r *frameReader) readFrame() (frame, error) {
 	count, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		return frame{}, err

@@ -44,14 +44,10 @@ func sampleFrame() frame {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	for _, w := range []wireFormat{
-		gobWire{},
-		codecWire{codec: codec.Plain{}},
-		codecWire{codec: codec.Delta{}},
-	} {
+	for _, w := range []transport.ChunkCodec{codec.Plain{}, codec.Delta{}} {
 		client, server := pipeConn(t)
-		fw := w.newWriter(client)
-		fr := w.newReader(server)
+		fw := newFrameWriter(w, client)
+		fr := newFrameReader(w, server)
 		in := sampleFrame()
 		if err := fw.writeFrame(in); err != nil {
 			t.Fatal(err)
@@ -74,9 +70,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireMultipleFrames(t *testing.T) {
 	client, server := pipeConn(t)
-	w := codecWire{codec: codec.Delta{}}
-	fw := w.newWriter(client)
-	fr := w.newReader(server)
+	fw := newFrameWriter(codec.Delta{}, client)
+	fr := newFrameReader(codec.Delta{}, server)
 	for i := 0; i < 5; i++ {
 		if err := fw.writeFrame(sampleFrame()); err != nil {
 			t.Fatal(err)
@@ -93,10 +88,9 @@ func TestWireMultipleFrames(t *testing.T) {
 	}
 }
 
-func TestCodecWireRejectsHugeFrames(t *testing.T) {
+func TestWireRejectsHugeFrames(t *testing.T) {
 	client, server := pipeConn(t)
-	w := codecWire{codec: codec.Plain{}}
-	fr := w.newReader(server)
+	fr := newFrameReader(codec.Plain{}, server)
 	// A frame advertising 2^40 chunks must be rejected, not allocated.
 	if _, err := client.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10}); err != nil {
 		t.Fatal(err)
@@ -106,7 +100,7 @@ func TestCodecWireRejectsHugeFrames(t *testing.T) {
 	}
 	// And an implausible chunk size.
 	client2, server2 := pipeConn(t)
-	fr2 := w.newReader(server2)
+	fr2 := newFrameReader(codec.Plain{}, server2)
 	if _, err := client2.Write([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +109,9 @@ func TestCodecWireRejectsHugeFrames(t *testing.T) {
 	}
 }
 
-func TestCodecWireTruncation(t *testing.T) {
+func TestWireTruncation(t *testing.T) {
 	client, server := pipeConn(t)
-	w := codecWire{codec: codec.Delta{}}
-	fr := w.newReader(server)
+	fr := newFrameReader(codec.Delta{}, server)
 	// Valid count, then a cut-off body and a closed connection.
 	if _, err := client.Write([]byte{0x01, 0x20, 0x01}); err != nil {
 		t.Fatal(err)

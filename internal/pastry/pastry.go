@@ -15,6 +15,7 @@ package pastry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"p2prank/internal/nodeid"
@@ -378,22 +379,17 @@ func (o *Overlay) leafRoute(i int, key nodeid.ID) (int, bool) {
 // the per-node neighbor count g in the paper's formula S_it = gN.
 func (o *Overlay) Neighbors(i int) []int {
 	st := &o.nodes[i]
-	set := make(map[int]struct{}, len(st.leaves)+len(st.table))
-	add := func(c int) {
-		if c >= 0 && c != i && o.alive[c] {
-			set[c] = struct{}{}
+	// Collected into a slice and deduplicated after sorting: the routing
+	// table is mostly empty slots, so a set sized for it costs far more
+	// than the handful of links it ends up holding.
+	var out []int
+	for _, cs := range [2][]int{st.leaves, st.table} {
+		for _, c := range cs {
+			if c >= 0 && c != i && o.alive[c] {
+				out = append(out, c)
+			}
 		}
 	}
-	for _, c := range st.leaves {
-		add(c)
-	}
-	for _, c := range st.table {
-		add(c)
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
 	sort.Ints(out)
-	return out
+	return slices.Compact(out)
 }
