@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-gate chaos obs-smoke serve-smoke scale-smoke verify
+.PHONY: build vet lint test race fuzz bench bench-gate chaos obs-smoke serve-smoke scale-smoke verify
 
 build:
 	$(GO) build ./...
@@ -23,11 +23,17 @@ test:
 # The layers with real goroutines: sockets (netpeer), the loop core
 # they drive (dprcore), the transport fabric, the simulator
 # (compute-phase batching), the worker pool, and everything the
-# parallel kernels touch.
+# parallel kernels touch — the index builds (search, serve) included.
 race:
 	$(GO) test -race ./internal/netpeer/... ./internal/dprcore/... ./internal/transport/... \
 		./internal/simnet/... ./internal/vecmath/... ./internal/pagerank/... \
-		./internal/engine/... ./internal/par/... ./internal/telemetry/... ./internal/serve/...
+		./internal/engine/... ./internal/par/... ./internal/telemetry/... \
+		./internal/search/... ./internal/serve/...
+
+# /search parameter parsing over its seed corpus and whatever ten
+# seconds of mutation reach (go test takes one -fuzz target per run).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/serve/
 
 # Failure-path suite under the race detector: crash/restart churn in
 # both runtimes, checkpointed recovery, the supervisor, the reliable
@@ -75,5 +81,5 @@ scale-smoke:
 bench-gate:
 	$(GO) run ./cmd/benchgate
 
-verify: build vet lint test race chaos obs-smoke serve-smoke bench-gate
+verify: build vet lint test race fuzz chaos obs-smoke serve-smoke bench-gate
 	@echo "verify: all checks passed"

@@ -8,7 +8,8 @@
 // allocs/op, 0.1% slack above for amortized macro counts; see
 // internal/benchgate), and so does a benchmark present in the baseline
 // but absent from the current run: a silently vanished kernel is not a
-// passing gate. Times are recorded for review, not gated.
+// passing gate. Times are recorded for review, not gated. The suite's
+// `go test` child always runs at GOMAXPROCS=1, whatever the host.
 //
 // Usage:
 //
@@ -31,9 +32,15 @@ import (
 )
 
 // The gated suite.
-const benchPattern = "MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish"
+const benchPattern = "MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish|TermsOf|FrontendBuild"
 
-var benchPackages = []string{"./internal/vecmath/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/serve/", "."}
+var benchPackages = []string{"./internal/vecmath/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/search/", "./internal/serve/", "."}
+
+// gateProcs is the GOMAXPROCS the suite runs at. Baseline keys carry
+// the proc count (BenchmarkX vs BenchmarkX-8) and allocs/op of the
+// parallel kernels move with it, so the gate pins it rather than
+// inherit the host's.
+const gateProcs = 1
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_kernels.json", "committed baseline report")
@@ -47,7 +54,7 @@ func main() {
 			fatal(err)
 		}
 		current.GoVersion = runtime.Version()
-		current.GoMaxProcs = runtime.GOMAXPROCS(0)
+		current.GoMaxProcs = gateProcs
 		current.Sort()
 		data, err := json.MarshalIndent(current, "", "  ")
 		if err != nil {
@@ -92,6 +99,7 @@ func currentReport(input string) (*benchgate.Report, error) {
 	case "":
 		args := append([]string{"test", "-run", "^$", "-bench", benchPattern, "-benchmem"}, benchPackages...)
 		cmd := exec.Command("go", args...)
+		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", gateProcs))
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout = &stdout
 		cmd.Stderr = &stderr

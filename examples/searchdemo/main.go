@@ -62,7 +62,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fe, err := serve.NewFrontend(graph, ov, assign, store, serve.Config{})
+	// The crawl's text is drawn once; the serving tier here and the
+	// static index below are two transposes of the same term matrix.
+	text, err := search.DrawTerms(graph, search.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fe, err := serve.NewFrontendFrom(text, ov, assign, store, serve.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +98,7 @@ func main() {
 
 	// The static single-node index serves the same Request/Response API
 	// — the serving tier's answers match it shard-merge for scan.
-	ix, err := search.Build(graph, res.Final, ov, assign, search.DefaultConfig())
+	ix, err := search.BuildFrom(text, res.Final, ov, assign)
 	if err != nil {
 		log.Fatal(err)
 	}

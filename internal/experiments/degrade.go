@@ -102,7 +102,12 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 	if err != nil {
 		return nil, err
 	}
-	deg, err := serve.NewFrontend(sb.graph, sb.ov, sb.assign, sb.store, serve.Config{
+	// Both frontends index the same crawl: draw its text once.
+	terms, err := search.DrawTerms(sb.graph, sb.text)
+	if err != nil {
+		return nil, err
+	}
+	deg, err := serve.NewFrontendFrom(terms, sb.ov, sb.assign, sb.store, serve.Config{
 		Text:      sb.text,
 		Health:    health,
 		Admission: serve.Admission{StalenessBound: degradeStalenessBound},
@@ -116,7 +121,7 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 	// Ground truth: a health-free, cache-free frontend over the same
 	// snapshots. Degraded answers are scored against what the full
 	// fan-out would have returned at the same instant.
-	base, err := serve.NewFrontend(sb.graph, sb.ov, sb.assign, sb.store, serve.Config{
+	base, err := serve.NewFrontendFrom(terms, sb.ov, sb.assign, sb.store, serve.Config{
 		Text: sb.text, CacheEntries: -1,
 	})
 	if err != nil {

@@ -33,7 +33,14 @@ func FromBytes(b []byte) ID {
 // Hash derives an ID from an arbitrary name (node address, page URL,
 // site hostname) with SHA-1, as Pastry and Chord both prescribe.
 func Hash(name string) ID {
-	sum := sha1.Sum([]byte(name))
+	return HashBytes([]byte(name))
+}
+
+// HashBytes is Hash for a name the caller holds as bytes — the
+// allocation-free spelling for callers that assemble names in a
+// reused buffer.
+func HashBytes(name []byte) ID {
+	sum := sha1.Sum(name)
 	return FromBytes(sum[:])
 }
 

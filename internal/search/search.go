@@ -17,12 +17,17 @@
 package search
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
+	"p2prank/internal/par"
 	"p2prank/internal/partition"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
@@ -46,37 +51,92 @@ func DefaultConfig() Config {
 	return Config{Vocabulary: 5000, TermsPerPage: 12, Skew: 1.0}
 }
 
+// ErrTooFewTerms reports a text model no page can be drawn from: the
+// skew is so steep that the float64 Zipf table gives fewer than
+// TermsPerPage terms any probability at all.
+var ErrTooFewTerms = errors.New("search: skew leaves fewer drawable terms than TermsPerPage")
+
 // WithDefaults returns the config with zero fields filled in, or an
 // error for out-of-range values — the exported spelling of the
 // validation Build applies, for packages (internal/serve) that build
 // their own structures from the same text model.
 func (c Config) WithDefaults() (Config, error) {
-	err := c.validate()
-	return c, err
+	m, err := compile(c)
+	return m.cfg, err
 }
 
-func (c *Config) validate() error {
-	if c.Vocabulary == 0 {
-		c.Vocabulary = 5000
+// model is the compiled text model: the config with its defaults
+// filled in and validated, and the term-popularity table every page's
+// draw samples.
+type model struct {
+	cfg  Config
+	zipf *xrand.ZipfTable
+}
+
+// compile fills in cfg's defaults, validates it and attaches the Zipf
+// table for (Vocabulary, Skew).
+func compile(cfg Config) (model, error) {
+	if cfg.Vocabulary == 0 {
+		cfg.Vocabulary = 5000
 	}
-	if c.TermsPerPage == 0 {
-		c.TermsPerPage = 12
+	if cfg.TermsPerPage == 0 {
+		cfg.TermsPerPage = 12
 	}
-	if c.Skew == 0 {
-		c.Skew = 1.0
+	if cfg.Skew == 0 {
+		cfg.Skew = 1.0
 	}
-	if c.Vocabulary < 1 || c.TermsPerPage < 1 {
-		return fmt.Errorf("search: vocabulary %d / terms-per-page %d must be positive",
-			c.Vocabulary, c.TermsPerPage)
+	m := model{cfg: cfg}
+	if cfg.Vocabulary < 1 || cfg.TermsPerPage < 1 {
+		return m, fmt.Errorf("search: vocabulary %d / terms-per-page %d must be positive",
+			cfg.Vocabulary, cfg.TermsPerPage)
 	}
-	if c.TermsPerPage > c.Vocabulary {
-		return fmt.Errorf("search: TermsPerPage %d exceeds vocabulary %d",
-			c.TermsPerPage, c.Vocabulary)
+	if cfg.TermsPerPage > cfg.Vocabulary {
+		return m, fmt.Errorf("search: TermsPerPage %d exceeds vocabulary %d",
+			cfg.TermsPerPage, cfg.Vocabulary)
 	}
-	if c.Skew < 0 {
-		return fmt.Errorf("search: negative skew %v", c.Skew)
+	if cfg.Skew < 0 || math.IsNaN(cfg.Skew) {
+		return m, fmt.Errorf("search: skew %v must be non-negative", cfg.Skew)
 	}
-	return nil
+	m.zipf = zipfTable(cfg.Vocabulary, cfg.Skew)
+	if n := m.zipf.Support(); n < cfg.TermsPerPage {
+		return m, fmt.Errorf("%w: skew %v reaches %d of %d terms, TermsPerPage is %d",
+			ErrTooFewTerms, cfg.Skew, n, cfg.Vocabulary, cfg.TermsPerPage)
+	}
+	return m, nil
+}
+
+// tables memoizes the Zipf table per (Vocabulary, Skew). The table is
+// an immutable pure function of its key, so the memo is invisible to
+// callers; it exists because the table costs Vocabulary math.Pow calls
+// — a thousand times one page's draw — and TermsOf takes a Config, not
+// a compiled model.
+var tables struct {
+	sync.Mutex
+	m map[tableKey]*xrand.ZipfTable
+}
+
+type tableKey struct {
+	vocabulary int
+	skew       float64
+}
+
+// maxTables bounds the memo: a process sweeping text models keeps the
+// recent ones instead of every one.
+const maxTables = 16
+
+func zipfTable(vocabulary int, skew float64) *xrand.ZipfTable {
+	key := tableKey{vocabulary, skew}
+	tables.Lock()
+	defer tables.Unlock()
+	if t := tables.m[key]; t != nil {
+		return t
+	}
+	if tables.m == nil || len(tables.m) >= maxTables {
+		tables.m = make(map[tableKey]*xrand.ZipfTable)
+	}
+	t := xrand.NewZipfTable(vocabulary, skew)
+	tables.m[key] = t
+	return t
 }
 
 // AppendTermName appends term t's canonical name ("term%05d") to dst
@@ -107,23 +167,84 @@ func TermName(t int32) string {
 // TermsOf returns page p's distinct terms, ascending. The draw is a
 // pure function of the page's URL (stable across recrawls) and cfg.
 func TermsOf(g webgraph.Store, p int32, cfg Config) ([]int32, error) {
-	if err := cfg.validate(); err != nil {
+	m, err := compile(cfg)
+	if err != nil {
 		return nil, err
 	}
-	id := nodeid.Hash(g.URL(p))
-	rng := xrand.New(id.Lo ^ id.Hi)
-	z := xrand.NewZipf(rng, cfg.Vocabulary, cfg.Skew)
-	seen := make(map[int32]bool, cfg.TermsPerPage)
-	out := make([]int32, 0, cfg.TermsPerPage)
-	for len(out) < cfg.TermsPerPage {
+	return m.appendTerms(make([]int32, 0, m.cfg.TermsPerPage), g, p), nil
+}
+
+// appendTerms appends page p's terms to dst, ascending: the first
+// TermsPerPage distinct draws of the Zipf stream seeded by the page's
+// URL hash, kept sorted as they arrive. It allocates nothing when dst
+// has room.
+//
+//p2plint:hotpath
+func (m model) appendTerms(dst []int32, g webgraph.Store, p int32) []int32 {
+	var url [96]byte
+	id := nodeid.HashBytes(webgraph.AppendURL(url[:0], g, p))
+	var rng xrand.Rand
+	rng.Seed(id.Lo ^ id.Hi)
+	z := m.zipf.Sampler(&rng)
+	base := len(dst)
+	for len(dst)-base < m.cfg.TermsPerPage {
 		t := int32(z.Sample())
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+		if i, dup := slices.BinarySearch(dst[base:], t); !dup {
+			dst = slices.Insert(dst, base+i, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return dst
+}
+
+// TermMatrix is one crawl's text, drawn once: row p holds page p's
+// TermsPerPage terms, ascending. Both inverted indexes — the
+// term-partitioned Index here and the per-shard one in internal/serve
+// — are transposes of it, so a caller that builds more than one over
+// the same crawl draws the matrix once and hands it to each.
+type TermMatrix struct {
+	g     webgraph.Store
+	cfg   Config
+	terms []int32 // NumPages × TermsPerPage, row-major
+}
+
+// drawBlock is how many pages one parallel fill shard covers: a fixed
+// size, so the split never depends on the worker count.
+const drawBlock = 512
+
+// DrawTerms draws every page's terms. Rows are filled in parallel over
+// fixed page blocks; each page writes only its own row, so the matrix
+// is the same at any GOMAXPROCS.
+func DrawTerms(g webgraph.Store, cfg Config) (*TermMatrix, error) {
+	m, err := compile(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n, per := g.NumPages(), m.cfg.TermsPerPage
+	tm := &TermMatrix{g: g, cfg: m.cfg, terms: make([]int32, n*per)}
+	par.Default().Run(par.Blocks(n, drawBlock), func(b int) {
+		for p := b * drawBlock; p < min(n, (b+1)*drawBlock); p++ {
+			// The row's capacity is exactly its span: the append lands
+			// in place.
+			m.appendTerms(tm.terms[p*per:p*per:(p+1)*per], g, int32(p))
+		}
+	})
+	return tm, nil
+}
+
+// Config returns the text model the matrix was drawn from, defaults
+// filled in.
+func (tm *TermMatrix) Config() Config { return tm.cfg }
+
+// Graph returns the crawl the matrix was drawn over.
+func (tm *TermMatrix) Graph() webgraph.Store { return tm.g }
+
+// Row returns page p's terms, ascending. The slice aliases the matrix
+// and must not be modified.
+//
+//p2plint:hotpath
+func (tm *TermMatrix) Row(p int32) []int32 {
+	per := tm.cfg.TermsPerPage
+	return tm.terms[int(p)*per : (int(p)+1)*per]
 }
 
 // Posting is one entry of a term's posting list: a page and its rank.
@@ -155,9 +276,22 @@ type Index struct {
 // page-indexed rank vector (distributed or centralized); assign is the
 // page partition; ov places terms on rankers.
 func Build(g webgraph.Store, ranks vecmath.Vec, ov overlay.Network, assign *partition.Assignment, cfg Config) (*Index, error) {
-	if err := cfg.validate(); err != nil {
+	tm, err := DrawTerms(g, cfg)
+	if err != nil {
 		return nil, err
 	}
+	return BuildFrom(tm, ranks, ov, assign)
+}
+
+// sortShards is how many parallel shards the posting-list sort is
+// split into (fixed, like drawBlock).
+const sortShards = 16
+
+// BuildFrom is Build over an already drawn term matrix: count each
+// term's pages, prefix-sum, and fill every posting list into its exact
+// span of one backing array.
+func BuildFrom(tm *TermMatrix, ranks vecmath.Vec, ov overlay.Network, assign *partition.Assignment) (*Index, error) {
+	g, cfg := tm.g, tm.cfg
 	if len(ranks) != g.NumPages() {
 		return nil, fmt.Errorf("search: ranks have length %d, want %d", len(ranks), g.NumPages())
 	}
@@ -166,39 +300,55 @@ func Build(g webgraph.Store, ranks vecmath.Vec, ov overlay.Network, assign *part
 			len(assign.GroupOf), g.NumPages())
 	}
 	ix := &Index{
-		cfg:       cfg,
-		ov:        ov,
-		ranks:     ranks,
-		g:         g,
-		assign:    assign,
-		termOwner: make([]int32, cfg.Vocabulary),
-		postings:  make([][]Posting, cfg.Vocabulary),
+		cfg:           cfg,
+		ov:            ov,
+		ranks:         ranks,
+		g:             g,
+		assign:        assign,
+		termOwner:     make([]int32, cfg.Vocabulary),
+		postings:      make([][]Posting, cfg.Vocabulary),
+		PostingsTotal: int64(len(tm.terms)),
 	}
-	for t := 0; t < cfg.Vocabulary; t++ {
-		ix.termOwner[t] = int32(ov.Owner(nodeid.Hash(TermName(int32(t)))))
+	var name [16]byte
+	for t := range ix.termOwner {
+		ix.termOwner[t] = int32(ov.Owner(nodeid.HashBytes(AppendTermName(name[:0], int32(t)))))
 	}
-	for p := 0; p < g.NumPages(); p++ {
-		terms, err := TermsOf(g, int32(p), cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range terms {
-			ix.postings[t] = append(ix.postings[t], Posting{Page: int32(p), Score: ranks[p]})
-			ix.PostingsTotal++
+	// off[t]:off[t+1] is term t's span of the backing array; next[t]
+	// walks it during the fill.
+	off := make([]int64, cfg.Vocabulary+1)
+	for _, t := range tm.terms {
+		off[t+1]++
+	}
+	for t := range ix.postings {
+		off[t+1] += off[t]
+	}
+	next := slices.Clone(off[:cfg.Vocabulary])
+	backing := make([]Posting, len(tm.terms))
+	for p := range ranks {
+		for _, t := range tm.Row(int32(p)) {
+			backing[next[t]] = Posting{Page: int32(p), Score: ranks[p]}
+			next[t]++
 			if assign != nil && assign.GroupOf[p] != ix.termOwner[t] {
 				ix.PostingsMoved++
 			}
 		}
 	}
-	for t := range ix.postings {
-		ps := ix.postings[t]
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].Score != ps[j].Score {
-				return ps[i].Score > ps[j].Score
-			}
-			return ps[i].Page < ps[j].Page
-		})
-	}
+	// Sort every list best first, in parallel over posting-balanced term
+	// ranges: each list is its own span of backing, so nothing written
+	// is shared.
+	bounds := par.SplitPrefix(off, sortShards)
+	par.Default().Run(len(bounds)-1, func(b int) {
+		for t := bounds[b]; t < bounds[b+1]; t++ {
+			ps := backing[off[t]:off[t+1]:off[t+1]]
+			slices.SortFunc(ps, func(x, y Posting) int {
+				if x.Score != y.Score {
+					return cmp.Compare(y.Score, x.Score)
+				}
+				return cmp.Compare(x.Page, y.Page)
+			})
+			ix.postings[t] = ps
+		}
+	})
 	return ix, nil
 }
 

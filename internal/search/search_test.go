@@ -23,12 +23,7 @@ type fixture struct {
 
 func newFixture(t testing.TB, pages, k int) *fixture {
 	t.Helper()
-	cfg := webgraph.DefaultGenConfig(pages)
-	cfg.Seed = 3
-	g, err := webgraph.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := crawl(t, pages)
 	res, err := pagerank.Open(g, pagerank.Defaults())
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,12 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"p2prank/internal/overlay"
+	"p2prank/internal/par"
 	"p2prank/internal/partition"
 	"p2prank/internal/search"
 	"p2prank/internal/webgraph"
@@ -70,6 +71,50 @@ func (sh *shardIndex) postingsOf(t int32) []int32 {
 	return sh.locals[sh.off[lo]:sh.off[lo+1]]
 }
 
+// buildScratch is what building one shard index needs beyond its
+// output, reused from shard to shard: next[t] is term t's page count,
+// then its fill cursor (Vocabulary-sized, zero between shards); seen
+// collects the terms present.
+type buildScratch struct {
+	next, seen []int32
+}
+
+// build fills the shard's CSR from the term matrix rows of sh.pages,
+// into the preassigned sh.locals: count each term's pages, sort the
+// terms present, prefix-sum, fill.
+func (sh *shardIndex) build(tm *search.TermMatrix, sc *buildScratch) {
+	next, seen := sc.next, sc.seen[:0]
+	for _, p := range sh.pages {
+		for _, t := range tm.Row(p) {
+			if next[t] == 0 {
+				seen = append(seen, t)
+			}
+			next[t]++
+		}
+	}
+	slices.Sort(seen)
+	// terms and off, exact-sized, in one allocation.
+	buf := make([]int32, 2*len(seen)+1)
+	sh.terms, sh.off = buf[:len(seen):len(seen)], buf[len(seen):]
+	copy(sh.terms, seen)
+	at := int32(0)
+	for i, t := range seen {
+		sh.off[i] = at
+		at, next[t] = at+next[t], at
+	}
+	sh.off[len(seen)] = at
+	for local, p := range sh.pages {
+		for _, t := range tm.Row(p) {
+			sh.locals[next[t]] = int32(local)
+			next[t]++
+		}
+	}
+	for _, t := range seen {
+		next[t] = 0
+	}
+	sc.seen = seen
+}
+
 // Frontend is the distributed-top-k query tier: it knows which shards
 // hold which terms, fans a query out to the shards that can match it,
 // scores each shard's local intersection against that shard's current
@@ -107,15 +152,36 @@ type Frontend struct {
 // partition, and the text model. The store provides scores at query
 // time; assign must cover the graph and match the store's shard count.
 func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignment, store *Store, cfg Config) (*Frontend, error) {
+	tm, err := search.DrawTerms(g, cfg.Text)
+	if err != nil {
+		return nil, err
+	}
+	return NewFrontendFrom(tm, ov, assign, store, cfg)
+}
+
+// buildShards is how many parallel ranges the K shard indexes are
+// split into (fixed, so the split never depends on the worker count);
+// each carries one buildScratch.
+const buildShards = 16
+
+// NewFrontendFrom is NewFrontend over an already drawn term matrix —
+// for a caller that builds several frontends, or a frontend and a
+// static search.Index, over one crawl. cfg.Text must be the model the
+// matrix was drawn from.
+func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partition.Assignment, store *Store, cfg Config) (*Frontend, error) {
 	text, err := cfg.Text.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
+	if text != tm.Config() {
+		return nil, fmt.Errorf("serve: term matrix drawn from text model %+v, config says %+v", tm.Config(), text)
+	}
+	pages := tm.Graph().NumPages()
 	if assign == nil {
 		return nil, fmt.Errorf("serve: frontend needs a page assignment")
 	}
-	if len(assign.GroupOf) != g.NumPages() {
-		return nil, fmt.Errorf("serve: assignment covers %d pages, want %d", len(assign.GroupOf), g.NumPages())
+	if len(assign.GroupOf) != pages {
+		return nil, fmt.Errorf("serve: assignment covers %d pages, want %d", len(assign.GroupOf), pages)
 	}
 	if assign.K != store.NumShards() {
 		return nil, fmt.Errorf("serve: assignment has %d shards, store %d", assign.K, store.NumShards())
@@ -127,41 +193,43 @@ func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignm
 		shards:     make([]shardIndex, assign.K),
 		termShards: make([][]int32, text.Vocabulary),
 	}
+	// Every shard's locals are an exact span of one backing array, and
+	// the spans' offsets split the shards into posting-balanced ranges
+	// to build in parallel.
+	off := make([]int64, assign.K+1)
+	for s, pages := range assign.Pages {
+		off[s+1] = off[s] + int64(len(pages)*text.TermsPerPage)
+	}
+	locals := make([]int32, off[assign.K])
+	bounds := par.SplitPrefix(off, buildShards)
+	par.Default().Run(len(bounds)-1, func(b int) {
+		sc := buildScratch{next: make([]int32, text.Vocabulary)}
+		for s := bounds[b]; s < bounds[b+1]; s++ {
+			sh := &f.shards[s]
+			sh.pages = assign.Pages[s]
+			sh.locals = locals[off[s]:off[s+1]:off[s+1]]
+			sh.build(tm, &sc)
+		}
+	})
+	// The fan-out map, the same way: count the shards per term, carve
+	// the backing array, fill in shard order (so lists come out
+	// ascending).
+	total := 0
+	count := make([]int32, text.Vocabulary)
 	for s := range f.shards {
-		f.shards[s].pages = assign.Pages[s]
-	}
-	// Gather (term, local) pairs per shard, then sort and CSR-pack.
-	type pair struct{ term, local int32 }
-	perShard := make([][]pair, assign.K)
-	for p := 0; p < g.NumPages(); p++ {
-		terms, err := search.TermsOf(g, int32(p), text)
-		if err != nil {
-			return nil, err
-		}
-		s := assign.GroupOf[p]
-		for _, t := range terms {
-			perShard[s] = append(perShard[s], pair{term: t, local: assign.LocalIdx[p]})
+		total += len(f.shards[s].terms)
+		for _, t := range f.shards[s].terms {
+			count[t]++
 		}
 	}
-	for s := range perShard {
-		ps := perShard[s]
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].term != ps[j].term {
-				return ps[i].term < ps[j].term
-			}
-			return ps[i].local < ps[j].local
-		})
-		sh := &f.shards[s]
-		sh.locals = make([]int32, len(ps))
-		for i, pr := range ps {
-			sh.locals[i] = pr.local
-			if i == 0 || pr.term != ps[i-1].term {
-				sh.terms = append(sh.terms, pr.term)
-				sh.off = append(sh.off, int32(i))
-			}
-		}
-		sh.off = append(sh.off, int32(len(ps)))
-		for _, t := range sh.terms {
+	fanout := make([]int32, total)
+	at := 0
+	for t, n := range count {
+		f.termShards[t] = fanout[at : at : at+int(n)]
+		at += int(n)
+	}
+	for s := range f.shards {
+		for _, t := range f.shards[s].terms {
 			f.termShards[t] = append(f.termShards[t], int32(s))
 		}
 	}
@@ -240,11 +308,11 @@ func (f *Frontend) reachableStaleness() int64 {
 // free. A Querier must not be shared between goroutines; the Frontend
 // and Store it reads are safe for any number of concurrent Queriers.
 type Querier struct {
-	f    *Frontend
-	heap topK
-	cand []int32
-	candB []int32
-	inter []int32
+	f      *Frontend
+	heap   topK
+	cand   []int32
+	candB  []int32
+	inter  []int32
 	interB []int32
 	// hopRows memoizes overlay hop counts per query origin: one dense
 	// per-shard row per distinct Request.From, -1 = not routed yet.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,7 +70,7 @@ type httpResponse struct {
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	req, err := parseQuery(r, h.defaultK)
+	req, err := h.parseQuery(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -120,11 +121,23 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func parseQuery(r *http.Request, defaultK int) (search.Request, error) {
-	q := r.URL.Query()
+// What one request may ask for. A k sizes the merge heap and a term
+// list is kept as a cache key, so neither can be left to the client.
+const (
+	maxRequestK     = 1000
+	maxRequestTerms = 32
+)
+
+// parseQuery turns /search parameters into a request Serve can only
+// refuse with a typed error: terms present and few, k and from in
+// range. (Terms outside the vocabulary are Serve's ErrUnknownTerm.)
+func (h *Handler) parseQuery(q url.Values) (search.Request, error) {
 	rawTerms := q.Get("terms")
 	if rawTerms == "" {
 		return search.Request{}, fmt.Errorf("serve: missing terms parameter")
+	}
+	if n := strings.Count(rawTerms, ",") + 1; n > maxRequestTerms {
+		return search.Request{}, fmt.Errorf("serve: %d terms, at most %d", n, maxRequestTerms)
 	}
 	var req search.Request
 	for _, s := range strings.Split(rawTerms, ",") {
@@ -134,11 +147,14 @@ func parseQuery(r *http.Request, defaultK int) (search.Request, error) {
 		}
 		req.Terms = append(req.Terms, int32(t))
 	}
-	req.K = defaultK
+	req.K = h.defaultK
 	if raw := q.Get("k"); raw != "" {
 		k, err := strconv.Atoi(raw)
 		if err != nil {
 			return search.Request{}, fmt.Errorf("serve: bad k %q: %w", raw, err)
+		}
+		if k < 1 || k > maxRequestK {
+			return search.Request{}, fmt.Errorf("serve: k = %d, must be in [1, %d]", k, maxRequestK)
 		}
 		req.K = k
 	}
@@ -146,6 +162,9 @@ func parseQuery(r *http.Request, defaultK int) (search.Request, error) {
 		from, err := strconv.Atoi(raw)
 		if err != nil {
 			return search.Request{}, fmt.Errorf("serve: bad from %q: %w", raw, err)
+		}
+		if nodes := h.fe.ov.NumNodes(); from < 0 || from >= nodes {
+			return search.Request{}, fmt.Errorf("serve: from = %d, overlay has rankers 0..%d", from, nodes-1)
 		}
 		req.From = from
 	}

@@ -362,6 +362,17 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("malformed terms: status = %d, want 400", resp.StatusCode)
 	}
 
+	// k sizes the merge heap and from indexes the overlay: both bounded.
+	for _, bad := range []string{"terms=0&k=0", "terms=0&k=1000000000", "terms=0&from=-1", "terms=0&from=4"} {
+		if resp, err = http.Get(srv.URL + "/search?" + bad); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", bad, resp.StatusCode)
+		}
+	}
+
 	if resp, err = http.Get(srv.URL + "/search?terms=0&minv=999999"); err != nil {
 		t.Fatal(err)
 	}

@@ -180,3 +180,27 @@ func TestDegreeSamplerZeroMean(t *testing.T) {
 			g.NumInternalLinks(), g.NumExternalLinks())
 	}
 }
+
+// The generator's draws are pinned: xrand's Zipf sampler was split into
+// a shared table and a per-stream sampler, and these are the
+// fingerprints from before the split.
+func TestGenerateFingerprintsPinned(t *testing.T) {
+	for _, c := range []struct {
+		pages int
+		seed  uint64
+		want  uint64
+	}{
+		{2000, 1, 0xe837c5e697e5b56c},
+		{5000, 7, 0xe58798132a634e8e},
+	} {
+		cfg := DefaultGenConfig(c.pages)
+		cfg.Seed = c.seed
+		g, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Fingerprint(); got != c.want {
+			t.Errorf("%d pages seed %d: fingerprint %#x, want %#x", c.pages, c.seed, got, c.want)
+		}
+	}
+}

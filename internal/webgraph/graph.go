@@ -110,7 +110,8 @@ func (g *Graph) SiteHost(s int32) string { return g.sites[s] }
 // and local ordinal. URLs are synthesized rather than stored so that a
 // million-page graph does not hold a million strings.
 func (g *Graph) URL(p int32) string {
-	return fmt.Sprintf("http://%s/p%d.html", g.sites[g.siteOf[p]], g.localID[p])
+	var buf [64]byte
+	return string(AppendURL(buf[:0], g, p))
 }
 
 // SiteName returns the hostname of page p's site.

@@ -1,6 +1,7 @@
 package webgraph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,28 @@ func TestURLStableAndDistinct(t *testing.T) {
 			t.Fatalf("duplicate URL %q", u)
 		}
 		urls[u] = true
+	}
+}
+
+// The URL spelling is what pages hash by (partition placement, the
+// text model's per-page seed): it may not drift.
+func TestAppendURLSpelling(t *testing.T) {
+	cfg := DefaultGenConfig(500)
+	cfg.Seed = 2
+	g, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("x")
+	for p := int32(0); p < int32(g.NumPages()); p++ {
+		want := fmt.Sprintf("http://%s/p%d.html", g.SiteName(p), g.LocalID(p))
+		if got := g.URL(p); got != want {
+			t.Fatalf("page %d: URL %q, want %q", p, got, want)
+		}
+		buf = AppendURL(buf[:1], g, p)
+		if string(buf) != "x"+want {
+			t.Fatalf("page %d: AppendURL gives %q, want %q", p, buf, "x"+want)
+		}
 	}
 }
 

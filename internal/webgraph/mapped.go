@@ -541,7 +541,8 @@ func (m *Mapped) SiteHost(s int32) string { return m.sites[s] }
 
 // URL returns the canonical URL of page p.
 func (m *Mapped) URL(p int32) string {
-	return fmt.Sprintf("http://%s/p%d.html", m.sites[m.siteOf[p]], m.localID[p])
+	var buf [64]byte
+	return string(AppendURL(buf[:0], m, p))
 }
 
 // SiteName returns the hostname of page p's site.

@@ -1,6 +1,9 @@
 package webgraph
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+	"strconv"
+)
 
 // Store is read-only access to a crawled link graph. It is the seam
 // between graph storage and every consumer (partitioning, group
@@ -50,6 +53,18 @@ type Store interface {
 	// Validate checks structural invariants (monotone CSR pointers,
 	// in-range IDs). O(pages + links).
 	Validate() error
+}
+
+// AppendURL appends page p's canonical URL — "http://<site host>/p<local
+// ordinal>.html", the one definition both stores' URL methods share —
+// to dst and returns the extended slice. Callers that hash a URL per
+// page pass a reused buffer and allocate nothing.
+func AppendURL(dst []byte, g Store, p int32) []byte {
+	dst = append(dst, "http://"...)
+	dst = append(dst, g.SiteHost(g.SiteOf(p))...)
+	dst = append(dst, "/p"...)
+	dst = strconv.AppendInt(dst, int64(g.LocalID(p)), 10)
+	return append(dst, ".html"...)
 }
 
 // fingerprintArrays is the one canonical digest both stores agree on:

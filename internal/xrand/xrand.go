@@ -40,8 +40,16 @@ type Rand struct {
 // New returns a Rand whose state is expanded from seed with SplitMix64,
 // as recommended by the xoshiro authors.
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
 	var r Rand
+	r.Seed(seed)
+	return &r
+}
+
+// Seed resets r to the state New(seed) starts in, in place — for a
+// caller that draws one short stream per item and keeps the generator
+// on its stack.
+func (r *Rand) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -50,7 +58,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // Fork returns a new independent stream derived from this one. Forked
@@ -143,21 +150,29 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s. It precomputes the CDF, so sampling is O(log n).
-type Zipf struct {
-	cdf []float64
-	rng *Rand
+// ZipfTable is the immutable half of a Zipf sampler: the normalized
+// CDF over [0, n) with probability proportional to 1/(i+1)^s. Building
+// it costs n math.Pow calls, so a caller that draws many short streams
+// from one distribution (one per page, say) builds the table once and
+// takes a Sampler per stream. Safe for concurrent readers.
+type ZipfTable struct {
+	cdf     []float64
+	support int
 }
 
-// NewZipf builds a Zipf sampler over n items with exponent s using the
-// stream rng. It panics if n <= 0 or s < 0.
-func NewZipf(rng *Rand, n int, s float64) *Zipf {
+// NewZipfTable builds the CDF over n items with exponent s. It panics
+// if n <= 0 or s < 0.
+func NewZipfTable(n int, s float64) *ZipfTable {
+	t := makeZipfTable(n, s)
+	return &t
+}
+
+func makeZipfTable(n int, s float64) ZipfTable {
 	if n <= 0 {
-		panic("xrand: NewZipf with non-positive n")
+		panic("xrand: NewZipfTable with non-positive n")
 	}
 	if s < 0 {
-		panic("xrand: NewZipf with negative exponent")
+		panic("xrand: NewZipfTable with negative exponent")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -170,7 +185,52 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, rng: rng}
+
+	// A sampler sees u = k/2^53, k in [0, 2^53), and returns the first i
+	// with cdf[i] >= u: item i can come out iff some such u lies in
+	// (cdf[i-1], cdf[i]]. Scaling by 2^53 is exact, so this count is.
+	const scale = 1 << 53
+	support := 1 // u = 0 always lands on item 0
+	for i := 1; i < n; i++ {
+		if math.Floor(math.Min(cdf[i]*scale, scale-1)) > cdf[i-1]*scale {
+			support++
+		}
+	}
+	return ZipfTable{cdf: cdf, support: support}
+}
+
+// N returns the number of items the table covers.
+func (t *ZipfTable) N() int { return len(t.cdf) }
+
+// Support returns how many of the N items a sampler can actually return.
+// A steep exponent saturates the float64 CDF after a few items; a
+// caller that rejects until it holds k distinct items must check
+// k <= Support first or never finish.
+func (t *ZipfTable) Support() int { return t.support }
+
+// Sampler binds the table to one stream. The sampler is a value: a
+// caller that draws one short stream per item keeps it on its stack.
+func (t *ZipfTable) Sampler(rng *Rand) Zipf { return Zipf{cdf: t.cdf, rng: rng} }
+
+// Zipf is a per-stream Zipf sampler: a ZipfTable's CDF bound to one
+// Rand. It samples integers in [0, n) with probability proportional to
+// 1/(i+1)^s, O(log n) a draw.
+type Zipf struct {
+	cdf []float64
+	rng *Rand
+}
+
+// NewZipf builds a Zipf sampler over n items with exponent s using the
+// stream rng, table and all. It panics if n <= 0 or s < 0.
+//
+// Not inlined: it is n math.Pow calls, and inlined into a small caller
+// (webgraph's per-site sampler closure) it spends that caller's own
+// inlining budget.
+//
+//go:noinline
+func NewZipf(rng *Rand, n int, s float64) *Zipf {
+	t := makeZipfTable(n, s)
+	return &Zipf{cdf: t.cdf, rng: rng}
 }
 
 // Sample draws one index.

@@ -250,6 +250,77 @@ func TestZipfN(t *testing.T) {
 	}
 }
 
+func TestSeedMatchesNew(t *testing.T) {
+	var r Rand
+	for _, seed := range []uint64{0, 1, 0xdeadbeef, math.MaxUint64} {
+		r.Uint64() // Seed must overwrite whatever state r is in
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 16; i++ {
+			if g, w := r.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %#x draw %d: Seed gives %#x, New gives %#x", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// One table sampled by many streams must give each stream exactly what
+// a private NewZipf would have: the split moved no arithmetic.
+func TestZipfTableSharedAcrossStreams(t *testing.T) {
+	tab := NewZipfTable(300, 0.8)
+	if tab.N() != 300 {
+		t.Fatalf("N = %d, want 300", tab.N())
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		own := NewZipf(New(seed), 300, 0.8)
+		var r Rand
+		r.Seed(seed)
+		z := tab.Sampler(&r)
+		for i := 0; i < 200; i++ {
+			if g, w := z.Sample(), own.Sample(); g != w {
+				t.Fatalf("seed %d draw %d: shared table gives %d, private sampler %d", seed, i, g, w)
+			}
+		}
+	}
+}
+
+func TestZipfTableSupport(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		s    float64
+		want int
+	}{
+		{5000, 1, 5000},
+		{10, 0, 10},
+		{1, 3, 1},
+		// 2^-50 is the last term float64 can add to 1: the CDF is
+		// {1-ε, 1, 1, …} and only items 0 and 1 can be drawn.
+		{5000, 50, 2},
+		{5000, math.Inf(1), 1},
+	} {
+		tab := NewZipfTable(c.n, c.s)
+		if got := tab.Support(); got != c.want {
+			t.Errorf("n=%d s=%v: Support = %d, want %d", c.n, c.s, got, c.want)
+		}
+	}
+	// Nothing outside the count comes out: a table whose tail is flat
+	// in float64 (exponent 16, items past ~10 add less than an ulp).
+	tab := NewZipfTable(64, 16)
+	reached := map[int]bool{}
+	z := tab.Sampler(New(5))
+	for i := 0; i < 200000; i++ {
+		reached[z.Sample()] = true
+	}
+	if len(reached) > tab.Support() {
+		t.Fatalf("drew %d distinct items, Support says %d", len(reached), tab.Support())
+	}
+	for i := range reached {
+		if i > 0 && tab.cdf[i] == tab.cdf[i-1] {
+			t.Fatalf("drew item %d, which has no probability mass", i)
+		}
+	}
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
