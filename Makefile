@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race fuzz bench bench-gate chaos obs-smoke serve-smoke scale-smoke verify
+.PHONY: build vet lint test race fuzz bench bench-gate bench-validate chaos obs-smoke serve-smoke scale-smoke verify
 
 build:
 	$(GO) build ./...
@@ -30,10 +30,13 @@ race:
 		./internal/engine/... ./internal/par/... ./internal/telemetry/... \
 		./internal/search/... ./internal/serve/...
 
-# /search parameter parsing over its seed corpus and whatever ten
-# seconds of mutation reach (go test takes one -fuzz target per run).
+# The two places bytes enter from outside — /search parameter parsing,
+# and a peer's socket (frame reader → codec → the loop's acceptance
+# check → one compute phase) — each over its seed corpus and whatever
+# ten seconds of mutation reach (go test takes one -fuzz target per run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/netpeer/
 
 # Failure-path suite under the race detector: crash/restart churn in
 # both runtimes, checkpointed recovery, the supervisor, the reliable
@@ -81,5 +84,12 @@ scale-smoke:
 bench-gate:
 	$(GO) run ./cmd/benchgate
 
-verify: build vet lint test race fuzz chaos obs-smoke serve-smoke bench-gate
+# API drift against the repo benchmark fails here, not in the driver:
+# bench/ is its own module compiled against this tree's packages, so
+# this builds it and checks BENCHMARK.json against what the harness
+# computes, running no workload.
+bench-validate:
+	bash bench/run.sh -validate
+
+verify: build vet lint test race fuzz chaos obs-smoke serve-smoke bench-gate bench-validate
 	@echo "verify: all checks passed"

@@ -64,7 +64,9 @@ func (w *scriptWaiter) Wait(d float64) bool {
 		return false
 	}
 	for len(w.pending) > 0 && w.pending[0].t < next {
-		w.loop.Deliver(w.pending[0].c)
+		if err := w.loop.Deliver(w.pending[0].c); err != nil {
+			panic(err) // as the simulator's ranker driver does
+		}
 		w.pending = w.pending[1:]
 	}
 	w.now = next

@@ -22,7 +22,10 @@ type EffEntry struct {
 
 // Group is one ranker's slice of the web graph: its pages, the
 // intra-group link system, and its efferent links grouped by
-// destination ranker.
+// destination ranker. The per-pair state is laid out as arrays in
+// ascending group order, so walking it is reproducible by construction
+// and a ranker holds state only for the groups that actually link to
+// or from it (§4.4).
 type Group struct {
 	// Index is the ranker this group belongs to.
 	Index int
@@ -33,12 +36,18 @@ type Group struct {
 	Deg []int32
 	// Sys is the open-system solver over the group's inner links.
 	Sys *pagerank.GroupSystem
-	// Eff maps destination ranker index to the aggregated efferent
-	// entries toward it, sorted by (DstLocal, LocalSrc).
-	Eff map[int32][]EffEntry
-	// EffDsts lists Eff's keys in ascending order. Loops iterate it
-	// instead of the map so runs are bit-for-bit reproducible.
+	// EffDsts lists, ascending, the rankers this group links to.
 	EffDsts []int32
+	// Eff holds every aggregated efferent entry: those toward EffDsts[k]
+	// are Eff[EffOff[k]:EffOff[k+1]], sorted by (DstLocal, LocalSrc).
+	Eff    []EffEntry
+	EffOff []int32
+	// EffMerged[k] counts the distinct destination pages toward
+	// EffDsts[k]: the entry count of the chunk Y = BR merges to.
+	EffMerged []int32
+	// AffSrcs lists, ascending, the rankers that link to this group (the
+	// transpose of EffDsts): the only sources a loop accepts chunks from.
+	AffSrcs []int32
 	// EffLinks is the total number of efferent link records, the
 	// quantity the paper's l-bytes-per-link cost model charges.
 	EffLinks int64
@@ -101,25 +110,36 @@ func BuildGroups(g webgraph.Store, a *partition.Assignment, alpha float64) ([]*G
 			Pages:    pages,
 			Deg:      deg,
 			Sys:      sys,
-			Eff:      make(map[int32][]EffEntry),
+			Eff:      make([]EffEntry, 0, len(links)),
 			EffLinks: int64(len(links)),
 		}
-		// The group's entries share one backing array, cut where each
-		// run of dstGroup ends.
-		entries := make([]EffEntry, 0, len(links))
-		for j := 0; j < len(links); {
-			dst, from := links[j].dstGroup, len(entries)
-			for ; j < len(links) && links[j].dstGroup == dst; j++ {
-				if l := links[j]; j > 0 && l == links[j-1] {
-					entries[len(entries)-1].Links++
-				} else {
-					entries = append(entries, EffEntry{LocalSrc: l.localSrc, DstLocal: l.dstLocal, Links: 1})
-				}
+		// One pass over the sorted records: a new dstGroup opens a
+		// destination, a repeated record is a parallel link, a new
+		// dstLocal is one more entry of the chunk Y merges to.
+		for j, l := range links {
+			newDst := j == 0 || l.dstGroup != links[j-1].dstGroup
+			if newDst {
+				grp.EffDsts = append(grp.EffDsts, l.dstGroup)
+				grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
+				grp.EffMerged = append(grp.EffMerged, 0)
+			} else if l == links[j-1] {
+				grp.Eff[len(grp.Eff)-1].Links++
+				continue
 			}
-			grp.Eff[dst] = entries[from:len(entries):len(entries)]
-			grp.EffDsts = append(grp.EffDsts, dst)
+			if newDst || l.dstLocal != links[j-1].dstLocal {
+				grp.EffMerged[len(grp.EffMerged)-1]++
+			}
+			grp.Eff = append(grp.Eff, EffEntry{LocalSrc: l.localSrc, DstLocal: l.dstLocal, Links: 1})
 		}
+		grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
 		groups[i] = grp
+	}
+	// AffSrcs is the transpose of EffDsts; filling it in group order
+	// leaves every list ascending.
+	for i, grp := range groups {
+		for _, dst := range grp.EffDsts {
+			groups[dst].AffSrcs = append(groups[dst].AffSrcs, int32(i))
+		}
 	}
 	return groups, nil
 }

@@ -1,6 +1,7 @@
 package dprcore
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -10,8 +11,17 @@ import (
 	"p2prank/internal/vecmath"
 )
 
+// ErrBadChunk is returned by Deliver and Restore for a chunk this loop
+// cannot have been sent: its source group has no link into this group,
+// or an entry addresses a page outside it. Chunks reach a live peer
+// from the wire and a restarting one from a file, so this is input
+// validation, not a bug trap.
+var ErrBadChunk = errors.New("dprcore: bad chunk")
+
 // Loop is one page ranker's algorithmic state and update rule, shared
-// verbatim by every runtime. A Loop is not goroutine-safe: the driver
+// verbatim by every runtime. Its afferent state is one slot per group
+// that links here (Group.AffSrcs), so it holds nothing for the rest of
+// the network. A Loop is not goroutine-safe: the driver
 // serializes Deliver, the phases, and NextWait (the simulator by
 // running them on the simulation goroutine, netpeer with a mutex).
 //
@@ -35,17 +45,13 @@ type Loop struct {
 	r       vecmath.Vec // current rank vector R
 	x       vecmath.Vec // assembled afferent vector X
 	scratch vecmath.Vec // swap buffer for the in-place solves
-	// mergedY caches, per destination group, how many entries Y = BR
-	// merges to, so publishY can size each chunk's slice exactly.
-	mergedY map[int32]int32
 	// latest holds the most recent chunk received from each source
-	// group; refreshX sums them. Stale (older-round) chunks are
-	// ignored, since the paper's algorithms always use the newest
-	// afferent scores available.
-	latest map[int32]transport.ScoreChunk
-	// srcOrder caches latest's keys in ascending order for
-	// reproducible summation.
-	srcOrder []int32
+	// group, parallel to grp.AffSrcs; refreshX sums the slots in order,
+	// which is ascending by group, so rounding is reproducible. Stale
+	// (older-round) chunks are ignored, since the paper's algorithms
+	// always use the newest afferent scores available. Rounds start at
+	// 1: a slot whose Round is 0 has received nothing.
+	latest []transport.ScoreChunk
 
 	loops   int64
 	stepped bool
@@ -56,7 +62,6 @@ type Loop struct {
 	// Reusable snapshot scratch: checkpointing on a cadence must not
 	// grow the steady-state allocation profile.
 	ckptBuf     []byte
-	snapSrcs    []int32
 	snapPending []transport.ScoreChunk
 }
 
@@ -75,18 +80,6 @@ func NewLoop(grp *Group, p Params, meanWait float64, sender Sender, rng RNG) (*L
 	if grp == nil || sender == nil || rng == nil {
 		return nil, fmt.Errorf("dprcore: nil dependency")
 	}
-	mergedY := make(map[int32]int32, len(grp.Eff))
-	for dst, entries := range grp.Eff {
-		var n int32
-		prev := int32(-1)
-		for _, e := range entries { // sorted by DstLocal: count the runs
-			if e.DstLocal != prev {
-				n++
-				prev = e.DstLocal
-			}
-		}
-		mergedY[dst] = n
-	}
 	l := &Loop{
 		grp:      grp,
 		p:        p,
@@ -97,8 +90,7 @@ func NewLoop(grp *Group, p Params, meanWait float64, sender Sender, rng RNG) (*L
 		r:        vecmath.NewVec(grp.N()), // R0 = 0, the Theorem 4.1/4.2 start
 		x:        vecmath.NewVec(grp.N()),
 		scratch:  vecmath.NewVec(grp.N()),
-		mergedY:  mergedY,
-		latest:   make(map[int32]transport.ScoreChunk),
+		latest:   make([]transport.ScoreChunk, len(grp.AffSrcs)),
 	}
 	if ps, ok := sender.(PendingSource); ok {
 		l.pending = ps
@@ -140,17 +132,29 @@ func (l *Loop) Loops() int64 { return l.loops }
 func (l *Loop) NextWait() float64 { return l.rng.Exp(l.meanWait) }
 
 // Deliver records the chunk as the newest afferent contribution from
-// its source group. A chunk addressed to another group is a routing
-// bug in the driver and panics; drivers that can legitimately see
-// foreign chunks (overlay relays) must filter before delivering.
-func (l *Loop) Deliver(chunk transport.ScoreChunk) {
+// its source group, or returns ErrBadChunk (see there) and keeps what
+// it had. A chunk addressed to another group is a routing bug in the
+// driver and panics; drivers that can legitimately see foreign chunks
+// (overlay relays) must filter before delivering.
+func (l *Loop) Deliver(chunk transport.ScoreChunk) error {
 	if int(chunk.DstGroup) != l.grp.Index {
 		panic(fmt.Sprintf("dprcore: ranker %d delivered chunk for group %d", l.grp.Index, chunk.DstGroup))
 	}
-	if prev, ok := l.latest[chunk.SrcGroup]; ok && prev.Round >= chunk.Round {
-		return // out-of-order stale delivery
+	slot, ok := slices.BinarySearch(l.grp.AffSrcs, chunk.SrcGroup)
+	if !ok {
+		return fmt.Errorf("%w: ranker %d: group %d does not link here", ErrBadChunk, l.grp.Index, chunk.SrcGroup)
 	}
-	l.latest[chunk.SrcGroup] = chunk
+	if l.latest[slot].Round >= chunk.Round {
+		return nil // out-of-order stale delivery
+	}
+	for _, e := range chunk.Entries {
+		if e.DstLocal < 0 || int(e.DstLocal) >= len(l.x) {
+			return fmt.Errorf("%w: ranker %d: group %d addresses page %d of %d",
+				ErrBadChunk, l.grp.Index, chunk.SrcGroup, e.DstLocal, len(l.x))
+		}
+	}
+	l.latest[slot] = chunk
+	return nil
 }
 
 // ComputePhase is the compute half of one main-loop body of Algorithm
@@ -235,29 +239,26 @@ func (l *Loop) Step() {
 // reproducible.
 func (l *Loop) refreshX() (sources, entries int) {
 	l.x.Zero()
-	if len(l.srcOrder) != len(l.latest) {
-		l.srcOrder = l.srcOrder[:0]
-		for src := range l.latest {
-			l.srcOrder = append(l.srcOrder, src)
+	for i := range l.latest {
+		c := &l.latest[i]
+		if c.Round == 0 {
+			continue
 		}
-		slices.Sort(l.srcOrder)
-	}
-	for _, src := range l.srcOrder {
-		es := l.latest[src].Entries
-		entries += len(es)
-		for _, e := range es {
+		sources++
+		entries += len(c.Entries)
+		for _, e := range c.Entries {
 			l.x[e.DstLocal] += e.Value
 		}
 	}
-	return len(l.srcOrder), entries
+	return sources, entries
 }
 
 // publishY computes Y = BR per destination group and hands it to the
 // Sender, subjecting each destination's send to the loss parameter p.
 func (l *Loop) publishY() {
 	sent := false
-	for _, dstGroup := range l.grp.EffDsts {
-		entries := l.grp.Eff[dstGroup]
+	for k, dstGroup := range l.grp.EffDsts {
+		entries := l.grp.Eff[l.grp.EffOff[k]:l.grp.EffOff[k+1]]
 		if l.p.SendProb < 1 && l.rng.Float64() >= l.p.SendProb {
 			continue // this group's Y update is lost this round
 		}
@@ -268,7 +269,7 @@ func (l *Loop) publishY() {
 			// Sized exactly: one allocation, no append growth. The slice
 			// cannot be pooled — it rides the in-flight message and the
 			// receiver keeps it as its newest afferent contribution.
-			Entries: make([]transport.ScoreEntry, 0, l.mergedY[dstGroup]),
+			Entries: make([]transport.ScoreEntry, 0, l.grp.EffMerged[k]),
 		}
 		// Entries are sorted by DstLocal; merge adjacent contributions
 		// to the same destination page.

@@ -1,6 +1,8 @@
 package dprcore
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,8 +13,10 @@ import (
 )
 
 // testGroup hand-builds a two-page group with one efferent edge per
-// entry of eff (destination group → entries), bypassing BuildGroups so
-// tests control the shapes exactly.
+// entry of eff (destination group → entries, each sorted by DstLocal),
+// laid out flat as BuildGroups would, and with groups 1–3 as its
+// afferent sources — bypassing BuildGroups so tests control the shapes
+// exactly.
 func testGroup(t *testing.T, idx int, eff map[int32][]EffEntry) *Group {
 	t.Helper()
 	sys, err := pagerank.NewGroupSystem(2, nil, []int32{1, 2}, nil, 0.85)
@@ -20,18 +24,29 @@ func testGroup(t *testing.T, idx int, eff map[int32][]EffEntry) *Group {
 		t.Fatal(err)
 	}
 	grp := &Group{
-		Index: idx,
-		Pages: []int32{int32(2 * idx), int32(2*idx + 1)},
-		Deg:   []int32{1, 2},
-		Sys:   sys,
-		Eff:   eff,
+		Index:   idx,
+		Pages:   []int32{int32(2 * idx), int32(2*idx + 1)},
+		Deg:     []int32{1, 2},
+		Sys:     sys,
+		AffSrcs: []int32{1, 2, 3},
 	}
-	for dst, entries := range eff {
+	for dst := range eff {
 		grp.EffDsts = append(grp.EffDsts, dst)
-		for _, e := range entries {
+	}
+	slices.Sort(grp.EffDsts)
+	for _, dst := range grp.EffDsts {
+		grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
+		merged := int32(0)
+		for i, e := range eff[dst] {
+			if i == 0 || e.DstLocal != eff[dst][i-1].DstLocal {
+				merged++
+			}
 			grp.EffLinks += int64(e.Links)
 		}
+		grp.EffMerged = append(grp.EffMerged, merged)
+		grp.Eff = append(grp.Eff, eff[dst]...)
 	}
+	grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
 	return grp
 }
 
@@ -114,6 +129,33 @@ func TestDeliverWrongGroupPanics(t *testing.T) {
 		}
 	}()
 	l.Deliver(chunk(1, 2, 1, 1.0))
+}
+
+// Chunks reach a live peer from the wire: one this loop could not have
+// been sent is refused with ErrBadChunk and changes nothing, so the
+// next ComputePhase still runs.
+func TestDeliverRejectsBadChunks(t *testing.T) {
+	l, err := NewLoop(testGroup(t, 0, nil), testParams(), testMeanWait, &recordSender{}, constRNG{e: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Deliver(chunk(1, 0, 1, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]transport.ScoreChunk{
+		"page N":         {SrcGroup: 1, DstGroup: 0, Round: 2, Entries: []transport.ScoreEntry{{DstLocal: 2, Value: 9}}},
+		"page -1":        {SrcGroup: 1, DstGroup: 0, Round: 2, Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 9}, {DstLocal: -1, Value: 9}}},
+		"unknown source": {SrcGroup: 7, DstGroup: 0, Round: 2, Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 9}}},
+		"itself":         {SrcGroup: 0, DstGroup: 0, Round: 2, Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 9}}},
+	} {
+		if err := l.Deliver(c); !errors.Is(err, ErrBadChunk) {
+			t.Errorf("%s: Deliver = %v, want ErrBadChunk", name, err)
+		}
+	}
+	l.ComputePhase()
+	if l.x[0] != 0.5 || l.x[1] != 0 {
+		t.Fatalf("x = %v after refused chunks, want [0.5 0]", l.x)
+	}
 }
 
 func TestSetInitialRanksAfterStepFails(t *testing.T) {
@@ -241,7 +283,7 @@ func TestStepAllocationFreeWithNilAndNoopObserver(t *testing.T) {
 				t.Fatal(err)
 			}
 			l.Deliver(chunk(1, 0, 1, 0.25, 0.5))
-			l.Step() // warm the srcOrder cache
+			l.Step()
 			if n := testing.AllocsPerRun(50, func() { l.Step() }); n != 0 {
 				t.Errorf("%s/%v: steady-state Step allocates %.1f times, want 0", name, alg, n)
 			}

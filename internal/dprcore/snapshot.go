@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"p2prank/internal/transport"
@@ -76,15 +75,17 @@ func (l *Loop) AppendSnapshot(buf []byte) []byte {
 	for _, v := range l.r {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	l.snapSrcs = l.snapSrcs[:0]
-	for src := range l.latest {
-		l.snapSrcs = append(l.snapSrcs, src)
+	// The X table: the filled slots, already in ascending group order;
+	// their count is patched in once they are written.
+	at, filled := len(buf), uint32(0)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	for _, c := range l.latest {
+		if c.Round != 0 {
+			buf = appendChunk(buf, c)
+			filled++
+		}
 	}
-	slices.Sort(l.snapSrcs)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.snapSrcs)))
-	for _, src := range l.snapSrcs {
-		buf = appendChunk(buf, l.latest[src])
-	}
+	binary.LittleEndian.PutUint32(buf[at:], filled)
 	l.snapPending = l.snapPending[:0]
 	if l.pending != nil {
 		l.snapPending = l.pending.PendingChunks(l.grp.Index, l.snapPending)
@@ -227,8 +228,10 @@ func (r *snapReader) chunk() transport.ScoreChunk {
 // counter, then re-sends the snapshot's pending chunks through the
 // Sender so the reliable layer re-adopts them (receivers that already
 // saw those rounds discard them as stale — re-delivery is idempotent).
-// Everything else (srcOrder, X itself) is reconstructed lazily from the
-// restored tables and from Y-chunks that keep arriving.
+// X itself is reassembled from the restored table, and from Y-chunks
+// that keep arriving, at the next ComputePhase. A snapshot is a file:
+// an X-table chunk this loop could not have accepted (see Deliver)
+// fails the restore with ErrBadChunk.
 //
 // Call it on a freshly built Loop for the same Group, from serial
 // context, before the next ComputePhase.
@@ -254,9 +257,17 @@ func (l *Loop) Restore(data []byte) error {
 	}
 	nLatest := int(r.u32())
 	clear(l.latest)
-	for i := 0; i < nLatest && r.err == nil; i++ {
+	for i := 0; i < nLatest; i++ {
 		c := r.chunk()
-		l.latest[c.SrcGroup] = c
+		if r.err != nil {
+			return r.err
+		}
+		if int(c.DstGroup) != l.grp.Index {
+			return fmt.Errorf("%w: ranker %d: snapshot holds a chunk for group %d", ErrBadChunk, l.grp.Index, c.DstGroup)
+		}
+		if err := l.Deliver(c); err != nil {
+			return err
+		}
 	}
 	nPending := int(r.u32())
 	pending := l.snapPending[:0]
@@ -269,7 +280,6 @@ func (l *Loop) Restore(data []byte) error {
 	}
 	l.loops = loops
 	l.stepped = true
-	l.srcOrder = l.srcOrder[:0]
 	for _, c := range pending {
 		if err := l.sender.Send(l.grp.Index, c); err != nil {
 			return fmt.Errorf("dprcore: ranker %d: resend pending: %w", l.grp.Index, err)

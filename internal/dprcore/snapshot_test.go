@@ -2,6 +2,8 @@ package dprcore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -106,7 +108,7 @@ func TestDecodeSnapshotRanksRejectsCorrupt(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX"),
-		enc[:len(enc)-20], // truncated rank vector
+		enc[:len(enc)-20],                      // truncated rank vector
 		append([]byte("DPRS\x02"), enc[5:]...), // bad version
 	}
 	for i, data := range cases {
@@ -183,6 +185,27 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 	if err := other.Restore(snap); err == nil {
 		t.Error("snapshot for another group accepted")
+	}
+	// A checkpoint is a file. Its X table starts after the 21-byte
+	// header, two ranks and the table's count; each chunk opens with
+	// src, dst, round, links, entry count (28 bytes). An entry patched to
+	// address page N, or a source that does not link here, would crash
+	// the next ComputePhase or squat in the table: both are refused.
+	const firstChunk = 21 + 2*8 + 4
+	for name, patch := range map[string]struct {
+		at  int
+		val uint32
+	}{
+		"entry addresses page N":  {firstChunk + 28, 2},
+		"entry addresses page -1": {firstChunk + 28, 0xffffffff},
+		"unknown source group":    {firstChunk, 9},
+		"chunk for another group": {firstChunk + 4, 1},
+	} {
+		bad := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint32(bad[patch.at:], patch.val)
+		if err := fresh().Restore(bad); !errors.Is(err, ErrBadChunk) {
+			t.Errorf("%s: Restore = %v, want ErrBadChunk", name, err)
+		}
 	}
 }
 

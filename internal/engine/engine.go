@@ -342,13 +342,14 @@ func build(cfg Config) (*cluster, error) {
 	}
 	if cfg.Observer != nil {
 		// Collectors that want timestamps or hop attribution get the
-		// simulator's virtual clock and the overlay's route lengths; the
+		// simulator's virtual clock and the fabric's own route lengths
+		// (exact at every K: the memo the chunks are routed through); the
 		// optional-interface probes keep telemetry a leaf package.
 		if cs, ok := cfg.Observer.(telemetry.ClockSetter); ok {
 			cs.SetClock(sim)
 		}
 		if hs, ok := cfg.Observer.(telemetry.HopsSetter); ok {
-			hs.SetHops(overlayHops(ov, cfg.Transport, cfg.Seed))
+			hs.SetHops(fab.Hops)
 		}
 	}
 	root := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
@@ -432,51 +433,6 @@ func build(cfg Config) (*cluster, error) {
 		cfg: cfg, sim: sim, net: net, ov: ov, fab: fab, faults: faults,
 		rel: rel, ckpt: ckpt, assign: assign, rankers: rankers,
 	}, nil
-}
-
-// overlayHops returns the chunk hop source for telemetry collectors:
-// the overlay route length from the sender to the destination group's
-// node under indirect transmission, 1 under direct (the payload takes
-// one trip after the lookup). Routes are memoized — the overlay is
-// static for the duration of a run. Past hopsExactMaxK rankers,
-// per-pair routing (and its memo) would dominate the run, so chunks
-// are attributed the overlay's sampled mean hop count instead.
-func overlayHops(ov overlay.Network, kind transport.Kind, seed uint64) func(src, dst int) int {
-	if kind != transport.Indirect {
-		return func(src, dst int) int { return 1 }
-	}
-	const hopsExactMaxK = 4096
-	if ov.NumNodes() > hopsExactMaxK {
-		est := 0
-		return func(src, dst int) int {
-			if est == 0 {
-				est = 1
-				if h, err := overlay.AvgHops(ov, 200, xrand.New(seed^0x5bd1e995)); err == nil && h > 1 {
-					est = int(h + 0.5)
-				}
-			}
-			return est
-		}
-	}
-	// The memo is capped: at paper scale the set of observed
-	// (src, dst) pairs approaches K², which would quietly pin gigabytes
-	// for a telemetry nicety. Past the cap, extra pairs recompute.
-	const memoMax = 1 << 18
-	memo := make(map[[2]int]int)
-	return func(src, dst int) int {
-		key := [2]int{src, dst}
-		if h, ok := memo[key]; ok {
-			return h
-		}
-		h := 1
-		if path, err := overlay.Route(ov, src, ov.NodeID(dst)); err == nil && len(path) > 1 {
-			h = len(path) - 1
-		}
-		if len(memo) < memoMax {
-			memo[key] = h
-		}
-		return h
-	}
 }
 
 // assemble copies every ranker's local ranks into a global vector.

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"p2prank/internal/dprcore"
+	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
+	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
@@ -180,6 +182,60 @@ func TestDirectTransportWorks(t *testing.T) {
 	}
 	if res.TransportStats.LookupMessages == 0 {
 		t.Fatal("direct transport did no lookups")
+	}
+}
+
+// pairRecorder is a SimCollector that also keeps every chunk's
+// (source, destination) pair.
+type pairRecorder struct {
+	*telemetry.SimCollector
+	pairs [][2]int
+}
+
+func (r *pairRecorder) ChunkSent(ranker int, c telemetry.ChunkStats) {
+	r.pairs = append(r.pairs, [2]int{ranker, c.Dst})
+	r.SimCollector.ChunkSent(ranker, c)
+}
+
+// Routing and hop attribution have one path at every K. This run sits
+// above the node counts the old dense memos and the sampled-mean hop
+// estimate were gated on: every chunk is routed through the fabric's
+// router and the hops telemetry attributes are exactly the overlay's.
+func TestHopAttributionExactAtLargeK(t *testing.T) {
+	const k = 4500
+	g := genGraph(t, 3*k, 21)
+	rec := &pairRecorder{SimCollector: telemetry.NewSimCollector(k)}
+	res, err := Run(Config{
+		Params:    dprcore.Params{Alg: dprcore.DPR2, T1: 2, T2: 2, Observer: rec},
+		Graph:     g,
+		K:         k,
+		Strategy:  partition.ByPage,
+		Transport: transport.Indirect,
+		MaxTime:   4, // about one loop per ranker, and time for its chunks to land
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.pairs) < k {
+		t.Fatalf("only %d chunks sent by %d rankers; lengthen the horizon", len(rec.pairs), k)
+	}
+	ov, err := BuildOverlay(Pastry, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, p := range rec.pairs {
+		h, err := overlay.Hops(ov, p[0], ov.NodeID(p[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(h)
+	}
+	if got := rec.Summary().ChunkHops; got != want {
+		t.Fatalf("telemetry attributed %d hops to %d chunks, the overlay routes them in %d", got, len(rec.pairs), want)
+	}
+	if res.TransportStats.RelayedChunks == 0 {
+		t.Fatal("no chunk was relayed: the run never routed past one hop")
 	}
 }
 

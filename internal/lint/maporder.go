@@ -20,9 +20,10 @@ import (
 // passes to sort.* / slices.Sort* is not flagged, and neither is pure
 // map-to-map accumulation (writes keyed by the iteration variable,
 // integer counters), whose result is order-independent. Everything else
-// needs restructuring onto a sorted key slice — see Group.EffDsts and
-// Loop.srcOrder for the house pattern — or an explicit
-// //p2plint:allow maporder annotation.
+// needs restructuring — onto a sorted key slice, or, as dprcore.Group
+// and Loop do (EffDsts with its parallel offset table, AffSrcs with its
+// parallel chunk slots), onto arrays laid out in key order so there is
+// no map to range — or an explicit //p2plint:allow maporder annotation.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "forbid order-dependent effects inside range-over-map in determinism-critical packages",

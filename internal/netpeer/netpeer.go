@@ -134,12 +134,13 @@ type Peer struct {
 	conns    map[int32]*peerConn
 	accepted map[net.Conn]struct{}
 
-	sent    atomic.Int64
-	relayed atomic.Int64
-	started atomic.Bool
-	closed  atomic.Bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	sent     atomic.Int64
+	relayed  atomic.Int64
+	rejected atomic.Int64
+	started  atomic.Bool
+	closed   atomic.Bool
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 type peerConn struct {
@@ -269,7 +270,13 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 			cs.SetClock(wallClock{})
 		}
 		if hs, ok := cfg.Observer.(telemetry.HopsSetter); ok {
-			hs.SetHops(peerHops(cfg.Overlay))
+			// Collectors call the function under their own mutex, which
+			// is what lets the single-owner Router memoize behind it.
+			hops := func(src, dst int) int { return 1 }
+			if cfg.Overlay != nil {
+				hops = overlay.NewRouter(cfg.Overlay).Hops
+			}
+			hs.SetHops(hops)
 		}
 	}
 	// Each peer resolves its loop's mean wait from [T1, T2] with its own
@@ -316,6 +323,11 @@ func (p *Peer) ChunksSent() int64 { return p.sent.Load() }
 // ChunksRelayed returns the number of chunks this peer forwarded on
 // behalf of others (indirect transmission only).
 func (p *Peer) ChunksRelayed() int64 { return p.relayed.Load() }
+
+// ChunksRejected returns the number of chunks addressed to this peer
+// that its loop refused (dprcore.ErrBadChunk): the wire is outside
+// input, so they are dropped and counted, never trusted.
+func (p *Peer) ChunksRejected() int64 { return p.rejected.Load() }
 
 // FaultCounts are one peer's injected-fault totals by kind.
 type FaultCounts struct {
@@ -482,7 +494,10 @@ func (p *Peer) readLoop(conn net.Conn) {
 				// Without an overlay a misrouted chunk is dropped.
 				continue
 			}
-			p.loop.Deliver(c)
+			if err := p.loop.Deliver(c); err != nil {
+				p.rejected.Add(1)
+				continue
+			}
 			if p.rel != nil {
 				if acks == nil {
 					acks = make(map[int32]int64)
@@ -579,29 +594,6 @@ func (p *Peer) sendFrame(group int32, f frame) {
 		return
 	}
 	p.sent.Add(int64(len(f.Chunks)))
-}
-
-// peerHops builds the hop-attribution function handed to a collector:
-// constant 1 under direct transmission, overlay route length under
-// indirect. Memoization is safe without a lock because collectors call
-// the function under their own mutex and the overlay is static.
-func peerHops(ov overlay.Network) func(src, dst int) int {
-	if ov == nil {
-		return func(src, dst int) int { return 1 }
-	}
-	memo := make(map[[2]int]int)
-	return func(src, dst int) int {
-		key := [2]int{src, dst}
-		if h, ok := memo[key]; ok {
-			return h
-		}
-		h := 1
-		if path, err := overlay.Route(ov, src, ov.NodeID(dst)); err == nil && len(path) > 1 {
-			h = len(path) - 1
-		}
-		memo[key] = h
-		return h
-	}
 }
 
 func (p *Peer) conn(group int32, addr string) (*peerConn, error) {

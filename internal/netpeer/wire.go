@@ -92,7 +92,9 @@ func (r *frameReader) readFrame() (frame, error) {
 	if count > maxFrameChunks {
 		return frame{}, fmt.Errorf("netpeer: frame advertises %d chunks", count)
 	}
-	f := frame{Chunks: make([]transport.ScoreChunk, 0, count)}
+	// The count is only advertised: reserve for a plausible frame and let
+	// append follow what actually arrives.
+	f := frame{Chunks: make([]transport.ScoreChunk, 0, min(count, 1024))}
 	for i := uint64(0); i < count; i++ {
 		size, err := binary.ReadUvarint(r.r)
 		if err != nil {

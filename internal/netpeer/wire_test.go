@@ -1,12 +1,19 @@
 package netpeer
 
 import (
+	"bufio"
+	"bytes"
 	"net"
 	"testing"
+	"time"
 
 	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
+	"p2prank/internal/nodeid"
+	"p2prank/internal/partition"
+	"p2prank/internal/pastry"
 	"p2prank/internal/transport"
+	"p2prank/internal/xrand"
 )
 
 // pipeConn builds a connected TCP pair on localhost.
@@ -146,4 +153,109 @@ func TestPeerConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// Anyone can dial a peer. Well-framed chunks its loop could not have
+// been sent — an entry addressing page N or page -1, a source group
+// that does not exist — are dropped and counted, and the peer keeps
+// ranking. (Stored unchecked, the first two index past the X vector on
+// the next loop and take the process down.)
+func TestPeerSurvivesHostileChunks(t *testing.T) {
+	g := genGraph(t, 500, 11)
+	cl, err := StartCluster(g, ClusterConfig{K: 3, MeanWait: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Peers[1]
+	grp := p.cfg.Group
+	if len(grp.AffSrcs) == 0 {
+		t.Fatal("peer 1 has no afferent group; pick another seed")
+	}
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hostile := func(src, dstLocal int32) transport.ScoreChunk {
+		return transport.ScoreChunk{
+			SrcGroup: src, DstGroup: int32(grp.Index), Links: 1,
+			Round:   1 << 40, // newer than anything the cluster sends
+			Entries: []transport.ScoreEntry{{DstLocal: dstLocal, Value: 1}},
+		}
+	}
+	if err := newFrameWriter(codec.Plain{}, conn).writeFrame(frame{Chunks: []transport.ScoreChunk{
+		hostile(grp.AffSrcs[0], int32(grp.N())),
+		hostile(grp.AffSrcs[0], -1),
+		hostile(1<<20, 0),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the three chunks to be rejected", func() bool { return p.ChunksRejected() == 3 })
+	loops := p.Loops()
+	waitFor(t, "the peer to keep ranking", func() bool { return p.Loops() >= loops+3 })
+}
+
+// FuzzReadFrame feeds arbitrary bytes through the whole receive path of
+// a peer — frame reader, codec, the loop's acceptance check, one
+// compute phase over whatever was accepted — which must never panic.
+func FuzzReadFrame(f *testing.F) {
+	// Two by-page groups, each linking to the other, as StartCluster
+	// would cut them.
+	g := genGraph(f, 300, 61)
+	ov, err := pastry.New([]nodeid.ID{nodeid.Hash("fuzz-0"), nodeid.Hash("fuzz-1")}, pastry.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	assign, err := partition.Assign(g, ov, partition.ByPage, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	groups, err := dprcore.BuildGroups(g, assign, 0.85)
+	if err != nil {
+		f.Fatal(err)
+	}
+	grp := groups[0]
+	var seed bytes.Buffer
+	fw := &frameWriter{codec: codec.Plain{}, w: bufio.NewWriter(&seed)}
+	if err := fw.writeFrame(frame{
+		Chunks: []transport.ScoreChunk{{
+			SrcGroup: 1, DstGroup: 0, Round: 3, Links: 2,
+			Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 0.5}, {DstLocal: int32(grp.N() - 1), Value: 0.25}},
+		}},
+		Acks: []wireAck{{From: 1, Round: 2}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{0x80, 0x80, 0x40}) // a megachunk frame, three bytes long
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loop, err := dprcore.NewLoop(grp, dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1}, 1, &outbox{}, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := &frameReader{codec: codec.Plain{}, r: bufio.NewReader(bytes.NewReader(data))}
+		for {
+			fm, err := fr.readFrame()
+			if err != nil {
+				break
+			}
+			for _, c := range fm.Chunks {
+				if int(c.DstGroup) == grp.Index { // readLoop relays or drops the rest
+					_ = loop.Deliver(c) // refusal is the point
+				}
+			}
+		}
+		loop.ComputePhase()
+	})
 }

@@ -38,6 +38,10 @@ type Network interface {
 	Neighbors(i int) []int
 }
 
+// maxRouteHops is where a route is declared cyclic. It is generous:
+// honest overlays need O(log N) hops.
+const maxRouteHops = 4 * 64
+
 // Route returns the full node path from node i to the owner of key,
 // starting with i and ending with the owner. It fails if the overlay
 // routes in a cycle or takes implausibly many hops, which would indicate
@@ -45,14 +49,13 @@ type Network interface {
 func Route(n Network, from int, key nodeid.ID) ([]int, error) {
 	path := []int{from}
 	cur := from
-	maxHops := 4 * 64 // generous: honest overlays need O(log N)
 	for hop := 0; ; hop++ {
 		next := n.NextHop(cur, key)
 		if next == cur {
 			return path, nil
 		}
-		if hop >= maxHops {
-			return nil, fmt.Errorf("overlay: route from %d to %s exceeded %d hops", from, key, maxHops)
+		if hop >= maxRouteHops {
+			return nil, fmt.Errorf("overlay: route from %d to %s exceeded %d hops", from, key, maxRouteHops)
 		}
 		path = append(path, next)
 		cur = next

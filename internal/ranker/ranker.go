@@ -153,11 +153,15 @@ func (rk *Ranker) Restart(snapshot []byte) error {
 // Deliver is the transport callback: it records the chunk as the newest
 // afferent contribution from its source group. A crashed ranker ignores
 // deliveries (its host is down; anything already in flight is lost).
+// The simulated fabric carries only what loops sent, so a chunk the loop
+// refuses is a routing bug and panics.
 func (rk *Ranker) Deliver(chunk transport.ScoreChunk) {
 	if rk.crashed {
 		return
 	}
-	rk.loop.Deliver(chunk)
+	if err := rk.loop.Deliver(chunk); err != nil {
+		panic(fmt.Sprintf("ranker %d: %v", rk.grp.Index, err))
+	}
 }
 
 func (rk *Ranker) scheduleNext() {

@@ -63,19 +63,19 @@ func TestBuildGroupsCoverage(t *testing.T) {
 		totalPages += grp.N()
 		innerLinks += int64(grp.Sys.A.NNZ()) // aggregated, lower bound
 		effLinks += grp.EffLinks
-		if len(grp.EffDsts) != len(grp.Eff) {
-			t.Fatalf("group %d EffDsts/Eff mismatch", i)
+		if len(grp.EffOff) != len(grp.EffDsts)+1 || int(grp.EffOff[len(grp.EffDsts)]) != len(grp.Eff) {
+			t.Fatalf("group %d EffDsts/EffOff/Eff mismatch", i)
 		}
 		for k := 1; k < len(grp.EffDsts); k++ {
 			if grp.EffDsts[k-1] >= grp.EffDsts[k] {
 				t.Fatalf("group %d EffDsts unsorted: %v", i, grp.EffDsts)
 			}
 		}
-		for dst, entries := range grp.Eff {
+		for k, dst := range grp.EffDsts {
 			if int(dst) == i {
 				t.Fatalf("group %d has efferent links to itself", i)
 			}
-			for _, e := range entries {
+			for _, e := range grp.Eff[grp.EffOff[k]:grp.EffOff[k+1]] {
 				if e.Links <= 0 {
 					t.Fatalf("non-positive link count %+v", e)
 				}

@@ -139,35 +139,31 @@ type ChunkCodec interface {
 
 // Fabric wires every ranker to the simulated network with the selected
 // transmission pattern. Create with NewFabric, then Register each
-// ranker before any Send.
+// ranker before any Send. Its per-pair state is what was actually
+// used — one overlay.Router entry per (node, destination) routed and one
+// hop box per occupied next hop — so it has one shape at every K. The
+// overlay must stay static for the fabric's lifetime.
 type Fabric struct {
-	kind  Kind
-	size  SizeModel
-	net   *simnet.Network
-	ov    overlay.Network
-	addrs []simnet.NodeAddr
-	del   []Deliver
+	kind Kind
+	size SizeModel
+	net  *simnet.Network
+	// router answers every routing question: the next hop of each chunk
+	// at each node (indirect), the lookup path of each direct send, and
+	// the hop count telemetry attributes to a chunk (Hops).
+	router *overlay.Router
+	addrs  []simnet.NodeAddr
+	del    []Deliver
 	// ackDel holds per-ranker ack callbacks (reliable delivery only;
 	// see RegisterAck). Nil entries ignore incoming acks.
 	ackDel []func(src int32, round int64)
 	// outbox[i] holds the chunks queued at node i, one entry per
 	// occupied next-hop ranker (indirect transmission only). A node's
 	// occupied hops are a handful of overlay neighbors, so enqueue's
-	// linear scan beats both a map and the dense K-slot rows this used
-	// to be — which cost K² slots across the fabric and capped runs at
-	// thousands of nodes.
+	// linear scan beats a map.
 	outbox [][]hopBox
 	codec  ChunkCodec
 	stats  Stats
 
-	// nextHops and routes memoize overlay routing per (node, dstGroup):
-	// NextHop is asked once per chunk per hop and Route once per direct
-	// send, against an overlay that is static for the fabric's
-	// lifetime. Call InvalidateRoutes after changing membership. The
-	// memos are dense K-wide rows, so past memoMaxNodes they are skipped
-	// (K² memory) and routing recomputes from the overlay's tables.
-	nextHops [][]int32
-	routes   [][][]int
 	// Freelists for the per-message carriers. The []ScoreChunk slices
 	// and the codec path's buffers die once handle has processed a
 	// message (receivers copy what they keep: Deliver stores the chunk
@@ -189,11 +185,6 @@ type hopBox struct {
 	hop    int
 	chunks []ScoreChunk
 }
-
-// memoMaxNodes bounds the dense routing memos: beyond this many rankers
-// the K-wide rows would dominate memory (K² across the fabric), and the
-// overlay's own routing arithmetic is cheap enough to recompute.
-const memoMaxNodes = 4096
 
 // message payloads exchanged over simnet.
 type dataMsg struct {
@@ -224,16 +215,14 @@ func NewFabric(net *simnet.Network, ov overlay.Network, kind Kind, size SizeMode
 	}
 	k := ov.NumNodes()
 	f := &Fabric{
-		kind:     kind,
-		size:     size,
-		net:      net,
-		ov:       ov,
-		addrs:    make([]simnet.NodeAddr, k),
-		del:      make([]Deliver, k),
-		ackDel:   make([]func(src int32, round int64), k),
-		outbox:   make([][]hopBox, k),
-		nextHops: make([][]int32, k),
-		routes:   make([][][]int, k),
+		kind:   kind,
+		size:   size,
+		net:    net,
+		router: overlay.NewRouter(ov),
+		addrs:  make([]simnet.NodeAddr, k),
+		del:    make([]Deliver, k),
+		ackDel: make([]func(src int32, round int64), k),
+		outbox: make([][]hopBox, k),
 	}
 	for i := range f.addrs {
 		f.addrs[i] = simnet.NodeAddr(-1)
@@ -307,61 +296,16 @@ func (f *Fabric) SetCodec(c ChunkCodec) error {
 // Codec returns the installed wire codec, or nil.
 func (f *Fabric) Codec() ChunkCodec { return f.codec }
 
-// InvalidateRoutes drops the memoized next-hop and lookup-route tables.
-// It must be called if the overlay's membership changes (Fail/Recover/
-// Join) while the fabric is live; routing then re-derives from the
-// overlay on demand.
-func (f *Fabric) InvalidateRoutes() {
-	for i := range f.nextHops {
-		f.nextHops[i] = nil
-		f.routes[i] = nil
+// Hops returns the number of network trips a chunk sent by ranker src
+// takes to reach group dst: the overlay route length under indirect
+// transmission, 1 under direct (the payload takes one trip after the
+// lookup). It is the hop source telemetry collectors are handed; call
+// it from the simulation goroutine, like Send.
+func (f *Fabric) Hops(src, dst int) int {
+	if f.kind == Direct {
+		return 1
 	}
-}
-
-// nextHop is overlay.NextHop through the per-fabric memo table (or
-// straight from the overlay past memoMaxNodes).
-func (f *Fabric) nextHop(i, dst int) int {
-	if len(f.del) > memoMaxNodes {
-		return f.ov.NextHop(i, f.ov.NodeID(dst))
-	}
-	row := f.nextHops[i]
-	if row == nil {
-		//p2plint:allow hotalloc -- memo warm-up, once per node per route invalidation
-		row = make([]int32, len(f.del))
-		for j := range row {
-			row[j] = -1
-		}
-		f.nextHops[i] = row
-	}
-	if v := row[dst]; v >= 0 {
-		return int(v)
-	}
-	n := f.ov.NextHop(i, f.ov.NodeID(dst))
-	row[dst] = int32(n)
-	return n
-}
-
-// route is overlay.Route through the per-fabric memo table (or
-// recomputed per send past memoMaxNodes).
-func (f *Fabric) route(from, dst int) ([]int, error) {
-	if len(f.del) > memoMaxNodes {
-		return overlay.Route(f.ov, from, f.ov.NodeID(dst))
-	}
-	row := f.routes[from]
-	if row == nil {
-		//p2plint:allow hotalloc -- memo warm-up, once per node per route invalidation
-		row = make([][]int, len(f.del))
-		f.routes[from] = row
-	}
-	if p := row[dst]; p != nil {
-		return p, nil
-	}
-	p, err := overlay.Route(f.ov, from, f.ov.NodeID(dst))
-	if err != nil {
-		return nil, err
-	}
-	row[dst] = p
-	return p, nil
+	return f.router.Hops(src, dst)
 }
 
 // Stats returns transport-level counters. Network-level byte totals live
@@ -388,14 +332,12 @@ func (f *Fabric) Send(from int, chunk ScoreChunk) error {
 	if dst == from {
 		return fmt.Errorf("transport: ranker %d sending to itself", from)
 	}
-	switch f.kind {
-	case Direct:
-		return f.sendDirect(from, chunk)
-	case Indirect:
+	if f.kind == Direct {
+		f.sendDirect(from, chunk)
+	} else {
 		f.enqueue(from, chunk)
-		return nil
 	}
-	return fmt.Errorf("transport: unknown kind %d", int(f.kind))
+	return nil
 }
 
 // Flush pushes ranker i's queued outbox packages onto the network (one
@@ -452,9 +394,9 @@ func (f *Fabric) pack(chunks []ScoreChunk) (*dataMsg, int64) {
 		m.chunks = chunks
 		return m, payload
 	}
-	encoded := f.getEncSlice()
+	encoded := pop(&f.encSlices)
 	for _, c := range chunks {
-		buf := f.codec.Encode(f.getEncBuf(), c)
+		buf := f.codec.Encode(pop(&f.encBufs), c)
 		payload += int64(len(buf))
 		encoded = append(encoded, buf)
 	}
@@ -462,49 +404,24 @@ func (f *Fabric) pack(chunks []ScoreChunk) (*dataMsg, int64) {
 	return m, payload
 }
 
+// pop takes the last carrier off a freelist, or returns the zero value
+// (a nil slice, ready for append) when the list is empty.
+func pop[T any](list *[]T) (v T) {
+	if n := len(*list); n > 0 {
+		v = (*list)[n-1]
+		clear((*list)[n-1:])
+		*list = (*list)[:n-1]
+	}
+	return v
+}
+
 // getMsg pops an empty dataMsg header from the freelist.
 func (f *Fabric) getMsg() *dataMsg {
-	if n := len(f.msgs); n > 0 {
-		m := f.msgs[n-1]
-		f.msgs[n-1] = nil
-		f.msgs = f.msgs[:n-1]
+	if m := pop(&f.msgs); m != nil {
 		return m
 	}
 	//p2plint:allow hotalloc -- freelist refill; steady state recycles delivered messages
 	return &dataMsg{}
-}
-
-// getChunkSlice pops an empty []ScoreChunk from the freelist.
-func (f *Fabric) getChunkSlice() []ScoreChunk {
-	if n := len(f.chunkSlices); n > 0 {
-		s := f.chunkSlices[n-1]
-		f.chunkSlices[n-1] = nil
-		f.chunkSlices = f.chunkSlices[:n-1]
-		return s
-	}
-	return nil
-}
-
-// getEncSlice pops an empty [][]byte from the freelist.
-func (f *Fabric) getEncSlice() [][]byte {
-	if n := len(f.encSlices); n > 0 {
-		s := f.encSlices[n-1]
-		f.encSlices[n-1] = nil
-		f.encSlices = f.encSlices[:n-1]
-		return s
-	}
-	return nil
-}
-
-// getEncBuf pops an empty []byte encode buffer from the freelist.
-func (f *Fabric) getEncBuf() []byte {
-	if n := len(f.encBufs); n > 0 {
-		b := f.encBufs[n-1]
-		f.encBufs[n-1] = nil
-		f.encBufs = f.encBufs[:n-1]
-		return b
-	}
-	return nil
 }
 
 // recycleChunks clears a chunk slice (so it does not pin its receivers'
@@ -539,7 +456,7 @@ func (f *Fabric) unpack(m *dataMsg) []ScoreChunk {
 	if m.chunks != nil {
 		return m.chunks
 	}
-	chunks := f.getChunkSlice()
+	chunks := pop(&f.chunkSlices)
 	for _, enc := range m.encoded {
 		c, err := f.codec.Decode(enc)
 		if err != nil {
@@ -555,22 +472,21 @@ func (f *Fabric) unpack(m *dataMsg) []ScoreChunk {
 // sendDirect performs lookup-then-send: h small messages along the
 // overlay route (the address resolution of Figure 3B), then one data
 // message straight to the destination.
-func (f *Fabric) sendDirect(from int, chunk ScoreChunk) error {
+func (f *Fabric) sendDirect(from int, chunk ScoreChunk) {
 	dst := int(chunk.DstGroup)
-	path, err := f.route(from, dst)
-	if err != nil {
-		return fmt.Errorf("transport: lookup route failed: %w", err)
-	}
-	// Lookup messages hop along the path.
+	// Lookup messages hop along the overlay route.
 	lsize := f.size.LookupBytes + f.size.HeaderBytes
-	for i := 0; i+1 < len(path); i++ {
+	cur := from
+	for h := f.router.Hops(from, dst); h > 0; h-- {
+		next := f.router.NextHop(cur, dst)
 		f.stats.LookupMessages++
 		f.stats.LookupBytes += lsize
-		if !f.net.Send(f.addrs[path[i]], f.addrs[path[i+1]], lookupMsg{}, lsize) {
+		if !f.net.Send(f.addrs[cur], f.addrs[next], lookupMsg{}, lsize) {
 			f.stats.DroppedMessages++
 		}
+		cur = next
 	}
-	cs := append(f.getChunkSlice(), chunk)
+	cs := append(pop(&f.chunkSlices), chunk)
 	msg, payload := f.pack(cs)
 	if f.codec != nil {
 		// The codec path copied the chunk onto the wire; the carrier
@@ -583,15 +499,14 @@ func (f *Fabric) sendDirect(from int, chunk ScoreChunk) error {
 		f.stats.DroppedMessages++
 		f.recycle(msg) // refused at send time: nothing will deliver it
 	}
-	return nil
 }
 
 // enqueue places a chunk in node i's outbox under its next overlay hop.
 func (f *Fabric) enqueue(i int, chunk ScoreChunk) {
-	next := f.nextHop(i, int(chunk.DstGroup))
+	next := f.router.NextHop(i, int(chunk.DstGroup))
 	if next == i {
 		// We are the owner-side endpoint; the overlay says the chunk
-		// has arrived (can happen after a membership change).
+		// has arrived (its destination node is not live).
 		f.del[i](chunk)
 		return
 	}
@@ -603,7 +518,7 @@ func (f *Fabric) enqueue(i int, chunk ScoreChunk) {
 		}
 	}
 	//p2plint:allow hotalloc -- per-node box grows to its neighbor-count high-water mark, then reuses
-	f.outbox[i] = append(box, hopBox{hop: next, chunks: append(f.getChunkSlice(), chunk)})
+	f.outbox[i] = append(box, hopBox{hop: next, chunks: append(pop(&f.chunkSlices), chunk)})
 }
 
 // handle processes a message arriving at ranker i: lookups are pure
