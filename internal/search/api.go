@@ -21,6 +21,9 @@ import (
 var (
 	// ErrUnknownTerm reports a query term outside the vocabulary.
 	ErrUnknownTerm = errors.New("search: term outside vocabulary")
+	// ErrBadOrigin reports a request whose From is not a node of the
+	// overlay — there is no ranker to account its lookup hops from.
+	ErrBadOrigin = errors.New("search: query origin outside the overlay")
 	// ErrStaleIndex reports that the server cannot satisfy the
 	// request's MinVersion — the served ranks are older than the
 	// caller demands (or no snapshot has been published yet).
@@ -144,6 +147,9 @@ func (ix *Index) Serve(req Request, resp *Response) error {
 	resp.Hedged = 0
 	if err := req.Validate(ix.cfg.Vocabulary); err != nil {
 		return err
+	}
+	if n := ix.ov.NumNodes(); req.From < 0 || req.From >= n {
+		return fmt.Errorf("%w: from %d, overlay has %d nodes", ErrBadOrigin, req.From, n)
 	}
 	if req.MinVersion > StaticVersion {
 		return fmt.Errorf("%w: static index serves version %d, want >= %d",

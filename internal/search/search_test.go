@@ -237,6 +237,11 @@ func TestQueryValidation(t *testing.T) {
 	if err := f.ix.Serve(Request{Terms: []int32{9999}, K: 5}, &resp); !errors.Is(err, ErrUnknownTerm) {
 		t.Errorf("out-of-vocabulary term: err = %v, want ErrUnknownTerm", err)
 	}
+	for _, from := range []int{-1, 4, 1 << 20} {
+		if err := f.ix.Serve(Request{Terms: []int32{0}, K: 5, From: from}, &resp); !errors.Is(err, ErrBadOrigin) {
+			t.Errorf("from %d of 4 rankers: err = %v, want ErrBadOrigin", from, err)
+		}
+	}
 	if _, err := f.ix.PostingList(-1); !errors.Is(err, ErrUnknownTerm) {
 		t.Errorf("negative term: err = %v, want ErrUnknownTerm", err)
 	}

@@ -59,18 +59,37 @@ func benchFrontend(b *testing.B, shards int) (*serve.Frontend, *serve.Store) {
 	return fe, store
 }
 
-// BenchmarkQueryTopK is the ratchet kernel for the merged read path:
-// distributed top-k over 64 shards, cache off, reused Querier and
-// Response. Gated at 0 allocs/op.
+// BenchmarkQueryTopK is the ratchet kernel for the merged read path
+// where the scan dominates: distributed top-k over 64 by-site shards of
+// 100 pages, cache off, reused Querier and Response. Gated at
+// 0 allocs/op.
 func BenchmarkQueryTopK(b *testing.B) {
 	fe, _ := benchFrontend(b, 64)
-	q := fe.NewQuerier()
-	queries := []search.Request{
+	benchQueries(b, fe, []search.Request{
 		{Terms: []int32{0}, K: 10},
 		{Terms: []int32{1, 2}, K: 10},
 		{Terms: []int32{3, 4, 5}, K: 10},
 		{Terms: []int32{7, 11}, K: 100},
-	}
+	})
+}
+
+// BenchmarkQueryFanout is the same path where the fan-out dominates —
+// the repo benchmark's tier, 1000 by-page shards of 20 pages: a popular
+// term (nearly every shard consulted, a page or two each), a rare term
+// with a popular one (the plan's merge), three terms. Gated at
+// 0 allocs/op.
+func BenchmarkQueryFanout(b *testing.B) {
+	f := newFixtureAs(b, 20000, 1000, -1, partition.ByPage, search.DefaultConfig())
+	benchQueries(b, f.fe, []search.Request{
+		{Terms: []int32{0}, K: 10},
+		{Terms: []int32{900, 1}, K: 10},
+		{Terms: []int32{2, 5, 9}, K: 10},
+	})
+}
+
+// benchQueries serves the queries round-robin on one warm Querier.
+func benchQueries(b *testing.B, fe *serve.Frontend, queries []search.Request) {
+	q := fe.NewQuerier()
 	var resp search.Response
 	for _, req := range queries { // warm scratch to high-water mark
 		if err := q.Serve(req, &resp); err != nil {

@@ -44,31 +44,29 @@ func buildInputs(t testing.TB, pages, k int) (*webgraph.Graph, *pastry.Overlay, 
 	return g, ov, assign, store
 }
 
-// The parallel, exact-sized build against the definition: shard s
-// lists local page i under term t iff TermsOf says page Pages[s][i]
-// contains t, ascending; termShards lists exactly the shards with a
-// non-empty list. Checked at GOMAXPROCS 1 and 8, which must also
-// agree with each other to the last slice.
+// The term-major index against the definition: term t has an entry
+// for shard s iff TermsOf puts t on one of the shard's pages, the
+// entry's locals are exactly those pages, ascending, each term's shards
+// are strictly ascending, and postOff is monotone and ends at
+// len(locals). Checked at GOMAXPROCS 1 and 8, which must also agree
+// with each other to the last slice.
 func TestFrontendBuildMatchesDefinition(t *testing.T) {
 	g, ov, assign, store := buildInputs(t, 3000, 40)
 	text := search.Config{Vocabulary: 300, TermsPerPage: 7, Skew: 0.9}
 
-	wantLocals := make([]map[int32][]int32, assign.K)
-	wantShards := make([][]int32, text.Vocabulary)
-	for s := range wantLocals {
-		wantLocals[s] = map[int32][]int32{}
-		for local, p := range assign.Pages[s] {
+	// want[t][s] lists the local indices of shard s's pages holding t.
+	want := make([]map[int32][]int32, text.Vocabulary)
+	for tm := range want {
+		want[tm] = map[int32][]int32{}
+	}
+	for s, pages := range assign.Pages {
+		for local, p := range pages {
 			terms, err := search.TermsOf(g, p, text)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, tm := range terms {
-				wantLocals[s][tm] = append(wantLocals[s][tm], int32(local))
-			}
-		}
-		for tm := int32(0); tm < int32(text.Vocabulary); tm++ {
-			if len(wantLocals[s][tm]) > 0 {
-				wantShards[tm] = append(wantShards[tm], int32(s))
+				want[tm][int32(s)] = append(want[tm][int32(s)], int32(local))
 			}
 		}
 	}
@@ -82,29 +80,46 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 			t.Fatal(err)
 		}
 		builds = append(builds, fe)
-		for s := range fe.shards {
-			sh := &fe.shards[s]
-			if len(sh.off) != len(sh.terms)+1 || len(sh.terms) != len(wantLocals[s]) {
-				t.Fatalf("procs %d shard %d: %d terms, %d offsets, want %d terms",
-					procs, s, len(sh.terms), len(sh.off), len(wantLocals[s]))
+		if len(fe.termOff) != text.Vocabulary+1 || fe.termOff[0] != 0 ||
+			int(fe.termOff[text.Vocabulary]) != len(fe.fanShards) || len(fe.postOff) != len(fe.fanShards)+1 {
+			t.Fatalf("procs %d: %d term offsets ending at %d, %d entries, %d posting offsets",
+				procs, len(fe.termOff), fe.termOff[text.Vocabulary], len(fe.fanShards), len(fe.postOff))
+		}
+		if fe.postOff[0] != 0 || int(fe.postOff[len(fe.fanShards)]) != len(fe.locals) ||
+			len(fe.locals) != g.NumPages()*text.TermsPerPage {
+			t.Fatalf("procs %d: posting offsets run %d..%d over %d locals, want 0..%d",
+				procs, fe.postOff[0], fe.postOff[len(fe.fanShards)], len(fe.locals), g.NumPages()*text.TermsPerPage)
+		}
+		if !slices.IsSorted(fe.postOff) {
+			t.Fatalf("procs %d: postOff not monotone", procs)
+		}
+		for tm := range want {
+			lo, hi := fe.termOff[tm], fe.termOff[tm+1]
+			if int(hi-lo) != len(want[tm]) {
+				t.Fatalf("procs %d term %d: %d entries, want %d", procs, tm, hi-lo, len(want[tm]))
 			}
-			if len(sh.locals) != cap(sh.locals) || len(sh.terms) != cap(sh.terms) {
-				t.Fatalf("procs %d shard %d: slices not exact-sized", procs, s)
-			}
-			for tm := int32(0); tm < int32(text.Vocabulary); tm++ {
-				if got := sh.postingsOf(tm); !slices.Equal(got, wantLocals[s][tm]) {
-					t.Fatalf("procs %d shard %d term %d: locals %v, want %v", procs, s, tm, got, wantLocals[s][tm])
+			for j := lo; j < hi; j++ {
+				s := fe.fanShards[j]
+				if j > lo && s <= fe.fanShards[j-1] {
+					t.Fatalf("procs %d term %d: shards %v not strictly ascending", procs, tm, fe.fanShards[lo:hi])
+				}
+				// An entry per wanted shard, all distinct, as many as
+				// wanted: exactly the wanted shards.
+				if got := fe.locals[fe.postOff[j]:fe.postOff[j+1]]; len(got) == 0 || !slices.Equal(got, want[tm][s]) {
+					t.Fatalf("procs %d term %d shard %d: locals %v, want %v", procs, tm, s, got, want[tm][s])
 				}
 			}
 		}
-		for tm, want := range wantShards {
-			if !slices.Equal(fe.termShards[tm], want) {
-				t.Fatalf("procs %d term %d: shards %v, want %v", procs, tm, fe.termShards[tm], want)
+		for s := range assign.Pages {
+			if !slices.Equal(fe.pages[s], assign.Pages[s]) {
+				t.Fatalf("procs %d shard %d: page table is not the assignment's", procs, s)
 			}
 		}
 	}
-	if !reflect.DeepEqual(builds[0].shards, builds[1].shards) ||
-		!reflect.DeepEqual(builds[0].termShards, builds[1].termShards) {
+	a, b := builds[0], builds[1]
+	if !reflect.DeepEqual(a.pages, b.pages) || !reflect.DeepEqual(a.termOff, b.termOff) ||
+		!reflect.DeepEqual(a.fanShards, b.fanShards) || !reflect.DeepEqual(a.postOff, b.postOff) ||
+		!reflect.DeepEqual(a.locals, b.locals) {
 		t.Fatal("NewFrontend differs between GOMAXPROCS 1 and 8")
 	}
 }
@@ -129,7 +144,7 @@ func TestFrontendTextModelValidation(t *testing.T) {
 
 // BenchmarkFrontendBuild is the ratchet kernel for a tier build at the
 // benchmark's size: 20,000 pages hashed by page over 1000 shards, text
-// drawn and both passes of every shard's CSR included. allocs/op is
+// drawn and both passes of the term-major index included. allocs/op is
 // the gate: it is what append-doubling builds would multiply.
 func BenchmarkFrontendBuild(b *testing.B) {
 	g, ov, assign, store := buildInputs(b, 20000, 1000)

@@ -13,9 +13,9 @@ import (
 // is cleared wholesale (deterministic, no clock-driven LRU), which
 // also lazily evicts entries stranded on old versions.
 type queryCache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[uint64]*cacheEntry
+	mu           sync.Mutex
+	cap          int
+	m            map[uint64]*cacheEntry
 	hits, misses int64
 }
 

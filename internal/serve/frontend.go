@@ -2,12 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"p2prank/internal/overlay"
-	"p2prank/internal/par"
 	"p2prank/internal/partition"
 	"p2prank/internal/search"
 	"p2prank/internal/webgraph"
@@ -34,101 +33,33 @@ type Config struct {
 	Admission Admission
 }
 
-// shardIndex is one shard's inverted index: the terms present on the
-// shard's pages, CSR-packed posting lists of ascending local page
-// indices, and the local→global page mapping. Scores are NOT stored
-// here — they come from the Store's current snapshot at query time,
-// which is what makes serving versioned.
-type shardIndex struct {
-	// pages maps local index → global page id (the group's Pages
-	// order, which is also the order snapshot Scores are indexed in).
-	pages []int32
-	// terms present on this shard, ascending.
-	terms []int32
-	// off[i]:off[i+1] brackets terms[i]'s locals; len = len(terms)+1.
-	off []int32
-	// locals are ascending local page indices per term.
-	locals []int32
-}
-
-// postingsOf returns the shard-local posting range of term t, or an
-// empty slice if the shard has no pages containing t.
-//
-//p2plint:hotpath
-func (sh *shardIndex) postingsOf(t int32) []int32 {
-	lo, hi := 0, len(sh.terms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sh.terms[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(sh.terms) || sh.terms[lo] != t {
-		return nil
-	}
-	return sh.locals[sh.off[lo]:sh.off[lo+1]]
-}
-
-// buildScratch is what building one shard index needs beyond its
-// output, reused from shard to shard: next[t] is term t's page count,
-// then its fill cursor (Vocabulary-sized, zero between shards); seen
-// collects the terms present.
-type buildScratch struct {
-	next, seen []int32
-}
-
-// build fills the shard's CSR from the term matrix rows of sh.pages,
-// into the preassigned sh.locals: count each term's pages, sort the
-// terms present, prefix-sum, fill.
-func (sh *shardIndex) build(tm *search.TermMatrix, sc *buildScratch) {
-	next, seen := sc.next, sc.seen[:0]
-	for _, p := range sh.pages {
-		for _, t := range tm.Row(p) {
-			if next[t] == 0 {
-				seen = append(seen, t)
-			}
-			next[t]++
-		}
-	}
-	slices.Sort(seen)
-	// terms and off, exact-sized, in one allocation.
-	buf := make([]int32, 2*len(seen)+1)
-	sh.terms, sh.off = buf[:len(seen):len(seen)], buf[len(seen):]
-	copy(sh.terms, seen)
-	at := int32(0)
-	for i, t := range seen {
-		sh.off[i] = at
-		at, next[t] = at+next[t], at
-	}
-	sh.off[len(seen)] = at
-	for local, p := range sh.pages {
-		for _, t := range tm.Row(p) {
-			sh.locals[next[t]] = int32(local)
-			next[t]++
-		}
-	}
-	for _, t := range seen {
-		next[t] = 0
-	}
-	sc.seen = seen
-}
-
-// Frontend is the distributed-top-k query tier: it knows which shards
-// hold which terms, fans a query out to the shards that can match it,
-// scores each shard's local intersection against that shard's current
-// snapshot, and merges the partials with a bounded heap. Build it
-// once; serve queries through per-goroutine Queriers.
+// Frontend is the distributed-top-k query tier: one term-major index
+// says which shards hold which terms and where in each shard, so a
+// query's plan is also its scan's directions. It fans a query out to
+// the shards that can match it, scores each shard's local intersection
+// against that shard's current snapshot, and merges the partials with a
+// bounded heap. Scores are NOT stored here — they come from the Store's
+// snapshots at query time, which is what makes serving versioned.
+// Build it once; serve queries through per-goroutine Queriers.
 type Frontend struct {
 	text  search.Config
 	ov    overlay.Network
 	store *Store
 
-	shards []shardIndex
-	// termShards[t] lists the shards holding at least one page with
-	// term t, ascending — the query planner's fan-out map.
-	termShards [][]int32
+	// pages[s] maps shard s's local index → global page id (the group's
+	// Pages order, which is also the order snapshot Scores are indexed in).
+	pages [][]int32
+	// termOff[t]:termOff[t+1] brackets term t's entries, one per shard
+	// holding a page with t; len = Vocabulary+1.
+	termOff []int32
+	// fanShards[j] is entry j's shard, ascending within a term — the
+	// query planner's fan-out list.
+	fanShards []int32
+	// postOff[j]:postOff[j+1] brackets entry j's span of locals;
+	// len = len(fanShards)+1.
+	postOff []int32
+	// locals are shard-local page indices, ascending within an entry.
+	locals []int32
 
 	cache *queryCache
 
@@ -148,7 +79,7 @@ type Frontend struct {
 	routeMu sync.Mutex
 }
 
-// NewFrontend builds the shard indexes from the crawl, the page
+// NewFrontend builds the term-major index from the crawl, the page
 // partition, and the text model. The store provides scores at query
 // time; assign must cover the graph and match the store's shard count.
 func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignment, store *Store, cfg Config) (*Frontend, error) {
@@ -158,11 +89,6 @@ func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignm
 	}
 	return NewFrontendFrom(tm, ov, assign, store, cfg)
 }
-
-// buildShards is how many parallel ranges the K shard indexes are
-// split into (fixed, so the split never depends on the worker count);
-// each carries one buildScratch.
-const buildShards = 16
 
 // NewFrontendFrom is NewFrontend over an already drawn term matrix —
 // for a caller that builds several frontends, or a frontend and a
@@ -186,51 +112,59 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 	if assign.K != store.NumShards() {
 		return nil, fmt.Errorf("serve: assignment has %d shards, store %d", assign.K, store.NumShards())
 	}
+	if int64(pages)*int64(text.TermsPerPage) > math.MaxInt32 {
+		return nil, fmt.Errorf("serve: %d pages of %d terms overflow the index's 32-bit offsets", pages, text.TermsPerPage)
+	}
 	f := &Frontend{
-		text:       text,
-		ov:         ov,
-		store:      store,
-		shards:     make([]shardIndex, assign.K),
-		termShards: make([][]int32, text.Vocabulary),
+		text:    text,
+		ov:      ov,
+		store:   store,
+		pages:   assign.Pages,
+		termOff: make([]int32, text.Vocabulary+1),
 	}
-	// Every shard's locals are an exact span of one backing array, and
-	// the spans' offsets split the shards into posting-balanced ranges
-	// to build in parallel.
-	off := make([]int64, assign.K+1)
-	for s, pages := range assign.Pages {
-		off[s+1] = off[s] + int64(len(pages)*text.TermsPerPage)
-	}
-	locals := make([]int32, off[assign.K])
-	bounds := par.SplitPrefix(off, buildShards)
-	par.Default().Run(len(bounds)-1, func(b int) {
-		sc := buildScratch{next: make([]int32, text.Vocabulary)}
-		for s := bounds[b]; s < bounds[b+1]; s++ {
-			sh := &f.shards[s]
-			sh.pages = assign.Pages[s]
-			sh.locals = locals[off[s]:off[s+1]:off[s+1]]
-			sh.build(tm, &sc)
-		}
-	})
-	// The fan-out map, the same way: count the shards per term, carve
-	// the backing array, fill in shard order (so lists come out
-	// ascending).
-	total := 0
-	count := make([]int32, text.Vocabulary)
-	for s := range f.shards {
-		total += len(f.shards[s].terms)
-		for _, t := range f.shards[s].terms {
-			count[t]++
+	// One count → prefix-sum → fill over the matrix in (shard, local)
+	// order, which is every term's (entry, local) order: a term's
+	// postings fill left to right and an entry opens where its shard's
+	// first one lands. seen[t] is 1 + the last shard counted under t;
+	// nextPost[t] counts t's postings, then is their fill cursor;
+	// termOff[t+1] counts t's entries, nextEnt[t] is their fill cursor.
+	scratch := make([]int32, 3*text.Vocabulary)
+	seen, nextPost, nextEnt := scratch[:text.Vocabulary], scratch[text.Vocabulary:2*text.Vocabulary], scratch[2*text.Vocabulary:]
+	for s, ps := range f.pages {
+		for _, p := range ps {
+			for _, t := range tm.Row(p) {
+				nextPost[t]++
+				if seen[t] != int32(s)+1 {
+					seen[t] = int32(s) + 1
+					f.termOff[t+1]++
+				}
+			}
 		}
 	}
-	fanout := make([]int32, total)
-	at := 0
-	for t, n := range count {
-		f.termShards[t] = fanout[at : at : at+int(n)]
-		at += int(n)
+	posts := int32(0)
+	for t := range nextPost {
+		nextEnt[t] = f.termOff[t]
+		f.termOff[t+1] += f.termOff[t]
+		posts, nextPost[t] = posts+nextPost[t], posts
 	}
-	for s := range f.shards {
-		for _, t := range f.shards[s].terms {
-			f.termShards[t] = append(f.termShards[t], int32(s))
+	entries := f.termOff[text.Vocabulary]
+	buf := make([]int32, 2*entries+1)
+	f.fanShards, f.postOff = buf[:entries:entries], buf[entries:]
+	f.postOff[entries] = posts
+	f.locals = make([]int32, posts)
+	clear(seen)
+	for s, ps := range f.pages {
+		for local, p := range ps {
+			for _, t := range tm.Row(p) {
+				if seen[t] != int32(s)+1 {
+					seen[t] = int32(s) + 1
+					f.fanShards[nextEnt[t]] = int32(s)
+					f.postOff[nextEnt[t]] = nextPost[t]
+					nextEnt[t]++
+				}
+				f.locals[nextPost[t]] = int32(local)
+				nextPost[t]++
+			}
 		}
 	}
 	if cfg.CacheEntries >= 0 {
@@ -283,37 +217,39 @@ func (f *Frontend) DegradeStats() DegradeStats {
 	}
 }
 
-// reachableStaleness is the admission controller's staleness signal:
-// the worst rounds-behind over the shards the fan-out can still reach.
-// Unreachable shards are excluded — their gap is lost coverage, not a
-// reason to refuse the queries the healthy side can answer.
+// overBound is the admission controller's staleness signal: whether
+// some shard the fan-out can still reach is more than StalenessBound
+// rounds behind. Health is asked only about shards already over the
+// bound; unreachable ones are excluded — their gap is lost coverage,
+// not a reason to refuse the queries the healthy side can answer.
 //
 //p2plint:hotpath
-func (f *Frontend) reachableStaleness() int64 {
-	var max int64
-	for i := range f.shards {
-		if f.health != nil && f.health.ShardState(i) == ShardUnreachable {
-			continue
-		}
-		if t := f.store.Staleness(i); t > max {
-			max = t
+func (f *Frontend) overBound() bool {
+	for i := range f.pages {
+		if f.store.Staleness(i) > f.adm.StalenessBound &&
+			(f.health == nil || f.health.ShardState(i) != ShardUnreachable) {
+			return true
 		}
 	}
-	return max
+	return false
 }
 
 // Querier is a per-goroutine handle on the Frontend: it owns the
-// scratch buffers (candidate sets, intersection buffers, the merge
-// heap, hop memos) that make the steady-state read path allocation
-// free. A Querier must not be shared between goroutines; the Frontend
-// and Store it reads are safe for any number of concurrent Queriers.
+// scratch buffers (the plan's candidates and entry tuples, intersection
+// buffers, the merge heap, hop memos) that make the steady-state read
+// path allocation free. A Querier must not be shared between
+// goroutines; the Frontend and Store it reads are safe for any number
+// of concurrent Queriers.
 type Querier struct {
-	f      *Frontend
-	heap   topK
-	cand   []int32
-	candB  []int32
-	inter  []int32
-	interB []int32
+	f    *Frontend
+	heap topK
+	// The current query's plan (see planShards): the candidate buffer,
+	// the candidates' entry tuples, and a one-term query's base entry.
+	cand []int32
+	ent  []int32
+	base int32
+	// inter holds the in-shard intersection.
+	inter []int32
 	// hopRows memoizes overlay hop counts per query origin: one dense
 	// per-shard row per distinct Request.From, -1 = not routed yet.
 	hopRows map[int][]int32
@@ -331,6 +267,11 @@ func (f *Frontend) NewQuerier() *Querier {
 // req.From to each consulted shard plus one response message each.
 // Results go into resp.Postings[:0]; with a warm Querier and a reused
 // Response the steady-state path performs zero allocations.
+//
+// Every shard holding all the query's terms is consulted, in ascending
+// order; what one costs is its health and snapshot reads, the posting
+// ranges the plan already found, and a slot of the origin's hop row —
+// no lookup of any kind.
 //
 // Degraded mode (Config.Health set): unreachable shards are skipped
 // and the lost coverage reported in resp.Coverage/Degraded instead of
@@ -352,6 +293,9 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 	if err := req.Validate(f.text.Vocabulary); err != nil {
 		return err
 	}
+	if n := f.ov.NumNodes(); req.From < 0 || req.From >= n {
+		return fmt.Errorf("%w: from %d, overlay has %d nodes", search.ErrBadOrigin, req.From, n)
+	}
 	if f.adm.enabled() {
 		if f.adm.MaxInflight > 0 {
 			if n := f.inflight.Add(1); n > f.adm.MaxInflight {
@@ -361,7 +305,7 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			}
 			defer f.inflight.Add(-1)
 		}
-		if f.adm.StalenessBound > 0 && f.reachableStaleness() > f.adm.StalenessBound {
+		if f.adm.StalenessBound > 0 && f.overBound() {
 			f.shed.Add(1)
 			return f.overloadErr
 		}
@@ -375,11 +319,12 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 	}
 
 	cand := q.planShards(req.Terms)
+	hopRow := q.hopRow(req.From)
 	q.heap.reset(req.K)
 	minVersion := int64(0)
 	maxStale := int64(0)
 	planned, missed := 0, 0
-	for _, s := range cand {
+	for c, s := range cand {
 		planned++
 		state := ShardHealthy
 		if f.health != nil {
@@ -419,12 +364,17 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 		if stale > maxStale {
 			maxStale = stale
 		}
-		q.scanShard(s, snap, req.Terms)
-		h, err := q.hops(req.From, s)
-		if err != nil {
-			return err
+		q.scanShard(c, f.pages[s], snap.Scores, len(req.Terms))
+		h := hopRow[s]
+		if h < 0 {
+			routed, err := f.route(req.From, int(s))
+			if err != nil {
+				return err
+			}
+			h = int32(routed)
+			hopRow[s] = h
 		}
-		resp.Cost.LookupHops += h
+		resp.Cost.LookupHops += int(h)
 		resp.Cost.Responses++
 	}
 	if missed > 0 {
@@ -456,40 +406,66 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 	return nil
 }
 
-// planShards intersects the per-term shard lists (smallest first) into
-// the set of shards that hold at least one page with EVERY query term
-// — only those can contribute to a conjunctive match.
+// planShards returns the shards that hold at least one page with EVERY
+// query term, ascending — only those can contribute to a conjunctive
+// match — and leaves in q where each one keeps each term's postings:
+// candidate c's entry for terms[k] is q.ent[c*len(terms)+k], or
+// q.base+c for a one-term query, whose candidates are the term's own
+// fan-out list and need no copy. The merge is progressive from the
+// rarest term's list: a shard that survives a term's list records its
+// entry there, and its tuple moves down over the dropped candidates'.
 //
 //p2plint:hotpath
 func (q *Querier) planShards(terms []int32) []int32 {
 	f := q.f
-	// Start from the rarest term's shard list.
 	best := 0
-	for i := 1; i < len(terms); i++ {
-		if len(f.termShards[terms[i]]) < len(f.termShards[terms[best]]) {
-			best = i
+	for k, t := range terms {
+		if f.termOff[t+1]-f.termOff[t] < f.termOff[terms[best]+1]-f.termOff[terms[best]] {
+			best = k
 		}
 	}
-	cur := f.termShards[terms[best]]
-	if len(terms) == 1 {
-		return cur
+	q.base = f.termOff[terms[best]]
+	cand := f.fanShards[q.base:f.termOff[terms[best]+1]]
+	w := len(terms)
+	if w == 1 {
+		return cand
 	}
-	// Double-buffered progressive intersection: cur always lives in
-	// the buffer we are NOT about to write.
-	a, b := q.cand, q.candB
-	for i, t := range terms {
-		if i == best {
+	if cap(q.ent) < w*len(cand) {
+		//p2plint:allow hotalloc -- entry tuples grow to the querier's high-water mark, then reuse
+		q.ent = make([]int32, w*len(cand))
+	}
+	ent := q.ent[:w*len(cand)]
+	for c := range cand {
+		ent[c*w+best] = q.base + int32(c)
+	}
+	// The first merge reads the index's list and writes q.cand; later
+	// ones compact q.cand in place, the write never ahead of the read.
+	dst := q.cand
+	for k, t := range terms {
+		if k == best || len(cand) == 0 {
 			continue
 		}
-		a = intersect32(a[:0], cur, f.termShards[t])
-		cur = a
-		a, b = b, a
-		if len(cur) == 0 {
-			break
+		dst = dst[:0]
+		i, j, hi := 0, f.termOff[t], f.termOff[t+1]
+		for i < len(cand) && j < hi {
+			switch a, b := cand[i], f.fanShards[j]; {
+			case a < b:
+				i++
+			case a > b:
+				j++
+			default:
+				n := len(dst)
+				dst = append(dst, a)
+				copy(ent[n*w:n*w+w], ent[i*w:i*w+w])
+				ent[n*w+k] = j
+				i++
+				j++
+			}
 		}
+		cand = dst
 	}
-	q.cand, q.candB = a, b
-	return cur
+	q.cand = dst
+	return cand
 }
 
 // intersect32 merges two ascending lists into dst (append semantics).
@@ -512,49 +488,61 @@ func intersect32(dst, a, b []int32) []int32 {
 	return dst
 }
 
-// scanShard intersects the query terms' posting lists within one shard
-// and offers every surviving page, scored from the shard's snapshot,
-// to the merge heap.
+// scanShard intersects the query terms' posting lists within the
+// plan's c-th candidate shard — straight from the entries the plan
+// remembered — and offers every surviving page, scored from the
+// shard's snapshot, to the merge heap. The score is read first: a page
+// strictly below a full heap's worst is dropped without touching the
+// shard's page table.
 //
 //p2plint:hotpath
-func (q *Querier) scanShard(s int32, snap *ShardSnapshot, terms []int32) {
-	sh := &q.f.shards[s]
-	cur := sh.postingsOf(terms[0])
-	for i := 1; i < len(terms) && len(cur) > 0; i++ {
-		next := sh.postingsOf(terms[i])
-		dst := q.inter[:0]
-		dst = intersect32(dst, cur, next)
-		q.inter, q.interB = q.interB, dst
-		cur = dst
+func (q *Querier) scanShard(c int, pages []int32, scores []float64, w int) {
+	f := q.f
+	var cur []int32
+	if w == 1 {
+		j := q.base + int32(c)
+		cur = f.locals[f.postOff[j]:f.postOff[j+1]]
+	} else {
+		ents := q.ent[c*w : c*w+w]
+		cur = f.locals[f.postOff[ents[0]]:f.postOff[ents[0]+1]]
+		for _, j := range ents[1:] {
+			if len(cur) == 0 {
+				break
+			}
+			// The first pass reads the index and writes q.inter; later
+			// ones narrow q.inter in place.
+			cur = intersect32(q.inter[:0], cur, f.locals[f.postOff[j]:f.postOff[j+1]])
+			q.inter = cur
+		}
 	}
 	for _, local := range cur {
-		q.heap.consider(search.Posting{Page: sh.pages[local], Score: snap.Scores[local]})
+		if score := scores[local]; !q.heap.below(score) {
+			q.heap.consider(search.Posting{Page: pages[local], Score: score})
+		}
 	}
 }
 
-// hops returns the memoized overlay hop count from the query origin to
-// a shard, routing on first use.
+// hopRow returns the memo of overlay hop counts from a query origin to
+// every shard, -1 where not routed yet.
 //
 //p2plint:hotpath
-func (q *Querier) hops(from int, shard int32) (int, error) {
+func (q *Querier) hopRow(from int) []int32 {
 	row := q.hopRows[from]
 	if row == nil {
 		//p2plint:allow hotalloc -- one hop row per query origin, reused across all queries
-		row = make([]int32, len(q.f.shards))
+		row = make([]int32, len(q.f.pages))
 		for i := range row {
 			row[i] = -1
 		}
 		q.hopRows[from] = row
 	}
-	if h := row[shard]; h >= 0 {
-		return int(h), nil
-	}
-	q.f.routeMu.Lock()
-	h, err := overlay.Hops(q.f.ov, from, q.f.ov.NodeID(int(shard)))
-	q.f.routeMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	row[shard] = int32(h)
-	return h, nil
+	return row
+}
+
+// route is a cold hop-row entry's overlay lookup, serialized on
+// routeMu and released on every exit.
+func (f *Frontend) route(from, shard int) (int, error) {
+	f.routeMu.Lock()
+	defer f.routeMu.Unlock()
+	return overlay.Hops(f.ov, from, f.ov.NodeID(shard))
 }

@@ -1,11 +1,14 @@
 package serve_test
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"testing"
 
 	"p2prank/internal/dprcore"
@@ -19,6 +22,7 @@ import (
 	"p2prank/internal/telemetry"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
+	"p2prank/internal/xrand"
 )
 
 type fixture struct {
@@ -35,6 +39,16 @@ type fixture struct {
 // publishes every shard's rank slice as a version-1-per-shard
 // snapshot, and builds the query frontend on top.
 func newFixture(t testing.TB, pages, k, cacheEntries int) *fixture {
+	t.Helper()
+	text := search.DefaultConfig()
+	text.Vocabulary = 500
+	text.TermsPerPage = 8
+	return newFixtureAs(t, pages, k, cacheEntries, partition.BySite, text)
+}
+
+// newFixtureAs is newFixture with the partition strategy and text model
+// chosen: by-site shards are few and large, by-page ones many and small.
+func newFixtureAs(t testing.TB, pages, k, cacheEntries int, by partition.Strategy, text search.Config) *fixture {
 	t.Helper()
 	cfg := webgraph.DefaultGenConfig(pages)
 	cfg.Seed = 3
@@ -54,7 +68,7 @@ func newFixture(t testing.TB, pages, k, cacheEntries int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := partition.Assign(g, ov, partition.BySite, 1)
+	assign, err := partition.Assign(g, ov, by, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +77,6 @@ func newFixture(t testing.TB, pages, k, cacheEntries int) *fixture {
 		t.Fatal(err)
 	}
 	publishAll(t, store, assign, res.Ranks, 1)
-	text := search.DefaultConfig()
-	text.Vocabulary = 500
-	text.TermsPerPage = 8
 	fe, err := serve.NewFrontend(g, ov, assign, store, serve.Config{Text: text, CacheEntries: cacheEntries})
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +120,115 @@ func TestFrontendMatchesStaticIndex(t *testing.T) {
 		if err := ix.Serve(req, &want); err != nil {
 			t.Fatalf("static query %v: %v", terms, err)
 		}
-		if len(got.Postings) != len(want.Postings) {
-			t.Fatalf("query %v: %d results, static index %d", terms, len(got.Postings), len(want.Postings))
+		if !slices.Equal(got.Postings, want.Postings) {
+			t.Fatalf("query %v: %+v, static index %+v", terms, got.Postings, want.Postings)
 		}
-		for i := range got.Postings {
-			if got.Postings[i] != want.Postings[i] {
-				t.Fatalf("query %v result %d: %+v, static %+v", terms, i, got.Postings[i], want.Postings[i])
+	}
+	t.Run("Fanout", matchesReferenceAtFanout)
+}
+
+// matchesReferenceAtFanout is the same anchor in the fan-out regime —
+// the benchmark's 1000 shards of 20 pages hashed by page, a popular
+// term on nearly every shard — and on the whole Response: 1200 random
+// queries against a reference that scans every shard the plain way,
+// shards at different versions and staleness, from four origins.
+func matchesReferenceAtFanout(t *testing.T) {
+	const k = 1000
+	f := newFixtureAs(t, 20*k, k, -1, partition.ByPage, search.DefaultConfig())
+	ix, err := search.Build(f.g, f.ranks, f.ov, f.assign, f.text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := search.DrawTerms(f.g, f.text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(11)
+	for s := 0; s < k; s++ {
+		for i := rng.Intn(4); i > 0; i-- {
+			f.store.Advance(s)
+		}
+	}
+	// held[s] is the set of terms on shard s's pages.
+	held := make([]map[int32]bool, k)
+	for s, pages := range f.assign.Pages {
+		held[s] = make(map[int32]bool)
+		for _, p := range pages {
+			for _, t := range tm.Row(p) {
+				held[s][t] = true
 			}
 		}
+	}
+	hops := make(map[[2]int]int) // routed once per (origin, shard)
+	// reference consults, in shard order, every shard holding each term
+	// on some page, and ranks the pages holding all of them.
+	reference := func(req search.Request) search.Response {
+		want := search.Response{Coverage: 1}
+		for s, pages := range f.assign.Pages {
+			if slices.ContainsFunc(req.Terms, func(t int32) bool { return !held[s][t] }) {
+				continue
+			}
+			snap := f.store.Snapshot(s)
+			for local, p := range pages {
+				if !slices.ContainsFunc(req.Terms, func(t int32) bool { return !slices.Contains(tm.Row(p), t) }) {
+					want.Postings = append(want.Postings, search.Posting{Page: p, Score: snap.Scores[local]})
+				}
+			}
+			route := [2]int{req.From, s}
+			if _, ok := hops[route]; !ok {
+				if hops[route], err = overlay.Hops(f.ov, req.From, f.ov.NodeID(s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want.Cost.LookupHops += hops[route]
+			want.Cost.Responses++
+			if want.Version == 0 || snap.Version < want.Version {
+				want.Version = snap.Version
+			}
+			want.Staleness = max(want.Staleness, f.store.Staleness(s))
+		}
+		if want.Version == 0 {
+			want.Version = f.store.Version()
+		}
+		slices.SortFunc(want.Postings, func(a, b search.Posting) int {
+			return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Page, b.Page))
+		})
+		want.Postings = want.Postings[:min(req.K, len(want.Postings))]
+		return want
+	}
+	q := f.fe.NewQuerier()
+	var got, static search.Response
+	matched, empty := 0, 0
+	for n := 0; n < 1200; n++ {
+		terms := make([]int32, 1+rng.Intn(3))
+		for i := range terms {
+			u := rng.Float64()
+			u *= u
+			terms[i] = int32(u * u * float64(f.text.Vocabulary))
+		}
+		req := search.Request{Terms: terms, K: []int{1, 10, 50}[rng.Intn(3)], From: []int{0, 1, 500, k - 1}[rng.Intn(4)]}
+		if err := q.Serve(req, &got); err != nil {
+			t.Fatalf("query %+v: %v", req, err)
+		}
+		want := reference(req)
+		if len(got.Postings) == 0 {
+			got.Postings = nil
+			empty++
+		} else {
+			matched++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %+v: %+v, reference scan %+v", req, got, want)
+		}
+		if err := ix.Serve(req, &static); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Postings, static.Postings) {
+			t.Fatalf("query %+v: %+v, static index %+v", req, got.Postings, static.Postings)
+		}
+	}
+	if matched < 300 || empty < 30 {
+		t.Fatalf("%d queries matched, %d came back empty: the draw misses a case", matched, empty)
 	}
 }
 

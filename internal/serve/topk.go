@@ -35,6 +35,15 @@ func (h *topK) reset(k int) {
 	h.items = h.items[:0]
 }
 
+// below reports whether a posting with this score would be refused
+// whatever its page: the heap is full and its worst scores strictly
+// higher. A tie is not below — it goes through consider's page order.
+//
+//p2plint:hotpath
+func (h *topK) below(score float64) bool {
+	return len(h.items) == h.k && score < h.items[0].Score
+}
+
 // consider offers one posting, keeping it only if it beats the current
 // worst of a full heap.
 //
