@@ -71,8 +71,31 @@ func BuildGroups(g webgraph.Store, a *partition.Assignment, alpha float64) ([]*G
 		dstGroup           int32
 		dstLocal, localSrc int32
 	}
+	// One counting pass sizes every group's two lists exactly, so each
+	// kind is a single allocation carved into per-group spans.
+	innerN := make([]int, a.K)
+	effN := make([]int, a.K)
+	innerLinks, effLinks := 0, 0
+	for p := 0; p < g.NumPages(); p++ {
+		gu := a.GroupOf[p]
+		for _, v := range g.InternalOut(int32(p)) {
+			if a.GroupOf[v] == gu {
+				innerN[gu]++
+				innerLinks++
+			} else {
+				effN[gu]++
+				effLinks++
+			}
+		}
+	}
 	inner := make([][][2]int32, a.K)
 	eff := make([][]effLink, a.K)
+	innerAll := make([][2]int32, innerLinks)
+	effAll := make([]effLink, effLinks)
+	for i := range a.K {
+		inner[i], innerAll = innerAll[:0:innerN[i]], innerAll[innerN[i]:]
+		eff[i], effAll = effAll[:0:effN[i]], effAll[effN[i]:]
+	}
 	for p := 0; p < g.NumPages(); p++ {
 		u := int32(p)
 		gu := a.GroupOf[u]

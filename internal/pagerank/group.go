@@ -18,9 +18,11 @@ type GroupSystem struct {
 
 // NewGroupSystem builds a GroupSystem from local links. n is the number
 // of pages in the group, links are (src,dst) pairs in local indices,
-// deg[u] is the TOTAL out-degree of local page u (inner + efferent +
-// external), e is the E vector restricted to the group (nil for the
-// paper's E(v)=1), and alpha is the real-link rank fraction.
+// source-ascending (so that every row of A receives its columns in
+// order: dprcore.BuildGroups walks the pages that way), deg[u] is the
+// TOTAL out-degree of local page u (inner + efferent + external), e is
+// the E vector restricted to the group (nil for the paper's E(v)=1),
+// and alpha is the real-link rank fraction.
 func NewGroupSystem(n int, links [][2]int32, deg []int32, e vecmath.Vec, alpha float64) (*GroupSystem, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("pagerank: alpha = %v, must be in (0,1)", alpha)
@@ -28,7 +30,7 @@ func NewGroupSystem(n int, links [][2]int32, deg []int32, e vecmath.Vec, alpha f
 	if len(deg) != n {
 		return nil, fmt.Errorf("pagerank: deg has length %d, want %d", len(deg), n)
 	}
-	entries := make([]vecmath.Entry, 0, len(links))
+	counts := make([]int64, n)
 	for _, l := range links {
 		u, v := l[0], l[1]
 		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
@@ -37,9 +39,16 @@ func NewGroupSystem(n int, links [][2]int32, deg []int32, e vecmath.Vec, alpha f
 		if deg[u] <= 0 {
 			return nil, fmt.Errorf("pagerank: page %d has links but degree %d", u, deg[u])
 		}
-		entries = append(entries, vecmath.Entry{Row: int(v), Col: int(u), Val: alpha / float64(deg[u])})
+		counts[v]++
 	}
-	a, err := vecmath.NewCSR(n, n, entries)
+	f, err := vecmath.NewFill(n, n, counts)
+	if err != nil {
+		return nil, err
+	}
+	for _, l := range links {
+		f.Put(l[1], l[0], alpha/float64(deg[l[0]]))
+	}
+	a, err := f.CSR()
 	if err != nil {
 		return nil, err
 	}

@@ -84,32 +84,30 @@ type Result struct {
 // exhausted before reaching Epsilon.
 var ErrNotConverged = errors.New("pagerank: did not converge")
 
-// buildTransposed streams the transposed link matrix straight into CSR
-// arrays: a counting pass over the OutPtr windows sizes each
-// destination row, then a scatter pass in ascending source order fills
-// it. Scattering source-ascending makes every row's columns arrive
-// sorted (with duplicate links adjacent), which is exactly the (row,
-// col) order NewCSR's stable counting sort produces — so the resulting
-// matrix, and every fingerprint downstream of it, is bit-identical to
-// the old Entry-slice path while allocating only the final arrays (the
-// Entry slice cost 24 transient bytes per link, ~720 MB at the 10⁵
-// scale point). weight(u, internalDeg) supplies the per-source value.
+// buildTransposed streams the transposed link matrix straight into its
+// final storage: a counting pass over the OutPtr windows sizes each
+// destination row, vecmath.NewFill orders the rows by those counts, and
+// one scatter pass in ascending source order writes every link where it
+// stays. Scattering source-ascending makes every row's columns arrive
+// sorted (with duplicate links adjacent, merged in place at the end),
+// which is exactly the matrix vecmath.NewCSR builds from the same
+// links — so every fingerprint downstream is bit-identical to an
+// Entry-slice build while only the final arrays and one 8-byte cursor a
+// page are ever allocated (the Entry slice cost 24 transient bytes per
+// link, ~720 MB at the 10⁵ scale point). weight(u, internalDeg)
+// supplies the per-source value.
 func buildTransposed(g webgraph.Store, weight func(u int32, internalDeg int) float64) (*vecmath.CSR, error) {
 	n := g.NumPages()
-	rowPtr := make([]int64, n+1)
+	counts := make([]int64, n)
 	for p := 0; p < n; p++ {
 		for _, v := range g.InternalOut(int32(p)) {
-			rowPtr[v+1]++
+			counts[v]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
+	f, err := vecmath.NewFill(n, n, counts)
+	if err != nil {
+		return nil, err
 	}
-	nnz := rowPtr[n]
-	cols := make([]int32, nnz)
-	vals := make([]float64, nnz)
-	next := make([]int64, n)
-	copy(next, rowPtr[:n])
 	for p := 0; p < n; p++ {
 		u := int32(p)
 		out := g.InternalOut(u)
@@ -118,13 +116,10 @@ func buildTransposed(g webgraph.Store, weight func(u int32, internalDeg int) flo
 		}
 		w := weight(u, len(out))
 		for _, v := range out {
-			pos := next[v]
-			next[v]++
-			cols[pos] = u
-			vals[pos] = w
+			f.Put(v, u, w)
 		}
 	}
-	return vecmath.NewCSRSorted(n, n, rowPtr, cols, vals)
+	return f.CSR()
 }
 
 // BuildTransition assembles the transposed open-system transition matrix

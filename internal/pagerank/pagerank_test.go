@@ -3,6 +3,7 @@ package pagerank
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -374,6 +375,51 @@ func TestNewGroupSystemErrors(t *testing.T) {
 	}
 	if _, err := NewGroupSystem(2, nil, deg, vecmath.Const(5, 1), 0.85); err == nil {
 		t.Error("wrong-length E accepted")
+	}
+	if _, err := NewGroupSystem(2, [][2]int32{{1, 0}, {0, 0}}, deg, nil, 0.85); err == nil {
+		t.Error("links out of source order accepted")
+	}
+}
+
+// TestDirectFillsMatchNewCSR: the two builders that write links straight
+// into length-major storage build, array for array, the matrix
+// vecmath.NewCSR assembles from the same links as unordered entries —
+// parallel links merged the same way.
+func TestDirectFillsMatchNewCSR(t *testing.T) {
+	g := genGraph(t, 3000, 5)
+	const alpha = 0.85
+	n := g.NumPages()
+	var entries []vecmath.Entry
+	var links [][2]int32
+	deg := make([]int32, n)
+	for p := 0; p < n; p++ {
+		u := int32(p)
+		deg[p] = int32(g.OutDegree(u))
+		for _, v := range g.InternalOut(u) {
+			entries = append(entries, vecmath.Entry{Row: int(v), Col: p, Val: alpha / float64(g.OutDegree(u))})
+			links = append(links, [2]int32{u, v})
+		}
+	}
+	want, err := vecmath.NewCSR(n, n, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NNZ() == len(entries) {
+		t.Fatal("the crawl has no parallel links: the merge path is not exercised")
+	}
+	a, err := BuildTransition(g, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Error("BuildTransition differs from NewCSR over the same links")
+	}
+	sys, err := NewGroupSystem(n, links, deg, nil, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sys.A, want) {
+		t.Error("NewGroupSystem differs from NewCSR over the same links")
 	}
 }
 

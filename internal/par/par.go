@@ -39,7 +39,7 @@ import (
 // execution on the caller instead of deadlocking.
 type Pool struct {
 	workers int
-	jobs    chan func()
+	jobs    chan *run
 }
 
 // NewPool returns a pool with the given number of helper goroutines.
@@ -50,7 +50,7 @@ func NewPool(workers int) *Pool {
 	if workers < 0 {
 		workers = 0
 	}
-	p := &Pool{workers: workers, jobs: make(chan func())}
+	p := &Pool{workers: workers, jobs: make(chan *run)}
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -58,8 +58,9 @@ func NewPool(workers int) *Pool {
 }
 
 func (p *Pool) worker() {
-	for fn := range p.jobs {
-		fn()
+	for r := range p.jobs {
+		r.work()
+		r.wg.Done()
 	}
 }
 
@@ -82,6 +83,47 @@ func Default() *Pool {
 	return defaultPool
 }
 
+// run is one pooled dispatch: the shard counter the caller and its
+// helpers draw from, and the panic of the lowest-numbered shard that
+// had one. It is the dispatch's only allocation.
+type run struct {
+	fn   func(shard int)
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup
+
+	mu         sync.Mutex
+	panicked   bool
+	panicShard int
+	panicVal   any
+}
+
+// work draws shards until none are left.
+func (r *run) work() {
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		r.shard(i)
+	}
+}
+
+// shard isolates the recover so a shard panic is recorded instead of
+// killing a worker goroutine.
+func (r *run) shard(i int) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			if !r.panicked || i < r.panicShard {
+				r.panicked, r.panicShard, r.panicVal = true, i, v
+			}
+			r.mu.Unlock()
+		}
+	}()
+	r.fn(i)
+}
+
 // Run executes fn(shard) for every shard in [0, n) and returns once all
 // have completed. Shards may run concurrently; fn must confine writes
 // to shard-private state (Package rules above). Shard-to-worker
@@ -101,62 +143,44 @@ func (p *Pool) Run(n int, fn func(shard int)) {
 		}
 		return
 	}
-	var (
-		next     atomic.Int64
-		panicked atomic.Bool
-		panics   = make([]any, n)
-	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			runShard(fn, i, panics, &panicked)
-		}
-	}
-	var wg sync.WaitGroup
-	helpers := p.workers
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	job := func() {
-		defer wg.Done()
-		work()
-	}
-	for i := 0; i < helpers; i++ {
-		wg.Add(1)
+	r := &run{fn: fn, n: n}
+	for helpers := min(p.workers, n-1); helpers > 0; helpers-- {
+		r.wg.Add(1)
 		select {
-		case p.jobs <- job:
+		case p.jobs <- r:
+			continue
 		default:
-			// Every helper is busy (e.g. a nested Run from inside a
-			// shard). Fall back to inline execution rather than block:
-			// the caller drains all remaining shards itself.
-			wg.Done()
-			i = helpers
 		}
+		// Every helper is busy (e.g. a nested Run from inside a shard).
+		// Fall back to inline execution rather than block: the caller
+		// drains all remaining shards itself.
+		r.wg.Done()
+		break
 	}
-	work()
-	wg.Wait()
-	if panicked.Load() {
-		for _, pv := range panics {
-			if pv != nil {
-				panic(pv)
-			}
-		}
+	r.work()
+	r.wg.Wait()
+	if r.panicked {
+		panic(r.panicVal)
 	}
 }
 
-// runShard isolates the recover so a shard panic is recorded instead of
-// killing a worker goroutine.
-func runShard(fn func(int), i int, panics []any, panicked *atomic.Bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panics[i] = r
-			panicked.Store(true)
+// Sum returns fn(0) + fn(1) + … + fn(n−1), the partials added left to
+// right in shard order whichever worker produced them: rule three of
+// the package as a function.
+func (p *Pool) Sum(n int, fn func(shard int) float64) float64 {
+	s := 0.0
+	if n <= 1 || p.workers == 0 {
+		for i := 0; i < n; i++ {
+			s += fn(i)
 		}
-	}()
-	fn(i)
+		return s
+	}
+	partials := make([]float64, n)
+	p.Run(n, func(i int) { partials[i] = fn(i) })
+	for _, v := range partials {
+		s += v
+	}
+	return s
 }
 
 // SplitPrefix splits the rows [0, len(pfx)-1) into at most maxShards

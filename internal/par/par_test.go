@@ -155,3 +155,36 @@ func TestReductionDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDispatchAllocatesOnce pins the pooled dispatch's cost: the run
+// record, and nothing per shard or per helper unless a shard panics.
+func TestRunDispatchAllocatesOnce(t *testing.T) {
+	p := NewPool(3)
+	var sink atomic.Int64
+	fn := func(i int) { sink.Add(int64(i)) }
+	if n := testing.AllocsPerRun(200, func() { p.Run(16, fn) }); n > 1 {
+		t.Fatalf("pooled Run allocates %v times per dispatch, want ≤ 1", n)
+	}
+	inline := NewPool(0)
+	if n := testing.AllocsPerRun(200, func() { inline.Run(16, fn) }); n != 0 {
+		t.Fatalf("inline Run allocates %v times per dispatch, want 0", n)
+	}
+}
+
+// TestSumAddsInShardOrder: the partials are added left to right by
+// shard index at every worker count, so the sum's bits are the serial
+// loop's.
+func TestSumAddsInShardOrder(t *testing.T) {
+	part := func(i int) float64 { return 1.0 / float64(3*i+1) }
+	for _, n := range []int{0, 1, 2, 37, 500} {
+		want := 0.0
+		for i := 0; i < n; i++ {
+			want += part(i)
+		}
+		for _, workers := range []int{0, 1, 2, 7} {
+			if got := NewPool(workers).Sum(n, part); got != want {
+				t.Fatalf("workers=%d n=%d: Sum = %v, serial %v", workers, n, got, want)
+			}
+		}
+	}
+}

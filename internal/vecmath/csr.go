@@ -2,20 +2,34 @@ package vecmath
 
 import (
 	"fmt"
+	"math"
 
 	"p2prank/internal/par"
 )
 
-// CSR is a compressed-sparse-row matrix. Row i's entries occupy
-// Cols[RowPtr[i]:RowPtr[i+1]] with values Vals[RowPtr[i]:RowPtr[i+1]].
+// CSR is a compressed-sparse-row matrix stored length-major: the rows
+// are laid out in ascending (entry count, row index) order. perm[k] is
+// the row held by storage slot k, and that row's entries occupy
+// cols[rowPtr[k]:rowPtr[k+1]] with values vals[rowPtr[k]:rowPtr[k+1]],
+// columns ascending. The count a row is ordered by is the one its
+// builder declared; merging duplicate (row, col) entries afterwards
+// shrinks a row where it lies, so the order is by stored length
+// wherever the input repeated no (row, col) and by length before the
+// merge where it did — either way a pure function of the entries.
 //
 // The PageRank solvers use CSR for the (transposed) transition matrix A
 // of §3: A[u][v] = α/d(u) when u links to v. Storing the transpose (rows
 // indexed by destination) makes the Jacobi step R ← AR + f a clean
-// row-gather.
+// row-gather, and in-degrees are power-law: swept in index order the
+// gather's exit branch mispredicts about once a row, swept in storage
+// order it takes the same trip count thousands of rows running. Every
+// kernel therefore walks the slots and writes dst[perm[k]]; the leading
+// run of empty rows costs a copy, not a dot product. Each row's sum is
+// still 0 + v₀x₀ + v₁x₁ + … left to right, so no result bit depends on
+// where a row is stored.
 //
-// Parallelism: construction precomputes NNZ-balanced row-shard
-// boundaries (a pure function of the matrix, never of GOMAXPROCS).
+// Parallelism: construction precomputes NNZ-balanced shard boundaries
+// over the slots (a pure function of the matrix, never of GOMAXPROCS).
 // Matrix-vector products run one shard per worker writing disjoint
 // destination rows, and norm reductions combine per-shard partials in
 // shard order, so every kernel is bit-identical to its serial execution
@@ -23,17 +37,23 @@ import (
 type CSR struct {
 	NumRows int
 	NumCols int
-	RowPtr  []int64
-	Cols    []int32
-	Vals    []float64
 
-	// shardPtr are the precomputed row-shard boundaries
-	// (shardPtr[0] = 0 … shardPtr[len-1] = NumRows). A nil slice — e.g.
-	// on a hand-built literal — degrades to one serial shard.
+	perm   []int32
+	rowPtr []int64
+	cols   []int32
+	vals   []float64
+	// empty is the length of the leading run of slots with no entries.
+	empty int
+	// shardPtr are the precomputed slot-shard boundaries
+	// (shardPtr[0] = 0 … shardPtr[len-1] = NumRows).
 	shardPtr []int32
 }
 
-// defaultCSRShards is the row-shard count boundaries are computed for.
+// maxCSRShards bounds the shard count, and with it the partials array
+// NormInf keeps on its stack.
+const maxCSRShards = 64
+
+// defaultCSRShards is the shard count boundaries are computed for.
 // It is deliberately independent of GOMAXPROCS: more shards than
 // workers just means a little work-stealing slack, while tying it to
 // the core count would make the boundary set machine-dependent.
@@ -44,16 +64,11 @@ var defaultCSRShards = 16
 // bit-identical at any shard count (products write disjoint rows; the
 // only CSR reduction is an exact max), so this is a testing knob for
 // the determinism suite, not a tuning surface. Values are clamped to
-// [1, 64]. Not safe to call concurrently with matrix construction.
+// [1, maxCSRShards]. Not safe to call concurrently with matrix
+// construction.
 func SetDefaultCSRShards(n int) int {
 	prev := defaultCSRShards
-	switch {
-	case n < 1:
-		n = 1
-	case n > 64:
-		n = 64
-	}
-	defaultCSRShards = n
+	defaultCSRShards = min(max(n, 1), maxCSRShards)
 	return prev
 }
 
@@ -61,6 +76,110 @@ func SetDefaultCSRShards(n int) int {
 // calling goroutine: the simulator's per-group systems are a few
 // hundred entries, where pool dispatch costs more than the row loop.
 const csrParMinNNZ = 1 << 14
+
+// Fill is a CSR under construction by a producer that knows how many
+// entries each row will receive and can emit every row's entries in
+// ascending column order — the transition builds scatter over a graph's
+// out-links source-ascending, which is exactly that. The counts fix the
+// storage order before the first entry arrives, so each entry is
+// written once, straight to its final place: no transient Entry slice
+// (24 bytes per link), no row-major copy to permute.
+type Fill struct {
+	m    *CSR
+	next []int64 // next[i] is where row i's next entry goes
+}
+
+// NewFill lays out a rows×cols matrix whose row i will receive exactly
+// counts[i] entries: one counting sort of the rows by count (ascending
+// index within a count, as the scatter walks the rows in order), one
+// prefix sum in that order. counts is taken over as the fill cursor.
+func NewFill(rows, cols int, counts []int64) (Fill, error) {
+	if rows < 0 || cols < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return Fill{}, fmt.Errorf("vecmath: dimension %dx%d out of range", rows, cols)
+	}
+	if len(counts) != rows {
+		return Fill{}, fmt.Errorf("vecmath: %d row counts for %d rows", len(counts), rows)
+	}
+	longest := int64(0)
+	for i, c := range counts {
+		if c < 0 {
+			return Fill{}, fmt.Errorf("vecmath: row %d has negative count %d", i, c)
+		}
+		longest = max(longest, c)
+	}
+	first := make([]int32, longest+2) // first[c]: the first slot of the rows with count c
+	for _, c := range counts {
+		first[c+1]++
+	}
+	for c := range longest {
+		first[c+1] += first[c]
+	}
+	m := &CSR{NumRows: rows, NumCols: cols, perm: make([]int32, rows), rowPtr: make([]int64, rows+1)}
+	for i, c := range counts {
+		m.perm[first[c]] = int32(i)
+		first[c]++
+	}
+	for k, p := range m.perm {
+		m.rowPtr[k+1] = m.rowPtr[k] + counts[p]
+		counts[p] = m.rowPtr[k]
+	}
+	m.cols = make([]int32, m.rowPtr[rows])
+	m.vals = make([]float64, m.rowPtr[rows])
+	return Fill{m: m, next: counts}, nil
+}
+
+// Put appends one entry to row. It checks nothing — CSR does, once,
+// over the result: a row given more entries than it declared spills
+// into its neighbour and is caught there, and only a row index or a
+// total beyond what was declared panics, as any slice index does.
+func (f Fill) Put(row, col int32, val float64) {
+	pos := f.next[row]
+	f.next[row] = pos + 1
+	f.m.cols[pos] = col
+	f.m.vals[pos] = val
+}
+
+// CSR finishes the matrix. It returns an error unless every row
+// received the entries it declared, in range and in non-decreasing
+// column order; adjacent equal columns are summed in arrival order and
+// the arrays compacted in place, producing exactly the matrix NewCSR
+// builds from the same entries. The Fill must not be used afterwards.
+func (f Fill) CSR() (*CSR, error) {
+	m := f.m
+	w := int64(0)
+	for k, p := range m.perm {
+		lo, hi := m.rowPtr[k], m.rowPtr[k+1]
+		if f.next[p] != hi {
+			return nil, fmt.Errorf("vecmath: row %d received %d entries, declared %d", p, f.next[p]-lo, hi-lo)
+		}
+		m.rowPtr[k] = w
+		prev := int32(-1)
+		for j := lo; j < hi; {
+			c := m.cols[j]
+			if c < 0 || int(c) >= m.NumCols {
+				return nil, fmt.Errorf("vecmath: entry (%d,%d) out of bounds for %dx%d matrix", p, c, m.NumRows, m.NumCols)
+			}
+			if c < prev {
+				return nil, fmt.Errorf("vecmath: row %d columns not sorted (%d after %d)", p, c, prev)
+			}
+			prev = c
+			v := m.vals[j]
+			for j++; j < hi && m.cols[j] == c; j++ {
+				v += m.vals[j]
+			}
+			m.cols[w], m.vals[w] = c, v
+			w++
+		}
+	}
+	m.rowPtr[m.NumRows] = w
+	m.cols, m.vals = m.cols[:w], m.vals[:w]
+	for m.empty < m.NumRows && m.rowPtr[m.empty+1] == 0 {
+		m.empty++
+	}
+	// rowPtr is already the NNZ prefix-weight array SplitPrefix wants.
+	m.shardPtr = par.SplitPrefix(m.rowPtr, defaultCSRShards)
+	return m, nil
+}
 
 // Entry is one (row, col, value) triple used when building a CSR matrix.
 type Entry struct {
@@ -72,194 +191,52 @@ type Entry struct {
 // (row, col) entries are summed. It returns an error if any index is out
 // of bounds.
 //
-// Assembly is a two-pass counting sort (by column, then stably by row)
-// followed by a linear duplicate-merging sweep: O(entries + rows +
-// cols) with no comparator calls, which matters because graph build is
-// the startup bottleneck for million-page crawls.
+// Assembly is a stable counting sort by column, whose pass over the
+// entries also counts the rows, then a Fill in that order: O(entries +
+// rows + cols) with no comparator calls.
 func NewCSR(rows, cols int, entries []Entry) (*CSR, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("vecmath: negative dimension %dx%d", rows, cols)
 	}
+	counts := make([]int64, rows)
+	colPtr := make([]int64, cols+1)
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return nil, fmt.Errorf("vecmath: entry (%d,%d) out of bounds for %dx%d matrix",
 				e.Row, e.Col, rows, cols)
 		}
+		counts[e.Row]++
+		colPtr[e.Col+1]++
 	}
-	sorted := countingSortEntries(rows, cols, entries)
-	m := &CSR{
-		NumRows: rows,
-		NumCols: cols,
-		RowPtr:  make([]int64, rows+1),
+	f, err := NewFill(rows, cols, counts)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < len(sorted); {
-		j := i
-		v := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			v += sorted[j].Val
-			j++
-		}
-		m.Cols = append(m.Cols, int32(sorted[i].Col))
-		m.Vals = append(m.Vals, v)
-		m.RowPtr[sorted[i].Row+1]++
-		i = j
-	}
-	for i := 0; i < rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
-	}
-	m.computeShards()
-	return m, nil
-}
-
-// NewCSRSorted assembles a CSR matrix from pre-sorted per-row data:
-// rowPtr delimits each row's span in colIdx/vals, and within a row
-// colIdx must be non-decreasing. Adjacent equal columns are summed in
-// order, producing exactly the matrix NewCSR would build from the same
-// entries. The slices are taken over (and compacted in place when
-// duplicates merge), so callers must not reuse them afterwards.
-//
-// This is the streaming-construction path: a producer that can emit
-// entries already grouped by row — like the transition build
-// scattering over a graph's OutPtr windows — skips NewCSR's transient
-// Entry slice (24 bytes per link) entirely, which is what keeps
-// multi-million-page solver setup within the graph's own footprint.
-func NewCSRSorted(rows, cols int, rowPtr []int64, colIdx []int32, vals []float64) (*CSR, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("vecmath: negative dimension %dx%d", rows, cols)
-	}
-	if len(rowPtr) != rows+1 {
-		return nil, fmt.Errorf("vecmath: rowPtr has length %d, want %d", len(rowPtr), rows+1)
-	}
-	if len(colIdx) != len(vals) {
-		return nil, fmt.Errorf("vecmath: %d columns but %d values", len(colIdx), len(vals))
-	}
-	if rowPtr[0] != 0 || rowPtr[rows] != int64(len(colIdx)) {
-		return nil, fmt.Errorf("vecmath: rowPtr endpoints [%d,%d] disagree with %d entries",
-			rowPtr[0], rowPtr[rows], len(colIdx))
-	}
-	w := int64(0)
-	for r := 0; r < rows; r++ {
-		lo, hi := rowPtr[r], rowPtr[r+1]
-		if lo > hi {
-			return nil, fmt.Errorf("vecmath: rowPtr not monotone at row %d", r)
-		}
-		start := w
-		prev := int32(-1)
-		for k := lo; k < hi; {
-			c := colIdx[k]
-			if c < 0 || int(c) >= cols {
-				return nil, fmt.Errorf("vecmath: entry (%d,%d) out of bounds for %dx%d matrix", r, c, rows, cols)
-			}
-			if c < prev {
-				return nil, fmt.Errorf("vecmath: row %d columns not sorted (%d after %d)", r, c, prev)
-			}
-			prev = c
-			v := vals[k]
-			k++
-			for k < hi && colIdx[k] == c {
-				v += vals[k]
-				k++
-			}
-			colIdx[w] = c
-			vals[w] = v
-			w++
-		}
-		rowPtr[r] = start
-	}
-	rowPtr[rows] = w
-	m := &CSR{
-		NumRows: rows,
-		NumCols: cols,
-		RowPtr:  rowPtr,
-		Cols:    colIdx[:w],
-		Vals:    vals[:w],
-	}
-	m.computeShards()
-	return m, nil
-}
-
-// countingSortEntries returns entries ordered by (row, col) using two
-// stable counting-sort passes: first by column, then by row. Stability
-// of the second pass preserves the column order established by the
-// first.
-func countingSortEntries(rows, cols int, entries []Entry) []Entry {
-	if len(entries) == 0 {
-		return nil
+	for c := range cols {
+		colPtr[c+1] += colPtr[c]
 	}
 	byCol := make([]Entry, len(entries))
-	count := make([]int64, max64(rows, cols)+1)
-
-	// Pass 1: stable scatter by column.
-	for i := range entries {
-		count[entries[i].Col+1]++
+	for _, e := range entries {
+		byCol[colPtr[e.Col]] = e
+		colPtr[e.Col]++
 	}
-	for c := 0; c < cols; c++ {
-		count[c+1] += count[c]
+	for _, e := range byCol {
+		f.Put(int32(e.Row), int32(e.Col), e.Val)
 	}
-	for i := range entries {
-		pos := count[entries[i].Col]
-		count[entries[i].Col]++
-		byCol[pos] = entries[i]
-	}
-
-	// Pass 2: stable scatter by row.
-	clear(count)
-	byRow := make([]Entry, len(entries))
-	for i := range byCol {
-		count[byCol[i].Row+1]++
-	}
-	for r := 0; r < rows; r++ {
-		count[r+1] += count[r]
-	}
-	for i := range byCol {
-		pos := count[byCol[i].Row]
-		count[byCol[i].Row]++
-		byRow[pos] = byCol[i]
-	}
-	return byRow
-}
-
-func max64(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// computeShards fixes the NNZ-balanced row-shard boundaries. RowPtr is
-// already the NNZ prefix-weight array SplitPrefix wants.
-func (m *CSR) computeShards() {
-	m.shardPtr = par.SplitPrefix(m.RowPtr, defaultCSRShards)
+	return f.CSR()
 }
 
 // oneShard reports whether kernels should stay on the calling
-// goroutine: either no precomputed boundaries (hand-built literal) or
-// too little work to pay for pool dispatch. The simulator's per-group
-// systems are a few hundred entries, squarely in this regime — and the
-// serial path allocates nothing, not even a closure.
-func (m *CSR) oneShard() bool {
-	return len(m.shardPtr) < 3 || len(m.Vals) < csrParMinNNZ
-}
+// goroutine: too little work to pay for pool dispatch. The simulator's
+// per-group systems are a few hundred entries, squarely in this regime
+// — and the serial path allocates nothing, not even a closure.
+func (m *CSR) oneShard() bool { return len(m.vals) < csrParMinNNZ }
 
-// forEachShard runs f over the precomputed row shards on the pool.
-// Each invocation covers a disjoint row span, so f may write dst rows
-// freely. Callers handle the oneShard fast path themselves.
-func (m *CSR) forEachShard(f func(lo, hi int)) {
-	sp := m.shardPtr
-	//p2plint:allow hotalloc -- shard-index adapter closure, one per parallel dispatch
-	par.Default().Run(len(sp)-1, func(s int) {
-		f(int(sp[s]), int(sp[s+1]))
-	})
-}
+// emptyEnd clips the leading run of empty slots to the span [lo, hi).
+func (m *CSR) emptyEnd(lo, hi int) int { return min(max(lo, m.empty), hi) }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
-// Row returns the column indices and values of row i.
-func (m *CSR) Row(i int) ([]int32, []float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return m.Cols[lo:hi], m.Vals[lo:hi]
-}
+func (m *CSR) NNZ() int { return len(m.vals) }
 
 // MulVec computes dst = M·x. dst and x must not alias. It panics on
 // dimension mismatch.
@@ -272,13 +249,18 @@ func (m *CSR) MulVec(dst, x Vec) {
 		m.mulVecRange(dst, x, 0, m.NumRows)
 		return
 	}
+	sp := m.shardPtr
 	//p2plint:allow hotalloc -- par fan-out above csrParMinNNZ; one closure amortized over ≥16K entries
-	m.forEachShard(func(lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
+	par.Default().Run(len(sp)-1, func(s int) { m.mulVecRange(dst, x, int(sp[s]), int(sp[s+1])) })
 }
 
 func (m *CSR) mulVecRange(dst, x Vec, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = m.rowDot(i, x)
+	z := m.emptyEnd(lo, hi)
+	for _, p := range m.perm[lo:z] {
+		dst[p] = 0
+	}
+	for k := z; k < hi; k++ {
+		dst[m.perm[k]] = m.slotDot(k, x)
 	}
 }
 
@@ -292,13 +274,14 @@ func (m *CSR) MulVecAdd(dst, x Vec) {
 		m.mulVecAddRange(dst, x, 0, m.NumRows)
 		return
 	}
+	sp := m.shardPtr
 	//p2plint:allow hotalloc -- par fan-out above csrParMinNNZ; one closure amortized over ≥16K entries
-	m.forEachShard(func(lo, hi int) { m.mulVecAddRange(dst, x, lo, hi) })
+	par.Default().Run(len(sp)-1, func(s int) { m.mulVecAddRange(dst, x, int(sp[s]), int(sp[s+1])) })
 }
 
 func (m *CSR) mulVecAddRange(dst, x Vec, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] += m.rowDot(i, x)
+	for k := m.emptyEnd(lo, hi); k < hi; k++ {
+		dst[m.perm[k]] += m.slotDot(k, x)
 	}
 }
 
@@ -306,7 +289,8 @@ func (m *CSR) mulVecAddRange(dst, x Vec, lo, hi int) {
 // pass — the full Jacobi step R ← AR + βE + X of Algorithm 2 without
 // the two extra memory sweeps of MulVec-then-Add-then-Add. The
 // floating-point association matches the unfused form exactly:
-// (rowdot + e[i]) + xa[i].
+// (rowdot + e[i]) + xa[i], an empty row's dot being the +0 that adds
+// nothing.
 //
 //p2plint:hotpath -- fused Jacobi step, the innermost loop of Algorithm 2
 func (m *CSR) StepInto(dst, x, e, xa Vec) {
@@ -320,81 +304,61 @@ func (m *CSR) StepInto(dst, x, e, xa Vec) {
 		m.stepRange(dst, x, e, xa, 0, m.NumRows)
 		return
 	}
+	sp := m.shardPtr
 	//p2plint:allow hotalloc -- par fan-out above csrParMinNNZ; one closure amortized over ≥16K entries
-	m.forEachShard(func(lo, hi int) { m.stepRange(dst, x, e, xa, lo, hi) })
+	par.Default().Run(len(sp)-1, func(s int) { m.stepRange(dst, x, e, xa, int(sp[s]), int(sp[s+1])) })
 }
 
 func (m *CSR) stepRange(dst, x, e, xa Vec, lo, hi int) {
+	z := m.emptyEnd(lo, hi)
 	if xa == nil {
-		for i := lo; i < hi; i++ {
-			dst[i] = m.rowDot(i, x) + e[i]
+		for _, p := range m.perm[lo:z] {
+			dst[p] = e[p]
+		}
+		for k := z; k < hi; k++ {
+			p := m.perm[k]
+			dst[p] = m.slotDot(k, x) + e[p]
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		dst[i] = m.rowDot(i, x) + e[i] + xa[i]
+	for _, p := range m.perm[lo:z] {
+		dst[p] = e[p] + xa[p]
+	}
+	for k := z; k < hi; k++ {
+		p := m.perm[k]
+		dst[p] = m.slotDot(k, x) + e[p] + xa[p]
 	}
 }
 
 // StepDelta performs the Jacobi step dst = M·x + e (+ xa) and returns
 // ‖dst − x‖₁ — the iterate-and-measure body of GroupPageRank
-// (Algorithm 2) in, for small systems, a single memory sweep. M must be
-// square with x playing both the multiplicand and the previous iterate.
+// (Algorithm 2). M must be square with x playing both the multiplicand
+// and the previous iterate.
 //
-// Bit-compatibility: for n ≤ vecBlock the fused loop accumulates the
-// delta in ascending index order, exactly like Diff1's single-block
-// path; larger systems fall back to StepInto + Diff1, whose blocked
-// reduction is a pure function of n. Either way the result is
-// independent of sharding and worker count.
+// The step writes rows in storage order, so the delta is taken
+// afterwards, by Diff1 in index order: one ascending sweep for
+// n ≤ vecBlock, the blocked reduction that is a pure function of n
+// above it. Either way the result is independent of the layout, of
+// sharding and of worker count.
 //
 //p2plint:hotpath -- iterate-and-measure body of GroupPageRank, runs every round
 func (m *CSR) StepDelta(dst, x, e, xa Vec) float64 {
 	mustSameLen(m.NumRows, m.NumCols)
-	if m.NumRows > vecBlock {
-		m.StepInto(dst, x, e, xa)
-		return Diff1(dst, x)
-	}
-	mustSameLen(len(dst), m.NumRows)
-	mustSameLen(len(x), m.NumCols)
-	mustSameLen(len(e), m.NumRows)
-	delta := 0.0
-	if xa == nil {
-		for i := 0; i < m.NumRows; i++ {
-			v := m.rowDot(i, x) + e[i]
-			dst[i] = v
-			delta += abs(v - x[i])
-		}
-		return delta
-	}
-	mustSameLen(len(xa), m.NumRows)
-	for i := 0; i < m.NumRows; i++ {
-		v := m.rowDot(i, x) + e[i] + xa[i]
-		dst[i] = v
-		delta += abs(v - x[i])
-	}
-	return delta
+	m.StepInto(dst, x, e, xa)
+	return Diff1(dst, x)
 }
 
-// abs avoids the math.Abs call overhead in the fused loop; identical
-// semantics for the finite values rank math produces.
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// rowDot is the row-gather kernel shared by every product. The
-// reslicing lets the compiler drop bounds checks in the hot loop.
-func (m *CSR) rowDot(i int, x Vec) float64 {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	cols := m.Cols[lo:hi]
+// slotDot is the row-gather kernel shared by every product: the dot of
+// the row in slot k with x.
+func (m *CSR) slotDot(k int, x Vec) float64 {
+	lo, hi := m.rowPtr[k], m.rowPtr[k+1]
+	cols := m.cols[lo:hi]
 	// Reslicing vals to cols' length lets the compiler drop the bounds
-	// check on vals[k] inside the hot loop.
-	vals := m.Vals[lo:hi][:len(cols)]
+	// check on vals[j] inside the hot loop.
+	vals := m.vals[lo:hi][:len(cols)]
 	s := 0.0
-	for k, c := range cols {
-		s += vals[k] * x[c]
+	for j, c := range cols {
+		s += vals[j] * x[c]
 	}
 	return s
 }
@@ -406,70 +370,54 @@ func (m *CSR) rowDot(i int, x Vec) float64 {
 //
 //p2plint:hotpath -- convergence certificate, recomputed on every incremental update
 func (m *CSR) NormInf() float64 {
-	sp := m.shardPtr
 	if m.oneShard() {
 		return m.normInfRange(0, m.NumRows)
 	}
-	var partials [64]float64
+	sp := m.shardPtr
+	var partials [maxCSRShards]float64
 	//p2plint:allow hotalloc -- par fan-out above csrParMinNNZ; one closure amortized over ≥16K entries
 	par.Default().Run(len(sp)-1, func(s int) {
 		partials[s] = m.normInfRange(int(sp[s]), int(sp[s+1]))
 	})
-	max := 0.0
-	for s := 0; s+1 < len(sp); s++ {
-		if partials[s] > max {
-			max = partials[s]
-		}
-	}
-	return max
+	return Vec(partials[:len(sp)-1]).Max()
 }
 
 func (m *CSR) normInfRange(lo, hi int) float64 {
-	max := 0.0
-	for i := lo; i < hi; i++ {
-		a, b := m.RowPtr[i], m.RowPtr[i+1]
+	norm := 0.0
+	for k := m.emptyEnd(lo, hi); k < hi; k++ {
 		s := 0.0
-		for _, v := range m.Vals[a:b] {
-			if v < 0 {
-				v = -v
-			}
-			s += v
+		for _, v := range m.vals[m.rowPtr[k]:m.rowPtr[k+1]] {
+			s += math.Abs(v)
 		}
-		if s > max {
-			max = s
-		}
+		norm = max(norm, s)
 	}
-	return max
+	return norm
 }
 
 // Transpose returns Mᵀ.
 func (m *CSR) Transpose() *CSR {
-	t := &CSR{
-		NumRows: m.NumCols,
-		NumCols: m.NumRows,
-		RowPtr:  make([]int64, m.NumCols+1),
-		Cols:    make([]int32, len(m.Cols)),
-		Vals:    make([]float64, len(m.Vals)),
+	counts := make([]int64, m.NumCols)
+	for _, c := range m.cols {
+		counts[c]++
 	}
-	// Count entries per transposed row.
-	for _, c := range m.Cols {
-		t.RowPtr[c+1]++
+	// Mᵀ's rows get their columns sorted by visiting M's rows in index
+	// order, which is through the inverse of perm.
+	slot := make([]int32, m.NumRows)
+	for k, p := range m.perm {
+		slot[p] = int32(k)
 	}
-	for i := 0; i < t.NumRows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
+	f, err := NewFill(m.NumCols, m.NumRows, counts)
+	if err != nil {
+		panic(err) // unreachable: the dimensions and counts are M's own
 	}
-	next := make([]int64, t.NumRows)
-	copy(next, t.RowPtr[:t.NumRows])
-	for i := 0; i < m.NumRows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			c := m.Cols[k]
-			pos := next[c]
-			next[c]++
-			t.Cols[pos] = int32(i)
-			t.Vals[pos] = m.Vals[k]
+	for i, k := range slot {
+		for j := m.rowPtr[k]; j < m.rowPtr[k+1]; j++ {
+			f.Put(m.cols[j], int32(i), m.vals[j])
 		}
 	}
-	t.computeShards()
+	t, err := f.CSR()
+	if err != nil {
+		panic(err) // unreachable: every row filled, in column order
+	}
 	return t
 }

@@ -2,7 +2,6 @@ package vecmath
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"p2prank/internal/xrand"
@@ -68,32 +67,19 @@ func TestNewCSRCountingSortMatchesComparatorSort(t *testing.T) {
 		t.Fatalf("NewCSR: %v", err)
 	}
 	// Reference: comparator sort (stable, same duplicate order) + merge.
-	ref := append([]Entry(nil), entries...)
-	sort.SliceStable(ref, func(i, j int) bool {
-		if ref[i].Row != ref[j].Row {
-			return ref[i].Row < ref[j].Row
-		}
-		return ref[i].Col < ref[j].Col
-	})
-	var merged []Entry
-	for _, e := range ref {
-		if n := len(merged); n > 0 && merged[n-1].Row == e.Row && merged[n-1].Col == e.Col {
-			merged[n-1].Val += e.Val
-			continue
-		}
-		merged = append(merged, e)
-	}
-	if len(m.Vals) != len(merged) {
-		t.Fatalf("CSR has %d entries, reference %d", len(m.Vals), len(merged))
+	merged := rowMajor(entries)
+	if m.NNZ() != len(merged) {
+		t.Fatalf("CSR has %d entries, reference %d", m.NNZ(), len(merged))
 	}
 	k := 0
 	for i := 0; i < rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+		cols, vals := rowOf(m, i)
+		for p := range cols {
 			e := merged[k]
-			if e.Row != i || e.Col != int(m.Cols[p]) ||
-				math.Float64bits(e.Val) != math.Float64bits(m.Vals[p]) {
+			if e.Row != i || e.Col != int(cols[p]) ||
+				math.Float64bits(e.Val) != math.Float64bits(vals[p]) {
 				t.Fatalf("entry %d: CSR (%d,%d,%v) != reference (%d,%d,%v)",
-					k, i, m.Cols[p], m.Vals[p], e.Row, e.Col, e.Val)
+					k, i, cols[p], vals[p], e.Row, e.Col, e.Val)
 			}
 			k++
 		}
@@ -168,8 +154,9 @@ func TestKernelsMatchNaiveReference(t *testing.T) {
 	naive := NewVec(n)
 	for i := 0; i < n; i++ {
 		s := 0.0
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Vals[p] * x[m.Cols[p]]
+		cols, vals := rowOf(m, i)
+		for p, c := range cols {
+			s += vals[p] * x[c]
 		}
 		naive[i] = s
 	}

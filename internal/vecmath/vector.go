@@ -32,10 +32,6 @@ const (
 	// parMinVec is the vector length below which operations stay on the
 	// calling goroutine; pool dispatch costs more than the loop there.
 	parMinVec = 4 * vecBlock
-	// maxStackBlocks bounds the stack partials buffer in blockCombine:
-	// vectors up to maxStackBlocks·vecBlock elements reduce without
-	// heap allocation.
-	maxStackBlocks = 128
 )
 
 // Vec is a dense float64 vector.
@@ -60,36 +56,23 @@ func (x Vec) Clone() Vec {
 	return y
 }
 
-// blockCombine reduces [0, n) with partial evaluated per fixed
-// vecBlock-sized block, partials combined in block order. Callers must
-// have handled n ≤ vecBlock themselves (the closure-free fast path).
-func blockCombine(n int, partial func(lo, hi int) float64) float64 {
+// blockSpan returns the b-th fixed vecBlock-sized block of [0, n).
+func blockSpan(b, n int) (lo, hi int) {
+	lo = b * vecBlock
+	return lo, min(lo+vecBlock, n)
+}
+
+// blockCombine reduces [0, n) with partial evaluated on each block (see
+// blockSpan) and the partials added in block order. Callers must have
+// handled n ≤ vecBlock themselves (the closure-free fast path).
+func blockCombine(n int, partial func(b int) float64) float64 {
 	nb := par.Blocks(n, vecBlock)
-	var buf [maxStackBlocks]float64
-	partials := buf[:]
-	if nb > maxStackBlocks {
-		//p2plint:allow hotalloc -- spill path for >maxStackBlocks partials; stack buffer covers steady state
-		partials = make([]float64, nb)
-	}
-	//p2plint:allow hotalloc -- block-fill adapter closure, one per reduction
-	fill := func(b int) {
-		lo := b * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		partials[b] = partial(lo, hi)
-	}
-	if n < parMinVec {
-		for b := 0; b < nb; b++ {
-			fill(b)
-		}
-	} else {
-		par.Default().Run(nb, fill)
+	if n >= parMinVec {
+		return par.Default().Sum(nb, partial)
 	}
 	s := 0.0
-	for b := 0; b < nb; b++ {
-		s += partials[b]
+	for b := range nb {
+		s += partial(b)
 	}
 	return s
 }
@@ -99,14 +82,7 @@ func blockCombine(n int, partial func(lo, hi int) float64) float64 {
 // writes only inside its span, so results match the serial sweep
 // bit for bit.
 func parSpans(n int, f func(lo, hi int)) {
-	par.Default().Run(par.Blocks(n, vecBlock), func(b int) {
-		lo := b * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		f(lo, hi)
-	})
+	par.Default().Run(par.Blocks(n, vecBlock), func(b int) { f(blockSpan(b, n)) })
 }
 
 // Fill sets every element of x to v.
@@ -133,7 +109,10 @@ func (x Vec) Sum() float64 {
 	if len(x) <= vecBlock {
 		return sumRange(x, 0, len(x))
 	}
-	return blockCombine(len(x), func(lo, hi int) float64 { return sumRange(x, lo, hi) })
+	return blockCombine(len(x), func(b int) float64 {
+		lo, hi := blockSpan(b, len(x))
+		return sumRange(x, lo, hi)
+	})
 }
 
 // Mean returns the arithmetic mean of x, or 0 for an empty vector.
@@ -157,7 +136,10 @@ func (x Vec) Norm1() float64 {
 	if len(x) <= vecBlock {
 		return norm1Range(x, 0, len(x))
 	}
-	return blockCombine(len(x), func(lo, hi int) float64 { return norm1Range(x, lo, hi) })
+	return blockCombine(len(x), func(b int) float64 {
+		lo, hi := blockSpan(b, len(x))
+		return norm1Range(x, lo, hi)
+	})
 }
 
 // NormInf returns the L∞ norm ‖x‖∞.
@@ -248,7 +230,10 @@ func Diff1(x, y Vec) float64 {
 		return diff1Range(x, y, 0, len(x))
 	}
 	//p2plint:allow hotalloc -- range adapter closure, one per >vecBlock reduction
-	return blockCombine(len(x), func(lo, hi int) float64 { return diff1Range(x, y, lo, hi) })
+	return blockCombine(len(x), func(b int) float64 {
+		lo, hi := blockSpan(b, len(x))
+		return diff1Range(x, y, lo, hi)
+	})
 }
 
 // DiffInf returns ‖x−y‖∞. It panics on length mismatch.
