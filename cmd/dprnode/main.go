@@ -234,7 +234,7 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 // -fault injects partitions or stragglers, the frontend shares the
 // peers' lattice so its fan-outs route around the cut. The returned
 // func stops all of it and reports the load generator's storm.
-func startServing(cl *netpeer.Cluster, g webgraph.Store, k int, store *serve.Store, col *telemetry.LiveCollector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func() serve.StormStats, error) {
+func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.Store, col *telemetry.LiveCollector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func() serve.StormStats, error) {
 	var tel serve.Telemetry
 	if col != nil {
 		tel = col
@@ -346,10 +346,11 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 	if index < 0 || index >= k {
 		fatal(fmt.Errorf("index %d out of range for k=%d", index, k))
 	}
-	g, err := core.LoadCrawl(graphPath)
+	g, err := webgraph.Open(graphPath)
 	if err != nil {
 		fatal(err)
 	}
+	defer g.Close()
 	// The same deterministic ranker IDs the engine uses, so independent
 	// processes agree on the partition.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)

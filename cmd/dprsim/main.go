@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"p2prank/internal/cliflags"
-	"p2prank/internal/core"
 	"p2prank/internal/experiments"
 	"p2prank/internal/serve"
 	"p2prank/internal/webgraph"
@@ -57,11 +56,11 @@ func main() {
 		return
 	}
 	if *graph != "" {
-		src, closeSrc, err := core.OpenCrawl(*graph)
+		src, err := webgraph.Open(*graph)
 		if err != nil {
 			fatal(err)
 		}
-		defer closeSrc()
+		defer src.Close()
 		w.Source = src
 	}
 	e, err := experiments.Lookup(*exp)
@@ -136,14 +135,14 @@ func emit(res *experiments.Result, csvPath string) error {
 // mappedWorkload materializes w on disk in a child process (so the
 // generator's transient allocations never inflate this process's VmHWM)
 // and maps the file read-only. The returned func unmaps and removes it.
-func mappedWorkload(w experiments.Workload) (webgraph.Store, func(), error) {
+func mappedWorkload(w experiments.Workload) (*webgraph.Graph, func(), error) {
 	f, err := os.CreateTemp("", "dprsim-graph-*.bin")
 	if err != nil {
 		return nil, nil, err
 	}
 	path := f.Name()
 	f.Close()
-	fail := func(err error) (webgraph.Store, func(), error) {
+	fail := func(err error) (*webgraph.Graph, func(), error) {
 		os.Remove(path)
 		return nil, nil, err
 	}

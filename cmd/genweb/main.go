@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"p2prank/internal/core"
 	"p2prank/internal/experiments"
 	"p2prank/internal/metrics"
 	"p2prank/internal/webgraph"
@@ -83,7 +82,7 @@ func main() {
 				fatal(err)
 			}
 		} else {
-			if err := core.SaveCrawl(*out, g); err != nil {
+			if err := webgraph.WriteMappedFile(*out, g); err != nil {
 				fatal(err)
 			}
 			if *stats {

@@ -4,6 +4,7 @@
 package clitest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"os/exec"
@@ -137,6 +138,37 @@ func TestDprsimUnknownExperiment(t *testing.T) {
 	cmd := exec.Command(filepath.Join(builtDir, "dprsim"), "-exp", "nonsense")
 	if err := cmd.Run(); err == nil {
 		t.Fatal("unknown experiment exited 0")
+	}
+}
+
+// A damaged crawl file is an error at open, not a panic mid-run: one
+// out-dst entry of a good file is pointed past the last page, which
+// used to surface as an index out of range inside partition.Cut.
+func TestDprsimCorruptGraphFile(t *testing.T) {
+	graph := filepath.Join(t.TempDir(), "crawl.bin")
+	run(t, "genweb", "-pages", "2000", "-out", graph)
+	if out := run(t, "dprsim", "-exp", "cut", "-k", "8", "-graph", graph); !strings.Contains(out, "cut fraction") {
+		t.Fatalf("cut off the intact file malformed:\n%s", out)
+	}
+	data, err := os.ReadFile(graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The section table starts at byte 64, 24 bytes an entry with the
+	// payload offset at +8; out-dst is the seventh section.
+	outDst := binary.LittleEndian.Uint64(data[64+6*24+8:])
+	binary.LittleEndian.PutUint32(data[outDst:], 1999999)
+	if err := os.WriteFile(graph, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	cmd := exec.Command(filepath.Join(builtDir, "dprsim"), "-exp", "cut", "-k", "8", "-graph", graph)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("corrupt graph file exited 0")
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "webgraph:") || strings.Contains(msg, "goroutine") {
+		t.Fatalf("want a webgraph error and no stack trace, got:\n%s", msg)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package core is the public façade of p2prank: one import that ties
-// the substrates together for the common workflows — generate or load a
-// crawl, rank it centrally, rank it distributedly over a structured P2P
+// the substrates together for the common workflows — generate a crawl,
+// rank it centrally, rank it distributedly over a structured P2P
 // overlay, and compare.
 //
 // The heavy lifting lives in the focused packages (webgraph, pagerank,
@@ -10,11 +10,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
-
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/pagerank"
@@ -38,11 +33,9 @@ type (
 	Sample = engine.Sample
 	// GenConfig configures the synthetic crawl generator.
 	GenConfig = webgraph.GenConfig
-	// Graph is a crawled link graph held in memory.
+	// Graph is a crawled link graph (webgraph.Open reads one from a
+	// file, webgraph.WriteMappedFile writes one).
 	Graph = webgraph.Graph
-	// Store is the read interface every graph-consuming API accepts —
-	// satisfied by *Graph and by the mmap-backed webgraph.Mapped.
-	Store = webgraph.Store
 )
 
 // Re-exported enumerations.
@@ -76,93 +69,9 @@ func GenerateCrawl(pages int, seed uint64) (*Graph, error) {
 	return webgraph.Generate(cfg)
 }
 
-// sniffFormat reads the 16-byte prefix of a graph file and classifies
-// it: 0 = text, otherwise the binary version number.
-func sniffFormat(f *os.File, path string) (uint64, error) {
-	hdr := make([]byte, 16)
-	n, err := io.ReadFull(f, hdr)
-	if err != nil && n == 0 {
-		return 0, fmt.Errorf("core: empty graph file %s", path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	if n < 16 || string(hdr[:8]) != "P2PRGRPH" {
-		return 0, nil
-	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
-}
-
-// LoadCrawl reads a crawl from a file into memory, auto-detecting the
-// format by its magic bytes: version-2 mapped, version-1 streamed, or
-// text. For large version-2 files prefer OpenCrawl, which maps the file
-// instead of copying it onto the heap.
-func LoadCrawl(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	version, err := sniffFormat(f, path)
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case 2:
-		m, err := webgraph.OpenMapped(path)
-		if err != nil {
-			return nil, err
-		}
-		g := webgraph.Materialize(m)
-		if err := m.Close(); err != nil {
-			return nil, err
-		}
-		return g, nil
-	case 0:
-		return webgraph.ReadText(f)
-	default:
-		return webgraph.ReadBinary(f)
-	}
-}
-
-// OpenCrawl opens a crawl for reading with the cheapest store for its
-// format: version-2 files are mmapped in O(1); anything else is parsed
-// into memory. The returned closer must be called when the store is no
-// longer needed (it is a no-op for in-memory graphs).
-func OpenCrawl(path string) (Store, func() error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	version, err := sniffFormat(f, path)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	f.Close()
-	if version == 2 {
-		m, err := webgraph.OpenMapped(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, m.Close, nil
-	}
-	g, err := LoadCrawl(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, func() error { return nil }, nil
-}
-
-// SaveCrawl writes a crawl in the version-2 mapped binary format, the
-// compact on-disk layout OpenCrawl reads back without parsing.
-func SaveCrawl(path string, g Store) error {
-	return webgraph.WriteMappedFile(path, g)
-}
-
 // RankCentralized computes the open-system centralized PageRank fixed
 // point R* (the reference the distributed algorithms converge to).
-func RankCentralized(g Store) (vecmath.Vec, error) {
+func RankCentralized(g *Graph) (vecmath.Vec, error) {
 	res, err := pagerank.Open(g, pagerank.Defaults())
 	if err != nil {
 		return nil, err

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestGenerateAndRankCentralized(t *testing.T) {
 	g, err := GenerateCrawl(2000, 1)
@@ -43,55 +39,6 @@ func TestRankDistributedEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	g, err := GenerateCrawl(800, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "crawl.bin")
-	if err := SaveCrawl(path, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadCrawl(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumPages() != g.NumPages() || g2.NumInternalLinks() != g.NumInternalLinks() {
-		t.Fatal("round trip changed the graph")
-	}
-}
-
-func TestLoadCrawlTextFallback(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "crawl.txt")
-	content := "site 0 a.edu\npage 0 0\npage 1 0\nlink 0 1\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g, err := LoadCrawl(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumPages() != 2 || g.NumInternalLinks() != 1 {
-		t.Fatalf("parsed %d pages %d links", g.NumPages(), g.NumInternalLinks())
-	}
-}
-
-func TestLoadCrawlErrors(t *testing.T) {
-	if _, err := LoadCrawl("/nonexistent/file"); err == nil {
-		t.Error("missing file accepted")
-	}
-	dir := t.TempDir()
-	empty := filepath.Join(dir, "empty")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCrawl(empty); err == nil {
-		t.Error("empty file accepted")
-	}
-}
-
 func TestTopPages(t *testing.T) {
 	ranks := []float64{0.1, 0.9, 0.5, 0.9}
 	top := TopPages(ranks, 3)
@@ -106,15 +53,5 @@ func TestTopPages(t *testing.T) {
 	}
 	if got := TopPages(nil, 3); len(got) != 0 {
 		t.Fatalf("empty ranks returned %v", got)
-	}
-}
-
-func TestSaveCrawlErrors(t *testing.T) {
-	g, err := GenerateCrawl(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCrawl("/nonexistent-dir/x.bin", g); err == nil {
-		t.Error("save into missing directory accepted")
 	}
 }

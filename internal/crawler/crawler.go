@@ -29,7 +29,7 @@ import (
 
 // Crawler incrementally discovers the pages of a fixed web graph.
 type Crawler struct {
-	web     webgraph.Store
+	web     *webgraph.Graph
 	rng     *xrand.Rand
 	order   []int32 // pages in crawl order, filled as the frontier drains
 	crawled map[int32]bool
@@ -45,7 +45,7 @@ type Crawler struct {
 // New returns a crawler over web whose visit order is determined by
 // seed. Different seeds model different crawl runs discovering the same
 // web in different orders.
-func New(web webgraph.Store, seed uint64) (*Crawler, error) {
+func New(web *webgraph.Graph, seed uint64) (*Crawler, error) {
 	if web == nil {
 		return nil, fmt.Errorf("crawler: nil web")
 	}

@@ -58,7 +58,7 @@ func (g *Group) N() int { return len(g.Pages) }
 
 // BuildGroups slices the graph into one Group per ranker according to
 // the assignment. alpha is the real-link rank fraction of §3.
-func BuildGroups(g webgraph.Store, a *partition.Assignment, alpha float64) ([]*Group, error) {
+func BuildGroups(g *webgraph.Graph, a *partition.Assignment, alpha float64) ([]*Group, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("dprcore: alpha = %v, must be in (0,1)", alpha)
 	}

@@ -39,7 +39,7 @@ func detGraph(t *testing.T) *webgraph.Graph {
 // detPresets are reduced-scale stand-ins for the paper figures: Fig 6
 // (DPR1, lossy sends, indirect transport), Fig 7 (DPR1, by-site), and
 // Fig 8 (DPR2, fixed wait, direct transport).
-func detPresets(g webgraph.Store) map[string]engine.Config {
+func detPresets(g *webgraph.Graph) map[string]engine.Config {
 	return map[string]engine.Config{
 		"fig6": {
 			Params: dprcore.Params{Alg: dprcore.DPR1, SendProb: 0.7, T1: 0, T2: 6},
@@ -239,10 +239,10 @@ func TestFig6FingerprintUnchangedByObservers(t *testing.T) {
 	}
 }
 
-// TestGoldenFingerprintsBothStores is the storage refactor's acceptance
-// test: the same presets ranked off the mmap-backed on-disk store must
-// reproduce the in-memory goldens bit for bit — the Store seam is
-// purely a representation change, invisible to every float downstream.
+// TestGoldenFingerprintsBothStores is graph storage's acceptance test:
+// the same presets ranked off a graph whose arrays alias an mmapped
+// file must reproduce the heap graph's goldens bit for bit — where the
+// arrays live is invisible to every float downstream.
 func TestGoldenFingerprintsBothStores(t *testing.T) {
 	g := detGraph(t)
 	path := filepath.Join(t.TempDir(), "det.bin")
@@ -266,7 +266,7 @@ func TestGoldenFingerprintsBothStores(t *testing.T) {
 	}
 	for _, store := range []struct {
 		name string
-		g    webgraph.Store
+		g    *webgraph.Graph
 	}{{"mem", g}, {"mapped", m}} {
 		presets := detPresets(store.g)
 		for name, golden := range goldens {

@@ -60,9 +60,9 @@ func (k OverlayKind) String() string {
 type Config struct {
 	// Params are the shared DPR loop parameters (see dprcore.Params).
 	dprcore.Params
-	// Graph is the crawl to rank; any Store works (in-memory Graph or
-	// an mmap-backed Mapped that must stay open for the whole run).
-	Graph webgraph.Store
+	// Graph is the crawl to rank (one opened from a file must stay
+	// open for the whole run).
+	Graph *webgraph.Graph
 	// K is the number of page rankers.
 	K int
 	// Strategy selects the page-partitioning strategy (default BySite).
@@ -635,7 +635,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 // run measures against, at the engine's standard tolerance. Experiment
 // suites call it once per graph and pass the result to each run via
 // Config.Reference instead of re-deriving it per curve.
-func Reference(g webgraph.Store, alpha float64) (vecmath.Vec, error) {
+func Reference(g *webgraph.Graph, alpha float64) (vecmath.Vec, error) {
 	ref, err := pagerank.Open(g, pagerank.Options{
 		Alpha:   alpha,
 		Epsilon: 1e-12,
@@ -651,7 +651,7 @@ func Reference(g webgraph.Store, alpha float64) (vecmath.Vec, error) {
 // (starting from R0 = 0, like the distributed algorithms) needed to
 // bring the relative error against the fixed point below target. This
 // is the CPR curve of Figure 8.
-func CPRIterations(g webgraph.Store, alpha, target float64) (int, error) {
+func CPRIterations(g *webgraph.Graph, alpha, target float64) (int, error) {
 	star, err := Reference(g, alpha)
 	if err != nil {
 		return 0, err
@@ -661,7 +661,7 @@ func CPRIterations(g webgraph.Store, alpha, target float64) (int, error) {
 
 // CPRIterationsFrom is CPRIterations with the fixed point star already
 // in hand (see Reference).
-func CPRIterationsFrom(g webgraph.Store, alpha, target float64, star vecmath.Vec) (int, error) {
+func CPRIterationsFrom(g *webgraph.Graph, alpha, target float64, star vecmath.Vec) (int, error) {
 	if target <= 0 {
 		return 0, fmt.Errorf("engine: target must be positive, got %v", target)
 	}

@@ -13,7 +13,7 @@ import (
 // index of page p, or -1 for a newly crawled page; nil CarryOver
 // cold-starts the phase.
 type Phase struct {
-	Graph     webgraph.Store
+	Graph     *webgraph.Graph
 	CarryOver []int32
 }
 

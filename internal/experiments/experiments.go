@@ -41,7 +41,7 @@ const defaultAlpha = 0.85
 // computed once for all of the sweep's runs.
 type bed struct {
 	w   Workload
-	g   webgraph.Store
+	g   *webgraph.Graph
 	ref vecmath.Vec
 }
 
@@ -121,9 +121,9 @@ type Workload struct {
 	// Source, if set, is used verbatim instead of generating — this is
 	// how presets run against an mmap-backed on-disk graph (or a real
 	// crawl) rather than an in-memory synthetic one. The caller keeps
-	// ownership: a Mapped source must stay open for the preset's
-	// duration.
-	Source webgraph.Store
+	// ownership: a source opened from a file must stay open for the
+	// preset's duration.
+	Source *webgraph.Graph
 }
 
 func (w *Workload) defaults() {
@@ -140,7 +140,7 @@ func (w *Workload) defaults() {
 
 // Generate builds the workload's crawl, or returns Source when one is
 // set.
-func (w Workload) Generate() (webgraph.Store, error) {
+func (w Workload) Generate() (*webgraph.Graph, error) {
 	if w.Source != nil {
 		return w.Source, nil
 	}

@@ -64,7 +64,7 @@ type Meter struct {
 	// OnDisk, when set, materializes a workload as a mapped graph file
 	// outside this process's heap and returns it with its cleanup; the
 	// scale sweep ranks that instead of an in-memory crawl.
-	OnDisk func(w Workload) (webgraph.Store, func(), error)
+	OnDisk func(w Workload) (*webgraph.Graph, func(), error)
 	// Expose, when set, serves the first serve-sweep frontend to
 	// outside clients until it fails.
 	Expose func(fe *serve.Frontend, topk int) error

@@ -135,7 +135,7 @@ func TestScaleSweepUsesOnDisk(t *testing.T) {
 	p := toyParams("scale")
 	p.Ks = []int{20}
 	var opened, closed int
-	p.Meter.OnDisk = func(w Workload) (webgraph.Store, func(), error) {
+	p.Meter.OnDisk = func(w Workload) (*webgraph.Graph, func(), error) {
 		opened++
 		g, err := w.Generate()
 		return g, func() { closed++ }, err

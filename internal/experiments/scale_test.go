@@ -22,7 +22,7 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	const k = 10_000
 	w := ScaleWorkload(k, 1)
-	// Run off the on-disk store, as `dprsim -exp scale` does by default:
+	// Run off the mapped file, as `dprsim -exp scale` does by default:
 	// generate once, write the mapped format, and rank the mmapped file
 	// so the graph never sits on this process's heap.
 	path := filepath.Join(t.TempDir(), "scale.bin")

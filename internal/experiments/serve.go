@@ -31,7 +31,7 @@ type ServeBench struct {
 	pub    *serve.Publisher
 	assign *partition.Assignment
 	ranks  vecmath.Vec
-	graph  webgraph.Store
+	graph  *webgraph.Graph
 	ov     overlay.Network
 	text   search.Config
 

@@ -48,7 +48,7 @@ var ErrNotConverged = errors.New("hits: did not converge")
 // no identified endpoint and are ignored — HITS is defined on the
 // induced subgraph the crawler actually saw. Scores are L2-normalized
 // each round, as in the original formulation.
-func Compute(g webgraph.Store, opt Options) (Result, error) {
+func Compute(g *webgraph.Graph, opt Options) (Result, error) {
 	if opt.Epsilon <= 0 {
 		return Result{}, fmt.Errorf("hits: Epsilon = %v, must be positive", opt.Epsilon)
 	}

@@ -92,7 +92,7 @@ func TestHotAllocFlagsAllocationSites(t *testing.T) {
 }
 
 func TestHotAllocFlagsStorageAccessors(t *testing.T) {
-	// The mapped store's per-page accessors are annotated hot: they run
+	// The graph's per-page accessors are annotated hot: they run
 	// millions of times per simulated round, so they must return
 	// borrowed views of the mapped arrays, never copies.
 	linttest.Run(t, "testdata", lint.HotAlloc, "fix/hotalloc/internal/webgraph")

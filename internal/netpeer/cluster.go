@@ -78,7 +78,7 @@ type Cluster struct {
 	// Reference is the centralized fixed point R*.
 	Reference vecmath.Vec
 
-	graph  webgraph.Store
+	graph  *webgraph.Graph
 	cfg    ClusterConfig
 	groups []*dprcore.Group
 	ov     overlay.Network
@@ -95,7 +95,7 @@ type Cluster struct {
 // StartCluster computes the centralized reference, partitions g over K
 // groups, starts one TCP peer per group on 127.0.0.1, interconnects
 // them, and starts their ranking loops.
-func StartCluster(g webgraph.Store, cfg ClusterConfig) (*Cluster, error) {
+func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if g == nil {
 		return nil, fmt.Errorf("netpeer: nil graph")
 	}

@@ -25,7 +25,7 @@ import (
 // estimates agree (a single dominant mode is actually in control), and
 // if a jump fails to shrink the residual the extrapolator disables
 // itself for the rest of the run.
-func OpenAccelerated(g webgraph.Store, opt Options, every int) (Result, error) {
+func OpenAccelerated(g *webgraph.Graph, opt Options, every int) (Result, error) {
 	if every < 3 {
 		return Result{}, fmt.Errorf("pagerank: extrapolation period %d, need ≥ 3", every)
 	}

@@ -44,10 +44,20 @@ func BenchmarkStepDeltaWeb(b *testing.B) {
 // for every ranker.
 func BenchmarkNewGroupSystem(b *testing.B) {
 	g := webCrawl(b)
-	site, pages := int32(0), []int32(nil)
-	for s := int32(0); int(s) < g.NumSites(); s++ {
-		if p := webgraph.PagesOfSite(g, s); len(p) > len(pages) {
-			site, pages = s, p
+	size := make([]int, g.NumSites())
+	for p := int32(0); int(p) < g.NumPages(); p++ {
+		size[g.SiteOf(p)]++
+	}
+	site := int32(0)
+	for s := range size {
+		if size[s] > size[site] {
+			site = int32(s)
+		}
+	}
+	var pages []int32
+	for p := int32(0); int(p) < g.NumPages(); p++ {
+		if g.SiteOf(p) == site {
+			pages = append(pages, p)
 		}
 	}
 	local := make(map[int32]int32, len(pages))

@@ -96,7 +96,7 @@ var ErrNotConverged = errors.New("pagerank: did not converge")
 // page are ever allocated (the Entry slice cost 24 transient bytes per
 // link, ~720 MB at the 10⁵ scale point). weight(u, internalDeg)
 // supplies the per-source value.
-func buildTransposed(g webgraph.Store, weight func(u int32, internalDeg int) float64) (*vecmath.CSR, error) {
+func buildTransposed(g *webgraph.Graph, weight func(u int32, internalDeg int) float64) (*vecmath.CSR, error) {
 	n := g.NumPages()
 	counts := make([]int64, n)
 	for p := 0; p < n; p++ {
@@ -126,7 +126,7 @@ func buildTransposed(g webgraph.Store, weight func(u int32, internalDeg int) flo
 // over all pages of g: row v gathers α/d(u) from every internal link
 // u→v. Because d(u) also counts external links, ‖A‖∞ ≤ α < 1 and the
 // open-system iteration converges (Theorems 3.1/3.2).
-func BuildTransition(g webgraph.Store, alpha float64) (*vecmath.CSR, error) {
+func BuildTransition(g *webgraph.Graph, alpha float64) (*vecmath.CSR, error) {
 	return buildTransposed(g, func(u int32, _ int) float64 {
 		return alpha / float64(g.OutDegree(u))
 	})
@@ -136,7 +136,7 @@ func BuildTransition(g webgraph.Store, alpha float64) (*vecmath.CSR, error) {
 // producing the centralized reference vector R*. Rank flows out of the
 // system through external links, so ‖R‖ settles below the closed-system
 // value — the effect behind Figure 7's ≈0.3 average rank.
-func Open(g webgraph.Store, opt Options) (Result, error) {
+func Open(g *webgraph.Graph, opt Options) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}
@@ -163,7 +163,7 @@ func Open(g webgraph.Store, opt Options) (Result, error) {
 // computes R' = cMR with M[v][u] = 1/d_int(u) over internal links only,
 // measures the lost mass D = ‖R‖₁ − ‖R'‖₁ (damping + dangling pages),
 // and redistributes it as R' += D·E.
-func Classic(g webgraph.Store, opt Options) (Result, error) {
+func Classic(g *webgraph.Graph, opt Options) (Result, error) {
 	if err := opt.validate(); err != nil {
 		return Result{}, err
 	}

@@ -14,7 +14,7 @@ import (
 // `baseline`. With baseline 0 this is pure topic-restricted
 // personalization; with baseline 1 it is the paper's uniform E plus a
 // topical boost.
-func TopicE(g webgraph.Store, sites []int32, boost, baseline float64) (vecmath.Vec, error) {
+func TopicE(g *webgraph.Graph, sites []int32, boost, baseline float64) (vecmath.Vec, error) {
 	if boost < 0 || baseline < 0 {
 		return nil, fmt.Errorf("pagerank: negative personalization weights (%v, %v)", boost, baseline)
 	}
@@ -42,7 +42,7 @@ func TopicE(g webgraph.Store, sites []int32, boost, baseline float64) (vecmath.V
 
 // SiteRankMass sums the ranks of each site's pages — a coarse
 // per-site importance useful for inspecting personalization effects.
-func SiteRankMass(g webgraph.Store, ranks vecmath.Vec) (vecmath.Vec, error) {
+func SiteRankMass(g *webgraph.Graph, ranks vecmath.Vec) (vecmath.Vec, error) {
 	if len(ranks) != g.NumPages() {
 		return nil, fmt.Errorf("pagerank: rank vector has length %d, want %d", len(ranks), g.NumPages())
 	}

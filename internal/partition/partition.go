@@ -63,7 +63,7 @@ type Assignment struct {
 // ov using the given strategy. seed is used only by Random. The hashing
 // strategies place a page on the overlay owner of its hash key, exactly
 // how a DHT-based search engine would resolve storage responsibility.
-func Assign(g webgraph.Store, ov overlay.Network, strat Strategy, seed uint64) (*Assignment, error) {
+func Assign(g *webgraph.Graph, ov overlay.Network, strat Strategy, seed uint64) (*Assignment, error) {
 	k := ov.NumNodes()
 	if k == 0 {
 		return nil, fmt.Errorf("partition: overlay has no nodes")
@@ -137,7 +137,7 @@ func (c CutStats) CutFrac() float64 {
 }
 
 // Cut measures the partition against the graph's internal links.
-func Cut(g webgraph.Store, a *Assignment) CutStats {
+func Cut(g *webgraph.Graph, a *Assignment) CutStats {
 	var c CutStats
 	for p := 0; p < g.NumPages(); p++ {
 		u := int32(p)

@@ -61,12 +61,14 @@ func TestAssignBySiteKeepsSitesTogether(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAssignment(t, g, a)
+	// All pages of a site share a group.
+	groupOfSite := map[int32]int32{}
 	for p := 0; p < g.NumPages(); p++ {
-		// All pages of a site share a group.
-		first := webgraph.PagesOfSite(g, g.SiteOf(int32(p)))[0]
-		if a.GroupOf[p] != a.GroupOf[first] {
-			t.Fatalf("site %d split across groups", g.SiteOf(int32(p)))
+		s := g.SiteOf(int32(p))
+		if grp, seen := groupOfSite[s]; seen && grp != a.GroupOf[p] {
+			t.Fatalf("site %d split across groups", s)
 		}
+		groupOfSite[s] = a.GroupOf[p]
 	}
 }
 

@@ -166,7 +166,7 @@ func TermName(t int32) string {
 
 // TermsOf returns page p's distinct terms, ascending. The draw is a
 // pure function of the page's URL (stable across recrawls) and cfg.
-func TermsOf(g webgraph.Store, p int32, cfg Config) ([]int32, error) {
+func TermsOf(g *webgraph.Graph, p int32, cfg Config) ([]int32, error) {
 	m, err := compile(cfg)
 	if err != nil {
 		return nil, err
@@ -180,7 +180,7 @@ func TermsOf(g webgraph.Store, p int32, cfg Config) ([]int32, error) {
 // has room.
 //
 //p2plint:hotpath
-func (m model) appendTerms(dst []int32, g webgraph.Store, p int32) []int32 {
+func (m model) appendTerms(dst []int32, g *webgraph.Graph, p int32) []int32 {
 	var url [96]byte
 	id := nodeid.HashBytes(webgraph.AppendURL(url[:0], g, p))
 	var rng xrand.Rand
@@ -202,7 +202,7 @@ func (m model) appendTerms(dst []int32, g webgraph.Store, p int32) []int32 {
 // — are transposes of it, so a caller that builds more than one over
 // the same crawl draws the matrix once and hands it to each.
 type TermMatrix struct {
-	g     webgraph.Store
+	g     *webgraph.Graph
 	cfg   Config
 	terms []int32 // NumPages × TermsPerPage, row-major
 }
@@ -214,7 +214,7 @@ const drawBlock = 512
 // DrawTerms draws every page's terms. Rows are filled in parallel over
 // fixed page blocks; each page writes only its own row, so the matrix
 // is the same at any GOMAXPROCS.
-func DrawTerms(g webgraph.Store, cfg Config) (*TermMatrix, error) {
+func DrawTerms(g *webgraph.Graph, cfg Config) (*TermMatrix, error) {
 	m, err := compile(cfg)
 	if err != nil {
 		return nil, err
@@ -236,7 +236,7 @@ func DrawTerms(g webgraph.Store, cfg Config) (*TermMatrix, error) {
 func (tm *TermMatrix) Config() Config { return tm.cfg }
 
 // Graph returns the crawl the matrix was drawn over.
-func (tm *TermMatrix) Graph() webgraph.Store { return tm.g }
+func (tm *TermMatrix) Graph() *webgraph.Graph { return tm.g }
 
 // Row returns page p's terms, ascending. The slice aliases the matrix
 // and must not be modified.
@@ -258,7 +258,7 @@ type Index struct {
 	cfg    Config
 	ov     overlay.Network
 	ranks  vecmath.Vec
-	g      webgraph.Store
+	g      *webgraph.Graph
 	assign *partition.Assignment
 	// termOwner[t] is the ranker storing term t's posting list.
 	termOwner []int32
@@ -275,7 +275,7 @@ type Index struct {
 // Build constructs the index from a ranked crawl. ranks must be the
 // page-indexed rank vector (distributed or centralized); assign is the
 // page partition; ov places terms on rankers.
-func Build(g webgraph.Store, ranks vecmath.Vec, ov overlay.Network, assign *partition.Assignment, cfg Config) (*Index, error) {
+func Build(g *webgraph.Graph, ranks vecmath.Vec, ov overlay.Network, assign *partition.Assignment, cfg Config) (*Index, error) {
 	tm, err := DrawTerms(g, cfg)
 	if err != nil {
 		return nil, err

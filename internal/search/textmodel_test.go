@@ -18,7 +18,7 @@ import (
 // compiled once: a private Zipf table per page, a map for the distinct
 // check, a sort at the end. It is the definition the compiled draw
 // must reproduce term for term. cfg must be valid.
-func referenceTermsOf(g webgraph.Store, p int32, cfg Config) []int32 {
+func referenceTermsOf(g *webgraph.Graph, p int32, cfg Config) []int32 {
 	id := nodeid.Hash(g.URL(p))
 	rng := xrand.New(id.Lo ^ id.Hi)
 	z := xrand.NewZipf(rng, cfg.Vocabulary, cfg.Skew)

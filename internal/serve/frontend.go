@@ -82,7 +82,7 @@ type Frontend struct {
 // NewFrontend builds the term-major index from the crawl, the page
 // partition, and the text model. The store provides scores at query
 // time; assign must cover the graph and match the store's shard count.
-func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignment, store *Store, cfg Config) (*Frontend, error) {
+func NewFrontend(g *webgraph.Graph, ov overlay.Network, assign *partition.Assignment, store *Store, cfg Config) (*Frontend, error) {
 	tm, err := search.DrawTerms(g, cfg.Text)
 	if err != nil {
 		return nil, err

@@ -5,56 +5,71 @@ import (
 	"testing"
 )
 
-// FuzzReadBinary throws arbitrary bytes at both binary readers. The
-// contract under fuzzing: return an error or a graph that passes
-// Validate — never panic, never allocate proportionally to a lying
-// header (readI32s chunks for exactly that reason).
-func FuzzReadBinary(f *testing.F) {
-	g := func() *Graph {
-		var b Builder
-		s := b.AddSite("seed.example")
-		p0 := b.AddPage(s)
-		p1 := b.AddPage(s)
-		b.AddLink(p0, p1)
-		b.AddLink(p1, p0)
-		b.AddExternalLinks(p1, 2)
-		return b.Build()
-	}()
-	var v1, v2 bytes.Buffer
-	if err := WriteBinary(&v1, g); err != nil {
-		f.Fatal(err)
-	}
-	if err := WriteMapped(&v2, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:20])
-	f.Add(v2.Bytes()[:80])
-	f.Add([]byte("P2PRGRPH"))
+// FuzzOpenGraph throws arbitrary bytes at the binary reader. The
+// contract: an error or a graph, never a panic and never an allocation
+// proportional to a lying header; a graph that passes Validate is safe
+// through every accessor on every page, hashes to the fingerprint its
+// header claims, and writes back to a file that opens to the same graph.
+func FuzzOpenGraph(f *testing.F) {
+	var empty Builder
+	valid := mappedBytes(f, pinnedGraph(f))
+	f.Add(valid)
+	f.Add(valid[:20])
+	f.Add(valid[:80])
+	f.Add([]byte(binaryMagic))
 	f.Add([]byte("not a graph at all"))
+	f.Add(mappedBytes(f, empty.Build()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if rg, err := ReadBinary(bytes.NewReader(data)); err == nil {
-			// ReadBinary validates internally; a second pass must agree.
-			if err := rg.Validate(); err != nil {
-				t.Fatalf("ReadBinary returned invalid graph: %v", err)
-			}
-		}
-		m, err := MappedFromBytes(data)
+		g, err := MappedFromBytes(data)
 		if err != nil {
 			return
 		}
-		// Open succeeded: structural accessors must be safe for
-		// anything Validate accepts.
-		if err := m.Validate(); err == nil {
-			for p := 0; p < m.NumPages(); p++ {
-				u := int32(p)
-				_ = m.OutDegree(u)
-				_ = m.InternalOut(u)
-				_ = m.URL(u)
-			}
+		defer g.Close()
+		if g.Validate() != nil {
+			return
 		}
-		m.Close()
+		if got := FingerprintOf(g); got != g.Fingerprint() {
+			t.Fatalf("validated graph hashes to %#x, header says %#x", got, g.Fingerprint())
+		}
+		back, err := MappedFromBytes(mappedBytes(t, g))
+		if err != nil {
+			t.Fatalf("rewritten file does not open: %v", err)
+		}
+		graphsEqual(t, g, back) // every accessor, every page
+	})
+}
+
+// FuzzReadText throws arbitrary bytes at the text reader: never a
+// panic, and an accepted graph validates and survives a round trip
+// through the writer.
+func FuzzReadText(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, pinnedGraph(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("# only a comment\n\n"))
+	f.Add([]byte("site 0 a.edu\npage 0 0\nlink 0 0\next 0 2147483647\next 0 1\n"))
+	f.Add([]byte("site 0 a.edu\npage 0 0\npage 1 0\nlink 4294967296 1\n"))
+	f.Add([]byte("page 0 0\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("ReadText returned an invalid graph: %v", err)
+		}
+		var out bytes.Buffer
+		if err := WriteText(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadText(&out)
+		if err != nil {
+			t.Fatalf("written text does not parse: %v", err)
+		}
+		graphsEqual(t, g, back)
 	})
 }

@@ -115,23 +115,6 @@ func TestAppendURLSpelling(t *testing.T) {
 	}
 }
 
-func TestPagesOfSite(t *testing.T) {
-	var b Builder
-	s0 := b.AddSite("a.edu")
-	s1 := b.AddSite("b.edu")
-	b.AddPage(s0)
-	b.AddPage(s1)
-	b.AddPage(s0)
-	g := b.Build()
-	ps := PagesOfSite(g, s0)
-	if len(ps) != 2 || ps[0] != 0 || ps[1] != 2 {
-		t.Fatalf("PagesOfSite(a.edu) = %v", ps)
-	}
-	if n := g.SiteName(1); n != "b.edu" {
-		t.Fatalf("SiteName = %q", n)
-	}
-}
-
 func TestBuilderErrors(t *testing.T) {
 	var b Builder
 	s := b.AddSite("a.edu")
@@ -202,17 +185,6 @@ func TestValidateRejectsCorrupt(t *testing.T) {
 	g.extOut = g.extOut[:2]
 	if err := g.Validate(); err == nil {
 		t.Error("short ExtOut accepted")
-	}
-}
-
-func TestInDegrees(t *testing.T) {
-	g := tinyGraph(t)
-	in := InDegrees(g)
-	want := []int32{0, 1, 1, 2}
-	for i, w := range want {
-		if in[i] != w {
-			t.Fatalf("in-degrees = %v, want %v", in, want)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package webgraph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -23,7 +22,7 @@ import (
 // keeps the reader a single pass.
 
 // WriteText writes g in the text format.
-func WriteText(w io.Writer, g Store) error {
+func WriteText(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# p2prank webgraph: %d sites, %d pages, %d internal links\n",
 		g.NumSites(), g.NumPages(), g.NumInternalLinks())
@@ -44,7 +43,9 @@ func WriteText(w io.Writer, g Store) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text format.
+// ReadText parses the text format. Page ids, site ids and counts are
+// int32 everywhere downstream, so they are parsed at that width: an
+// out-of-range value is a line-numbered error, not a wrapped id.
 func ReadText(r io.Reader) (*Graph, error) {
 	var b Builder
 	sc := bufio.NewScanner(r)
@@ -56,222 +57,48 @@ func ReadText(r io.Reader) (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
 		fail := func(msg string) error {
 			return fmt.Errorf("webgraph: line %d: %s: %q", lineNo, msg, line)
 		}
+		fields := strings.Fields(line)
+		if len(fields) != 3 {
+			return nil, fail("want a directive and 2 arguments")
+		}
+		// Every directive's first argument is a number, and every
+		// directive's but site's second one.
+		x, err := strconv.ParseInt(fields[1], 10, 32)
+		var y int64
+		if err == nil && fields[0] != "site" {
+			y, err = strconv.ParseInt(fields[2], 10, 32)
+		}
+		if err != nil {
+			return nil, fail("ids and counts must be 32-bit integers")
+		}
 		switch fields[0] {
 		case "site":
-			if len(fields) != 3 {
-				return nil, fail("site needs 2 args")
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fail("bad site id")
-			}
-			if got := b.AddSite(fields[2]); int(got) != id {
+			if got := b.AddSite(fields[2]); int64(got) != x {
 				return nil, fail(fmt.Sprintf("site ids must be dense ascending (got %d)", got))
 			}
 		case "page":
-			if len(fields) != 3 {
-				return nil, fail("page needs 2 args")
-			}
-			id, err1 := strconv.Atoi(fields[1])
-			site, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fail("bad page/site id")
-			}
-			if site < 0 || site >= len(b.sites) {
+			if y < 0 || int(y) >= len(b.sites) {
 				return nil, fail("unknown site")
 			}
-			if got := b.AddPage(int32(site)); int(got) != id {
+			if got := b.AddPage(int32(y)); int64(got) != x {
 				return nil, fail(fmt.Sprintf("page ids must be dense ascending (got %d)", got))
 			}
 		case "link":
-			if len(fields) != 3 {
-				return nil, fail("link needs 2 args")
-			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fail("bad link endpoints")
-			}
-			if err := b.AddLink(int32(u), int32(v)); err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
+			err = b.AddLink(int32(x), int32(y))
 		case "ext":
-			if len(fields) != 3 {
-				return nil, fail("ext needs 2 args")
-			}
-			u, err1 := strconv.Atoi(fields[1])
-			k, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fail("bad ext fields")
-			}
-			if err := b.AddExternalLinks(int32(u), k); err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
+			err = b.AddExternalLinks(int32(x), int(y))
 		default:
 			return nil, fail("unknown directive")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("webgraph: reading text graph: %w", err)
 	}
-	g := b.Build()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Binary format, version 1 (streamed)
-//
-// magic "P2PRGRPH" | u64 version | u64 sites | u64 pages | u64 links |
-// site table (u16 len + bytes each) | SiteOf | LocalID | ExtOut |
-// OutPtr | OutDst, all little-endian fixed width. Reading is
-// O(pages + links); the version-2 layout in mapped.go shares the magic
-// and opens in O(1) via mmap.
-
-const (
-	binaryMagic   = "P2PRGRPH"
-	binaryVersion = 1
-)
-
-// WriteBinary writes g in the version-1 streamed binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := []uint64{binaryVersion, uint64(g.NumSites()), uint64(g.NumPages()), uint64(len(g.outDst))}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, host := range g.sites {
-		if len(host) > 1<<16-1 {
-			return fmt.Errorf("webgraph: hostname too long (%d bytes)", len(host))
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(host))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(host); err != nil {
-			return err
-		}
-	}
-	for _, arr := range [][]int32{g.siteOf, g.localID, g.extOut} {
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outPtr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outDst); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readChunkCap bounds how much a single binary.Read allocates up
-// front, so a corrupt header claiming 2³¹ pages fails with a short
-// read instead of a multi-GB allocation.
-const readChunkCap = 1 << 20
-
-func readI32s(br io.Reader, count uint64, what string) ([]int32, error) {
-	out := make([]int32, 0, min64(count, readChunkCap))
-	for count > 0 {
-		n := min64(count, readChunkCap)
-		chunk := make([]int32, n)
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("webgraph: reading %s: %w", what, err)
-		}
-		out = append(out, chunk...)
-		count -= n
-	}
-	return out, nil
-}
-
-func readI64s(br io.Reader, count uint64, what string) ([]int64, error) {
-	out := make([]int64, 0, min64(count, readChunkCap))
-	for count > 0 {
-		n := min64(count, readChunkCap)
-		chunk := make([]int64, n)
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("webgraph: reading %s: %w", what, err)
-		}
-		out = append(out, chunk...)
-		count -= n
-	}
-	return out, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ReadBinary parses the version-1 binary format and validates the
-// result.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("webgraph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("webgraph: bad magic %q", magic)
-	}
-	var version, sites, pages, links uint64
-	for _, p := range []*uint64{&version, &sites, &pages, &links} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("webgraph: reading header: %w", err)
-		}
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("webgraph: unsupported version %d", version)
-	}
-	const maxDim = 1 << 31
-	if sites > maxDim || pages > maxDim || links > 1<<40 {
-		return nil, fmt.Errorf("webgraph: implausible header (sites=%d pages=%d links=%d)", sites, pages, links)
-	}
-	// Grow the site table as entries actually arrive (each costs ≥2
-	// stream bytes) rather than trusting the header count up front —
-	// same reasoning as readChunkCap below.
-	g := &Graph{sites: make([]string, 0, min64(sites, readChunkCap))}
-	for i := uint64(0); i < sites; i++ {
-		var n uint16
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("webgraph: reading site table: %w", err)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("webgraph: reading site name: %w", err)
-		}
-		g.sites = append(g.sites, string(buf))
-	}
-	var err error
-	if g.siteOf, err = readI32s(br, pages, "page arrays"); err != nil {
-		return nil, err
-	}
-	if g.localID, err = readI32s(br, pages, "page arrays"); err != nil {
-		return nil, err
-	}
-	if g.extOut, err = readI32s(br, pages, "page arrays"); err != nil {
-		return nil, err
-	}
-	if g.outPtr, err = readI64s(br, pages+1, "OutPtr"); err != nil {
-		return nil, err
-	}
-	if g.outDst, err = readI32s(br, links, "OutDst"); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g.seal(), nil
+	return b.Build(), nil
 }

@@ -2,17 +2,17 @@ package webgraph
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"unsafe"
 )
 
-// On-disk binary format, version 2 ("mapped" format)
-//
-// Version 1 (io.go) streams the arrays through binary.Read, so opening
-// a crawl costs O(pages + links) time and RAM. Version 2 lays the same
-// arrays out so a reader can point at them in place:
+// On-disk binary format, version 2 — the only binary format. The
+// arrays are laid out so a reader can point at them in place:
 //
 //	offset  size  field
 //	0       8     magic "P2PRGRPH"
@@ -21,7 +21,7 @@ import (
 //	24      8     u64 pages
 //	32      8     u64 internal links
 //	40      8     u64 external links (cached sum of ExtOut)
-//	48      8     u64 fingerprint (see Store.Fingerprint)
+//	48      8     u64 fingerprint (see Graph.Fingerprint)
 //	56      8     u64 section count = 7
 //	64      7×24  section table: {u32 kind, u32 elemSize, u64 off, u64 count}
 //	232     ...   section payloads, each 8-byte aligned, zero-padded
@@ -32,19 +32,21 @@ import (
 // OutDst (i32 × links). Everything is little-endian fixed width, so on
 // a little-endian host every array section can be aliased directly over
 // the mapped bytes; big-endian or misaligned inputs fall back to a
-// decode copy. The writer is a single pass: the layout (and the
-// fingerprint, cached on every Store) is known up front, so sections
+// decode copy. The writer is a single pass: the layout is a function of
+// the counts and the fingerprint is cached on every Graph, so sections
 // stream out in order with no backpatching.
 const (
+	binaryMagic    = "P2PRGRPH"
 	mappedVersion  = 2
 	mappedSections = 7
 	// mappedHeaderLen covers the fixed header plus the section table.
 	mappedHeaderLen = 64 + mappedSections*24
 )
 
-// Section kinds, in required file order.
+// Section indices, in required file order; the kind a section's table
+// entry carries is its index plus one.
 const (
-	secSiteOff uint32 = iota + 1
+	secSiteOff = iota
 	secSiteBlob
 	secSiteOf
 	secLocalID
@@ -53,14 +55,23 @@ const (
 	secOutDst
 )
 
-var sectionNames = [...]string{
-	secSiteOff:  "site-offsets",
-	secSiteBlob: "site-names",
-	secSiteOf:   "site-of",
-	secLocalID:  "local-id",
-	secExtOut:   "ext-out",
-	secOutPtr:   "out-ptr",
-	secOutDst:   "out-dst",
+var sectionSpec = [mappedSections]struct {
+	name     string
+	elemSize uint64
+}{
+	secSiteOff:  {"site-offsets", 4},
+	secSiteBlob: {"site-names", 1},
+	secSiteOf:   {"site-of", 4},
+	secLocalID:  {"local-id", 4},
+	secExtOut:   {"ext-out", 4},
+	secOutPtr:   {"out-ptr", 8},
+	secOutDst:   {"out-dst", 4},
+}
+
+// sectionCounts is the element count of every section for a graph of
+// the given shape (blob is the total length of the site names).
+func sectionCounts(sites, blob, pages, links uint64) [mappedSections]uint64 {
+	return [mappedSections]uint64{sites + 1, blob, pages, pages, pages, pages + 1, links}
 }
 
 // SectionInfo describes one section of the version-2 layout for a
@@ -72,256 +83,186 @@ type SectionInfo struct {
 }
 
 type sectionDesc struct {
-	kind     uint32
-	elemSize uint32
-	off      uint64
-	count    uint64
+	off   uint64
+	count uint64
+	bytes uint64
 }
-
-func (d sectionDesc) bytes() uint64 { return d.count * uint64(d.elemSize) }
 
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
-// mappedLayout computes the section table for s and the total file
+// mappedLayout computes the section table for g and the total file
 // size in bytes.
-func mappedLayout(s Store) ([mappedSections]sectionDesc, uint64) {
-	sites := uint64(s.NumSites())
-	pages := uint64(s.NumPages())
-	links := uint64(s.NumInternalLinks())
+func mappedLayout(g *Graph) ([mappedSections]sectionDesc, uint64) {
 	var blob uint64
-	for i := 0; i < int(sites); i++ {
-		blob += uint64(len(s.SiteHost(int32(i))))
+	for _, host := range g.sites {
+		blob += uint64(len(host))
 	}
-	descs := [mappedSections]sectionDesc{
-		{kind: secSiteOff, elemSize: 4, count: sites + 1},
-		{kind: secSiteBlob, elemSize: 1, count: blob},
-		{kind: secSiteOf, elemSize: 4, count: pages},
-		{kind: secLocalID, elemSize: 4, count: pages},
-		{kind: secExtOut, elemSize: 4, count: pages},
-		{kind: secOutPtr, elemSize: 8, count: pages + 1},
-		{kind: secOutDst, elemSize: 4, count: links},
-	}
+	counts := sectionCounts(uint64(len(g.sites)), blob, uint64(len(g.siteOf)), uint64(len(g.outDst)))
+	var descs [mappedSections]sectionDesc
 	off := uint64(mappedHeaderLen)
-	for i := range descs {
-		off = align8(off)
-		descs[i].off = off
-		off += descs[i].bytes()
+	for i, count := range counts {
+		descs[i] = sectionDesc{off: off, count: count, bytes: count * sectionSpec[i].elemSize}
+		off = align8(off + descs[i].bytes)
 	}
-	return descs, align8(off)
+	return descs, off
 }
 
 // MappedLayout reports the version-2 section sizes the graph would
 // occupy on disk and the total file size including header and padding.
-func MappedLayout(s Store) ([]SectionInfo, int64) {
-	descs, total := mappedLayout(s)
+func MappedLayout(g *Graph) ([]SectionInfo, int64) {
+	descs, total := mappedLayout(g)
 	infos := make([]SectionInfo, len(descs))
 	for i, d := range descs {
-		infos[i] = SectionInfo{
-			Name:  sectionNames[d.kind],
-			Count: int64(d.count),
-			Bytes: int64(d.bytes()),
-		}
+		infos[i] = SectionInfo{Name: sectionSpec[i].name, Count: int64(d.count), Bytes: int64(d.bytes)}
 	}
 	return infos, int64(total)
 }
 
-// WriteMapped writes s in the version-2 binary format in a single
-// pass. The result opens in O(1) via OpenMapped.
-func WriteMapped(w io.Writer, s Store) error {
-	descs, _ := mappedLayout(s)
+// WriteMapped writes g in the version-2 binary format in a single
+// pass: the header, the section table, then the arrays as they are —
+// so a graph that is itself backed by a file serialises with no
+// intermediate copy. The result opens in O(1) via OpenMapped.
+func WriteMapped(w io.Writer, g *Graph) error {
+	// A bufio.Writer keeps its first error and Flush reports it, so the
+	// individual writes go unchecked.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var scratch [4096]byte
-	pos := uint64(0)
-	emit := func(b []byte) error {
-		_, err := bw.Write(b)
-		pos += uint64(len(b))
-		return err
+	var b [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		bw.Write(b[:])
 	}
-	w64 := func(v uint64) error {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		return emit(b[:])
+	u32 := func(v uint32) {
+		binary.LittleEndian.PutUint32(b[:4], v)
+		bw.Write(b[:4])
 	}
-	padTo := func(off uint64) error {
-		if pos > off {
-			return fmt.Errorf("webgraph: mapped writer overran section layout (%d > %d)", pos, off)
-		}
-		for pos < off {
-			n := off - pos
-			if n > uint64(len(scratch)) {
-				n = uint64(len(scratch))
-			}
-			for i := uint64(0); i < n; i++ {
-				scratch[i] = 0
-			}
-			if err := emit(scratch[:n]); err != nil {
-				return err
-			}
-		}
-		return nil
+	descs, _ := mappedLayout(g)
+	// endSection zero-pads section sec to the 8-byte boundary the next
+	// one starts on.
+	endSection := func(sec int) {
+		var zero [8]byte
+		bw.Write(zero[:align8(descs[sec].bytes)-descs[sec].bytes])
 	}
-	// i32s/i64s stream count little-endian values produced by at(i).
-	i32s := func(count uint64, at func(i int) int32) error {
-		n := 0
-		for i := uint64(0); i < count; i++ {
-			if n+4 > len(scratch) {
-				if err := emit(scratch[:n]); err != nil {
-					return err
-				}
-				n = 0
-			}
-			v := uint32(at(int(i)))
-			scratch[n] = byte(v)
-			scratch[n+1] = byte(v >> 8)
-			scratch[n+2] = byte(v >> 16)
-			scratch[n+3] = byte(v >> 24)
-			n += 4
+	i32s := func(sec int, arr []int32) {
+		for _, v := range arr {
+			u32(uint32(v))
 		}
-		return emit(scratch[:n])
+		endSection(sec)
 	}
 
-	if err := emit([]byte(binaryMagic)); err != nil {
-		return err
-	}
-	hdr := []uint64{
+	bw.WriteString(binaryMagic)
+	for _, v := range []uint64{
 		mappedVersion,
-		uint64(s.NumSites()),
-		uint64(s.NumPages()),
-		uint64(s.NumInternalLinks()),
-		uint64(s.NumExternalLinks()),
-		s.Fingerprint(),
+		uint64(len(g.sites)), uint64(len(g.siteOf)), uint64(len(g.outDst)),
+		uint64(g.extLinks), g.fp,
 		mappedSections,
+	} {
+		u64(v)
 	}
-	for _, v := range hdr {
-		if err := w64(v); err != nil {
-			return err
-		}
-	}
-	for _, d := range descs {
-		var b [8]byte
-		for i := 0; i < 4; i++ {
-			b[i] = byte(d.kind >> (8 * i))
-			b[4+i] = byte(d.elemSize >> (8 * i))
-		}
-		if err := emit(b[:]); err != nil {
-			return err
-		}
-		if err := w64(d.off); err != nil {
-			return err
-		}
-		if err := w64(d.count); err != nil {
-			return err
-		}
+	for i, d := range descs {
+		u32(uint32(i) + 1)
+		u32(uint32(sectionSpec[i].elemSize))
+		u64(d.off)
+		u64(d.count)
 	}
 
-	nSites := s.NumSites()
-	nPages := s.NumPages()
-	for _, d := range descs {
-		if err := padTo(d.off); err != nil {
-			return err
-		}
-		var err error
-		switch d.kind {
-		case secSiteOff:
-			var cum uint32
-			err = i32s(d.count, func(i int) int32 {
-				if i > 0 {
-					cum += uint32(len(s.SiteHost(int32(i - 1))))
-				}
-				return int32(cum)
-			})
-		case secSiteBlob:
-			for i := 0; i < nSites && err == nil; i++ {
-				err = emit([]byte(s.SiteHost(int32(i))))
-			}
-		case secSiteOf:
-			err = i32s(d.count, func(i int) int32 { return s.SiteOf(int32(i)) })
-		case secLocalID:
-			err = i32s(d.count, func(i int) int32 { return s.LocalID(int32(i)) })
-		case secExtOut:
-			err = i32s(d.count, func(i int) int32 { return s.ExtOut(int32(i)) })
-		case secOutPtr:
-			var off int64
-			for i := uint64(0); i < d.count && err == nil; i++ {
-				err = w64(uint64(off))
-				if i < d.count-1 {
-					off += int64(len(s.InternalOut(int32(i))))
-				}
-			}
-		case secOutDst:
-			for p := 0; p < nPages && err == nil; p++ {
-				out := s.InternalOut(int32(p))
-				err = i32s(uint64(len(out)), func(i int) int32 { return out[i] })
-			}
-		}
-		if err != nil {
-			return err
-		}
+	var cum uint32
+	u32(cum)
+	for _, host := range g.sites {
+		cum += uint32(len(host))
+		u32(cum)
 	}
-	_, total := mappedLayout(s)
-	if err := padTo(total); err != nil {
-		return err
+	endSection(secSiteOff)
+	for _, host := range g.sites {
+		bw.WriteString(host)
 	}
+	endSection(secSiteBlob)
+	i32s(secSiteOf, g.siteOf)
+	i32s(secLocalID, g.localID)
+	i32s(secExtOut, g.extOut)
+	for _, v := range g.outPtr {
+		u64(uint64(v))
+	}
+	i32s(secOutDst, g.outDst)
 	return bw.Flush()
 }
 
-// WriteMappedFile writes s at path in the version-2 format.
-func WriteMappedFile(path string, s Store) error {
+// WriteMappedFile writes g at path in the version-2 format.
+func WriteMappedFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteMapped(f, s); err != nil {
+	if err := WriteMapped(f, g); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// Mapped is a read-only Store over a version-2 binary graph whose
-// arrays alias the underlying (usually memory-mapped) bytes: opening
-// is O(1) in the graph size and pages fault in on demand. Slices
-// returned by InternalOut borrow the mapping and die with Close.
-type Mapped struct {
-	data  []byte
-	unmap func() error
-
-	sites   []string // decoded eagerly: O(sites), sites ≪ pages
-	siteOf  []int32
-	localID []int32
-	extOut  []int32
-	outPtr  []int64
-	outDst  []int32
-
-	extLinks int64
-	fp       uint64
-}
-
-// OpenMapped memory-maps the version-2 graph at path. Only the header,
-// section table, and site-name table are touched, so opening a
-// multi-million-page graph costs O(sites), not O(pages + links); run
-// Validate for a full structural check. Callers must Close the result
-// when done with it and with every slice borrowed from it.
-func OpenMapped(path string) (*Mapped, error) {
+// Open opens the crawl file at path — the one entry point for files a
+// user hands in. A file that starts with the binary magic is
+// memory-mapped and fully validated, so a corrupt or truncated file is
+// an error here and not a panic in whatever reads the graph later;
+// anything else is parsed as the text format. Close the result when
+// done with it.
+func Open(path string) (*Graph, error) {
 	data, unmap, err := mmapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := parseMapped(data, unmap)
+	var g *Graph
+	switch {
+	case len(data) == 0:
+		err = errors.New("webgraph: empty graph file")
+	case !bytes.HasPrefix(data, []byte(binaryMagic)):
+		g, err = ReadText(bytes.NewReader(data))
+	default:
+		if g, err = parseMapped(data); err == nil {
+			if err = g.Validate(); err == nil {
+				g.unmap = unmap
+				return g, nil
+			}
+		}
+	}
+	// Nothing keeps the bytes: a text graph was parsed onto the heap.
+	unmap()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
+}
+
+// OpenMapped memory-maps the version-2 graph at path without reading
+// its arrays: only the header, section table and site-name table are
+// touched, so opening a multi-million-page graph costs O(sites), not
+// O(pages + links). It is for a file the caller has just written; a
+// file from anywhere else goes through Open, which also runs Validate.
+// Callers must Close the result when done with it and with every slice
+// borrowed from it.
+func OpenMapped(path string) (*Graph, error) {
+	data, unmap, err := mmapFile(path)
+	if err != nil {
+		return nil, err
+	}
+	g, err := parseMapped(data)
 	if err != nil {
 		unmap()
 		return nil, err
 	}
-	return m, nil
+	g.unmap = unmap
+	return g, nil
 }
 
 // MappedFromBytes parses a version-2 graph already held in memory
-// (tests, fuzzing). The store aliases data where alignment allows;
-// data must not be mutated while the store is in use.
-func MappedFromBytes(data []byte) (*Mapped, error) {
-	return parseMapped(data, nil)
+// (tests, fuzzing). The graph aliases data where alignment allows;
+// data must not be mutated while the graph is in use.
+func MappedFromBytes(data []byte) (*Graph, error) {
+	g, err := parseMapped(data)
+	if err != nil {
+		return nil, err
+	}
+	g.unmap = func() error { return nil }
+	return g, nil
 }
 
 var hostLittleEndian = func() bool {
@@ -341,8 +282,7 @@ func aliasI32(data []byte, off, count uint64) []int32 {
 	}
 	out := make([]int32, count)
 	for i := range out {
-		b := data[off+uint64(i)*4:]
-		out[i] = int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+		out[i] = int32(binary.LittleEndian.Uint32(data[off+uint64(i)*4:]))
 	}
 	return out
 }
@@ -356,233 +296,94 @@ func aliasI64(data []byte, off, count uint64) []int64 {
 	}
 	out := make([]int64, count)
 	for i := range out {
-		b := data[off+uint64(i)*8:]
-		out[i] = int64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
+		out[i] = int64(binary.LittleEndian.Uint64(data[off+uint64(i)*8:]))
 	}
 	return out
-}
-
-func readU64(data []byte, off int) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(data[off+i]) << (8 * i)
-	}
-	return v
-}
-
-func readU32(data []byte, off int) uint32 {
-	return uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24
 }
 
 // parseMapped checks the header and section table (O(1)) plus the site
 // table (O(sites)), then aliases the arrays. It never reads the page
 // or link sections, so corrupt payloads surface in Validate, not here.
-func parseMapped(data []byte, unmap func() error) (*Mapped, error) {
-	if len(data) < mappedHeaderLen {
+func parseMapped(data []byte) (*Graph, error) {
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(data[off:]) }
+	// A foreign or old-format file says so, however short it is.
+	switch {
+	case len(data) >= 8 && string(data[:8]) != binaryMagic:
+		return nil, fmt.Errorf("webgraph: mapped: bad magic %q", data[:8])
+	case len(data) >= 16 && u64(8) != mappedVersion:
+		return nil, fmt.Errorf("webgraph: mapped: unsupported format version %d (only version %d is read)", u64(8), mappedVersion)
+	case len(data) < mappedHeaderLen:
 		return nil, fmt.Errorf("webgraph: mapped: truncated header (%d bytes, need %d)", len(data), mappedHeaderLen)
 	}
-	if string(data[:8]) != binaryMagic {
-		return nil, fmt.Errorf("webgraph: mapped: bad magic %q", data[:8])
-	}
-	version := readU64(data, 8)
-	if version != mappedVersion {
-		return nil, fmt.Errorf("webgraph: mapped: unsupported version %d (want %d; version-1 files go through ReadBinary)", version, mappedVersion)
-	}
-	sites := readU64(data, 16)
-	pages := readU64(data, 24)
-	links := readU64(data, 32)
-	extLinks := readU64(data, 40)
-	fp := readU64(data, 48)
-	nsec := readU64(data, 56)
+	sites, pages, links := u64(16), u64(24), u64(32)
 	const maxDim = 1 << 31
 	if sites > maxDim || pages > maxDim || links > 1<<40 {
 		return nil, fmt.Errorf("webgraph: mapped: implausible header (sites=%d pages=%d links=%d)", sites, pages, links)
 	}
-	if nsec != mappedSections {
+	if nsec := u64(56); nsec != mappedSections {
 		return nil, fmt.Errorf("webgraph: mapped: section count %d, want %d", nsec, mappedSections)
 	}
 
-	wantCount := map[uint32]uint64{
-		secSiteOf:  pages,
-		secLocalID: pages,
-		secExtOut:  pages,
-		secOutPtr:  pages + 1,
-		secOutDst:  links,
-		secSiteOff: sites + 1,
-		// secSiteBlob count is free-form; validated against the offset
-		// table below.
-	}
-	wantElem := map[uint32]uint32{
-		secSiteOff: 4, secSiteBlob: 1, secSiteOf: 4, secLocalID: 4,
-		secExtOut: 4, secOutPtr: 8, secOutDst: 4,
-	}
-	var descs [mappedSections]sectionDesc
-	for i := 0; i < mappedSections; i++ {
+	// The name blob's length is the one count the header does not
+	// imply; it is checked against the offset table below.
+	want := sectionCounts(sites, u64(64+secSiteBlob*24+16), pages, links)
+	var offs [mappedSections]uint64
+	for i, spec := range sectionSpec {
 		base := 64 + i*24
-		d := sectionDesc{
-			kind:     readU32(data, base),
-			elemSize: readU32(data, base+4),
-			off:      readU64(data, base+8),
-			count:    readU64(data, base+16),
+		kind := binary.LittleEndian.Uint32(data[base:])
+		elemSize := binary.LittleEndian.Uint32(data[base+4:])
+		off, count := u64(base+8), u64(base+16)
+		if kind != uint32(i)+1 {
+			return nil, fmt.Errorf("webgraph: mapped: section %d has kind %d, want %d", i, kind, i+1)
 		}
-		if d.kind != uint32(i)+1 {
-			return nil, fmt.Errorf("webgraph: mapped: section %d has kind %d, want %d", i, d.kind, i+1)
+		if uint64(elemSize) != spec.elemSize {
+			return nil, fmt.Errorf("webgraph: mapped: section %s has element size %d, want %d", spec.name, elemSize, spec.elemSize)
 		}
-		if d.elemSize != wantElem[d.kind] {
-			return nil, fmt.Errorf("webgraph: mapped: section %s has element size %d, want %d",
-				sectionNames[d.kind], d.elemSize, wantElem[d.kind])
+		if count != want[i] {
+			return nil, fmt.Errorf("webgraph: mapped: section %s has %d elements, header implies %d", spec.name, count, want[i])
 		}
-		if want, ok := wantCount[d.kind]; ok && d.count != want {
-			return nil, fmt.Errorf("webgraph: mapped: section %s has %d elements, header implies %d",
-				sectionNames[d.kind], d.count, want)
+		if off%8 != 0 {
+			return nil, fmt.Errorf("webgraph: mapped: section %s offset %d not 8-byte aligned", spec.name, off)
 		}
-		if d.off%8 != 0 {
-			return nil, fmt.Errorf("webgraph: mapped: section %s offset %d not 8-byte aligned", sectionNames[d.kind], d.off)
+		size := count * spec.elemSize
+		if off < mappedHeaderLen || size > uint64(len(data)) || off > uint64(len(data))-size {
+			return nil, fmt.Errorf("webgraph: mapped: section %s [%d,+%d) outside file of %d bytes", spec.name, off, size, len(data))
 		}
-		if d.off < mappedHeaderLen || d.bytes() > uint64(len(data)) || d.off > uint64(len(data))-d.bytes() {
-			return nil, fmt.Errorf("webgraph: mapped: section %s [%d,+%d) outside file of %d bytes",
-				sectionNames[d.kind], d.off, d.bytes(), len(data))
-		}
-		descs[i] = d
+		offs[i] = off
 	}
 
 	// Decode the site-name table eagerly.
-	siteOff := aliasI32(data, descs[0].off, descs[0].count)
-	blob := descs[1]
+	siteOff := aliasI32(data, offs[secSiteOff], sites+1)
+	blob := string(data[offs[secSiteBlob]:][:want[secSiteBlob]])
 	names := make([]string, sites)
 	prev := int32(0)
 	for i := range names {
 		lo, hi := siteOff[i], siteOff[i+1]
-		if lo != prev || hi < lo || uint64(hi) > blob.count {
+		if lo != prev || hi < lo || int(hi) > len(blob) {
 			return nil, fmt.Errorf("webgraph: mapped: site-name offsets corrupt at site %d", i)
 		}
-		names[i] = string(data[blob.off+uint64(lo) : blob.off+uint64(hi)])
+		names[i] = blob[lo:hi]
 		prev = hi
 	}
-	if uint64(prev) != blob.count {
-		return nil, fmt.Errorf("webgraph: mapped: site-name blob has %d bytes, offsets cover %d", blob.count, prev)
+	if int(prev) != len(blob) {
+		return nil, fmt.Errorf("webgraph: mapped: site-name blob has %d bytes, offsets cover %d", len(blob), prev)
 	}
 
-	m := &Mapped{
-		data:     data,
-		unmap:    unmap,
+	g := &Graph{
 		sites:    names,
-		siteOf:   aliasI32(data, descs[2].off, descs[2].count),
-		localID:  aliasI32(data, descs[3].off, descs[3].count),
-		extOut:   aliasI32(data, descs[4].off, descs[4].count),
-		outPtr:   aliasI64(data, descs[5].off, descs[5].count),
-		outDst:   aliasI32(data, descs[6].off, descs[6].count),
-		extLinks: int64(extLinks),
-		fp:       fp,
+		siteOf:   aliasI32(data, offs[secSiteOf], pages),
+		localID:  aliasI32(data, offs[secLocalID], pages),
+		extOut:   aliasI32(data, offs[secExtOut], pages),
+		outPtr:   aliasI64(data, offs[secOutPtr], pages+1),
+		outDst:   aliasI32(data, offs[secOutDst], links),
+		extLinks: int64(u64(40)),
+		fp:       u64(48),
 	}
 	// O(1) endpoint sanity so OutDegree/InternalOut can trust the CSR
 	// bounds. Full monotonicity is Validate's job.
-	if pages > 0 && (m.outPtr[0] != 0 || m.outPtr[pages] != int64(links)) {
+	if g.outPtr[0] != 0 || g.outPtr[pages] != int64(links) {
 		return nil, fmt.Errorf("webgraph: mapped: OutPtr endpoints [%d,%d] disagree with %d links",
-			m.outPtr[0], m.outPtr[pages], links)
+			g.outPtr[0], g.outPtr[pages], links)
 	}
-	return m, nil
-}
-
-// Close releases the mapping. Every slice borrowed from the store
-// (InternalOut results, most of all) is invalid afterwards.
-func (m *Mapped) Close() error {
-	m.siteOf, m.localID, m.extOut, m.outPtr, m.outDst = nil, nil, nil, nil, nil
-	m.data = nil
-	if m.unmap == nil {
-		return nil
-	}
-	u := m.unmap
-	m.unmap = nil
-	return u()
-}
-
-// NumPages returns the number of pages in the graph.
-func (m *Mapped) NumPages() int { return len(m.siteOf) }
-
-// NumSites returns the number of sites in the graph.
-func (m *Mapped) NumSites() int { return len(m.sites) }
-
-// NumInternalLinks returns the number of links inside the crawl.
-func (m *Mapped) NumInternalLinks() int64 { return int64(len(m.outDst)) }
-
-// NumExternalLinks returns the header's cached external-link sum.
-func (m *Mapped) NumExternalLinks() int64 { return m.extLinks }
-
-// OutDegree returns d(u), counting internal and external links.
-//
-//p2plint:hotpath
-func (m *Mapped) OutDegree(u int32) int {
-	return int(m.outPtr[u+1]-m.outPtr[u]) + int(m.extOut[u])
-}
-
-// InternalOut returns page u's internal out-neighbours as a slice
-// borrowing the mapping; it must not be modified and dies with Close.
-//
-//p2plint:hotpath
-func (m *Mapped) InternalOut(u int32) []int32 {
-	return m.outDst[m.outPtr[u]:m.outPtr[u+1]]
-}
-
-// ExtOut returns the number of external out-links of page u.
-//
-//p2plint:hotpath
-func (m *Mapped) ExtOut(u int32) int32 { return m.extOut[u] }
-
-// SiteOf returns the site ID of page p.
-func (m *Mapped) SiteOf(p int32) int32 { return m.siteOf[p] }
-
-// LocalID returns page p's ordinal within its site.
-func (m *Mapped) LocalID(p int32) int32 { return m.localID[p] }
-
-// SiteHost returns the hostname of site s.
-func (m *Mapped) SiteHost(s int32) string { return m.sites[s] }
-
-// URL returns the canonical URL of page p.
-func (m *Mapped) URL(p int32) string {
-	var buf [64]byte
-	return string(AppendURL(buf[:0], m, p))
-}
-
-// SiteName returns the hostname of page p's site.
-func (m *Mapped) SiteName(p int32) string { return m.sites[m.siteOf[p]] }
-
-// Fingerprint returns the fingerprint recorded in the file header.
-// Validate recomputes it from the payload.
-func (m *Mapped) Fingerprint() uint64 { return m.fp }
-
-// Validate walks the whole file: structural invariants (monotone CSR
-// pointers, in-range IDs), the cached external-link sum, and the
-// header fingerprint against a recomputation from the payload.
-// O(pages + links) — the price OpenMapped deliberately skips.
-func (m *Mapped) Validate() error {
-	n := m.NumPages()
-	for i := 0; i < n; i++ {
-		if m.outPtr[i] > m.outPtr[i+1] {
-			return fmt.Errorf("webgraph: mapped: OutPtr not monotone at page %d", i)
-		}
-		if s := m.siteOf[i]; s < 0 || int(s) >= len(m.sites) {
-			return fmt.Errorf("webgraph: mapped: page %d has invalid site %d", i, s)
-		}
-		if m.extOut[i] < 0 {
-			return fmt.Errorf("webgraph: mapped: page %d has negative external count", i)
-		}
-	}
-	for k, d := range m.outDst {
-		if d < 0 || int(d) >= n {
-			return fmt.Errorf("webgraph: mapped: edge %d targets invalid page %d", k, d)
-		}
-	}
-	var ext int64
-	for _, c := range m.extOut {
-		ext += int64(c)
-	}
-	if ext != m.extLinks {
-		return fmt.Errorf("webgraph: mapped: header external-link count %d, payload sums to %d", m.extLinks, ext)
-	}
-	if got := FingerprintOf(m); got != m.fp {
-		return fmt.Errorf("webgraph: mapped: header fingerprint %#x, payload hashes to %#x", m.fp, got)
-	}
-	return nil
+	return g, nil
 }

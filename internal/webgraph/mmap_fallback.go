@@ -5,7 +5,7 @@ package webgraph
 import "os"
 
 // mmapFile on platforms without syscall.Mmap reads the whole file into
-// memory: the Mapped store still works, it just loses the O(1) open
+// memory: a file-backed Graph still works, it just loses the O(1) open
 // and demand paging.
 func mmapFile(path string) ([]byte, func() error, error) {
 	data, err := os.ReadFile(path)

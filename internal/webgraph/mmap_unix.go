@@ -11,7 +11,7 @@ import (
 // mmapFile maps path read-only and returns the bytes plus a release
 // function. Loading is O(1) in the file size: pages fault in as the
 // arrays are touched, and the OS may drop clean pages under memory
-// pressure, which is the whole point of the mapped store.
+// pressure, which is the whole point of mapping the file.
 func mmapFile(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -53,10 +53,8 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// ComputeStats scans the graph once and returns its Stats. It
-// streams over InternalOut windows, so it works unchanged on a Mapped
-// store without materializing anything.
-func ComputeStats(g Store) Stats {
+// ComputeStats scans the graph once and returns its Stats.
+func ComputeStats(g *Graph) Stats {
 	s := Stats{
 		Pages:         g.NumPages(),
 		Sites:         g.NumSites(),
@@ -85,15 +83,4 @@ func ComputeStats(g Store) Stats {
 		s.MeanOutDegree = float64(degSum) / float64(s.Pages)
 	}
 	return s
-}
-
-// InDegrees returns the internal in-degree of every page.
-func InDegrees(g Store) []int32 {
-	in := make([]int32, g.NumPages())
-	for p := 0; p < g.NumPages(); p++ {
-		for _, v := range g.InternalOut(int32(p)) {
-			in[v]++
-		}
-	}
-	return in
 }
