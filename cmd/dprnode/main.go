@@ -125,9 +125,9 @@ func main() {
 
 	// -obs: one live collector shared by every ranker this process
 	// hosts, served over HTTP and dumpable via SIGQUIT.
-	var col *telemetry.LiveCollector
+	var col *telemetry.Collector
 	if *obsAddr != "" {
-		col = telemetry.NewLiveCollector(*k)
+		col = telemetry.NewCollector(*k)
 		srv, err := telemetry.Serve(*obsAddr, col)
 		if err != nil {
 			fatal(err)
@@ -169,7 +169,7 @@ func main() {
 	runPeer(*graphPath, *k, *index, *listen, *peersFlag, params, *seed, indirect, wire)
 }
 
-func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.LiveCollector, store *serve.Store, srvAddr string, qps, topk int) {
+func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.Collector, store *serve.Store, srvAddr string, qps, topk int) {
 	g, err := core.GenerateCrawl(pages, seed)
 	if err != nil {
 		fatal(err)
@@ -234,12 +234,8 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 // -fault injects partitions or stragglers, the frontend shares the
 // peers' lattice so its fan-outs route around the cut. The returned
 // func stops all of it and reports the load generator's storm.
-func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.Store, col *telemetry.LiveCollector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func() serve.StormStats, error) {
-	var tel serve.Telemetry
-	if col != nil {
-		tel = col
-	}
-	store.SetTelemetry(tel)
+func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.Store, col *telemetry.Collector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func() serve.StormStats, error) {
+	store.SetTelemetry(col)
 	// Same deterministic ranker IDs as StartCluster, so the overlay's
 	// hop accounting matches the cluster the shards live on.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)
@@ -272,6 +268,14 @@ func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.St
 	if err != nil {
 		return nil, err
 	}
+	if col != nil {
+		col.SetServing(func() telemetry.ServingStats {
+			d := fe.DegradeStats()
+			hits, misses := fe.CacheStats()
+			return telemetry.ServingStats{Shed: d.Shed, Hedged: d.Hedged, Degraded: d.Degraded,
+				CacheHits: hits, CacheMisses: misses}
+		})
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -300,7 +304,7 @@ func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.St
 			}
 		}
 	}()
-	srv := &http.Server{Handler: serve.NewHandler(fe, topk, tel).Mux()}
+	srv := &http.Server{Handler: serve.NewHandler(fe, topk, col).Mux()}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "dprnode: serve:", err)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -13,12 +14,12 @@ import (
 // `make chaos`: boot a demo cluster with the query tier on and a 40%
 // network partition injected for the first 8 seconds, and require the
 // frontend to keep answering 200s through the cut — degraded, with the
-// lost shard reported as coverage < 1 — then to recover full coverage
-// once the partition heals.
+// lost shard reported as coverage < 1 and counted on /metrics — then to
+// recover full coverage once the partition heals.
 func TestServeChaosPartitionDprnode(t *testing.T) {
 	cmd := exec.Command(filepath.Join(builtDir, "dprnode"),
 		"-demo", "-pages", "2500", "-k", "4", "-target", "1e-18",
-		"-serve", "127.0.0.1:0", "-topk", "5",
+		"-serve", "127.0.0.1:0", "-topk", "5", "-obs", "127.0.0.1:0",
 		"-fault", "partition=0.4,pfrom=0,pto=8000")
 	sb := &syncBuf{}
 	cmd.Stdout = sb
@@ -31,11 +32,14 @@ func TestServeChaosPartitionDprnode(t *testing.T) {
 		cmd.Wait()
 	}()
 
-	var serveBase string
+	var serveBase, obsBase string
 	deadline := time.Now().Add(15 * time.Second)
-	for serveBase == "" {
+	for serveBase == "" || obsBase == "" {
 		if m := serveURLRx.FindStringSubmatch(sb.String()); m != nil {
 			serveBase = m[1]
+		}
+		if m := obsURLRx.FindStringSubmatch(sb.String()); m != nil {
+			obsBase = m[1]
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("query tier never announced:\n%s", sb.String())
@@ -80,6 +84,12 @@ func TestServeChaosPartitionDprnode(t *testing.T) {
 			t.Fatalf("no degraded answer before the heal; last: %d\n%s", status, raw)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+
+	// What the client saw, the scrape counts.
+	if metrics := obsScrape(t, obsBase, "/metrics"); strings.Contains(metrics, "p2prank_degraded_answers_total 0\n") &&
+		strings.Contains(metrics, "p2prank_hedged_reads_total 0\n") {
+		t.Fatalf("degraded answers served, none counted on /metrics:\n%s", metrics)
 	}
 
 	// Phase 2, healed: the same query must climb back to full coverage.

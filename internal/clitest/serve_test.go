@@ -100,6 +100,17 @@ func TestServeSmokeDprnode(t *testing.T) {
 		if strings.Contains(metrics, "# TYPE p2prank_query_latency_seconds histogram") &&
 			strings.Contains(metrics, "p2prank_snapshot_publishes_total") &&
 			!strings.Contains(metrics, "p2prank_queries_total 0\n") {
+			// The tier's own counters are pulled into the same scrape;
+			// the load generator repeats four queries, so lookups miss.
+			for _, family := range []string{"queries_shed_total", "hedged_reads_total",
+				"degraded_answers_total", "query_cache_hits_total", "query_cache_misses_total"} {
+				if !strings.Contains(metrics, "# TYPE p2prank_"+family+" counter") {
+					t.Fatalf("%s absent from /metrics:\n%s", family, metrics)
+				}
+			}
+			if strings.Contains(metrics, "p2prank_query_cache_misses_total 0\n") {
+				t.Fatalf("cache counters not wired to the frontend:\n%s", metrics)
+			}
 			break
 		}
 		if time.Now().After(deadline) {

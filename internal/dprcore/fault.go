@@ -159,11 +159,23 @@ type FaultSender struct {
 	// simulator's virtual axis (built at t=0) and netpeer's wall clock.
 	epoch float64
 
-	dropped     atomic.Int64
-	delayed     atomic.Int64
-	duplicated  atomic.Int64
-	partitioned atomic.Int64
-	straggled   atomic.Int64
+	// counts is indexed by telemetry.FaultKind.
+	counts [telemetry.NumFaultKinds]atomic.Int64
+}
+
+// FaultStats counts the faults an injector applied.
+type FaultStats struct {
+	// Dropped is the number of chunks discarded outright.
+	Dropped int64
+	// Delayed is the number of chunks held back and re-injected later.
+	Delayed int64
+	// Duplicated is the number of chunks sent twice.
+	Duplicated int64
+	// Partitioned is the number of chunks blackholed by an active
+	// network partition.
+	Partitioned int64
+	// Straggled is the number of chunks straggler nodes held back.
+	Straggled int64
 }
 
 // dropRecorder is the probe a wrapped sender may implement to account
@@ -206,83 +218,68 @@ func (f *FaultSender) Observe(o telemetry.Observer) { f.obs = o }
 func (f *FaultSender) Send(from int, chunk transport.ScoreChunk) error {
 	if f.cfg.PartitionFrac > 0 && f.cfg.PartitionActiveAt(f.clock.Now()-f.epoch) &&
 		f.cfg.PartitionMinority(from) != f.cfg.PartitionMinority(int(chunk.DstGroup)) {
-		f.partitioned.Add(1)
-		if f.rec != nil {
-			f.rec.RecordFaultDrop(from)
-		}
-		if f.obs != nil {
-			f.obs.FaultInjected(from, telemetry.FaultPartition)
-		}
+		f.inject(from, telemetry.FaultPartition, true)
 		return nil
 	}
 	if f.cfg.StraggleFrac > 0 && f.cfg.Straggler(from) {
-		f.straggled.Add(1)
-		if f.obs != nil {
-			f.obs.FaultInjected(from, telemetry.FaultStraggle)
-		}
-		f.clock.After(f.cfg.StraggleFactor, func() {
-			// Same contract as the delay path: a held-back chunk that
-			// fails to send is simply lost.
-			if err := f.inner.Send(from, chunk); err != nil {
-				return
-			}
-			_ = f.inner.Flush(from) // best-effort: loss is tolerated
-		})
+		f.inject(from, telemetry.FaultStraggle, false)
+		f.sendAfter(f.cfg.StraggleFactor, from, chunk)
 		return nil
 	}
 	if f.cfg.DropProb > 0 && f.rng.Float64() < f.cfg.DropProb {
-		f.dropped.Add(1)
-		if f.rec != nil {
-			f.rec.RecordFaultDrop(from)
-		}
-		if f.obs != nil {
-			f.obs.FaultInjected(from, telemetry.FaultDrop)
-		}
+		f.inject(from, telemetry.FaultDrop, true)
 		return nil
 	}
 	if f.cfg.DelayProb > 0 && f.rng.Float64() < f.cfg.DelayProb {
-		f.delayed.Add(1)
-		if f.obs != nil {
-			f.obs.FaultInjected(from, telemetry.FaultDelay)
-		}
-		d := f.rng.Exp(f.cfg.MeanDelay)
-		f.clock.After(d, func() {
-			// A delayed chunk that fails to send is simply lost — the
-			// algorithms tolerate loss and fresher scores follow.
-			if err := f.inner.Send(from, chunk); err != nil {
-				return
-			}
-			_ = f.inner.Flush(from) // best-effort: loss is tolerated
-		})
+		f.inject(from, telemetry.FaultDelay, false)
+		f.sendAfter(f.rng.Exp(f.cfg.MeanDelay), from, chunk)
 		return nil
 	}
 	if err := f.inner.Send(from, chunk); err != nil {
 		return err
 	}
 	if f.cfg.DupProb > 0 && f.rng.Float64() < f.cfg.DupProb {
-		f.duplicated.Add(1)
-		if f.obs != nil {
-			f.obs.FaultInjected(from, telemetry.FaultDup)
-		}
+		f.inject(from, telemetry.FaultDup, false)
 		return f.inner.Send(from, chunk)
 	}
 	return nil
 }
 
+// inject counts one fault of kind on from's chunk and tells the
+// observer; lost says the chunk is gone for good, which the wrapped
+// sender's drop accounting also hears.
+func (f *FaultSender) inject(from int, kind telemetry.FaultKind, lost bool) {
+	f.counts[kind].Add(1)
+	if lost && f.rec != nil {
+		f.rec.RecordFaultDrop(from)
+	}
+	if f.obs != nil {
+		f.obs.FaultInjected(from, kind)
+	}
+}
+
+// sendAfter holds chunk back for d and then sends it. A held-back chunk
+// that fails to send is simply lost — the algorithms tolerate loss and
+// fresher scores follow.
+func (f *FaultSender) sendAfter(d float64, from int, chunk transport.ScoreChunk) {
+	f.clock.After(d, func() {
+		if err := f.inner.Send(from, chunk); err != nil {
+			return
+		}
+		_ = f.inner.Flush(from) // best-effort: loss is tolerated
+	})
+}
+
 // Flush forwards to the wrapped sender.
 func (f *FaultSender) Flush(from int) error { return f.inner.Flush(from) }
 
-// Dropped returns how many chunks were dropped.
-func (f *FaultSender) Dropped() int64 { return f.dropped.Load() }
-
-// Delayed returns how many chunks were delayed.
-func (f *FaultSender) Delayed() int64 { return f.delayed.Load() }
-
-// Duplicated returns how many chunks were duplicated.
-func (f *FaultSender) Duplicated() int64 { return f.duplicated.Load() }
-
-// Partitioned returns how many chunks the partition blackholed.
-func (f *FaultSender) Partitioned() int64 { return f.partitioned.Load() }
-
-// Straggled returns how many chunks straggler nodes held back.
-func (f *FaultSender) Straggled() int64 { return f.straggled.Load() }
+// Stats returns the injector's counters.
+func (f *FaultSender) Stats() FaultStats {
+	return FaultStats{
+		Dropped:     f.counts[telemetry.FaultDrop].Load(),
+		Delayed:     f.counts[telemetry.FaultDelay].Load(),
+		Duplicated:  f.counts[telemetry.FaultDup].Load(),
+		Partitioned: f.counts[telemetry.FaultPartition].Load(),
+		Straggled:   f.counts[telemetry.FaultStraggle].Load(),
+	}
+}

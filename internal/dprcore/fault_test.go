@@ -92,8 +92,8 @@ func TestFaultSenderDrops(t *testing.T) {
 	if err := fs.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != 0 || fs.Dropped() != 1 {
-		t.Fatalf("chunk not dropped: %d sends, %d dropped", len(inner.sends), fs.Dropped())
+	if len(inner.sends) != 0 || fs.Stats().Dropped != 1 {
+		t.Fatalf("chunk not dropped: %d sends, %d dropped", len(inner.sends), fs.Stats().Dropped)
 	}
 	// Flush still reaches the inner sender — drops are per chunk.
 	if err := fs.Flush(0); err != nil {
@@ -113,8 +113,8 @@ func TestFaultSenderDuplicates(t *testing.T) {
 	if err := fs.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != 2 || fs.Duplicated() != 1 {
-		t.Fatalf("got %d sends, %d duplicated, want 2 and 1", len(inner.sends), fs.Duplicated())
+	if len(inner.sends) != 2 || fs.Stats().Duplicated != 1 {
+		t.Fatalf("got %d sends, %d duplicated, want 2 and 1", len(inner.sends), fs.Stats().Duplicated)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestFaultSenderDelaysOnClock(t *testing.T) {
 	if err := fs.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != 0 || fs.Delayed() != 1 {
-		t.Fatalf("chunk not held back: %d sends, %d delayed", len(inner.sends), fs.Delayed())
+	if len(inner.sends) != 0 || fs.Stats().Delayed != 1 {
+		t.Fatalf("chunk not held back: %d sends, %d delayed", len(inner.sends), fs.Stats().Delayed)
 	}
 	clk.advance(6.9) // Exp draw is e·mean = 7
 	if len(inner.sends) != 0 {
@@ -156,7 +156,7 @@ func TestFaultSenderPassesThroughWhenLucky(t *testing.T) {
 	if len(inner.sends) != 1 {
 		t.Fatalf("got %d sends, want 1", len(inner.sends))
 	}
-	if fs.Dropped()+fs.Delayed()+fs.Duplicated() != 0 {
+	if fs.Stats() != (FaultStats{}) {
 		t.Fatal("fault counters moved on a clean pass")
 	}
 }
@@ -261,8 +261,8 @@ func TestFaultSenderPartitionBlackholesAndHeals(t *testing.T) {
 	if err := fs.Send(ma, chunk(int32(ma), int32(mi), 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != 1 || fs.Partitioned() != 2 {
-		t.Fatalf("partition leaked: %d sends, %d partitioned", len(inner.sends), fs.Partitioned())
+	if len(inner.sends) != 1 || fs.Stats().Partitioned != 2 {
+		t.Fatalf("partition leaked: %d sends, %d partitioned", len(inner.sends), fs.Stats().Partitioned)
 	}
 	// Same-side traffic is untouched during the partition.
 	mi2 := mi
@@ -300,8 +300,8 @@ func TestFaultSenderPartitionEpochRelative(t *testing.T) {
 	if err := fs.Send(mi, chunk(int32(mi), int32(ma), 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Partitioned() != 1 {
-		t.Fatalf("window not epoch-relative: partitioned=%d", fs.Partitioned())
+	if fs.Stats().Partitioned != 1 {
+		t.Fatalf("window not epoch-relative: partitioned=%d", fs.Stats().Partitioned)
 	}
 	clk.advance(1e6 + 10)
 	if err := fs.Send(mi, chunk(int32(mi), int32(ma), 2, 1.0)); err != nil {
@@ -338,8 +338,8 @@ func TestFaultSenderStragglerHoldsBack(t *testing.T) {
 	if err := fs.Send(slow, chunk(int32(slow), int32(fast), 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != 0 || fs.Straggled() != 1 {
-		t.Fatalf("straggler chunk not held: %d sends, %d straggled", len(inner.sends), fs.Straggled())
+	if len(inner.sends) != 0 || fs.Stats().Straggled != 1 {
+		t.Fatalf("straggler chunk not held: %d sends, %d straggled", len(inner.sends), fs.Stats().Straggled)
 	}
 	clk.advance(7.9)
 	if len(inner.sends) != 0 {
@@ -353,8 +353,8 @@ func TestFaultSenderStragglerHoldsBack(t *testing.T) {
 	if err := fs.Send(fast, chunk(int32(fast), int32(slow), 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != 2 || fs.Straggled() != 1 {
-		t.Fatalf("healthy node straggled: %d sends, %d straggled", len(inner.sends), fs.Straggled())
+	if len(inner.sends) != 2 || fs.Stats().Straggled != 1 {
+		t.Fatalf("healthy node straggled: %d sends, %d straggled", len(inner.sends), fs.Stats().Straggled)
 	}
 	if rng.draws != 0 {
 		t.Fatalf("straggle checks consumed %d RNG draws, want 0", rng.draws)

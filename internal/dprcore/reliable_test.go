@@ -352,7 +352,7 @@ func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
 	if st := rel.Stats(); st.Acks != 1 {
 		t.Fatalf("stats %+v, want the closing ack counted", st)
 	}
-	if got := faults.Partitioned(); got < 6 {
-		t.Fatalf("Partitioned() = %d, want every pre-heal attempt blackholed", got)
+	if got := faults.Stats().Partitioned; got < 6 {
+		t.Fatalf("Stats().Partitioned = %d, want every pre-heal attempt blackholed", got)
 	}
 }

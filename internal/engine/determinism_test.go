@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -202,14 +203,17 @@ func TestSchedulerFingerprintsMatchHeapGoldens(t *testing.T) {
 // collector — must not move a single bit of the run. The fig6 preset
 // must reproduce the pre-refactor golden fingerprint with each observer
 // installed, serial and parallel, and the collector must actually have
-// seen the run (non-vacuous).
+// seen the run (non-vacuous) and report the same Summary at both
+// parallelisms: every total is a count, a last value or a maximum, so
+// the order concurrent compute phases reach its mutex in cannot show.
 func TestFig6FingerprintUnchangedByObservers(t *testing.T) {
 	g := detGraph(t)
 	base := detPresets(g)["fig6"]
+	var serial *telemetry.Summary
 	for _, procs := range []int{1, 8} {
 		for name, obs := range map[string]telemetry.Observer{
 			"noop": telemetry.Noop{},
-			"sim":  telemetry.NewSimCollector(base.K),
+			"sim":  telemetry.NewCollector(base.K),
 		} {
 			cfg := base
 			cfg.Observer = obs
@@ -226,11 +230,16 @@ func TestFig6FingerprintUnchangedByObservers(t *testing.T) {
 			if name == "sim" {
 				sum := res.Telemetry
 				if sum == nil {
-					t.Fatalf("procs=%d: SimCollector installed but Result.Telemetry nil", procs)
+					t.Fatalf("procs=%d: Collector installed but Result.Telemetry nil", procs)
 				}
 				if sum.Rounds == 0 || sum.Chunks == 0 || sum.PayloadBytes == 0 ||
-					sum.ChunkHops < sum.Chunks || len(sum.Milestones) == 0 {
+					sum.ChunkHops < sum.Chunks || sum.Milestones == 0 {
 					t.Fatalf("procs=%d: collector saw a vacuous run: %+v", procs, sum)
+				}
+				if serial == nil {
+					serial = sum
+				} else if !reflect.DeepEqual(sum, serial) {
+					t.Fatalf("procs=%d: summary %+v differs from serial %+v", procs, sum, serial)
 				}
 			} else if res.Telemetry != nil {
 				t.Fatalf("procs=%d: Noop observer produced a Telemetry summary", procs)

@@ -54,7 +54,7 @@ func (k OverlayKind) String() string {
 // Engine-specific notes: T1/T2 are in virtual time units and default
 // to 15/15 (the Figure 8 setting); drawn means are clamped to at
 // least MinMeanWait to keep event counts finite. An Observer that is
-// a *telemetry.SimCollector additionally gets the simulator as its
+// a *telemetry.Collector additionally gets the simulator as its
 // clock, the overlay route lengths as its hop source, and its
 // aggregate published in Result.Telemetry.
 type Config struct {
@@ -239,7 +239,7 @@ type Result struct {
 	LoopsAtConvergence float64
 	// FaultStats counts injected message faults (all zero when
 	// Config.Fault is disabled).
-	FaultStats FaultStats
+	FaultStats dprcore.FaultStats
 	// ReliableStats counts the reliable-delivery layer's retries, acks,
 	// and breaker trips (all zero when Config.Reliable is disabled).
 	ReliableStats dprcore.ReliableStats
@@ -259,28 +259,13 @@ type Result struct {
 	// PagesPerRanker is each ranker's page-group size. Under by-site
 	// partitioning with few sites, some rankers own nothing.
 	PagesPerRanker []int
-	// Telemetry is the in-sim collector's aggregate, filled when
-	// Config.Observer is a *telemetry.SimCollector (nil otherwise).
+	// Telemetry is the collector's aggregate, filled when
+	// Config.Observer is a *telemetry.Collector (nil otherwise).
 	Telemetry *telemetry.Summary
 	// Events is the number of simulator events the run executed —
 	// paired with wall time it gives the scale experiments their
 	// events/sec throughput metric.
 	Events uint64
-}
-
-// FaultStats counts the faults a run's injector applied.
-type FaultStats struct {
-	// Dropped is the number of chunks discarded outright.
-	Dropped int64
-	// Delayed is the number of chunks held back and re-injected later.
-	Delayed int64
-	// Duplicated is the number of chunks sent twice.
-	Duplicated int64
-	// Partitioned is the number of chunks blackholed by an active
-	// network partition.
-	Partitioned int64
-	// Straggled is the number of chunks straggler nodes held back.
-	Straggled int64
 }
 
 // cluster is the assembled machinery of one run.
@@ -340,18 +325,10 @@ func build(cfg Config) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Observer != nil {
-		// Collectors that want timestamps or hop attribution get the
-		// simulator's virtual clock and the fabric's own route lengths
-		// (exact at every K: the memo the chunks are routed through); the
-		// optional-interface probes keep telemetry a leaf package.
-		if cs, ok := cfg.Observer.(telemetry.ClockSetter); ok {
-			cs.SetClock(sim)
-		}
-		if hs, ok := cfg.Observer.(telemetry.HopsSetter); ok {
-			hs.SetHops(fab.Hops)
-		}
-	}
+	// A collector gets the simulator's virtual clock and the fabric's own
+	// route lengths (exact at every K: the memo the chunks are routed
+	// through).
+	telemetry.Attach(cfg.Observer, sim, fab.Hops)
 	root := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	var sender dprcore.Sender = fab
 	var faults *dprcore.FaultSender
@@ -613,19 +590,13 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	res.TransportStats = cl.fab.Stats()
 	res.Events = cl.sim.Processed()
 	if cl.faults != nil {
-		res.FaultStats = FaultStats{
-			Dropped:     cl.faults.Dropped(),
-			Delayed:     cl.faults.Delayed(),
-			Duplicated:  cl.faults.Duplicated(),
-			Partitioned: cl.faults.Partitioned(),
-			Straggled:   cl.faults.Straggled(),
-		}
+		res.FaultStats = cl.faults.Stats()
 	}
 	if cl.rel != nil {
 		res.ReliableStats = cl.rel.Stats()
 	}
-	if sc, ok := cfg.Observer.(*telemetry.SimCollector); ok {
-		sum := sc.Summary()
+	if col, ok := cfg.Observer.(*telemetry.Collector); ok {
+		sum := col.Summary()
 		res.Telemetry = &sum
 	}
 	return res, nil

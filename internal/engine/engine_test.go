@@ -185,16 +185,16 @@ func TestDirectTransportWorks(t *testing.T) {
 	}
 }
 
-// pairRecorder is a SimCollector that also keeps every chunk's
+// pairRecorder is a Collector that also keeps every chunk's
 // (source, destination) pair.
 type pairRecorder struct {
-	*telemetry.SimCollector
+	*telemetry.Collector
 	pairs [][2]int
 }
 
 func (r *pairRecorder) ChunkSent(ranker int, c telemetry.ChunkStats) {
 	r.pairs = append(r.pairs, [2]int{ranker, c.Dst})
-	r.SimCollector.ChunkSent(ranker, c)
+	r.Collector.ChunkSent(ranker, c)
 }
 
 // Routing and hop attribution have one path at every K. This run sits
@@ -204,7 +204,7 @@ func (r *pairRecorder) ChunkSent(ranker int, c telemetry.ChunkStats) {
 func TestHopAttributionExactAtLargeK(t *testing.T) {
 	const k = 4500
 	g := genGraph(t, 3*k, 21)
-	rec := &pairRecorder{SimCollector: telemetry.NewSimCollector(k)}
+	rec := &pairRecorder{Collector: telemetry.NewCollector(k)}
 	res, err := Run(Config{
 		Params:    dprcore.Params{Alg: dprcore.DPR2, T1: 2, T2: 2, Observer: rec},
 		Graph:     g,

@@ -41,7 +41,7 @@ func TestPartitionStragglerRunsBitIdenticalAcrossParallelism(t *testing.T) {
 	g := detGraph(t)
 	cfg := latticeConfig(g)
 	var want uint64
-	var wantFaults engine.FaultStats
+	var wantFaults dprcore.FaultStats
 	for i, procs := range []int{1, 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		res, err := engine.Run(cfg)

@@ -378,7 +378,7 @@ type TrafficRow struct {
 
 // Traffic reproduces the §4.4 message/data cost table from telemetry:
 // each ranker population runs DPR1 under indirect transmission with a
-// SimCollector attached, and every measured column comes from the
+// telemetry.Collector attached, and every measured column comes from the
 // collector's Summary — counted at the dprcore seam the paper's model
 // describes, not reverse-engineered from transport totals. Pages are
 // partitioned by URL hash so all ranker pairs communicate, the regime
@@ -392,7 +392,7 @@ func Traffic(w Workload, ks []int, timePerRun float64) ([]TrafficRow, error) {
 	}
 	return sweep(w, len(ks), func(b *bed, i int) (TrafficRow, error) {
 		k := ks[i]
-		p := dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3, Observer: telemetry.NewSimCollector(k)}
+		p := dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3, Observer: telemetry.NewCollector(k)}
 		cfg := b.config(k, p, timePerRun, timePerRun) // one sample, at the end
 		cfg.Strategy = partition.ByPage
 		run, err := engine.Run(cfg)
@@ -712,7 +712,7 @@ func ScaleRun(w Workload, k int, alg dprcore.Algorithm) (*ScaleRow, error) {
 		return nil, err
 	}
 	cfg := engine.Config{
-		Params:      dprcore.Params{Alg: alg, T1: 3, T2: 3, Observer: telemetry.NewSimCollector(k)},
+		Params:      dprcore.Params{Alg: alg, T1: 3, T2: 3, Observer: telemetry.NewCollector(k)},
 		Graph:       g,
 		K:           k,
 		Seed:        w.Seed,

@@ -79,7 +79,7 @@ func TestClusterKillRestartConverges(t *testing.T) {
 // p2prank_recoveries_total (the checkpointed restart).
 func TestClusterChurnMetricsMidRun(t *testing.T) {
 	g := genGraph(t, 1200, 3)
-	col := telemetry.NewLiveCollector(4)
+	col := telemetry.NewCollector(4)
 	srv, err := telemetry.Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ import (
 // configuration surface the simulator's engine.Config embeds — see
 // DESIGN.md §9. On the live stack T1/T2 are wall-clock nanoseconds;
 // most callers leave them zero and set MeanWait instead. An Observer
-// that is a *telemetry.LiveCollector additionally gets the wall clock
+// that is a *telemetry.Collector additionally gets the wall clock
 // for trace timestamps and overlay route lengths for hop attribution.
 type Config struct {
 	// Params are the shared DPR loop parameters (see dprcore.Params).
@@ -262,22 +262,15 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 		p.rel = rel
 	}
 	if cfg.Observer != nil {
-		// A collector that wants timestamps gets the wall clock (the live
-		// stack's Clock), and one that wants hop counts gets overlay
-		// route lengths — mirroring the simulator's wiring in
-		// engine.build.
-		if cs, ok := cfg.Observer.(telemetry.ClockSetter); ok {
-			cs.SetClock(wallClock{})
+		// A collector gets the wall clock (the live stack's Clock) and
+		// overlay route lengths — mirroring the simulator's wiring in
+		// engine.build. The collector calls hops under its own mutex,
+		// which is what lets the single-owner Router memoize behind it.
+		hops := func(src, dst int) int { return 1 }
+		if cfg.Overlay != nil {
+			hops = overlay.NewRouter(cfg.Overlay).Hops
 		}
-		if hs, ok := cfg.Observer.(telemetry.HopsSetter); ok {
-			// Collectors call the function under their own mutex, which
-			// is what lets the single-owner Router memoize behind it.
-			hops := func(src, dst int) int { return 1 }
-			if cfg.Overlay != nil {
-				hops = overlay.NewRouter(cfg.Overlay).Hops
-			}
-			hs.SetHops(hops)
-		}
+		telemetry.Attach(cfg.Observer, wallClock{}, hops)
 	}
 	// Each peer resolves its loop's mean wait from [T1, T2] with its own
 	// seed-keyed stream, so a heterogeneous wait range gives every peer a
@@ -329,26 +322,14 @@ func (p *Peer) ChunksRelayed() int64 { return p.relayed.Load() }
 // input, so they are dropped and counted, never trusted.
 func (p *Peer) ChunksRejected() int64 { return p.rejected.Load() }
 
-// FaultCounts are one peer's injected-fault totals by kind.
-type FaultCounts struct {
-	Dropped, Delayed, Duplicated int64
-	Partitioned, Straggled       int64
-}
-
 // FaultStats returns how many chunks the peer's fault injector
 // dropped, delayed, duplicated, blackholed across a partition, or
 // straggled (all zero when faults are off).
-func (p *Peer) FaultStats() FaultCounts {
+func (p *Peer) FaultStats() dprcore.FaultStats {
 	if p.faults == nil {
-		return FaultCounts{}
+		return dprcore.FaultStats{}
 	}
-	return FaultCounts{
-		Dropped:     p.faults.Dropped(),
-		Delayed:     p.faults.Delayed(),
-		Duplicated:  p.faults.Duplicated(),
-		Partitioned: p.faults.Partitioned(),
-		Straggled:   p.faults.Straggled(),
-	}
+	return p.faults.Stats()
 }
 
 // ReliableStats returns the reliable layer's counters (all zero when

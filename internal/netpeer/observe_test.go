@@ -65,7 +65,7 @@ func metricSum(t *testing.T, body, name string) float64 {
 // Prometheus text format and advance between scrapes.
 func TestClusterMetricsScrapeMidRun(t *testing.T) {
 	g := genGraph(t, 1500, 3)
-	col := telemetry.NewLiveCollector(3)
+	col := telemetry.NewCollector(3)
 	srv, err := telemetry.Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestClusterMetricsScrapeMidRun(t *testing.T) {
 
 	// Wait until at least one full round has been recorded, then scrape.
 	deadline := time.Now().Add(10 * time.Second)
-	for col.Rounds() == 0 {
+	for col.Summary().Rounds == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no rounds recorded in 10s")
 		}

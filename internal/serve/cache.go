@@ -9,9 +9,12 @@ import (
 // queryCache caches merged responses keyed by (terms, k, from, store
 // version). Because every publish mints a fresh global version, a hit
 // is always as current as recomputing — the version in the key IS the
-// invalidation. Entries are bounded: when the map reaches capacity it
-// is cleared wholesale (deterministic, no clock-driven LRU), which
-// also lazily evicts entries stranded on old versions.
+// invalidation, provided an entry was computed against exactly the
+// state its key names: Querier.Serve uses the cache only from a settled
+// store and fills it only if no version was minted meanwhile (see
+// Store.settledVersion). Entries are bounded: when the map reaches
+// capacity it is cleared wholesale (deterministic, no clock-driven
+// LRU), which also lazily evicts entries stranded on old versions.
 type queryCache struct {
 	mu           sync.Mutex
 	cap          int

@@ -310,11 +310,17 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			return f.overloadErr
 		}
 	}
-	storeV := f.store.Version()
+	// The cache is keyed by store version, and a version names a state
+	// only while no publish is between minting it and installing its
+	// snapshot: a query that lands in that window scans the previous
+	// state. So the cache is consulted, and later filled, only by a query
+	// that starts with the store settled.
+	storeV, settled := f.store.settledVersion()
 	if req.MinVersion > storeV {
 		return fmt.Errorf("%w: store at version %d, want >= %d", search.ErrStaleIndex, storeV, req.MinVersion)
 	}
-	if f.cache != nil && f.cache.get(req.Terms, req.K, req.From, req.MinVersion, storeV, resp) {
+	cached := f.cache != nil && settled
+	if cached && f.cache.get(req.Terms, req.K, req.From, req.MinVersion, storeV, resp) {
 		return nil
 	}
 
@@ -397,10 +403,12 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 	resp.Version = minVersion
 	resp.Staleness = maxStale
 	resp.Postings = q.heap.drain(resp.Postings)
-	if f.cache != nil && !resp.Degraded && resp.Hedged == 0 {
+	if cached && !resp.Degraded && resp.Hedged == 0 && f.store.Version() == storeV {
 		// Degraded and hedged answers are never cached: the cache key is
 		// (query, store version), and under faults the same version no
-		// longer implies the same response.
+		// longer implies the same response. Nor is an answer a publish
+		// began under: no version minted since the settled start means
+		// every snapshot scanned was the one storeV names.
 		f.cache.put(req.Terms, req.K, req.From, storeV, resp)
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2prank/internal/search"
+	"p2prank/internal/telemetry"
 )
 
 // Handler serves the query API over HTTP:
@@ -25,7 +26,7 @@ import (
 type Handler struct {
 	fe       *Frontend
 	defaultK int
-	tel      Telemetry
+	tel      *telemetry.Collector
 	pool     sync.Pool
 }
 
@@ -35,9 +36,9 @@ type querierState struct {
 }
 
 // NewHandler builds the HTTP front end. defaultK bounds results when
-// the request omits k; tel (optional) receives per-query latency and
+// the request omits k; tel (nil: off) receives per-query latency and
 // staleness.
-func NewHandler(fe *Frontend, defaultK int, tel Telemetry) *Handler {
+func NewHandler(fe *Frontend, defaultK int, tel *telemetry.Collector) *Handler {
 	if defaultK <= 0 {
 		defaultK = 10
 	}

@@ -435,6 +435,66 @@ func TestTrackerStalenessAccounting(t *testing.T) {
 	tr.ComputeEnd(99, 1, telemetry.ComputeStats{})
 }
 
+// hookLog is an Observer that records the name of every hook it gets.
+type hookLog struct{ seen []string }
+
+func (h *hookLog) ComputeStart(int, int64)             { h.seen = append(h.seen, "ComputeStart") }
+func (h *hookLog) ChunkSent(int, telemetry.ChunkStats) { h.seen = append(h.seen, "ChunkSent") }
+func (h *hookLog) ChunkRetried(int, int, int)          { h.seen = append(h.seen, "ChunkRetried") }
+func (h *hookLog) AckReceived(int, int, int64)         { h.seen = append(h.seen, "AckReceived") }
+func (h *hookLog) Recovered(int, int64)                { h.seen = append(h.seen, "Recovered") }
+func (h *hookLog) Milestone(telemetry.Milestone)       { h.seen = append(h.seen, "Milestone") }
+func (h *hookLog) ComputeEnd(int, int64, telemetry.ComputeStats) {
+	h.seen = append(h.seen, "ComputeEnd")
+}
+func (h *hookLog) FaultInjected(int, telemetry.FaultKind) {
+	h.seen = append(h.seen, "FaultInjected")
+}
+
+type fixedClock float64
+
+func (c fixedClock) Now() float64 { return float64(c) }
+
+// The Tracker intercepts ComputeEnd and nothing else: every hook still
+// reaches the observer behind it, and telemetry.Attach reaches a
+// collector through it.
+func TestTrackerForwardsToNext(t *testing.T) {
+	store, err := serve.NewStore(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &hookLog{}
+	var obs telemetry.Observer = serve.NewTracker(store, log)
+	obs.ComputeStart(0, 1)
+	obs.ComputeEnd(0, 1, telemetry.ComputeStats{})
+	obs.ChunkSent(0, telemetry.ChunkStats{Dst: 1})
+	obs.FaultInjected(0, telemetry.FaultDrop)
+	obs.ChunkRetried(0, 1, 1)
+	obs.AckReceived(0, 1, 1)
+	obs.Recovered(0, 1)
+	obs.Milestone(telemetry.Milestone{})
+	want := []string{"ComputeStart", "ComputeEnd", "ChunkSent", "FaultInjected",
+		"ChunkRetried", "AckReceived", "Recovered", "Milestone"}
+	if !slices.Equal(log.seen, want) {
+		t.Fatalf("next observer saw %v, want %v", log.seen, want)
+	}
+	if store.Staleness(0) != 1 {
+		t.Fatalf("ComputeEnd did not tick the store: staleness %d", store.Staleness(0))
+	}
+
+	col := telemetry.NewCollector(2)
+	obs = serve.NewTracker(store, col)
+	telemetry.Attach(obs, fixedClock(42), func(src, dst int) int { return 7 })
+	obs.ChunkSent(0, telemetry.ChunkStats{Dst: 1})
+	if sum := col.Summary(); sum.ChunkHops != 7 || sum.FirstEvent != 42 {
+		t.Fatalf("Attach did not reach the collector behind the Tracker: hops %d, first event %v",
+			sum.ChunkHops, sum.FirstEvent)
+	}
+	// With nothing behind it the Tracker still answers every hook.
+	telemetry.Attach(serve.NewTracker(store, nil), fixedClock(1), nil)
+	serve.NewTracker(store, nil).ChunkSent(0, telemetry.ChunkStats{})
+}
+
 func TestHTTPHandler(t *testing.T) {
 	f := newFixture(t, 500, 4, 0)
 	srv := httptest.NewServer(serve.NewHandler(f.fe, 5, nil).Mux())

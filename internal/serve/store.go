@@ -16,17 +16,9 @@ package serve
 import (
 	"fmt"
 	"sync/atomic"
-)
 
-// Telemetry receives serving-side events. The live collector
-// (telemetry.LiveCollector) implements it; nil disables reporting.
-type Telemetry interface {
-	// QueryServed records one answered query: its latency in seconds
-	// and the staleness (rounds behind live) of the served ranks.
-	QueryServed(latencySeconds float64, staleness int64)
-	// SnapshotPublished records a shard publishing a new snapshot.
-	SnapshotPublished(shard int, version, round int64)
-}
+	"p2prank/internal/telemetry"
+)
 
 // ShardSnapshot is one shard's published rank state. Immutable after
 // publication: readers hold the pointer, never the slot, so a
@@ -62,9 +54,14 @@ type shardSlot struct {
 // come from one ranker's commit context), publishes to different
 // shards may run concurrently.
 type Store struct {
-	version atomic.Int64
-	shards  []shardSlot
-	tel     Telemetry
+	// version counts versions minted, installed the publishes whose
+	// snapshot is in place. A publish mints, then installs: the two are
+	// equal exactly when no publish is between its halves, which is
+	// when the minted version names the state a query would scan.
+	version   atomic.Int64
+	installed atomic.Int64
+	shards    []shardSlot
+	tel       *telemetry.Collector
 }
 
 // NewStore builds a store for the given shard count with nothing
@@ -76,8 +73,9 @@ func NewStore(shards int) (*Store, error) {
 	return &Store{shards: make([]shardSlot, shards)}, nil
 }
 
-// SetTelemetry installs the event sink. Call before concurrent use.
-func (s *Store) SetTelemetry(t Telemetry) { s.tel = t }
+// SetTelemetry installs the collector publishes are reported to (nil:
+// none). Call before concurrent use.
+func (s *Store) SetTelemetry(c *telemetry.Collector) { s.tel = c }
 
 // NumShards returns the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
@@ -96,17 +94,39 @@ func (s *Store) Publish(shard int, round int64, scores []float64) (int64, error)
 	}
 	cp := make([]float64, len(scores))
 	copy(cp, scores)
-	v := s.version.Add(1)
-	slot := &s.shards[shard]
-	if old := slot.snap.Load(); old != nil {
-		slot.prev.Store(old)
-	}
-	slot.snap.Store(&ShardSnapshot{Shard: shard, Version: v, Round: round, Scores: cp})
-	slot.ticks.Store(0)
+	v := s.mint()
+	s.install(&ShardSnapshot{Shard: shard, Version: v, Round: round, Scores: cp})
 	if s.tel != nil {
 		s.tel.SnapshotPublished(shard, v, round)
 	}
 	return v, nil
+}
+
+// mint is a publish's first half: it hands out the next global version.
+func (s *Store) mint() int64 { return s.version.Add(1) }
+
+// install is a publish's second half: it swaps the minted snapshot in
+// and, last, counts the publish as installed.
+func (s *Store) install(snap *ShardSnapshot) {
+	slot := &s.shards[snap.Shard]
+	if old := slot.snap.Load(); old != nil {
+		slot.prev.Store(old)
+	}
+	slot.snap.Store(snap)
+	slot.ticks.Store(0)
+	s.installed.Add(1)
+}
+
+// settledVersion returns the minted version and whether every minted
+// version is installed. Installed is read first: a publish that slips
+// between the two loads can only make them differ, so "settled" is
+// never reported across one.
+//
+//p2plint:hotpath
+func (s *Store) settledVersion() (v int64, settled bool) {
+	inst := s.installed.Load()
+	v = s.version.Load()
+	return v, inst == v
 }
 
 // Snapshot returns shard's newest published snapshot, or nil if the

@@ -7,7 +7,7 @@ import (
 	"net/http/pprof"
 )
 
-// Server exposes a LiveCollector over HTTP: Prometheus text on
+// Server exposes a Collector over HTTP: Prometheus text on
 // /metrics, the JSONL event trace on /trace, and the standard pprof
 // handlers under /debug/pprof/. dprnode starts one with -obs addr:port.
 type Server struct {
@@ -17,7 +17,7 @@ type Server struct {
 
 // Serve binds addr (":0" picks a free port) and serves col in a
 // background goroutine until Close.
-func Serve(addr string, col *LiveCollector) (*Server, error) {
+func Serve(addr string, col *Collector) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)

@@ -1,9 +1,10 @@
 // Package telemetry is the observability seam of the DPR runtime: an
 // Observer interface that plugs into the loop core (dprcore.Loop and
-// dprcore.FaultSender) alongside Clock/Sender/Waiter/RNG, plus two
-// collectors — a deterministic in-sim aggregator (SimCollector, virtual
-// timestamps) and a live exporter (LiveCollector, Prometheus text +
-// JSONL event trace, served by Server).
+// dprcore.FaultSender) alongside Clock/Sender/Waiter/RNG, plus the one
+// Collector both runtimes attach: counters, last values and maxima
+// behind a mutex, read back as a deterministic Summary, as Prometheus
+// text rendered from the families table, and as a bounded JSONL event
+// trace (the last two served by Server).
 //
 // The paper's §4.4 cost model (messages ≈ (h+1)·N², data ≈ lW + hrN²)
 // and Table 1 are claims about runtime traffic; the hooks here measure
@@ -48,6 +49,18 @@ type ClockSetter interface {
 // collector calls it only from its serialized ChunkSent path.
 type HopsSetter interface {
 	SetHops(func(src, dst int) int)
+}
+
+// Attach hands obs the runtime's clock and hop function, each if obs
+// asks for it. It is the one call both runtimes wire an observer with,
+// so neither names a collector type.
+func Attach(obs Observer, clock Clock, hops func(src, dst int) int) {
+	if cs, ok := obs.(ClockSetter); ok {
+		cs.SetClock(clock)
+	}
+	if hs, ok := obs.(HopsSetter); ok {
+		hs.SetHops(hops)
+	}
 }
 
 // ComputeStats summarizes one compute phase (refresh X, update R).
@@ -98,22 +111,17 @@ const (
 	// persistent slowdown factor.
 	FaultStraggle
 
-	numFaultKinds = 5
+	// NumFaultKinds is the number of fault kinds: the length of every
+	// per-kind counter array.
+	NumFaultKinds = 5
 )
+
+var faultNames = [NumFaultKinds]string{"drop", "delay", "dup", "partition", "straggle"}
 
 // String returns the fault label used in metrics and traces.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultDrop:
-		return "drop"
-	case FaultDelay:
-		return "delay"
-	case FaultDup:
-		return "dup"
-	case FaultPartition:
-		return "partition"
-	case FaultStraggle:
-		return "straggle"
+	if int(k) < len(faultNames) {
+		return faultNames[k]
 	}
 	return "unknown"
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -15,8 +17,8 @@ type fakeClock struct{ t float64 }
 
 func (c *fakeClock) Now() float64 { return c.t }
 
-func TestSimCollectorAggregates(t *testing.T) {
-	c := NewSimCollector(2)
+func TestCollectorAggregates(t *testing.T) {
+	c := NewCollector(2)
 	clk := &fakeClock{t: 10}
 	c.SetClock(clk)
 	c.SetHops(func(src, dst int) int { return 3 })
@@ -46,14 +48,18 @@ func TestSimCollectorAggregates(t *testing.T) {
 	if s.ChunkHops != 6 {
 		t.Fatalf("ChunkHops = %d, want 6", s.ChunkHops)
 	}
-	if s.Dropped != 1 || s.Delayed != 1 || s.Duplicated != 1 {
+	c.FaultInjected(0, FaultPartition)
+	c.FaultInjected(0, FaultStraggle)
+	c.FaultInjected(0, FaultStraggle)
+	s = c.Summary()
+	if s.Faults != [NumFaultKinds]int64{1, 1, 1, 1, 2} {
 		t.Fatalf("bad fault totals: %+v", s)
 	}
 	if s.FirstEvent != 10 || s.LastEvent != 20 {
 		t.Fatalf("event window [%v, %v]", s.FirstEvent, s.LastEvent)
 	}
-	if len(s.Milestones) != 1 || s.Milestones[0].RelErr != 0.5 {
-		t.Fatalf("milestones %+v", s.Milestones)
+	if s.Milestones != 1 || s.LastMilestone.RelErr != 0.5 {
+		t.Fatalf("milestones %d, last %+v", s.Milestones, s.LastMilestone)
 	}
 	if s.PerRanker[0].InnerIterations != 5 || s.PerRanker[1].Rounds != 1 {
 		t.Fatalf("per-ranker %+v", s.PerRanker)
@@ -61,13 +67,13 @@ func TestSimCollectorAggregates(t *testing.T) {
 	if s.MeanRounds() != 1 || s.MeanChunkHops() != 3 {
 		t.Fatalf("means: %v %v", s.MeanRounds(), s.MeanChunkHops())
 	}
-	if !strings.Contains(s.String(), "2 rankers") {
+	if !strings.Contains(s.String(), "2 rankers") || !strings.Contains(s.String(), "faults 1/1/1/1/2") {
 		t.Fatalf("String() = %q", s.String())
 	}
 }
 
-func TestLiveCollectorMetricsText(t *testing.T) {
-	c := NewLiveCollector(2)
+func TestCollectorMetricsText(t *testing.T) {
+	c := NewCollector(2)
 	c.SetClock(&fakeClock{t: 100})
 	c.ComputeEnd(0, 1, ComputeStats{InnerIterations: 4, Residual: 1e-8})
 	c.ComputeEnd(0, 2, ComputeStats{InnerIterations: 200})
@@ -101,13 +107,13 @@ func TestLiveCollectorMetricsText(t *testing.T) {
 			t.Errorf("metrics output missing %q\n%s", want, out)
 		}
 	}
-	if c.Rounds() != 2 {
-		t.Fatalf("Rounds() = %d", c.Rounds())
+	if r := c.Summary().Rounds; r != 2 {
+		t.Fatalf("Summary().Rounds = %d", r)
 	}
 }
 
-func TestLiveCollectorServingMetrics(t *testing.T) {
-	c := NewLiveCollector(2)
+func TestCollectorServingMetrics(t *testing.T) {
+	c := NewCollector(2)
 	c.QueryServed(30e-6, 2)  // below the first bucket
 	c.QueryServed(700e-6, 5) // lands in le="0.001"
 	c.QueryServed(1.5, 1)    // beyond the last bucket: +Inf only
@@ -136,15 +142,15 @@ func TestLiveCollectorServingMetrics(t *testing.T) {
 			t.Errorf("metrics output missing %q\n%s", want, out)
 		}
 	}
-	if c.QueriesServed() != 3 {
-		t.Fatalf("QueriesServed() = %d", c.QueriesServed())
+	if q := c.Summary().Queries; q != 3 {
+		t.Fatalf("Summary().Queries = %d", q)
 	}
 }
 
-func TestLiveCollectorTraceRingWraps(t *testing.T) {
-	c := NewLiveCollector(1)
-	c.SetTraceCap(3)
-	for round := int64(1); round <= 5; round++ {
+func TestCollectorTraceRingWraps(t *testing.T) {
+	c := NewCollector(1)
+	const n = DefaultTraceCap + 2
+	for round := int64(1); round <= n; round++ {
 		c.ComputeEnd(0, round, ComputeStats{InnerIterations: 1})
 	}
 	var buf bytes.Buffer
@@ -154,19 +160,20 @@ func TestLiveCollectorTraceRingWraps(t *testing.T) {
 	var rounds []int64
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var ev TraceEvent
+		var ev struct{ Round int64 }
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
 		rounds = append(rounds, ev.Round)
 	}
-	if len(rounds) != 3 || rounds[0] != 3 || rounds[2] != 5 {
-		t.Fatalf("ring kept rounds %v, want [3 4 5]", rounds)
+	if len(rounds) != DefaultTraceCap || rounds[0] != 3 || rounds[len(rounds)-1] != n {
+		t.Fatalf("ring kept %d rounds %d..%d, want %d rounds 3..%d",
+			len(rounds), rounds[0], rounds[len(rounds)-1], DefaultTraceCap, n)
 	}
 }
 
 func TestServeEndpoints(t *testing.T) {
-	c := NewLiveCollector(1)
+	c := NewCollector(1)
 	c.ComputeEnd(0, 1, ComputeStats{InnerIterations: 2})
 	s, err := Serve("127.0.0.1:0", c)
 	if err != nil {
@@ -197,6 +204,68 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Fatal("pprof cmdline empty")
+	}
+}
+
+// TestCollectorConcurrentHooks is the merge's contention check (run
+// under -race in make race): eight rankers' hook sequences issued from
+// eight goroutines leave the collector reporting exactly what the same
+// sequences issued one after another do. Latencies are dyadic so their
+// float sum is exact in any order; the two last-value readings that
+// belong to no ranker (served staleness, last milestone) are written
+// once more after the goroutines join, as their serial callers would.
+func TestCollectorConcurrentHooks(t *testing.T) {
+	const rankers, rounds = 8, 60
+	latencies := []float64{1.0 / (1 << 14), 1.0 / (1 << 10), 1.0 / (1 << 4), 2}
+	script := func(c *Collector, r int) {
+		for round := int64(1); round <= rounds; round++ {
+			c.ComputeStart(r, round)
+			c.ComputeEnd(r, round, ComputeStats{InnerIterations: int(round) % 9 * (r + 1), Residual: 1 / float64(round+int64(r))})
+			c.ChunkSent(r, ChunkStats{Dst: (r + 1) % rankers, Round: round, Entries: r + 1, Links: round})
+			c.FaultInjected(r, FaultKind(int(round)%NumFaultKinds))
+			c.ChunkRetried(r, (r+2)%rankers, 1)
+			c.AckReceived(r, (r+2)%rankers, round)
+			c.Milestone(Milestone{RelErr: 0.5})
+			c.QueryServed(latencies[(int(round)+r)%len(latencies)], round%7+int64(r))
+			c.SnapshotPublished(r, round*rankers+int64(r), round)
+		}
+		c.Recovered(r, rounds)
+	}
+	run := func(concurrent bool) (Summary, []byte) {
+		c := NewCollector(rankers)
+		c.SetClock(&fakeClock{t: 5})
+		c.SetHops(func(src, dst int) int { return 1 + (src+dst)%3 })
+		var wg sync.WaitGroup
+		for r := 0; r < rankers; r++ {
+			if !concurrent {
+				script(c, r)
+				continue
+			}
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				script(c, r)
+			}(r)
+		}
+		wg.Wait()
+		c.QueryServed(0.25, 2)
+		c.Milestone(Milestone{RelErr: 1e-4, Converged: true})
+		var buf bytes.Buffer
+		if err := c.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return c.Summary(), buf.Bytes()
+	}
+	wantSum, wantText := run(false)
+	if wantSum.Chunks != rankers*rounds || wantSum.Queries != rankers*rounds+1 {
+		t.Fatalf("serial run is vacuous: %+v", wantSum)
+	}
+	gotSum, gotText := run(true)
+	if !reflect.DeepEqual(gotSum, wantSum) {
+		t.Errorf("concurrent summary %+v\nserial summary %+v", gotSum, wantSum)
+	}
+	if !bytes.Equal(gotText, wantText) {
+		t.Errorf("concurrent /metrics differs from serial:\n%s", gotText)
 	}
 }
 
