@@ -34,13 +34,15 @@ race:
 # peer's socket (frame reader → codec → the loop's acceptance check →
 # one compute phase), and a crawl file in either format (binary: open,
 # Validate, every accessor, rewrite; text: parse, Validate, rewrite) —
-# and the CSR storage layout against its row-major reference, each over
-# its seed corpus and whatever ten seconds of mutation reach (go test
-# takes one -fuzz target per run). The CSR target caps minimization:
-# shrinking each new-coverage matrix for the default minute would leave
+# the CSR storage layout against its row-major reference, and the
+# response cache's slab against an unbounded map, each over its seed
+# corpus and whatever ten seconds of mutation reach (go test takes one
+# -fuzz target per run). The CSR and cache targets cap minimization:
+# shrinking each new-coverage input for the default minute would leave
 # the pass a few thousand inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzQueryCache -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/netpeer/
 	$(GO) test -run '^$$' -fuzz FuzzOpenGraph -fuzztime 10s ./internal/webgraph/
 	$(GO) test -run '^$$' -fuzz FuzzReadText -fuzztime 10s ./internal/webgraph/

@@ -272,8 +272,9 @@ func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.St
 		col.SetServing(func() telemetry.ServingStats {
 			d := fe.DegradeStats()
 			hits, misses := fe.CacheStats()
+			entries, evictions := fe.CacheUsage()
 			return telemetry.ServingStats{Shed: d.Shed, Hedged: d.Hedged, Degraded: d.Degraded,
-				CacheHits: hits, CacheMisses: misses}
+				CacheHits: hits, CacheMisses: misses, CacheEvictions: evictions, CacheEntries: int64(entries)}
 		})
 	}
 	ln, err := net.Listen("tcp", addr)

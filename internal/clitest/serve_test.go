@@ -103,12 +103,15 @@ func TestServeSmokeDprnode(t *testing.T) {
 			// The tier's own counters are pulled into the same scrape;
 			// the load generator repeats four queries, so lookups miss.
 			for _, family := range []string{"queries_shed_total", "hedged_reads_total",
-				"degraded_answers_total", "query_cache_hits_total", "query_cache_misses_total"} {
+				"degraded_answers_total", "query_cache_hits_total", "query_cache_misses_total",
+				"query_cache_evictions_total"} {
 				if !strings.Contains(metrics, "# TYPE p2prank_"+family+" counter") {
 					t.Fatalf("%s absent from /metrics:\n%s", family, metrics)
 				}
 			}
-			if strings.Contains(metrics, "p2prank_query_cache_misses_total 0\n") {
+			if strings.Contains(metrics, "p2prank_query_cache_misses_total 0\n") ||
+				!strings.Contains(metrics, "# TYPE p2prank_query_cache_entries gauge") ||
+				strings.Contains(metrics, "p2prank_query_cache_entries 0\n") {
 				t.Fatalf("cache counters not wired to the frontend:\n%s", metrics)
 			}
 			break

@@ -87,6 +87,23 @@ func BenchmarkQueryFanout(b *testing.B) {
 	})
 }
 
+// BenchmarkQueryCacheChurn is the ratchet kernel for the cache's fill:
+// the fan-out tier with the cache on and one query more than it holds,
+// round-robin, so every Serve is a miss, an eviction and a fill into
+// the evicted slot. Gated at 0 allocs/op.
+func BenchmarkQueryCacheChurn(b *testing.B) {
+	f := newFixtureAs(b, 20000, 1000, 0, partition.ByPage, search.DefaultConfig())
+	queries := make([]search.Request, serve.DefaultCacheEntries+1)
+	for i := range queries {
+		// Rare terms: the fill, not the scan, is what is measured.
+		queries[i] = search.Request{Terms: []int32{int32(600 + i%400), int32(300 + i/400)}, K: 10}
+	}
+	benchQueries(b, f.fe, queries)
+	if hits, _ := f.fe.CacheStats(); hits != 0 {
+		b.Fatalf("%d cache hits: the benchmark is meant to miss every time", hits)
+	}
+}
+
 // benchQueries serves the queries round-robin on one warm Querier.
 func benchQueries(b *testing.B, fe *serve.Frontend, queries []search.Request) {
 	q := fe.NewQuerier()

@@ -283,7 +283,7 @@ func TestCacheHonorsMinVersion(t *testing.T) {
 	if cachedV >= storeV {
 		t.Skipf("term 0's oldest consulted version %d not below store version %d", cachedV, storeV)
 	}
-	hits0, _ := f.fe.CacheStats()
+	hits0, misses0 := f.fe.CacheStats()
 
 	// Same query, fresher floor: the cached entry violates the bound.
 	req.MinVersion = cachedV + 1
@@ -291,8 +291,9 @@ func TestCacheHonorsMinVersion(t *testing.T) {
 	if !errors.Is(err, search.ErrStaleIndex) {
 		t.Fatalf("bound-violating request got %v, want ErrStaleIndex", err)
 	}
-	if hits, _ := f.fe.CacheStats(); hits != hits0 {
-		t.Fatalf("cache served a hit (%d -> %d) for a MinVersion newer than the entry", hits0, hits)
+	if hits, misses := f.fe.CacheStats(); hits != hits0 || misses != misses0+1 {
+		t.Fatalf("a MinVersion newer than the entry: hits %d -> %d, misses %d -> %d, want a miss and no hit",
+			hits0, hits, misses0, misses)
 	}
 
 	// The unconstrained query still hits.

@@ -198,6 +198,15 @@ func (f *Frontend) CacheStats() (hits, misses int64) {
 	return f.cache.stats()
 }
 
+// CacheUsage returns how many responses the cache holds now and how
+// many it has evicted to make room (zero when caching is disabled).
+func (f *Frontend) CacheUsage() (entries int, evictions int64) {
+	if f.cache == nil {
+		return 0, 0
+	}
+	return f.cache.usage()
+}
+
 // DegradeStats are the frontend's cumulative robustness counters.
 type DegradeStats struct {
 	// Shed is how many queries admission control refused.
@@ -320,8 +329,26 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 		return fmt.Errorf("%w: store at version %d, want >= %d", search.ErrStaleIndex, storeV, req.MinVersion)
 	}
 	cached := f.cache != nil && settled
-	if cached && f.cache.get(req.Terms, req.K, req.From, req.MinVersion, storeV, resp) {
-		return nil
+	// Read before any shard's ticks, by the hit path and the scan alike:
+	// the staleness filed under this count is never older than it.
+	advances := f.store.advances.Load()
+	key := cacheKey{terms: req.Terms, k: req.K, from: req.From, storeV: storeV}
+	if cached {
+		hit, current := f.cache.get(key, req.MinVersion, advances, resp)
+		if hit {
+			if !current {
+				// Rounds were committed since the entry's staleness was
+				// taken. A cached answer consulted every planned shard, so
+				// its staleness now is the worst of theirs: no snapshot is
+				// read, nothing is scanned.
+				resp.Staleness = 0
+				for _, s := range q.planShards(req.Terms) {
+					resp.Staleness = max(resp.Staleness, f.store.Staleness(int(s)))
+				}
+				f.cache.restamp(key, advances, resp.Staleness)
+			}
+			return nil
+		}
 	}
 
 	cand := q.planShards(req.Terms)
@@ -409,7 +436,7 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 		// longer implies the same response. Nor is an answer a publish
 		// began under: no version minted since the settled start means
 		// every snapshot scanned was the one storeV names.
-		f.cache.put(req.Terms, req.K, req.From, storeV, resp)
+		f.cache.put(key, advances, resp)
 	}
 	return nil
 }

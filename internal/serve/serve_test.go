@@ -354,6 +354,87 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
+// A cached answer's version cannot change while its key is live, but its
+// staleness can: Store.Advance ages a shard without minting a version.
+// A hit reports the staleness of now, not of the fill.
+func TestCacheHitReportsCurrentStaleness(t *testing.T) {
+	f := newFixture(t, 300, 4, 0)
+	q := f.fe.NewQuerier()
+	var resp search.Response
+	req := search.Request{Terms: []int32{0}, K: 5}
+	if err := q.Serve(req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Staleness != 0 {
+		t.Fatalf("fresh publish served at staleness %d", resp.Staleness)
+	}
+	for round := 0; round < 2; round++ {
+		for s := 0; s < f.store.NumShards(); s++ {
+			f.store.Advance(s)
+		}
+	}
+	version := resp.Version
+	if err := q.Serve(req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := f.fe.CacheStats(); hits != 1 {
+		t.Fatalf("second query: %d hits, want the cached answer", hits)
+	}
+	if resp.Staleness != 2 || resp.Version != version {
+		t.Fatalf("hit two rounds on: staleness %d at version %d, want 2 at version %d", resp.Staleness, resp.Version, version)
+	}
+}
+
+// Over a random sequence of ticks, publishes and queries, a frontend
+// with the cache on answers every query exactly as one with it off
+// does — every field of the Response, Staleness included.
+func TestCacheHitEqualsUncached(t *testing.T) {
+	f := newFixture(t, 600, 6, 0)
+	plain, err := serve.NewFrontend(f.g, f.ov, f.assign, f.store, serve.Config{Text: f.text, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, uncached := f.fe.NewQuerier(), plain.NewQuerier()
+	queries := [][]int32{{0}, {1}, {0, 1}, {2, 3}, {499}, {5, 17, 40}}
+	rng := xrand.New(29)
+	round := int64(1)
+	var got, want search.Response
+	for i := 0; i < 4000; i++ {
+		switch op := rng.Intn(40); {
+		case op == 0:
+			s := rng.Intn(f.assign.K)
+			round++
+			local := make([]float64, len(f.assign.Pages[s]))
+			for j, p := range f.assign.Pages[s] {
+				local[j] = f.ranks[p] * float64(round)
+			}
+			if _, err := f.store.Publish(s, round, local); err != nil {
+				t.Fatal(err)
+			}
+		case op < 10:
+			f.store.Advance(rng.Intn(f.assign.K))
+		default:
+			req := search.Request{Terms: queries[rng.Intn(len(queries))], K: 1 + rng.Intn(2)*9, From: rng.Intn(2)}
+			if err := cached.Serve(req, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := uncached.Serve(req, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Postings, want.Postings) {
+				t.Fatalf("step %d, %+v: cached postings %v, uncached %v", i, req, got.Postings, want.Postings)
+			}
+			got.Postings, want.Postings = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, %+v: cached %+v, uncached %+v", i, req, got, want)
+			}
+		}
+	}
+	if hits, misses := f.fe.CacheStats(); hits < 500 || misses < 100 {
+		t.Fatalf("%d hits, %d misses: the sequence exercised too little of the cache", hits, misses)
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	f := newFixture(t, 300, 4, -1)
 	q := f.fe.NewQuerier()

@@ -60,8 +60,11 @@ type Store struct {
 	// when the minted version names the state a query would scan.
 	version   atomic.Int64
 	installed atomic.Int64
-	shards    []shardSlot
-	tel       *telemetry.Collector
+	// advances counts Advance calls: staleness ages between publishes,
+	// so a cached answer's staleness is good for one reading of this.
+	advances atomic.Int64
+	shards   []shardSlot
+	tel      *telemetry.Collector
 }
 
 // NewStore builds a store for the given shard count with nothing
@@ -152,7 +155,11 @@ func (s *Store) Advance(shard int) int64 {
 	if shard < 0 || shard >= len(s.shards) {
 		return 0
 	}
-	return s.shards[shard].ticks.Add(1)
+	// The tick lands before the count moves: a reader that loads the
+	// count first sees every tick the count stands for.
+	t := s.shards[shard].ticks.Add(1)
+	s.advances.Add(1)
+	return t
 }
 
 // Staleness returns how many committed rounds behind the live

@@ -64,7 +64,7 @@ func TestQueryInsidePublishIsNotCached(t *testing.T) {
 
 	v := store.mint()
 	serve(1) // between the halves: still the old state
-	if n := len(fe.cache.m); n != 0 {
+	if n, _ := fe.cache.usage(); n != 0 {
 		t.Errorf("an answer computed inside a publish was cached (%d entries)", n)
 	}
 	store.install(&ShardSnapshot{Shard: 0, Version: v, Round: 2, Scores: scores(2)})
@@ -80,9 +80,9 @@ func TestQueryInsidePublishIsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	health.minted = false
-	before := len(fe.cache.m)
+	before, _ := fe.cache.usage()
 	serve(3)
-	if n := len(fe.cache.m); n != before {
+	if n, _ := fe.cache.usage(); n != before {
 		t.Fatalf("an answer a publish began under was cached (%d -> %d entries)", before, n)
 	}
 }

@@ -27,6 +27,9 @@ type ServingStats struct {
 	Degraded int64
 	// CacheHits and CacheMisses count response-cache lookups.
 	CacheHits, CacheMisses int64
+	// CacheEvictions counts cached responses dropped to make room;
+	// CacheEntries is how many the cache holds now.
+	CacheEvictions, CacheEntries int64
 }
 
 // Collector is the Observer both runtimes attach: the simulator through

@@ -69,7 +69,7 @@ func TestMetricsBytesPinned(t *testing.T) {
 	c := NewCollector(3)
 	scriptedRun(c)
 	c.SetServing(func() ServingStats {
-		return ServingStats{Shed: 1, Hedged: 2, Degraded: 3, CacheHits: 4, CacheMisses: 5}
+		return ServingStats{Shed: 1, Hedged: 2, Degraded: 3, CacheHits: 4, CacheMisses: 5, CacheEvictions: 6, CacheEntries: 7}
 	})
 	var buf bytes.Buffer
 	if err := c.WriteMetrics(&buf); err != nil {

@@ -97,6 +97,8 @@ var families = []family{
 	{name: "degraded_answers_total", help: "Queries answered with partial shard coverage.", typ: "counter", ints: func(c *Collector, _ int) int64 { return c.served.Degraded }},
 	{name: "query_cache_hits_total", help: "Response-cache lookups answered from the cache.", typ: "counter", ints: func(c *Collector, _ int) int64 { return c.served.CacheHits }},
 	{name: "query_cache_misses_total", help: "Response-cache lookups that fell through to the scan.", typ: "counter", ints: func(c *Collector, _ int) int64 { return c.served.CacheMisses }},
+	{name: "query_cache_evictions_total", help: "Cached responses evicted to make room for a fill.", typ: "counter", ints: func(c *Collector, _ int) int64 { return c.served.CacheEvictions }},
+	{name: "query_cache_entries", help: "Responses the cache holds now.", typ: "gauge", ints: func(c *Collector, _ int) int64 { return c.served.CacheEntries }},
 }
 
 // appendTo renders f's header and samples from c's state.
