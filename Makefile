@@ -49,13 +49,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSRKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/
 
 # Failure-path suite under the race detector: crash/restart churn in
-# both runtimes, checkpointed recovery, the supervisor, the reliable
+# both runtimes, the simulator driver's suspend/resume lifecycle,
+# checkpointed recovery, the supervisor, the reliable
 # ack/retry/backoff layer, and the partition/straggler fault lattice
 # (see DESIGN.md §11 and §17) — plus the end-to-end serve-under-
 # partition smoke (dprnode -serve through a healing cut) and the
 # start/close-under-load loop that pins the netpeer accept/close race.
 chaos:
-	$(GO) test -race -count=1 -run 'Churn|KillRestart|Supervisor|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad' \
+	$(GO) test -race -count=1 -run 'Churn|Suspend|KillRestart|Supervisor|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad' \
 		./internal/dprcore/... ./internal/engine/... ./internal/netpeer/...
 	$(GO) test -run TestServeChaosPartitionDprnode -v ./internal/clitest/
 

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"p2prank/internal/cliflags"
-	"p2prank/internal/core"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/netpeer"
@@ -46,6 +45,7 @@ import (
 	"p2prank/internal/serve"
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
+	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 )
 
@@ -170,7 +170,9 @@ func main() {
 }
 
 func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.Collector, store *serve.Store, srvAddr string, qps, topk int) {
-	g, err := core.GenerateCrawl(pages, seed)
+	gcfg := webgraph.DefaultGenConfig(pages)
+	gcfg.Seed = seed
+	g, err := webgraph.Generate(gcfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -217,7 +219,7 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	ranks := cl.Assemble()
 	fmt.Printf("converged to relative error ≤ %v in %.2fs\n", target, time.Since(start).Seconds())
 	fmt.Println("top pages:")
-	for _, p := range core.TopPages(ranks, 5) {
+	for _, p := range vecmath.TopPages(ranks, 5) {
 		fmt.Printf("  %-40s rank %.4f\n", g.URL(int32(p)), ranks[p])
 	}
 	if store != nil {

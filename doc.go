@@ -4,10 +4,10 @@
 // site-hash page partitioning, direct vs indirect score transmission
 // over Pastry/Chord overlays, and the §4.5 bandwidth feasibility model.
 //
-// Start at internal/core for the public façade, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the paper-vs-measured
-// results. bench_test.go in this directory regenerates every figure and
-// table of the paper's evaluation:
+// Start at examples/quickstart for the whole workflow in one file,
+// DESIGN.md for the system inventory, and EXPERIMENTS.md for the
+// paper-vs-measured results. bench_test.go in this directory
+// regenerates every figure and table of the paper's evaluation:
 //
 //	go test -bench=. -benchmem .
 package p2prank

@@ -12,15 +12,18 @@ import (
 	"fmt"
 	"log"
 
-	"p2prank/internal/core"
 	"p2prank/internal/crawler"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
+	"p2prank/internal/vecmath"
+	"p2prank/internal/webgraph"
 )
 
 func main() {
 	// The "true web" the crawler explores.
-	web, err := core.GenerateCrawl(12000, 3)
+	gcfg := webgraph.DefaultGenConfig(12000)
+	gcfg.Seed = 3
+	web, err := webgraph.Generate(gcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func main() {
 	fmt.Printf("\nfinal relative error vs centralized: %.2e\n", last.RelErr)
 	fmt.Println("top pages after the full crawl:")
 	g := phases[len(phases)-1].Graph
-	for _, p := range core.TopPages(last.Final, 5) {
+	for _, p := range vecmath.TopPages(last.Final, 5) {
 		fmt.Printf("  %-40s %.4f\n", g.URL(int32(p)), last.Final[p])
 	}
 }

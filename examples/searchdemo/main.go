@@ -13,16 +13,19 @@ import (
 	"fmt"
 	"log"
 
-	"p2prank/internal/core"
+	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/partition"
 	"p2prank/internal/search"
 	"p2prank/internal/serve"
+	"p2prank/internal/webgraph"
 )
 
 func main() {
 	const k = 16
-	graph, err := core.GenerateCrawl(20000, 5)
+	gcfg := webgraph.DefaultGenConfig(20000)
+	gcfg.Seed = 5
+	graph, err := webgraph.Generate(gcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,11 +39,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	params := core.Params{Alg: core.DPR1, T1: 0, T2: 6}
+	params := dprcore.Params{Alg: dprcore.DPR1, T1: 0, T2: 6}
 	params.Checkpoint.Every = 2
 	params.Checkpoint.Sink = serve.NewPublisher(store, nil)
 	params.Observer = serve.NewTracker(store, nil)
-	res, err := core.RankDistributed(core.Config{
+	res, err := engine.Run(engine.Config{
 		Params: params,
 		Graph:  graph, K: k, MaxTime: 400, TargetRelErr: 1e-7,
 	})

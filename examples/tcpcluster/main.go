@@ -12,13 +12,16 @@ import (
 	"log"
 	"time"
 
-	"p2prank/internal/core"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/netpeer"
+	"p2prank/internal/vecmath"
+	"p2prank/internal/webgraph"
 )
 
 func main() {
-	graph, err := core.GenerateCrawl(6000, 11)
+	gcfg := webgraph.DefaultGenConfig(6000)
+	gcfg.Seed = 11
+	graph, err := webgraph.Generate(gcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,9 +57,9 @@ func main() {
 
 	ranks := cluster.Assemble()
 	fmt.Printf("final relative error vs centralized: %.2e\n",
-		core.RelativeError(ranks, cluster.Reference))
+		vecmath.RelErr1(ranks, cluster.Reference))
 	fmt.Println("\ntop pages:")
-	for _, p := range core.TopPages(ranks, 5) {
+	for _, p := range vecmath.TopPages(ranks, 5) {
 		fmt.Printf("  %-40s %.4f\n", graph.URL(int32(p)), ranks[p])
 	}
 }

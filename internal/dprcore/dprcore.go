@@ -10,8 +10,8 @@
 // converges whether rankers run synchronously, asynchronously, or over
 // a lossy network. That guarantee only holds if the *executed* rule is
 // the analyzed one, so the rule lives here once and every runtime —
-// the deterministic discrete-event simulator (internal/ranker over
-// internal/simnet) and the live TCP peers (internal/netpeer) — is a
+// the deterministic discrete-event simulator (internal/engine's ranker
+// over internal/simnet) and the live TCP peers (internal/netpeer) — is a
 // thin driver that decides only *when* the phases run and *where* the
 // emitted chunks go. Runtimes plug in through four small interfaces:
 // Clock (now/after), Sender (chunk emission), Waiter (inter-loop

@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"p2prank/internal/dprcore"
+	"p2prank/internal/nodeid"
+	"p2prank/internal/partition"
+	"p2prank/internal/pastry"
 	"p2prank/internal/transport"
+	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
 
@@ -18,6 +22,35 @@ func (s *loopbackSender) Send(from int, c transport.ScoreChunk) error {
 }
 
 func (s *loopbackSender) Flush(from int) error { return nil }
+
+// buildEquivGroups partitions a seeded 800-page crawl over three
+// rankers on a Pastry overlay.
+func buildEquivGroups(t *testing.T) []*dprcore.Group {
+	t.Helper()
+	gcfg := webgraph.DefaultGenConfig(800)
+	gcfg.Seed = 7
+	g, err := webgraph.Generate(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]nodeid.ID, 3)
+	for i := range ids {
+		ids[i] = nodeid.Hash("equiv-ranker-" + string(rune('0'+i)))
+	}
+	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := partition.Assign(g, ov, partition.BySite, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := dprcore.BuildGroups(g, assign, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
+}
 
 // The snapshot byte format is a file format: checkpoints written before
 // the loop's afferent table became a slot array must still restore, so

@@ -8,41 +8,22 @@ import (
 // SupervisorConfig parameterizes a Supervisor. Times are in the driving
 // runtime's units (nanoseconds for netpeer's wall clock).
 type SupervisorConfig struct {
-	// ProbeEvery is the liveness probe cadence (required, > 0).
+	// ProbeEvery is the liveness probe cadence (required, > 0). A
+	// failed restart of a ranker is retried after ProbeEvery, the wait
+	// doubling with each further failure up to maxBackoffProbes probes.
 	ProbeEvery float64
-	// RestartBackoff is the wait before retrying a failed restart of
-	// the same ranker (default ProbeEvery).
-	RestartBackoff float64
-	// BackoffFactor multiplies the per-ranker backoff after every
-	// failed restart (default 2).
-	BackoffFactor float64
-	// MaxBackoff caps the grown backoff (default 16 × RestartBackoff).
-	MaxBackoff float64
-	// Jitter stretches every probe wait and backoff by a uniform factor
-	// in [1, 1+Jitter) from the supervisor's private RNG stream
-	// (default 0.1; negative disables).
-	Jitter float64
-	// MaxRestarts bounds restart attempts per ranker (0 = unlimited).
-	MaxRestarts int
 }
 
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.RestartBackoff == 0 {
-		c.RestartBackoff = c.ProbeEvery
-	}
-	if c.BackoffFactor == 0 {
-		c.BackoffFactor = 2
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 16 * c.RestartBackoff
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
-	} else if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	return c
-}
+const (
+	// maxBackoffProbes caps a ranker's restart backoff at this many
+	// probe intervals.
+	maxBackoffProbes = 16
+	// supervisorJitter stretches every probe wait and backoff by a
+	// uniform factor in [1, 1+supervisorJitter) from the supervisor's
+	// private RNG stream, so a fleet of supervisors does not probe in
+	// lockstep.
+	supervisorJitter = 0.1
+)
 
 // Supervised is the set a Supervisor watches. The netpeer cluster
 // implements it: Alive combines socket liveness with the reliable
@@ -75,7 +56,6 @@ type Supervisor struct {
 	nextTry  []float64
 
 	restarts atomic.Int64
-	giveUps  atomic.Int64
 }
 
 // NewSupervisor builds a supervisor over set. The rng must be a private
@@ -87,29 +67,20 @@ func NewSupervisor(set Supervised, clock Clock, rng RNG, cfg SupervisorConfig) (
 	if cfg.ProbeEvery <= 0 {
 		return nil, fmt.Errorf("dprcore: supervisor ProbeEvery %v must be positive", cfg.ProbeEvery)
 	}
-	if cfg.BackoffFactor != 0 && cfg.BackoffFactor < 1 {
-		return nil, fmt.Errorf("dprcore: supervisor BackoffFactor %v < 1", cfg.BackoffFactor)
-	}
-	if cfg.MaxRestarts < 0 {
-		return nil, fmt.Errorf("dprcore: supervisor MaxRestarts %d negative", cfg.MaxRestarts)
-	}
 	n := set.NumRankers()
 	return &Supervisor{
 		set:      set,
 		clock:    clock,
 		rng:      rng,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		failures: make([]int, n),
 		nextTry:  make([]float64, n),
 	}, nil
 }
 
-// jittered stretches d by the configured jitter fraction.
+// jittered stretches d by the jitter fraction.
 func (s *Supervisor) jittered(d float64) float64 {
-	if s.cfg.Jitter > 0 {
-		d *= 1 + s.cfg.Jitter*s.rng.Float64()
-	}
-	return d
+	return d * (1 + supervisorJitter*s.rng.Float64())
 }
 
 // Run probes until w.Wait reports shutdown. It owns the restart state,
@@ -134,20 +105,11 @@ func (s *Supervisor) Probe() {
 		if now < s.nextTry[i] {
 			continue // still backing off from a failed restart
 		}
-		if s.cfg.MaxRestarts > 0 && s.failures[i] >= s.cfg.MaxRestarts {
-			continue // given up on this ranker
-		}
 		if err := s.set.Restart(i); err != nil {
 			s.failures[i]++
-			if s.cfg.MaxRestarts > 0 && s.failures[i] >= s.cfg.MaxRestarts {
-				s.giveUps.Add(1)
-			}
-			b := s.cfg.RestartBackoff
-			for f := 1; f < s.failures[i] && b < s.cfg.MaxBackoff; f++ {
-				b *= s.cfg.BackoffFactor
-			}
-			if b > s.cfg.MaxBackoff {
-				b = s.cfg.MaxBackoff
+			b := s.cfg.ProbeEvery
+			for f := 1; f < s.failures[i] && b < maxBackoffProbes*s.cfg.ProbeEvery; f++ {
+				b *= 2
 			}
 			s.nextTry[i] = now + s.jittered(b)
 			continue

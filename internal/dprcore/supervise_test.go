@@ -37,15 +37,12 @@ func TestNewSupervisorValidation(t *testing.T) {
 	if _, err := NewSupervisor(set, clk, constRNG{}, SupervisorConfig{}); err == nil {
 		t.Error("zero ProbeEvery accepted")
 	}
-	if _, err := NewSupervisor(set, clk, constRNG{}, SupervisorConfig{ProbeEvery: 1, BackoffFactor: 0.5}); err == nil {
-		t.Error("BackoffFactor < 1 accepted")
-	}
 }
 
 func TestSupervisorRestartsDeadRankers(t *testing.T) {
 	set := newFakeSet(3)
 	set.alive[0], set.alive[2] = true, true
-	sup, err := NewSupervisor(set, &fakeClock{}, constRNG{f: 0.5}, SupervisorConfig{ProbeEvery: 10, Jitter: -1})
+	sup, err := NewSupervisor(set, &fakeClock{}, constRNG{f: 0.5}, SupervisorConfig{ProbeEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,54 +59,56 @@ func TestSupervisorRestartsDeadRankers(t *testing.T) {
 	}
 }
 
+// A failed restart is retried after one probe interval, the wait
+// doubling per further failure and capped at maxBackoffProbes probes.
+// The zero RNG draw makes every jitter factor exactly 1.
 func TestSupervisorBacksOffFailedRestarts(t *testing.T) {
 	set := newFakeSet(1)
 	set.fail[0] = fmt.Errorf("still dead")
 	clk := &fakeClock{}
-	sup, err := NewSupervisor(set, clk, constRNG{f: 0.5}, SupervisorConfig{
-		ProbeEvery: 1, RestartBackoff: 10, BackoffFactor: 2, MaxBackoff: 40, Jitter: -1,
-	})
+	sup, err := NewSupervisor(set, clk, constRNG{}, SupervisorConfig{ProbeEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Probe() // t=0: fails, next try at 10
-	clk.now = 5
-	sup.Probe() // still backing off
-	if set.restarts[0] != 1 {
-		t.Fatalf("restarts = %d, probe ignored the backoff", set.restarts[0])
+	for n, backoff := range []float64{10, 20, 40, 80, 160, 160, 160} {
+		sup.Probe() // attempt n+1 fails
+		if set.restarts[0] != n+1 {
+			t.Fatalf("restarts = %d at t=%v, want %d", set.restarts[0], clk.now, n+1)
+		}
+		clk.now += backoff - 1
+		sup.Probe() // still backing off
+		if set.restarts[0] != n+1 {
+			t.Fatalf("restart tried %v into a %v backoff", backoff-1, backoff)
+		}
+		clk.now++
 	}
-	clk.now = 10
-	sup.Probe() // fails again, backoff 20 → next try at 30
-	clk.now = 25
-	sup.Probe()
-	if set.restarts[0] != 2 {
-		t.Fatalf("restarts = %d, backoff did not grow", set.restarts[0])
-	}
-	clk.now = 30
 	set.fail[0] = nil
 	sup.Probe()
-	if set.restarts[0] != 3 || !set.alive[0] || sup.Restarts() != 1 {
-		t.Fatalf("restarts = %d, alive = %v, Restarts() = %d; want a successful third try",
-			set.restarts[0], set.alive[0], sup.Restarts())
+	if !set.alive[0] || sup.Restarts() != 1 {
+		t.Fatalf("alive = %v, Restarts() = %d; want a successful last try", set.alive[0], sup.Restarts())
 	}
 }
 
-func TestSupervisorGivesUpAfterMaxRestarts(t *testing.T) {
+// Jitter only ever stretches a backoff, and by less than
+// supervisorJitter of it.
+func TestSupervisorJitterBound(t *testing.T) {
 	set := newFakeSet(1)
 	set.fail[0] = fmt.Errorf("still dead")
 	clk := &fakeClock{}
-	sup, err := NewSupervisor(set, clk, constRNG{f: 0.5}, SupervisorConfig{
-		ProbeEvery: 1, RestartBackoff: 1, MaxRestarts: 2, Jitter: -1,
-	})
+	sup, err := NewSupervisor(set, clk, constRNG{f: 0.999}, SupervisorConfig{ProbeEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		clk.now = float64(i * 100) // far past any backoff
-		sup.Probe()
+	sup.Probe() // fails at t=0: backoff 10, jittered into [10, 11)
+	clk.now = 10
+	sup.Probe()
+	if set.restarts[0] != 1 {
+		t.Fatal("jitter shortened the backoff")
 	}
+	clk.now = 10 * (1 + supervisorJitter)
+	sup.Probe()
 	if set.restarts[0] != 2 {
-		t.Fatalf("restarts = %d, want exactly MaxRestarts", set.restarts[0])
+		t.Fatal("jitter stretched the backoff past its bound")
 	}
 }
 
@@ -120,23 +119,28 @@ func TestSupervisorRunStopsWithWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	sup.Run(countWaiter{n: &n, max: 3})
-	if n != 3 {
-		t.Fatalf("waited %d times, want 3", n)
+	var waits []float64
+	sup.Run(countWaiter{waits: &waits, max: 3})
+	if len(waits) != 3 {
+		t.Fatalf("waited %d times, want 3", len(waits))
+	}
+	for _, d := range waits {
+		if d < 1 || d >= 1+supervisorJitter {
+			t.Fatalf("probe wait %v outside [1, %v)", d, 1+supervisorJitter)
+		}
 	}
 }
 
-// countWaiter allows max waits then reports shutdown.
+// countWaiter records up to max waits, then reports shutdown.
 type countWaiter struct {
-	n   *int
-	max int
+	waits *[]float64
+	max   int
 }
 
 func (w countWaiter) Wait(d float64) bool {
-	if *w.n >= w.max {
+	if len(*w.waits) >= w.max {
 		return false
 	}
-	*w.n++
+	*w.waits = append(*w.waits, d)
 	return true
 }

@@ -2,7 +2,8 @@
 // experiment: it builds the overlay, partitions the crawl, wires K
 // asynchronous rankers to a transport fabric over the simulated
 // network, runs them against the centralized reference vector, and
-// records the time series behind the paper's Figures 6–8.
+// records the time series behind the paper's Figures 6–8. Each ranker
+// is one dprcore.Loop under the simulator driver in ranker.go.
 package engine
 
 import (
@@ -15,7 +16,6 @@ import (
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
 	"p2prank/internal/pastry"
-	"p2prank/internal/ranker"
 	"p2prank/internal/simnet"
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
@@ -163,6 +163,7 @@ func (c *Config) validate() error {
 	if c.Size == (transport.SizeModel{}) {
 		c.Size = transport.DefaultSizeModel()
 	}
+	//p2plint:allow floateq -- unset-field detection on a config value, not a computed score
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 5
 	}
@@ -279,7 +280,7 @@ type cluster struct {
 	rel     *dprcore.ReliableSender  // nil unless cfg.Reliable.Enabled()
 	ckpt    *dprcore.MemCheckpointer // nil unless checkpoint restarts need loads
 	assign  *partition.Assignment
-	rankers []*ranker.Ranker
+	rankers []*ranker
 }
 
 // BuildOverlay constructs the requested overlay over k ranker IDs
@@ -374,13 +375,13 @@ func build(cfg Config) (*cluster, error) {
 		}
 		ckpt = cfg.Checkpoint.Sink.(*dprcore.MemCheckpointer) // validate() pinned the type
 	}
-	rankers := make([]*ranker.Ranker, cfg.K)
+	rankers := make([]*ranker, cfg.K)
 	for i := 0; i < cfg.K; i++ {
 		mean := cfg.T1 + root.Float64()*(cfg.T2-cfg.T1)
 		if mean < MinMeanWait {
 			mean = MinMeanWait
 		}
-		rk, err := ranker.New(groups[i], cfg.Params, mean, sim, sender, root.Fork())
+		rk, err := newRanker(groups[i], cfg.Params, mean, sim, sender, root.Fork())
 		if err != nil {
 			return nil, err
 		}

@@ -10,11 +10,11 @@
 //
 //   - norand: all randomness flows through the seeded internal/xrand
 //     streams; direct math/rand imports are forbidden outside xrand.
-//   - nowallclock: simulation-path packages (simnet, engine, ranker,
-//     dprcore, experiments, par, telemetry) never read the wall clock;
+//   - nowallclock: simulation-path packages (simnet, engine, dprcore,
+//     experiments, par, telemetry, webgraph) never read the wall clock;
 //     sim time comes from the simnet virtual clock.
 //   - floateq: rank values are never compared with ==/!= in the
-//     floating-point packages (pagerank, vecmath, ranker, rankcmp);
+//     floating-point packages (pagerank, vecmath, engine);
 //     comparisons must be epsilon-based or explicitly annotated.
 //   - senderr: results of Send/Flush emit paths are never silently
 //     discarded; failures must be propagated, logged, or counted.

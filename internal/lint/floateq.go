@@ -17,8 +17,9 @@ import (
 var floatPackages = []string{
 	"internal/pagerank",
 	"internal/vecmath",
-	"internal/ranker",
-	"internal/rankcmp",
+	// The simulator driver and the run loop that samples its ranks
+	// against the reference.
+	"internal/engine",
 }
 
 // FloatEq forbids ==/!= between floating-point operands in the rank

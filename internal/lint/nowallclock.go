@@ -30,7 +30,6 @@ var wallClockFuncs = map[string]bool{
 var simPathPackages = []string{
 	"internal/simnet",
 	"internal/engine",
-	"internal/ranker",
 	// The runtime-agnostic DPR loop core: time and randomness may enter
 	// only through its Clock/RNG interfaces, never directly — the wall
 	// clock lives solely in the netpeer driver's Clock implementation.

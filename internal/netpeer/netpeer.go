@@ -8,7 +8,7 @@
 // unchanged over real sockets, real concurrency, and real partial
 // failure (a peer can be stopped and the rest keep converging). The
 // algorithms themselves live in internal/dprcore, shared verbatim with
-// the simulator's driver (internal/ranker); this package only supplies
+// the simulator's driver (internal/engine); this package only supplies
 // the live runtime — wall-clock waits, a TCP transport, and the state
 // lock that serializes loop phases against concurrent deliveries.
 //

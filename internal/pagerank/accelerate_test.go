@@ -78,71 +78,6 @@ func TestAcceleratedEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestTopicEBiasesRanks(t *testing.T) {
-	g := genGraph(t, 5000, 35)
-	topic := []int32{1}
-	e, err := TopicE(g, topic, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Defaults()
-	opt.E = e
-	biased, err := Open(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform, err := Open(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := SiteRankMass(g, biased.Ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	um, err := SiteRankMass(g, uniform.Ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The boosted site's share of total rank must grow.
-	bShare := bm[1] / biased.Ranks.Sum()
-	uShare := um[1] / uniform.Ranks.Sum()
-	if bShare <= uShare {
-		t.Fatalf("topic share did not grow: %v vs %v", bShare, uShare)
-	}
-}
-
-func TestTopicEValidation(t *testing.T) {
-	g := genGraph(t, 300, 1)
-	if _, err := TopicE(g, []int32{99}, 1, 0); err == nil {
-		t.Error("out-of-range site accepted")
-	}
-	if _, err := TopicE(g, []int32{0}, -1, 0); err == nil {
-		t.Error("negative boost accepted")
-	}
-	if _, err := TopicE(g, []int32{0}, 0, 0); err == nil {
-		t.Error("all-zero E accepted")
-	}
-}
-
-func TestSiteRankMass(t *testing.T) {
-	g := genGraph(t, 1000, 3)
-	ranks := vecmath.Const(g.NumPages(), 1)
-	mass, err := SiteRankMass(g, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, m := range mass {
-		total += m
-	}
-	if total != float64(g.NumPages()) {
-		t.Fatalf("mass sums to %v", total)
-	}
-	if _, err := SiteRankMass(g, vecmath.Const(3, 1)); err == nil {
-		t.Error("wrong-length ranks accepted")
-	}
-}
-
 func BenchmarkOpenAccelerated10k(b *testing.B) {
 	cfg := webgraph.DefaultGenConfig(10000)
 	g, err := webgraph.Generate(cfg)

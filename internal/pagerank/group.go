@@ -66,10 +66,6 @@ func NewGroupSystem(n int, links [][2]int32, deg []int32, e vecmath.Vec, alpha f
 // N returns the number of pages in the group.
 func (s *GroupSystem) N() int { return len(s.BetaE) }
 
-// NormA returns ‖A‖∞, the contraction factor certifying convergence
-// (Theorem 3.2 gives ρ(A) ≤ ‖A‖∞ ≤ α < 1).
-func (s *GroupSystem) NormA() float64 { return s.A.NormInf() }
-
 // Step performs one Jacobi step dst = A·r + βE + x. This is the body of
 // DPR2's loop. dst must not alias r. A nil x means X = 0.
 func (s *GroupSystem) Step(dst, r, x vecmath.Vec) {

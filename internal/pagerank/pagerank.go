@@ -90,12 +90,12 @@ var ErrNotConverged = errors.New("pagerank: did not converge")
 // one scatter pass in ascending source order writes every link where it
 // stays. Scattering source-ascending makes every row's columns arrive
 // sorted (with duplicate links adjacent, merged in place at the end),
-// which is exactly the matrix vecmath.NewCSR builds from the same
-// links — so every fingerprint downstream is bit-identical to an
-// Entry-slice build while only the final arrays and one 8-byte cursor a
-// page are ever allocated (the Entry slice cost 24 transient bytes per
-// link, ~720 MB at the 10⁵ scale point). weight(u, internalDeg)
-// supplies the per-source value.
+// which is exactly the matrix an unordered-entry build (vecmath's test
+// reference) assembles from the same links — so every fingerprint
+// downstream is bit-identical to an entry-slice build while only the
+// final arrays and one 8-byte cursor a page are ever allocated (the
+// entry slice cost 24 transient bytes per link, ~720 MB at the 10⁵
+// scale point). weight(u, internalDeg) supplies the per-source value.
 func buildTransposed(g *webgraph.Graph, weight func(u int32, internalDeg int) float64) (*vecmath.CSR, error) {
 	n := g.NumPages()
 	counts := make([]int64, n)

@@ -382,29 +382,39 @@ func TestNewGroupSystemErrors(t *testing.T) {
 }
 
 // TestDirectFillsMatchNewCSR: the two builders that write links straight
-// into length-major storage build, array for array, the matrix
-// vecmath.NewCSR assembles from the same links as unordered entries —
-// parallel links merged the same way.
+// into length-major storage build, array for array, the matrix an
+// unordered-entry build (vecmath's test reference, newCSR) assembles
+// from the same links — parallel links merged the same way. The links
+// are walked source-ascending, so the entries already arrive in the
+// column order that build sorts them into, and the reference reduces to
+// counting each row and putting every entry in arrival order.
 func TestDirectFillsMatchNewCSR(t *testing.T) {
 	g := genGraph(t, 3000, 5)
 	const alpha = 0.85
 	n := g.NumPages()
-	var entries []vecmath.Entry
 	var links [][2]int32
 	deg := make([]int32, n)
+	counts := make([]int64, n)
 	for p := 0; p < n; p++ {
 		u := int32(p)
 		deg[p] = int32(g.OutDegree(u))
 		for _, v := range g.InternalOut(u) {
-			entries = append(entries, vecmath.Entry{Row: int(v), Col: p, Val: alpha / float64(g.OutDegree(u))})
 			links = append(links, [2]int32{u, v})
+			counts[v]++
 		}
 	}
-	want, err := vecmath.NewCSR(n, n, entries)
+	f, err := vecmath.NewFill(n, n, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.NNZ() == len(entries) {
+	for _, l := range links {
+		f.Put(l[1], l[0], alpha/float64(deg[l[0]]))
+	}
+	want, err := f.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NNZ() == len(links) {
 		t.Fatal("the crawl has no parallel links: the merge path is not exercised")
 	}
 	a, err := BuildTransition(g, alpha)
@@ -412,14 +422,14 @@ func TestDirectFillsMatchNewCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, want) {
-		t.Error("BuildTransition differs from NewCSR over the same links")
+		t.Error("BuildTransition differs from the entry build over the same links")
 	}
 	sys, err := NewGroupSystem(n, links, deg, nil, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sys.A, want) {
-		t.Error("NewGroupSystem differs from NewCSR over the same links")
+		t.Error("NewGroupSystem differs from the entry build over the same links")
 	}
 }
 

@@ -159,9 +159,6 @@ func (n *Network) SetDown(a NodeAddr, down bool) {
 	n.node(a).down = down
 }
 
-// IsDown reports whether a node is failed.
-func (n *Network) IsDown(a NodeAddr) bool { return n.node(a).down }
-
 func (n *Network) node(a NodeAddr) *node {
 	if a < 0 || int(a) >= len(n.nodes) {
 		panic(fmt.Sprintf("simnet: invalid node address %d", a))

@@ -5,18 +5,20 @@ package transport_test
 // internal/transport.
 
 import (
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/pastry"
-	"p2prank/internal/rankcmp"
 	"p2prank/internal/simnet"
 	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
+	"p2prank/internal/xrand"
 )
 
 func codecGraph(t testing.TB) *webgraph.Graph {
@@ -93,19 +95,129 @@ func TestQuantizedCodecConvergesToFloor(t *testing.T) {
 	}
 	// What a search engine cares about survives even 6-bit scores: the
 	// ordering stays almost perfectly correlated with the exact ranks.
-	tau, err := rankcmp.KendallTau(coarse.Final, coarse.Reference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tau < 0.95 {
+	if tau := kendallTau(coarse.Final, coarse.Reference); tau < 0.95 {
 		t.Fatalf("quantized-6 ordering degraded: Kendall tau %v", tau)
 	}
-	top, err := rankcmp.TopKOverlap(coarse.Final, coarse.Reference, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top < 0.9 {
+	if top := topKOverlap(coarse.Final, coarse.Reference, 100); top < 0.9 {
 		t.Fatalf("quantized-6 top-100 overlap %v", top)
+	}
+}
+
+// rankOrder returns page indices sorted by descending score, ties
+// broken by ascending index so every score vector induces a strict
+// total order.
+func rankOrder(x vecmath.Vec) []int32 {
+	idx := make([]int32, len(x))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		//p2plint:allow floateq -- sort tie-break: any strict total order works, exact inequality is deliberate
+		if x[idx[a]] != x[idx[b]] {
+			return x[idx[a]] > x[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// kendallTau returns the Kendall τ-a correlation of the orderings
+// induced by a and b (equal length ≥ 2): 1 for identical orderings, −1
+// for exactly reversed, ≈0 for unrelated. The discordant pairs are the
+// inversions of b's positions listed in a's order, counted by merge
+// sort in O(n log n).
+func kendallTau(a, b vecmath.Vec) float64 {
+	n := len(a)
+	posB := make([]int32, n)
+	for rank, p := range rankOrder(b) {
+		posB[p] = int32(rank)
+	}
+	seq := make([]int32, n)
+	for rank, p := range rankOrder(a) {
+		seq[rank] = posB[p]
+	}
+	pairs := int64(n) * int64(n-1) / 2
+	return 1 - 2*float64(countInversions(seq, make([]int32, n)))/float64(pairs)
+}
+
+// countInversions counts pairs i<j with s[i] > s[j] by merge sort,
+// sorting s in place through buf (same length).
+func countInversions(s, buf []int32) int64 {
+	n := len(s)
+	if n < 2 {
+		return 0
+	}
+	mid := n / 2
+	inv := countInversions(s[:mid], buf[:mid]) + countInversions(s[mid:], buf[mid:])
+	i, j, k := 0, mid, 0
+	for i < mid && j < n {
+		if s[i] <= s[j] {
+			buf[k] = s[i]
+			i++
+		} else {
+			buf[k] = s[j]
+			j++
+			inv += int64(mid - i)
+		}
+		k++
+	}
+	copy(buf[k:], s[i:mid])
+	copy(buf[k+mid-i:], s[j:])
+	copy(s, buf[:n])
+	return inv
+}
+
+// topKOverlap returns the fraction of a's k highest-ranked pages that
+// also rank in b's top k.
+func topKOverlap(a, b vecmath.Vec, k int) float64 {
+	inB := make(map[int32]bool, k)
+	for _, p := range rankOrder(b)[:k] {
+		inB[p] = true
+	}
+	hit := 0
+	for _, p := range rankOrder(a)[:k] {
+		if inB[p] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(k)
+}
+
+func TestKendallIdentical(t *testing.T) {
+	a := vecmath.Vec{3, 1, 2, 5}
+	if tau := kendallTau(a, a.Clone()); tau != 1 {
+		t.Fatalf("tau = %v, want 1", tau)
+	}
+}
+
+func TestKendallReversed(t *testing.T) {
+	a := vecmath.Vec{1, 2, 3, 4, 5}
+	b := vecmath.Vec{5, 4, 3, 2, 1}
+	if tau := kendallTau(a, b); tau != -1 {
+		t.Fatalf("tau = %v, want -1", tau)
+	}
+}
+
+func TestCountInversionsAgainstBruteForce(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		n := r.Intn(50)
+		seq := make([]int32, n)
+		for i := range seq {
+			seq[i] = int32(r.Intn(20))
+		}
+		var brute int64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if seq[i] > seq[j] {
+					brute++
+				}
+			}
+		}
+		return countInversions(seq, make([]int32, n)) == brute
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -82,7 +82,7 @@ const csrParMinNNZ = 1 << 14
 // ascending column order — the transition builds scatter over a graph's
 // out-links source-ascending, which is exactly that. The counts fix the
 // storage order before the first entry arrives, so each entry is
-// written once, straight to its final place: no transient Entry slice
+// written once, straight to its final place: no transient entry slice
 // (24 bytes per link), no row-major copy to permute.
 type Fill struct {
 	m    *CSR
@@ -142,8 +142,9 @@ func (f Fill) Put(row, col int32, val float64) {
 // CSR finishes the matrix. It returns an error unless every row
 // received the entries it declared, in range and in non-decreasing
 // column order; adjacent equal columns are summed in arrival order and
-// the arrays compacted in place, producing exactly the matrix NewCSR
-// builds from the same entries. The Fill must not be used afterwards.
+// the arrays compacted in place — the matrix an unordered-entry build
+// produces once its entries are stably sorted by column. The Fill must
+// not be used afterwards.
 func (f Fill) CSR() (*CSR, error) {
 	m := f.m
 	w := int64(0)
@@ -179,51 +180,6 @@ func (f Fill) CSR() (*CSR, error) {
 	// rowPtr is already the NNZ prefix-weight array SplitPrefix wants.
 	m.shardPtr = par.SplitPrefix(m.rowPtr, defaultCSRShards)
 	return m, nil
-}
-
-// Entry is one (row, col, value) triple used when building a CSR matrix.
-type Entry struct {
-	Row, Col int
-	Val      float64
-}
-
-// NewCSR assembles a CSR matrix from unordered entries. Duplicate
-// (row, col) entries are summed. It returns an error if any index is out
-// of bounds.
-//
-// Assembly is a stable counting sort by column, whose pass over the
-// entries also counts the rows, then a Fill in that order: O(entries +
-// rows + cols) with no comparator calls.
-func NewCSR(rows, cols int, entries []Entry) (*CSR, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("vecmath: negative dimension %dx%d", rows, cols)
-	}
-	counts := make([]int64, rows)
-	colPtr := make([]int64, cols+1)
-	for _, e := range entries {
-		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
-			return nil, fmt.Errorf("vecmath: entry (%d,%d) out of bounds for %dx%d matrix",
-				e.Row, e.Col, rows, cols)
-		}
-		counts[e.Row]++
-		colPtr[e.Col+1]++
-	}
-	f, err := NewFill(rows, cols, counts)
-	if err != nil {
-		return nil, err
-	}
-	for c := range cols {
-		colPtr[c+1] += colPtr[c]
-	}
-	byCol := make([]Entry, len(entries))
-	for _, e := range entries {
-		byCol[colPtr[e.Col]] = e
-		colPtr[e.Col]++
-	}
-	for _, e := range byCol {
-		f.Put(int32(e.Row), int32(e.Col), e.Val)
-	}
-	return f.CSR()
 }
 
 // oneShard reports whether kernels should stay on the calling

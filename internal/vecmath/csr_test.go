@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,11 +9,57 @@ import (
 	"p2prank/internal/xrand"
 )
 
-func mustCSR(t *testing.T, rows, cols int, entries []Entry) *CSR {
-	t.Helper()
-	m, err := NewCSR(rows, cols, entries)
+// entry is one (row, col, value) triple of an unordered-entry build.
+type entry struct {
+	Row, Col int
+	Val      float64
+}
+
+// newCSR assembles a CSR matrix from unordered entries, the reference
+// the tests hold the production Fill builders to. Duplicate (row, col)
+// entries are summed. It returns an error if any index is out of
+// bounds.
+//
+// Assembly is a stable counting sort by column, whose pass over the
+// entries also counts the rows, then a Fill in that order: O(entries +
+// rows + cols) with no comparator calls.
+func newCSR(rows, cols int, entries []entry) (*CSR, error) {
+	if rows < 0 || cols < 0 {
+		return nil, fmt.Errorf("vecmath: negative dimension %dx%d", rows, cols)
+	}
+	counts := make([]int64, rows)
+	colPtr := make([]int64, cols+1)
+	for _, e := range entries {
+		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
+			return nil, fmt.Errorf("vecmath: entry (%d,%d) out of bounds for %dx%d matrix",
+				e.Row, e.Col, rows, cols)
+		}
+		counts[e.Row]++
+		colPtr[e.Col+1]++
+	}
+	f, err := NewFill(rows, cols, counts)
 	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
+		return nil, err
+	}
+	for c := range cols {
+		colPtr[c+1] += colPtr[c]
+	}
+	byCol := make([]entry, len(entries))
+	for _, e := range entries {
+		byCol[colPtr[e.Col]] = e
+		colPtr[e.Col]++
+	}
+	for _, e := range byCol {
+		f.Put(int32(e.Row), int32(e.Col), e.Val)
+	}
+	return f.CSR()
+}
+
+func mustCSR(t *testing.T, rows, cols int, entries []entry) *CSR {
+	t.Helper()
+	m, err := newCSR(rows, cols, entries)
+	if err != nil {
+		t.Fatalf("newCSR: %v", err)
 	}
 	return m
 }
@@ -32,7 +79,7 @@ func rowOf(m *CSR, i int) ([]int32, []float64) {
 func TestCSRBasicMulVec(t *testing.T) {
 	// [ 1 2 ]
 	// [ 0 3 ]
-	m := mustCSR(t, 2, 2, []Entry{
+	m := mustCSR(t, 2, 2, []entry{
 		{0, 0, 1}, {0, 1, 2}, {1, 1, 3},
 	})
 	dst := NewVec(2)
@@ -43,7 +90,7 @@ func TestCSRBasicMulVec(t *testing.T) {
 }
 
 func TestCSRDuplicatesSummed(t *testing.T) {
-	m := mustCSR(t, 1, 1, []Entry{{0, 0, 1}, {0, 0, 2.5}})
+	m := mustCSR(t, 1, 1, []entry{{0, 0, 1}, {0, 0, 2.5}})
 	if m.NNZ() != 1 {
 		t.Fatalf("NNZ = %d, want 1", m.NNZ())
 	}
@@ -53,7 +100,7 @@ func TestCSRDuplicatesSummed(t *testing.T) {
 }
 
 func TestCSRUnsortedEntries(t *testing.T) {
-	m := mustCSR(t, 3, 3, []Entry{
+	m := mustCSR(t, 3, 3, []entry{
 		{2, 1, 5}, {0, 2, 1}, {1, 0, 2}, {0, 0, 3},
 	})
 	cols, vals := rowOf(m, 0)
@@ -67,12 +114,12 @@ func TestCSRUnsortedEntries(t *testing.T) {
 }
 
 func TestCSROutOfBounds(t *testing.T) {
-	for _, e := range []Entry{{-1, 0, 1}, {0, -1, 1}, {2, 0, 1}, {0, 2, 1}} {
-		if _, err := NewCSR(2, 2, []Entry{e}); err == nil {
+	for _, e := range []entry{{-1, 0, 1}, {0, -1, 1}, {2, 0, 1}, {0, 2, 1}} {
+		if _, err := newCSR(2, 2, []entry{e}); err == nil {
 			t.Errorf("entry %+v accepted", e)
 		}
 	}
-	if _, err := NewCSR(-1, 2, nil); err == nil {
+	if _, err := newCSR(-1, 2, nil); err == nil {
 		t.Error("negative rows accepted")
 	}
 }
@@ -90,7 +137,7 @@ func TestCSREmpty(t *testing.T) {
 }
 
 func TestCSRMulVecAdd(t *testing.T) {
-	m := mustCSR(t, 2, 2, []Entry{{0, 0, 1}, {1, 1, 1}})
+	m := mustCSR(t, 2, 2, []entry{{0, 0, 1}, {1, 1, 1}})
 	dst := Vec{5, 5}
 	m.MulVecAdd(dst, Vec{1, 2})
 	if dst[0] != 6 || dst[1] != 7 {
@@ -99,7 +146,7 @@ func TestCSRMulVecAdd(t *testing.T) {
 }
 
 func TestCSRNormInf(t *testing.T) {
-	m := mustCSR(t, 2, 3, []Entry{
+	m := mustCSR(t, 2, 3, []entry{
 		{0, 0, 1}, {0, 1, -2}, {1, 2, 2.5},
 	})
 	if got := m.NormInf(); got != 3 {
@@ -108,7 +155,7 @@ func TestCSRNormInf(t *testing.T) {
 }
 
 func TestCSRTranspose(t *testing.T) {
-	m := mustCSR(t, 2, 3, []Entry{
+	m := mustCSR(t, 2, 3, []entry{
 		{0, 0, 1}, {0, 2, 2}, {1, 1, 3},
 	})
 	tr := m.Transpose()
@@ -133,11 +180,11 @@ func TestCSRTransposeInvolutionProperty(t *testing.T) {
 		r := xrand.New(seed)
 		rows, cols := 1+r.Intn(20), 1+r.Intn(20)
 		nnz := r.Intn(60)
-		entries := make([]Entry, nnz)
+		entries := make([]entry, nnz)
 		for i := range entries {
-			entries[i] = Entry{r.Intn(rows), r.Intn(cols), r.Float64()*4 - 2}
+			entries[i] = entry{r.Intn(rows), r.Intn(cols), r.Float64()*4 - 2}
 		}
-		m, err := NewCSR(rows, cols, entries)
+		m, err := newCSR(rows, cols, entries)
 		if err != nil {
 			return false
 		}
@@ -162,11 +209,11 @@ func TestCSRNormInfBoundProperty(t *testing.T) {
 		r := xrand.New(seed)
 		n := 1 + r.Intn(20)
 		nnz := r.Intn(80)
-		entries := make([]Entry, nnz)
+		entries := make([]entry, nnz)
 		for i := range entries {
-			entries[i] = Entry{r.Intn(n), r.Intn(n), r.Float64()*2 - 1}
+			entries[i] = entry{r.Intn(n), r.Intn(n), r.Float64()*2 - 1}
 		}
-		m, err := NewCSR(n, n, entries)
+		m, err := newCSR(n, n, entries)
 		if err != nil {
 			return false
 		}
@@ -188,11 +235,11 @@ func TestCSRLinearityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 1 + r.Intn(15)
-		entries := make([]Entry, r.Intn(50))
+		entries := make([]entry, r.Intn(50))
 		for i := range entries {
-			entries[i] = Entry{r.Intn(n), r.Intn(n), r.Float64()}
+			entries[i] = entry{r.Intn(n), r.Intn(n), r.Float64()}
 		}
-		m, err := NewCSR(n, n, entries)
+		m, err := newCSR(n, n, entries)
 		if err != nil {
 			return false
 		}
@@ -225,13 +272,13 @@ func BenchmarkCSRMulVec(b *testing.B) {
 	r := xrand.New(1)
 	const n = 10000
 	const deg = 15
-	entries := make([]Entry, 0, n*deg)
+	entries := make([]entry, 0, n*deg)
 	for i := 0; i < n; i++ {
 		for k := 0; k < deg; k++ {
-			entries = append(entries, Entry{i, r.Intn(n), r.Float64()})
+			entries = append(entries, entry{i, r.Intn(n), r.Float64()})
 		}
 	}
-	m, err := NewCSR(n, n, entries)
+	m, err := newCSR(n, n, entries)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,15 +12,15 @@ import (
 
 // rowMajor is the layout the kernels are specified against: the entries
 // sorted by (row, col), duplicates summed in arrival order.
-func rowMajor(entries []Entry) []Entry {
-	ref := append([]Entry(nil), entries...)
+func rowMajor(entries []entry) []entry {
+	ref := append([]entry(nil), entries...)
 	sort.SliceStable(ref, func(i, j int) bool {
 		if ref[i].Row != ref[j].Row {
 			return ref[i].Row < ref[j].Row
 		}
 		return ref[i].Col < ref[j].Col
 	})
-	var merged []Entry
+	var merged []entry
 	for _, e := range ref {
 		if n := len(merged); n > 0 && merged[n-1].Row == e.Row && merged[n-1].Col == e.Col {
 			merged[n-1].Val += e.Val
@@ -35,7 +35,7 @@ func rowMajor(entries []Entry) []Entry {
 // bit: rows in index order, each dot 0 + v₀x₀ + v₁x₁ + … left to right,
 // the step (dot + e) + xa, the delta in fixed vecBlock blocks combined
 // in block order, the norm a max of row sums of |v|.
-func refKernels(n int, merged []Entry, x, e, xa Vec) (mul, step Vec, delta, normInf float64) {
+func refKernels(n int, merged []entry, x, e, xa Vec) (mul, step Vec, delta, normInf float64) {
 	mul, step = NewVec(n), NewVec(n)
 	abs := NewVec(n)
 	for _, en := range merged {
@@ -60,12 +60,12 @@ func refKernels(n int, merged []Entry, x, e, xa Vec) (mul, step Vec, delta, norm
 // layoutCase draws a seeded n×n entry list with every row-length regime
 // the layout has to order: empty rows throughout, one row holding half
 // the entries, and duplicate (row, col) pairs.
-func layoutCase(n, nnz int, seed uint64) []Entry {
+func layoutCase(n, nnz int, seed uint64) []entry {
 	rng := xrand.New(seed)
-	entries := make([]Entry, 0, nnz)
+	entries := make([]entry, 0, nnz)
 	heavy := rng.Intn(n)
 	for len(entries) < nnz {
-		e := Entry{Row: rng.Intn(n), Col: rng.Intn(n), Val: rng.Float64()}
+		e := entry{Row: rng.Intn(n), Col: rng.Intn(n), Val: rng.Float64()}
 		switch {
 		case len(entries)%2 == 0:
 			e.Row = heavy
@@ -83,7 +83,7 @@ func layoutCase(n, nnz int, seed uint64) []Entry {
 // ascending (declared count, index) order — which merged duplicates can
 // only shorten in place — columns strictly ascending within a row, the
 // empty run counted, the shards covering every slot.
-func checkLayout(t *testing.T, m *CSR, declared, merged []Entry) {
+func checkLayout(t *testing.T, m *CSR, declared, merged []entry) {
 	t.Helper()
 	if len(m.perm) != m.NumRows || len(m.rowPtr) != m.NumRows+1 || m.NNZ() != len(merged) {
 		t.Fatalf("layout sizes: perm %d rowPtr %d nnz %d for %d rows, %d entries",
@@ -145,13 +145,13 @@ func TestLayoutKernelsMatchRowMajorReference(t *testing.T) {
 			x, e, xa := randVec(c.n, 1), randVec(c.n, 2), randVec(c.n, 3)
 			mul, step, delta, normInf := refKernels(c.n, merged, x, e, xa)
 			_, stepNil, deltaNil, _ := refKernels(c.n, merged, x, e, nil)
-			base, err := NewCSR(c.n, c.n, append([]Entry(nil), entries...))
+			base, err := newCSR(c.n, c.n, append([]entry(nil), entries...))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 4, 16} {
 				prev := SetDefaultCSRShards(shards)
-				m, err := NewCSR(c.n, c.n, append([]Entry(nil), entries...))
+				m, err := newCSR(c.n, c.n, append([]entry(nil), entries...))
 				SetDefaultCSRShards(prev)
 				if err != nil {
 					t.Fatal(err)
@@ -202,7 +202,7 @@ func TestLayoutKernelsMatchRowMajorReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			byCol := append([]Entry(nil), entries...)
+			byCol := append([]entry(nil), entries...)
 			sort.SliceStable(byCol, func(i, j int) bool { return byCol[i].Col < byCol[j].Col })
 			for _, en := range byCol {
 				f.Put(int32(en.Row), int32(en.Col), en.Val)
@@ -212,7 +212,7 @@ func TestLayoutKernelsMatchRowMajorReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(direct, base) {
-				t.Fatal("Fill and NewCSR built different matrices from the same entries")
+				t.Fatal("Fill and newCSR built different matrices from the same entries")
 			}
 
 			// Transposing twice rebuilds the matrix from its merged
@@ -264,13 +264,13 @@ func TestFillRejectsBrokenContracts(t *testing.T) {
 
 // fuzzEntries decodes a byte string into a small square entry list:
 // the first byte sizes the matrix, then (row, col, value) triples.
-func fuzzEntries(data []byte) (n int, entries []Entry) {
+func fuzzEntries(data []byte) (n int, entries []entry) {
 	if len(data) == 0 {
 		return 1, nil
 	}
 	n = 1 + int(data[0])%96
 	for b := data[1:]; len(b) >= 3; b = b[3:] {
-		entries = append(entries, Entry{Row: int(b[0]) % n, Col: int(b[1]) % n, Val: float64(b[2]) / 64})
+		entries = append(entries, entry{Row: int(b[0]) % n, Col: int(b[1]) % n, Val: float64(b[2]) / 64})
 	}
 	return n, entries
 }
@@ -289,7 +289,7 @@ func FuzzCSRKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, entries := fuzzEntries(data)
 		merged := rowMajor(entries)
-		m, err := NewCSR(n, n, entries)
+		m, err := newCSR(n, n, entries)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,17 +12,17 @@ import (
 func randCSR(t *testing.T, rows, cols, avgNNZ int, seed uint64) *CSR {
 	t.Helper()
 	rng := xrand.New(seed)
-	entries := make([]Entry, 0, rows*avgNNZ)
+	entries := make([]entry, 0, rows*avgNNZ)
 	for i := 0; i < rows*avgNNZ; i++ {
-		entries = append(entries, Entry{
+		entries = append(entries, entry{
 			Row: int(rng.Uint64() % uint64(rows)),
 			Col: int(rng.Uint64() % uint64(cols)),
 			Val: rng.Float64(),
 		})
 	}
-	m, err := NewCSR(rows, cols, entries)
+	m, err := newCSR(rows, cols, entries)
 	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
+		t.Fatalf("newCSR: %v", err)
 	}
 	return m
 }
@@ -54,17 +54,17 @@ func bitsEqual(x, y Vec) bool {
 func TestNewCSRCountingSortMatchesComparatorSort(t *testing.T) {
 	rng := xrand.New(7)
 	const rows, cols, nnz = 57, 43, 900
-	entries := make([]Entry, nnz)
+	entries := make([]entry, nnz)
 	for i := range entries {
-		entries[i] = Entry{
+		entries[i] = entry{
 			Row: int(rng.Uint64() % rows),
 			Col: int(rng.Uint64() % cols),
 			Val: rng.Float64(),
 		}
 	}
-	m, err := NewCSR(rows, cols, append([]Entry(nil), entries...))
+	m, err := newCSR(rows, cols, append([]entry(nil), entries...))
 	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
+		t.Fatalf("newCSR: %v", err)
 	}
 	// Reference: comparator sort (stable, same duplicate order) + merge.
 	merged := rowMajor(entries)
@@ -220,15 +220,15 @@ func TestStepDeltaSmallMatchesUnfused(t *testing.T) {
 func BenchmarkMulVec(b *testing.B) {
 	const n = 20000
 	rng := xrand.New(9)
-	entries := make([]Entry, n*8)
+	entries := make([]entry, n*8)
 	for i := range entries {
-		entries[i] = Entry{
+		entries[i] = entry{
 			Row: int(rng.Uint64() % n),
 			Col: int(rng.Uint64() % n),
 			Val: rng.Float64(),
 		}
 	}
-	m, err := NewCSR(n, n, entries)
+	m, err := newCSR(n, n, entries)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,15 +244,15 @@ func BenchmarkMulVec(b *testing.B) {
 func BenchmarkStepDelta(b *testing.B) {
 	const n = 20000
 	rng := xrand.New(9)
-	entries := make([]Entry, n*8)
+	entries := make([]entry, n*8)
 	for i := range entries {
-		entries[i] = Entry{
+		entries[i] = entry{
 			Row: int(rng.Uint64() % n),
 			Col: int(rng.Uint64() % n),
 			Val: rng.Float64(),
 		}
 	}
-	m, err := NewCSR(n, n, entries)
+	m, err := newCSR(n, n, entries)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,27 +263,5 @@ func BenchmarkStepDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.StepDelta(dst, x, e, nil)
-	}
-}
-
-func BenchmarkNewCSR(b *testing.B) {
-	const n = 20000
-	rng := xrand.New(9)
-	entries := make([]Entry, n*8)
-	for i := range entries {
-		entries[i] = Entry{
-			Row: int(rng.Uint64() % n),
-			Col: int(rng.Uint64() % n),
-			Val: rng.Float64(),
-		}
-	}
-	scratch := make([]Entry, len(entries))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, entries)
-		if _, err := NewCSR(n, n, scratch); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

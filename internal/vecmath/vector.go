@@ -3,7 +3,7 @@
 // compressed sparse row (CSR) matrices with matrix-free products.
 //
 // The package is deliberately small and allocation-conscious: the solvers
-// in internal/pagerank and internal/ranker iterate over million-edge
+// in internal/pagerank and internal/dprcore iterate over million-edge
 // graphs, so every operation that can write into a caller-provided
 // destination does, and the hot small-vector paths allocate nothing.
 //
@@ -294,6 +294,29 @@ func (x Vec) Max() float64 {
 		}
 	}
 	return m
+}
+
+// TopPages returns the indices of the n highest-ranked pages, ties
+// broken toward the smaller index.
+func TopPages(ranks Vec, n int) []int {
+	if n > len(ranks) {
+		n = len(ranks)
+	}
+	idx := make([]int, len(ranks))
+	for i := range idx {
+		idx[i] = i
+	}
+	// Partial selection sort: n is typically tiny (top-10 listings).
+	for i := 0; i < n; i++ {
+		best := i
+		for j := i + 1; j < len(idx); j++ {
+			if ranks[idx[j]] > ranks[idx[best]] {
+				best = j
+			}
+		}
+		idx[i], idx[best] = idx[best], idx[i]
+	}
+	return idx[:n]
 }
 
 func mustSameLen(a, b int) {

@@ -176,3 +176,20 @@ func TestNormOrderingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTopPages(t *testing.T) {
+	ranks := Vec{0.1, 0.9, 0.5, 0.9}
+	top := TopPages(ranks, 3)
+	if len(top) != 3 {
+		t.Fatalf("top = %v", top)
+	}
+	if top[0] != 1 || top[1] != 3 || top[2] != 2 {
+		t.Fatalf("top = %v, want [1 3 2] (ties toward smaller index)", top)
+	}
+	if got := TopPages(ranks, 99); len(got) != 4 {
+		t.Fatalf("oversized n returned %d entries", len(got))
+	}
+	if got := TopPages(nil, 3); len(got) != 0 {
+		t.Fatalf("empty ranks returned %v", got)
+	}
+}
