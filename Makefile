@@ -31,8 +31,8 @@ race:
 		./internal/search/... ./internal/serve/...
 
 # The places bytes enter from outside — /search parameter parsing, a
-# peer's socket (frame reader → codec → the loop's acceptance check →
-# one compute phase), and a crawl file in either format (binary: open,
+# peer's socket (frame reader → each codec, Plain / Delta / Quantized →
+# the loop's acceptance check → one compute phase), and a crawl file in either format (binary: open,
 # Validate, every accessor, rewrite; text: parse, Validate, rewrite) —
 # the CSR storage layout against its row-major reference, and the
 # response cache's slab against an unbounded map, each over its seed

@@ -1,9 +1,9 @@
 // Package cliflags gives the p2prank binaries one spelling and one
-// parser per shared knob. dprsim and dprnode historically registered
-// the common flags independently and drifted (different names, help
-// text, and accepted values for the same concept); every shared flag
-// now registers through this package, so the two command lines stay
-// interchangeable.
+// parser per command-line knob. dprnode registers every flag here;
+// dprsim registers only -seed, -serve, -qps and -topk, because its
+// experiments fix the algorithm, codec, faults, reliability and
+// transport themselves. A flag both binaries take is registered here
+// once, so its name, default and accepted values cannot drift.
 package cliflags
 
 import (
@@ -36,12 +36,11 @@ func ParseAlgorithm(name string) (dprcore.Algorithm, error) {
 
 // Codec registers the shared -codec flag.
 func Codec(fs *flag.FlagSet) *string {
-	return fs.String("codec", "", "chunk encoding: plain|delta|quantized-N (empty = the default: plain on the wire, the paper's size model in-sim)")
+	return fs.String("codec", "", "chunk encoding: plain|delta|quantized-N (empty = the default: plain on the wire)")
 }
 
-// ParseCodec maps a -codec value to a chunk codec; empty means nil,
-// each runtime's default (netpeer frames with codec.Plain, the
-// simulator keeps the paper's l-bytes-per-link accounting).
+// ParseCodec maps a -codec value to a chunk codec; empty means nil, the
+// peer's default (netpeer frames with codec.Plain).
 func ParseCodec(name string) (transport.ChunkCodec, error) {
 	switch {
 	case name == "":

@@ -122,8 +122,8 @@ func TestParseTransport(t *testing.T) {
 	}
 }
 
-// TestSharedSpellings pins the contract of the package: both binaries
-// register the same flag names with the same defaults.
+// TestSharedSpellings pins the contract of the package: each registrar's
+// flag name and default.
 func TestSharedSpellings(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	Algorithm(fs)

@@ -143,6 +143,11 @@ func (Delta) Decode(src []byte) (transport.ScoreChunk, error) {
 	if err != nil {
 		return c, err
 	}
+	// An entry is at least a one-byte gap and an 8-byte score: check the
+	// claimed count against the body before sizing a slice by it.
+	if n > (len(src)-pos)/9 {
+		return c, fmt.Errorf("codec: delta header claims %d entries for a %d-byte body", n, len(src)-pos)
+	}
 	c.Entries = make([]transport.ScoreEntry, 0, n)
 	prev := int32(0)
 	for i := 0; i < n; i++ {
@@ -232,6 +237,11 @@ func (q Quantized) Decode(src []byte) (transport.ScoreChunk, error) {
 	c, pos, n, err := decodeHeader(src)
 	if err != nil {
 		return c, err
+	}
+	// An entry is at least a one-byte gap and a one-byte score: check the
+	// claimed count against the body before sizing a slice by it.
+	if n > (len(src)-pos)/2 {
+		return c, fmt.Errorf("codec: quantized header claims %d entries for a %d-byte body", n, len(src)-pos)
 	}
 	c.Entries = make([]transport.ScoreEntry, 0, n)
 	prev := int32(0)

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -103,6 +105,22 @@ func TestQuantizedRoundTripBoundedError(t *testing.T) {
 	}
 }
 
+// TestReencodeIsIdentity checks what lets the simulated fabric decode a
+// chunk once at the sender and stand for every hop: re-encoding a
+// decoded chunk reproduces its wire bytes, lossy codecs included.
+func TestReencodeIsIdentity(t *testing.T) {
+	for _, cd := range append(allCodecs(), NewQuantized(6), NewQuantized(16)) {
+		f := func(seed uint64) bool {
+			enc := cd.Encode(nil, randomChunk(xrand.New(seed)))
+			out, err := cd.Decode(enc)
+			return err == nil && string(cd.Encode(nil, out)) == string(enc)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%s: %v", cd.Name(), err)
+		}
+	}
+}
+
 func TestSizesLadder(t *testing.T) {
 	r := xrand.New(7)
 	// Dense chunk: consecutive indices maximize Delta's advantage.
@@ -151,6 +169,33 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := (Plain{}).Decode(nil); err == nil {
 		t.Error("nil input accepted")
+	}
+}
+
+// hostileHeader is a header with every field zero except an entry count
+// of n, and no body.
+func hostileHeader(n uint64) []byte {
+	return binary.AppendUvarint([]byte{0, 0, 0, 0}, n)
+}
+
+// TestDecodeBoundsEntryCount feeds each decoder a few header bytes that
+// claim millions of entries: it must fail without sizing a slice by the
+// claim.
+func TestDecodeBoundsEntryCount(t *testing.T) {
+	for _, n := range []uint64{1 << 24, 1<<31 - 1} {
+		src := hostileHeader(n)
+		for _, cd := range []Codec{Plain{}, Delta{}, NewQuantized(16)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := cd.Decode(src)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: %d-byte chunk claiming %d entries accepted", cd.Name(), len(src), n)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Errorf("%s: header claiming %d entries allocated %d bytes", cd.Name(), n, d)
+			}
+		}
 	}
 }
 

@@ -721,11 +721,8 @@ func ScaleRun(w Workload, k int, alg dprcore.Algorithm) (*ScaleRow, error) {
 		Strategy:    partition.ByPage,
 		Transport:   transport.Indirect,
 		// Fixed latency makes same-instant deliveries to one node
-		// coalesce; BatchDelivery turns the per-message events they
-		// would have been into one pooled event per (destination,
-		// instant). Off the fingerprint path: scale runs are their own
-		// deterministic schedule (see simnet.NetConfig.BatchDelivery).
-		Net: simnet.NetConfig{MinLatency: 0.1, MaxLatency: 0.1, BatchDelivery: true},
+		// coalesce into one event per (destination, instant).
+		Net: simnet.NetConfig{MinLatency: 0.1, MaxLatency: 0.1},
 	}
 	res, err := engine.Run(cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package netpeer
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -209,7 +210,10 @@ func TestPeerSurvivesHostileChunks(t *testing.T) {
 // FuzzReadFrame feeds arbitrary bytes through the whole receive path of
 // a peer — frame reader, codec, the loop's acceptance check, one
 // compute phase over whatever was accepted — which must never panic.
+// The first byte picks the codec (Plain, Delta, Quantized-16); the rest
+// is the stream.
 func FuzzReadFrame(f *testing.F) {
+	codecs := []transport.ChunkCodec{codec.Plain{}, codec.Delta{}, codec.NewQuantized(16)}
 	// Two by-page groups, each linking to the other, as StartCluster
 	// would cut them.
 	g := genGraph(f, 300, 61)
@@ -226,25 +230,40 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	grp := groups[0]
-	var seed bytes.Buffer
-	fw := &frameWriter{codec: codec.Plain{}, w: bufio.NewWriter(&seed)}
-	if err := fw.writeFrame(frame{
-		Chunks: []transport.ScoreChunk{{
-			SrcGroup: 1, DstGroup: 0, Round: 3, Links: 2,
-			Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 0.5}, {DstLocal: int32(grp.N() - 1), Value: 0.25}},
-		}},
-		Acks: []wireAck{{From: 1, Round: 2}},
-	}); err != nil {
-		f.Fatal(err)
+	valid := func(sel byte) []byte {
+		seed := bytes.NewBuffer([]byte{sel})
+		fw := &frameWriter{codec: codecs[sel], w: bufio.NewWriter(seed)}
+		if err := fw.writeFrame(frame{
+			Chunks: []transport.ScoreChunk{{
+				SrcGroup: 1, DstGroup: 0, Round: 3, Links: 2,
+				Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 0.5}, {DstLocal: int32(grp.N() - 1), Value: 0.25}},
+			}},
+			Acks: []wireAck{{From: 1, Round: 2}},
+		}); err != nil {
+			f.Fatal(err)
+		}
+		return seed.Bytes()
 	}
-	f.Add(seed.Bytes())
-	f.Add([]byte{0x80, 0x80, 0x40}) // a megachunk frame, three bytes long
+	f.Add(valid(0))
+	f.Add([]byte{0, 0x80, 0x80, 0x40}) // a megachunk frame, three bytes long
+	// One 8-byte chunk whose header claims 2²⁴ entries, then no acks.
+	hostile := binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<24)
+	for sel := 1; sel < len(codecs); sel++ {
+		f.Add(valid(byte(sel)))
+	}
+	for sel := range codecs {
+		f.Add(append(append([]byte{byte(sel), 1, byte(len(hostile))}, hostile...), 0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cd := codecs[int(data[0])%len(codecs)]
 		loop, err := dprcore.NewLoop(grp, dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1}, 1, &outbox{}, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr := &frameReader{codec: codec.Plain{}, r: bufio.NewReader(bytes.NewReader(data))}
+		fr := &frameReader{codec: cd, r: bufio.NewReader(bytes.NewReader(data[1:]))}
 		for {
 			fm, err := fr.readFrame()
 			if err != nil {

@@ -17,7 +17,7 @@ func batchedNet(t *testing.T, seed uint64, cfg NetConfig) (*Simulator, *Network)
 // TestBatchDeliveryFIFO checks the batching contract's invariant:
 // same-instant messages to one destination arrive in send order.
 func TestBatchDeliveryFIFO(t *testing.T) {
-	s, n := batchedNet(t, 1, NetConfig{MinLatency: 0.1, MaxLatency: 0.1, BatchDelivery: true})
+	s, n := batchedNet(t, 1, NetConfig{MinLatency: 0.1, MaxLatency: 0.1})
 	var got []int
 	dst := n.AddNode(func(m Message) { got = append(got, m.Payload.(int)) })
 	src := n.AddNode(func(Message) {})
@@ -35,11 +35,11 @@ func TestBatchDeliveryFIFO(t *testing.T) {
 	}
 }
 
-// TestBatchDeliveryCoalescesEvents is the point of the mode: B
+// TestBatchDeliveryCoalescesEvents is the point of batching: B
 // same-instant messages to one destination ride one event, so the
 // simulator executes O(instants), not O(messages), delivery events.
 func TestBatchDeliveryCoalescesEvents(t *testing.T) {
-	s, n := batchedNet(t, 1, NetConfig{MinLatency: 0.1, MaxLatency: 0.1, BatchDelivery: true})
+	s, n := batchedNet(t, 1, NetConfig{MinLatency: 0.1, MaxLatency: 0.1})
 	dst := n.AddNode(func(Message) {})
 	src := n.AddNode(func(Message) {})
 	const B = 100
@@ -55,11 +55,16 @@ func TestBatchDeliveryCoalescesEvents(t *testing.T) {
 	}
 }
 
-// TestBatchDeliveryMatchesUnbatchedStats runs the same fixed-latency
-// workload with batching on and off: every counter must agree — only
-// the event count may differ.
-func TestBatchDeliveryMatchesUnbatchedStats(t *testing.T) {
-	run := func(batch bool) (Stats, []int) {
+// TestBatchDeliveryFieldIsInert runs the same fixed-latency workload
+// with NetConfig.BatchDelivery set and unset: there is one delivery
+// path, so delivery order, every counter and the event count agree.
+func TestBatchDeliveryFieldIsInert(t *testing.T) {
+	type outcome struct {
+		got   []int
+		stats Stats
+		ran   uint64
+	}
+	run := func(batch bool) outcome {
 		s, n := batchedNet(t, 9, NetConfig{MinLatency: 0.2, MaxLatency: 0.2, BatchDelivery: batch})
 		var got []int
 		var addrs []NodeAddr
@@ -79,37 +84,27 @@ func TestBatchDeliveryMatchesUnbatchedStats(t *testing.T) {
 			})
 		}
 		s.Run(0)
-		return n.TotalStats(), got
+		return outcome{got, n.TotalStats(), s.Processed()}
 	}
-	sa, ga := run(false)
-	sb, gb := run(true)
-	if sa != sb {
-		t.Fatalf("stats diverged:\nunbatched %+v\nbatched   %+v", sa, sb)
+	a, b := run(false), run(true)
+	if a.stats != b.stats || a.ran != b.ran {
+		t.Fatalf("runs diverged:\nunset %+v, %d events\nset   %+v, %d events", a.stats, a.ran, b.stats, b.ran)
 	}
-	if len(ga) != len(gb) {
-		t.Fatalf("delivery count diverged: %d vs %d", len(ga), len(gb))
+	if len(a.got) != 60 || len(a.got) != len(b.got) {
+		t.Fatalf("delivered %d and %d messages, want 60", len(a.got), len(b.got))
 	}
-	// With a single sender order would match exactly; across senders the
-	// batch drains contiguously, so only the multiset is guaranteed.
-	seen := map[int]int{}
-	for _, v := range ga {
-		seen[v]++
-	}
-	for _, v := range gb {
-		seen[v]--
-	}
-	for v, c := range seen {
-		if c != 0 {
-			t.Fatalf("payload %d delivered %+d times more in one mode", v, c)
+	for i := range a.got {
+		if a.got[i] != b.got[i] {
+			t.Fatalf("delivery order diverged at %d: %d vs %d", i, a.got[i], b.got[i])
 		}
 	}
 }
 
 // TestBatchDeliveryDownNodeDrops re-checks liveness at delivery time:
 // a destination that fails while a batch is in flight drops the whole
-// batch, exactly like the per-message path.
+// batch.
 func TestBatchDeliveryDownNodeDrops(t *testing.T) {
-	s, n := batchedNet(t, 1, NetConfig{MinLatency: 1, MaxLatency: 1, BatchDelivery: true})
+	s, n := batchedNet(t, 1, NetConfig{MinLatency: 1, MaxLatency: 1})
 	delivered := 0
 	dst := n.AddNode(func(Message) { delivered++ })
 	src := n.AddNode(func(Message) {})
@@ -129,7 +124,7 @@ func TestBatchDeliveryDownNodeDrops(t *testing.T) {
 // TestBatchDeliveryRecycles checks fired batches return to the pool and
 // get reused — steady state allocates no batches.
 func TestBatchDeliveryRecycles(t *testing.T) {
-	s, n := batchedNet(t, 1, NetConfig{MinLatency: 0.1, MaxLatency: 0.1, BatchDelivery: true})
+	s, n := batchedNet(t, 1, NetConfig{MinLatency: 0.1, MaxLatency: 0.1})
 	dst := n.AddNode(func(Message) {})
 	src := n.AddNode(func(Message) {})
 	for round := 0; round < 20; round++ {
@@ -147,7 +142,7 @@ func TestBatchDeliveryRecycles(t *testing.T) {
 // of the seed.
 func TestBatchDeliveryDeterminism(t *testing.T) {
 	run := func() []int {
-		s, n := batchedNet(t, 77, NetConfig{MinLatency: 0.05, MaxLatency: 0.25, BatchDelivery: true})
+		s, n := batchedNet(t, 77, NetConfig{MinLatency: 0.05, MaxLatency: 0.25})
 		var got []int
 		var addrs []NodeAddr
 		for i := 0; i < 3; i++ {

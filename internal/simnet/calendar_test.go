@@ -134,8 +134,8 @@ func TestCalendarWindowEdge(t *testing.T) {
 }
 
 // TestComputeTimer exercises the recurring-timer path: one pinned event
-// re-armed across iterations, never entering the freelist, with the same
-// (at, seq) semantics as scheduling fresh AfterCompute events.
+// re-armed across iterations, never entering the freelist, each arm
+// drawing a fresh (at, seq) position like any scheduled event.
 func TestComputeTimer(t *testing.T) {
 	s := New(1)
 	var fired []float64

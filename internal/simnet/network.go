@@ -35,17 +35,9 @@ type NetConfig struct {
 	// size/NodeBandwidth time units and queues behind earlier sends.
 	// 0 means unlimited.
 	NodeBandwidth float64
-	// BatchDelivery coalesces consecutive same-instant deliveries to one
-	// destination into a single pooled event instead of one event per
-	// message — the difference between O(messages) and O(instants)
-	// events at 10⁵ nodes with fixed latency. Per-destination FIFO order
-	// is preserved exactly; what changes is the interleaving of
-	// same-instant deliveries to *different* destinations (a batch
-	// drains contiguously at its first message's queue position). Runs
-	// stay deterministic, but event order — and therefore determinism
-	// fingerprints — differs from the unbatched schedule, so this is
-	// opt-in: off (the default) is byte-identical to the classic
-	// one-event-per-message path. The scale experiments switch it on.
+	// BatchDelivery is ignored; every delivery is batched (see
+	// Network.Send). It remains so configurations that set it still
+	// compile.
 	BatchDelivery bool
 }
 
@@ -84,26 +76,22 @@ type node struct {
 	// uplinkFree is the virtual time the node's uplink finishes its
 	// queued transmissions (bandwidth-limited networks only).
 	uplinkFree float64
-	// open is the node's most recent still-pending delivery batch
-	// (BatchDelivery mode): a send whose delivery instant matches joins
-	// it instead of scheduling a new event.
+	// open is the node's most recent still-pending delivery batch: a
+	// send whose delivery instant matches joins it instead of scheduling
+	// a new event.
 	open *deliveryBatch
 }
 
-// delivery is an in-flight message plus its destination, pooled so the
-// send path allocates nothing per message.
-type delivery struct {
-	m   Message
-	dst *node
-}
-
 // deliveryBatch is a pooled batch of same-instant messages to one
-// destination (BatchDelivery mode). It rides a single scheduled event;
-// messages append in send order, so per-destination FIFO holds.
+// destination. It rides a single scheduled event; messages append in
+// send order, so per-destination FIFO holds. The first message lives
+// inline (msgs starts as one[:0]), so a batch of one — the only kind
+// jittered latency produces — is a single allocation.
 type deliveryBatch struct {
 	at   float64
 	dst  *node
 	msgs []Message
+	one  [1]Message
 }
 
 // Network delivers messages between registered nodes with configurable
@@ -115,12 +103,8 @@ type Network struct {
 	nodes []*node
 	total Stats
 
-	// deliverFn is the one function value every in-flight message
-	// shares (see AtArg); free recycles delivery structs. In
-	// BatchDelivery mode batchFn/batchFree play the same roles for
-	// deliveryBatch.
-	deliverFn func(any)
-	free      []*delivery
+	// batchFn is the one function value every in-flight batch shares
+	// (see AtArg); batchFree recycles fired batches.
 	batchFn   func(any)
 	batchFree []*deliveryBatch
 }
@@ -132,13 +116,9 @@ func NewNetwork(sim *Simulator, cfg NetConfig) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{sim: sim, cfg: cfg, rng: sim.Rand().Fork()}
-	n.deliverFn = n.deliver
 	n.batchFn = n.deliverBatch
 	return n, nil
 }
-
-// Sim returns the simulator the network runs on.
-func (n *Network) Sim() *Simulator { return n.sim }
 
 // AddNode registers a host with the given message handler and returns
 // its address.
@@ -171,6 +151,12 @@ func (n *Network) node(a NodeAddr) *node {
 // (source or destination down, or random loss); delivery itself is
 // asynchronous. Sending charges the byte counters whether or not the
 // message survives, mirroring a real sender's upstream usage.
+//
+// Consecutive same-instant messages to one destination share one
+// delivery event (the difference between O(messages) and O(instants)
+// events at 10⁵ nodes with fixed latency). Per-destination FIFO order
+// is exact; a batch drains contiguously at its first message's queue
+// position.
 func (n *Network) Send(from, to NodeAddr, payload any, size int64) bool {
 	if size < 0 {
 		panic(fmt.Sprintf("simnet: negative message size %d", size))
@@ -199,21 +185,7 @@ func (n *Network) Send(from, to NodeAddr, payload any, size int64) bool {
 		src.uplinkFree += float64(size) / n.cfg.NodeBandwidth
 		lat += src.uplinkFree - now
 	}
-	if n.cfg.BatchDelivery {
-		n.enqueueBatched(from, to, payload, size, dst, lat)
-		return true
-	}
-	var d *delivery
-	if k := len(n.free); k > 0 {
-		d = n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
-	} else {
-		d = &delivery{}
-	}
-	d.m = Message{From: from, To: to, Payload: payload, Size: size}
-	d.dst = dst
-	n.sim.AfterArg(lat, n.deliverFn, d)
+	n.enqueueBatched(from, to, payload, size, dst, lat)
 	return true
 }
 
@@ -222,7 +194,7 @@ func (n *Network) Send(from, to NodeAddr, payload any, size int64) bool {
 // A batch fires at the queue position of its first message; later
 // same-instant joiners ride along instead of scheduling.
 //
-//p2plint:hotpath -- per-message scheduling path in BatchDelivery mode
+//p2plint:hotpath -- per-message scheduling path of the simulated network
 func (n *Network) enqueueBatched(from, to NodeAddr, payload any, size int64, dst *node, lat float64) {
 	at := n.sim.Now() + lat
 	m := Message{From: from, To: to, Payload: payload, Size: size}
@@ -238,6 +210,7 @@ func (n *Network) enqueueBatched(from, to NodeAddr, payload any, size int64, dst
 	} else {
 		//p2plint:allow hotalloc -- batch-pool refill; steady state recycles fired batches
 		b = &deliveryBatch{}
+		b.msgs = b.one[:0]
 	}
 	b.at, b.dst = at, dst
 	b.msgs = append(b.msgs[:0], m)
@@ -256,7 +229,8 @@ func (n *Network) deliverBatch(a any) {
 	for i := range b.msgs {
 		m := b.msgs[i]
 		b.msgs[i] = Message{}
-		// Re-check liveness at delivery time, exactly like deliver.
+		// Re-check liveness at delivery time: the destination may have
+		// failed while the message was in flight.
 		if dst.down {
 			n.total.MessagesDropped++
 			continue
@@ -270,26 +244,6 @@ func (n *Network) deliverBatch(a any) {
 	b.msgs = b.msgs[:0]
 	b.dst = nil
 	n.batchFree = append(n.batchFree, b)
-}
-
-// deliver completes an in-flight message (the AtArg callback) and
-// recycles its delivery struct.
-func (n *Network) deliver(a any) {
-	d := a.(*delivery)
-	m, dst := d.m, d.dst
-	*d = delivery{}
-	n.free = append(n.free, d)
-	// Re-check liveness at delivery time: the destination may have
-	// failed while the message was in flight.
-	if dst.down {
-		n.total.MessagesDropped++
-		return
-	}
-	dst.in.MessagesDelivered++
-	dst.in.BytesDelivered += m.Size
-	n.total.MessagesDelivered++
-	n.total.BytesDelivered += m.Size
-	dst.handler(m)
 }
 
 // TotalStats returns network-wide counters.

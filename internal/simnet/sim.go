@@ -7,7 +7,7 @@
 //
 // Determinism: events at equal times fire in scheduling order, and all
 // randomness flows from one seed, so an experiment is a pure function of
-// its configuration. Two-phase events (AtCompute) may run their compute
+// its configuration. Two-phase events (Timer) may run their compute
 // halves concurrently, but their commit halves — the only halves allowed
 // to mutate shared state, draw randomness, or schedule — still fire
 // serially in scheduling order, so the executed history is identical to
@@ -33,7 +33,7 @@ type event struct {
 	// pooled argument rather than allocating a closure per event.
 	argFn func(any)
 	arg   any
-	// compute marks a two-phase event (AtCompute): the compute half may
+	// compute marks a two-phase event (Timer): the compute half may
 	// run concurrently with other compute halves at the same instant and
 	// returns the commit half to run serially. nil for plain events.
 	compute func() func()
@@ -445,11 +445,12 @@ func (s *Simulator) AfterArg(d float64, fn func(any), arg any) {
 	s.AtArg(s.now+d, fn, arg)
 }
 
-// AtCompute schedules a two-phase event at absolute virtual time t.
-// When it fires, compute runs first — possibly concurrently with the
-// compute halves of other two-phase events scheduled at the same
-// instant — and returns the commit half (nil for none), which runs on
-// the simulation goroutine in scheduling order.
+// Timer is the simulator's two-phase event: a pre-allocated, re-armable
+// event for entities that reschedule themselves for the lifetime of a
+// run — the rankers' wait timers. When it fires, its compute half runs
+// first — possibly concurrently with the compute halves of other timers
+// firing at the same instant — and returns the commit half (nil for
+// none), which runs on the simulation goroutine in scheduling order.
 //
 // The contract that keeps this deterministic: compute must only read
 // state no concurrent compute writes and write state private to its
@@ -457,35 +458,12 @@ func (s *Simulator) AfterArg(d float64, fn func(any), arg any) {
 // scheduling, reading the clock — belongs in the commit. Because new
 // events always receive later sequence numbers than the batch being
 // executed, no commit can inject work between two batched computes.
-func (s *Simulator) AtCompute(t float64, compute func() func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("simnet: scheduling at %v before now %v", t, s.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("simnet: scheduling at non-finite time %v", t))
-	}
-	s.seq++
-	e := s.newEvent()
-	e.at, e.seq, e.compute = t, s.seq, compute
-	s.events.push(e)
-}
-
-// AfterCompute schedules a two-phase event d time units from now; see
-// AtCompute. Negative d panics.
-func (s *Simulator) AfterCompute(d float64, compute func() func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("simnet: negative delay %v", d))
-	}
-	s.AtCompute(s.now+d, compute)
-}
-
-// Timer is a pre-allocated, re-armable two-phase event for entities
-// that reschedule themselves for the lifetime of a run — the rankers'
-// wait timers. Re-arming reuses one pinned event struct that never
-// enters the freelist, so an entity's entire lifetime of waits costs a
-// single allocation regardless of run length. Semantics are identical
-// to AfterCompute: every arm draws a fresh sequence number, so event
-// ordering — and with it every determinism fingerprint — is unchanged.
+//
+// Re-arming reuses one pinned event struct that never enters the
+// freelist, so an entity's entire lifetime of waits costs a single
+// allocation regardless of run length. Every arm draws a fresh sequence
+// number, so timers order against every other event by (time, arm
+// order).
 type Timer struct {
 	s       *Simulator
 	e       *event
@@ -494,7 +472,7 @@ type Timer struct {
 }
 
 // NewComputeTimer returns a Timer that runs compute as a two-phase
-// event (see AtCompute) each time it is scheduled.
+// event each time it is scheduled.
 func (s *Simulator) NewComputeTimer(compute func() func()) *Timer {
 	t := &Timer{s: s, compute: compute}
 	t.e = &event{pinned: true}

@@ -5,6 +5,9 @@ package transport_test
 // internal/transport.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -13,6 +16,7 @@ import (
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/nodeid"
+	"p2prank/internal/partition"
 	"p2prank/internal/pastry"
 	"p2prank/internal/simnet"
 	"p2prank/internal/transport"
@@ -57,23 +61,97 @@ func TestLosslessCodecsPreserveRanks(t *testing.T) {
 	}
 }
 
+// codecPin is what TestCodecBytesLadder holds fixed per run: the wire
+// counters, the event count, and the outcome by bits.
+type codecPin struct {
+	Bytes, Msgs, Relayed int64
+	Events               uint64
+	RelErr, Final        uint64 // RelErr's bits; FNV-64a of Final's bits
+}
+
+func pinOf(res *engine.Result) codecPin {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range res.Final {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return codecPin{
+		Bytes: res.NetStats.BytesSent, Msgs: res.NetStats.MessagesSent,
+		Relayed: res.TransportStats.RelayedChunks, Events: res.Events,
+		RelErr: math.Float64bits(res.RelErr), Final: h.Sum64(),
+	}
+}
+
+// TestCodecBytesLadder runs every codec under both transmission patterns
+// at two ranker counts and pins each run exactly, so a change to how the
+// fabric applies a codec must reproduce bytes, messages, events, relays
+// and ranks bit for bit. Within each setting the encoded sizes must
+// ladder: plain below the 100 B/link model, delta below plain,
+// quantized below delta.
 func TestCodecBytesLadder(t *testing.T) {
 	g := codecGraph(t)
-	bytesOf := func(c transport.ChunkCodec) int64 {
-		return runWithCodec(t, g, c, transport.Indirect).NetStats.BytesSent
-	}
-	model := bytesOf(nil)
-	plain := bytesOf(codec.Plain{})
-	delta := bytesOf(codec.Delta{})
-	quant := bytesOf(codec.NewQuantized(16))
-	if plain >= model {
-		t.Errorf("plain encoding (%d B) not below the 100 B/link model (%d B)", plain, model)
-	}
-	if delta >= plain {
-		t.Errorf("delta (%d B) not below plain (%d B)", delta, plain)
-	}
-	if quant >= delta {
-		t.Errorf("quantized (%d B) not below delta (%d B)", quant, delta)
+	// One pin per codec, in this order.
+	codecs := []transport.ChunkCodec{nil, codec.Plain{}, codec.Delta{}, codec.NewQuantized(16), codec.NewQuantized(6)}
+	for _, tc := range []struct {
+		kind transport.Kind
+		k    int
+		pins []codecPin
+	}{
+		{transport.Direct, 8, []codecPin{
+			{111878060, 8960, 0, 9628, 0x3d5fe60dc9df771c, 0x3c3a0e84ee0947b1},
+			{6294682, 8960, 0, 9628, 0x3d5fe60dc9df771c, 0x3c3a0e84ee0947b1},
+			{4852948, 8960, 0, 9628, 0x3d5fe60dc9df771c, 0x3c3a0e84ee0947b1},
+			{2930636, 8960, 0, 9628, 0x3ea956c3fbc2bae9, 0x61922b583ac102c8},
+			{2450058, 8960, 0, 9628, 0x3f4b3809fc2c163c, 0xbe1271195fc57db2},
+		}},
+		{transport.Direct, 64, []codecPin{
+			{174273804, 634390, 0, 639714, 0x3de7a643cc1ffdf0, 0xaaf6f0f8df5be092},
+			{52304396, 634390, 0, 639714, 0x3de7a643cc1ffdf0, 0xaaf6f0f8df5be092},
+			{49264813, 634390, 0, 639714, 0x3de7a643cc1ffdf0, 0xaaf6f0f8df5be092},
+			{45211925, 634390, 0, 639714, 0x3ea70e426f1ef93f, 0x8c7431ce4dad1624},
+			{44198703, 634390, 0, 639714, 0x3f46c6f697d5d7e0, 0x7770f4ef566106fc},
+		}},
+		{transport.Indirect, 8, []codecPin{
+			{111519660, 4480, 0, 5148, 0x3d6211490649a131, 0x00c2745d0e61ff16},
+			{5936282, 4480, 0, 5148, 0x3d6211490649a131, 0x00c2745d0e61ff16},
+			{4494548, 4480, 0, 5148, 0x3d6211490649a131, 0x00c2745d0e61ff16},
+			{2572236, 4480, 0, 5148, 0x3ea956c3fbc2bae9, 0x61922b583ac102c8},
+			{2091658, 4480, 0, 5148, 0x3f4b3809fc2c163c, 0xbe1271195fc57db2},
+		}},
+		{transport.Indirect, 64, []codecPin{
+			{211250296, 257478, 140286, 262802, 0x3df1c8b353afc45a, 0x2d9e5c66f0dc6702},
+			{28455458, 257478, 140286, 262802, 0x3df1c8b353afc45a, 0x2d9e5c66f0dc6702},
+			{23892762, 257478, 140286, 262802, 0x3df1c8b353afc45a, 0x2d9e5c66f0dc6702},
+			{17808946, 257478, 140286, 262802, 0x3ea70e426f1ef93f, 0x8c7431ce4dad1624},
+			{16287992, 257478, 140286, 262802, 0x3f46c6f697d5d7e0, 0x7770f4ef566106fc},
+		}},
+	} {
+		bytes := make([]int64, len(codecs))
+		for i, c := range codecs {
+			name := "nil"
+			if c != nil {
+				name = c.Name()
+			}
+			res, err := engine.Run(engine.Config{
+				Params: dprcore.Params{Alg: dprcore.DPR1, T1: 0.5, T2: 3},
+				Graph:  g, K: tc.k, MaxTime: 100, SampleEvery: 5,
+				Strategy: partition.ByPage, Transport: tc.kind, Codec: c,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pinOf(res)
+			bytes[i] = got.Bytes
+			if got != tc.pins[i] {
+				t.Errorf("%s/K%d/%s:\n got %#v\nwant %#v", tc.kind, tc.k, name, got, tc.pins[i])
+			}
+		}
+		for i, what := range []string{"plain vs model", "delta vs plain", "quantized-16 vs delta"} {
+			if bytes[i+1] >= bytes[i] {
+				t.Errorf("%s/K%d: %s: %d B not below %d B", tc.kind, tc.k, what, bytes[i+1], bytes[i])
+			}
+		}
 	}
 }
 

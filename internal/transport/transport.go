@@ -126,11 +126,15 @@ type Stats struct {
 type Deliver func(ScoreChunk)
 
 // ChunkCodec is an optional wire encoding for score chunks (see
-// internal/codec). When a fabric has one, chunks are actually encoded
-// onto the simulated wire and decoded at each hop — so message sizes
-// reflect the real encoding and lossy codecs genuinely perturb the
-// scores the rankers see. The paper's §4.5 leaves compression as future
-// work; this is where it plugs in.
+// internal/codec). When a fabric has one, Send round-trips every chunk
+// through it once (encode, then decode), so lossy codecs genuinely
+// perturb the scores the rankers see, and each chunk on a data message
+// is charged its encoded length instead of the l-bytes-per-link model.
+// One round trip stands for every hop, which requires a codec to be
+// idempotent on its own output: re-encoding a decoded chunk must yield
+// the same bytes (internal/codec's codecs are, and test it). The
+// paper's §4.5 leaves compression as future work; this is where it
+// plugs in.
 type ChunkCodec interface {
 	Name() string
 	Encode(dst []byte, c ScoreChunk) []byte
@@ -164,16 +168,15 @@ type Fabric struct {
 	codec  ChunkCodec
 	stats  Stats
 
+	// scratch is the codec's encode buffer, reused across chunks.
+	scratch []byte
+
 	// Freelists for the per-message carriers. The []ScoreChunk slices
-	// and the codec path's buffers die once handle has processed a
-	// message (receivers copy what they keep: Deliver stores the chunk
-	// struct, codec.Decode allocates fresh entries), so they cycle
-	// through here instead of the garbage collector. The entry slices
-	// inside chunks are NOT pooled — an in-flight or delivered chunk
-	// aliases them.
+	// die once handle has processed a message (receivers copy what they
+	// keep: Deliver stores the chunk struct), so they cycle through here
+	// instead of the garbage collector. The entry slices inside chunks
+	// are NOT pooled — an in-flight or delivered chunk aliases them.
 	chunkSlices [][]ScoreChunk
-	encSlices   [][][]byte
-	encBufs     [][]byte
 	// msgs pools the dataMsg headers themselves: they travel as
 	// pointers so handing one to the network does not box a struct
 	// into an interface per message.
@@ -189,9 +192,6 @@ type hopBox struct {
 // message payloads exchanged over simnet.
 type dataMsg struct {
 	chunks []ScoreChunk
-	// encoded holds the wire form when the fabric has a codec; chunks
-	// is then nil and the receiver decodes.
-	encoded [][]byte
 }
 type lookupMsg struct{}
 
@@ -276,9 +276,6 @@ func (f *Fabric) SendAck(from int, to int32, round int64) {
 // probes for this method and calls it from commit context.
 func (f *Fabric) RecordFaultDrop(from int) { f.stats.FaultDrops++ }
 
-// Kind returns the fabric's transmission pattern.
-func (f *Fabric) Kind() Kind { return f.kind }
-
 // Addr returns the simulated-network address of ranker i's host. The
 // experiment harness uses it to inject host-level failures.
 func (f *Fabric) Addr(i int) simnet.NodeAddr { return f.addrs[i] }
@@ -318,7 +315,9 @@ func (f *Fabric) ResetStats() { f.stats = Stats{} }
 // Send queues a chunk from ranker `from` toward chunk.DstGroup. With
 // direct transmission the lookup and data messages go out immediately;
 // with indirect transmission the chunk sits in the outbox until Flush.
-// Sending to yourself is a programming error.
+// With a codec installed the chunk travels as it decodes from its wire
+// form; a chunk the codec cannot round-trip is an error. Sending to
+// yourself is a programming error.
 //
 //p2plint:hotpath -- per-chunk send path, every exchanged score crosses it
 func (f *Fabric) Send(from int, chunk ScoreChunk) error {
@@ -331,6 +330,14 @@ func (f *Fabric) Send(from int, chunk ScoreChunk) error {
 	}
 	if dst == from {
 		return fmt.Errorf("transport: ranker %d sending to itself", from)
+	}
+	if f.codec != nil {
+		f.scratch = f.codec.Encode(f.scratch[:0], chunk)
+		c, err := f.codec.Decode(f.scratch)
+		if err != nil {
+			return fmt.Errorf("transport: codec %s: %w", f.codec.Name(), err)
+		}
+		chunk = c
 	}
 	if f.kind == Direct {
 		f.sendDirect(from, chunk)
@@ -365,11 +372,6 @@ func (f *Fabric) Flush(from int) error {
 		chunks := box[i].chunks
 		box[i] = hopBox{hop: box[i].hop}
 		msg, payload := f.pack(chunks)
-		if f.codec != nil {
-			// The codec path copies chunks onto the wire; the slice
-			// itself is free again.
-			f.recycleChunks(chunks)
-		}
 		f.stats.DataMessages++
 		f.stats.DataBytes += payload
 		if !f.net.Send(f.addrs[from], f.addrs[box[i].hop], msg, payload) {
@@ -386,21 +388,16 @@ func (f *Fabric) Flush(from int) error {
 // one.
 func (f *Fabric) pack(chunks []ScoreChunk) (*dataMsg, int64) {
 	m := f.getMsg()
+	m.chunks = chunks
 	payload := f.size.HeaderBytes
-	if f.codec == nil {
-		for _, c := range chunks {
-			payload += f.size.chunkBytes(c)
-		}
-		m.chunks = chunks
-		return m, payload
-	}
-	encoded := pop(&f.encSlices)
 	for _, c := range chunks {
-		buf := f.codec.Encode(pop(&f.encBufs), c)
-		payload += int64(len(buf))
-		encoded = append(encoded, buf)
+		if f.codec == nil {
+			payload += f.size.chunkBytes(c)
+			continue
+		}
+		f.scratch = f.codec.Encode(f.scratch[:0], c)
+		payload += int64(len(f.scratch))
 	}
-	m.encoded = encoded
 	return m, payload
 }
 
@@ -424,49 +421,15 @@ func (f *Fabric) getMsg() *dataMsg {
 	return &dataMsg{}
 }
 
-// recycleChunks clears a chunk slice (so it does not pin its receivers'
-// entry slices) and returns it to the freelist.
-func (f *Fabric) recycleChunks(s []ScoreChunk) {
-	if s == nil {
-		return
-	}
-	clear(s)
-	f.chunkSlices = append(f.chunkSlices, s[:0])
-}
-
 // recycle returns a message's carriers to the freelists once nothing can
 // reference them again — after handle has processed it, or when the
-// network refused it at send time.
+// network refused it at send time. The chunk slice is cleared first so
+// it does not pin its receivers' entry slices.
 func (f *Fabric) recycle(m *dataMsg) {
-	f.recycleChunks(m.chunks)
-	if m.encoded != nil {
-		for i, b := range m.encoded {
-			f.encBufs = append(f.encBufs, b[:0])
-			m.encoded[i] = nil
-		}
-		f.encSlices = append(f.encSlices, m.encoded[:0])
-	}
-	*m = dataMsg{}
+	clear(m.chunks)
+	f.chunkSlices = append(f.chunkSlices, m.chunks[:0])
+	m.chunks = nil
 	f.msgs = append(f.msgs, m)
-}
-
-// unpack recovers the chunks of a message. The returned slice is only
-// valid until the caller recycles it.
-func (f *Fabric) unpack(m *dataMsg) []ScoreChunk {
-	if m.chunks != nil {
-		return m.chunks
-	}
-	chunks := pop(&f.chunkSlices)
-	for _, enc := range m.encoded {
-		c, err := f.codec.Decode(enc)
-		if err != nil {
-			// The simulated wire cannot corrupt data; a decode failure
-			// is a codec bug and must not be silently dropped.
-			panic(fmt.Sprintf("transport: codec %s: %v", f.codec.Name(), err))
-		}
-		chunks = append(chunks, c)
-	}
-	return chunks
 }
 
 // sendDirect performs lookup-then-send: h small messages along the
@@ -486,13 +449,7 @@ func (f *Fabric) sendDirect(from int, chunk ScoreChunk) {
 		}
 		cur = next
 	}
-	cs := append(pop(&f.chunkSlices), chunk)
-	msg, payload := f.pack(cs)
-	if f.codec != nil {
-		// The codec path copied the chunk onto the wire; the carrier
-		// slice is free again.
-		f.recycleChunks(cs)
-	}
+	msg, payload := f.pack(append(pop(&f.chunkSlices), chunk))
 	f.stats.DataMessages++
 	f.stats.DataBytes += payload
 	if !f.net.Send(f.addrs[from], f.addrs[dst], msg, payload) {
@@ -536,8 +493,7 @@ func (f *Fabric) handle(i int, m simnet.Message) {
 		}
 	case *dataMsg:
 		forwarded := false
-		cs := f.unpack(payload)
-		for _, c := range cs {
+		for _, c := range payload.chunks {
 			if int(c.DstGroup) == i {
 				f.del[i](c)
 				continue
@@ -548,9 +504,6 @@ func (f *Fabric) handle(i int, m simnet.Message) {
 		}
 		// Delivered chunks were copied out by value and forwarded ones
 		// re-queued; the carriers are free for the next message.
-		if f.codec != nil {
-			f.recycleChunks(cs)
-		}
 		f.recycle(payload)
 		if forwarded {
 			// Relay promptly so indirect latency stays at h network
