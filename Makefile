@@ -32,8 +32,10 @@ race:
 
 # The places bytes enter from outside — /search parameter parsing, a
 # peer's socket (frame reader → each codec, Plain / Delta / Quantized →
-# the loop's acceptance check → one compute phase), and a crawl file in either format (binary: open,
-# Validate, every accessor, rewrite; text: parse, Validate, rewrite) —
+# an indirect-mode peer's delivery and relay → one compute phase), a
+# checkpoint file (Loop.Restore held to DecodeSnapshotRanks), and a
+# crawl file in either format (binary: open, Validate, every accessor,
+# rewrite; text: parse, Validate, rewrite) —
 # the CSR storage layout against its row-major reference, and the
 # response cache's slab against an unbounded map, each over its seed
 # corpus and whatever ten seconds of mutation reach (go test takes one
@@ -44,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueryCache -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/netpeer/
+	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s ./internal/dprcore/
 	$(GO) test -run '^$$' -fuzz FuzzOpenGraph -fuzztime 10s ./internal/webgraph/
 	$(GO) test -run '^$$' -fuzz FuzzReadText -fuzztime 10s ./internal/webgraph/
 	$(GO) test -run '^$$' -fuzz FuzzCSRKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/

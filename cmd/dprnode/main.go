@@ -92,21 +92,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if fault.Enabled() && fault.MeanDelay > 0 && fault.MeanDelay < float64(time.Millisecond) {
-		// The shared -fault spec is unit-agnostic; live peers run on
-		// nanoseconds, where the spec's small virtual-unit delays round
-		// to nothing. Interpret small meandelay values as milliseconds.
-		fault.MeanDelay *= float64(time.Millisecond)
-	}
-	if fault.PartitionFrac > 0 && fault.PartitionTo < float64(time.Millisecond) {
-		// Partition windows get the same bridge; the -pto default
-		// (MaxFloat64, "never heals") is already past the threshold.
-		fault.PartitionFrom *= float64(time.Millisecond)
-		fault.PartitionTo *= float64(time.Millisecond)
-	}
-	if fault.StraggleFrac > 0 && fault.StraggleFactor > 0 && fault.StraggleFactor < float64(time.Millisecond) {
-		fault.StraggleFactor *= float64(time.Millisecond)
-	}
+	fault = liveFault(fault, *seed)
 	reliable, err := cliflags.ParseReliable(*relSpec)
 	if err != nil {
 		fatal(err)
@@ -169,6 +155,33 @@ func main() {
 	runPeer(*graphPath, *k, *index, *listen, *peersFlag, params, *seed, indirect, wire)
 }
 
+// liveFault resolves a parsed -fault spec for live peers, once for both
+// modes. The spec is unit-agnostic, and live peers run on nanoseconds,
+// where its small virtual-unit times round to nothing: small delays,
+// partition windows and straggler hold-backs are read as milliseconds.
+// The lattice seed defaults to -seed (1 when that is 0, as StartCluster
+// does), so -demo, every distributed peer and the serving frontend cut
+// the same partition minority and stragglers.
+func liveFault(fc dprcore.FaultConfig, seed uint64) dprcore.FaultConfig {
+	const ms = float64(time.Millisecond)
+	if fc.Enabled() && fc.MeanDelay > 0 && fc.MeanDelay < ms {
+		fc.MeanDelay *= ms
+	}
+	if fc.PartitionFrac > 0 && fc.PartitionTo < ms {
+		// The -pto default (MaxFloat64, "never heals") is already past
+		// the threshold.
+		fc.PartitionFrom *= ms
+		fc.PartitionTo *= ms
+	}
+	if fc.StraggleFrac > 0 && fc.StraggleFactor > 0 && fc.StraggleFactor < ms {
+		fc.StraggleFactor *= ms
+	}
+	if fc.Seed == 0 {
+		fc.Seed = max(seed, 1)
+	}
+	return fc
+}
+
 func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.Collector, store *serve.Store, srvAddr string, qps, topk int) {
 	gcfg := webgraph.DefaultGenConfig(pages)
 	gcfg.Seed = seed
@@ -194,7 +207,7 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	defer cl.Close()
 	var stopServe func() serve.StormStats
 	if store != nil {
-		stopServe, err = startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, seed, epoch)
+		stopServe, err = startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, epoch)
 		if err != nil {
 			fatal(err)
 		}
@@ -236,24 +249,18 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 // -fault injects partitions or stragglers, the frontend shares the
 // peers' lattice so its fan-outs route around the cut. The returned
 // func stops all of it and reports the load generator's storm.
-func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.Store, col *telemetry.Collector, addr string, qps, topk int, fault dprcore.FaultConfig, seed uint64, epoch time.Time) (func() serve.StormStats, error) {
+func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.Store, col *telemetry.Collector, addr string, qps, topk int, fault dprcore.FaultConfig, epoch time.Time) (func() serve.StormStats, error) {
 	store.SetTelemetry(col)
-	// Same deterministic ranker IDs as StartCluster, so the overlay's
-	// hop accounting matches the cluster the shards live on.
+	// The same ranker ring as StartCluster (nodeid.RankerIDs), so the
+	// overlay's hop accounting matches the cluster the shards live on.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)
 	if err != nil {
 		return nil, err
 	}
 	cfg := serve.Config{}
 	if fault.PartitionFrac > 0 || fault.StraggleFrac > 0 {
-		// The same seed defaulting StartCluster applies per peer, so the
-		// frontend sees the exact cut the injectors enforce.
-		if fault.Seed == 0 {
-			fault.Seed = seed
-			if fault.Seed == 0 {
-				fault.Seed = 1
-			}
-		}
+		// liveFault seeded the lattice, so the frontend sees the exact
+		// cut the injectors enforce.
 		at := 0
 		for at < k && fault.PartitionMinority(at) {
 			at++
@@ -358,8 +365,8 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 		fatal(err)
 	}
 	defer g.Close()
-	// The same deterministic ranker IDs the engine uses, so independent
-	// processes agree on the partition.
+	// Every process builds the same ranker ring (nodeid.RankerIDs), so
+	// independent processes agree on the partition.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)
 	if err != nil {
 		fatal(err)

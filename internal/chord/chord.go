@@ -6,8 +6,9 @@
 // The paper runs on Pastry but cites Chord, CAN, and Tapestry as equal
 // substrates; this second overlay exists to demonstrate (and test) that
 // the distributed page-ranking layer is overlay-agnostic. As in package
-// pastry, membership changes repair state with an oracle rebuild — the
-// state Chord's stabilization protocol converges to.
+// pastry, membership is fixed at construction: New computes every finger
+// table and successor list once, the state Chord's stabilization protocol
+// converges to.
 package chord
 
 import (
@@ -48,15 +49,14 @@ type state struct {
 
 // Overlay is a Chord ring over a fixed membership.
 type Overlay struct {
-	cfg    Config
-	ids    []nodeid.ID
-	alive  []bool
-	nodes  []state
+	cfg   Config
+	ids   []nodeid.ID
+	nodes []state
+	// sorted holds every node index, ordered by ID.
 	sorted []int
-	nLive  int
 }
 
-// New builds a Chord overlay over the given node IDs, all live.
+// New builds a Chord overlay over the given node IDs.
 func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -64,91 +64,30 @@ func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("chord: no nodes")
 	}
-	seen := make(map[nodeid.ID]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return nil, fmt.Errorf("chord: duplicate node ID %s", id)
-		}
-		seen[id] = true
+	sorted, err := nodeid.Ring(ids)
+	if err != nil {
+		return nil, fmt.Errorf("chord: %w", err)
 	}
 	o := &Overlay{
-		cfg:   cfg,
-		ids:   append([]nodeid.ID(nil), ids...),
-		alive: make([]bool, len(ids)),
+		cfg:    cfg,
+		ids:    append([]nodeid.ID(nil), ids...),
+		nodes:  make([]state, len(ids)),
+		sorted: sorted,
 	}
-	for i := range o.alive {
-		o.alive[i] = true
-	}
-	o.rebuild()
+	o.build()
 	return o, nil
 }
 
-// NumNodes returns the total membership, live or dead.
+// NumNodes returns the membership size.
 func (o *Overlay) NumNodes() int { return len(o.ids) }
-
-// NumLive returns the number of live nodes.
-func (o *Overlay) NumLive() int { return o.nLive }
 
 // NodeID returns node i's ring identifier.
 func (o *Overlay) NodeID(i int) nodeid.ID { return o.ids[i] }
 
-// Alive reports whether node i is live.
-func (o *Overlay) Alive(i int) bool { return o.alive[i] }
-
-// Fail marks node i dead and repairs routing state.
-func (o *Overlay) Fail(i int) error {
-	if !o.alive[i] {
-		return nil
-	}
-	if o.nLive == 1 {
-		return fmt.Errorf("chord: cannot fail the last live node")
-	}
-	o.alive[i] = false
-	o.rebuild()
-	return nil
-}
-
-// Recover marks node i live again and repairs routing state.
-func (o *Overlay) Recover(i int) {
-	if o.alive[i] {
-		return
-	}
-	o.alive[i] = true
-	o.rebuild()
-}
-
-// Join adds a new node with the given ID and returns its index.
-func (o *Overlay) Join(id nodeid.ID) (int, error) {
-	for _, existing := range o.ids {
-		if existing == id {
-			return 0, fmt.Errorf("chord: duplicate node ID %s", id)
-		}
-	}
-	o.ids = append(o.ids, id)
-	o.alive = append(o.alive, true)
-	o.rebuild()
-	return len(o.ids) - 1, nil
-}
-
-func (o *Overlay) rebuild() {
-	o.sorted = o.sorted[:0]
-	for i, a := range o.alive {
-		if a {
-			o.sorted = append(o.sorted, i)
-		}
-	}
-	o.nLive = len(o.sorted)
-	sort.Slice(o.sorted, func(a, b int) bool {
-		return o.ids[o.sorted[a]].Cmp(o.ids[o.sorted[b]]) < 0
-	})
-	if cap(o.nodes) < len(o.ids) {
-		o.nodes = make([]state, len(o.ids))
-	}
-	o.nodes = o.nodes[:len(o.ids)]
-	for i := range o.nodes {
-		o.nodes[i] = state{pred: -1}
-	}
-	n := o.nLive
+// build fills every node's predecessor, successor list, and finger
+// table from the sorted ring.
+func (o *Overlay) build() {
+	n := len(o.sorted)
 	succN := o.cfg.SuccessorListLen
 	if succN > n-1 {
 		succN = n - 1
@@ -175,17 +114,17 @@ func (o *Overlay) rebuild() {
 	}
 }
 
-// successorOf returns the first live node clockwise from key (the node
-// whose ID is ≥ key, wrapping).
+// successorOf returns the first node clockwise from key (the node whose
+// ID is ≥ key, wrapping).
 func (o *Overlay) successorOf(key nodeid.ID) int {
-	n := o.nLive
+	n := len(o.sorted)
 	pos := sort.Search(n, func(i int) bool {
 		return o.ids[o.sorted[i]].Cmp(key) >= 0
 	})
 	return o.sorted[pos%n]
 }
 
-// Owner returns the live node responsible for key: Chord assigns a key
+// Owner returns the node responsible for key: Chord assigns a key
 // to its successor.
 func (o *Overlay) Owner(key nodeid.ID) int { return o.successorOf(key) }
 
@@ -193,12 +132,9 @@ func (o *Overlay) Owner(key nodeid.ID) int { return o.successorOf(key) }
 // if the key falls between self and a successor-list entry jump straight
 // to it; otherwise forward to the closest preceding finger.
 func (o *Overlay) NextHop(i int, key nodeid.ID) int {
-	if !o.alive[i] {
-		panic(fmt.Sprintf("chord: NextHop from dead node %d", i))
-	}
 	st := &o.nodes[i]
 	self := o.ids[i]
-	if o.nLive == 1 {
+	if len(o.ids) == 1 {
 		return i
 	}
 	// Self owns key when key ∈ (pred, self].
@@ -217,7 +153,7 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 	// (self, key).
 	for k := len(st.fingers) - 1; k >= 0; k-- {
 		f := st.fingers[k]
-		if f < 0 || !o.alive[f] {
+		if f < 0 {
 			continue
 		}
 		if nodeid.Between(o.ids[f], self, key) {
@@ -230,12 +166,12 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 }
 
 // Neighbors returns node i's overlay links: predecessor, successor
-// list, and fingers, live, deduplicated, and sorted.
+// list, and fingers, deduplicated and sorted.
 func (o *Overlay) Neighbors(i int) []int {
 	st := &o.nodes[i]
 	set := make(map[int]struct{}, len(st.succs)+len(st.fingers)+1)
 	add := func(c int) {
-		if c >= 0 && c != i && o.alive[c] {
+		if c >= 0 && c != i {
 			set[c] = struct{}{}
 		}
 	}

@@ -55,7 +55,7 @@ func TestOwnerIsSuccessor(t *testing.T) {
 	o := newOverlay(t, 64)
 	for _, key := range randKeys(200, 3) {
 		got := o.Owner(key)
-		// Brute force: the live node with the smallest clockwise
+		// Brute force: the node with the smallest clockwise
 		// distance from key.
 		best := 0
 		for i := 1; i < o.NumNodes(); i++ {
@@ -133,7 +133,7 @@ func TestNeighborsWellFormed(t *testing.T) {
 			t.Fatalf("node %d has no neighbors", i)
 		}
 		for k, c := range ns {
-			if c == i || !o.Alive(c) {
+			if c == i {
 				t.Fatalf("node %d bad neighbor %d", i, c)
 			}
 			if k > 0 && ns[k-1] >= c {
@@ -143,52 +143,20 @@ func TestNeighborsWellFormed(t *testing.T) {
 	}
 }
 
-func TestFailRecover(t *testing.T) {
-	o := newOverlay(t, 50)
-	for _, v := range []int{3, 17, 31} {
-		if err := o.Fail(v); err != nil {
-			t.Fatal(err)
+// Every node owns its own ID, so a route toward another node's ID never
+// ends early: the transport fabric and indirect-mode peers forward a
+// chunk addressed elsewhere without asking whether it has arrived.
+func TestEveryNodeOwnsItsOwnID(t *testing.T) {
+	o := newOverlay(t, 60)
+	for i := 0; i < o.NumNodes(); i++ {
+		if own := o.Owner(o.NodeID(i)); own != i {
+			t.Fatalf("Owner(NodeID(%d)) = %d", i, own)
 		}
-	}
-	if err := overlay.CheckConvergent(o, randKeys(30, 11)); err != nil {
-		t.Fatalf("after failures: %v", err)
-	}
-	for _, key := range randKeys(40, 12) {
-		if !o.Alive(o.Owner(key)) {
-			t.Fatal("dead owner")
+		for j := 0; j < o.NumNodes(); j++ {
+			if j != i && o.NextHop(j, o.NodeID(i)) == j {
+				t.Fatalf("route from %d toward node %d ends at %d", j, i, j)
+			}
 		}
-	}
-	o.Recover(17)
-	if err := overlay.CheckConvergent(o, randKeys(30, 13)); err != nil {
-		t.Fatalf("after recovery: %v", err)
-	}
-	if o.NumLive() != 48 {
-		t.Fatalf("live = %d, want 48", o.NumLive())
-	}
-}
-
-func TestFailLastNodeRejected(t *testing.T) {
-	o := newOverlay(t, 1)
-	if err := o.Fail(0); err == nil {
-		t.Fatal("failing last node accepted")
-	}
-}
-
-func TestJoin(t *testing.T) {
-	o := newOverlay(t, 15)
-	id := nodeid.Hash("chord-late")
-	idx, err := o.Join(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Owner(id) != idx {
-		t.Fatalf("new node does not own its own ID")
-	}
-	if err := overlay.CheckConvergent(o, randKeys(25, 15)); err != nil {
-		t.Fatalf("after join: %v", err)
-	}
-	if _, err := o.Join(id); err == nil {
-		t.Fatal("duplicate join accepted")
 	}
 }
 
@@ -201,19 +169,6 @@ func TestSingleton(t *testing.T) {
 	if len(o.Neighbors(0)) != 0 {
 		t.Fatal("singleton has neighbors")
 	}
-}
-
-func TestNextHopFromDeadPanics(t *testing.T) {
-	o := newOverlay(t, 4)
-	if err := o.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	o.NextHop(1, randKeys(1, 1)[0])
 }
 
 func TestRoutesLoopFree(t *testing.T) {

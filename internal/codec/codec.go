@@ -27,16 +27,6 @@ import (
 	"p2prank/internal/transport"
 )
 
-// Codec encodes score chunks for the wire.
-type Codec interface {
-	// Name identifies the codec in experiment output.
-	Name() string
-	// Encode appends the chunk's wire form to dst and returns it.
-	Encode(dst []byte, c transport.ScoreChunk) []byte
-	// Decode parses one chunk. It returns an error on corrupt input.
-	Decode(src []byte) (transport.ScoreChunk, error)
-}
-
 // header layout shared by all codecs:
 // varint srcGroup | varint dstGroup | varint round | varint links |
 // varint numEntries | entry stream (codec-specific).
@@ -75,10 +65,10 @@ func decodeHeader(src []byte) (c transport.ScoreChunk, n int, entries int, err e
 // 8-byte IEEE-754 score.
 type Plain struct{}
 
-// Name implements Codec.
+// Name implements transport.ChunkCodec.
 func (Plain) Name() string { return "plain" }
 
-// Encode implements Codec.
+// Encode implements transport.ChunkCodec.
 func (Plain) Encode(dst []byte, c transport.ScoreChunk) []byte {
 	dst = encodeHeader(dst, c)
 	for _, e := range c.Entries {
@@ -88,7 +78,7 @@ func (Plain) Encode(dst []byte, c transport.ScoreChunk) []byte {
 	return dst
 }
 
-// Decode implements Codec.
+// Decode implements transport.ChunkCodec.
 func (Plain) Decode(src []byte) (transport.ScoreChunk, error) {
 	c, pos, n, err := decodeHeader(src)
 	if err != nil {
@@ -113,12 +103,13 @@ func (Plain) Decode(src []byte) (transport.ScoreChunk, error) {
 // index stream.
 type Delta struct{}
 
-// Name implements Codec.
+// Name implements transport.ChunkCodec.
 func (Delta) Name() string { return "delta" }
 
-// Encode implements Codec. Entries must be sorted by DstLocal (the
-// ranker emits them that way); Encode panics otherwise since silently
-// producing an undecodable gap stream would corrupt ranks downstream.
+// Encode implements transport.ChunkCodec. Entries must be sorted by
+// DstLocal (the ranker emits them that way); Encode panics otherwise
+// since silently producing an undecodable gap stream would corrupt ranks
+// downstream.
 func (Delta) Encode(dst []byte, c transport.ScoreChunk) []byte {
 	dst = encodeHeader(dst, c)
 	prev := int32(0)
@@ -137,7 +128,7 @@ func (Delta) Encode(dst []byte, c transport.ScoreChunk) []byte {
 	return dst
 }
 
-// Decode implements Codec.
+// Decode implements transport.ChunkCodec.
 func (Delta) Decode(src []byte) (transport.ScoreChunk, error) {
 	c, pos, n, err := decodeHeader(src)
 	if err != nil {
@@ -190,7 +181,7 @@ func NewQuantized(bits uint) Quantized {
 	return Quantized{MantissaBits: bits}
 }
 
-// Name implements Codec.
+// Name implements transport.ChunkCodec.
 func (q Quantized) Name() string { return fmt.Sprintf("quantized-%d", q.MantissaBits) }
 
 // quantize rounds v to the codec's mantissa width. Zero, negatives (not
@@ -212,8 +203,8 @@ func (q Quantized) dequantize(u uint64) float64 {
 	return math.Float64frombits(u << (52 - q.MantissaBits))
 }
 
-// Encode implements Codec. Entries must be sorted by DstLocal, as for
-// Delta.
+// Encode implements transport.ChunkCodec. Entries must be sorted by
+// DstLocal, as for Delta.
 func (q Quantized) Encode(dst []byte, c transport.ScoreChunk) []byte {
 	dst = encodeHeader(dst, c)
 	prev := int32(0)
@@ -232,7 +223,7 @@ func (q Quantized) Encode(dst []byte, c transport.ScoreChunk) []byte {
 	return dst
 }
 
-// Decode implements Codec.
+// Decode implements transport.ChunkCodec.
 func (q Quantized) Decode(src []byte) (transport.ScoreChunk, error) {
 	c, pos, n, err := decodeHeader(src)
 	if err != nil {
@@ -264,10 +255,4 @@ func (q Quantized) Decode(src []byte) (transport.ScoreChunk, error) {
 		return c, fmt.Errorf("codec: %d trailing bytes", len(src)-pos)
 	}
 	return c, nil
-}
-
-// EncodedSize returns the wire size of c under codec without retaining
-// the buffer.
-func EncodedSize(codec Codec, c transport.ScoreChunk) int64 {
-	return int64(len(codec.Encode(nil, c)))
 }

@@ -12,8 +12,8 @@ import (
 	"p2prank/internal/xrand"
 )
 
-func allCodecs() []Codec {
-	return []Codec{Plain{}, Delta{}, NewQuantized(20), NewQuantized(52)}
+func allCodecs() []transport.ChunkCodec {
+	return []transport.ChunkCodec{Plain{}, Delta{}, NewQuantized(20), NewQuantized(52)}
 }
 
 func randomChunk(r *xrand.Rand) transport.ScoreChunk {
@@ -39,7 +39,7 @@ func randomChunk(r *xrand.Rand) transport.ScoreChunk {
 }
 
 func TestLosslessRoundTrip(t *testing.T) {
-	for _, cd := range []Codec{Plain{}, Delta{}} {
+	for _, cd := range []transport.ChunkCodec{Plain{}, Delta{}} {
 		cd := cd
 		t.Run(cd.Name(), func(t *testing.T) {
 			f := func(seed uint64) bool {
@@ -131,9 +131,9 @@ func TestSizesLadder(t *testing.T) {
 			Value:    0.1 + r.Float64(),
 		})
 	}
-	plain := EncodedSize(Plain{}, c)
-	delta := EncodedSize(Delta{}, c)
-	quant := EncodedSize(NewQuantized(16), c)
+	plain := len(Plain{}.Encode(nil, c))
+	delta := len(Delta{}.Encode(nil, c))
+	quant := len(NewQuantized(16).Encode(nil, c))
 	if delta >= plain {
 		t.Fatalf("delta (%d B) not below plain (%d B)", delta, plain)
 	}
@@ -141,7 +141,7 @@ func TestSizesLadder(t *testing.T) {
 		t.Fatalf("quantized (%d B) not below delta (%d B)", quant, delta)
 	}
 	// And everything far below the paper's 100 B/link URL records.
-	if plain >= int64(len(c.Entries))*100 {
+	if plain >= len(c.Entries)*100 {
 		t.Fatalf("plain (%d B) not below the 100 B/link model (%d B)", plain, len(c.Entries)*100)
 	}
 }
@@ -184,7 +184,7 @@ func hostileHeader(n uint64) []byte {
 func TestDecodeBoundsEntryCount(t *testing.T) {
 	for _, n := range []uint64{1 << 24, 1<<31 - 1} {
 		src := hostileHeader(n)
-		for _, cd := range []Codec{Plain{}, Delta{}, NewQuantized(16)} {
+		for _, cd := range []transport.ChunkCodec{Plain{}, Delta{}, NewQuantized(16)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := cd.Decode(src)
@@ -203,7 +203,7 @@ func TestUnsortedPanics(t *testing.T) {
 	c := transport.ScoreChunk{Entries: []transport.ScoreEntry{
 		{DstLocal: 5, Value: 1}, {DstLocal: 2, Value: 1},
 	}}
-	for _, cd := range []Codec{Delta{}, NewQuantized(16)} {
+	for _, cd := range []transport.ChunkCodec{Delta{}, NewQuantized(16)} {
 		func() {
 			defer func() {
 				if recover() == nil {

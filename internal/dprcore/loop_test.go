@@ -17,7 +17,7 @@ import (
 // laid out flat as BuildGroups would, and with groups 1–3 as its
 // afferent sources — bypassing BuildGroups so tests control the shapes
 // exactly.
-func testGroup(t *testing.T, idx int, eff map[int32][]EffEntry) *Group {
+func testGroup(t testing.TB, idx int, eff map[int32][]EffEntry) *Group {
 	t.Helper()
 	sys, err := pagerank.NewGroupSystem(2, nil, []int32{1, 2}, nil, 0.85)
 	if err != nil {

@@ -135,32 +135,7 @@ func EncodeRankSnapshot(buf []byte, group int, round int64, r []float64) []byte 
 // the publish seam. The ranks are appended to dst (pass dst[:0] to
 // reuse a scratch buffer).
 func DecodeSnapshotRanks(data []byte, dst []float64) (group int, round int64, r []float64, err error) {
-	rd := &snapReader{data: data}
-	magic := rd.take(len(snapMagic))
-	if rd.err != nil || string(magic) != snapMagic {
-		return 0, 0, nil, fmt.Errorf("dprcore: not a snapshot")
-	}
-	ver := rd.take(1)
-	if rd.err != nil || ver[0] != snapVersion {
-		return 0, 0, nil, fmt.Errorf("dprcore: unsupported snapshot version")
-	}
-	group = int(rd.u32())
-	round = int64(rd.u64())
-	n := int(rd.u32())
-	if rd.err == nil && n > len(rd.data)/8 {
-		rd.err = fmt.Errorf("dprcore: snapshot rank length %d exceeds data", n)
-	}
-	if rd.err != nil {
-		return 0, 0, nil, rd.err
-	}
-	r = dst
-	for i := 0; i < n; i++ {
-		r = append(r, math.Float64frombits(rd.u64()))
-	}
-	if rd.err != nil {
-		return 0, 0, nil, rd.err
-	}
-	return group, round, r, nil
+	return (&snapReader{data: data}).header(dst)
 }
 
 // snapReader walks an encoded snapshot, remembering the first decode
@@ -168,6 +143,32 @@ func DecodeSnapshotRanks(data []byte, dst []float64) (group int, round int64, r 
 type snapReader struct {
 	data []byte
 	err  error
+}
+
+// header reads what every snapshot opens with — magic, version, group,
+// round, and the rank vector, appended to dst — leaving the reader at
+// the chunk tables.
+func (r *snapReader) header(dst []float64) (group int, round int64, ranks []float64, err error) {
+	if magic := r.take(len(snapMagic)); r.err != nil || string(magic) != snapMagic {
+		return 0, 0, nil, fmt.Errorf("dprcore: not a snapshot")
+	}
+	if ver := r.take(1); r.err != nil || ver[0] != snapVersion {
+		return 0, 0, nil, fmt.Errorf("dprcore: unsupported snapshot version")
+	}
+	group = int(r.u32())
+	round = int64(r.u64())
+	n := int(r.u32())
+	if r.err == nil && n > len(r.data)/8 {
+		r.err = fmt.Errorf("dprcore: snapshot rank length %d exceeds data", n)
+	}
+	if r.err != nil {
+		return 0, 0, nil, r.err
+	}
+	ranks = dst
+	for i := 0; i < n; i++ {
+		ranks = append(ranks, math.Float64frombits(r.u64()))
+	}
+	return group, round, ranks, nil
 }
 
 func (r *snapReader) take(n int) []byte {
@@ -237,23 +238,16 @@ func (r *snapReader) chunk() transport.ScoreChunk {
 // context, before the next ComputePhase.
 func (l *Loop) Restore(data []byte) error {
 	r := &snapReader{data: data}
-	magic := r.take(len(snapMagic))
-	if r.err != nil || string(magic) != snapMagic {
-		return fmt.Errorf("dprcore: ranker %d: not a snapshot", l.grp.Index)
+	// R decodes in place: a loop whose restore fails is not used again.
+	group, loops, ranks, err := r.header(l.r[:0])
+	if err != nil {
+		return err
 	}
-	ver := r.take(1)
-	if r.err != nil || ver[0] != snapVersion {
-		return fmt.Errorf("dprcore: ranker %d: unsupported snapshot version", l.grp.Index)
+	if group != l.grp.Index {
+		return fmt.Errorf("dprcore: ranker %d: snapshot belongs to group %d", l.grp.Index, group)
 	}
-	if idx := int(r.u32()); r.err == nil && idx != l.grp.Index {
-		return fmt.Errorf("dprcore: ranker %d: snapshot belongs to group %d", l.grp.Index, idx)
-	}
-	loops := int64(r.u64())
-	if n := int(r.u32()); r.err == nil && n != len(l.r) {
-		return fmt.Errorf("dprcore: ranker %d: snapshot rank length %d, want %d", l.grp.Index, n, len(l.r))
-	}
-	for i := range l.r {
-		l.r[i] = math.Float64frombits(r.u64())
+	if len(ranks) != len(l.r) {
+		return fmt.Errorf("dprcore: ranker %d: snapshot rank length %d, want %d", l.grp.Index, len(ranks), len(l.r))
 	}
 	nLatest := int(r.u32())
 	clear(l.latest)

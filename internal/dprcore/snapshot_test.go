@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 )
 
 // snapLoop builds a loop with some efferent structure, feeds it chunks,
 // and runs a few iterations so every snapshot table is non-trivial.
-func snapLoop(t *testing.T, sender Sender) *Loop {
+func snapLoop(t testing.TB, sender Sender) *Loop {
 	t.Helper()
 	eff := map[int32][]EffEntry{1: {{LocalSrc: 0, DstLocal: 0, Links: 1}}}
 	l, err := NewLoop(testGroup(t, 0, eff), testParams(), testMeanWait, sender, constRNG{f: 0.5, e: 1})
@@ -186,27 +187,88 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	if err := other.Restore(snap); err == nil {
 		t.Error("snapshot for another group accepted")
 	}
-	// A checkpoint is a file. Its X table starts after the 21-byte
-	// header, two ranks and the table's count; each chunk opens with
-	// src, dst, round, links, entry count (28 bytes). An entry patched to
-	// address page N, or a source that does not link here, would crash
-	// the next ComputePhase or squat in the table: both are refused.
-	const firstChunk = 21 + 2*8 + 4
-	for name, patch := range map[string]struct {
-		at  int
-		val uint32
-	}{
-		"entry addresses page N":  {firstChunk + 28, 2},
-		"entry addresses page -1": {firstChunk + 28, 0xffffffff},
-		"unknown source group":    {firstChunk, 9},
-		"chunk for another group": {firstChunk + 4, 1},
-	} {
-		bad := append([]byte(nil), snap...)
-		binary.LittleEndian.PutUint32(bad[patch.at:], patch.val)
-		if err := fresh().Restore(bad); !errors.Is(err, ErrBadChunk) {
+	// A checkpoint is a file. An X-table chunk the loop could not have
+	// accepted would crash the next ComputePhase or squat in the table.
+	for name, patch := range xTablePatches {
+		if err := fresh().Restore(patch.apply(snap)); !errors.Is(err, ErrBadChunk) {
 			t.Errorf("%s: Restore = %v, want ErrBadChunk", name, err)
 		}
 	}
+}
+
+// snapPatch overwrites one little-endian word of a snapLoop snapshot.
+type snapPatch struct {
+	at  int
+	val uint32
+}
+
+func (p snapPatch) apply(snap []byte) []byte {
+	bad := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint32(bad[p.at:], p.val)
+	return bad
+}
+
+// firstXChunk is where a snapLoop snapshot's X table starts: after the
+// 21-byte header, two ranks and the table's count. Each chunk opens with
+// src, dst, round, links, entry count (28 bytes).
+const firstXChunk = 21 + 2*8 + 4
+
+// xTablePatches corrupt the first X-table chunk of a snapLoop snapshot:
+// an entry addressing page N or page -1, a source that does not link
+// here, and a chunk for another group are all refused.
+var xTablePatches = map[string]snapPatch{
+	"entry addresses page N":  {firstXChunk + 28, 2},
+	"entry addresses page -1": {firstXChunk + 28, 0xffffffff},
+	"unknown source group":    {firstXChunk, 9},
+	"chunk for another group": {firstXChunk + 4, 1},
+}
+
+// FuzzRestoreSnapshot holds the two snapshot decoders to each other on
+// arbitrary bytes: neither Loop.Restore nor DecodeSnapshotRanks panics,
+// and whenever Restore accepts a snapshot, DecodeSnapshotRanks accepts it
+// too and reads the restored loop's group, round and rank vector.
+func FuzzRestoreSnapshot(f *testing.F) {
+	// A loop snapshot with a filled X table and, through a reliable
+	// sender, a pending-chunk table.
+	rel, err := NewReliableSender(&recordSender{}, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10, Jitter: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	l := snapLoop(f, rel)
+	if len(rel.PendingChunks(0, nil)) == 0 {
+		f.Fatal("fixture produced no pending chunks")
+	}
+	snap := l.Snapshot()
+	f.Add(snap)
+	f.Add(EncodeRankSnapshot(nil, 0, 9, []float64{0.5, 0.25}))
+	for _, patch := range xTablePatches {
+		f.Add(patch.apply(snap))
+	}
+	grp := l.Group()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		group, round, ranks, decodeErr := DecodeSnapshotRanks(data, nil)
+		loop, err := NewLoop(grp, testParams(), testMeanWait, &recordSender{}, constRNG{f: 0.5, e: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loop.Restore(data) != nil {
+			return
+		}
+		if decodeErr != nil {
+			t.Fatalf("Restore accepted a snapshot DecodeSnapshotRanks refuses: %v", decodeErr)
+		}
+		if group != grp.Index || round != loop.Loops() {
+			t.Fatalf("decoded (group %d, round %d), restored (%d, %d)", group, round, grp.Index, loop.Loops())
+		}
+		if len(ranks) != len(loop.Ranks()) {
+			t.Fatalf("decoded %d ranks, restored %d", len(ranks), len(loop.Ranks()))
+		}
+		for i, v := range loop.Ranks() {
+			if math.Float64bits(ranks[i]) != math.Float64bits(v) {
+				t.Fatalf("r[%d]: decoded %v, restored %v", i, ranks[i], v)
+			}
+		}
+	})
 }
 
 func TestCheckpointCadence(t *testing.T) {

@@ -283,13 +283,10 @@ type cluster struct {
 	rankers []*ranker
 }
 
-// BuildOverlay constructs the requested overlay over k ranker IDs
-// (hashed from stable names, as a DHT would).
+// BuildOverlay constructs the requested overlay over the k ranker IDs
+// of nodeid.RankerIDs.
 func BuildOverlay(kind OverlayKind, k int) (overlay.Network, error) {
-	ids := make([]nodeid.ID, k)
-	for i := range ids {
-		ids[i] = nodeid.Hash(fmt.Sprintf("p2prank-ranker-%d", i))
-	}
+	ids := nodeid.RankerIDs(k)
 	switch kind {
 	case Pastry:
 		return pastry.New(ids, pastry.DefaultConfig())

@@ -141,11 +141,7 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netpeer: centralized reference: %w", err)
 	}
-	ids := make([]nodeid.ID, cfg.K)
-	for i := range ids {
-		ids[i] = nodeid.Hash(fmt.Sprintf("p2prank-ranker-%d", i))
-	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(nodeid.RankerIDs(cfg.K), pastry.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

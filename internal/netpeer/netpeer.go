@@ -318,8 +318,9 @@ func (p *Peer) ChunksSent() int64 { return p.sent.Load() }
 func (p *Peer) ChunksRelayed() int64 { return p.relayed.Load() }
 
 // ChunksRejected returns the number of chunks addressed to this peer
-// that its loop refused (dprcore.ErrBadChunk): the wire is outside
-// input, so they are dropped and counted, never trusted.
+// that its loop refused (dprcore.ErrBadChunk), plus, in indirect mode,
+// chunks to relay that are addressed outside the ring: the wire is
+// outside input, so they are dropped and counted, never trusted.
 func (p *Peer) ChunksRejected() int64 { return p.rejected.Load() }
 
 // FaultStats returns how many chunks the peer's fault injector
@@ -459,48 +460,58 @@ func (p *Peer) readLoop(conn net.Conn) {
 		if err != nil {
 			return // connection closed or corrupt; peer will resend
 		}
-		if p.rel != nil {
-			for _, a := range f.Acks {
-				p.rel.Ack(p.cfg.Group.Index, a.From, a.Round)
-			}
+		p.handleFrame(f)
+	}
+}
+
+// handleFrame processes one received frame: its acks go to the reliable
+// layer, chunks addressed to this peer to the loop, and — in indirect
+// mode — chunks addressed to another ranker of the ring on toward it.
+func (p *Peer) handleFrame(f frame) {
+	if p.rel != nil {
+		for _, a := range f.Acks {
+			p.rel.Ack(p.cfg.Group.Index, a.From, a.Round)
 		}
-		var forward []transport.ScoreChunk
-		var acks map[int32]int64
-		p.mu.Lock()
-		for _, c := range f.Chunks {
-			if int(c.DstGroup) != p.cfg.Group.Index {
-				if p.cfg.Overlay != nil {
-					forward = append(forward, c)
-				}
+	}
+	var forward []transport.ScoreChunk
+	var acks map[int32]int64
+	p.mu.Lock()
+	for _, c := range f.Chunks {
+		if dst := int(c.DstGroup); dst != p.cfg.Group.Index {
+			switch {
+			case p.cfg.Overlay == nil:
 				// Without an overlay a misrouted chunk is dropped.
-				continue
+			case dst < 0 || dst >= p.cfg.Overlay.NumNodes():
+				p.rejected.Add(1) // no ranker to route it to
+			default:
+				forward = append(forward, c)
 			}
-			if err := p.loop.Deliver(c); err != nil {
-				p.rejected.Add(1)
-				continue
+			continue
+		}
+		if err := p.loop.Deliver(c); err != nil {
+			p.rejected.Add(1)
+			continue
+		}
+		if p.rel != nil {
+			if acks == nil {
+				acks = make(map[int32]int64)
 			}
-			if p.rel != nil {
-				if acks == nil {
-					acks = make(map[int32]int64)
-				}
-				if r, ok := acks[c.SrcGroup]; !ok || c.Round > r {
-					acks[c.SrcGroup] = c.Round
-				}
+			if r, ok := acks[c.SrcGroup]; !ok || c.Round > r {
+				acks[c.SrcGroup] = c.Round
 			}
 		}
-		p.mu.Unlock()
-		if len(forward) > 0 {
-			// Unpack-and-recombine of Figure 4: forwarded chunks that
-			// share a next hop ride one frame.
-			p.relayed.Add(int64(len(forward)))
-			p.dispatch(forward)
-		}
-		// Acks are end-to-end control messages: straight back to the
-		// source, never along the overlay, one cumulative round per
-		// delivered source.
-		for src, round := range acks {
-			p.sendFrame(src, frame{Acks: []wireAck{{From: int32(p.cfg.Group.Index), Round: round}}})
-		}
+	}
+	p.mu.Unlock()
+	if len(forward) > 0 {
+		// Unpack-and-recombine of Figure 4: forwarded chunks that share
+		// a next hop ride one frame.
+		p.relayed.Add(int64(len(forward)))
+		p.dispatch(forward)
+	}
+	// Acks are end-to-end control messages: straight back to the source,
+	// never along the overlay, one cumulative round per delivered source.
+	for src, round := range acks {
+		p.sendFrame(src, frame{Acks: []wireAck{{From: int32(p.cfg.Group.Index), Round: round}}})
 	}
 }
 
@@ -522,7 +533,8 @@ func (p *Peer) rankLoop() {
 
 // dispatch ships chunks toward their destination groups: one frame per
 // destination with direct transmission, one frame per next overlay hop
-// with indirect transmission.
+// with indirect transmission. Every chunk is addressed to another ranker
+// of the ring, which owns its own ID, so no route ends here.
 func (p *Peer) dispatch(chunks []transport.ScoreChunk) {
 	if len(chunks) == 0 {
 		return
@@ -537,11 +549,6 @@ func (p *Peer) dispatch(chunks []transport.ScoreChunk) {
 	byHop := make(map[int32][]transport.ScoreChunk)
 	for _, c := range chunks {
 		next := p.cfg.Overlay.NextHop(self, p.cfg.Overlay.NodeID(int(c.DstGroup)))
-		if next == self {
-			// The overlay says the chunk is already home; with static
-			// membership this cannot happen for a foreign DstGroup.
-			continue
-		}
 		byHop[int32(next)] = append(byHop[int32(next)], c)
 	}
 	for hop, cs := range byHop {

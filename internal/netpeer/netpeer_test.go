@@ -1,11 +1,14 @@
 package netpeer
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
+	"p2prank/internal/engine"
+	"p2prank/internal/partition"
 	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
@@ -20,6 +23,31 @@ func genGraph(t testing.TB, pages int, seed uint64) *webgraph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// dprnode's distributed mode partitions its crawl over
+// engine.BuildOverlay's ring, and its -demo serving frontend routes over
+// that ring while the shards live on StartCluster's: the two must be one
+// ring, owning every site alike.
+func TestClusterRingMatchesEngine(t *testing.T) {
+	const k = 6
+	g := genGraph(t, 800, 29)
+	cl, err := StartCluster(g, ClusterConfig{K: k, Strategy: partition.BySite, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ov, err := engine.BuildOverlay(engine.Pastry, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := partition.Assign(g, ov, partition.BySite, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cl.Assignment, want) {
+		t.Fatal("StartCluster's partition differs from the engine ring's")
+	}
 }
 
 func TestClusterConvergesDPR1(t *testing.T) {

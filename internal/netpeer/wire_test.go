@@ -207,17 +207,57 @@ func TestPeerSurvivesHostileChunks(t *testing.T) {
 	waitFor(t, "the peer to keep ranking", func() bool { return p.Loops() >= loops+3 })
 }
 
+// An indirect-mode peer relays chunks addressed to other rankers. One
+// addressed to a group outside the ring has no route: it is dropped and
+// counted, and the peer keeps ranking. (Routed unchecked, its group
+// indexes past the overlay's node table and takes the process down.)
+func TestPeerSurvivesHostileRelay(t *testing.T) {
+	g := genGraph(t, 500, 11)
+	cl, err := StartCluster(g, ClusterConfig{K: 3, MeanWait: 5 * time.Millisecond, Indirect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Peers[1]
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Two Plain chunks from group 0: one to group 2²⁰, and one whose
+	// header carries group 2³¹ — the largest the codec admits, which
+	// decodes as math.MinInt32. Encode cannot write the second (it
+	// sign-extends a negative group), so both are framed by hand.
+	far := codec.Plain{}.Encode(nil, transport.ScoreChunk{DstGroup: 1 << 20, Round: 1, Links: 1})
+	negative := binary.AppendUvarint([]byte{0}, 1<<31)
+	negative = append(negative, 1, 1, 0) // round, links, no entries
+	wire := []byte{2}
+	for _, c := range [][]byte{far, negative} {
+		wire = append(binary.AppendUvarint(wire, uint64(len(c))), c...)
+	}
+	if _, err := conn.Write(append(wire, 0)); err != nil { // no acks
+		t.Fatal(err)
+	}
+	waitFor(t, "the two chunks to be rejected", func() bool { return p.ChunksRejected() == 2 })
+	loops := p.Loops()
+	waitFor(t, "the peer to keep ranking", func() bool { return p.Loops() >= loops+3 })
+	if p.ChunksRelayed() != 0 {
+		t.Fatalf("relayed %d chunks addressed outside the ring", p.ChunksRelayed())
+	}
+}
+
 // FuzzReadFrame feeds arbitrary bytes through the whole receive path of
-// a peer — frame reader, codec, the loop's acceptance check, one
-// compute phase over whatever was accepted — which must never panic.
-// The first byte picks the codec (Plain, Delta, Quantized-16); the rest
-// is the stream.
+// an indirect-mode peer — frame reader, codec, handleFrame's delivery
+// and relay, one compute phase over whatever was accepted — which must
+// never panic. The peer knows no other peer's address, so nothing it
+// relays or acks leaves it. The first byte picks the codec (Plain,
+// Delta, Quantized-16); the rest is the stream.
 func FuzzReadFrame(f *testing.F) {
 	codecs := []transport.ChunkCodec{codec.Plain{}, codec.Delta{}, codec.NewQuantized(16)}
 	// Two by-page groups, each linking to the other, as StartCluster
 	// would cut them.
 	g := genGraph(f, 300, 61)
-	ov, err := pastry.New([]nodeid.ID{nodeid.Hash("fuzz-0"), nodeid.Hash("fuzz-1")}, pastry.DefaultConfig())
+	ov, err := pastry.New(nodeid.RankerIDs(2), pastry.DefaultConfig())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -230,6 +270,14 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	grp := groups[0]
+	params := dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1}
+	p, err := Listen("127.0.0.1:0", Config{Params: params, Group: grp, Overlay: ov})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { p.Close() })
+	// A chunk the peer delivers, one it relays toward group 1, and one
+	// addressed outside the ring.
 	valid := func(sel byte) []byte {
 		seed := bytes.NewBuffer([]byte{sel})
 		fw := &frameWriter{codec: codecs[sel], w: bufio.NewWriter(seed)}
@@ -237,7 +285,7 @@ func FuzzReadFrame(f *testing.F) {
 			Chunks: []transport.ScoreChunk{{
 				SrcGroup: 1, DstGroup: 0, Round: 3, Links: 2,
 				Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 0.5}, {DstLocal: int32(grp.N() - 1), Value: 0.25}},
-			}},
+			}, {SrcGroup: 0, DstGroup: 1, Round: 3, Links: 1}, {SrcGroup: 1, DstGroup: 5, Round: 3, Links: 1}},
 			Acks: []wireAck{{From: 1, Round: 2}},
 		}); err != nil {
 			f.Fatal(err)
@@ -259,21 +307,18 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		cd := codecs[int(data[0])%len(codecs)]
-		loop, err := dprcore.NewLoop(grp, dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1}, 1, &outbox{}, xrand.New(1))
+		loop, err := dprcore.NewLoop(grp, params, 1, p.out, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.loop = loop // a fresh loop per input; the peer is never started
 		fr := &frameReader{codec: cd, r: bufio.NewReader(bytes.NewReader(data[1:]))}
 		for {
 			fm, err := fr.readFrame()
 			if err != nil {
 				break
 			}
-			for _, c := range fm.Chunks {
-				if int(c.DstGroup) == grp.Index { // readLoop relays or drops the rest
-					_ = loop.Deliver(c) // refusal is the point
-				}
-			}
+			p.handleFrame(fm)
 		}
 		loop.ComputePhase()
 	})

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Bits is the width of an ID in bits.
@@ -42,6 +43,35 @@ func Hash(name string) ID {
 func HashBytes(name []byte) ID {
 	sum := sha1.Sum(name)
 	return FromBytes(sum[:])
+}
+
+// RankerIDs returns the ring identifiers of page rankers 0..k-1, hashed
+// from their stable names as a DHT would. Every ranker ring is built from
+// these IDs — the simulator's, a TCP cluster's, and each process of a
+// distributed run — so all of them agree on who owns which key.
+func RankerIDs(k int) []ID {
+	ids := make([]ID, k)
+	for i := range ids {
+		ids[i] = Hash(fmt.Sprintf("p2prank-ranker-%d", i))
+	}
+	return ids
+}
+
+// Ring returns the indices of ids in ring order (ascending ID), the
+// order both overlays build their state from. The ring needs distinct
+// points, so a duplicate ID is an error.
+func Ring(ids []ID) ([]int, error) {
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return ids[a].Cmp(ids[b]) })
+	for k := 1; k < len(order); k++ {
+		if ids[order[k]] == ids[order[k-1]] {
+			return nil, fmt.Errorf("duplicate node ID %s", ids[order[k]])
+		}
+	}
+	return order, nil
 }
 
 // String renders the ID as 32 hex digits.

@@ -229,3 +229,24 @@ func TestBetweenPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestRing(t *testing.T) {
+	ids := RankerIDs(50)
+	order, err := Ring(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool, len(ids))
+	for k, i := range order {
+		seen[i] = true
+		if k > 0 && ids[order[k-1]].Cmp(ids[i]) >= 0 {
+			t.Fatalf("ring order breaks at position %d", k)
+		}
+	}
+	if len(seen) != len(ids) {
+		t.Fatalf("ring holds %d of %d nodes", len(seen), len(ids))
+	}
+	if _, err := Ring(append(ids, ids[7])); err == nil {
+		t.Fatal("duplicate ID accepted")
+	}
+}

@@ -6,7 +6,10 @@
 // (page-group hash) to the responsible page ranker, looking up the
 // address of a destination ranker (direct transmission, Figure 3B), and
 // walking neighbor links hop by hop (indirect transmission, Figures 4–5).
-// Network captures that surface so DPR code is overlay-agnostic.
+// Network captures that surface — five methods — so DPR code is
+// overlay-agnostic. Membership is fixed when an overlay is built: a
+// ranker that sleeps or restarts does so as a host and keeps its place on
+// the ring, so nothing here asks whether a node is live.
 package overlay
 
 import (
@@ -16,17 +19,15 @@ import (
 	"p2prank/internal/xrand"
 )
 
-// Network is a structured overlay over a set of member nodes, addressed
-// by dense indices 0..NumNodes()-1. Implementations must be
+// Network is a structured overlay over a fixed set of member nodes,
+// addressed by dense indices 0..NumNodes()-1. Implementations must be
 // deterministic: the same membership yields the same routes.
 type Network interface {
-	// NumNodes returns the number of member nodes, dead or alive.
+	// NumNodes returns the number of member nodes.
 	NumNodes() int
 	// NodeID returns the ring identifier of node i.
 	NodeID(i int) nodeid.ID
-	// Alive reports whether node i is live.
-	Alive(i int) bool
-	// Owner returns the live node responsible for key.
+	// Owner returns the node responsible for key.
 	Owner(key nodeid.ID) int
 	// NextHop returns the next node on the route from node i toward
 	// the owner of key. It returns i itself when i is the owner.
@@ -34,7 +35,7 @@ type Network interface {
 	// Neighbors returns the overlay links of node i — the nodes it can
 	// reach in one hop (leaf set and routing table for Pastry,
 	// successors and fingers for Chord). The result is sorted and
-	// contains no duplicates, dead nodes, or i itself.
+	// contains no duplicates or i itself.
 	Neighbors(i int) []int
 }
 
@@ -73,24 +74,18 @@ func Hops(n Network, from int, key nodeid.ID) (int, error) {
 }
 
 // AvgHops estimates the mean lookup hop count by routing `samples`
-// random keys from random live source nodes. This is the h that enters
+// random keys from random source nodes. This is the h that enters
 // the paper's formulas 4.1–4.4 and Table 1.
 func AvgHops(n Network, samples int, rng *xrand.Rand) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("overlay: AvgHops needs positive samples, got %d", samples)
 	}
-	live := make([]int, 0, n.NumNodes())
-	for i := 0; i < n.NumNodes(); i++ {
-		if n.Alive(i) {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return 0, fmt.Errorf("overlay: no live nodes")
+	if n.NumNodes() == 0 {
+		return 0, fmt.Errorf("overlay: no nodes")
 	}
 	total := 0
 	for s := 0; s < samples; s++ {
-		from := live[rng.Intn(len(live))]
+		from := rng.Intn(n.NumNodes())
 		key := nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()}
 		h, err := Hops(n, from, key)
 		if err != nil {
@@ -101,16 +96,13 @@ func AvgHops(n Network, samples int, rng *xrand.Rand) (float64, error) {
 	return float64(total) / float64(samples), nil
 }
 
-// CheckConvergent verifies that routing from every live node reaches the
+// CheckConvergent verifies that routing from every node reaches the
 // owner for each of the given keys — the integration-level sanity check
 // used in tests.
 func CheckConvergent(n Network, keys []nodeid.ID) error {
 	for _, key := range keys {
 		want := n.Owner(key)
 		for i := 0; i < n.NumNodes(); i++ {
-			if !n.Alive(i) {
-				continue
-			}
 			p, err := Route(n, i, key)
 			if err != nil {
 				return err

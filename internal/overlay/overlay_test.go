@@ -10,14 +10,10 @@ import (
 // lineNet is a toy overlay: nodes 0..n-1 in a line, key owned by node
 // (key.Lo mod n), routed one step at a time toward the owner. It
 // exercises the package helpers without pulling in a real overlay.
-type lineNet struct {
-	n    int
-	dead map[int]bool
-}
+type lineNet struct{ n int }
 
 func (l *lineNet) NumNodes() int          { return l.n }
 func (l *lineNet) NodeID(i int) nodeid.ID { return nodeid.ID{Lo: uint64(i)} }
-func (l *lineNet) Alive(i int) bool       { return !l.dead[i] }
 func (l *lineNet) Owner(k nodeid.ID) int  { return int(k.Lo % uint64(l.n)) }
 func (l *lineNet) Neighbors(i int) []int {
 	var ns []int
@@ -101,9 +97,8 @@ func TestAvgHopsValidation(t *testing.T) {
 	if _, err := AvgHops(l, 0, xrand.New(1)); err == nil {
 		t.Error("zero samples accepted")
 	}
-	dead := &lineNet{n: 2, dead: map[int]bool{0: true, 1: true}}
-	if _, err := AvgHops(dead, 10, xrand.New(1)); err == nil {
-		t.Error("all-dead overlay accepted")
+	if _, err := AvgHops(&lineNet{}, 10, xrand.New(1)); err == nil {
+		t.Error("empty overlay accepted")
 	}
 }
 

@@ -8,8 +8,7 @@ import "fmt"
 // It is the one route memo of the rank path (the transport fabric
 // routes through it, telemetry attributes hops from it); its storage is
 // proportional to the pairs actually routed, so it has one shape at
-// every node count. A Router belongs to one goroutine (or one lock),
-// and the overlay's membership must not change under it.
+// every node count. A Router belongs to one goroutine (or one lock).
 type Router struct {
 	ov   Network
 	rows []hopTable // per source node; empty until that node first routes

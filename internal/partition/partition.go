@@ -59,8 +59,8 @@ type Assignment struct {
 	Pages [][]int32
 }
 
-// Assign partitions the pages of g over the live rankers of the overlay
-// ov using the given strategy. seed is used only by Random. The hashing
+// Assign partitions the pages of g over the rankers of the overlay ov
+// using the given strategy. seed is used only by Random. The hashing
 // strategies place a page on the overlay owner of its hash key, exactly
 // how a DHT-based search engine would resolve storage responsibility.
 func Assign(g *webgraph.Graph, ov overlay.Network, strat Strategy, seed uint64) (*Assignment, error) {
@@ -90,25 +90,13 @@ func Assign(g *webgraph.Graph, ov overlay.Network, strat Strategy, seed uint64) 
 		}
 	case Random:
 		rng := xrand.New(seed)
-		live := make([]int32, 0, k)
-		for i := 0; i < k; i++ {
-			if ov.Alive(i) {
-				live = append(live, int32(i))
-			}
-		}
-		if len(live) == 0 {
-			return nil, fmt.Errorf("partition: no live rankers")
-		}
 		for p := range a.GroupOf {
-			a.GroupOf[p] = live[rng.Intn(len(live))]
+			a.GroupOf[p] = int32(rng.Intn(k))
 		}
 	default:
 		return nil, fmt.Errorf("partition: unknown strategy %d", int(strat))
 	}
 	for p, grp := range a.GroupOf {
-		if !ov.Alive(int(grp)) {
-			return nil, fmt.Errorf("partition: page %d assigned to dead ranker %d", p, grp)
-		}
 		a.LocalIdx[p] = int32(len(a.Pages[grp]))
 		a.Pages[grp] = append(a.Pages[grp], int32(p))
 	}

@@ -148,25 +148,6 @@ func TestUnknownStrategy(t *testing.T) {
 	}
 }
 
-func TestAssignSkipsDeadRankers(t *testing.T) {
-	g := makeGraph(t, 2000)
-	ov := makeOverlay(t, 10)
-	if err := ov.Fail(3); err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []Strategy{BySite, ByPage, Random} {
-		a, err := Assign(g, ov, strat, 7)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		for p, grp := range a.GroupOf {
-			if grp == 3 {
-				t.Fatalf("%v: page %d assigned to dead ranker", strat, p)
-			}
-		}
-	}
-}
-
 // The §4.1 claim: by-site partitioning cuts far fewer links than
 // by-page or random, because ~90% of links are intra-site.
 func TestBySiteCutsFewestLinks(t *testing.T) {

@@ -5,12 +5,11 @@
 // counts that drive Table 1 (h ≈ 2.5 at N=1000, 3.5 at 10⁴, 4.0 at 10⁵
 // for b=4).
 //
-// Membership changes (Join, Fail, Recover) repair routing state with an
-// oracle rebuild: the overlay recomputes every table from the live
-// membership, producing exactly the state Pastry's join/repair protocol
-// converges to. The paper's experiments do not exercise churn during
-// ranking, so the message cost of the maintenance protocol itself is out
-// of scope (it is not part of any measured figure).
+// Membership is fixed at construction: New computes every leaf set and
+// routing table once, the state Pastry's join protocol converges to. The
+// paper's rankers sleep and restart as hosts, never leaving the ring, so
+// the overlay has no join or repair protocol (its message cost is not
+// part of any measured figure).
 package pastry
 
 import (
@@ -52,8 +51,8 @@ func (c *Config) validate() error {
 
 // state is one node's routing state.
 type state struct {
-	// leaves holds the leaf set: the LeafSize/2 nearest live nodes on
-	// each side of the ring, by node index.
+	// leaves holds the leaf set: the LeafSize/2 nearest nodes on each
+	// side of the ring, by node index.
 	leaves []int
 	// table[row*fanout+col] is a node index or -1.
 	table []int
@@ -65,14 +64,12 @@ type Overlay struct {
 	fanout int
 	rows   int
 	ids    []nodeid.ID
-	alive  []bool
 	nodes  []state
-	// sorted holds live node indices ordered by ID.
+	// sorted holds every node index, ordered by ID.
 	sorted []int
-	nLive  int
 }
 
-// New builds a Pastry overlay over the given node IDs, all live.
+// New builds a Pastry overlay over the given node IDs.
 // Duplicate IDs are rejected: the ring needs distinct points.
 func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
 	if err := cfg.validate(); err != nil {
@@ -81,103 +78,33 @@ func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("pastry: no nodes")
 	}
-	seen := make(map[nodeid.ID]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return nil, fmt.Errorf("pastry: duplicate node ID %s", id)
-		}
-		seen[id] = true
+	sorted, err := nodeid.Ring(ids)
+	if err != nil {
+		return nil, fmt.Errorf("pastry: %w", err)
 	}
 	o := &Overlay{
 		cfg:    cfg,
 		fanout: 1 << uint(cfg.B),
 		rows:   nodeid.Bits / cfg.B,
 		ids:    append([]nodeid.ID(nil), ids...),
-		alive:  make([]bool, len(ids)),
+		nodes:  make([]state, len(ids)),
+		sorted: sorted,
 	}
-	for i := range o.alive {
-		o.alive[i] = true
-	}
-	o.rebuild()
+	o.buildLeafSets()
+	o.buildTables(0, len(o.sorted), 0)
 	return o, nil
 }
 
-// NumNodes returns the total membership, live or dead.
+// NumNodes returns the membership size.
 func (o *Overlay) NumNodes() int { return len(o.ids) }
-
-// NumLive returns the number of live nodes.
-func (o *Overlay) NumLive() int { return o.nLive }
 
 // NodeID returns node i's ring identifier.
 func (o *Overlay) NodeID(i int) nodeid.ID { return o.ids[i] }
 
-// Alive reports whether node i is live.
-func (o *Overlay) Alive(i int) bool { return o.alive[i] }
-
-// Fail marks node i dead and repairs all routing state. Failing the
-// last live node is an error.
-func (o *Overlay) Fail(i int) error {
-	if !o.alive[i] {
-		return nil
-	}
-	if o.nLive == 1 {
-		return fmt.Errorf("pastry: cannot fail the last live node")
-	}
-	o.alive[i] = false
-	o.rebuild()
-	return nil
-}
-
-// Recover marks node i live again and repairs routing state.
-func (o *Overlay) Recover(i int) {
-	if o.alive[i] {
-		return
-	}
-	o.alive[i] = true
-	o.rebuild()
-}
-
-// Join adds a new node with the given ID and returns its index.
-func (o *Overlay) Join(id nodeid.ID) (int, error) {
-	for _, existing := range o.ids {
-		if existing == id {
-			return 0, fmt.Errorf("pastry: duplicate node ID %s", id)
-		}
-	}
-	o.ids = append(o.ids, id)
-	o.alive = append(o.alive, true)
-	o.rebuild()
-	return len(o.ids) - 1, nil
-}
-
-// rebuild recomputes the sorted ring, every leaf set, and every routing
-// table from the live membership.
-func (o *Overlay) rebuild() {
-	o.sorted = o.sorted[:0]
-	for i, a := range o.alive {
-		if a {
-			o.sorted = append(o.sorted, i)
-		}
-	}
-	o.nLive = len(o.sorted)
-	sort.Slice(o.sorted, func(a, b int) bool {
-		return o.ids[o.sorted[a]].Cmp(o.ids[o.sorted[b]]) < 0
-	})
-	if cap(o.nodes) < len(o.ids) {
-		o.nodes = make([]state, len(o.ids))
-	}
-	o.nodes = o.nodes[:len(o.ids)]
-	for i := range o.nodes {
-		o.nodes[i] = state{}
-	}
-	o.buildLeafSets()
-	o.buildTables(0, o.nLive, 0)
-}
-
-// buildLeafSets assigns each live node its LeafSize/2 ring neighbors on
-// each side.
+// buildLeafSets assigns each node its LeafSize/2 ring neighbors on each
+// side.
 func (o *Overlay) buildLeafSets() {
-	n := o.nLive
+	n := len(o.sorted)
 	half := o.cfg.LeafSize / 2
 	if half > n-1 {
 		half = n - 1
@@ -192,7 +119,7 @@ func (o *Overlay) buildLeafSets() {
 	}
 }
 
-// buildTables recursively partitions the sorted live nodes by digit.
+// buildTables recursively partitions the sorted nodes by digit.
 // All nodes in sorted[lo:hi] share the first `depth` digits; each gets
 // row `depth` of its routing table filled with one representative per
 // differing digit.
@@ -264,10 +191,10 @@ func nearestIn(lo, hi, pos int) int {
 	return pos // can only happen for the node's own span
 }
 
-// Owner returns the live node numerically closest to key (Pastry's
+// Owner returns the node numerically closest to key (Pastry's
 // responsibility rule), breaking exact ties toward the smaller ID.
 func (o *Overlay) Owner(key nodeid.ID) int {
-	n := o.nLive
+	n := len(o.sorted)
 	pos := sort.Search(n, func(i int) bool {
 		return o.ids[o.sorted[i]].Cmp(key) >= 0
 	})
@@ -300,9 +227,6 @@ func (o *Overlay) closerToKey(a, b int, key nodeid.ID) int {
 // NextHop implements Pastry routing from node i toward key. It returns
 // i when i is responsible for key.
 func (o *Overlay) NextHop(i int, key nodeid.ID) int {
-	if !o.alive[i] {
-		panic(fmt.Sprintf("pastry: NextHop from dead node %d", i))
-	}
 	st := &o.nodes[i]
 	self := o.ids[i]
 
@@ -315,7 +239,7 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 	// digit of the key.
 	l := nodeid.CommonPrefixLen(self, key, o.cfg.B)
 	if l < o.rows && st.table != nil {
-		if t := st.table[l*o.fanout+key.Digit(l, o.cfg.B)]; t >= 0 && o.alive[t] {
+		if t := st.table[l*o.fanout+key.Digit(l, o.cfg.B)]; t >= 0 {
 			return t
 		}
 	}
@@ -325,7 +249,7 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 	best := i
 	bestDist := selfDist
 	consider := func(c int) {
-		if c < 0 || !o.alive[c] {
+		if c < 0 {
 			return
 		}
 		if nodeid.CommonPrefixLen(o.ids[c], key, o.cfg.B) < l {
@@ -355,7 +279,7 @@ func (o *Overlay) leafRoute(i int, key nodeid.ID) (int, bool) {
 	if len(st.leaves) == 0 {
 		return i, true // singleton ring: everything is ours
 	}
-	if len(st.leaves) >= o.nLive-1 {
+	if len(st.leaves) >= len(o.ids)-1 {
 		// Leaf set covers the entire ring; pick globally closest.
 		return o.Owner(key), true
 	}
@@ -375,7 +299,7 @@ func (o *Overlay) leafRoute(i int, key nodeid.ID) (int, bool) {
 }
 
 // Neighbors returns node i's overlay links: the union of its leaf set
-// and routing-table entries, live, deduplicated, and sorted. Its size is
+// and routing-table entries, deduplicated and sorted. Its size is
 // the per-node neighbor count g in the paper's formula S_it = gN.
 func (o *Overlay) Neighbors(i int) []int {
 	st := &o.nodes[i]
@@ -385,7 +309,7 @@ func (o *Overlay) Neighbors(i int) []int {
 	var out []int
 	for _, cs := range [2][]int{st.leaves, st.table} {
 		for _, c := range cs {
-			if c >= 0 && c != i && o.alive[c] {
+			if c >= 0 && c != i {
 				out = append(out, c)
 			}
 		}

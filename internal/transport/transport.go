@@ -459,14 +459,10 @@ func (f *Fabric) sendDirect(from int, chunk ScoreChunk) {
 }
 
 // enqueue places a chunk in node i's outbox under its next overlay hop.
+// The chunk is addressed to another node, and every node owns its own
+// ID, so the route never ends at i.
 func (f *Fabric) enqueue(i int, chunk ScoreChunk) {
 	next := f.router.NextHop(i, int(chunk.DstGroup))
-	if next == i {
-		// We are the owner-side endpoint; the overlay says the chunk
-		// has arrived (its destination node is not live).
-		f.del[i](chunk)
-		return
-	}
 	box := f.outbox[i]
 	for j := range box {
 		if box[j].hop == next {
