@@ -30,21 +30,27 @@ race:
 		./internal/engine/... ./internal/par/... ./internal/telemetry/... \
 		./internal/search/... ./internal/serve/...
 
-# The places bytes enter from outside — /search parameter parsing, a
-# peer's socket (frame reader → each codec, Plain / Delta / Quantized →
-# an indirect-mode peer's delivery and relay → one compute phase), a
-# checkpoint file (Loop.Restore held to DecodeSnapshotRanks), and a
-# crawl file in either format (binary: open, Validate, every accessor,
-# rewrite; text: parse, Validate, rewrite) —
-# the CSR storage layout against its row-major reference, and the
-# response cache's slab against an unbounded map, each over its seed
-# corpus and whatever ten seconds of mutation reach (go test takes one
-# -fuzz target per run). The CSR and cache targets cap minimization:
-# shrinking each new-coverage input for the default minute would leave
-# the pass a few thousand inputs.
+# The places bytes enter from outside — /search parameter parsing, the
+# -fault and -reliable specs (parsed, then Validate, every float
+# finite), a peer's socket (frame reader → each codec, Plain / Delta /
+# Quantized → an indirect-mode peer's delivery and relay → one compute
+# phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
+# and a crawl file in either format (binary: open, Validate, every
+# accessor, rewrite; text: parse, Validate, rewrite) —
+# the CSR storage layout against its row-major reference, the
+# response cache's slab against an unbounded map, and the serve tier's
+# plan and scan (shard bitmaps, page signatures) against the static
+# index on random small tiers, each over its seed corpus and whatever
+# ten seconds of mutation reach (go test takes one -fuzz target per
+# run). The CSR, cache and plan targets cap minimization: shrinking each
+# new-coverage input for the default minute would leave the pass a few
+# thousand inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueryCache -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzFrontendPlan -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzParseFault -fuzztime 10s ./internal/cliflags/
+	$(GO) test -run '^$$' -fuzz FuzzParseReliable -fuzztime 10s ./internal/cliflags/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/netpeer/
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s ./internal/dprcore/
 	$(GO) test -run '^$$' -fuzz FuzzOpenGraph -fuzztime 10s ./internal/webgraph/

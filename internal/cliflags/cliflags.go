@@ -77,9 +77,11 @@ func Fault(fs *flag.FlagSet) *string {
 // sfactor, fseed — onto a dprcore.FaultConfig. The delay mean defaults
 // to 5 time units when delays are enabled without an explicit
 // meandelay, and the straggler hold-back likewise defaults to 5 units;
-// a partition without an explicit pto never heals. Times are in the
-// runtime's units (virtual units in-sim; the live CLI bridges small
-// values to milliseconds, see dprnode).
+// a partition without an explicit pto never heals, and pto=Inf says the
+// same thing out loud: both set PartitionTo to math.MaxFloat64. Any
+// other NaN or infinite value is an error. Times are in the runtime's
+// units (virtual units in-sim; the live CLI bridges small values to
+// milliseconds, see dprnode).
 func ParseFault(spec string) (dprcore.FaultConfig, error) {
 	var fc dprcore.FaultConfig
 	if spec == "" {
@@ -108,12 +110,20 @@ func ParseFault(spec string) (dprcore.FaultConfig, error) {
 		case "pfrom", "partition-from":
 			fc.PartitionFrom = v
 		case "pto", "partition-to":
+			if math.IsInf(v, 1) {
+				v = math.MaxFloat64
+			}
 			fc.PartitionTo = v
 		case "straggle":
 			fc.StraggleFrac = v
 		case "sfactor", "straggle-factor":
 			fc.StraggleFactor = v
 		case "fseed", "fault-seed":
+			// NaN, ±Inf and floats past uint64's range convert to
+			// implementation-defined seeds.
+			if !(v >= 0 && v < 1<<64) {
+				return fc, fmt.Errorf("bad -fault value %q: seed outside [0, 2^64)", part)
+			}
 			fc.Seed = uint64(v)
 		default:
 			return fc, fmt.Errorf("unknown -fault key %q (drop|delay|meandelay|dup|partition|pfrom|pto|straggle|sfactor|fseed)", kv[0])
@@ -144,7 +154,7 @@ func Reliable(fs *flag.FlagSet) *string {
 // with keys timeout, backoff, maxtimeout, jitter, attempts, cooldown —
 // onto a dprcore.ReliableConfig. A bare number is shorthand for
 // timeout=N. Durations are in the runtime's time units (virtual units
-// in-sim, nanoseconds live).
+// in-sim, nanoseconds live); NaN and infinite values are errors.
 func ParseReliable(spec string) (dprcore.ReliableConfig, error) {
 	var rc dprcore.ReliableConfig
 	if spec == "" {
@@ -175,6 +185,11 @@ func ParseReliable(spec string) (dprcore.ReliableConfig, error) {
 		case "jitter":
 			rc.Jitter = v
 		case "attempts", "maxattempts":
+			// NaN, ±Inf and floats past int's range convert to
+			// implementation-defined ints.
+			if !(v >= 0 && v <= math.MaxInt32) {
+				return rc, fmt.Errorf("bad -reliable value %q: attempts outside [0, %d]", part, math.MaxInt32)
+			}
 			rc.MaxAttempts = int(v)
 		case "cooldown":
 			rc.Cooldown = v

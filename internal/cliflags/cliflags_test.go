@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"math"
 	"testing"
 
 	"p2prank/internal/codec"
@@ -103,6 +104,37 @@ func TestParseReliable(t *testing.T) {
 	for _, bad := range []string{"timeout=x", "speed=1", "timeout=-1", "timeout=1,backoff=0.5"} {
 		if _, err := ParseReliable(bad); err == nil {
 			t.Errorf("ParseReliable(%q) accepted", bad)
+		}
+	}
+}
+
+// NaN and ±Inf are refused in every field of both specs, and what
+// ParseFloat reads as Inf in pto is the documented never-healing
+// partition, the same MaxFloat64 as leaving pto out.
+func TestParseNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"delay=0.5,meandelay=Inf", "drop=NaN", "straggle=0.5,sfactor=+Inf", "dup=nan",
+		"delay=NaN", "partition=NaN,pto=5", "straggle=inf,sfactor=1", "meandelay=-Inf",
+		"partition=0.3,pfrom=Inf", "partition=0.3,pfrom=NaN,pto=5", "partition=0.3,pto=NaN", "partition=0.3,pto=-Inf",
+		"fseed=NaN", "fseed=Inf", "fseed=-1", "fseed=1e20",
+	} {
+		if fc, err := ParseFault(spec); err == nil {
+			t.Errorf("ParseFault(%q) accepted: %+v", spec, fc)
+		}
+	}
+	for _, spec := range []string{
+		"timeout=NaN", "NaN", "Inf", "timeout=+Inf", "timeout=1,backoff=Inf", "timeout=1,maxtimeout=NaN",
+		"timeout=1,jitter=-Inf", "timeout=1,cooldown=Infinity", "timeout=1,attempts=NaN", "timeout=1,attempts=Inf",
+		"timeout=1,attempts=1e300",
+	} {
+		if rc, err := ParseReliable(spec); err == nil {
+			t.Errorf("ParseReliable(%q) accepted: %+v", spec, rc)
+		}
+	}
+	for _, spec := range []string{"partition=0.3,pfrom=2", "partition=0.3,pfrom=2,pto=Inf", "partition=0.3,pfrom=2,pto=+infinity"} {
+		fc, err := ParseFault(spec)
+		if err != nil || fc.PartitionTo != math.MaxFloat64 || !fc.PartitionActiveAt(1e300) {
+			t.Errorf("ParseFault(%q) = %+v, %v; want a partition that never heals", spec, fc, err)
 		}
 	}
 }

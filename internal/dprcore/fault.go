@@ -2,6 +2,7 @@ package dprcore
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"p2prank/internal/telemetry"
@@ -40,7 +41,8 @@ type FaultConfig struct {
 	// PartitionFrom / PartitionTo bound the partition window, in the
 	// runtime's time units measured from the injector's construction
 	// (virtual units in-sim, nanoseconds live). The partition heals at
-	// PartitionTo. Required when PartitionFrac > 0: To > From ≥ 0.
+	// PartitionTo, never when it is +Inf or math.MaxFloat64. Required
+	// when PartitionFrac > 0: To > From ≥ 0.
 	PartitionFrom float64
 	PartitionTo   float64
 
@@ -66,15 +68,30 @@ func (c FaultConfig) Enabled() bool {
 }
 
 // Validate checks the probabilities, delay, and fault-lattice windows.
+// Every field must be finite — NaN compares false with everything, so
+// a NaN probability would mean "never", and an infinite delay has no
+// time.Duration — except PartitionTo, which may be +Inf: a partition
+// that never heals, like math.MaxFloat64.
 func (c FaultConfig) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
 	}{{"DropProb", c.DropProb}, {"DelayProb", c.DelayProb}, {"DupProb", c.DupProb},
 		{"PartitionFrac", c.PartitionFrac}, {"StraggleFrac", c.StraggleFrac}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("dprcore: fault %s %v outside [0,1]", p.name, p.v)
 		}
+	}
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{{"MeanDelay", c.MeanDelay}, {"PartitionFrom", c.PartitionFrom}, {"StraggleFactor", c.StraggleFactor}} {
+		if math.IsNaN(d.v) || math.IsInf(d.v, 0) {
+			return fmt.Errorf("dprcore: fault %s %v is not finite", d.name, d.v)
+		}
+	}
+	if math.IsNaN(c.PartitionTo) || math.IsInf(c.PartitionTo, -1) {
+		return fmt.Errorf("dprcore: fault PartitionTo %v is neither finite nor +Inf (never heals)", c.PartitionTo)
 	}
 	if c.DelayProb > 0 && c.MeanDelay <= 0 {
 		return fmt.Errorf("dprcore: DelayProb %v needs positive MeanDelay, got %v", c.DelayProb, c.MeanDelay)

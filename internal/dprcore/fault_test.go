@@ -1,6 +1,8 @@
 package dprcore
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"p2prank/internal/transport"
@@ -216,6 +218,52 @@ func TestFaultConfigValidateLattice(t *testing.T) {
 	}
 	if _, err := NewFaultSender(&recordSender{}, nil, constRNG{}, ok); err == nil {
 		t.Error("lattice config without clock accepted")
+	}
+}
+
+// Every float field of both configs refuses NaN and ±Inf with an error
+// naming it — NaN passes any range comparison written as "reject if
+// outside", Inf any sign check — except that PartitionTo = +Inf is a
+// partition that never heals, and is up at any time past its start.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		cfg   interface{ Validate() error }
+	}{
+		{"DropProb", FaultConfig{DropProb: nan}},
+		{"DelayProb", FaultConfig{DelayProb: inf, MeanDelay: 1}},
+		{"DupProb", FaultConfig{DupProb: nan}},
+		{"PartitionFrac", FaultConfig{PartitionFrac: nan, PartitionTo: 5}},
+		{"StraggleFrac", FaultConfig{StraggleFrac: nan, StraggleFactor: 1}},
+		{"MeanDelay", FaultConfig{DelayProb: 0.5, MeanDelay: inf}},
+		{"MeanDelay", FaultConfig{DelayProb: 0.5, MeanDelay: nan}},
+		{"MeanDelay", FaultConfig{MeanDelay: -inf}},
+		{"PartitionFrom", FaultConfig{PartitionFrac: 0.3, PartitionFrom: inf, PartitionTo: inf}},
+		{"PartitionFrom", FaultConfig{PartitionFrac: 0.3, PartitionFrom: nan, PartitionTo: 5}},
+		{"PartitionTo", FaultConfig{PartitionFrac: 0.3, PartitionTo: nan}},
+		{"PartitionTo", FaultConfig{PartitionFrac: 0.3, PartitionTo: -inf}},
+		{"StraggleFactor", FaultConfig{StraggleFrac: 0.5, StraggleFactor: inf}},
+		{"StraggleFactor", FaultConfig{StraggleFrac: 0.5, StraggleFactor: nan}},
+		{"Timeout", ReliableConfig{Timeout: nan}},
+		{"Timeout", ReliableConfig{Timeout: inf}},
+		{"Backoff", ReliableConfig{Timeout: 1, Backoff: inf}},
+		{"MaxTimeout", ReliableConfig{Timeout: 1, MaxTimeout: nan}},
+		{"Jitter", ReliableConfig{Timeout: 1, Jitter: -inf}},
+		{"Jitter", ReliableConfig{Timeout: 1, Jitter: nan}},
+		{"Cooldown", ReliableConfig{Timeout: 1, Cooldown: inf}},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", tc.cfg, err, tc.field)
+		}
+	}
+	never := FaultConfig{PartitionFrac: 0.3, PartitionFrom: 5, PartitionTo: inf}
+	if err := never.Validate(); err != nil {
+		t.Fatalf("never-healing partition rejected: %v", err)
+	}
+	if never.PartitionActiveAt(4) || !never.PartitionActiveAt(5) || !never.PartitionActiveAt(math.MaxFloat64) {
+		t.Error("a partition to +Inf is not up from its start for ever")
 	}
 }
 

@@ -2,6 +2,7 @@ package dprcore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"p2prank/internal/telemetry"
@@ -36,8 +37,18 @@ type ReliableConfig struct {
 // Enabled reports whether the config turns the reliable layer on.
 func (c ReliableConfig) Enabled() bool { return c.Timeout > 0 }
 
-// Validate checks the knobs. The zero value is valid (disabled).
+// Validate checks the knobs. The zero value is valid (disabled). Every
+// duration and factor must be finite: the comparisons below are false
+// for NaN, and an infinite timeout has no time.Duration.
 func (c ReliableConfig) Validate() error {
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{{"Timeout", c.Timeout}, {"Backoff", c.Backoff}, {"MaxTimeout", c.MaxTimeout}, {"Jitter", c.Jitter}, {"Cooldown", c.Cooldown}} {
+		if math.IsNaN(d.v) || math.IsInf(d.v, 0) {
+			return fmt.Errorf("dprcore: reliable %s %v is not finite", d.name, d.v)
+		}
+	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("dprcore: reliable Timeout %v negative", c.Timeout)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"slices"
@@ -108,6 +109,29 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 				if got := fe.locals[fe.postOff[j]:fe.postOff[j+1]]; len(got) == 0 || !slices.Equal(got, want[tm][s]) {
 					t.Fatalf("procs %d term %d shard %d: locals %v, want %v", procs, tm, s, got, want[tm][s])
 				}
+				sig := uint32(0)
+				for _, local := range want[tm][s] {
+					sig |= 1 << (local & 31)
+				}
+				if fe.sig[j] != sig {
+					t.Fatalf("procs %d term %d shard %d: signature %#x, want %#x", procs, tm, s, fe.sig[j], sig)
+				}
+			}
+			// A dense term's bitmap holds exactly its shards, and rank plus
+			// popcount finds each one's entry.
+			if at := fe.dense[tm]; (at >= 0) != denseTerm(hi-lo, len(assign.Pages)) {
+				t.Fatalf("procs %d term %d: %d entries, bitmap slot %d", procs, tm, hi-lo, at)
+			} else if at >= 0 {
+				words := fe.bits[at : at+fe.words]
+				for s := int32(0); s < int32(len(assign.Pages)); s++ {
+					j, held := slices.BinarySearch(fe.fanShards[lo:hi], s)
+					if set := words[s/64]>>(s%64)&1 == 1; set != held {
+						t.Fatalf("procs %d term %d shard %d: bit %v, entry %v", procs, tm, s, set, held)
+					}
+					if rank := fe.rank[at+s/64] + int32(bits.OnesCount64(words[s/64]&(1<<(s%64)-1))); held && rank != lo+int32(j) {
+						t.Fatalf("procs %d term %d shard %d: ranked entry %d, want %d", procs, tm, s, rank, lo+int32(j))
+					}
+				}
 			}
 		}
 		for s := range assign.Pages {
@@ -119,7 +143,8 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 	a, b := builds[0], builds[1]
 	if !reflect.DeepEqual(a.pages, b.pages) || !reflect.DeepEqual(a.termOff, b.termOff) ||
 		!reflect.DeepEqual(a.fanShards, b.fanShards) || !reflect.DeepEqual(a.postOff, b.postOff) ||
-		!reflect.DeepEqual(a.locals, b.locals) {
+		!reflect.DeepEqual(a.locals, b.locals) || !reflect.DeepEqual(a.sig, b.sig) ||
+		!reflect.DeepEqual(a.dense, b.dense) || !reflect.DeepEqual(a.bits, b.bits) || !reflect.DeepEqual(a.rank, b.rank) {
 		t.Fatal("NewFrontend differs between GOMAXPROCS 1 and 8")
 	}
 }

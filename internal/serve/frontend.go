@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -60,6 +61,20 @@ type Frontend struct {
 	postOff []int32
 	// locals are shard-local page indices, ascending within an entry.
 	locals []int32
+	// sig[j] is entry j's page signature, the OR of 1<<(local&31) over
+	// its locals: two entries of one shard whose signatures share no bit
+	// share no page (exactly so on a shard of at most 32 pages).
+	sig []uint32
+	// A term is dense when its fan-out list is long enough (denseTerm)
+	// that a K-bit shard bitmap is no larger. Dense term t's bitmap is
+	// bits[dense[t]:dense[t]+words], and rank there holds, per 64-shard
+	// word, the index of the term's first entry at or past that word, so
+	// its entry for shard s is a rank plus a popcount. dense[t] is -1
+	// for a sparse term, which has only its fan-out list.
+	dense []int32
+	words int32
+	bits  []uint64
+	rank  []int32
 
 	cache *queryCache
 
@@ -152,6 +167,20 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 	f.fanShards, f.postOff = buf[:entries:entries], buf[entries:]
 	f.postOff[entries] = posts
 	f.locals = make([]int32, posts)
+	f.sig = make([]uint32, entries)
+	k := len(f.pages)
+	f.words = int32((k + 63) / 64)
+	f.dense = make([]int32, text.Vocabulary)
+	denseWords := int32(0)
+	for t := range f.dense {
+		f.dense[t] = -1
+		if denseTerm(f.termOff[t+1]-f.termOff[t], k) {
+			f.dense[t] = denseWords
+			denseWords += f.words
+		}
+	}
+	f.bits = make([]uint64, denseWords)
+	f.rank = make([]int32, denseWords)
 	clear(seen)
 	for s, ps := range f.pages {
 		for local, p := range ps {
@@ -161,10 +190,24 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 					f.fanShards[nextEnt[t]] = int32(s)
 					f.postOff[nextEnt[t]] = nextPost[t]
 					nextEnt[t]++
+					if at := f.dense[t]; at >= 0 {
+						f.bits[at+int32(s>>6)] |= 1 << (s & 63)
+					}
 				}
+				f.sig[nextEnt[t]-1] |= 1 << (local & 31)
 				f.locals[nextPost[t]] = int32(local)
 				nextPost[t]++
 			}
+		}
+	}
+	for t, at := range f.dense {
+		if at < 0 {
+			continue
+		}
+		j := f.termOff[t]
+		for w := at; w < at+f.words; w++ {
+			f.rank[w] = j
+			j += int32(bits.OnesCount64(f.bits[w]))
 		}
 	}
 	if cfg.CacheEntries >= 0 {
@@ -185,6 +228,12 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 	f.overloadErr = &search.OverloadError{RetryAfter: f.adm.RetryAfterSeconds}
 	return f, nil
 }
+
+// denseTerm reports whether a term with entries fan-out entries over k
+// shards keeps a shard bitmap: whether its k bits take no more room
+// than its 4-byte-per-shard fan-out list, 32·entries ≥ k. It follows
+// from the index alone, so there is nothing to tune.
+func denseTerm(entries int32, k int) bool { return 32*int(entries) >= k }
 
 // Store returns the snapshot store queries score against.
 func (f *Frontend) Store() *Store { return f.store }
@@ -397,6 +446,9 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 		if stale > maxStale {
 			maxStale = stale
 		}
+		// A shard whose intersection comes out empty — by signature or by
+		// list — was still consulted: it counts in Cost, Version and
+		// Staleness like any other.
 		q.scanShard(c, f.pages[s], snap.Scores, len(req.Terms))
 		h := hopRow[s]
 		if h < 0 {
@@ -446,9 +498,11 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 // match — and leaves in q where each one keeps each term's postings:
 // candidate c's entry for terms[k] is q.ent[c*len(terms)+k], or
 // q.base+c for a one-term query, whose candidates are the term's own
-// fan-out list and need no copy. The merge is progressive from the
-// rarest term's list: a shard that survives a term's list records its
-// entry there, and its tuple moves down over the dropped candidates'.
+// fan-out list and need no copy. The filter is progressive from the
+// rarest term's list: a shard that survives a term records its entry
+// there, and its tuple moves down over the dropped candidates'. A dense
+// term answers each candidate with a bit test (and a rank when set); a
+// sparse one is merged against its fan-out list.
 //
 //p2plint:hotpath
 func (q *Querier) planShards(terms []int32) []int32 {
@@ -473,7 +527,7 @@ func (q *Querier) planShards(terms []int32) []int32 {
 	for c := range cand {
 		ent[c*w+best] = q.base + int32(c)
 	}
-	// The first merge reads the index's list and writes q.cand; later
+	// The first filter reads the index's list and writes q.cand; later
 	// ones compact q.cand in place, the write never ahead of the read.
 	dst := q.cand
 	for k, t := range terms {
@@ -481,6 +535,21 @@ func (q *Querier) planShards(terms []int32) []int32 {
 			continue
 		}
 		dst = dst[:0]
+		if at := f.dense[t]; at >= 0 {
+			words, rank := f.bits[at:at+f.words], f.rank[at:at+f.words]
+			for i, s := range cand {
+				word, bit := words[s>>6], uint64(1)<<(s&63)
+				if word&bit == 0 {
+					continue
+				}
+				n := len(dst)
+				dst = append(dst, s)
+				copy(ent[n*w:n*w+w], ent[i*w:i*w+w])
+				ent[n*w+k] = rank[s>>6] + int32(bits.OnesCount64(word&(bit-1)))
+			}
+			cand = dst
+			continue
+		}
 		i, j, hi := 0, f.termOff[t], f.termOff[t+1]
 		for i < len(cand) && j < hi {
 			switch a, b := cand[i], f.fanShards[j]; {
@@ -526,9 +595,10 @@ func intersect32(dst, a, b []int32) []int32 {
 // scanShard intersects the query terms' posting lists within the
 // plan's c-th candidate shard — straight from the entries the plan
 // remembered — and offers every surviving page, scored from the
-// shard's snapshot, to the merge heap. The score is read first: a page
-// strictly below a full heap's worst is dropped without touching the
-// shard's page table.
+// shard's snapshot, to the merge heap. The entries' page signatures are
+// ANDed first: if no bit survives, no page holds every term and no list
+// is walked. The score is read first: a page strictly below a full
+// heap's worst is dropped without touching the shard's page table.
 //
 //p2plint:hotpath
 func (q *Querier) scanShard(c int, pages []int32, scores []float64, w int) {
@@ -539,6 +609,13 @@ func (q *Querier) scanShard(c int, pages []int32, scores []float64, w int) {
 		cur = f.locals[f.postOff[j]:f.postOff[j+1]]
 	} else {
 		ents := q.ent[c*w : c*w+w]
+		sig := ^uint32(0)
+		for _, j := range ents {
+			sig &= f.sig[j]
+		}
+		if sig == 0 {
+			return
+		}
 		cur = f.locals[f.postOff[ents[0]]:f.postOff[ents[0]+1]]
 		for _, j := range ents[1:] {
 			if len(cur) == 0 {
