@@ -233,7 +233,11 @@ func TestTransitionNormBound(t *testing.T) {
 	// Column sums are ≤ α by construction; ‖A‖∞ (max row sum of the
 	// transposed matrix) equals the max column sum of the original, so
 	// it is ≤ α. This is the Theorem 3.1/3.2 convergence certificate.
-	if n := a.Transpose().NormInf(); n > alpha+1e-12 {
+	// The entries are nonnegative, so the row sums are Aᵀ·1.
+	at := a.Transpose()
+	sums := vecmath.NewVec(at.NumRows)
+	at.MulVec(sums, vecmath.Const(at.NumCols, 1))
+	if n := sums.Max(); n > alpha+1e-12 {
 		t.Fatalf("max column sum %v exceeds α", n)
 	}
 }

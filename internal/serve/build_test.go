@@ -47,10 +47,12 @@ func buildInputs(t testing.TB, pages, k int) (*webgraph.Graph, *pastry.Overlay, 
 
 // The term-major index against the definition: term t has an entry
 // for shard s iff TermsOf puts t on one of the shard's pages, the
-// entry's locals are exactly those pages, ascending, each term's shards
-// are strictly ascending, and postOff is monotone and ends at
-// len(locals). Checked at GOMAXPROCS 1 and 8, which must also agree
-// with each other to the last slice.
+// entry's blocks ascend strictly by blk with nonzero masks whose bits
+// are exactly those pages, its signature is the OR of its masks, each
+// term's shards are strictly ascending, and postOff is monotone and
+// ends at len(blocks), at most one block per posting. Checked at
+// GOMAXPROCS 1 and 8, which must also agree with each other to the last
+// slice.
 func TestFrontendBuildMatchesDefinition(t *testing.T) {
 	g, ov, assign, store := buildInputs(t, 3000, 40)
 	text := search.Config{Vocabulary: 300, TermsPerPage: 7, Skew: 0.9}
@@ -86,14 +88,15 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 			t.Fatalf("procs %d: %d term offsets ending at %d, %d entries, %d posting offsets",
 				procs, len(fe.termOff), fe.termOff[text.Vocabulary], len(fe.fanShards), len(fe.postOff))
 		}
-		if fe.postOff[0] != 0 || int(fe.postOff[len(fe.fanShards)]) != len(fe.locals) ||
-			len(fe.locals) != g.NumPages()*text.TermsPerPage {
-			t.Fatalf("procs %d: posting offsets run %d..%d over %d locals, want 0..%d",
-				procs, fe.postOff[0], fe.postOff[len(fe.fanShards)], len(fe.locals), g.NumPages()*text.TermsPerPage)
+		if fe.postOff[0] != 0 || int(fe.postOff[len(fe.fanShards)]) != len(fe.blocks) ||
+			len(fe.blocks) > g.NumPages()*text.TermsPerPage {
+			t.Fatalf("procs %d: block offsets run %d..%d over %d blocks, want 0..len ≤ %d",
+				procs, fe.postOff[0], fe.postOff[len(fe.fanShards)], len(fe.blocks), g.NumPages()*text.TermsPerPage)
 		}
 		if !slices.IsSorted(fe.postOff) {
 			t.Fatalf("procs %d: postOff not monotone", procs)
 		}
+		multi := 0 // entries spanning more than one block
 		for tm := range want {
 			lo, hi := fe.termOff[tm], fe.termOff[tm+1]
 			if int(hi-lo) != len(want[tm]) {
@@ -105,16 +108,34 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 					t.Fatalf("procs %d term %d: shards %v not strictly ascending", procs, tm, fe.fanShards[lo:hi])
 				}
 				// An entry per wanted shard, all distinct, as many as
-				// wanted: exactly the wanted shards.
-				if got := fe.locals[fe.postOff[j]:fe.postOff[j+1]]; len(got) == 0 || !slices.Equal(got, want[tm][s]) {
-					t.Fatalf("procs %d term %d shard %d: locals %v, want %v", procs, tm, s, got, want[tm][s])
+				// wanted: exactly the wanted shards. Its blocks ascend
+				// strictly, none is empty, and their bits spell out
+				// exactly the wanted pages.
+				blocks := fe.blocks[fe.postOff[j]:fe.postOff[j+1]]
+				if len(blocks) == 0 {
+					t.Fatalf("procs %d term %d shard %d: no blocks", procs, tm, s)
 				}
-				sig := uint32(0)
-				for _, local := range want[tm][s] {
-					sig |= 1 << (local & 31)
+				if len(blocks) > 1 {
+					multi++
 				}
-				if fe.sig[j] != sig {
-					t.Fatalf("procs %d term %d shard %d: signature %#x, want %#x", procs, tm, s, fe.sig[j], sig)
+				var got []int32
+				ors := uint32(0)
+				for i, b := range blocks {
+					if b.mask == 0 || (i > 0 && b.blk <= blocks[i-1].blk) {
+						t.Fatalf("procs %d term %d shard %d: blocks %+v not strictly ascending and nonempty", procs, tm, s, blocks)
+					}
+					for bit := int32(0); bit < 32; bit++ {
+						if b.mask>>bit&1 == 1 {
+							got = append(got, b.blk*32+bit)
+						}
+					}
+					ors |= b.mask
+				}
+				if !slices.Equal(got, want[tm][s]) {
+					t.Fatalf("procs %d term %d shard %d: blocks hold %v, want %v", procs, tm, s, got, want[tm][s])
+				}
+				if fe.sig[j] != ors {
+					t.Fatalf("procs %d term %d shard %d: signature %#x, masks OR to %#x", procs, tm, s, fe.sig[j], ors)
 				}
 			}
 			// A dense term's bitmap holds exactly its shards, and rank plus
@@ -134,6 +155,9 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 				}
 			}
 		}
+		if multi == 0 {
+			t.Fatalf("procs %d: no entry spans more than one block", procs)
+		}
 		for s := range assign.Pages {
 			if !slices.Equal(fe.pages[s], assign.Pages[s]) {
 				t.Fatalf("procs %d shard %d: page table is not the assignment's", procs, s)
@@ -143,7 +167,7 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 	a, b := builds[0], builds[1]
 	if !reflect.DeepEqual(a.pages, b.pages) || !reflect.DeepEqual(a.termOff, b.termOff) ||
 		!reflect.DeepEqual(a.fanShards, b.fanShards) || !reflect.DeepEqual(a.postOff, b.postOff) ||
-		!reflect.DeepEqual(a.locals, b.locals) || !reflect.DeepEqual(a.sig, b.sig) ||
+		!reflect.DeepEqual(a.blocks, b.blocks) || !reflect.DeepEqual(a.sig, b.sig) ||
 		!reflect.DeepEqual(a.dense, b.dense) || !reflect.DeepEqual(a.bits, b.bits) || !reflect.DeepEqual(a.rank, b.rank) {
 		t.Fatal("NewFrontend differs between GOMAXPROCS 1 and 8")
 	}

@@ -2,6 +2,8 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,6 +179,84 @@ func TestHedgedReadServesReplica(t *testing.T) {
 	}
 	if st := fe.DegradeStats(); st.Hedged != 1 {
 		t.Fatalf("hedged counter = %d, want 1", st.Hedged)
+	}
+}
+
+// TestMisfitSnapshotRefused: the store takes a score vector of any
+// length, but the scan indexes it by local page. A snapshot that does
+// not score exactly its shard's pages is refused like a missing one —
+// in strict mode an ErrStaleIndex naming the shard, under Health lost
+// coverage — whether it is the primary or the hedged replica.
+func TestMisfitSnapshotRefused(t *testing.T) {
+	short := func(int) int { return 1 }
+	long := func(n int) int { return n + 1 }
+	fit := func(n int) int { return n }
+	for _, tc := range []struct {
+		name         string
+		health, slow bool
+		// publishes are the score-vector lengths published to the shard
+		// after the fixture's fitting round-1 snapshot, as functions of
+		// its page count.
+		publishes []func(int) int
+		lost      bool
+	}{
+		{"strict/short primary", false, false, []func(int) int{short}, true},
+		{"strict/long primary", false, false, []func(int) int{long}, true},
+		{"degraded/short primary", true, false, []func(int) int{short}, true},
+		{"degraded/long primary", true, false, []func(int) int{long}, true},
+		{"hedged/short replica", true, true, []func(int) int{short, fit}, true},
+		{"hedged/long primary", true, true, []func(int) int{long}, true},
+		{"hedged/fitting", true, true, []func(int) int{fit}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 800, 4, -1)
+			h := &fakeHealth{}
+			fe := f.fe
+			if tc.health {
+				fe = degradedFrontend(t, f, -1, h, serve.Admission{})
+			}
+			req, shards := wideQuery(t, f, fe)
+			s := shards[0]
+			for i, size := range tc.publishes {
+				scores := make([]float64, size(len(f.assign.Pages[s])))
+				for j := range scores {
+					scores[j] = 1
+				}
+				if _, err := f.store.Publish(s, int64(2+i), scores); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.slow {
+				h.set(s, serve.ShardSlow)
+			}
+
+			var resp search.Response
+			err := fe.NewQuerier().Serve(req, &resp)
+			if !tc.health {
+				if !errors.Is(err, search.ErrStaleIndex) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d ", s)) {
+					t.Fatalf("misfit snapshot on shard %d: %v, want ErrStaleIndex naming it", s, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("misfit snapshot on shard %d failed the query: %v", s, err)
+			}
+			if resp.Degraded != tc.lost || (resp.Coverage < 1) != tc.lost {
+				t.Fatalf("shard %d: coverage %v degraded %v, want lost %v", s, resp.Coverage, resp.Degraded, tc.lost)
+			}
+			wantHedged := 0
+			if tc.slow && !tc.lost {
+				wantHedged = 1
+			}
+			if resp.Hedged != wantHedged {
+				t.Fatalf("shard %d: %d hedged reads, want %d", s, resp.Hedged, wantHedged)
+			}
+			for _, p := range resp.Postings {
+				if tc.lost && int(f.assign.GroupOf[p.Page]) == s {
+					t.Fatalf("page %d served from refused shard %d", p.Page, s)
+				}
+			}
+		})
 	}
 }
 

@@ -56,14 +56,16 @@ type Frontend struct {
 	// fanShards[j] is entry j's shard, ascending within a term — the
 	// query planner's fan-out list.
 	fanShards []int32
-	// postOff[j]:postOff[j+1] brackets entry j's span of locals;
+	// postOff[j]:postOff[j+1] brackets entry j's blocks;
 	// len = len(fanShards)+1.
 	postOff []int32
-	// locals are shard-local page indices, ascending within an entry.
-	locals []int32
+	// blocks hold each entry's shard-local pages 32 to a block, in
+	// strictly ascending blk order within an entry, every mask nonzero.
+	blocks []pageBlock
 	// sig[j] is entry j's page signature, the OR of 1<<(local&31) over
-	// its locals: two entries of one shard whose signatures share no bit
-	// share no page (exactly so on a shard of at most 32 pages).
+	// its pages (so also of its masks): two entries of one shard whose
+	// signatures share no bit share no page (exactly so on a shard of at
+	// most 32 pages).
 	sig []uint32
 	// A term is dense when its fan-out list is long enough (denseTerm)
 	// that a K-bit shard bitmap is no larger. Dense term t's bitmap is
@@ -92,6 +94,13 @@ type Frontend struct {
 	// routeMu serializes lazy overlay route lookups: queriers memoize
 	// hop counts per (origin, shard) and only route on cold entries.
 	routeMu sync.Mutex
+}
+
+// pageBlock is up to 32 of an entry's shard-local pages: bit i of mask
+// is local page blk·32 + i.
+type pageBlock struct {
+	blk  int32
+	mask uint32
 }
 
 // NewFrontend builds the term-major index from the crawl, the page
@@ -138,35 +147,42 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 		termOff: make([]int32, text.Vocabulary+1),
 	}
 	// One count → prefix-sum → fill over the matrix in (shard, local)
-	// order, which is every term's (entry, local) order: a term's
-	// postings fill left to right and an entry opens where its shard's
-	// first one lands. seen[t] is 1 + the last shard counted under t;
-	// nextPost[t] counts t's postings, then is their fill cursor;
-	// termOff[t+1] counts t's entries, nextEnt[t] is their fill cursor.
-	scratch := make([]int32, 3*text.Vocabulary)
-	seen, nextPost, nextEnt := scratch[:text.Vocabulary], scratch[text.Vocabulary:2*text.Vocabulary], scratch[2*text.Vocabulary:]
+	// order, which is every term's (entry, local) order: a term's blocks
+	// fill left to right, an entry opens where its shard's first page
+	// lands, and a block where a page's local/32 first differs from the
+	// last one's. seen[t] is 1 + the last shard counted under t and
+	// lastBlk[t] the block its last page fell in; nextBlk[t] counts t's
+	// blocks, then is their fill cursor; termOff[t+1] counts t's entries,
+	// nextEnt[t] is their fill cursor.
+	v := text.Vocabulary
+	scratch := make([]int32, 4*v)
+	seen, lastBlk, nextBlk, nextEnt := scratch[:v], scratch[v:2*v], scratch[2*v:3*v], scratch[3*v:]
 	for s, ps := range f.pages {
-		for _, p := range ps {
+		for local, p := range ps {
 			for _, t := range tm.Row(p) {
-				nextPost[t]++
 				if seen[t] != int32(s)+1 {
 					seen[t] = int32(s) + 1
+					lastBlk[t] = -1
 					f.termOff[t+1]++
+				}
+				if b := int32(local >> 5); lastBlk[t] != b {
+					lastBlk[t] = b
+					nextBlk[t]++
 				}
 			}
 		}
 	}
-	posts := int32(0)
-	for t := range nextPost {
+	blocks := int32(0)
+	for t := range nextBlk {
 		nextEnt[t] = f.termOff[t]
 		f.termOff[t+1] += f.termOff[t]
-		posts, nextPost[t] = posts+nextPost[t], posts
+		blocks, nextBlk[t] = blocks+nextBlk[t], blocks
 	}
 	entries := f.termOff[text.Vocabulary]
 	buf := make([]int32, 2*entries+1)
 	f.fanShards, f.postOff = buf[:entries:entries], buf[entries:]
-	f.postOff[entries] = posts
-	f.locals = make([]int32, posts)
+	f.postOff[entries] = blocks
+	f.blocks = make([]pageBlock, blocks)
 	f.sig = make([]uint32, entries)
 	k := len(f.pages)
 	f.words = int32((k + 63) / 64)
@@ -187,16 +203,22 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 			for _, t := range tm.Row(p) {
 				if seen[t] != int32(s)+1 {
 					seen[t] = int32(s) + 1
+					lastBlk[t] = -1
 					f.fanShards[nextEnt[t]] = int32(s)
-					f.postOff[nextEnt[t]] = nextPost[t]
+					f.postOff[nextEnt[t]] = nextBlk[t]
 					nextEnt[t]++
 					if at := f.dense[t]; at >= 0 {
 						f.bits[at+int32(s>>6)] |= 1 << (s & 63)
 					}
 				}
-				f.sig[nextEnt[t]-1] |= 1 << (local & 31)
-				f.locals[nextPost[t]] = int32(local)
-				nextPost[t]++
+				if b := int32(local >> 5); lastBlk[t] != b {
+					lastBlk[t] = b
+					f.blocks[nextBlk[t]].blk = b
+					nextBlk[t]++
+				}
+				bit := uint32(1) << (local & 31)
+				f.blocks[nextBlk[t]-1].mask |= bit
+				f.sig[nextEnt[t]-1] |= bit
 			}
 		}
 	}
@@ -293,8 +315,8 @@ func (f *Frontend) overBound() bool {
 }
 
 // Querier is a per-goroutine handle on the Frontend: it owns the
-// scratch buffers (the plan's candidates and entry tuples, intersection
-// buffers, the merge heap, hop memos) that make the steady-state read
+// scratch buffers (the plan's candidates and entry tuples, the scan's
+// block cursors, the merge heap, hop memos) that make the steady-state read
 // path allocation free. A Querier must not be shared between
 // goroutines; the Frontend and Store it reads are safe for any number
 // of concurrent Queriers.
@@ -306,8 +328,8 @@ type Querier struct {
 	cand []int32
 	ent  []int32
 	base int32
-	// inter holds the in-shard intersection.
-	inter []int32
+	// cur holds the scan's per-term block cursors.
+	cur []int32
 	// hopRows memoizes overlay hop counts per query origin: one dense
 	// per-shard row per distinct Request.From, -1 = not routed yet.
 	hopRows map[int][]int32
@@ -417,14 +439,18 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			continue
 		}
 		snap := f.store.Snapshot(int(s))
-		if snap == nil {
+		if !f.fits(snap, s) {
 			if f.health != nil {
-				// Degraded mode treats a never-published shard like an
+				// Degraded mode treats a never-published shard, or a
+				// snapshot that does not fit the shard, like an
 				// unreachable one: lost coverage, not a failed query.
 				missed++
 				continue
 			}
-			return fmt.Errorf("%w: shard %d has published no snapshot", search.ErrStaleIndex, s)
+			if snap == nil {
+				return fmt.Errorf("%w: shard %d has published no snapshot", search.ErrStaleIndex, s)
+			}
+			return fmt.Errorf("%w: shard %d snapshot has %d scores for %d pages", search.ErrStaleIndex, s, len(snap.Scores), len(f.pages[s]))
 		}
 		stale := f.store.Staleness(int(s))
 		if state == ShardSlow {
@@ -432,6 +458,12 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			// replica snapshot. One publish older — the gap between the
 			// two snapshots' rounds is real staleness and is accounted.
 			if prev := f.store.Replica(int(s)); prev != nil {
+				if !f.fits(prev, s) {
+					// Only Health makes a shard slow: a replica that does
+					// not fit is lost coverage, like a primary.
+					missed++
+					continue
+				}
 				stale += snap.Round - prev.Round
 				snap = prev
 			}
@@ -447,7 +479,7 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			maxStale = stale
 		}
 		// A shard whose intersection comes out empty — by signature or by
-		// list — was still consulted: it counts in Cost, Version and
+		// block — was still consulted: it counts in Cost, Version and
 		// Staleness like any other.
 		q.scanShard(c, f.pages[s], snap.Scores, len(req.Terms))
 		h := hopRow[s]
@@ -491,6 +523,15 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 		f.cache.put(key, advances, resp)
 	}
 	return nil
+}
+
+// fits reports whether snap is a published snapshot scoring exactly
+// shard s's pages. The store takes score vectors of any length, and the
+// scan indexes them by local page, so one that does not fit is refused.
+//
+//p2plint:hotpath
+func (f *Frontend) fits(snap *ShardSnapshot, s int32) bool {
+	return snap != nil && len(snap.Scores) == len(f.pages[s])
 }
 
 // planShards returns the shards that hold at least one page with EVERY
@@ -572,43 +613,21 @@ func (q *Querier) planShards(terms []int32) []int32 {
 	return cand
 }
 
-// intersect32 merges two ascending lists into dst (append semantics).
-//
-//p2plint:hotpath
-func intersect32(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// scanShard intersects the query terms' posting lists within the
-// plan's c-th candidate shard — straight from the entries the plan
-// remembered — and offers every surviving page, scored from the
-// shard's snapshot, to the merge heap. The entries' page signatures are
-// ANDed first: if no bit survives, no page holds every term and no list
-// is walked. The score is read first: a page strictly below a full
-// heap's worst is dropped without touching the shard's page table.
+// scanShard intersects the query terms' pages within the plan's c-th
+// candidate shard — straight from the entries the plan remembered — and
+// offers every surviving page, scored from the shard's snapshot, to the
+// merge heap. The entries' page signatures are ANDed first: if no bit
+// survives, no page holds every term and no block is read. Otherwise
+// the entry with the fewest blocks leads: each of its blocks is ANDed
+// with the other entries' (andBlock), and the bits left are offered in
+// ascending local order. A one-term query's lead is its only entry.
 //
 //p2plint:hotpath
 func (q *Querier) scanShard(c int, pages []int32, scores []float64, w int) {
 	f := q.f
-	var cur []int32
-	if w == 1 {
-		j := q.base + int32(c)
-		cur = f.locals[f.postOff[j]:f.postOff[j+1]]
-	} else {
-		ents := q.ent[c*w : c*w+w]
+	lead, ents := q.base+int32(c), []int32(nil)
+	if w > 1 {
+		ents = q.ent[c*w : c*w+w]
 		sig := ^uint32(0)
 		for _, j := range ents {
 			sig &= f.sig[j]
@@ -616,22 +635,69 @@ func (q *Querier) scanShard(c int, pages []int32, scores []float64, w int) {
 		if sig == 0 {
 			return
 		}
-		cur = f.locals[f.postOff[ents[0]]:f.postOff[ents[0]+1]]
-		for _, j := range ents[1:] {
-			if len(cur) == 0 {
-				break
+		if cap(q.cur) < w {
+			//p2plint:allow hotalloc -- block cursors grow to the querier's widest query, then reuse
+			q.cur = make([]int32, w)
+		}
+		lead = ents[0]
+		for k, j := range ents {
+			q.cur[k] = f.postOff[j]
+			if f.postOff[j+1]-f.postOff[j] < f.postOff[lead+1]-f.postOff[lead] {
+				lead = j
 			}
-			// The first pass reads the index and writes q.inter; later
-			// ones narrow q.inter in place.
-			cur = intersect32(q.inter[:0], cur, f.locals[f.postOff[j]:f.postOff[j+1]])
-			q.inter = cur
 		}
 	}
-	for _, local := range cur {
-		if score := scores[local]; !q.heap.below(score) {
-			q.heap.consider(search.Posting{Page: pages[local], Score: score})
+	for _, b := range f.blocks[f.postOff[lead]:f.postOff[lead+1]] {
+		mask := b.mask
+		if ents != nil {
+			var more bool
+			if mask, more = q.andBlock(ents, lead, b); !more {
+				return
+			}
+		}
+		// The score is read first: a page strictly below a full heap's
+		// worst is dropped without touching the shard's page table.
+		for base := b.blk << 5; mask != 0; mask &= mask - 1 {
+			local := base + int32(bits.TrailingZeros32(mask))
+			if score := scores[local]; !q.heap.below(score) {
+				q.heap.consider(search.Posting{Page: pages[local], Score: score})
+			}
 		}
 	}
+}
+
+// andBlock returns the lead block b ANDed with the block at b.blk of
+// every other entry in ents, each entry's cursor in q.cur moved forward
+// to it. A missing block zeroes the mask; more is false once a cursor
+// has run out, since no later lead block can match then. It is kept out
+// of scanShard so the one-term loop stays tight.
+//
+//p2plint:hotpath
+func (q *Querier) andBlock(ents []int32, lead int32, b pageBlock) (mask uint32, more bool) {
+	f := q.f
+	cur := q.cur[:len(ents)]
+	mask = b.mask
+	for k, j := range ents {
+		if j == lead {
+			continue
+		}
+		i, hi := cur[k], f.postOff[j+1]
+		for i < hi && f.blocks[i].blk < b.blk {
+			i++
+		}
+		if i == hi {
+			return 0, false
+		}
+		cur[k] = i
+		o := f.blocks[i]
+		if o.blk != b.blk {
+			return 0, true
+		}
+		if mask &= o.mask; mask == 0 {
+			return 0, true
+		}
+	}
+	return mask, true
 }
 
 // hopRow returns the memo of overlay hop counts from a query origin to

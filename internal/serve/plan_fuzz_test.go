@@ -16,21 +16,25 @@ import (
 
 // FuzzFrontendPlan holds the plan (shard bitmaps for dense terms,
 // fan-out merges for sparse ones) and the scan (the page-signature
-// prefilter, then the intersection) to two references on a random small
-// tier: every answer must be the static search.Index's, and
+// prefilter, then the block cursors) to two references on a random
+// small tier: every answer must be the static search.Index's, and
 // Cost.Responses must count exactly the shards holding every query
 // term. The tier draws K from 1 to 200 — below 32 every present term is
 // dense, from 33 up sparse terms appear, and K need not be a multiple of
-// 64 — shards averaging 1 to 100 pages, so signatures alias past 32, and
-// a vocabulary of at most 256 terms, so popular terms sit above K/32
-// shards and rare ones below. Each query is one header byte (low two
-// bits: 1–4 terms; the rest: k) and one byte per term, duplicates
-// included.
+// 64 — and shards averaging 1 to 800 pages within 2000 in all: from 33
+// pages signatures alias and an entry spans several 32-page blocks, so
+// the cursors skip blocks, and a few wide shards give entries of a
+// dozen blocks and more. The vocabulary holds at most 256 terms, so
+// popular terms sit above K/32 shards and rare ones below. Each query is
+// one header byte (low two bits: 1–4 terms; the rest: k) and one byte
+// per term, duplicates included.
 func FuzzFrontendPlan(f *testing.F) {
 	for _, seed := range []struct {
-		seed                    uint64
-		k, size, vocab, perPage uint8
-		queries                 []byte
+		seed           uint64
+		k              uint8
+		size           uint16
+		vocab, perPage uint8
+		queries        []byte
 	}{
 		{1, 0, 99, 15, 3, []byte{0, 0, 1, 1, 2, 3, 2, 0, 1, 2, 3, 3, 4, 5, 6}},
 		{2, 30, 99, 40, 5, []byte{1, 0, 1, 5, 1, 2, 7, 0, 0, 0, 0}},
@@ -38,12 +42,26 @@ func FuzzFrontendPlan(f *testing.F) {
 		{4, 99, 19, 200, 8, []byte{1, 0, 50, 2, 1, 2, 3, 3, 0, 1, 1, 0, 6, 0, 80}},
 		{5, 199, 9, 255, 11, []byte{1, 0, 1, 1, 3, 200, 3, 1, 0, 2, 2, 9, 9, 9, 3, 0, 2, 0, 2}},
 		{6, 129, 49, 60, 2, []byte{5, 0, 1, 7, 0, 1, 2, 59, 3, 0, 0, 1, 1}},
+		// One shard of exactly 32, 33, 64 and 65 pages: one-term queries
+		// walk every block, wider ones cross the block boundaries.
+		{7, 0, 31, 12, 3, []byte{0, 0, 124, 1, 0, 5, 1, 0, 1, 2, 2, 0, 1}},
+		{8, 0, 32, 12, 3, []byte{0, 0, 124, 1, 0, 5, 1, 0, 1, 2, 2, 0, 1}},
+		{9, 0, 63, 20, 4, []byte{0, 0, 124, 2, 1, 5, 1, 0, 1, 2, 3, 0, 1, 2, 3}},
+		{10, 0, 64, 20, 4, []byte{0, 0, 124, 2, 1, 5, 1, 0, 1, 2, 3, 0, 1, 2, 3}},
+		// Four shards of about 500 pages: entries of a dozen blocks.
+		{11, 3, 499, 80, 6, []byte{0, 0, 124, 40, 1, 0, 1, 5, 2, 1, 3, 2, 0, 1, 2, 3}},
+		// Rare terms in wide shards: term pairs a shard holds in
+		// different blocks, whose masks must never be ANDed.
+		{12, 1, 399, 255, 4, []byte{253, 5, 12, 253, 8, 15, 253, 11, 18, 253, 14, 21, 253, 17, 24, 253, 20, 27, 253, 23, 30, 253, 26, 33, 253, 29, 36, 253, 32, 39,
+			253, 35, 42, 253, 38, 45, 253, 41, 48, 253, 44, 51, 253, 47, 54, 253, 50, 57, 253, 53, 60, 253, 56, 63, 253, 59, 66, 253, 62, 69}},
+		{14, 0, 127, 255, 3, []byte{253, 5, 12, 253, 8, 15, 253, 11, 18, 253, 14, 21, 253, 17, 24, 253, 20, 27, 253, 23, 30, 253, 26, 33, 253, 29, 36, 253, 32, 39,
+			253, 35, 42, 253, 38, 45, 253, 41, 48, 253, 44, 51, 253, 47, 54, 253, 50, 57, 253, 53, 60, 253, 56, 63, 253, 59, 66, 253, 62, 69}},
 	} {
 		f.Add(seed.seed, seed.k, seed.size, seed.vocab, seed.perPage, seed.queries)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, kByte, sizeByte, vocabByte, perPageByte uint8, queries []byte) {
+	f.Fuzz(func(t *testing.T, seed uint64, kByte uint8, size uint16, vocabByte, perPageByte uint8, queries []byte) {
 		k := 1 + int(kByte)%200
-		pages := min(2000, k*(1+int(sizeByte)%100))
+		pages := min(2000, k*(1+int(size)%800))
 		text := search.Config{Vocabulary: 1 + int(vocabByte), Skew: 1}
 		text.TermsPerPage = 1 + int(perPageByte)%min(12, text.Vocabulary)
 

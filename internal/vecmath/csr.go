@@ -49,8 +49,8 @@ type CSR struct {
 	shardPtr []int32
 }
 
-// maxCSRShards bounds the shard count, and with it the partials array
-// NormInf keeps on its stack.
+// maxCSRShards bounds the shard count, and with it any per-shard
+// partials array a reduction keeps on its stack.
 const maxCSRShards = 64
 
 // defaultCSRShards is the shard count boundaries are computed for.
@@ -317,37 +317,6 @@ func (m *CSR) slotDot(k int, x Vec) float64 {
 		s += vals[j] * x[c]
 	}
 	return s
-}
-
-// NormInf returns ‖M‖∞ = max over rows of the L1 norm of the row. By
-// Theorem 3.2 of the paper this bounds the spectral radius ρ(M), which is
-// how Algorithm 2's convergence is certified (‖A‖∞ ≤ α < 1). Max is an
-// exact reduction, so the per-shard combine cannot perturb bits.
-//
-//p2plint:hotpath -- convergence certificate, recomputed on every incremental update
-func (m *CSR) NormInf() float64 {
-	if m.oneShard() {
-		return m.normInfRange(0, m.NumRows)
-	}
-	sp := m.shardPtr
-	var partials [maxCSRShards]float64
-	//p2plint:allow hotalloc -- par fan-out above csrParMinNNZ; one closure amortized over ≥16K entries
-	par.Default().Run(len(sp)-1, func(s int) {
-		partials[s] = m.normInfRange(int(sp[s]), int(sp[s+1]))
-	})
-	return Vec(partials[:len(sp)-1]).Max()
-}
-
-func (m *CSR) normInfRange(lo, hi int) float64 {
-	norm := 0.0
-	for k := m.emptyEnd(lo, hi); k < hi; k++ {
-		s := 0.0
-		for _, v := range m.vals[m.rowPtr[k]:m.rowPtr[k+1]] {
-			s += math.Abs(v)
-		}
-		norm = max(norm, s)
-	}
-	return norm
 }
 
 // Transpose returns Mᵀ.

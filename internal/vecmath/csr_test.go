@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"p2prank/internal/par"
 	"p2prank/internal/xrand"
 )
 
@@ -53,6 +54,35 @@ func newCSR(rows, cols int, entries []entry) (*CSR, error) {
 		f.Put(int32(e.Row), int32(e.Col), e.Val)
 	}
 	return f.CSR()
+}
+
+// NormInf returns ‖M‖∞ = max over rows of the L1 norm of the row. By
+// Theorem 3.2 of the paper this bounds the spectral radius ρ(M), which is
+// how Algorithm 2's convergence is certified (‖A‖∞ ≤ α < 1). It fans
+// out over the matrix's shards like the products do; max is an exact
+// reduction, so the per-shard combine cannot perturb bits.
+func (m *CSR) NormInf() float64 {
+	if m.oneShard() {
+		return m.normInfRange(0, m.NumRows)
+	}
+	sp := m.shardPtr
+	var partials [maxCSRShards]float64
+	par.Default().Run(len(sp)-1, func(s int) {
+		partials[s] = m.normInfRange(int(sp[s]), int(sp[s+1]))
+	})
+	return Vec(partials[:len(sp)-1]).Max()
+}
+
+func (m *CSR) normInfRange(lo, hi int) float64 {
+	norm := 0.0
+	for k := m.emptyEnd(lo, hi); k < hi; k++ {
+		s := 0.0
+		for _, v := range m.vals[m.rowPtr[k]:m.rowPtr[k+1]] {
+			s += math.Abs(v)
+		}
+		norm = max(norm, s)
+	}
+	return norm
 }
 
 func mustCSR(t *testing.T, rows, cols int, entries []entry) *CSR {
