@@ -33,8 +33,8 @@ race:
 # The places bytes enter from outside — /search parameter parsing, the
 # -fault and -reliable specs (parsed, then Validate, every float
 # finite), a peer's socket (frame reader → each codec, Plain / Delta /
-# Quantized → an indirect-mode peer's delivery and relay → one compute
-# phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
+# Quantized → a reliable peer's delivery, relay and acks in both
+# transmission modes → one compute phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
 # and a crawl file in either format (binary: open, Validate, every
 # accessor, rewrite; text: parse, Validate, rewrite) —
 # the CSR storage layout against its row-major reference, the
@@ -62,10 +62,11 @@ fuzz:
 # checkpointed recovery, the supervisor, the reliable
 # ack/retry/backoff layer, and the partition/straggler fault lattice
 # (see DESIGN.md §11 and §17) — plus the end-to-end serve-under-
-# partition smoke (dprnode -serve through a healing cut) and the
-# start/close-under-load loop that pins the netpeer accept/close race.
+# partition smoke (dprnode -serve through a healing cut), the
+# start/close-under-load loop that pins the netpeer accept/close race,
+# and the hostile-chunk, hostile-relay and hostile-ack peer tests.
 chaos:
-	$(GO) test -race -count=1 -run 'Churn|Suspend|KillRestart|Supervisor|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad' \
+	$(GO) test -race -count=1 -run 'Churn|Suspend|KillRestart|Supervisor|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad|Hostile' \
 		./internal/dprcore/... ./internal/engine/... ./internal/netpeer/...
 	$(GO) test -run TestServeChaosPartitionDprnode -v ./internal/clitest/
 

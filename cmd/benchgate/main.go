@@ -32,9 +32,9 @@ import (
 )
 
 // The gated suite.
-const benchPattern = "MulVec|StepDelta|NewGroupSystem|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|QueryFanout|QueryCacheChurn|SnapshotPublish|TermsOf|FrontendBuild"
+const benchPattern = "MulVec|StepDelta|NewGroupSystem|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|QueryFanout|QueryCacheChurn|SnapshotPublish|TermsOf|FrontendBuild|PeerHandleFrame"
 
-var benchPackages = []string{"./internal/vecmath/", "./internal/pagerank/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/search/", "./internal/serve/", "."}
+var benchPackages = []string{"./internal/vecmath/", "./internal/pagerank/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/search/", "./internal/serve/", "./internal/netpeer/", "."}
 
 // gateProcs is the GOMAXPROCS the suite runs at. Baseline keys carry
 // the proc count (BenchmarkX vs BenchmarkX-8) and allocs/op of the

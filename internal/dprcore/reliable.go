@@ -327,10 +327,12 @@ func (s *ReliableSender) expire(sl *relSlot) {
 
 // Ack records a cumulative acknowledgement from destination dst
 // covering from's chunks up to and including round. An ack also closes
-// the destination's circuit: a peer that acks is alive.
+// the destination's circuit: a peer that acks is alive. An ack naming
+// a destination from has never sent to is ignored: on the live wire
+// the group is outside input.
 func (s *ReliableSender) Ack(from int, dst int32, round int64) {
 	s.mu.Lock()
-	if from >= len(s.slots) || int(dst) >= len(s.slots[from]) {
+	if from >= len(s.slots) || dst < 0 || int(dst) >= len(s.slots[from]) {
 		s.mu.Unlock()
 		return
 	}

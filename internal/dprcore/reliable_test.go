@@ -116,6 +116,22 @@ func TestReliableSenderRetriesWithBackoffUntilAck(t *testing.T) {
 	}
 }
 
+// An ack naming a group the sender never sent to is ignored: live, the
+// group comes off the wire, where 2³¹ decodes as math.MinInt32.
+func TestReliableAckIgnoresForeignGroups(t *testing.T) {
+	for name, dst := range map[string]int32{"negative": -1 << 31, "minus one": -1, "huge": 1 << 30} {
+		rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 10})
+		if err := rel.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
+			t.Fatal(err)
+		}
+		rel.Ack(0, dst, 5)
+		clk.advance(10)
+		if st := rel.Stats(); st.Acks != 0 || len(inner.sends) != 2 {
+			t.Errorf("%s: stats %+v after %d sends, want no ack and one retry", name, st, len(inner.sends))
+		}
+	}
+}
+
 func TestReliableNewerSendSupersedesPending(t *testing.T) {
 	rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 10})
 	if err := rel.Send(0, chunk(0, 1, 1, 1.0)); err != nil {

@@ -358,6 +358,10 @@ func build(cfg Config) (*cluster, error) {
 		}
 		rel.Observe(cfg.Observer)
 		sender = rel
+		// Acked delivery: every chunk that reaches its owner is
+		// acknowledged straight back to its source (end-to-end, one hop).
+		// Only when reliability is on, so disabled configs send no acks.
+		fab.OnAck(rel.Ack)
 	}
 	var ckpt *dprcore.MemCheckpointer
 	needLoad := false
@@ -382,24 +386,7 @@ func build(cfg Config) (*cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		deliver := rk.Deliver
-		if rel != nil {
-			// Acked delivery: every chunk that reaches its owner is
-			// acknowledged straight back to its source (end-to-end, one
-			// hop). Wrapped only when reliability is on, so disabled
-			// configs keep the exact pre-existing delivery path.
-			i, rk := i, rk
-			deliver = func(c transport.ScoreChunk) {
-				rk.Deliver(c)
-				fab.SendAck(i, c.SrcGroup, c.Round)
-			}
-			if err := fab.RegisterAck(i, func(src int32, round int64) {
-				rel.Ack(i, src, round)
-			}); err != nil {
-				return nil, err
-			}
-		}
-		if err := fab.Register(i, deliver); err != nil {
+		if err := fab.Register(i, rk.Deliver); err != nil {
 			return nil, err
 		}
 		rankers[i] = rk

@@ -46,7 +46,7 @@ var lockScopePackages = []string{
 // blockingCallNames are callee names that can block indefinitely on the
 // network, a channel, or another goroutine.
 var blockingCallNames = map[string]bool{
-	"Send": true, "SendAck": true, "Flush": true,
+	"Send": true, "Flush": true,
 	"Wait": true, "Sleep": true,
 	"Dial": true, "DialTimeout": true, "DialTCP": true, "Accept": true,
 	"readFrame": true, "writeFrame": true,

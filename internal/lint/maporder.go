@@ -46,7 +46,7 @@ var mapOrderPackages = []string{
 // emitEffectNames are callee names that write to an ordered sink:
 // senders, io/fmt writers, hashes, encoders, and diagnostic sinks.
 var emitEffectNames = map[string]bool{
-	"Send": true, "SendAck": true, "Flush": true,
+	"Send": true, "Flush": true,
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 	"Print": true, "Printf": true, "Println": true,

@@ -99,13 +99,7 @@ type frame struct {
 	Chunks []transport.ScoreChunk
 	// Acks, when non-empty, acknowledges delivery end-to-end: group From
 	// has delivered the receiver's chunks up to and including Round.
-	Acks []wireAck
-}
-
-// wireAck is one cumulative acknowledgement for the reliable layer.
-type wireAck struct {
-	From  int32
-	Round int64
+	Acks []transport.Ack
 }
 
 // Peer is one live page ranker: a dprcore.Loop plus the TCP runtime
@@ -118,10 +112,13 @@ type Peer struct {
 	// deliveries (read goroutines). Frames are never written while mu is
 	// held — a peer blocked on a TCP write with its state locked would
 	// stall its own readLoop and, under backpressure, deadlock a cycle
-	// of peers. CommitPhase therefore emits into the outbox, and the
-	// rank loop dispatches the drained chunks after unlocking.
+	// of peers. CommitPhase therefore emits into the outbox, and each
+	// shipping goroutine runs its relay step under mu and writes the
+	// frames it drained after unlocking.
 	mu   sync.Mutex
 	loop *dprcore.Loop
+	// router routes the relay steps (nil: direct); used under mu.
+	router *overlay.Router
 
 	out    *outbox
 	faults *dprcore.FaultSender    // nil unless cfg.Fault.Enabled()
@@ -159,10 +156,9 @@ func (pc *peerConn) write(f frame) error {
 	return pc.w.writeFrame(f)
 }
 
-// outbox is the loop's Sender: CommitPhase runs under the peer's state
-// lock, so sends are buffered here (self-locked — delayed fault
-// re-injections append from timer goroutines) and dispatched by the
-// rank loop after the lock is released.
+// outbox is the loop's Sender: sends are buffered here (self-locked —
+// delayed fault re-injections and retransmissions append from timer
+// goroutines) until the rank loop drains them into its relay step.
 type outbox struct {
 	mu     sync.Mutex
 	chunks []transport.ScoreChunk
@@ -261,6 +257,9 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 		sender = rel
 		p.rel = rel
 	}
+	if cfg.Overlay != nil {
+		p.router = overlay.NewRouter(cfg.Overlay)
+	}
 	if cfg.Observer != nil {
 		// A collector gets the wall clock (the live stack's Clock) and
 		// overlay route lengths — mirroring the simulator's wiring in
@@ -318,9 +317,10 @@ func (p *Peer) ChunksSent() int64 { return p.sent.Load() }
 func (p *Peer) ChunksRelayed() int64 { return p.relayed.Load() }
 
 // ChunksRejected returns the number of chunks addressed to this peer
-// that its loop refused (dprcore.ErrBadChunk), plus, in indirect mode,
-// chunks to relay that are addressed outside the ring: the wire is
-// outside input, so they are dropped and counted, never trusted.
+// that its loop refused (dprcore.ErrBadChunk), plus chunks addressed
+// elsewhere that it may not relay: outside the ring in indirect mode,
+// any other group in direct mode. The wire is outside input, so they
+// are dropped and counted, never trusted.
 func (p *Peer) ChunksRejected() int64 { return p.rejected.Load() }
 
 // FaultStats returns how many chunks the peer's fault injector
@@ -368,7 +368,7 @@ func (p *Peer) Ranks() vecmath.Vec {
 // RestoreSnapshot warm-starts the peer's loop from a dprcore checkpoint
 // (see dprcore.Loop.Restore). It must be called before Start; pending
 // chunks captured in the snapshot re-enter through the sender chain and
-// ship with the first loop dispatch.
+// ship after the first loop.
 func (p *Peer) RestoreSnapshot(data []byte) error {
 	if p.started.Load() {
 		return fmt.Errorf("netpeer: RestoreSnapshot after Start")
@@ -454,65 +454,48 @@ func (p *Peer) readLoop(conn net.Conn) {
 		delete(p.accepted, conn)
 		p.connMu.Unlock()
 	}()
+	rl := p.newRelay()
 	dec := newFrameReader(p.cfg.Codec, conn)
 	for {
 		f, err := dec.readFrame()
 		if err != nil {
 			return // connection closed or corrupt; peer will resend
 		}
-		p.handleFrame(f)
+		p.handleFrame(rl, f)
 	}
 }
 
+// newRelay returns the relay step of one shipping goroutine (the rank
+// loop or a readLoop): its boxes are that goroutine's own, so nothing
+// it drains outlives the lock shared.
+func (p *Peer) newRelay() *transport.Relay {
+	rl := transport.NewRelay(p.router, new([][]transport.ScoreChunk), p.rel != nil)
+	return &rl
+}
+
+// deliverer is the peer as its relays' transport.Receiver: a chunk
+// addressed here goes to the loop, which refuses what its group could
+// not have been sent (dprcore.ErrBadChunk). Relays call it under mu.
+type deliverer Peer
+
+func (d *deliverer) Receive(_ int, c transport.ScoreChunk) bool { return d.loop.Deliver(c) == nil }
+
 // handleFrame processes one received frame: its acks go to the reliable
-// layer, chunks addressed to this peer to the loop, and — in indirect
-// mode — chunks addressed to another ranker of the ring on toward it.
-func (p *Peer) handleFrame(f frame) {
+// layer, its chunks through the relay step under mu, and the step's
+// acks and relays onto the wire once mu is released.
+func (p *Peer) handleFrame(rl *transport.Relay, f frame) {
 	if p.rel != nil {
 		for _, a := range f.Acks {
 			p.rel.Ack(p.cfg.Group.Index, a.From, a.Round)
 		}
 	}
-	var forward []transport.ScoreChunk
-	var acks map[int32]int64
 	p.mu.Lock()
-	for _, c := range f.Chunks {
-		if dst := int(c.DstGroup); dst != p.cfg.Group.Index {
-			switch {
-			case p.cfg.Overlay == nil:
-				// Without an overlay a misrouted chunk is dropped.
-			case dst < 0 || dst >= p.cfg.Overlay.NumNodes():
-				p.rejected.Add(1) // no ranker to route it to
-			default:
-				forward = append(forward, c)
-			}
-			continue
-		}
-		if err := p.loop.Deliver(c); err != nil {
-			p.rejected.Add(1)
-			continue
-		}
-		if p.rel != nil {
-			if acks == nil {
-				acks = make(map[int32]int64)
-			}
-			if r, ok := acks[c.SrcGroup]; !ok || c.Round > r {
-				acks[c.SrcGroup] = c.Round
-			}
-		}
-	}
+	acks, relayed, rejected := rl.Arrive(p.cfg.Group.Index, f.Chunks, (*deliverer)(p))
+	batches := rl.Drain()
 	p.mu.Unlock()
-	if len(forward) > 0 {
-		// Unpack-and-recombine of Figure 4: forwarded chunks that share
-		// a next hop ride one frame.
-		p.relayed.Add(int64(len(forward)))
-		p.dispatch(forward)
-	}
-	// Acks are end-to-end control messages: straight back to the source,
-	// never along the overlay, one cumulative round per delivered source.
-	for src, round := range acks {
-		p.sendFrame(src, frame{Acks: []wireAck{{From: int32(p.cfg.Group.Index), Round: round}}})
-	}
+	p.relayed.Add(int64(relayed))
+	p.rejected.Add(int64(rejected))
+	p.ship(rl, acks, batches)
 }
 
 // rankLoop is the peer's main loop: dprcore.Drive's wait/compute/commit
@@ -521,39 +504,32 @@ func (p *Peer) handleFrame(f frame) {
 // lock is released.
 func (p *Peer) rankLoop() {
 	defer p.wg.Done()
+	rl := p.newRelay()
 	w := stopWaiter{stop: p.stop}
 	for w.Wait(p.loop.NextWait()) {
 		p.mu.Lock()
 		p.loop.ComputePhase()
 		p.loop.CommitPhase()
+		for _, c := range p.out.drain() {
+			rl.Queue(p.cfg.Group.Index, c)
+		}
+		batches := rl.Drain()
 		p.mu.Unlock()
-		p.dispatch(p.out.drain())
+		p.ship(rl, nil, batches)
 	}
 }
 
-// dispatch ships chunks toward their destination groups: one frame per
-// destination with direct transmission, one frame per next overlay hop
-// with indirect transmission. Every chunk is addressed to another ranker
-// of the ring, which owns its own ID, so no route ends here.
-func (p *Peer) dispatch(chunks []transport.ScoreChunk) {
-	if len(chunks) == 0 {
-		return
+// ship writes one relay step's output: the acks first (end-to-end,
+// straight back to each source), then one frame per next hop in
+// ascending hop order. It runs with mu released.
+func (p *Peer) ship(rl *transport.Relay, acks []transport.Ack, batches []transport.Batch) {
+	for i := range acks {
+		p.sendFrame(acks[i].To, frame{Acks: acks[i : i+1]})
 	}
-	if p.cfg.Overlay == nil {
-		for _, c := range chunks {
-			p.sendFrame(c.DstGroup, frame{Chunks: []transport.ScoreChunk{c}})
-		}
-		return
+	for _, b := range batches {
+		p.sendFrame(int32(b.Hop), frame{Chunks: b.Chunks})
 	}
-	self := p.cfg.Group.Index
-	byHop := make(map[int32][]transport.ScoreChunk)
-	for _, c := range chunks {
-		next := p.cfg.Overlay.NextHop(self, p.cfg.Overlay.NodeID(int(c.DstGroup)))
-		byHop[int32(next)] = append(byHop[int32(next)], c)
-	}
-	for hop, cs := range byHop {
-		p.sendFrame(hop, frame{Chunks: cs})
-	}
+	rl.Recycle(batches)
 }
 
 // sendFrame ships one frame to the peer of the given group, dialing

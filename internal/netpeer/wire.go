@@ -15,8 +15,8 @@ import (
 // encoding (internal/codec — the same compact encodings the simulator
 // sizes messages with, codec.Plain unless Config.Codec says otherwise);
 // then a uvarint ack count followed by per-ack uvarint group and round
-// (the reliable layer's piggyback section — zero-count when
-// reliability is off). Every length a peer advertises is capped before
+// (a transport.Ack's From and Round; the reliable layer's section —
+// zero-count when reliability is off). Every length a peer advertises is capped before
 // anything is allocated for it. Both ends of a cluster must agree on
 // the codec.
 
@@ -129,7 +129,7 @@ func (r *frameReader) readFrame() (frame, error) {
 		if err != nil {
 			return frame{}, err
 		}
-		f.Acks = append(f.Acks, wireAck{From: int32(uint32(from)), Round: int64(round)})
+		f.Acks = append(f.Acks, transport.Ack{From: int32(uint32(from)), Round: int64(round)})
 	}
 	return f, nil
 }

@@ -11,6 +11,7 @@ import (
 	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/nodeid"
+	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
 	"p2prank/internal/pastry"
 	"p2prank/internal/transport"
@@ -170,7 +171,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // been sent — an entry addressing page N or page -1, a source group
 // that does not exist — are dropped and counted, and the peer keeps
 // ranking. (Stored unchecked, the first two index past the X vector on
-// the next loop and take the process down.)
+// the next loop and take the process down.) So is a chunk for another
+// group: a direct-mode peer relays nothing.
 func TestPeerSurvivesHostileChunks(t *testing.T) {
 	g := genGraph(t, 500, 11)
 	cl, err := StartCluster(g, ClusterConfig{K: 3, MeanWait: 5 * time.Millisecond})
@@ -195,14 +197,17 @@ func TestPeerSurvivesHostileChunks(t *testing.T) {
 			Entries: []transport.ScoreEntry{{DstLocal: dstLocal, Value: 1}},
 		}
 	}
+	misaddressed := hostile(grp.AffSrcs[0], 0)
+	misaddressed.DstGroup = int32(grp.Index+1) % 3
 	if err := newFrameWriter(codec.Plain{}, conn).writeFrame(frame{Chunks: []transport.ScoreChunk{
 		hostile(grp.AffSrcs[0], int32(grp.N())),
 		hostile(grp.AffSrcs[0], -1),
 		hostile(1<<20, 0),
+		misaddressed,
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the three chunks to be rejected", func() bool { return p.ChunksRejected() == 3 })
+	waitFor(t, "the four chunks to be rejected", func() bool { return p.ChunksRejected() == 4 })
 	loops := p.Loops()
 	waitFor(t, "the peer to keep ranking", func() bool { return p.Loops() >= loops+3 })
 }
@@ -246,12 +251,41 @@ func TestPeerSurvivesHostileRelay(t *testing.T) {
 	}
 }
 
+// An ack names the group that sent it, off the wire. A reliable peer
+// given one from group 2³¹ — math.MinInt32 once decoded — ignores it
+// and keeps ranking. (Indexed unchecked, it took the read goroutine,
+// and so the process, down.)
+func TestPeerSurvivesHostileAck(t *testing.T) {
+	g := genGraph(t, 500, 11)
+	cl, err := StartCluster(g, ClusterConfig{K: 3, MeanWait: 5 * time.Millisecond,
+		Params: dprcore.Params{Reliable: dprcore.ReliableConfig{Timeout: float64(50 * time.Millisecond)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.Peers[1]
+	waitFor(t, "the peer to send a chunk", func() bool { return p.ChunksSent() > 0 })
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// No chunks; one ack from group 2³¹, round 5.
+	if _, err := conn.Write([]byte{0x00, 0x01, 0x80, 0x80, 0x80, 0x80, 0x08, 0x05}); err != nil {
+		t.Fatal(err)
+	}
+	loops := p.Loops()
+	waitFor(t, "the peer to keep ranking", func() bool { return p.Loops() >= loops+3 })
+}
+
 // FuzzReadFrame feeds arbitrary bytes through the whole receive path of
-// an indirect-mode peer — frame reader, codec, handleFrame's delivery
-// and relay, one compute phase over whatever was accepted — which must
-// never panic. The peer knows no other peer's address, so nothing it
-// relays or acks leaves it. The first byte picks the codec (Plain,
-// Delta, Quantized-16); the rest is the stream.
+// a reliable peer — frame reader, codec, the reliable layer's acks,
+// handleFrame's relay step (delivery, relay and acks), one compute
+// phase over whatever was accepted — which must never panic. The peer
+// knows no other peer's address, so nothing it relays or acks leaves
+// it. The first byte picks the codec (byte mod 3: Plain, Delta,
+// Quantized-16) and the transmission mode (byte / 3 mod 2: indirect,
+// direct); the rest is the stream.
 func FuzzReadFrame(f *testing.F) {
 	codecs := []transport.ChunkCodec{codec.Plain{}, codec.Delta{}, codec.NewQuantized(16)}
 	// Two by-page groups, each linking to the other, as StartCluster
@@ -270,23 +304,31 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	grp := groups[0]
-	params := dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1}
-	p, err := Listen("127.0.0.1:0", Config{Params: params, Group: grp, Overlay: ov})
-	if err != nil {
-		f.Fatal(err)
+	// No retransmission timer fires within a fuzz pass.
+	params := dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1,
+		Reliable: dprcore.ReliableConfig{Timeout: float64(time.Hour)}}
+	var peers [2]*Peer
+	var relays [2]*transport.Relay
+	for mode, o := range []overlay.Network{ov, nil} {
+		p, err := Listen("127.0.0.1:0", Config{Params: params, Group: grp, Overlay: o})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { p.Close() })
+		peers[mode], relays[mode] = p, p.newRelay()
 	}
-	f.Cleanup(func() { p.Close() })
-	// A chunk the peer delivers, one it relays toward group 1, and one
-	// addressed outside the ring.
+	// A chunk the peer delivers, one it relays toward group 1 (indirect
+	// mode) or rejects (direct), one addressed outside the ring, and an
+	// ack for the round the peer committed.
 	valid := func(sel byte) []byte {
 		seed := bytes.NewBuffer([]byte{sel})
-		fw := &frameWriter{codec: codecs[sel], w: bufio.NewWriter(seed)}
+		fw := &frameWriter{codec: codecs[int(sel)%len(codecs)], w: bufio.NewWriter(seed)}
 		if err := fw.writeFrame(frame{
 			Chunks: []transport.ScoreChunk{{
 				SrcGroup: 1, DstGroup: 0, Round: 3, Links: 2,
 				Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 0.5}, {DstLocal: int32(grp.N() - 1), Value: 0.25}},
 			}, {SrcGroup: 0, DstGroup: 1, Round: 3, Links: 1}, {SrcGroup: 1, DstGroup: 5, Round: 3, Links: 1}},
-			Acks: []wireAck{{From: 1, Round: 2}},
+			Acks: []transport.Ack{{From: 1, Round: 2}},
 		}); err != nil {
 			f.Fatal(err)
 		}
@@ -302,23 +344,36 @@ func FuzzReadFrame(f *testing.F) {
 	for sel := range codecs {
 		f.Add(append(append([]byte{byte(sel), 1, byte(len(hostile))}, hostile...), 0))
 	}
+	f.Add(valid(3)) // direct mode
+	// The ack that once killed a reliable peer: no chunks, one ack from
+	// group 2³¹, round 5 — in both modes.
+	for _, sel := range []byte{0, 3} {
+		f.Add([]byte{sel, 0x00, 0x01, 0x80, 0x80, 0x80, 0x80, 0x08, 0x05})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		cd := codecs[int(data[0])%len(codecs)]
-		loop, err := dprcore.NewLoop(grp, params, 1, p.out, xrand.New(1))
+		mode := int(data[0]) / len(codecs) % 2
+		p := peers[mode]
+		loop, err := dprcore.NewLoop(grp, params, 1, p.rel, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.loop = loop // a fresh loop per input; the peer is never started
+		// One committed round leaves a chunk pending at the reliable
+		// layer, so an ack has a slot to land on.
+		loop.ComputePhase()
+		loop.CommitPhase()
+		p.out.drain()
 		fr := &frameReader{codec: cd, r: bufio.NewReader(bytes.NewReader(data[1:]))}
 		for {
 			fm, err := fr.readFrame()
 			if err != nil {
 				break
 			}
-			p.handleFrame(fm)
+			p.handleFrame(relays[mode], fm)
 		}
 		loop.ComputePhase()
 	})

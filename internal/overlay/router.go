@@ -30,6 +30,9 @@ func NewRouter(ov Network) *Router {
 	return &Router{ov: ov, rows: make([]hopTable, ov.NumNodes())}
 }
 
+// NumNodes returns the number of nodes of the ring routed over.
+func (r *Router) NumNodes() int { return len(r.rows) }
+
 // NextHop returns the next node on the route from node i toward node
 // dst, or i itself when the route has arrived.
 //

@@ -25,10 +25,6 @@ type NetConfig struct {
 	// MinLatency and MaxLatency bound the uniform per-message delivery
 	// latency, in virtual time units.
 	MinLatency, MaxLatency float64
-	// DropProb is the probability that any message is silently lost in
-	// transit, independent of the application-level loss the rankers
-	// inject.
-	DropProb float64
 	// NodeBandwidth is each node's upstream bottleneck in bytes per
 	// virtual time unit (the paper's §4.5 constraint 4.7). Messages
 	// serialize through the sender's uplink: each occupies it for
@@ -52,8 +48,6 @@ func (c NetConfig) validate() error {
 		return fmt.Errorf("simnet: negative MinLatency %v", c.MinLatency)
 	case c.MaxLatency < c.MinLatency:
 		return fmt.Errorf("simnet: MaxLatency %v below MinLatency %v", c.MaxLatency, c.MinLatency)
-	case c.DropProb < 0 || c.DropProb > 1:
-		return fmt.Errorf("simnet: DropProb %v outside [0,1]", c.DropProb)
 	case c.NodeBandwidth < 0:
 		return fmt.Errorf("simnet: negative NodeBandwidth %v", c.NodeBandwidth)
 	}
@@ -72,7 +66,6 @@ type Stats struct {
 type node struct {
 	handler Handler
 	down    bool
-	in, out Stats
 	// uplinkFree is the virtual time the node's uplink finishes its
 	// queued transmissions (bandwidth-limited networks only).
 	uplinkFree float64
@@ -95,7 +88,7 @@ type deliveryBatch struct {
 }
 
 // Network delivers messages between registered nodes with configurable
-// latency and loss, charging every send to byte and message counters.
+// latency, charging every send to byte and message counters.
 type Network struct {
 	sim   *Simulator
 	cfg   NetConfig
@@ -148,7 +141,7 @@ func (n *Network) node(a NodeAddr) *node {
 
 // Send queues a message of the given wire size from one node to
 // another. It returns false if the message was dropped at send time
-// (source or destination down, or random loss); delivery itself is
+// (source or destination down); delivery itself is
 // asynchronous. Sending charges the byte counters whether or not the
 // message survives, mirroring a real sender's upstream usage.
 //
@@ -162,12 +155,9 @@ func (n *Network) Send(from, to NodeAddr, payload any, size int64) bool {
 		panic(fmt.Sprintf("simnet: negative message size %d", size))
 	}
 	src, dst := n.node(from), n.node(to)
-	src.out.MessagesSent++
-	src.out.BytesSent += size
 	n.total.MessagesSent++
 	n.total.BytesSent += size
-	if src.down || dst.down || (n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb) {
-		src.out.MessagesDropped++
+	if src.down || dst.down {
 		n.total.MessagesDropped++
 		return false
 	}
@@ -235,8 +225,6 @@ func (n *Network) deliverBatch(a any) {
 			n.total.MessagesDropped++
 			continue
 		}
-		dst.in.MessagesDelivered++
-		dst.in.BytesDelivered += m.Size
 		n.total.MessagesDelivered++
 		n.total.BytesDelivered += m.Size
 		dst.handler(m)
@@ -248,18 +236,3 @@ func (n *Network) deliverBatch(a any) {
 
 // TotalStats returns network-wide counters.
 func (n *Network) TotalStats() Stats { return n.total }
-
-// NodeSent returns the send-side counters of node a.
-func (n *Network) NodeSent(a NodeAddr) Stats { return n.node(a).out }
-
-// NodeReceived returns the delivery-side counters of node a.
-func (n *Network) NodeReceived(a NodeAddr) Stats { return n.node(a).in }
-
-// ResetStats zeroes every counter, keeping topology and liveness. The
-// experiment harness uses it to measure a steady-state window.
-func (n *Network) ResetStats() {
-	n.total = Stats{}
-	for _, nd := range n.nodes {
-		nd.in, nd.out = Stats{}, Stats{}
-	}
-}

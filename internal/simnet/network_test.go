@@ -59,18 +59,6 @@ func TestCounters(t *testing.T) {
 	if tot.MessagesDelivered != 2 || tot.BytesDelivered != 150 {
 		t.Fatalf("total delivered = %+v", tot)
 	}
-	out := n.NodeSent(a)
-	if out.MessagesSent != 2 || out.BytesSent != 150 {
-		t.Fatalf("a sent = %+v", out)
-	}
-	in := n.NodeReceived(b)
-	if in.MessagesDelivered != 2 || in.BytesDelivered != 150 {
-		t.Fatalf("b received = %+v", in)
-	}
-	n.ResetStats()
-	if n.TotalStats() != (Stats{}) || n.NodeSent(a) != (Stats{}) {
-		t.Fatal("ResetStats left residue")
-	}
 }
 
 func TestDownNodesDropTraffic(t *testing.T) {
@@ -114,32 +102,11 @@ func TestFailureDuringFlight(t *testing.T) {
 	}
 }
 
-func TestDropProbability(t *testing.T) {
-	s, n := newTestNet(t, NetConfig{DropProb: 0.3})
-	delivered := 0
-	a := n.AddNode(func(Message) {})
-	b := n.AddNode(func(Message) { delivered++ })
-	const total = 20000
-	for i := 0; i < total; i++ {
-		n.Send(a, b, nil, 1)
-	}
-	s.Run(0)
-	rate := 1 - float64(delivered)/total
-	if math.Abs(rate-0.3) > 0.02 {
-		t.Fatalf("observed drop rate %v, want ~0.3", rate)
-	}
-	if got := n.TotalStats().MessagesDropped; got != int64(total-delivered) {
-		t.Fatalf("dropped counter %d != %d", got, total-delivered)
-	}
-}
-
 func TestInvalidConfigs(t *testing.T) {
 	s := New(1)
 	for _, cfg := range []NetConfig{
 		{MinLatency: -1},
 		{MinLatency: 2, MaxLatency: 1},
-		{DropProb: -0.1},
-		{DropProb: 1.1},
 	} {
 		if _, err := NewNetwork(s, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -171,7 +138,7 @@ func TestInvalidAddressPanics(t *testing.T) {
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() (int64, float64) {
 		s := New(99)
-		n, err := NewNetwork(s, NetConfig{MinLatency: 0.1, MaxLatency: 1, DropProb: 0.2})
+		n, err := NewNetwork(s, NetConfig{MinLatency: 0.1, MaxLatency: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ type Stats struct {
 	AckMessages int64
 	AckBytes    int64
 	// DroppedMessages counts messages the simulated network refused at
-	// send time (endpoint down or modeled loss). The byte counters
+	// send time (an endpoint down). The byte counters
 	// above still include them — a real sender burns upstream bandwidth
 	// on a message that never arrives.
 	DroppedMessages int64
@@ -145,7 +145,7 @@ type ChunkCodec interface {
 // transmission pattern. Create with NewFabric, then Register each
 // ranker before any Send. Its per-pair state is what was actually
 // used — one overlay.Router entry per (node, destination) routed and one
-// hop box per occupied next hop — so it has one shape at every K. The
+// relay box per occupied next hop — so it has one shape at every K. The
 // overlay must stay static for the fabric's lifetime.
 type Fabric struct {
 	kind Kind
@@ -157,14 +157,8 @@ type Fabric struct {
 	router *overlay.Router
 	addrs  []simnet.NodeAddr
 	del    []Deliver
-	// ackDel holds per-ranker ack callbacks (reliable delivery only;
-	// see RegisterAck). Nil entries ignore incoming acks.
-	ackDel []func(src int32, round int64)
-	// outbox[i] holds the chunks queued at node i, one entry per
-	// occupied next-hop ranker (indirect transmission only). A node's
-	// occupied hops are a handful of overlay neighbors, so enqueue's
-	// linear scan beats a map.
-	outbox [][]hopBox
+	relays []Relay                                 // ranker i's step
+	onAck  func(self int, from int32, round int64) // see OnAck
 	codec  ChunkCodec
 	stats  Stats
 
@@ -174,8 +168,9 @@ type Fabric struct {
 	// Freelists for the per-message carriers. The []ScoreChunk slices
 	// die once handle has processed a message (receivers copy what they
 	// keep: Deliver stores the chunk struct), so they cycle through here
-	// instead of the garbage collector. The entry slices inside chunks
-	// are NOT pooled — an in-flight or delivered chunk aliases them.
+	// instead of the garbage collector; every relay's boxes draw from
+	// it. The entry slices inside chunks are NOT pooled — an in-flight or
+	// delivered chunk aliases them.
 	chunkSlices [][]ScoreChunk
 	// msgs pools the dataMsg headers themselves: they travel as
 	// pointers so handing one to the network does not box a struct
@@ -183,24 +178,11 @@ type Fabric struct {
 	msgs []*dataMsg
 }
 
-// hopBox is one node's queued chunks toward one next-hop neighbor.
-type hopBox struct {
-	hop    int
-	chunks []ScoreChunk
-}
-
-// message payloads exchanged over simnet.
+// message payloads exchanged over simnet (acks travel as Ack).
 type dataMsg struct {
 	chunks []ScoreChunk
 }
 type lookupMsg struct{}
-
-// ackMsg carries a cumulative delivery acknowledgement back to a
-// chunk's source group (see Fabric.SendAck).
-type ackMsg struct {
-	src   int32 // the acking ranker (the chunk's receiver)
-	round int64 // newest acknowledged round
-}
 
 // ackPayloadBytes models an ack's body: two ranker ids and a round.
 const ackPayloadBytes = 16
@@ -221,11 +203,15 @@ func NewFabric(net *simnet.Network, ov overlay.Network, kind Kind, size SizeMode
 		router: overlay.NewRouter(ov),
 		addrs:  make([]simnet.NodeAddr, k),
 		del:    make([]Deliver, k),
-		ackDel: make([]func(src int32, round int64), k),
-		outbox: make([][]hopBox, k),
+		relays: make([]Relay, k),
+	}
+	var route *overlay.Router // nil: a direct sender relays nothing
+	if kind == Indirect {
+		route = f.router
 	}
 	for i := range f.addrs {
 		f.addrs[i] = simnet.NodeAddr(-1)
+		f.relays[i] = NewRelay(route, &f.chunkSlices, false)
 	}
 	return f, nil
 }
@@ -247,26 +233,31 @@ func (f *Fabric) Register(i int, d Deliver) error {
 	return nil
 }
 
-// RegisterAck installs ranker i's callback for incoming delivery
-// acknowledgements (reliable delivery). Call after Register; without
-// one, acks addressed to i are counted and discarded.
-func (f *Fabric) RegisterAck(i int, fn func(src int32, round int64)) error {
-	if i < 0 || i >= len(f.ackDel) {
-		return fmt.Errorf("transport: ranker index %d out of range", i)
+// OnAck turns on acked delivery (the reliable layer): every ranker acks
+// what it delivers, and an ack reaching ranker i calls fn(i, acker,
+// round). Call it before any Send.
+func (f *Fabric) OnAck(fn func(self int, from int32, round int64)) {
+	f.onAck = fn
+	for i := range f.relays {
+		f.relays[i].acking = fn != nil
 	}
-	f.ackDel[i] = fn
-	return nil
 }
 
-// SendAck ships a cumulative ack from ranker `from` to source group
-// `to`, covering to's chunks up to round. Acks are end-to-end control
-// traffic: one hop, no overlay routing, no lookup — the receiver
-// learned the sender's address from the chunk it is acknowledging.
-func (f *Fabric) SendAck(from int, to int32, round int64) {
+// Receive is the fabric as its relays' Receiver: it hands c to ranker
+// i's callback and accepts it (the fabric carries only what loops sent).
+func (f *Fabric) Receive(i int, c ScoreChunk) bool {
+	f.del[i](c)
+	return true
+}
+
+// sendAck ships an ack straight to its source: one hop, no overlay
+// routing, no lookup (the acker learned the address from the chunk).
+func (f *Fabric) sendAck(a Ack) {
 	size := f.size.HeaderBytes + ackPayloadBytes
 	f.stats.AckMessages++
 	f.stats.AckBytes += size
-	if !f.net.Send(f.addrs[from], f.addrs[to], ackMsg{src: int32(from), round: round}, size) {
+	//p2plint:allow hotalloc -- one boxed Ack per ack message, only when reliable delivery is on
+	if !f.net.Send(f.addrs[a.From], f.addrs[a.To], a, size) {
 		f.stats.DroppedMessages++
 	}
 }
@@ -290,9 +281,6 @@ func (f *Fabric) SetCodec(c ChunkCodec) error {
 	return nil
 }
 
-// Codec returns the installed wire codec, or nil.
-func (f *Fabric) Codec() ChunkCodec { return f.codec }
-
 // Hops returns the number of network trips a chunk sent by ranker src
 // takes to reach group dst: the overlay route length under indirect
 // transmission, 1 under direct (the payload takes one trip after the
@@ -308,9 +296,6 @@ func (f *Fabric) Hops(src, dst int) int {
 // Stats returns transport-level counters. Network-level byte totals live
 // on the simnet.Network.
 func (f *Fabric) Stats() Stats { return f.stats }
-
-// ResetStats zeroes the transport counters.
-func (f *Fabric) ResetStats() { f.stats = Stats{} }
 
 // Send queues a chunk from ranker `from` toward chunk.DstGroup. With
 // direct transmission the lookup and data messages go out immediately;
@@ -342,44 +327,31 @@ func (f *Fabric) Send(from int, chunk ScoreChunk) error {
 	if f.kind == Direct {
 		f.sendDirect(from, chunk)
 	} else {
-		f.enqueue(from, chunk)
+		f.relays[from].Queue(from, chunk)
 	}
 	return nil
 }
 
-// Flush pushes ranker i's queued outbox packages onto the network (one
-// message per next-hop neighbor). It is a no-op for direct transmission
-// and for empty outboxes.
+// Flush pushes ranker i's queued chunks onto the network: one message
+// per next hop, in ascending hop order. It is a no-op for direct
+// transmission and for empty queues.
 //
 //p2plint:hotpath -- per-round outbox drain, one call per ranker per iteration
 func (f *Fabric) Flush(from int) error {
 	if f.del[from] == nil {
 		return fmt.Errorf("transport: ranker %d not registered", from)
 	}
-	if f.kind != Indirect {
-		return nil
-	}
-	box := f.outbox[from]
-	if len(box) == 0 {
-		return nil
-	}
-	// Deterministic flush order: ascending next-hop index. Detach the
-	// node's box while draining so a re-entrant enqueue (impossible
-	// today, but cheap to be safe against) cannot clobber it.
-	f.outbox[from] = nil
-	sortHopBoxes(box)
-	for i := range box {
-		chunks := box[i].chunks
-		box[i] = hopBox{hop: box[i].hop}
-		msg, payload := f.pack(chunks)
+	bs := f.relays[from].Drain()
+	for _, b := range bs {
+		msg, payload := f.pack(b.Chunks)
 		f.stats.DataMessages++
 		f.stats.DataBytes += payload
-		if !f.net.Send(f.addrs[from], f.addrs[box[i].hop], msg, payload) {
+		if !f.net.Send(f.addrs[from], f.addrs[b.Hop], msg, payload) {
 			f.stats.DroppedMessages++
 			f.recycle(msg) // refused at send time: nothing will deliver it
 		}
 	}
-	f.outbox[from] = box[:0]
+	clear(bs) // the chunk slices travel in the messages now
 	return nil
 }
 
@@ -458,69 +430,34 @@ func (f *Fabric) sendDirect(from int, chunk ScoreChunk) {
 	}
 }
 
-// enqueue places a chunk in node i's outbox under its next overlay hop.
-// The chunk is addressed to another node, and every node owns its own
-// ID, so the route never ends at i.
-func (f *Fabric) enqueue(i int, chunk ScoreChunk) {
-	next := f.router.NextHop(i, int(chunk.DstGroup))
-	box := f.outbox[i]
-	for j := range box {
-		if box[j].hop == next {
-			box[j].chunks = append(box[j].chunks, chunk)
-			return
-		}
-	}
-	//p2plint:allow hotalloc -- per-node box grows to its neighbor-count high-water mark, then reuses
-	f.outbox[i] = append(box, hopBox{hop: next, chunks: append(pop(&f.chunkSlices), chunk)})
-}
-
 // handle processes a message arriving at ranker i: lookups are pure
-// overhead; data chunks are delivered locally or repacked toward their
-// next hop and flushed immediately (the unpack/recombine of Figure 4).
+// overhead; data chunks go through the node's relay step (the
+// unpack/recombine of Figure 4), its acks leave, and its relays are
+// flushed at once so indirect latency stays at h network hops.
 //
 //p2plint:hotpath -- per-message receive path of the fabric
 func (f *Fabric) handle(i int, m simnet.Message) {
 	switch payload := m.Payload.(type) {
 	case lookupMsg:
 		// Address-resolution traffic carries no scores.
-	case ackMsg:
-		if cb := f.ackDel[i]; cb != nil {
-			cb(payload.src, payload.round)
-		}
+	case Ack:
+		f.onAck(i, payload.From, payload.Round)
 	case *dataMsg:
-		forwarded := false
-		for _, c := range payload.chunks {
-			if int(c.DstGroup) == i {
-				f.del[i](c)
-				continue
-			}
-			f.stats.RelayedChunks++
-			f.enqueue(i, c)
-			forwarded = true
+		acks, relayed, rejected := f.relays[i].Arrive(i, payload.chunks, f)
+		if rejected > 0 {
+			panic(fmt.Sprintf("transport: ranker %d rejected %d chunks its peers sent", i, rejected))
 		}
-		// Delivered chunks were copied out by value and forwarded ones
+		// Delivered chunks were copied out by value and relayed ones
 		// re-queued; the carriers are free for the next message.
 		f.recycle(payload)
-		if forwarded {
-			// Relay promptly so indirect latency stays at h network
-			// hops; chunks arriving in one package toward one next hop
-			// still share one message.
-			if err := f.Flush(i); err != nil {
-				panic(fmt.Sprintf("transport: relay flush: %v", err))
-			}
+		for _, a := range acks {
+			f.sendAck(a)
+		}
+		if relayed > 0 {
+			f.stats.RelayedChunks += int64(relayed)
+			_ = f.Flush(i) // i is registered: it just received
 		}
 	default:
 		panic(fmt.Sprintf("transport: unknown payload %T", m.Payload))
-	}
-}
-
-// sortHopBoxes is a tiny insertion sort by next-hop index; outboxes
-// hold a handful of neighbors, far below sort.Slice's overhead
-// crossover.
-func sortHopBoxes(xs []hopBox) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j].hop < xs[j-1].hop; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
