@@ -4,6 +4,7 @@
 package clitest
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -169,6 +170,30 @@ func TestDprsimCorruptGraphFile(t *testing.T) {
 	}
 	if msg := stderr.String(); !strings.Contains(msg, "webgraph:") || strings.Contains(msg, "goroutine") {
 		t.Fatalf("want a webgraph error and no stack trace, got:\n%s", msg)
+	}
+}
+
+// TestDprsimNonFiniteMaxTime: a NaN or infinite horizon is an error
+// naming the field, not a scheduler panic or a run that never returns.
+func TestDprsimNonFiniteMaxTime(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		var stderr strings.Builder
+		cmd := exec.CommandContext(ctx, filepath.Join(builtDir, "dprsim"),
+			"-exp", "fig7", "-pages", "2000", "-sites", "15", "-k", "8", "-maxtime", v)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if timedOut {
+			t.Fatalf("-maxtime %s: still running after 60s", v)
+		}
+		if err == nil {
+			t.Fatalf("-maxtime %s exited 0", v)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "MaxTime") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("-maxtime %s: want a MaxTime error and no stack trace, got:\n%s", v, msg)
+		}
 	}
 }
 

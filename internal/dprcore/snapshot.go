@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"p2prank/internal/transport"
@@ -31,9 +29,9 @@ type CheckpointConfig struct {
 	// Every is the round cadence: a snapshot is taken after every Every
 	// committed loops (0 disables).
 	Every int64
-	// Sink receives the snapshots. Runtimes may install it themselves
-	// (the engine defaults to an in-memory sink when churn restarts
-	// from checkpoints; netpeer clusters use a FileCheckpointer).
+	// Sink receives the snapshots. When a churn event restarts from a
+	// checkpoint, both drivers install a *MemCheckpointer here if it
+	// is nil, and refuse any other type (see ChurnCheckpoints).
 	Sink Checkpointer
 }
 
@@ -291,8 +289,9 @@ func (l *Loop) Restore(data []byte) error {
 }
 
 // MemCheckpointer keeps the newest snapshot per ranker in memory — the
-// engine's sink for in-sim churn (copy-on-save, so the loop's reused
-// buffer never aliases a stored snapshot).
+// sink churn restarts load from in both drivers (copy-on-save, so the
+// loop's reused buffer never aliases a stored snapshot). It is safe
+// for concurrent use: live peers checkpoint from their own goroutines.
 type MemCheckpointer struct {
 	mu    sync.Mutex
 	snaps map[int]memSnap
@@ -326,54 +325,4 @@ func (m *MemCheckpointer) Load(ranker int) (data []byte, round int64, ok bool) {
 	defer m.mu.Unlock()
 	s, ok := m.snaps[ranker]
 	return s.data, s.round, ok
-}
-
-// FileCheckpointer persists one snapshot file per ranker
-// (ranker-NNN.ckpt) in a directory, written atomically via a temp file
-// and rename so a crash mid-write never corrupts the last good
-// checkpoint — the netpeer supervisor's restart source.
-type FileCheckpointer struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewFileCheckpointer creates the directory if needed.
-func NewFileCheckpointer(dir string) (*FileCheckpointer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dprcore: checkpoint dir: %w", err)
-	}
-	return &FileCheckpointer{dir: dir}, nil
-}
-
-func (f *FileCheckpointer) path(ranker int) string {
-	return filepath.Join(f.dir, fmt.Sprintf("ranker-%03d.ckpt", ranker))
-}
-
-// Save implements Checkpointer.
-func (f *FileCheckpointer) Save(ranker int, round int64, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	tmp := f.path(ranker) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("dprcore: checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp, f.path(ranker)); err != nil {
-		return fmt.Errorf("dprcore: checkpoint rename: %w", err)
-	}
-	return nil
-}
-
-// Load returns the ranker's last checkpoint, or ok=false if none
-// exists.
-func (f *FileCheckpointer) Load(ranker int) (data []byte, ok bool, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	data, err = os.ReadFile(f.path(ranker))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("dprcore: checkpoint read: %w", err)
-	}
-	return data, true, nil
 }

@@ -301,24 +301,3 @@ func TestCheckpointCadence(t *testing.T) {
 		t.Fatalf("restored loops = %d, want 2", restored.Loops())
 	}
 }
-
-func TestFileCheckpointerRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	fc, err := NewFileCheckpointer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := fc.Load(3); err != nil || ok {
-		t.Fatalf("Load on empty dir = ok=%v err=%v, want miss", ok, err)
-	}
-	if err := fc.Save(3, 7, []byte("snap-a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.Save(3, 9, []byte("snap-b")); err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := fc.Load(3)
-	if err != nil || !ok || string(data) != "snap-b" {
-		t.Fatalf("Load = %q ok=%v err=%v, want newest snapshot", data, ok, err)
-	}
-}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -24,7 +25,7 @@ func churnConfig(g *webgraph.Graph, alg dprcore.Algorithm) engine.Config {
 		// Both outages sit well before either algorithm's convergence
 		// (~t=65 for DPR2), so the run has to ride out the churn, not
 		// merely get restated by it after the fact.
-		Churn: []engine.ChurnEvent{
+		Churn: []dprcore.ChurnEvent{
 			{Ranker: 2, CrashAt: 20, RestartAt: 35, FromCheckpoint: true},
 			{Ranker: 5, CrashAt: 30, RestartAt: 50, FromCheckpoint: true},
 		},
@@ -86,10 +87,15 @@ func TestChurnRunsBitIdenticalAcrossParallelism(t *testing.T) {
 func TestChurnConfigValidation(t *testing.T) {
 	g := detGraph(t)
 	base := churnConfig(g, dprcore.DPR1)
-	for name, churn := range map[string][]engine.ChurnEvent{
+	for name, churn := range map[string][]dprcore.ChurnEvent{
 		"ranker out of range": {{Ranker: 8, CrashAt: 1, RestartAt: 2}},
 		"window inverted":     {{Ranker: 0, CrashAt: 5, RestartAt: 5}},
 		"restart past end":    {{Ranker: 0, CrashAt: 1, RestartAt: 1e9}},
+		"crash at NaN":        {{Ranker: 0, CrashAt: math.NaN(), RestartAt: 2}},
+		// Overlapping or touching outages of one ranker would restart a
+		// ranker that never crashed mid-run.
+		"windows overlap": {{Ranker: 2, CrashAt: 10, RestartAt: 30}, {Ranker: 2, CrashAt: 20, RestartAt: 40}},
+		"windows touch":   {{Ranker: 2, CrashAt: 20, RestartAt: 30}, {Ranker: 2, CrashAt: 10, RestartAt: 20}},
 	} {
 		cfg := base
 		cfg.Churn = churn

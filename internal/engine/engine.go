@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"p2prank/internal/chord"
 	"p2prank/internal/dprcore"
@@ -104,16 +105,15 @@ type Config struct {
 	// While down, a ranker's host drops all traffic and its loops
 	// no-op; on recovery it resumes from its pre-outage state.
 	Disruptions []Disruption
-	// Churn schedules ranker crash/restart cycles — full node failure,
-	// one step beyond Disruptions' suspend/resume: a crashed ranker
-	// loses its in-memory state and its host drops traffic; at restart
-	// it resumes cold (R0 = 0) or warm from its last checkpoint (see
-	// Params.Checkpoint; the engine installs an in-memory sink when a
-	// FromCheckpoint event needs one). Crash and restart are serial
+	// Churn schedules ranker crash/restart cycles on virtual time —
+	// full node failure, one step beyond Disruptions' suspend/resume
+	// (see dprcore.ChurnEvent; every RestartAt <= MaxTime). A
+	// FromCheckpoint restart loads the in-memory sink
+	// dprcore.ChurnCheckpoints installs. Crash and restart are serial
 	// virtual-time events, so a seeded churn schedule is part of the
 	// deterministic run: same seed + schedule, byte-identical results
 	// at any GOMAXPROCS.
-	Churn []ChurnEvent
+	Churn []dprcore.ChurnEvent
 }
 
 // Disruption is one ranker outage window.
@@ -122,18 +122,6 @@ type Disruption struct {
 	Ranker int
 	// From and To bound the outage in virtual time (From < To).
 	From, To float64
-}
-
-// ChurnEvent is one ranker crash/restart cycle.
-type ChurnEvent struct {
-	// Ranker is the index of the ranker to crash.
-	Ranker int
-	// CrashAt and RestartAt bound the outage in virtual time
-	// (CrashAt < RestartAt <= MaxTime).
-	CrashAt, RestartAt float64
-	// FromCheckpoint restarts the ranker from its last checkpoint
-	// instead of cold (R0 = 0).
-	FromCheckpoint bool
 }
 
 // MinMeanWait is the lower clamp for a ranker's mean waiting time. A
@@ -147,8 +135,10 @@ func (c *Config) validate() error {
 	if c.K <= 0 {
 		return fmt.Errorf("engine: K = %d, must be positive", c.K)
 	}
-	if c.MaxTime <= 0 {
-		return fmt.Errorf("engine: MaxTime = %v, must be positive", c.MaxTime)
+	// The negated comparisons below also refuse NaN, which compares
+	// false with everything; a finite MaxTime then bounds every window.
+	if math.IsInf(c.MaxTime, 0) || !(c.MaxTime > 0) {
+		return fmt.Errorf("engine: MaxTime = %v, must be finite and positive", c.MaxTime)
 	}
 	c.Params.Defaults(15, 15)
 	if err := c.Params.Validate(); err != nil {
@@ -167,44 +157,29 @@ func (c *Config) validate() error {
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 5
 	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("engine: negative SampleEvery %v", c.SampleEvery)
+	if math.IsInf(c.SampleEvery, 0) || !(c.SampleEvery > 0) {
+		return fmt.Errorf("engine: SampleEvery %v must be finite and positive", c.SampleEvery)
 	}
-	if c.TargetRelErr < 0 {
-		return fmt.Errorf("engine: negative TargetRelErr %v", c.TargetRelErr)
+	if math.IsInf(c.TargetRelErr, 0) || !(c.TargetRelErr >= 0) {
+		return fmt.Errorf("engine: TargetRelErr %v must be finite and non-negative", c.TargetRelErr)
 	}
 	for i, d := range c.Disruptions {
 		if d.Ranker < 0 || d.Ranker >= c.K {
 			return fmt.Errorf("engine: disruption %d targets ranker %d of %d", i, d.Ranker, c.K)
 		}
-		if d.From < 0 || d.To <= d.From {
+		if !(d.From >= 0 && d.To > d.From) {
 			return fmt.Errorf("engine: disruption %d window [%v, %v) invalid", i, d.From, d.To)
 		}
 		if d.To > c.MaxTime {
 			return fmt.Errorf("engine: disruption %d ends at %v, beyond MaxTime %v", i, d.To, c.MaxTime)
 		}
 	}
-	needLoad := false
+	if _, err := dprcore.ChurnCheckpoints(&c.Params, c.K, c.Churn); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
 	for i, ev := range c.Churn {
-		if ev.Ranker < 0 || ev.Ranker >= c.K {
-			return fmt.Errorf("engine: churn %d targets ranker %d of %d", i, ev.Ranker, c.K)
-		}
-		if ev.CrashAt < 0 || ev.RestartAt <= ev.CrashAt {
-			return fmt.Errorf("engine: churn %d window [%v, %v) invalid", i, ev.CrashAt, ev.RestartAt)
-		}
 		if ev.RestartAt > c.MaxTime {
 			return fmt.Errorf("engine: churn %d restarts at %v, beyond MaxTime %v", i, ev.RestartAt, c.MaxTime)
-		}
-		if ev.FromCheckpoint {
-			needLoad = true
-		}
-	}
-	if needLoad && c.Checkpoint.Every == 0 {
-		c.Checkpoint.Every = 5
-	}
-	if needLoad && c.Checkpoint.Sink != nil {
-		if _, ok := c.Checkpoint.Sink.(*dprcore.MemCheckpointer); !ok {
-			return fmt.Errorf("engine: FromCheckpoint churn needs a *dprcore.MemCheckpointer sink (or nil for the default)")
 		}
 	}
 	return nil
@@ -278,7 +253,7 @@ type cluster struct {
 	fab     *transport.Fabric
 	faults  *dprcore.FaultSender     // nil unless cfg.Fault.Enabled()
 	rel     *dprcore.ReliableSender  // nil unless cfg.Reliable.Enabled()
-	ckpt    *dprcore.MemCheckpointer // nil unless checkpoint restarts need loads
+	ckpt    *dprcore.MemCheckpointer // nil unless the sink is in memory
 	assign  *partition.Assignment
 	rankers []*ranker
 }
@@ -363,19 +338,8 @@ func build(cfg Config) (*cluster, error) {
 		// Only when reliability is on, so disabled configs send no acks.
 		fab.OnAck(rel.Ack)
 	}
-	var ckpt *dprcore.MemCheckpointer
-	needLoad := false
-	for _, ev := range cfg.Churn {
-		if ev.FromCheckpoint {
-			needLoad = true
-		}
-	}
-	if needLoad {
-		if cfg.Checkpoint.Sink == nil {
-			cfg.Checkpoint.Sink = dprcore.NewMemCheckpointer()
-		}
-		ckpt = cfg.Checkpoint.Sink.(*dprcore.MemCheckpointer) // validate() pinned the type
-	}
+	// validate installed the store FromCheckpoint restarts load from.
+	ckpt, _ := cfg.Checkpoint.Sink.(*dprcore.MemCheckpointer)
 	rankers := make([]*ranker, cfg.K)
 	for i := 0; i < cfg.K; i++ {
 		mean := cfg.T1 + root.Float64()*(cfg.T2-cfg.T1)
@@ -506,7 +470,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 		cl.sim.At(ev.RestartAt, func() {
 			cl.net.SetDown(cl.fab.Addr(ev.Ranker), false)
 			var snap []byte
-			if ev.FromCheckpoint && cl.ckpt != nil {
+			if ev.FromCheckpoint {
 				if data, _, ok := cl.ckpt.Load(ev.Ranker); ok {
 					snap = data
 					res.Recoveries++

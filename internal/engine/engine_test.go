@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"p2prank/internal/dprcore"
@@ -304,6 +305,35 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+}
+
+// TestConfigRejectsNonFinite: NaN compares false with every bound, so a
+// NaN or infinite time or threshold must be refused by name before it
+// reaches the scheduler (where it panicked, stopped nothing, or never
+// returned).
+func TestConfigRejectsNonFinite(t *testing.T) {
+	g := genGraph(t, 300, 23)
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*Config){
+		"MaxTime NaN":       func(c *Config) { c.MaxTime = nan },
+		"MaxTime Inf":       func(c *Config) { c.MaxTime = inf },
+		"SampleEvery NaN":   func(c *Config) { c.SampleEvery = nan },
+		"SampleEvery Inf":   func(c *Config) { c.SampleEvery = inf },
+		"TargetRelErr NaN":  func(c *Config) { c.TargetRelErr = nan },
+		"TargetRelErr Inf":  func(c *Config) { c.TargetRelErr = inf },
+		"disruption From":   func(c *Config) { c.Disruptions = []Disruption{{Ranker: 0, From: nan, To: 5}} },
+		"disruption To":     func(c *Config) { c.Disruptions = []Disruption{{Ranker: 0, From: 1, To: nan}} },
+		"churn CrashAt NaN": func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: nan, RestartAt: 5}} },
+		"churn RestartAt":   func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: nan}} },
+	} {
+		cfg := baseConfig(g)
+		// A target lets a run that wrongly accepts MaxTime = Inf end.
+		cfg.TargetRelErr = 1e-3
+		mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -627,9 +627,9 @@ func Churn(w Workload, k int, crashes []int, maxTime float64) ([]ChurnRow, error
 		// T1/T2 settings reach 1e-4 around t≈16-20): ranker j crashes
 		// at 6+2j and returns 7 time units later, so the run has to
 		// converge through the churn, not after it.
-		cfg.Churn = make([]engine.ChurnEvent, crashes[i])
+		cfg.Churn = make([]dprcore.ChurnEvent, crashes[i])
 		for j := range cfg.Churn {
-			cfg.Churn[j] = engine.ChurnEvent{
+			cfg.Churn[j] = dprcore.ChurnEvent{
 				Ranker:         j,
 				CrashAt:        6 + 2*float64(j),
 				RestartAt:      13 + 2*float64(j),

@@ -29,8 +29,8 @@ var GoroLife = &Analyzer{
 }
 
 // goroLifePackages are the packages whose goroutines must be
-// shutdown-tied: the live peer runtime with its supervisor and churn
-// restarts.
+// shutdown-tied: the live peer runtime, whose churn schedule rebuilds
+// peers mid-run.
 var goroLifePackages = []string{
 	"internal/netpeer",
 }

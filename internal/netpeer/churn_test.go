@@ -1,63 +1,71 @@
 package netpeer
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"p2prank/internal/dprcore"
+	"p2prank/internal/engine"
 	"p2prank/internal/telemetry"
 )
 
 // churnClusterConfig is the live churn harness: reliable delivery with
 // a retransmission timeout below the mean send cadence (so an unacked
-// chunk retries before a fresh round supersedes it), checkpoints on
-// disk every 3 rounds, a supervisor probing every 25ms, and one peer
-// killed mid-run.
-func churnClusterConfig(t *testing.T, k int, kill int, after time.Duration) ClusterConfig {
-	t.Helper()
+// chunk retries before a fresh round supersedes it), checkpoints every
+// 3 rounds, and one peer crashing at crash and restarting from its
+// checkpoint 50ms later.
+func churnClusterConfig(k, victim int, crash time.Duration) ClusterConfig {
 	return ClusterConfig{
 		Params: dprcore.Params{
-			Alg:      dprcore.DPR1,
-			Reliable: dprcore.ReliableConfig{Timeout: float64(8 * time.Millisecond)},
+			Alg:        dprcore.DPR1,
+			Reliable:   dprcore.ReliableConfig{Timeout: float64(8 * time.Millisecond)},
+			Checkpoint: dprcore.CheckpointConfig{Every: 3},
 		},
-		K:               k,
-		MeanWait:        10 * time.Millisecond,
-		CheckpointDir:   t.TempDir(),
-		CheckpointEvery: 3,
-		Supervise:       true,
-		ProbeEvery:      25 * time.Millisecond,
-		Churn:           []PeerChurn{{Ranker: kill, After: after}},
+		K:        k,
+		MeanWait: 10 * time.Millisecond,
+		Churn: []dprcore.ChurnEvent{{
+			Ranker:         victim,
+			CrashAt:        float64(crash),
+			RestartAt:      float64(crash + 50*time.Millisecond),
+			FromCheckpoint: true,
+		}},
 	}
 }
 
-// TestClusterKillRestartConverges is the tentpole's live acceptance: a
-// peer is killed mid-run, the supervisor rebuilds it from its last
-// checkpoint file on a fresh port, and the cluster still converges to
-// the fault-free tolerance. The reliable layer must have retried while
-// the peer was down.
+// waitReplaced polls until the cluster has swapped peer i for a new one.
+func waitReplaced(t *testing.T, cl *Cluster, i int, old *Peer) *Peer {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for cl.Peer(i) == old {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer %d not restarted in 15s", i)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return cl.Peer(i)
+}
+
+// TestClusterKillRestartConverges is the live side of the churn
+// schedule: a peer crashes mid-run, is rebuilt from its last checkpoint
+// on a fresh port, and the cluster still converges to the fault-free
+// tolerance. The reliable layer must have retried while the peer was
+// down.
 func TestClusterKillRestartConverges(t *testing.T) {
 	g := genGraph(t, 1200, 1)
-	cl, err := StartCluster(g, churnClusterConfig(t, 4, 1, 250*time.Millisecond))
+	cl, err := StartCluster(g, churnClusterConfig(4, 1, 250*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	victim := cl.Peer(1)
-	deadline := time.Now().Add(15 * time.Second)
-	for cl.Restarts() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("supervisor performed no restart in 15s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if cl.Peer(1) == victim {
-		t.Fatal("restart did not replace the killed peer")
-	}
-	if !cl.Peer(1).Alive() {
+	p := waitReplaced(t, cl, 1, cl.Peer(1))
+	if !p.Alive() {
 		t.Fatal("restarted peer not alive")
 	}
-	if cl.Peer(1).Loops() == 0 {
+	if p.Loops() == 0 {
 		// Warm start: the checkpoint carried the victim's loop counter.
 		t.Fatal("restarted peer started cold despite checkpoints")
 	}
@@ -86,7 +94,7 @@ func TestClusterChurnMetricsMidRun(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cfg := churnClusterConfig(t, 4, 2, 200*time.Millisecond)
+	cfg := churnClusterConfig(4, 2, 200*time.Millisecond)
 	cfg.Fault = dprcore.FaultConfig{DropProb: 0.2}
 	cfg.Observer = col
 	cl, err := StartCluster(g, cfg)
@@ -113,5 +121,104 @@ func TestClusterChurnMetricsMidRun(t *testing.T) {
 	}
 	if err := cl.WaitConverged(1e-4, 30*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// discardSink is a Checkpointer a checkpointed restart cannot read back.
+type discardSink struct{}
+
+func (discardSink) Save(int, int64, []byte) error { return nil }
+
+// TestBadChurnRefusedByBothDrivers: one schedule, one validator — the
+// simulator and the live cluster refuse each bad schedule with the same
+// dprcore error.
+func TestBadChurnRefusedByBothDrivers(t *testing.T) {
+	const k = 3
+	g := genGraph(t, 300, 5)
+	for name, tc := range map[string]struct {
+		churn []dprcore.ChurnEvent
+		sink  dprcore.Checkpointer
+	}{
+		"ranker out of range": {churn: []dprcore.ChurnEvent{{Ranker: k, CrashAt: 1, RestartAt: 2}}},
+		"inverted window":     {churn: []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 5, RestartAt: 2}}},
+		"NaN time":            {churn: []dprcore.ChurnEvent{{Ranker: 0, CrashAt: math.NaN(), RestartAt: 2}}},
+		"overlapping windows": {churn: []dprcore.ChurnEvent{
+			{Ranker: 2, CrashAt: 10, RestartAt: 30}, {Ranker: 2, CrashAt: 20, RestartAt: 40}}},
+		"checkpoint sink not in memory": {
+			churn: []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: 2, FromCheckpoint: true}},
+			sink:  discardSink{},
+		},
+	} {
+		params := dprcore.Params{Checkpoint: dprcore.CheckpointConfig{Sink: tc.sink}}
+		_, simErr := engine.Run(engine.Config{Params: params, Graph: g, K: k, MaxTime: 100, Churn: tc.churn})
+		cl, liveErr := StartCluster(g, ClusterConfig{Params: params, K: k, Churn: tc.churn})
+		if cl != nil {
+			cl.Close()
+		}
+		if simErr == nil || liveErr == nil {
+			t.Errorf("%s: engine error %v, cluster error %v; want both refused", name, simErr, liveErr)
+			continue
+		}
+		sim, live := errors.Unwrap(simErr), errors.Unwrap(liveErr)
+		if sim == nil || live == nil || sim.Error() != live.Error() || !strings.HasPrefix(sim.Error(), "dprcore: ") {
+			t.Errorf("%s: engine %q and cluster %q refuse differently", name, simErr, liveErr)
+		}
+	}
+}
+
+// TestClusterChurnCloseMidRestart closes the cluster while restarts
+// are running: every peer crashes at once and all restart at the same
+// instant, so the serialized restarts form a burst, and Close lands at
+// 200µs steps across it. Close must wait out the restart already running and keep the queued
+// ones from starting, so no peer outlives the cluster.
+func TestClusterChurnCloseMidRestart(t *testing.T) {
+	const k = 8
+	g := genGraph(t, 2000, 7)
+	const restartAt = 30 * time.Millisecond
+	for closeAt := restartAt - time.Millisecond; closeAt <= restartAt+3*time.Millisecond; closeAt += 200 * time.Microsecond {
+		cfg := churnClusterConfig(k, 0, 0)
+		cfg.Churn = nil
+		for i := 0; i < k; i++ {
+			cfg.Churn = append(cfg.Churn, dprcore.ChurnEvent{Ranker: i, RestartAt: float64(restartAt)})
+		}
+		cl, err := StartCluster(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(closeAt)
+		cl.Close()
+		closed := make([]*Peer, k)
+		for i := range closed {
+			closed[i] = cl.Peer(i)
+		}
+		time.Sleep(restartAt + 30*time.Millisecond - closeAt)
+		for i, p := range closed {
+			if q := cl.Peer(i); q != p || q.Alive() {
+				t.Fatalf("close at %v: peer %d alive or replaced after Close", closeAt, i)
+			}
+		}
+	}
+}
+
+// TestClusterChurnRestartFailureReported: a restart that cannot restore
+// its checkpoint surfaces from WaitConverged instead of panicking in
+// the timer goroutine.
+func TestClusterChurnRestartFailureReported(t *testing.T) {
+	g := genGraph(t, 600, 9)
+	mem := dprcore.NewMemCheckpointer()
+	if err := mem.Save(1, 1, []byte("not a snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	cfg := churnClusterConfig(3, 1, 0)
+	// No loop reaches the cadence, so the restart loads the bad bytes.
+	cfg.Checkpoint = dprcore.CheckpointConfig{Every: math.MaxInt64, Sink: mem}
+	cl, err := StartCluster(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	err = cl.WaitConverged(0, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "restart peer 1") || !strings.Contains(err.Error(), "not a snapshot") {
+		t.Fatalf("WaitConverged = %v, want the failed restart", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
-	"p2prank/internal/xrand"
 )
 
 // ClusterConfig parameterizes StartCluster. The algorithm knobs (Alg,
@@ -40,38 +39,18 @@ type ClusterConfig struct {
 	Codec transport.ChunkCodec
 	// Seed makes partitioning and waits reproducible (default 1).
 	Seed uint64
-	// CheckpointDir, when non-empty, persists every peer's loop state
-	// to <dir>/ranker-NNN.ckpt on the CheckpointEvery round cadence
-	// (default every 5 rounds), and restarts recover from those files.
-	CheckpointDir string
-	// CheckpointEvery overrides the checkpoint cadence in rounds.
-	// Requires CheckpointDir.
-	CheckpointEvery int64
-	// Supervise starts a cluster supervisor goroutine that probes peer
-	// liveness and rebuilds dead peers — from their checkpoint file when
-	// CheckpointDir is set, cold otherwise.
-	Supervise bool
-	// ProbeEvery is the supervisor's probe cadence (default 50ms).
-	ProbeEvery time.Duration
-	// Churn schedules abrupt peer kills relative to cluster start —
-	// the integration harness for the failure model. Pair it with
-	// Supervise so the kills are also recovered from.
-	Churn []PeerChurn
-}
-
-// PeerChurn kills one peer a fixed delay after the cluster starts.
-type PeerChurn struct {
-	// Ranker is the victim's group index.
-	Ranker int
-	// After is the kill delay from StartCluster's return.
-	After time.Duration
+	// Churn crashes and restarts peers on the schedule the simulator
+	// runs (see dprcore.ChurnEvent), times in nanoseconds since
+	// StartCluster returned. A crash closes the peer; a restart binds a
+	// fresh one on a new port, warm from the in-memory checkpoint when
+	// the event asks for one, and re-meshes it.
+	Churn []dprcore.ChurnEvent
 }
 
 // Cluster is a set of live peers ranking one crawl on localhost.
 type Cluster struct {
-	// Peers holds the live peers, indexed by group. When the cluster
-	// supervises (ClusterConfig.Supervise), entries are swapped on
-	// restart — use Peer for a race-free read.
+	// Peers holds the live peers, indexed by group. Churn restarts
+	// swap entries — use Peer for a race-free read.
 	Peers []*Peer
 	// Assignment is the page partition the peers rank under.
 	Assignment *partition.Assignment
@@ -82,14 +61,16 @@ type Cluster struct {
 	cfg    ClusterConfig
 	groups []*dprcore.Group
 	ov     overlay.Network
-	ckpt   *dprcore.FileCheckpointer
-	sup    *dprcore.Supervisor
+	ckpt   *dprcore.MemCheckpointer // nil unless a churn restart loads
 
-	// mu guards Peers (restarts swap entries) and timers.
-	mu     sync.Mutex
-	timers []*time.Timer
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	// mu guards Peers (restarts swap entries), timers and churnErr.
+	mu       sync.Mutex
+	timers   []*time.Timer
+	churnErr error
+	// churnMu serializes churn actions with each other and with Close;
+	// closed, which it guards, turns every later action into a no-op.
+	churnMu sync.Mutex
+	closed  bool
 }
 
 // StartCluster computes the centralized reference, partitions g over K
@@ -117,25 +98,9 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("netpeer: negative CheckpointEvery")
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("netpeer: CheckpointEvery needs CheckpointDir")
-	}
-	if cfg.ProbeEvery < 0 {
-		return nil, fmt.Errorf("netpeer: negative ProbeEvery")
-	}
-	if cfg.Supervise && cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = 50 * time.Millisecond
-	}
-	for _, ev := range cfg.Churn {
-		if ev.Ranker < 0 || ev.Ranker >= cfg.K {
-			return nil, fmt.Errorf("netpeer: churn ranker %d outside [0,%d)", ev.Ranker, cfg.K)
-		}
-		if ev.After <= 0 {
-			return nil, fmt.Errorf("netpeer: churn delay %v must be positive", ev.After)
-		}
+	ckpt, err := dprcore.ChurnCheckpoints(&cfg.Params, cfg.K, cfg.Churn)
+	if err != nil {
+		return nil, fmt.Errorf("netpeer: %w", err)
 	}
 	ref, err := pagerank.Open(g, pagerank.Options{Alpha: cfg.Alpha, Epsilon: 1e-12, MaxIter: 100000})
 	if err != nil {
@@ -155,21 +120,10 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	}
 	cl := &Cluster{
 		Assignment: assign, Reference: ref.Ranks, graph: g,
-		groups: groups, stop: make(chan struct{}),
+		groups: groups, ckpt: ckpt,
 	}
 	if cfg.Indirect {
 		cl.ov = ov
-	}
-	if cfg.CheckpointDir != "" {
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = 5
-		}
-		fc, err := dprcore.NewFileCheckpointer(cfg.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("netpeer: %w", err)
-		}
-		cl.ckpt = fc
-		cfg.Params.Checkpoint = dprcore.CheckpointConfig{Every: cfg.CheckpointEvery, Sink: fc}
 	}
 	cl.cfg = cfg
 	for i := 0; i < cfg.K; i++ {
@@ -190,30 +144,18 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	for _, p := range cl.Peers {
 		p.Start()
 	}
-	if cfg.Supervise {
-		sup, err := dprcore.NewSupervisor(clusterSet{cl}, wallClock{},
-			xrand.New(cfg.Seed^0xda3e39cb94b95bdb),
-			dprcore.SupervisorConfig{ProbeEvery: float64(cfg.ProbeEvery)})
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-		cl.sup = sup
-		cl.wg.Add(1)
-		go func() {
-			defer cl.wg.Done()
-			sup.Run(stopWaiter{stop: cl.stop})
-		}()
-	}
+	start := time.Now()
 	for _, ev := range cfg.Churn {
 		ev := ev
-		cl.mu.Lock()
-		cl.timers = append(cl.timers, time.AfterFunc(ev.After, func() {
-			if p := cl.Peer(ev.Ranker); p != nil {
-				p.Kill()
-			}
-		}))
-		cl.mu.Unlock()
+		cl.after(time.Duration(ev.CrashAt), func() error {
+			cl.Peer(ev.Ranker).Close()
+			// Armed only once the crash ran, so the restart follows it
+			// however close the two times are.
+			cl.after(time.Until(start.Add(time.Duration(ev.RestartAt))), func() error {
+				return cl.restartPeer(ev.Ranker, ev.FromCheckpoint)
+			})
+			return nil
+		})
 	}
 	return cl, nil
 }
@@ -238,38 +180,50 @@ func (cl *Cluster) newPeer(i int) (*Peer, error) {
 	return Listen("127.0.0.1:0", pcfg)
 }
 
-// restartPeer rebuilds the peer for group i: close whatever is left of
-// the old one, bind a fresh peer, warm-start it from the last
-// checkpoint file when checkpointing is on, splice it into the mesh
-// (its port is new), and start it.
-func (cl *Cluster) restartPeer(i int) error {
+// after runs the churn action act d from now. Actions serialize on
+// churnMu and do nothing once Close has marked the cluster closed, so
+// none is mid-flight when Close returns; the first failed action is
+// kept for WaitConverged.
+func (cl *Cluster) after(d time.Duration, act func() error) {
 	cl.mu.Lock()
-	old := cl.Peers[i]
-	cl.mu.Unlock()
-	if old != nil {
-		old.Close() // idempotent; covers "looks dead but still up"
-	}
+	defer cl.mu.Unlock()
+	cl.timers = append(cl.timers, time.AfterFunc(d, func() {
+		cl.churnMu.Lock()
+		defer cl.churnMu.Unlock()
+		if cl.closed {
+			return
+		}
+		if err := act(); err != nil {
+			cl.mu.Lock()
+			if cl.churnErr == nil {
+				cl.churnErr = err
+			}
+			cl.mu.Unlock()
+		}
+	}))
+}
+
+// restartPeer rebuilds the peer for group i after its crash closed it:
+// bind a fresh peer, warm-start it from the ranker's last checkpoint
+// when fromCheckpoint is set and one was saved, splice it into the mesh
+// (its port is new), and start it.
+func (cl *Cluster) restartPeer(i int, fromCheckpoint bool) error {
 	peer, err := cl.newPeer(i)
 	if err != nil {
-		return err
+		return fmt.Errorf("netpeer: restart peer %d: %w", i, err)
 	}
-	if cl.ckpt != nil {
-		data, ok, err := cl.ckpt.Load(i)
-		if err != nil {
-			peer.Close()
-			return err
-		}
-		if ok {
+	if fromCheckpoint {
+		if data, _, ok := cl.ckpt.Load(i); ok {
 			if err := peer.RestoreSnapshot(data); err != nil {
 				peer.Close()
-				return err
+				return fmt.Errorf("netpeer: restart peer %d: %w", i, err)
 			}
 		}
 	}
 	cl.mu.Lock()
 	cl.Peers[i] = peer
 	for j, q := range cl.Peers {
-		if j == i || q == nil {
+		if j == i {
 			continue
 		}
 		peer.SetPeer(int32(j), q.Addr())
@@ -282,34 +236,8 @@ func (cl *Cluster) restartPeer(i int) error {
 	return nil
 }
 
-// clusterSet adapts a Cluster to dprcore.Supervised.
-type clusterSet struct{ cl *Cluster }
-
-func (s clusterSet) NumRankers() int { return s.cl.cfg.K }
-
-// Alive combines socket-level liveness (the peer was killed or closed)
-// with the reliable layer's missed-ack signal: a peer some other
-// sender's circuit breaker has given up on is presumed dead even if its
-// listener still accepts.
-func (s clusterSet) Alive(i int) bool {
-	p := s.cl.Peer(i)
-	if p == nil || !p.Alive() {
-		return false
-	}
-	s.cl.mu.Lock()
-	defer s.cl.mu.Unlock()
-	for j, q := range s.cl.Peers {
-		if j != i && q != nil && q.Broken(i) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s clusterSet) Restart(i int) error { return s.cl.restartPeer(i) }
-
-// Peer returns the live peer for group i — race-free against
-// supervisor restarts, unlike indexing Peers directly.
+// Peer returns the live peer for group i — race-free against churn
+// restarts, unlike indexing Peers directly.
 func (cl *Cluster) Peer(i int) *Peer {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -317,15 +245,6 @@ func (cl *Cluster) Peer(i int) *Peer {
 		return nil
 	}
 	return cl.Peers[i]
-}
-
-// Restarts returns how many peer restarts the cluster supervisor has
-// performed (zero when Supervise is off).
-func (cl *Cluster) Restarts() int64 {
-	if cl.sup == nil {
-		return 0
-	}
-	return cl.sup.Restarts()
 }
 
 // Assemble snapshots every peer's local ranks into one global vector.
@@ -350,10 +269,16 @@ func (cl *Cluster) RelErr() float64 {
 }
 
 // WaitConverged polls until the relative error drops to target or the
-// timeout expires.
+// timeout expires. A churn restart that failed is returned at once.
 func (cl *Cluster) WaitConverged(target float64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
+		cl.mu.Lock()
+		err := cl.churnErr
+		cl.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		if re := cl.RelErr(); re <= target {
 			return nil
 		}
@@ -365,25 +290,23 @@ func (cl *Cluster) WaitConverged(target float64, timeout time.Duration) error {
 	}
 }
 
-// Close shuts the cluster down: the supervisor stops first (so no
-// restart races the teardown), then the churn timers, then every peer.
+// Close shuts the cluster down: pending churn timers are stopped, an
+// action already running finishes (and none runs after), then every
+// peer closes.
 func (cl *Cluster) Close() {
-	select {
-	case <-cl.stop:
-	default:
-		close(cl.stop)
-	}
-	cl.wg.Wait()
 	cl.mu.Lock()
 	timers := cl.timers
-	peers := append([]*Peer(nil), cl.Peers...)
 	cl.mu.Unlock()
 	for _, t := range timers {
 		t.Stop()
 	}
+	cl.churnMu.Lock()
+	cl.closed = true
+	cl.churnMu.Unlock()
+	cl.mu.Lock()
+	peers := append([]*Peer(nil), cl.Peers...)
+	cl.mu.Unlock()
 	for _, p := range peers {
-		if p != nil {
-			p.Close()
-		}
+		p.Close()
 	}
 }

@@ -350,7 +350,7 @@ func (p *Peer) Broken(dst int) bool {
 }
 
 // ClearBroken closes the reliable layer's circuit toward destination
-// group dst — the cluster supervisor calls it after restarting that
+// group dst — the cluster calls it after a churn restart of that
 // peer. A no-op when the layer is off.
 func (p *Peer) ClearBroken(dst int) {
 	if p.rel != nil {
@@ -387,19 +387,13 @@ func (p *Peer) Start() {
 	go p.rankLoop()
 }
 
-// Kill is Close under its failure-model name: the cluster's churn
-// schedule calls it to take a peer down mid-run. Nothing is flushed or
-// handed over — recovery happens on the other side, when the supervisor
-// builds a fresh peer from the last checkpoint file.
-func (p *Peer) Kill() error { return p.Close() }
-
 // Alive reports whether the peer has started ranking and has not been
-// closed or killed.
+// closed.
 func (p *Peer) Alive() bool { return p.started.Load() && !p.closed.Load() }
 
 // Close stops the loop, the listener, and all connections, then waits
 // for the peer's goroutines to exit. It is idempotent and safe to call
-// concurrently (a churn kill can race the cluster's own shutdown).
+// concurrently (a churn crash can race the cluster's own shutdown).
 func (p *Peer) Close() error {
 	if p.closed.Swap(true) {
 		return nil

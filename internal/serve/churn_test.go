@@ -45,7 +45,7 @@ func TestChurnStalenessMonotoneBounded(t *testing.T) {
 			Observer:   tracker,
 		},
 		Graph: g, K: k, Seed: 11, SampleEvery: 5, MaxTime: 300, TargetRelErr: 1e-4,
-		Churn: []engine.ChurnEvent{
+		Churn: []dprcore.ChurnEvent{
 			{Ranker: 2, CrashAt: 20, RestartAt: 35},
 			{Ranker: 5, CrashAt: 30, RestartAt: 50},
 		},

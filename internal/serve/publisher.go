@@ -28,9 +28,11 @@ type Publisher struct {
 }
 
 // NewPublisher wraps store as a Checkpointer. next, when non-nil,
-// receives every snapshot afterwards — tee a MemCheckpointer or
-// FileCheckpointer through so crash recovery keeps working alongside
-// serving.
+// receives every snapshot afterwards — tee a MemCheckpointer through
+// to keep the raw snapshots too. A churn schedule that restarts from
+// checkpoints needs the sink itself to be a *dprcore.MemCheckpointer
+// (see dprcore.ChurnCheckpoints), so a Publisher sink serves
+// cold-restart churn.
 func NewPublisher(store *Store, next dprcore.Checkpointer) *Publisher {
 	return &Publisher{store: store, next: next}
 }
