@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race fuzz bench bench-gate bench-validate chaos obs-smoke serve-smoke scale-smoke verify
+.PHONY: build vet lint test race fuzz bench bench-gate bench-validate chaos obs-smoke serve-smoke examples-smoke scale-smoke verify
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,13 @@ obs-smoke:
 serve-smoke:
 	$(GO) test -run TestServeSmoke -v ./internal/clitest/
 
+# The examples run end to end: searchdemo (engine.Run's deployment
+# feeding the query tier) and tcpcluster (live peers, one killed
+# mid-run), each required to exit 0 and print its result line
+# (internal/clitest).
+examples-smoke:
+	$(GO) test -count=1 -run TestExamplesRun -v ./internal/clitest/
+
 # Re-record the perf-ratchet baseline: the gated kernel + transmission
 # benchmarks with allocation counts, as diffable JSON in
 # BENCH_kernels.json. The suite (its -bench pattern and package list)
@@ -114,5 +121,5 @@ bench-gate:
 bench-validate:
 	bash bench/run.sh -validate
 
-verify: build vet lint test race fuzz chaos obs-smoke serve-smoke bench-gate bench-validate
+verify: build vet lint test race fuzz chaos obs-smoke serve-smoke examples-smoke bench-gate bench-validate
 	@echo "verify: all checks passed"

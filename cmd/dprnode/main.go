@@ -92,7 +92,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fault = liveFault(fault, *seed)
+	fault = liveFault(fault)
 	reliable, err := cliflags.ParseReliable(*relSpec)
 	if err != nil {
 		fatal(err)
@@ -159,10 +159,10 @@ func main() {
 // modes. The spec is unit-agnostic, and live peers run on nanoseconds,
 // where its small virtual-unit times round to nothing: small delays,
 // partition windows and straggler hold-backs are read as milliseconds.
-// The lattice seed defaults to -seed (1 when that is 0, as StartCluster
-// does), so -demo, every distributed peer and the serving frontend cut
-// the same partition minority and stragglers.
-func liveFault(fc dprcore.FaultConfig, seed uint64) dprcore.FaultConfig {
+// The lattice seed is left to dprcore.Deploy, which defaults it to
+// -seed in both modes, so -demo, every distributed peer and the serving
+// frontend cut the same partition minority and stragglers.
+func liveFault(fc dprcore.FaultConfig) dprcore.FaultConfig {
 	const ms = float64(time.Millisecond)
 	if fc.Enabled() && fc.MeanDelay > 0 && fc.MeanDelay < ms {
 		fc.MeanDelay *= ms
@@ -175,9 +175,6 @@ func liveFault(fc dprcore.FaultConfig, seed uint64) dprcore.FaultConfig {
 	}
 	if fc.StraggleFrac > 0 && fc.StraggleFactor > 0 && fc.StraggleFactor < ms {
 		fc.StraggleFactor *= ms
-	}
-	if fc.Seed == 0 {
-		fc.Seed = max(seed, 1)
 	}
 	return fc
 }
@@ -195,7 +192,6 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	}
 	fmt.Printf("demo: %d pages, %d rankers (%v, %s transmission), real TCP on localhost\n",
 		pages, k, params.Alg, mode)
-	epoch := time.Now() // ≈ the peers' fault-injector epochs (set at construction)
 	cl, err := netpeer.StartCluster(g, netpeer.ClusterConfig{
 		Params: params,
 		K:      k, MeanWait: 20 * time.Millisecond, Seed: seed,
@@ -207,7 +203,7 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	defer cl.Close()
 	var stopServe func() serve.StormStats
 	if store != nil {
-		stopServe, err = startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, epoch)
+		stopServe, err = startServing(cl, g, store, col, srvAddr, qps, topk)
 		if err != nil {
 			fatal(err)
 		}
@@ -245,35 +241,29 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 // publisher goroutine polls each live peer's local rank vector into the
 // snapshot store, the serve.Handler answers /search on srvAddr, and an
 // optional internal load generator (-qps) drives the merged read path,
-// reporting per-query latency and staleness to the live collector. When
-// -fault injects partitions or stragglers, the frontend shares the
-// peers' lattice so its fan-outs route around the cut. The returned
-// func stops all of it and reports the load generator's storm.
-func startServing(cl *netpeer.Cluster, g *webgraph.Graph, k int, store *serve.Store, col *telemetry.Collector, addr string, qps, topk int, fault dprcore.FaultConfig, epoch time.Time) (func() serve.StormStats, error) {
+// reporting per-query latency and staleness to the live collector. The
+// frontend routes over the cluster's own ring and partition. When
+// -fault injects partitions or stragglers, it also shares the peers'
+// lattice, on the cluster's time axis, so its fan-outs route around the
+// cut. The returned func stops all of it and reports the load
+// generator's storm.
+func startServing(cl *netpeer.Cluster, g *webgraph.Graph, store *serve.Store, col *telemetry.Collector, addr string, qps, topk int) (func() serve.StormStats, error) {
 	store.SetTelemetry(col)
-	// The same ranker ring as StartCluster (nodeid.RankerIDs), so the
-	// overlay's hop accounting matches the cluster the shards live on.
-	ov, err := engine.BuildOverlay(engine.Pastry, k)
-	if err != nil {
-		return nil, err
-	}
+	dep := cl.Deployment
+	k := dep.Ring.NumNodes()
 	cfg := serve.Config{}
-	if fault.PartitionFrac > 0 || fault.StraggleFrac > 0 {
-		// liveFault seeded the lattice, so the frontend sees the exact
-		// cut the injectors enforce.
+	if fault := dep.Params.Fault; fault.PartitionFrac > 0 || fault.StraggleFrac > 0 {
 		at := 0
 		for at < k && fault.PartitionMinority(at) {
 			at++
 		}
-		health, err := serve.NewLatticeHealth(fault, at, func() float64 {
-			return float64(time.Since(epoch))
-		})
+		health, err := serve.NewLatticeHealth(fault, at, cl.Elapsed)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Health = health
 	}
-	fe, err := serve.NewFrontend(g, ov, cl.Assignment, store, cfg)
+	fe, err := serve.NewFrontend(g, dep.Ring, dep.Assign, store, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -365,31 +355,26 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 		fatal(err)
 	}
 	defer g.Close()
-	// Every process builds the same ranker ring (nodeid.RankerIDs), so
-	// independent processes agree on the partition.
-	ov, err := engine.BuildOverlay(engine.Pastry, k)
+	// Every process builds the same ranker ring (nodeid.RankerIDs) and
+	// deploys the crawl over it as StartCluster does, so independent
+	// processes agree on the partition, the lattice and the routes.
+	ring, err := engine.BuildOverlay(engine.Pastry, k)
 	if err != nil {
 		fatal(err)
 	}
-	assign, err := partition.Assign(g, ov, partition.BySite, seed)
-	if err != nil {
-		fatal(err)
-	}
-	groups, err := dprcore.BuildGroups(g, assign, 0.85)
+	params.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
+	dep, err := dprcore.Deploy(g, ring, partition.BySite, params, seed, nil)
 	if err != nil {
 		fatal(err)
 	}
 	pcfg := netpeer.Config{
-		Params:   params,
-		Group:    groups[index],
-		MeanWait: 50 * time.Millisecond,
-		Seed:     seed + uint64(index)*7919,
-		Codec:    wire,
+		Params: dep.Params,
+		Group:  dep.Groups[index],
+		Seed:   dep.PeerSeed(index),
+		Codec:  wire,
 	}
 	if indirect {
-		// All processes build the same overlay from the same ranker IDs,
-		// so routes agree without coordination.
-		pcfg.Overlay = ov
+		pcfg.Overlay = ring
 	}
 	peer, err := netpeer.Listen(listen, pcfg)
 	if err != nil {
@@ -411,7 +396,7 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 	}
 	peer.Start()
 	fmt.Printf("ranker %d/%d listening on %s (%d pages, %v)\n",
-		index, k, peer.Addr(), groups[index].N(), params.Alg)
+		index, k, peer.Addr(), dep.Groups[index].N(), params.Alg)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -15,7 +15,6 @@ import (
 
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
-	"p2prank/internal/partition"
 	"p2prank/internal/search"
 	"p2prank/internal/serve"
 	"p2prank/internal/webgraph"
@@ -56,15 +55,9 @@ func main() {
 		store.Version(), store.MaxStaleness())
 
 	// 2. The query tier: term-partitioned per-shard indexes over the
-	// published snapshots, merged per query with a bounded heap.
-	ov, err := engine.BuildOverlay(engine.Pastry, k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	assign, err := partition.Assign(graph, ov, partition.BySite, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// published snapshots, merged per query with a bounded heap — on
+	// the ring and partition the run deployed the rankers over.
+	ov, assign := res.Deployment.Ring, res.Deployment.Assign
 	// The crawl's text is drawn once; the serving tier here and the
 	// static index below are two transposes of the same term matrix.
 	text, err := search.DrawTerms(graph, search.DefaultConfig())

@@ -37,7 +37,7 @@ func main() {
 	defer cluster.Close()
 
 	for i, p := range cluster.Peers {
-		fmt.Printf("peer %d: %s (%d pages)\n", i, p.Addr(), len(cluster.Assignment.Pages[i]))
+		fmt.Printf("peer %d: %s (%d pages)\n", i, p.Addr(), cluster.Deployment.Groups[i].N())
 	}
 
 	start := time.Now()

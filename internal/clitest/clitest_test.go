@@ -34,7 +34,8 @@ func (b *syncBuf) String() string {
 	return b.sb.String()
 }
 
-// buildCmds compiles every cmd into a temp dir once per test binary.
+// TestMain compiles every cmd, and the examples TestExamplesRun runs,
+// into a temp dir once per test binary.
 var builtDir string
 
 func TestMain(m *testing.M) {
@@ -44,7 +45,8 @@ func TestMain(m *testing.M) {
 	}
 	builtDir = dir
 	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"p2prank/cmd/genweb", "p2prank/cmd/dprsim", "p2prank/cmd/bwtable", "p2prank/cmd/dprnode")
+		"p2prank/cmd/genweb", "p2prank/cmd/dprsim", "p2prank/cmd/bwtable", "p2prank/cmd/dprnode",
+		"p2prank/examples/searchdemo", "p2prank/examples/tcpcluster")
 	cmd.Dir = repoRoot()
 	if out, err := cmd.CombinedOutput(); err != nil {
 		panic("building cmds: " + err.Error() + "\n" + string(out))
@@ -274,6 +276,18 @@ func TestDprnodeMultiProcess(t *testing.T) {
 // with the registry: every `-exp NAME  summary` line `dprsim -h` prints
 // must appear there verbatim, and -h must list at least the paper's
 // three figures.
+// TestExamplesRun runs two examples end to end: searchdemo, whose
+// query tier routes over the ring and partition engine.Run deployed,
+// and tcpcluster, whose live peers converge and survive a killed peer.
+func TestExamplesRun(t *testing.T) {
+	if out := run(t, "searchdemo"); !strings.Contains(out, "static index: 240000 postings") {
+		t.Fatalf("searchdemo output lacks the static index line:\n%s", out)
+	}
+	if out := run(t, "tcpcluster"); !strings.Contains(out, "final relative error vs centralized: ") {
+		t.Fatalf("tcpcluster output lacks the final error line:\n%s", out)
+	}
+}
+
 func TestReadmeListsEveryExperiment(t *testing.T) {
 	out := run(t, "dprsim", "-h")
 	readme, err := os.ReadFile(filepath.Join(repoRoot(), "README.md"))

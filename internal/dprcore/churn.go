@@ -9,9 +9,9 @@ import (
 // "shutdown", taken as a full node failure: the crashed ranker loses
 // its in-memory state and its host drops traffic; at RestartAt it
 // comes back cold (R0 = 0) or from its last checkpoint. Both drivers
-// run the same schedule; times are in the driver's units — virtual
-// time in the simulator, nanoseconds since StartCluster returned on
-// live peers (the rule FaultConfig's windows follow).
+// run the same schedule; times are in the driver's units on its one
+// time axis — virtual time in the simulator, nanoseconds since the live
+// cluster's epoch — the axis FaultConfig's windows are measured on.
 type ChurnEvent struct {
 	// Ranker is the index of the ranker to crash.
 	Ranker int

@@ -39,8 +39,10 @@ type FaultConfig struct {
 	// shard reachability from the same function (the fault lattice).
 	PartitionFrac float64
 	// PartitionFrom / PartitionTo bound the partition window, in the
-	// runtime's time units measured from the injector's construction
-	// (virtual units in-sim, nanoseconds live). The partition heals at
+	// runtime's time units measured from the driver's epoch (see
+	// NewStack): virtual time 0 in-sim, the live cluster's one epoch on
+	// its peers — restarted ones included — and construction for a
+	// FaultSender built on its own. The partition heals at
 	// PartitionTo, never when it is +Inf or math.MaxFloat64. Required
 	// when PartitionFrac > 0: To > From ≥ 0.
 	PartitionFrom float64
@@ -142,7 +144,7 @@ func (c FaultConfig) Straggler(node int) bool {
 }
 
 // PartitionActiveAt reports whether the partition is up at a time
-// measured from the injector's construction epoch.
+// measured from the injector's epoch.
 func (c FaultConfig) PartitionActiveAt(sinceEpoch float64) bool {
 	return c.PartitionFrac > 0 && sinceEpoch >= c.PartitionFrom && sinceEpoch < c.PartitionTo
 }
@@ -171,9 +173,10 @@ type FaultSender struct {
 	// drops (see transport.Stats.FaultDrops).
 	rec dropRecorder
 
-	// epoch is the clock reading at construction; partition windows are
-	// measured from here so the same config means the same thing on the
-	// simulator's virtual axis (built at t=0) and netpeer's wall clock.
+	// epoch is the clock reading partition windows are measured from:
+	// construction, unless NewStack put it on the driver's epoch, so the
+	// same config means the same thing on the simulator's virtual axis
+	// and the live cluster's wall clock.
 	epoch float64
 
 	// counts is indexed by telemetry.FaultKind.
@@ -290,8 +293,12 @@ func (f *FaultSender) sendAfter(d float64, from int, chunk transport.ScoreChunk)
 // Flush forwards to the wrapped sender.
 func (f *FaultSender) Flush(from int) error { return f.inner.Flush(from) }
 
-// Stats returns the injector's counters.
+// Stats returns the injector's counters; a nil injector (faults off)
+// counts nothing.
 func (f *FaultSender) Stats() FaultStats {
+	if f == nil {
+		return FaultStats{}
+	}
 	return FaultStats{
 		Dropped:     f.counts[telemetry.FaultDrop].Load(),
 		Delayed:     f.counts[telemetry.FaultDelay].Load(),

@@ -430,8 +430,12 @@ func (s *ReliableSender) PendingChunks(from int, dst []transport.ScoreChunk) []t
 	return dst
 }
 
-// Stats returns the layer's counters.
+// Stats returns the layer's counters; a nil layer (reliability off)
+// counts nothing.
 func (s *ReliableSender) Stats() ReliableStats {
+	if s == nil {
+		return ReliableStats{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats

@@ -108,11 +108,10 @@ type Config struct {
 	// Churn schedules ranker crash/restart cycles on virtual time —
 	// full node failure, one step beyond Disruptions' suspend/resume
 	// (see dprcore.ChurnEvent; every RestartAt <= MaxTime). A
-	// FromCheckpoint restart loads the in-memory sink
-	// dprcore.ChurnCheckpoints installs. Crash and restart are serial
-	// virtual-time events, so a seeded churn schedule is part of the
-	// deterministic run: same seed + schedule, byte-identical results
-	// at any GOMAXPROCS.
+	// FromCheckpoint restart loads the in-memory sink dprcore.Deploy
+	// installs. Crash and restart are serial virtual-time events, so a
+	// seeded churn schedule is part of the deterministic run: same seed
+	// + schedule, byte-identical results at any GOMAXPROCS.
 	Churn []dprcore.ChurnEvent
 }
 
@@ -128,25 +127,22 @@ type Disruption struct {
 // zero mean would schedule unboundedly many loops at one instant.
 const MinMeanWait = 0.1
 
-func (c *Config) validate() error {
+// validate checks the engine's own fields and deploys the crawl
+// (dprcore.Deploy) over the configured overlay with the simulator's
+// wait defaults, leaving the resolved parameters in c.
+func (c *Config) validate() (*dprcore.Deployment, error) {
 	if c.Graph == nil {
-		return fmt.Errorf("engine: Graph is required")
+		return nil, fmt.Errorf("engine: Graph is required")
 	}
 	if c.K <= 0 {
-		return fmt.Errorf("engine: K = %d, must be positive", c.K)
+		return nil, fmt.Errorf("engine: K = %d, must be positive", c.K)
 	}
 	// The negated comparisons below also refuse NaN, which compares
 	// false with everything; a finite MaxTime then bounds every window.
 	if math.IsInf(c.MaxTime, 0) || !(c.MaxTime > 0) {
-		return fmt.Errorf("engine: MaxTime = %v, must be finite and positive", c.MaxTime)
+		return nil, fmt.Errorf("engine: MaxTime = %v, must be finite and positive", c.MaxTime)
 	}
 	c.Params.Defaults(15, 15)
-	if err := c.Params.Validate(); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Net == (simnet.NetConfig{}) {
 		c.Net = simnet.DefaultNetConfig()
 	}
@@ -158,31 +154,37 @@ func (c *Config) validate() error {
 		c.SampleEvery = 5
 	}
 	if math.IsInf(c.SampleEvery, 0) || !(c.SampleEvery > 0) {
-		return fmt.Errorf("engine: SampleEvery %v must be finite and positive", c.SampleEvery)
+		return nil, fmt.Errorf("engine: SampleEvery %v must be finite and positive", c.SampleEvery)
 	}
 	if math.IsInf(c.TargetRelErr, 0) || !(c.TargetRelErr >= 0) {
-		return fmt.Errorf("engine: TargetRelErr %v must be finite and non-negative", c.TargetRelErr)
+		return nil, fmt.Errorf("engine: TargetRelErr %v must be finite and non-negative", c.TargetRelErr)
 	}
 	for i, d := range c.Disruptions {
 		if d.Ranker < 0 || d.Ranker >= c.K {
-			return fmt.Errorf("engine: disruption %d targets ranker %d of %d", i, d.Ranker, c.K)
+			return nil, fmt.Errorf("engine: disruption %d targets ranker %d of %d", i, d.Ranker, c.K)
 		}
 		if !(d.From >= 0 && d.To > d.From) {
-			return fmt.Errorf("engine: disruption %d window [%v, %v) invalid", i, d.From, d.To)
+			return nil, fmt.Errorf("engine: disruption %d window [%v, %v) invalid", i, d.From, d.To)
 		}
 		if d.To > c.MaxTime {
-			return fmt.Errorf("engine: disruption %d ends at %v, beyond MaxTime %v", i, d.To, c.MaxTime)
+			return nil, fmt.Errorf("engine: disruption %d ends at %v, beyond MaxTime %v", i, d.To, c.MaxTime)
 		}
 	}
-	if _, err := dprcore.ChurnCheckpoints(&c.Params, c.K, c.Churn); err != nil {
-		return fmt.Errorf("engine: %w", err)
+	ring, err := BuildOverlay(c.Overlay, c.K)
+	if err != nil {
+		return nil, err
 	}
+	dep, err := dprcore.Deploy(c.Graph, ring, c.Strategy, c.Params, c.Seed, c.Churn)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	c.Params, c.Seed = dep.Params, dep.Seed
 	for i, ev := range c.Churn {
 		if ev.RestartAt > c.MaxTime {
-			return fmt.Errorf("engine: churn %d restarts at %v, beyond MaxTime %v", i, ev.RestartAt, c.MaxTime)
+			return nil, fmt.Errorf("engine: churn %d restarts at %v, beyond MaxTime %v", i, ev.RestartAt, c.MaxTime)
 		}
 	}
-	return nil
+	return dep, nil
 }
 
 // Sample is one point of the experiment time series.
@@ -230,11 +232,10 @@ type Result struct {
 	AvgHops float64
 	// AvgNeighbors is the overlay's mean neighbor count (g in S_it=gN).
 	AvgNeighbors float64
-	// Cut describes the partition quality.
-	Cut partition.CutStats
-	// PagesPerRanker is each ranker's page-group size. Under by-site
-	// partitioning with few sites, some rankers own nothing.
-	PagesPerRanker []int
+	// Deployment is the crawl as the run deployed it: the resolved
+	// parameters, the ring and the partition. Its Groups are nil once
+	// the run returns (dprcore.BuildGroups over Assign rebuilds them).
+	Deployment *dprcore.Deployment
 	// Telemetry is the collector's aggregate, filled when
 	// Config.Observer is a *telemetry.Collector (nil otherwise).
 	Telemetry *telemetry.Summary
@@ -246,15 +247,10 @@ type Result struct {
 
 // cluster is the assembled machinery of one run.
 type cluster struct {
-	cfg     Config
 	sim     *simnet.Simulator
 	net     *simnet.Network
-	ov      overlay.Network
 	fab     *transport.Fabric
-	faults  *dprcore.FaultSender     // nil unless cfg.Fault.Enabled()
-	rel     *dprcore.ReliableSender  // nil unless cfg.Reliable.Enabled()
-	ckpt    *dprcore.MemCheckpointer // nil unless the sink is in memory
-	assign  *partition.Assignment
+	stack   dprcore.Stack
 	rankers []*ranker
 }
 
@@ -271,17 +267,13 @@ func BuildOverlay(kind OverlayKind, k int) (overlay.Network, error) {
 	return nil, fmt.Errorf("engine: unknown overlay kind %d", int(kind))
 }
 
-func build(cfg Config) (*cluster, error) {
+func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {
 	sim := simnet.New(cfg.Seed)
 	net, err := simnet.NewNetwork(sim, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := BuildOverlay(cfg.Overlay, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	fab, err := transport.NewFabric(net, ov, cfg.Transport, cfg.Size)
+	fab, err := transport.NewFabric(net, dep.Ring, cfg.Transport, cfg.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -290,63 +282,30 @@ func build(cfg Config) (*cluster, error) {
 			return nil, err
 		}
 	}
-	assign, err := partition.Assign(cfg.Graph, ov, cfg.Strategy, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := dprcore.BuildGroups(cfg.Graph, assign, cfg.Alpha)
-	if err != nil {
-		return nil, err
-	}
 	// A collector gets the simulator's virtual clock and the fabric's own
 	// route lengths (exact at every K: the memo the chunks are routed
 	// through).
 	telemetry.Attach(cfg.Observer, sim, fab.Hops)
 	root := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
-	var sender dprcore.Sender = fab
-	var faults *dprcore.FaultSender
-	if cfg.Fault.Enabled() {
-		// The fault-lattice seed defaults to the run seed so partition
-		// and straggler membership re-cut with -seed like everything
-		// else; an explicit Fault.Seed pins the cut independently.
-		if cfg.Fault.Seed == 0 {
-			cfg.Fault.Seed = cfg.Seed
-		}
-		// The fault stream is forked only when faults are on, so a
-		// disabled config draws nothing and runs stay bit-identical.
-		// The simulator is the Clock: delays land on virtual time.
-		faults, err = dprcore.NewFaultSender(fab, sim, root.Fork(), cfg.Fault)
-		if err != nil {
-			return nil, err
-		}
-		faults.Observe(cfg.Observer)
-		sender = faults
+	// The simulator is the Clock, built at virtual time 0: the epoch
+	// fault windows are measured from.
+	stack, err := dprcore.NewStack(fab, sim, 0, func() dprcore.RNG { return root.Fork() }, cfg.Params)
+	if err != nil {
+		return nil, err
 	}
-	var rel *dprcore.ReliableSender
-	if cfg.Reliable.Enabled() {
-		// Reliability layers above the fault injector so retransmissions
-		// are themselves subject to injected loss. Its jitter stream is
-		// forked only when enabled — same bit-identity rule as faults.
-		rel, err = dprcore.NewReliableSender(sender, sim, root.Fork(), cfg.Reliable)
-		if err != nil {
-			return nil, err
-		}
-		rel.Observe(cfg.Observer)
-		sender = rel
+	if stack.Reliable != nil {
 		// Acked delivery: every chunk that reaches its owner is
 		// acknowledged straight back to its source (end-to-end, one hop).
 		// Only when reliability is on, so disabled configs send no acks.
-		fab.OnAck(rel.Ack)
+		fab.OnAck(stack.Reliable.Ack)
 	}
-	// validate installed the store FromCheckpoint restarts load from.
-	ckpt, _ := cfg.Checkpoint.Sink.(*dprcore.MemCheckpointer)
 	rankers := make([]*ranker, cfg.K)
 	for i := 0; i < cfg.K; i++ {
 		mean := cfg.T1 + root.Float64()*(cfg.T2-cfg.T1)
 		if mean < MinMeanWait {
 			mean = MinMeanWait
 		}
-		rk, err := newRanker(groups[i], cfg.Params, mean, sim, sender, root.Fork())
+		rk, err := newRanker(dep.Groups[i], cfg.Params, mean, sim, stack.Sender, root.Fork())
 		if err != nil {
 			return nil, err
 		}
@@ -355,20 +314,7 @@ func build(cfg Config) (*cluster, error) {
 		}
 		rankers[i] = rk
 	}
-	return &cluster{
-		cfg: cfg, sim: sim, net: net, ov: ov, fab: fab, faults: faults,
-		rel: rel, ckpt: ckpt, assign: assign, rankers: rankers,
-	}, nil
-}
-
-// assemble copies every ranker's local ranks into a global vector.
-func (cl *cluster) assemble(dst vecmath.Vec) {
-	for _, rk := range cl.rankers {
-		r := rk.Ranks()
-		for li, p := range rk.Group().Pages {
-			dst[p] = r[li]
-		}
-	}
+	return &cluster{sim: sim, net: net, fab: fab, stack: stack, rankers: rankers}, nil
 }
 
 func (cl *cluster) meanLoops() float64 {
@@ -387,7 +333,8 @@ func Run(cfg Config) (*Result, error) {
 // run executes one experiment, optionally warm-starting every ranker
 // from the global vector initial (page-indexed; nil means R0 = 0).
 func run(cfg Config, initial vecmath.Vec) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	dep, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	if initial != nil && len(initial) != cfg.Graph.NumPages() {
@@ -396,7 +343,6 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	}
 	ref := cfg.Reference
 	if ref == nil {
-		var err error
 		ref, err = Reference(cfg.Graph, cfg.Alpha)
 		if err != nil {
 			return nil, err
@@ -405,7 +351,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 		return nil, fmt.Errorf("engine: Reference has length %d, want %d",
 			len(ref), cfg.Graph.NumPages())
 	}
-	cl, err := build(cfg)
+	cl, err := build(cfg, dep)
 	if err != nil {
 		return nil, err
 	}
@@ -420,25 +366,17 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{
-		Reference:   ref,
-		ConvergedAt: -1,
-		Cut:         partition.Cut(cfg.Graph, cl.assign),
-	}
-	res.PagesPerRanker = make([]int, cfg.K)
-	for i, ps := range cl.assign.Pages {
-		res.PagesPerRanker[i] = len(ps)
-	}
-	hops, err := overlay.AvgHops(cl.ov, 500, xrand.New(cfg.Seed^0xabcdef))
+	res := &Result{Reference: ref, ConvergedAt: -1, Deployment: dep}
+	hops, err := overlay.AvgHops(dep.Ring, 500, xrand.New(cfg.Seed^0xabcdef))
 	if err != nil {
 		return nil, err
 	}
 	res.AvgHops = hops
 	totalN := 0
-	for i := 0; i < cl.ov.NumNodes(); i++ {
-		totalN += len(cl.ov.Neighbors(i))
+	for i := 0; i < dep.Ring.NumNodes(); i++ {
+		totalN += len(dep.Ring.Neighbors(i))
 	}
-	res.AvgNeighbors = float64(totalN) / float64(cl.ov.NumNodes())
+	res.AvgNeighbors = float64(totalN) / float64(dep.Ring.NumNodes())
 
 	for _, rk := range cl.rankers {
 		rk.Start()
@@ -463,15 +401,15 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 			// wrapper, is the surviving record of what was in flight.
 			cl.net.SetDown(cl.fab.Addr(ev.Ranker), true)
 			cl.rankers[ev.Ranker].Crash()
-			if cl.rel != nil {
-				cl.rel.Forget(ev.Ranker)
+			if cl.stack.Reliable != nil {
+				cl.stack.Reliable.Forget(ev.Ranker)
 			}
 		})
 		cl.sim.At(ev.RestartAt, func() {
 			cl.net.SetDown(cl.fab.Addr(ev.Ranker), false)
 			var snap []byte
 			if ev.FromCheckpoint {
-				if data, _, ok := cl.ckpt.Load(ev.Ranker); ok {
+				if data, _, ok := dep.Checkpoints.Load(ev.Ranker); ok {
 					snap = data
 					res.Recoveries++
 				}
@@ -479,14 +417,15 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 			if err := cl.rankers[ev.Ranker].Restart(snap); err != nil {
 				panic(fmt.Sprintf("engine: restart ranker %d: %v", ev.Ranker, err))
 			}
-			if cl.rel != nil {
+			if cl.stack.Reliable != nil {
 				// Senders whose breaker gave the crashed ranker up resume
 				// immediately on restart instead of waiting out the cooldown.
-				cl.rel.ClearBreaker(ev.Ranker)
+				cl.stack.Reliable.ClearBreaker(ev.Ranker)
 			}
 		})
 	}
 	global := vecmath.NewVec(cfg.Graph.NumPages())
+	ranks := func(i int) vecmath.Vec { return cl.rankers[i].Ranks() }
 	stopAll := func() {
 		for _, rk := range cl.rankers {
 			rk.Stop()
@@ -495,7 +434,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	var sampleAt func(t float64)
 	sampleAt = func(t float64) {
 		cl.sim.At(t, func() {
-			cl.assemble(global)
+			dep.Assemble(global, ranks)
 			s := Sample{
 				Time:      t,
 				RelErr:    vecmath.RelErr1(global, ref),
@@ -529,8 +468,12 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	}
 	cl.sim.Run(0)
 
-	cl.assemble(global)
+	dep.Assemble(global, ranks)
 	res.Final = global.Clone()
+	// The loops were the groups' only readers. Dropping them keeps a
+	// held Result from pinning every ranker's link tables — O(K²)
+	// destination arrays at K = 500.
+	dep.Groups = nil
 	res.RelErr = vecmath.RelErr1(res.Final, ref)
 	if res.ConvergedAt < 0 {
 		res.LoopsAtConvergence = cl.meanLoops()
@@ -538,12 +481,8 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	res.NetStats = cl.net.TotalStats()
 	res.TransportStats = cl.fab.Stats()
 	res.Events = cl.sim.Processed()
-	if cl.faults != nil {
-		res.FaultStats = cl.faults.Stats()
-	}
-	if cl.rel != nil {
-		res.ReliableStats = cl.rel.Stats()
-	}
+	res.FaultStats = cl.stack.Faults.Stats()
+	res.ReliableStats = cl.stack.Reliable.Stats()
 	if col, ok := cfg.Observer.(*telemetry.Collector); ok {
 		sum := col.Summary()
 		res.Telemetry = &sum
@@ -556,15 +495,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 // suites call it once per graph and pass the result to each run via
 // Config.Reference instead of re-deriving it per curve.
 func Reference(g *webgraph.Graph, alpha float64) (vecmath.Vec, error) {
-	ref, err := pagerank.Open(g, pagerank.Options{
-		Alpha:   alpha,
-		Epsilon: 1e-12,
-		MaxIter: 100000,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("engine: centralized reference: %w", err)
-	}
-	return ref.Ranks, nil
+	return dprcore.Reference(g, alpha)
 }
 
 // CPRIterations returns the number of centralized power-iteration steps

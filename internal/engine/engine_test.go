@@ -279,9 +279,10 @@ func TestRandomPartitionMovesMoreBytes(t *testing.T) {
 	}
 	bySite := run(partition.BySite)
 	random := run(partition.Random)
-	if bySite.Cut.CutFrac() >= random.Cut.CutFrac() {
-		t.Fatalf("by-site cut %.3f not below random %.3f",
-			bySite.Cut.CutFrac(), random.Cut.CutFrac())
+	siteCut := partition.Cut(g, bySite.Deployment.Assign).CutFrac()
+	randCut := partition.Cut(g, random.Deployment.Assign).CutFrac()
+	if siteCut >= randCut {
+		t.Fatalf("by-site cut %.3f not below random %.3f", siteCut, randCut)
 	}
 	sitePer := float64(bySite.NetStats.BytesSent) / bySite.LoopsAtConvergence
 	randPer := float64(random.NetStats.BytesSent) / random.LoopsAtConvergence
@@ -461,8 +462,9 @@ func TestDisruptionDelaysButDoesNotPreventConvergence(t *testing.T) {
 	// Disrupt the busiest ranker; under by-site partitioning some
 	// rankers own no pages and suspending one of those changes nothing.
 	target := 0
-	for i, n := range clean.PagesPerRanker {
-		if n > clean.PagesPerRanker[target] {
+	pages := clean.Deployment.Assign.Pages
+	for i := range pages {
+		if len(pages[i]) > len(pages[target]) {
 			target = i
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"p2prank/internal/dprcore"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
-	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
 	"p2prank/internal/pastry"
 	"p2prank/internal/transport"
@@ -40,10 +39,12 @@ type ClusterConfig struct {
 	// Seed makes partitioning and waits reproducible (default 1).
 	Seed uint64
 	// Churn crashes and restarts peers on the schedule the simulator
-	// runs (see dprcore.ChurnEvent), times in nanoseconds since
-	// StartCluster returned. A crash closes the peer; a restart binds a
-	// fresh one on a new port, warm from the in-memory checkpoint when
-	// the event asks for one, and re-meshes it.
+	// runs (see dprcore.ChurnEvent), times in nanoseconds since the
+	// cluster's epoch — the one live time axis, taken as StartCluster
+	// starts the peers, that every peer's fault windows are measured
+	// from too (see Cluster.Elapsed). A crash closes the peer; a restart
+	// binds a fresh one on a new port, warm from the in-memory
+	// checkpoint when the event asks for one, and re-meshes it.
 	Churn []dprcore.ChurnEvent
 }
 
@@ -52,16 +53,17 @@ type Cluster struct {
 	// Peers holds the live peers, indexed by group. Churn restarts
 	// swap entries — use Peer for a race-free read.
 	Peers []*Peer
-	// Assignment is the page partition the peers rank under.
-	Assignment *partition.Assignment
+	// Deployment is the crawl as the peers rank it: the resolved
+	// parameters, the Pastry ring, the partition and every group.
+	Deployment *dprcore.Deployment
 	// Reference is the centralized fixed point R*.
 	Reference vecmath.Vec
 
-	graph  *webgraph.Graph
-	cfg    ClusterConfig
-	groups []*dprcore.Group
-	ov     overlay.Network
-	ckpt   *dprcore.MemCheckpointer // nil unless a churn restart loads
+	cfg ClusterConfig
+	ov  overlay.Network // the ring in indirect mode, nil in direct
+	// epoch is the cluster's one time axis: churn times and every
+	// peer's fault windows, restarted peers' included, count from here.
+	epoch time.Time
 
 	// mu guards Peers (restarts swap entries), timers and churnErr.
 	mu       sync.Mutex
@@ -73,9 +75,9 @@ type Cluster struct {
 	closed  bool
 }
 
-// StartCluster computes the centralized reference, partitions g over K
-// groups, starts one TCP peer per group on 127.0.0.1, interconnects
-// them, and starts their ranking loops.
+// StartCluster deploys g over K peers on a Pastry ring (dprcore.Deploy),
+// computes the centralized reference, starts one TCP peer per group on
+// 127.0.0.1, interconnects them, and starts their ranking loops.
 func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if g == nil {
 		return nil, fmt.Errorf("netpeer: nil graph")
@@ -89,43 +91,23 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.MeanWait == 0 && cfg.T1 == 0 && cfg.T2 == 0 {
 		cfg.MeanWait = 30 * time.Millisecond
 	}
-	// Resolve the shared parameters up front: Alpha feeds the reference
-	// and group construction below, before any peer validates them again.
 	cfg.Params.Defaults(float64(cfg.MeanWait), float64(cfg.MeanWait))
-	if err := cfg.Params.Validate(); err != nil {
+	ring, err := pastry.New(nodeid.RankerIDs(cfg.K), pastry.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	dep, err := dprcore.Deploy(g, ring, cfg.Strategy, cfg.Params, cfg.Seed, cfg.Churn)
+	if err != nil {
 		return nil, fmt.Errorf("netpeer: %w", err)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	ckpt, err := dprcore.ChurnCheckpoints(&cfg.Params, cfg.K, cfg.Churn)
+	ref, err := dprcore.Reference(g, dep.Params.Alpha)
 	if err != nil {
 		return nil, fmt.Errorf("netpeer: %w", err)
 	}
-	ref, err := pagerank.Open(g, pagerank.Options{Alpha: cfg.Alpha, Epsilon: 1e-12, MaxIter: 100000})
-	if err != nil {
-		return nil, fmt.Errorf("netpeer: centralized reference: %w", err)
-	}
-	ov, err := pastry.New(nodeid.RankerIDs(cfg.K), pastry.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	assign, err := partition.Assign(g, ov, cfg.Strategy, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := dprcore.BuildGroups(g, assign, cfg.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	cl := &Cluster{
-		Assignment: assign, Reference: ref.Ranks, graph: g,
-		groups: groups, ckpt: ckpt,
-	}
+	cl := &Cluster{Deployment: dep, Reference: ref, cfg: cfg, epoch: time.Now()}
 	if cfg.Indirect {
-		cl.ov = ov
+		cl.ov = ring
 	}
-	cl.cfg = cfg
 	for i := 0; i < cfg.K; i++ {
 		peer, err := cl.newPeer(i)
 		if err != nil {
@@ -144,14 +126,13 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	for _, p := range cl.Peers {
 		p.Start()
 	}
-	start := time.Now()
 	for _, ev := range cfg.Churn {
 		ev := ev
-		cl.after(time.Duration(ev.CrashAt), func() error {
+		cl.after(time.Until(cl.epoch.Add(time.Duration(ev.CrashAt))), func() error {
 			cl.Peer(ev.Ranker).Close()
 			// Armed only once the crash ran, so the restart follows it
 			// however close the two times are.
-			cl.after(time.Until(start.Add(time.Duration(ev.RestartAt))), func() error {
+			cl.after(time.Until(cl.epoch.Add(time.Duration(ev.RestartAt))), func() error {
 				return cl.restartPeer(ev.Ranker, ev.FromCheckpoint)
 			})
 			return nil
@@ -160,25 +141,23 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// newPeer builds and binds the peer for group i with the cluster's
-// shared parameters. The caller starts it and meshes its address.
+// newPeer builds and binds the peer for group i with the deployment's
+// parameters — one fault lattice, cut by the run seed — on the
+// cluster's epoch. The caller starts it and meshes its address.
 func (cl *Cluster) newPeer(i int) (*Peer, error) {
-	pcfg := Config{
-		Params:   cl.cfg.Params,
-		Group:    cl.groups[i],
-		MeanWait: cl.cfg.MeanWait,
-		Seed:     cl.cfg.Seed + uint64(i)*7919,
-		Codec:    cl.cfg.Codec,
-		Overlay:  cl.ov,
-	}
-	// Peer seeds differ per node, but the fault lattice (partition and
-	// straggler membership) must be cut identically by every injector
-	// in the cluster — key it off the cluster seed, not the peer's.
-	if pcfg.Fault.Enabled() && pcfg.Fault.Seed == 0 {
-		pcfg.Fault.Seed = cl.cfg.Seed
-	}
-	return Listen("127.0.0.1:0", pcfg)
+	dep := cl.Deployment
+	return listen("127.0.0.1:0", Config{
+		Params:  dep.Params,
+		Group:   dep.Groups[i],
+		Seed:    dep.PeerSeed(i),
+		Codec:   cl.cfg.Codec,
+		Overlay: cl.ov,
+	}, cl.epoch)
 }
+
+// Elapsed returns the nanoseconds since the cluster's epoch: the axis
+// its churn times and every peer's fault windows are measured on.
+func (cl *Cluster) Elapsed() float64 { return float64(time.Since(cl.epoch)) }
 
 // after runs the churn action act d from now. Actions serialize on
 // churnMu and do nothing once Close has marked the cluster closed, so
@@ -213,7 +192,7 @@ func (cl *Cluster) restartPeer(i int, fromCheckpoint bool) error {
 		return fmt.Errorf("netpeer: restart peer %d: %w", i, err)
 	}
 	if fromCheckpoint {
-		if data, _, ok := cl.ckpt.Load(i); ok {
+		if data, _, ok := cl.Deployment.Checkpoints.Load(i); ok {
 			if err := peer.RestoreSnapshot(data); err != nil {
 				peer.Close()
 				return fmt.Errorf("netpeer: restart peer %d: %w", i, err)
@@ -249,16 +228,11 @@ func (cl *Cluster) Peer(i int) *Peer {
 
 // Assemble snapshots every peer's local ranks into one global vector.
 func (cl *Cluster) Assemble() vecmath.Vec {
-	out := vecmath.NewVec(cl.graph.NumPages())
+	out := vecmath.NewVec(len(cl.Reference))
 	cl.mu.Lock()
 	peers := append([]*Peer(nil), cl.Peers...)
 	cl.mu.Unlock()
-	for i, p := range peers {
-		r := p.Ranks()
-		for li, page := range cl.Assignment.Pages[i] {
-			out[page] = r[li]
-		}
-	}
+	cl.Deployment.Assemble(out, func(i int) vecmath.Vec { return peers[i].Ranks() })
 	return out
 }
 

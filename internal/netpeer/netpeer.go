@@ -49,7 +49,7 @@ import (
 type Config struct {
 	// Params are the shared DPR loop parameters (see dprcore.Params).
 	dprcore.Params
-	// Group is the peer's page group (from dprcore.BuildGroups).
+	// Group is the peer's page group (a dprcore.Deployment's Groups[i]).
 	Group *dprcore.Group
 	// MeanWait is the mean of the exponentially distributed pause
 	// between loops (default 50ms) — the convenience spelling of the
@@ -120,9 +120,8 @@ type Peer struct {
 	// router routes the relay steps (nil: direct); used under mu.
 	router *overlay.Router
 
-	out    *outbox
-	faults *dprcore.FaultSender    // nil unless cfg.Fault.Enabled()
-	rel    *dprcore.ReliableSender // nil unless cfg.Reliable.Enabled()
+	out   *outbox
+	stack dprcore.Stack // the fault→reliable chain over out
 
 	peersMu sync.Mutex
 	peers   map[int32]string
@@ -207,8 +206,16 @@ func (wallClock) After(d float64, fn func()) { time.AfterFunc(time.Duration(d), 
 
 // Listen creates a peer bound to addr ("127.0.0.1:0" picks a free
 // port) and starts accepting score traffic. Call SetPeer to teach it
-// the other rankers' addresses, then Start to begin ranking.
+// the other rankers' addresses, then Start to begin ranking. The
+// peer's fault windows are measured from its own construction; a
+// Cluster's peers share the cluster's epoch instead.
 func Listen(addr string, cfg Config) (*Peer, error) {
+	return listen(addr, cfg, time.Now())
+}
+
+// listen is Listen with the epoch the peer's fault windows are
+// measured from.
+func listen(addr string, cfg Config, epoch time.Time) (*Peer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -225,37 +232,15 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 		accepted: make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
 	}
-	var sender dprcore.Sender = p.out
-	if cfg.Fault.Enabled() {
-		// Faults draw from their own stream, keyed off the peer seed, so
-		// enabling them never changes the loop's randomness. The
-		// fault-lattice seed must NOT default from the peer seed: peer
-		// seeds differ per node, and every injector in the cluster has
-		// to agree on partition/straggler membership. Callers set
-		// Fault.Seed cluster-wide (cluster.Start does).
-		frng := xrand.New(cfg.Seed ^ 0x6c62272e07bb0142)
-		fs, err := dprcore.NewFaultSender(p.out, wallClock{}, frng, cfg.Fault)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		fs.Observe(cfg.Observer)
-		sender = fs
-		p.faults = fs
-	}
-	if cfg.Reliable.Enabled() {
-		// The reliable layer sits above the fault injector, so
-		// retransmissions are themselves subject to injected loss. Its
-		// jitter draws from a third seed-keyed stream.
-		rrng := xrand.New(cfg.Seed ^ 0x2545f4914f6cdd1d)
-		rel, err := dprcore.NewReliableSender(sender, wallClock{}, rrng, cfg.Reliable)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		rel.Observe(cfg.Observer)
-		sender = rel
-		p.rel = rel
+	// Faults and then the reliable layer fork their streams from a
+	// seed-keyed root of their own, so enabling them never changes the
+	// loop's randomness.
+	root := xrand.New(cfg.Seed ^ 0x6c62272e07bb0142)
+	p.stack, err = dprcore.NewStack(p.out, wallClock{}, float64(epoch.UnixNano()),
+		func() dprcore.RNG { return root.Fork() }, cfg.Params)
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
 	if cfg.Overlay != nil {
 		p.router = overlay.NewRouter(cfg.Overlay)
@@ -278,7 +263,7 @@ func Listen(addr string, cfg Config) (*Peer, error) {
 	if cfg.T2 > cfg.T1 {
 		mean += xrand.New(cfg.Seed^0x94d049bb133111eb).Float64() * (cfg.T2 - cfg.T1)
 	}
-	loop, err := dprcore.NewLoop(cfg.Group, cfg.Params, mean, sender, xrand.New(cfg.Seed))
+	loop, err := dprcore.NewLoop(cfg.Group, cfg.Params, mean, p.stack.Sender, xrand.New(cfg.Seed))
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -326,35 +311,25 @@ func (p *Peer) ChunksRejected() int64 { return p.rejected.Load() }
 // FaultStats returns how many chunks the peer's fault injector
 // dropped, delayed, duplicated, blackholed across a partition, or
 // straggled (all zero when faults are off).
-func (p *Peer) FaultStats() dprcore.FaultStats {
-	if p.faults == nil {
-		return dprcore.FaultStats{}
-	}
-	return p.faults.Stats()
-}
+func (p *Peer) FaultStats() dprcore.FaultStats { return p.stack.Faults.Stats() }
 
 // ReliableStats returns the reliable layer's counters (all zero when
 // the layer is off).
-func (p *Peer) ReliableStats() dprcore.ReliableStats {
-	if p.rel == nil {
-		return dprcore.ReliableStats{}
-	}
-	return p.rel.Stats()
-}
+func (p *Peer) ReliableStats() dprcore.ReliableStats { return p.stack.Reliable.Stats() }
 
 // Broken reports whether the peer's reliable layer currently presumes
 // destination group dst dead (its circuit is open). Always false when
 // the layer is off.
 func (p *Peer) Broken(dst int) bool {
-	return p.rel != nil && p.rel.Broken(dst)
+	return p.stack.Reliable != nil && p.stack.Reliable.Broken(dst)
 }
 
 // ClearBroken closes the reliable layer's circuit toward destination
 // group dst — the cluster calls it after a churn restart of that
 // peer. A no-op when the layer is off.
 func (p *Peer) ClearBroken(dst int) {
-	if p.rel != nil {
-		p.rel.ClearBreaker(dst)
+	if p.stack.Reliable != nil {
+		p.stack.Reliable.ClearBreaker(dst)
 	}
 }
 
@@ -463,7 +438,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 // loop or a readLoop): its boxes are that goroutine's own, so nothing
 // it drains outlives the lock shared.
 func (p *Peer) newRelay() *transport.Relay {
-	rl := transport.NewRelay(p.router, new([][]transport.ScoreChunk), p.rel != nil)
+	rl := transport.NewRelay(p.router, new([][]transport.ScoreChunk), p.stack.Reliable != nil)
 	return &rl
 }
 
@@ -478,9 +453,9 @@ func (d *deliverer) Receive(_ int, c transport.ScoreChunk) bool { return d.loop.
 // layer, its chunks through the relay step under mu, and the step's
 // acks and relays onto the wire once mu is released.
 func (p *Peer) handleFrame(rl *transport.Relay, f frame) {
-	if p.rel != nil {
+	if p.stack.Reliable != nil {
 		for _, a := range f.Acks {
-			p.rel.Ack(p.cfg.Group.Index, a.From, a.Round)
+			p.stack.Reliable.Ack(p.cfg.Group.Index, a.From, a.Round)
 		}
 	}
 	p.mu.Lock()

@@ -25,28 +25,70 @@ func genGraph(t testing.TB, pages int, seed uint64) *webgraph.Graph {
 	return g
 }
 
-// dprnode's distributed mode partitions its crawl over
-// engine.BuildOverlay's ring, and its -demo serving frontend routes over
-// that ring while the shards live on StartCluster's: the two must be one
-// ring, owning every site alike.
-func TestClusterRingMatchesEngine(t *testing.T) {
-	const k = 6
+// TestDriversDeployAlike holds the three places a crawl becomes K
+// rankers to one deployment: engine.Run, StartCluster and a single
+// dprnode process calling dprcore.Deploy over engine.BuildOverlay's
+// ring with the live wait default. One graph, K, strategy, seed, fault
+// config and churn schedule must give one partition, one set of groups
+// and one resolved α, fault-lattice seed and checkpoint cadence — and
+// dprnode -serve's frontend, which routes over StartCluster's ring,
+// then owns every site alike with the rankers.
+func TestDriversDeployAlike(t *testing.T) {
+	const k, seed = 6, 3
 	g := genGraph(t, 800, 29)
-	cl, err := StartCluster(g, ClusterConfig{K: k, Strategy: partition.BySite, Seed: 3})
+	params := dprcore.Params{Alg: dprcore.DPR1,
+		Fault: dprcore.FaultConfig{DropProb: 0.05, PartitionFrac: 0.3, PartitionTo: 1e6}}
+	churn := []dprcore.ChurnEvent{{Ranker: 1, CrashAt: 10, RestartAt: 20, FromCheckpoint: true}}
+
+	res, err := engine.Run(engine.Config{Params: params, Graph: g, K: k, Strategy: partition.BySite,
+		Seed: seed, MaxTime: 30, Churn: churn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	ov, err := engine.BuildOverlay(engine.Pastry, k)
+	cl, err := StartCluster(g, ClusterConfig{Params: params, K: k, Strategy: partition.BySite,
+		Seed: seed, Churn: churn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := partition.Assign(g, ov, partition.BySite, 3)
+	cl.Close()
+	ring, err := engine.BuildOverlay(engine.Pastry, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cl.Assignment, want) {
-		t.Fatal("StartCluster's partition differs from the engine ring's")
+	pp := params
+	pp.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
+	proc, err := dprcore.Deploy(g, ring, partition.BySite, pp, seed, churn)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// engine.Run drops its groups when it returns; they are BuildGroups
+	// over its partition and α, which Deploy built them from.
+	want := res.Deployment
+	want.Groups, err = dprcore.BuildGroups(g, want.Assign, want.Params.Alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Params.Fault.Seed != seed || want.Params.Checkpoint.Every != 5 {
+		t.Fatalf("engine resolved Fault.Seed %d, Checkpoint.Every %d; want %d, 5",
+			want.Params.Fault.Seed, want.Params.Checkpoint.Every, seed)
+	}
+	for name, got := range map[string]*dprcore.Deployment{"StartCluster": cl.Deployment, "dprnode": proc} {
+		if !reflect.DeepEqual(got.Assign, want.Assign) || len(got.Groups) != k {
+			t.Errorf("%s: partition differs from engine.Run's (%d groups)", name, len(got.Groups))
+		}
+		for i, grp := range got.Groups {
+			w := want.Groups[i]
+			if !reflect.DeepEqual(grp.Pages, w.Pages) || !reflect.DeepEqual(grp.EffDsts, w.EffDsts) ||
+				!reflect.DeepEqual(grp.AffSrcs, w.AffSrcs) {
+				t.Errorf("%s: group %d differs from engine.Run's", name, i)
+			}
+		}
+		gp, wp := got.Params, want.Params
+		if gp.Alpha != wp.Alpha || gp.Fault.Seed != wp.Fault.Seed || gp.Checkpoint.Every != wp.Checkpoint.Every {
+			t.Errorf("%s: resolved α %v, Fault.Seed %d, Checkpoint.Every %d; engine.Run's %v, %d, %d", name,
+				gp.Alpha, gp.Fault.Seed, gp.Checkpoint.Every, wp.Alpha, wp.Fault.Seed, wp.Checkpoint.Every)
+		}
 	}
 }
 

@@ -102,3 +102,52 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 		t.Fatal("partition window blackholed nothing")
 	}
 }
+
+// TestClusterRestartKeepsPartitionAxis pins the live cluster's one time
+// axis: a seed-1 partition over the first 150ms cuts peer 1 off, peer 1
+// crashes at 250ms and restarts at 300ms — after the heal. Its new
+// injector must measure the window from the cluster's epoch, not from
+// its own construction, so it blackholes nothing.
+func TestClusterRestartKeepsPartitionAxis(t *testing.T) {
+	gc := webgraph.DefaultGenConfig(1200)
+	gc.Sites = 20
+	gc.Seed = 17
+	g, err := webgraph.Generate(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := dprcore.FaultConfig{PartitionFrac: 0.3, PartitionFrom: 0, PartitionTo: float64(150 * time.Millisecond)}
+	cl, err := StartCluster(g, ClusterConfig{
+		Params: dprcore.Params{Alg: dprcore.DPR1, Fault: fault},
+		K:      4, MeanWait: 10 * time.Millisecond,
+		Churn: []dprcore.ChurnEvent{{
+			Ranker: 1, CrashAt: float64(250 * time.Millisecond), RestartAt: float64(300 * time.Millisecond),
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	old := cl.Peer(1)
+	// Peer 1 sits on the minority side and sends across the cut, so an
+	// injector that re-opened the window would blackhole its chunks.
+	fault.Seed = 1
+	crosses := false
+	for _, dst := range old.cfg.Group.EffDsts {
+		crosses = crosses || fault.PartitionMinority(1) != fault.PartitionMinority(int(dst))
+	}
+	if !fault.PartitionMinority(1) || !crosses {
+		t.Fatal("expected peer 1 on the minority side of the seed-1 cut, linking across it")
+	}
+	p := waitReplaced(t, cl, 1, old)
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Loops() < 20 {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted peer ran %d loops in 10s", p.Loops())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := p.FaultStats().Partitioned; n != 0 {
+		t.Fatalf("restarted peer blackholed %d chunks after the cluster healed", n)
+	}
+}

@@ -357,7 +357,7 @@ func FuzzReadFrame(f *testing.F) {
 		cd := codecs[int(data[0])%len(codecs)]
 		mode := int(data[0]) / len(codecs) % 2
 		p := peers[mode]
-		loop, err := dprcore.NewLoop(grp, params, 1, p.rel, xrand.New(1))
+		loop, err := dprcore.NewLoop(grp, params, 1, p.stack.Sender, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,8 +58,8 @@ type LatticeHealth struct {
 
 // NewLatticeHealth builds a health source for a frontend located at
 // node `at`. now must return the time since the fault injectors'
-// construction epoch, in the runtime's units — the same axis the
-// config's partition window is expressed on.
+// epoch, in the runtime's units — the axis the config's partition
+// window is expressed on (a live cluster's Cluster.Elapsed).
 func NewLatticeHealth(cfg dprcore.FaultConfig, at int, now func() float64) (*LatticeHealth, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
