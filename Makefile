@@ -59,8 +59,8 @@ fuzz:
 
 # Failure-path suite under the race detector: one crash/restart churn
 # schedule run by both drivers (and refused the same way by both when
-# bad), the live cluster closing while a restart is due, the simulator
-# driver's suspend/resume lifecycle, checkpointed recovery, the engine
+# bad), the live cluster closing while a restart is due, warm restarts
+# (§4.2's suspend) in both drivers, checkpointed recovery, the engine
 # refusing non-finite times, the reliable ack/retry/backoff layer, and
 # the partition/straggler fault lattice (see DESIGN.md §11 and §17) —
 # plus the end-to-end serve-under-partition smoke (dprnode -serve
@@ -68,7 +68,7 @@ fuzz:
 # netpeer accept/close race, and the hostile-chunk, hostile-relay and
 # hostile-ack peer tests.
 chaos:
-	$(GO) test -race -count=1 -run 'Churn|Suspend|KillRestart|NonFinite|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad|Hostile' \
+	$(GO) test -race -count=1 -run 'Churn|Warm|KillRestart|NonFinite|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad|Hostile' \
 		./internal/dprcore/... ./internal/engine/... ./internal/netpeer/...
 	$(GO) test -run TestServeChaosPartitionDprnode -v ./internal/clitest/
 

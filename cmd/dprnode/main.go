@@ -208,28 +208,20 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 			fatal(err)
 		}
 	}
-	start := time.Now()
-	for {
-		re := cl.RelErr()
-		fmt.Printf("t=%6.2fs relative error %.3e\n", time.Since(start).Seconds(), re)
-		if col != nil {
-			col.Milestone(telemetry.Milestone{
-				Time: time.Since(start).Seconds(), RelErr: re, Converged: re <= target,
-			})
-		}
-		if re <= target {
-			break
-		}
-		if time.Since(start) > 2*time.Minute {
-			fatal(fmt.Errorf("did not reach %v within 2 minutes", target))
-		}
-		time.Sleep(300 * time.Millisecond)
+	rec, err := cl.Converge(target, 2*time.Minute)
+	if err != nil {
+		fatal(err)
 	}
-	ranks := cl.Assemble()
-	fmt.Printf("converged to relative error ≤ %v in %.2fs\n", target, time.Since(start).Seconds())
+	for i, smp := range rec.Samples {
+		// One line per 300 ms of the 20 ms samples, and the last.
+		if i%15 == 0 || i == len(rec.Samples)-1 {
+			fmt.Printf("t=%6.2fs relative error %.3e\n", smp.Time/1e9, smp.RelErr)
+		}
+	}
+	fmt.Printf("converged to relative error ≤ %v in %.2fs\n", target, rec.ConvergedAt/1e9)
 	fmt.Println("top pages:")
-	for _, p := range vecmath.TopPages(ranks, 5) {
-		fmt.Printf("  %-40s rank %.4f\n", g.URL(int32(p)), ranks[p])
+	for _, p := range vecmath.TopPages(rec.Final, 5) {
+		fmt.Printf("  %-40s rank %.4f\n", g.URL(int32(p)), rec.Final[p])
 	}
 	if store != nil {
 		fmt.Printf("served %d load-gen queries, max served staleness %d rounds\n",

@@ -4,9 +4,9 @@ import "testing"
 
 // TestChurnCheckpointsInstallsMemSink: a checkpointed restart gets an
 // in-memory sink on the default cadence, an explicit cadence or sink is
-// kept, and a cold-only schedule installs nothing.
+// kept, and a cold or warm schedule installs nothing.
 func TestChurnCheckpointsInstallsMemSink(t *testing.T) {
-	warm := []ChurnEvent{{Ranker: 1, CrashAt: 1, RestartAt: 2, FromCheckpoint: true}}
+	warm := []ChurnEvent{{Ranker: 1, CrashAt: 1, RestartAt: 2, Restart: RestartCheckpoint}}
 	var p Params
 	mem, err := ChurnCheckpoints(&p, 2, warm)
 	if err != nil {
@@ -21,8 +21,10 @@ func TestChurnCheckpointsInstallsMemSink(t *testing.T) {
 		t.Fatalf("got (%p, %v), every %d; want the caller's sink, every 2", mem, err, p.Checkpoint.Every)
 	}
 	p = Params{}
-	cold := []ChurnEvent{{Ranker: 1, CrashAt: 1, RestartAt: 2}}
-	if mem, err := ChurnCheckpoints(&p, 2, cold); err != nil || mem != nil || p.Checkpoint != (CheckpointConfig{}) {
-		t.Fatalf("cold schedule: got (%v, %v), checkpoint %+v; want nothing installed", mem, err, p.Checkpoint)
+	for _, mode := range []RestartMode{RestartCold, RestartWarm} {
+		noLoad := []ChurnEvent{{Ranker: 1, CrashAt: 1, RestartAt: 2, Restart: mode}}
+		if mem, err := ChurnCheckpoints(&p, 2, noLoad); err != nil || mem != nil || p.Checkpoint != (CheckpointConfig{}) {
+			t.Fatalf("mode %d schedule: got (%v, %v), checkpoint %+v; want nothing installed", mode, mem, err, p.Checkpoint)
+		}
 	}
 }

@@ -27,8 +27,8 @@ type Deployment struct {
 	Assign *partition.Assignment
 	// Groups holds each ranker's slice of the crawl, indexed by ranker.
 	Groups []*Group
-	// Checkpoints is the store FromCheckpoint restarts load from (nil
-	// unless the churn schedule has one).
+	// Checkpoints is the store RestartCheckpoint restarts load from
+	// (nil unless the churn schedule has one).
 	Checkpoints *MemCheckpointer
 }
 
@@ -63,17 +63,6 @@ func Deploy(g *webgraph.Graph, ring overlay.Network, strategy partition.Strategy
 // PeerSeed is the private seed of live peer i: peers draw their own
 // streams, so each needs a seed of its own.
 func (d *Deployment) PeerSeed(i int) uint64 { return d.Seed + uint64(i)*7919 }
-
-// Assemble writes every ranker's local ranks, ranks(i) for ranker i,
-// into the page-indexed global vector dst.
-func (d *Deployment) Assemble(dst vecmath.Vec, ranks func(i int) vecmath.Vec) {
-	for i, pages := range d.Assign.Pages {
-		r := ranks(i)
-		for li, p := range pages {
-			dst[p] = r[li]
-		}
-	}
-}
 
 // Reference computes the centralized PageRank fixed point R* every run
 // measures against, at the one standard tolerance.

@@ -26,8 +26,8 @@ func churnConfig(g *webgraph.Graph, alg dprcore.Algorithm) engine.Config {
 		// (~t=65 for DPR2), so the run has to ride out the churn, not
 		// merely get restated by it after the fact.
 		Churn: []dprcore.ChurnEvent{
-			{Ranker: 2, CrashAt: 20, RestartAt: 35, FromCheckpoint: true},
-			{Ranker: 5, CrashAt: 30, RestartAt: 50, FromCheckpoint: true},
+			{Ranker: 2, CrashAt: 20, RestartAt: 35, Restart: dprcore.RestartCheckpoint},
+			{Ranker: 5, CrashAt: 30, RestartAt: 50, Restart: dprcore.RestartCheckpoint},
 		},
 	}
 }
@@ -89,13 +89,22 @@ func TestChurnConfigValidation(t *testing.T) {
 	base := churnConfig(g, dprcore.DPR1)
 	for name, churn := range map[string][]dprcore.ChurnEvent{
 		"ranker out of range": {{Ranker: 8, CrashAt: 1, RestartAt: 2}},
+		"negative ranker":     {{Ranker: -1, CrashAt: 1, RestartAt: 2}},
 		"window inverted":     {{Ranker: 0, CrashAt: 5, RestartAt: 5}},
+		"crash before start":  {{Ranker: 0, CrashAt: -1, RestartAt: 2}},
 		"restart past end":    {{Ranker: 0, CrashAt: 1, RestartAt: 1e9}},
 		"crash at NaN":        {{Ranker: 0, CrashAt: math.NaN(), RestartAt: 2}},
+		"unknown mode":        {{Ranker: 0, CrashAt: 1, RestartAt: 2, Restart: dprcore.RestartWarm + 1}},
 		// Overlapping or touching outages of one ranker would restart a
-		// ranker that never crashed mid-run.
+		// ranker that never crashed mid-run — whatever their modes.
 		"windows overlap": {{Ranker: 2, CrashAt: 10, RestartAt: 30}, {Ranker: 2, CrashAt: 20, RestartAt: 40}},
 		"windows touch":   {{Ranker: 2, CrashAt: 20, RestartAt: 30}, {Ranker: 2, CrashAt: 10, RestartAt: 20}},
+		"warm windows overlap": {
+			{Ranker: 1, CrashAt: 10, RestartAt: 60, Restart: dprcore.RestartWarm},
+			{Ranker: 1, CrashAt: 30, RestartAt: 90, Restart: dprcore.RestartWarm}},
+		"warm overlaps checkpoint": {
+			{Ranker: 1, CrashAt: 10, RestartAt: 60, Restart: dprcore.RestartWarm},
+			{Ranker: 1, CrashAt: 40, RestartAt: 70, Restart: dprcore.RestartCheckpoint}},
 	} {
 		cfg := base
 		cfg.Churn = churn

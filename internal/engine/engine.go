@@ -99,28 +99,13 @@ type Config struct {
 	// against centralized PageRank drops to this threshold (0 = run to
 	// MaxTime). Figure 8 uses 1e-4 (0.01%).
 	TargetRelErr float64
-	// Disruptions take rankers offline for windows of virtual time —
-	// the paper's §4.2 asynchrony model taken to its extreme ("sleep
-	// for some time, suspend itself as its wish, or even shutdown").
-	// While down, a ranker's host drops all traffic and its loops
-	// no-op; on recovery it resumes from its pre-outage state.
-	Disruptions []Disruption
-	// Churn schedules ranker crash/restart cycles on virtual time —
-	// full node failure, one step beyond Disruptions' suspend/resume
-	// (see dprcore.ChurnEvent; every RestartAt <= MaxTime). A
-	// FromCheckpoint restart loads the in-memory sink dprcore.Deploy
-	// installs. Crash and restart are serial virtual-time events, so a
-	// seeded churn schedule is part of the deterministic run: same seed
-	// + schedule, byte-identical results at any GOMAXPROCS.
+	// Churn schedules ranker outages on virtual time, §4.2's suspend
+	// (a warm restart) included (see dprcore.ChurnEvent; every
+	// RestartAt <= MaxTime). Crash and restart are serial virtual-time
+	// events, so a seeded churn schedule is part of the deterministic
+	// run: same seed + schedule, byte-identical results at any
+	// GOMAXPROCS.
 	Churn []dprcore.ChurnEvent
-}
-
-// Disruption is one ranker outage window.
-type Disruption struct {
-	// Ranker is the index of the ranker to take down.
-	Ranker int
-	// From and To bound the outage in virtual time (From < To).
-	From, To float64
 }
 
 // MinMeanWait is the lower clamp for a ranker's mean waiting time. A
@@ -159,17 +144,6 @@ func (c *Config) validate() (*dprcore.Deployment, error) {
 	if math.IsInf(c.TargetRelErr, 0) || !(c.TargetRelErr >= 0) {
 		return nil, fmt.Errorf("engine: TargetRelErr %v must be finite and non-negative", c.TargetRelErr)
 	}
-	for i, d := range c.Disruptions {
-		if d.Ranker < 0 || d.Ranker >= c.K {
-			return nil, fmt.Errorf("engine: disruption %d targets ranker %d of %d", i, d.Ranker, c.K)
-		}
-		if !(d.From >= 0 && d.To > d.From) {
-			return nil, fmt.Errorf("engine: disruption %d window [%v, %v) invalid", i, d.From, d.To)
-		}
-		if d.To > c.MaxTime {
-			return nil, fmt.Errorf("engine: disruption %d ends at %v, beyond MaxTime %v", i, d.To, c.MaxTime)
-		}
-	}
 	ring, err := BuildOverlay(c.Overlay, c.K)
 	if err != nil {
 		return nil, err
@@ -187,43 +161,13 @@ func (c *Config) validate() (*dprcore.Deployment, error) {
 	return dep, nil
 }
 
-// Sample is one point of the experiment time series.
-type Sample struct {
-	// Time is the virtual time of the sample.
-	Time float64
-	// RelErr is ‖R − R*‖₁/‖R*‖₁ against centralized PageRank.
-	RelErr float64
-	// AvgRank is the mean page rank (the Figure 7 metric).
-	AvgRank float64
-	// MeanLoops is the mean main-loop count across rankers.
-	MeanLoops float64
-}
-
-// Result is the outcome of one experiment run.
+// Result is the outcome of one experiment run: the run record on
+// virtual time (one sample per SampleEvery, ConvergedAt the time
+// TargetRelErr was reached) and the simulator's own counters.
 type Result struct {
-	// Samples is the recorded time series, one entry per SampleEvery.
-	Samples []Sample
-	// Final is the assembled global rank vector at the end of the run.
-	Final vecmath.Vec
+	dprcore.Record
 	// Reference is the centralized PageRank fixed point R*.
 	Reference vecmath.Vec
-	// RelErr is the final relative error.
-	RelErr float64
-	// ConvergedAt is the virtual time TargetRelErr was reached, or -1.
-	ConvergedAt float64
-	// LoopsAtConvergence is the mean ranker loop count when the target
-	// was reached (or at MaxTime when it was not) — the Figure 8
-	// "number of iterations" metric.
-	LoopsAtConvergence float64
-	// FaultStats counts injected message faults (all zero when
-	// Config.Fault is disabled).
-	FaultStats dprcore.FaultStats
-	// ReliableStats counts the reliable-delivery layer's retries, acks,
-	// and breaker trips (all zero when Config.Reliable is disabled).
-	ReliableStats dprcore.ReliableStats
-	// Recoveries is the number of checkpoint restores performed by
-	// Config.Churn restarts (cold restarts don't count).
-	Recoveries int64
 	// NetStats are network-level counters for the whole run.
 	NetStats simnet.Stats
 	// TransportStats are transport-level counters for the whole run.
@@ -317,14 +261,6 @@ func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {
 	return &cluster{sim: sim, net: net, fab: fab, stack: stack, rankers: rankers}, nil
 }
 
-func (cl *cluster) meanLoops() float64 {
-	var sum int64
-	for _, rk := range cl.rankers {
-		sum += rk.Loops()
-	}
-	return float64(sum) / float64(len(cl.rankers))
-}
-
 // Run executes one experiment, ranking from R0 = 0.
 func Run(cfg Config) (*Result, error) {
 	return run(cfg, nil)
@@ -366,7 +302,8 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{Reference: ref, ConvergedAt: -1, Deployment: dep}
+	res := &Result{Record: dprcore.Record{ConvergedAt: -1, Final: vecmath.NewVec(cfg.Graph.NumPages())},
+		Reference: ref, Deployment: dep}
 	hops, err := overlay.AvgHops(dep.Ring, 500, xrand.New(cfg.Seed^0xabcdef))
 	if err != nil {
 		return nil, err
@@ -381,40 +318,30 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	for _, rk := range cl.rankers {
 		rk.Start()
 	}
-	for _, d := range cfg.Disruptions {
-		d := d
-		cl.sim.At(d.From, func() {
-			cl.net.SetDown(cl.fab.Addr(d.Ranker), true)
-			cl.rankers[d.Ranker].Suspend()
-		})
-		cl.sim.At(d.To, func() {
-			cl.net.SetDown(cl.fab.Addr(d.Ranker), false)
-			cl.rankers[d.Ranker].Resume()
-		})
-	}
 	for _, ev := range cfg.Churn {
 		ev := ev
+		rk := cl.rankers[ev.Ranker]
+		var snap []byte
+		var recovered bool
 		cl.sim.At(ev.CrashAt, func() {
 			// Crash: host down (in-flight traffic toward it is lost),
-			// loop state destroyed, and the reliable layer forgets the
-			// crashed sender's pending chunks — the checkpoint, not the
-			// wrapper, is the surviving record of what was in flight.
+			// loop stopped, and the reliable layer forgets the crashed
+			// sender's pending chunks — a warm restart's snapshot, taken
+			// first, is what carries them over. A stopped loop saves no
+			// checkpoint, so its restart's snapshot is known now.
 			cl.net.SetDown(cl.fab.Addr(ev.Ranker), true)
-			cl.rankers[ev.Ranker].Crash()
+			snap, recovered = dep.RestartFrom(ev, rk.loop.Snapshot)
+			rk.Crash()
 			if cl.stack.Reliable != nil {
 				cl.stack.Reliable.Forget(ev.Ranker)
 			}
 		})
 		cl.sim.At(ev.RestartAt, func() {
 			cl.net.SetDown(cl.fab.Addr(ev.Ranker), false)
-			var snap []byte
-			if ev.FromCheckpoint {
-				if data, _, ok := dep.Checkpoints.Load(ev.Ranker); ok {
-					snap = data
-					res.Recoveries++
-				}
+			if recovered {
+				res.Recoveries++
 			}
-			if err := cl.rankers[ev.Ranker].Restart(snap); err != nil {
+			if err := rk.Restart(snap); err != nil {
 				panic(fmt.Sprintf("engine: restart ranker %d: %v", ev.Ranker, err))
 			}
 			if cl.stack.Reliable != nil {
@@ -424,8 +351,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 			}
 		})
 	}
-	global := vecmath.NewVec(cfg.Graph.NumPages())
-	ranks := func(i int) vecmath.Vec { return cl.rankers[i].Ranks() }
+	ranker := func(i int) dprcore.Ranker { return cl.rankers[i] }
 	stopAll := func() {
 		for _, rk := range cl.rankers {
 			rk.Stop()
@@ -434,23 +360,7 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	var sampleAt func(t float64)
 	sampleAt = func(t float64) {
 		cl.sim.At(t, func() {
-			dep.Assemble(global, ranks)
-			s := Sample{
-				Time:      t,
-				RelErr:    vecmath.RelErr1(global, ref),
-				AvgRank:   global.Mean(),
-				MeanLoops: cl.meanLoops(),
-			}
-			res.Samples = append(res.Samples, s)
-			converged := cfg.TargetRelErr > 0 && s.RelErr <= cfg.TargetRelErr && res.ConvergedAt < 0
-			if cfg.Observer != nil {
-				cfg.Observer.Milestone(telemetry.Milestone{
-					Time: t, RelErr: s.RelErr, MeanLoops: s.MeanLoops, Converged: converged,
-				})
-			}
-			if converged {
-				res.ConvergedAt = t
-				res.LoopsAtConvergence = s.MeanLoops
+			if dep.Sample(&res.Record, t, ref, cfg.TargetRelErr, ranker) {
 				stopAll()
 				return
 			}
@@ -468,21 +378,19 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	}
 	cl.sim.Run(0)
 
-	dep.Assemble(global, ranks)
-	res.Final = global.Clone()
+	meanLoops := dep.Assemble(res.Final, ranker)
 	// The loops were the groups' only readers. Dropping them keeps a
 	// held Result from pinning every ranker's link tables — O(K²)
 	// destination arrays at K = 500.
 	dep.Groups = nil
 	res.RelErr = vecmath.RelErr1(res.Final, ref)
 	if res.ConvergedAt < 0 {
-		res.LoopsAtConvergence = cl.meanLoops()
+		res.LoopsAtConvergence = meanLoops
 	}
 	res.NetStats = cl.net.TotalStats()
 	res.TransportStats = cl.fab.Stats()
 	res.Events = cl.sim.Processed()
-	res.FaultStats = cl.stack.Faults.Stats()
-	res.ReliableStats = cl.stack.Reliable.Stats()
+	res.Tally(cl.stack)
 	if col, ok := cfg.Observer.(*telemetry.Collector); ok {
 		sum := col.Summary()
 		res.Telemetry = &sum

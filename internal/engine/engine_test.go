@@ -318,14 +318,18 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 	g := genGraph(t, 300, 23)
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, mutate := range map[string]func(*Config){
-		"MaxTime NaN":       func(c *Config) { c.MaxTime = nan },
-		"MaxTime Inf":       func(c *Config) { c.MaxTime = inf },
-		"SampleEvery NaN":   func(c *Config) { c.SampleEvery = nan },
-		"SampleEvery Inf":   func(c *Config) { c.SampleEvery = inf },
-		"TargetRelErr NaN":  func(c *Config) { c.TargetRelErr = nan },
-		"TargetRelErr Inf":  func(c *Config) { c.TargetRelErr = inf },
-		"disruption From":   func(c *Config) { c.Disruptions = []Disruption{{Ranker: 0, From: nan, To: 5}} },
-		"disruption To":     func(c *Config) { c.Disruptions = []Disruption{{Ranker: 0, From: 1, To: nan}} },
+		"MaxTime NaN":      func(c *Config) { c.MaxTime = nan },
+		"MaxTime Inf":      func(c *Config) { c.MaxTime = inf },
+		"SampleEvery NaN":  func(c *Config) { c.SampleEvery = nan },
+		"SampleEvery Inf":  func(c *Config) { c.SampleEvery = inf },
+		"TargetRelErr NaN": func(c *Config) { c.TargetRelErr = nan },
+		"TargetRelErr Inf": func(c *Config) { c.TargetRelErr = inf },
+		"warm CrashAt NaN": func(c *Config) {
+			c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: nan, RestartAt: 5, Restart: dprcore.RestartWarm}}
+		},
+		"warm RestartAt": func(c *Config) {
+			c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: nan, Restart: dprcore.RestartWarm}}
+		},
 		"churn CrashAt NaN": func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: nan, RestartAt: 5}} },
 		"churn RestartAt":   func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: nan}} },
 	} {
@@ -445,11 +449,11 @@ func BenchmarkRunSmall(b *testing.B) {
 	}
 }
 
-// §4.2's asynchrony taken to its extreme: a ranker that suspends (or
-// effectively shuts down) mid-run stalls global convergence while it is
+// §4.2's asynchrony taken to its extreme: a ranker that suspends (a
+// warm churn restart) mid-run stalls global convergence while it is
 // away — its stale ranks hold the error floor — and the system resumes
 // and converges once it returns.
-func TestDisruptionDelaysButDoesNotPreventConvergence(t *testing.T) {
+func TestWarmChurnDelaysButDoesNotPreventConvergence(t *testing.T) {
 	g := genGraph(t, 2500, 25)
 	base := baseConfig(g)
 	base.T1, base.T2 = 2, 2
@@ -459,7 +463,7 @@ func TestDisruptionDelaysButDoesNotPreventConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Disrupt the busiest ranker; under by-site partitioning some
+	// Suspend the busiest ranker; under by-site partitioning some
 	// rankers own no pages and suspending one of those changes nothing.
 	target := 0
 	pages := clean.Deployment.Assign.Pages
@@ -468,9 +472,9 @@ func TestDisruptionDelaysButDoesNotPreventConvergence(t *testing.T) {
 			target = i
 		}
 	}
-	disrupted := base
-	disrupted.Disruptions = []Disruption{{Ranker: target, From: 1, To: 100}}
-	res, err := Run(disrupted)
+	suspended := base
+	suspended.Churn = []dprcore.ChurnEvent{{Ranker: target, CrashAt: 1, RestartAt: 100, Restart: dprcore.RestartWarm}}
+	res, err := Run(suspended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,35 +493,39 @@ func TestDisruptionDelaysButDoesNotPreventConvergence(t *testing.T) {
 	}
 }
 
+// A bad outage — a ranker out of range either way, an empty or
+// inverted window, a start before zero or an end past the run — is
+// refused before the run starts.
 func TestDisruptionValidation(t *testing.T) {
 	g := genGraph(t, 300, 27)
 	base := baseConfig(g)
-	bad := [][]Disruption{
-		{{Ranker: -1, From: 1, To: 2}},
-		{{Ranker: 99, From: 1, To: 2}},
-		{{Ranker: 0, From: 5, To: 5}},
-		{{Ranker: 0, From: -1, To: 2}},
-		{{Ranker: 0, From: 1, To: 1e9}},
+	bad := [][]dprcore.ChurnEvent{
+		{{Ranker: -1, CrashAt: 1, RestartAt: 2, Restart: dprcore.RestartWarm}},
+		{{Ranker: 99, CrashAt: 1, RestartAt: 2, Restart: dprcore.RestartWarm}},
+		{{Ranker: 0, CrashAt: 5, RestartAt: 5, Restart: dprcore.RestartWarm}},
+		{{Ranker: 0, CrashAt: -1, RestartAt: 2, Restart: dprcore.RestartWarm}},
+		{{Ranker: 0, CrashAt: 1, RestartAt: 1e9, Restart: dprcore.RestartWarm}},
 	}
-	for i, ds := range bad {
+	for i, churn := range bad {
 		cfg := base
-		cfg.Disruptions = ds
+		cfg.Churn = churn
 		if _, err := Run(cfg); err == nil {
-			t.Errorf("disruption set %d accepted", i)
+			t.Errorf("outage set %d accepted", i)
 		}
 	}
 }
 
 // DPR1's monotone property survives outages: the suspended ranker's
-// vector freezes, everyone else keeps growing.
-func TestDisruptionPreservesMonotonicity(t *testing.T) {
+// vector freezes, everyone else keeps growing, and the warm restart
+// rewinds nothing.
+func TestWarmChurnPreservesMonotonicity(t *testing.T) {
 	g := genGraph(t, 2000, 29)
 	cfg := baseConfig(g)
 	cfg.SendProb = 0.8
 	cfg.MaxTime = 200
-	cfg.Disruptions = []Disruption{
-		{Ranker: 1, From: 10, To: 60},
-		{Ranker: 3, From: 30, To: 90},
+	cfg.Churn = []dprcore.ChurnEvent{
+		{Ranker: 1, CrashAt: 10, RestartAt: 60, Restart: dprcore.RestartWarm},
+		{Ranker: 3, CrashAt: 30, RestartAt: 90, Restart: dprcore.RestartWarm},
 	}
 	res, err := Run(cfg)
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 // (internal/dprcore): it owns one dprcore.Loop and decides only *when*
 // its phases run — exponential waits on virtual time, two-phase
 // scheduling so the simulator can batch same-instant compute phases
-// onto the parallel pool, and the suspend/resume lifecycle of the
-// paper's §4.2 asynchrony model. The algorithmic state and the
+// onto the parallel pool, and the crash/restart lifecycle the churn
+// schedule drives (§4.2's asynchrony model). The algorithmic state and the
 // DPR1/DPR2 update rule live in dprcore, shared verbatim with the live
 // TCP driver (internal/netpeer). A ranker is driven entirely by
 // simulator events; all methods must be called from the simulation
@@ -37,14 +37,13 @@ type ranker struct {
 	sender   dprcore.Sender
 	rng      *xrand.Rand
 
-	stopped   bool
-	started   bool
-	suspended bool
-	crashed   bool
+	stopped bool
+	started bool
+	crashed bool
 	// wakeupPending tracks whether a scheduled step event is in the
-	// queue, so Resume/Restart never start a second wakeup chain while
-	// the old one is still in flight (a pending wakeup survives a short
-	// suspension or outage and simply continues the chain).
+	// queue, so Restart never starts a second wakeup chain while the old
+	// one is still in flight (a pending wakeup survives a short outage
+	// and simply continues the chain).
 	wakeupPending bool
 }
 
@@ -102,32 +101,15 @@ func (rk *ranker) Start() {
 // events still drain.
 func (rk *ranker) Stop() { rk.stopped = true }
 
-// Suspend pauses the ranker's loop — the paper's §4.2 allows a ranker
-// to "sleep for some time, suspend itself as its wish, or even
-// shutdown". State (R, X, received chunks) is retained in the loop.
-func (rk *ranker) Suspend() { rk.suspended = true }
-
-// Resume restarts a suspended ranker's loop.
-func (rk *ranker) Resume() {
-	if !rk.suspended {
-		return
-	}
-	rk.suspended = false
-	if rk.started && !rk.stopped && !rk.wakeupPending {
-		rk.scheduleNext()
-	}
-}
-
-// Crash kills the ranker abruptly: unlike Suspend it destroys the
-// loop's in-memory state (the failure model's whole point — a crashed
-// node's R, X table, and pending sends are gone). The engine pairs it
-// with taking the host down so in-flight traffic is lost too.
+// Crash kills the ranker abruptly — its loop stops until Restart
+// replaces it — and the engine takes its host down with it.
 func (rk *ranker) Crash() { rk.crashed = true }
 
-// Restart brings a crashed ranker back with a fresh loop, warm-started
-// from snapshot when non-nil (a dprcore checkpoint) and cold (R0 = 0)
-// otherwise. The rebuilt loop reuses the ranker's original rng stream,
-// so a seeded schedule stays deterministic across crash/restart cycles.
+// Restart brings a crashed ranker back with a fresh loop, restored from
+// snapshot when non-nil (a checkpoint, or its loop's Snapshot at the
+// crash) and cold (R0 = 0) otherwise. The rebuilt loop reuses the
+// ranker's rng stream, so a seeded schedule stays deterministic across
+// crash/restart cycles.
 func (rk *ranker) Restart(snapshot []byte) error {
 	if !rk.crashed {
 		return fmt.Errorf("ranker %d: Restart without Crash", rk.Group().Index)
@@ -143,7 +125,7 @@ func (rk *ranker) Restart(snapshot []byte) error {
 	}
 	rk.loop = loop
 	rk.crashed = false
-	if rk.started && !rk.stopped && !rk.suspended && !rk.wakeupPending {
+	if rk.started && !rk.stopped && !rk.wakeupPending {
 		rk.scheduleNext()
 	}
 	return nil
@@ -175,9 +157,9 @@ func (rk *ranker) scheduleNext() {
 // serially in event order.
 func (rk *ranker) step() func() {
 	rk.wakeupPending = false
-	if rk.stopped || rk.suspended || rk.crashed {
-		// A suspended or crashed ranker's pending wakeup dies here;
-		// Resume/Restart schedules a fresh one.
+	if rk.stopped || rk.crashed {
+		// A crashed ranker's pending wakeup dies here; Restart
+		// schedules a fresh one.
 		return nil
 	}
 	rk.loop.ComputePhase()

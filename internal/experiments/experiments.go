@@ -188,7 +188,7 @@ type FigureResult struct {
 // PageRank over time, at K rankers (paper: 1000), for the three
 // loss/speed settings.
 func Fig6(w Workload, k int, maxTime float64) (*FigureResult, error) {
-	return overTime(w, k, maxTime, func(s *engine.Sample) float64 {
+	return overTime(w, k, maxTime, func(s *dprcore.Sample) float64 {
 		return s.RelErr * 100 // the paper plots percent
 	})
 }
@@ -197,12 +197,12 @@ func Fig6(w Workload, k int, maxTime float64) (*FigureResult, error) {
 // at K rankers (paper: 100). The converged level sits near 0.25–0.3
 // because 8/15 of links leave the dataset.
 func Fig7(w Workload, k int, maxTime float64) (*FigureResult, error) {
-	return overTime(w, k, maxTime, func(s *engine.Sample) float64 {
+	return overTime(w, k, maxTime, func(s *dprcore.Sample) float64 {
 		return s.AvgRank
 	})
 }
 
-func overTime(w Workload, k int, maxTime float64, metric func(*engine.Sample) float64) (*FigureResult, error) {
+func overTime(w Workload, k int, maxTime float64, metric func(*dprcore.Sample) float64) (*FigureResult, error) {
 	if err := checkK(k); err != nil {
 		return nil, err
 	}
@@ -630,10 +630,10 @@ func Churn(w Workload, k int, crashes []int, maxTime float64) ([]ChurnRow, error
 		cfg.Churn = make([]dprcore.ChurnEvent, crashes[i])
 		for j := range cfg.Churn {
 			cfg.Churn[j] = dprcore.ChurnEvent{
-				Ranker:         j,
-				CrashAt:        6 + 2*float64(j),
-				RestartAt:      13 + 2*float64(j),
-				FromCheckpoint: true,
+				Ranker:    j,
+				CrashAt:   6 + 2*float64(j),
+				RestartAt: 13 + 2*float64(j),
+				Restart:   dprcore.RestartCheckpoint,
 			}
 		}
 		run, err := engine.Run(cfg)

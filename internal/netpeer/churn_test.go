@@ -9,6 +9,7 @@ import (
 
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
+	"p2prank/internal/partition"
 	"p2prank/internal/telemetry"
 )
 
@@ -27,10 +28,10 @@ func churnClusterConfig(k, victim int, crash time.Duration) ClusterConfig {
 		K:        k,
 		MeanWait: 10 * time.Millisecond,
 		Churn: []dprcore.ChurnEvent{{
-			Ranker:         victim,
-			CrashAt:        float64(crash),
-			RestartAt:      float64(crash + 50*time.Millisecond),
-			FromCheckpoint: true,
+			Ranker:    victim,
+			CrashAt:   float64(crash),
+			RestartAt: float64(crash + 50*time.Millisecond),
+			Restart:   dprcore.RestartCheckpoint,
 		}},
 	}
 }
@@ -69,14 +70,14 @@ func TestClusterKillRestartConverges(t *testing.T) {
 		// Warm start: the checkpoint carried the victim's loop counter.
 		t.Fatal("restarted peer started cold despite checkpoints")
 	}
-	if err := cl.WaitConverged(1e-6, 30*time.Second); err != nil {
+	rec, err := cl.Converge(1e-6, 30*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var retries int64
-	for i := 0; i < 4; i++ {
-		retries += cl.Peer(i).ReliableStats().Retries
+	if rec.Recoveries != 1 {
+		t.Fatalf("Recoveries = %d, want the one checkpoint restore", rec.Recoveries)
 	}
-	if retries == 0 {
+	if rec.ReliableStats.Retries == 0 {
 		t.Fatal("no retransmissions while a peer was down")
 	}
 }
@@ -119,7 +120,7 @@ func TestClusterChurnMetricsMidRun(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if err := cl.WaitConverged(1e-4, 30*time.Second); err != nil {
+	if _, err := cl.Converge(1e-4, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,7 +146,7 @@ func TestBadChurnRefusedByBothDrivers(t *testing.T) {
 		"overlapping windows": {churn: []dprcore.ChurnEvent{
 			{Ranker: 2, CrashAt: 10, RestartAt: 30}, {Ranker: 2, CrashAt: 20, RestartAt: 40}}},
 		"checkpoint sink not in memory": {
-			churn: []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: 2, FromCheckpoint: true}},
+			churn: []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: 2, Restart: dprcore.RestartCheckpoint}},
 			sink:  discardSink{},
 		},
 	} {
@@ -162,6 +163,69 @@ func TestBadChurnRefusedByBothDrivers(t *testing.T) {
 		sim, live := errors.Unwrap(simErr), errors.Unwrap(liveErr)
 		if sim == nil || live == nil || sim.Error() != live.Error() || !strings.HasPrefix(sim.Error(), "dprcore: ") {
 			t.Errorf("%s: engine %q and cluster %q refuse differently", name, simErr, liveErr)
+		}
+	}
+}
+
+// TestWarmChurnBothDrivers runs one DPR1 schedule with a warm restart
+// — §4.2's suspend — through the simulator and the live cluster, on
+// each driver's own clock (unit is one mean wait). Each record must
+// converge, never drop its mean loop count (the restarted ranker counts
+// on from its pre-crash loops; a cold restart would fall back to 0),
+// keep the average rank monotone (Thm 4.1: a warm restart rewinds
+// nothing), and count no checkpoint recovery.
+func TestWarmChurnBothDrivers(t *testing.T) {
+	const k, victim = 4, 2
+	g := genGraph(t, 1200, 13)
+	params := dprcore.Params{Alg: dprcore.DPR1}
+	schedule := func(unit float64) []dprcore.ChurnEvent {
+		return []dprcore.ChurnEvent{{Ranker: victim, CrashAt: 5 * unit, RestartAt: 12 * unit, Restart: dprcore.RestartWarm}}
+	}
+	simParams := params
+	simParams.T1, simParams.T2 = 1, 1
+	res, err := engine.Run(engine.Config{Params: simParams, Graph: g, K: k, Strategy: partition.ByPage,
+		SampleEvery: 1, MaxTime: 300, TargetRelErr: 1e-6, Churn: schedule(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wait = 10 * time.Millisecond
+	cl, err := StartCluster(g, ClusterConfig{Params: params, K: k, Strategy: partition.ByPage,
+		MeanWait: wait, Churn: schedule(float64(wait))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var live *dprcore.Record
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		live, err = cl.Converge(1e-6, 30*time.Second)
+		done <- err
+	}()
+	// The closed peer's count is frozen at the crash; its warm successor
+	// starts from it (a cold one would start from 0).
+	old := cl.Peer(victim)
+	if p := waitReplaced(t, cl, victim, old); p.Loops() < old.Loops() {
+		t.Errorf("restarted peer at loop %d, crashed at %d", p.Loops(), old.Loops())
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string]*dprcore.Record{"engine": &res.Record, "cluster": live} {
+		if rec.ConvergedAt < 0 {
+			t.Errorf("%s: did not converge (rel err %v)", name, rec.RelErr)
+		}
+		for i := 1; i < len(rec.Samples); i++ {
+			prev, cur := rec.Samples[i-1], rec.Samples[i]
+			if cur.MeanLoops < prev.MeanLoops {
+				t.Errorf("%s: mean loops fell from %v to %v at t=%v", name, prev.MeanLoops, cur.MeanLoops, cur.Time)
+			}
+			if cur.AvgRank < prev.AvgRank-1e-12 {
+				t.Errorf("%s: average rank fell from %v to %v at t=%v (Thm 4.1)", name, prev.AvgRank, cur.AvgRank, cur.Time)
+			}
+		}
+		if rec.Recoveries != 0 {
+			t.Errorf("%s: Recoveries = %d, want 0 (warm is not a checkpoint restore)", name, rec.Recoveries)
 		}
 	}
 }
@@ -201,7 +265,7 @@ func TestClusterChurnCloseMidRestart(t *testing.T) {
 }
 
 // TestClusterChurnRestartFailureReported: a restart that cannot restore
-// its checkpoint surfaces from WaitConverged instead of panicking in
+// its checkpoint surfaces from Converge instead of panicking in
 // the timer goroutine.
 func TestClusterChurnRestartFailureReported(t *testing.T) {
 	g := genGraph(t, 600, 9)
@@ -217,8 +281,8 @@ func TestClusterChurnRestartFailureReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	err = cl.WaitConverged(0, 10*time.Second)
+	_, err = cl.Converge(0, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "restart peer 1") || !strings.Contains(err.Error(), "not a snapshot") {
-		t.Fatalf("WaitConverged = %v, want the failed restart", err)
+		t.Fatalf("Converge = %v, want the failed restart", err)
 	}
 }

@@ -43,8 +43,8 @@ type ClusterConfig struct {
 	// cluster's epoch — the one live time axis, taken as StartCluster
 	// starts the peers, that every peer's fault windows are measured
 	// from too (see Cluster.Elapsed). A crash closes the peer; a restart
-	// binds a fresh one on a new port, warm from the in-memory
-	// checkpoint when the event asks for one, and re-meshes it.
+	// binds a fresh one on a new port, restores the state the event's
+	// Restart mode picks, and re-meshes it.
 	Churn []dprcore.ChurnEvent
 }
 
@@ -65,10 +65,12 @@ type Cluster struct {
 	// peer's fault windows, restarted peers' included, count from here.
 	epoch time.Time
 
-	// mu guards Peers (restarts swap entries), timers and churnErr.
+	// mu guards Peers (restarts swap entries), timers, churnErr and
+	// gone (the replaced peers' counters, the restarts' Recoveries).
 	mu       sync.Mutex
 	timers   []*time.Timer
 	churnErr error
+	gone     dprcore.Record
 	// churnMu serializes churn actions with each other and with Close;
 	// closed, which it guards, turns every later action into a no-op.
 	churnMu sync.Mutex
@@ -109,7 +111,7 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 		cl.ov = ring
 	}
 	for i := 0; i < cfg.K; i++ {
-		peer, err := cl.newPeer(i)
+		peer, err := cl.newPeer(i, nil)
 		if err != nil {
 			cl.Close()
 			return nil, err
@@ -129,11 +131,16 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	for _, ev := range cfg.Churn {
 		ev := ev
 		cl.after(time.Until(cl.epoch.Add(time.Duration(ev.CrashAt))), func() error {
-			cl.Peer(ev.Ranker).Close()
+			p := cl.Peer(ev.Ranker)
+			p.Close()
+			// Once Close has stopped the rank loop no round runs between a
+			// warm snapshot and the crash: the peer's unacked chunks ride
+			// in it, and the restart rewinds nothing.
+			snap, recovered := cl.Deployment.RestartFrom(ev, p.snapshot)
 			// Armed only once the crash ran, so the restart follows it
 			// however close the two times are.
 			cl.after(time.Until(cl.epoch.Add(time.Duration(ev.RestartAt))), func() error {
-				return cl.restartPeer(ev.Ranker, ev.FromCheckpoint)
+				return cl.restartPeer(ev.Ranker, snap, recovered)
 			})
 			return nil
 		})
@@ -143,16 +150,24 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 
 // newPeer builds and binds the peer for group i with the deployment's
 // parameters — one fault lattice, cut by the run seed — on the
-// cluster's epoch. The caller starts it and meshes its address.
-func (cl *Cluster) newPeer(i int) (*Peer, error) {
+// cluster's epoch, its loop restored from snap when non-nil (pending
+// chunks in it re-enter through the sender chain). The caller starts
+// it and meshes its address.
+func (cl *Cluster) newPeer(i int, snap []byte) (*Peer, error) {
 	dep := cl.Deployment
-	return listen("127.0.0.1:0", Config{
+	p, err := listen("127.0.0.1:0", Config{
 		Params:  dep.Params,
 		Group:   dep.Groups[i],
 		Seed:    dep.PeerSeed(i),
 		Codec:   cl.cfg.Codec,
 		Overlay: cl.ov,
 	}, cl.epoch)
+	if err == nil && snap != nil {
+		if err = p.loop.Restore(snap); err != nil {
+			p.Close()
+		}
+	}
+	return p, err
 }
 
 // Elapsed returns the nanoseconds since the cluster's epoch: the axis
@@ -162,7 +177,7 @@ func (cl *Cluster) Elapsed() float64 { return float64(time.Since(cl.epoch)) }
 // after runs the churn action act d from now. Actions serialize on
 // churnMu and do nothing once Close has marked the cluster closed, so
 // none is mid-flight when Close returns; the first failed action is
-// kept for WaitConverged.
+// kept for Converge.
 func (cl *Cluster) after(d time.Duration, act func() error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -182,24 +197,20 @@ func (cl *Cluster) after(d time.Duration, act func() error) {
 	}))
 }
 
-// restartPeer rebuilds the peer for group i after its crash closed it:
-// bind a fresh peer, warm-start it from the ranker's last checkpoint
-// when fromCheckpoint is set and one was saved, splice it into the mesh
-// (its port is new), and start it.
-func (cl *Cluster) restartPeer(i int, fromCheckpoint bool) error {
-	peer, err := cl.newPeer(i)
+// restartPeer rebuilds peer i after its crash closed it: bind a fresh
+// peer restored from snap (recovered: a checkpoint), splice it into the
+// mesh (its port is new), and start it. The closed peer's counters are
+// folded into the cluster's record as it is replaced.
+func (cl *Cluster) restartPeer(i int, snap []byte, recovered bool) error {
+	peer, err := cl.newPeer(i, snap)
 	if err != nil {
 		return fmt.Errorf("netpeer: restart peer %d: %w", i, err)
 	}
-	if fromCheckpoint {
-		if data, _, ok := cl.Deployment.Checkpoints.Load(i); ok {
-			if err := peer.RestoreSnapshot(data); err != nil {
-				peer.Close()
-				return fmt.Errorf("netpeer: restart peer %d: %w", i, err)
-			}
-		}
-	}
 	cl.mu.Lock()
+	if recovered {
+		cl.gone.Recoveries++
+	}
+	cl.gone.Tally(cl.Peers[i].stack)
 	cl.Peers[i] = peer
 	for j, q := range cl.Peers {
 		if j == i {
@@ -207,8 +218,10 @@ func (cl *Cluster) restartPeer(i int, fromCheckpoint bool) error {
 		}
 		peer.SetPeer(int32(j), q.Addr())
 		q.SetPeer(int32(i), peer.Addr())
-		// Senders that gave the dead peer up resume immediately.
-		q.ClearBroken(i)
+		if q.stack.Reliable != nil {
+			// Senders that gave the dead peer up resume immediately.
+			q.stack.Reliable.ClearBreaker(i)
+		}
 	}
 	cl.mu.Unlock()
 	peer.Start()
@@ -232,7 +245,7 @@ func (cl *Cluster) Assemble() vecmath.Vec {
 	cl.mu.Lock()
 	peers := append([]*Peer(nil), cl.Peers...)
 	cl.mu.Unlock()
-	cl.Deployment.Assemble(out, func(i int) vecmath.Vec { return peers[i].Ranks() })
+	cl.Deployment.Assemble(out, func(i int) dprcore.Ranker { return peers[i] })
 	return out
 }
 
@@ -242,26 +255,35 @@ func (cl *Cluster) RelErr() float64 {
 	return vecmath.RelErr1(cl.Assemble(), cl.Reference)
 }
 
-// WaitConverged polls until the relative error drops to target or the
-// timeout expires. A churn restart that failed is returned at once.
-func (cl *Cluster) WaitConverged(target float64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
+// Converge samples the cluster every 20 ms of Elapsed until the
+// relative error reaches target or timeout expires, and returns the
+// run record, its counters summed over every peer the cluster ran,
+// churned ones included. A churn restart that failed returns at once.
+func (cl *Cluster) Converge(target float64, timeout time.Duration) (*dprcore.Record, error) {
+	rec := &dprcore.Record{ConvergedAt: -1}
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.Now().Add(timeout); ; <-tick.C {
 		cl.mu.Lock()
-		err := cl.churnErr
+		err, peers := cl.churnErr, append([]*Peer(nil), cl.Peers...)
 		cl.mu.Unlock()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if re := cl.RelErr(); re <= target {
-			return nil
+		if cl.Deployment.Sample(rec, cl.Elapsed(), cl.Reference, target, func(i int) dprcore.Ranker { return peers[i] }) {
+			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("netpeer: not converged to %v within %v (rel err %v)",
-				target, timeout, cl.RelErr())
+			return nil, fmt.Errorf("netpeer: not converged to %v within %v (rel err %v)", target, timeout, rec.RelErr)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	rec.FaultStats, rec.ReliableStats, rec.Recoveries = cl.gone.FaultStats, cl.gone.ReliableStats, cl.gone.Recoveries
+	for _, p := range cl.Peers {
+		rec.Tally(p.stack)
+	}
+	return rec, nil
 }
 
 // Close shuts the cluster down: pending churn timers are stopped, an

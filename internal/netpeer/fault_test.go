@@ -22,14 +22,11 @@ func TestClusterConvergesUnderFaultDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-6, 30*time.Second); err != nil {
+	rec, err := cl.Converge(1e-6, 30*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var dropped int64
-	for _, p := range cl.Peers {
-		dropped += p.FaultStats().Dropped
-	}
-	if dropped == 0 {
+	if rec.FaultStats.Dropped == 0 {
 		t.Fatal("no chunks dropped across the cluster")
 	}
 }
@@ -51,16 +48,11 @@ func TestClusterConvergesUnderDelayAndDup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-6, 30*time.Second); err != nil {
+	rec, err := cl.Converge(1e-6, 30*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var delayed, duplicated int64
-	for _, p := range cl.Peers {
-		s := p.FaultStats()
-		delayed += s.Delayed
-		duplicated += s.Duplicated
-	}
-	if delayed == 0 || duplicated == 0 {
-		t.Fatalf("fault injector idle: delayed=%d duplicated=%d", delayed, duplicated)
+	if s := rec.FaultStats; s.Delayed == 0 || s.Duplicated == 0 {
+		t.Fatalf("fault injector idle: delayed=%d duplicated=%d", s.Delayed, s.Duplicated)
 	}
 }

@@ -308,31 +308,6 @@ func (p *Peer) ChunksRelayed() int64 { return p.relayed.Load() }
 // are dropped and counted, never trusted.
 func (p *Peer) ChunksRejected() int64 { return p.rejected.Load() }
 
-// FaultStats returns how many chunks the peer's fault injector
-// dropped, delayed, duplicated, blackholed across a partition, or
-// straggled (all zero when faults are off).
-func (p *Peer) FaultStats() dprcore.FaultStats { return p.stack.Faults.Stats() }
-
-// ReliableStats returns the reliable layer's counters (all zero when
-// the layer is off).
-func (p *Peer) ReliableStats() dprcore.ReliableStats { return p.stack.Reliable.Stats() }
-
-// Broken reports whether the peer's reliable layer currently presumes
-// destination group dst dead (its circuit is open). Always false when
-// the layer is off.
-func (p *Peer) Broken(dst int) bool {
-	return p.stack.Reliable != nil && p.stack.Reliable.Broken(dst)
-}
-
-// ClearBroken closes the reliable layer's circuit toward destination
-// group dst — the cluster calls it after a churn restart of that
-// peer. A no-op when the layer is off.
-func (p *Peer) ClearBroken(dst int) {
-	if p.stack.Reliable != nil {
-		p.stack.Reliable.ClearBreaker(dst)
-	}
-}
-
 // Ranks returns a snapshot of the peer's current local rank vector.
 func (p *Peer) Ranks() vecmath.Vec {
 	p.mu.Lock()
@@ -340,17 +315,11 @@ func (p *Peer) Ranks() vecmath.Vec {
 	return p.loop.Ranks().Clone()
 }
 
-// RestoreSnapshot warm-starts the peer's loop from a dprcore checkpoint
-// (see dprcore.Loop.Restore). It must be called before Start; pending
-// chunks captured in the snapshot re-enter through the sender chain and
-// ship after the first loop.
-func (p *Peer) RestoreSnapshot(data []byte) error {
-	if p.started.Load() {
-		return fmt.Errorf("netpeer: RestoreSnapshot after Start")
-	}
+// snapshot returns the loop's encoded state (dprcore.Loop.Snapshot).
+func (p *Peer) snapshot() []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.loop.Restore(data)
+	return p.loop.Snapshot()
 }
 
 // Start launches the ranking loop. It is idempotent.

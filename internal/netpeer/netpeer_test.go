@@ -38,7 +38,7 @@ func TestDriversDeployAlike(t *testing.T) {
 	g := genGraph(t, 800, 29)
 	params := dprcore.Params{Alg: dprcore.DPR1,
 		Fault: dprcore.FaultConfig{DropProb: 0.05, PartitionFrac: 0.3, PartitionTo: 1e6}}
-	churn := []dprcore.ChurnEvent{{Ranker: 1, CrashAt: 10, RestartAt: 20, FromCheckpoint: true}}
+	churn := []dprcore.ChurnEvent{{Ranker: 1, CrashAt: 10, RestartAt: 20, Restart: dprcore.RestartCheckpoint}}
 
 	res, err := engine.Run(engine.Config{Params: params, Graph: g, K: k, Strategy: partition.BySite,
 		Seed: seed, MaxTime: 30, Churn: churn})
@@ -99,7 +99,7 @@ func TestClusterConvergesDPR1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-6, 20*time.Second); err != nil {
+	if _, err := cl.Converge(1e-6, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,7 +111,7 @@ func TestClusterConvergesDPR2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-5, 30*time.Second); err != nil {
+	if _, err := cl.Converge(1e-5, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,7 +154,7 @@ func TestClusterWithLossConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-5, 30*time.Second); err != nil {
+	if _, err := cl.Converge(1e-5, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -282,7 +282,7 @@ func TestIndirectClusterConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-5, 30*time.Second); err != nil {
+	if _, err := cl.Converge(1e-5, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// With 40 peers the Pastry leaf set (16) no longer spans the ring,
@@ -322,7 +322,7 @@ func TestCodecWireCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cd.Name(), err)
 		}
-		if err := cl.WaitConverged(1e-4, 30*time.Second); err != nil {
+		if _, err := cl.Converge(1e-4, 30*time.Second); err != nil {
 			cl.Close()
 			t.Fatalf("%s: %v", cd.Name(), err)
 		}
@@ -347,7 +347,7 @@ func TestCodecWireIndirectCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.WaitConverged(1e-4, 30*time.Second); err != nil {
+	if _, err := cl.Converge(1e-4, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

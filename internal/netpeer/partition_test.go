@@ -64,9 +64,9 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 	for {
 		var trips int64
 		for i := 0; i < k; i++ {
-			trips += cl.Peer(i).ReliableStats().BreakerTrips
+			trips += cl.Peer(i).stack.Reliable.Stats().BreakerTrips
 			for j := 0; j < k; j++ {
-				if i != j && cut.PartitionMinority(i) != cut.PartitionMinority(j) && cl.Peer(i).Broken(j) {
+				if i != j && cut.PartitionMinority(i) != cut.PartitionMinority(j) && cl.Peer(i).stack.Reliable.Broken(j) {
 					sawBroken = true
 				}
 			}
@@ -82,23 +82,21 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 
 	// Closed: after the heal the probes get acked and the cluster
 	// reaches the fault-free fixed point.
-	if err := cl.WaitConverged(1e-6, 30*time.Second); err != nil {
+	rec, err := cl.Converge(1e-6, 30*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var acks, partitioned int64
 	for i := 0; i < k; i++ {
-		acks += cl.Peer(i).ReliableStats().Acks
-		partitioned += cl.Peer(i).FaultStats().Partitioned
 		for j := 0; j < k; j++ {
-			if i != j && cl.Peer(i).Broken(j) {
+			if i != j && cl.Peer(i).stack.Reliable.Broken(j) {
 				t.Fatalf("peer %d's circuit to %d still open after convergence", i, j)
 			}
 		}
 	}
-	if acks == 0 {
+	if rec.ReliableStats.Acks == 0 {
 		t.Fatal("no acks after the heal — circuits never closed by traffic")
 	}
-	if partitioned == 0 {
+	if rec.FaultStats.Partitioned == 0 {
 		t.Fatal("partition window blackholed nothing")
 	}
 }
@@ -147,7 +145,7 @@ func TestClusterRestartKeepsPartitionAxis(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := p.FaultStats().Partitioned; n != 0 {
+	if n := p.stack.Faults.Stats().Partitioned; n != 0 {
 		t.Fatalf("restarted peer blackholed %d chunks after the cluster healed", n)
 	}
 }

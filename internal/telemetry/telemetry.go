@@ -126,11 +126,11 @@ func (k FaultKind) String() string {
 	return "unknown"
 }
 
-// Milestone is a convergence checkpoint emitted by the orchestration
-// layer (engine samples, dprnode demo polls), not by the loop core.
+// Milestone is a convergence checkpoint emitted by the drivers' one
+// sampling step (dprcore.Deployment.Sample), not by the loop core.
 type Milestone struct {
-	// Time is the runtime's time of the checkpoint (virtual units
-	// in-sim, seconds since start for the live demo).
+	// Time is the driver's time of the checkpoint (virtual units
+	// in-sim, nanoseconds since the live cluster's epoch).
 	Time float64
 	// RelErr is the global relative error against centralized PageRank.
 	RelErr float64
