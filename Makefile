@@ -59,17 +59,19 @@ fuzz:
 
 # Failure-path suite under the race detector: one crash/restart churn
 # schedule run by both drivers (and refused the same way by both when
-# bad), the live cluster closing while a restart is due, warm restarts
-# (§4.2's suspend) in both drivers, checkpointed recovery, the engine
-# refusing non-finite times, the reliable ack/retry/backoff layer, and
-# the partition/straggler fault lattice (see DESIGN.md §11 and §17) —
+# bad), the served-staleness bound (2·Every−1) held across it through
+# the checkpoint seam in both drivers, the live cluster closing while a
+# restart is due, warm restarts (§4.2's suspend) in both drivers,
+# checkpointed recovery, the engine refusing non-finite times, the
+# reliable ack/retry/backoff layer, and the partition/straggler fault
+# lattice (see DESIGN.md §11 and §17) —
 # plus the end-to-end serve-under-partition smoke (dprnode -serve
 # through a healing cut), the start/close-under-load loop that pins the
 # netpeer accept/close race, and the hostile-chunk, hostile-relay and
 # hostile-ack peer tests.
 chaos:
 	$(GO) test -race -count=1 -run 'Churn|Warm|KillRestart|NonFinite|Snapshot|Checkpoint|Reliable|Partition|Straggler|CloseUnderLoad|Hostile' \
-		./internal/dprcore/... ./internal/engine/... ./internal/netpeer/...
+		./internal/dprcore/... ./internal/engine/... ./internal/netpeer/... ./internal/serve/
 	$(GO) test -run TestServeChaosPartitionDprnode -v ./internal/clitest/
 
 # End-to-end observability check: boot a 3-ranker dprnode cluster with
@@ -79,7 +81,8 @@ obs-smoke:
 	$(GO) test -run TestDprnodeObsSmoke -v ./internal/clitest/
 
 # End-to-end serving check: dprnode -demo with the query tier and load
-# generator on (HTTP /search + query metrics on /metrics), and the
+# generator on (HTTP /search + query metrics on /metrics; a short run's
+# answered queries and served-staleness high-water mark), and the
 # dprsim serving sweep at a toy scale (internal/clitest).
 serve-smoke:
 	$(GO) test -run TestServeSmoke -v ./internal/clitest/

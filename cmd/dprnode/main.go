@@ -136,20 +136,9 @@ func main() {
 	if col != nil {
 		params.Observer = col
 	}
-	// -serve: the peers' ComputeEnd hooks drive the staleness clock via
-	// a Tracker wrapped around whatever observer is already installed.
-	var store *serve.Store
-	if *srvAddr != "" {
-		var err error
-		store, err = serve.NewStore(*k)
-		if err != nil {
-			fatal(err)
-		}
-		params.Observer = serve.NewTracker(store, params.Observer)
-	}
 	if *demo {
 		runDemo(*pages, *k, params, *target, *seed, indirect, wire, col,
-			store, *srvAddr, *qps, *topk)
+			*srvAddr, *qps, *topk)
 		return
 	}
 	runPeer(*graphPath, *k, *index, *listen, *peersFlag, params, *seed, indirect, wire)
@@ -179,12 +168,33 @@ func liveFault(fc dprcore.FaultConfig) dprcore.FaultConfig {
 	return fc
 }
 
-func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.Collector, store *serve.Store, srvAddr string, qps, topk int) {
+// servePublishEvery is the demo's checkpoint cadence with -serve, in
+// committed rounds: every second round each ranker's snapshot reaches
+// the store, so no shard is served more than 2·2−1 = 3 rounds stale.
+const servePublishEvery = 2
+
+func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.Collector, srvAddr string, qps, topk int) {
 	gcfg := webgraph.DefaultGenConfig(pages)
 	gcfg.Seed = seed
 	g, err := webgraph.Generate(gcfg)
 	if err != nil {
 		fatal(err)
+	}
+	// -serve: the store is fed through the checkpoint seam, like every
+	// serving tier — the Publisher as the peers' checkpoint sink — and
+	// their ComputeEnd hooks drive its staleness clock via a Tracker
+	// wrapped around whatever observer is already installed.
+	var (
+		store   *serve.Store
+		tracker *serve.Tracker
+	)
+	if srvAddr != "" {
+		if store, err = serve.NewStore(k); err != nil {
+			fatal(err)
+		}
+		tracker = serve.NewTracker(store, params.Observer)
+		params.Observer = tracker
+		params.Checkpoint = dprcore.CheckpointConfig{Every: servePublishEvery, Sink: serve.NewPublisher(store, nil)}
 	}
 	mode := "direct"
 	if indirect {
@@ -225,31 +235,26 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	}
 	if store != nil {
 		fmt.Printf("served %d load-gen queries, max served staleness %d rounds\n",
-			stopServe().Answered, store.MaxStaleness())
+			stopServe().Answered, tracker.MaxObservedStaleness())
 	}
 }
 
-// startServing exposes the demo cluster's ranks as a query tier: a
-// publisher goroutine polls each live peer's local rank vector into the
-// snapshot store, the serve.Handler answers /search on srvAddr, and an
-// optional internal load generator (-qps) drives the merged read path,
-// reporting per-query latency and staleness to the live collector. The
-// frontend routes over the cluster's own ring and partition. When
-// -fault injects partitions or stragglers, it also shares the peers'
-// lattice, on the cluster's time axis, so its fan-outs route around the
-// cut. The returned func stops all of it and reports the load
+// startServing exposes the demo cluster's ranks as a query tier: the
+// serve.Handler answers /search on srvAddr from the store the peers'
+// checkpoints publish into, and an optional internal load generator
+// (-qps) drives the merged read path, reporting per-query latency and
+// staleness to the live collector. The frontend routes over the
+// cluster's own ring and partition. When -fault injects partitions or
+// stragglers, it also shares the peers' lattice, on the cluster's time
+// axis, from a node on the majority side, so its fan-outs route around
+// the cut. The returned func stops all of it and reports the load
 // generator's storm.
 func startServing(cl *netpeer.Cluster, g *webgraph.Graph, store *serve.Store, col *telemetry.Collector, addr string, qps, topk int) (func() serve.StormStats, error) {
 	store.SetTelemetry(col)
 	dep := cl.Deployment
-	k := dep.Ring.NumNodes()
 	cfg := serve.Config{}
 	if fault := dep.Params.Fault; fault.PartitionFrac > 0 || fault.StraggleFrac > 0 {
-		at := 0
-		for at < k && fault.PartitionMinority(at) {
-			at++
-		}
-		health, err := serve.NewLatticeHealth(fault, at, cl.Elapsed)
+		health, err := serve.NewLatticeHealth(fault, fault.MajorityNode(dep.Ring.NumNodes()), cl.Elapsed)
 		if err != nil {
 			return nil, err
 		}
@@ -274,28 +279,6 @@ func startServing(cl *netpeer.Cluster, g *webgraph.Graph, store *serve.Store, co
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // snapshot publisher: one goroutine, so per-shard publishes stay serialized
-		defer wg.Done()
-		tick := time.NewTicker(250 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			for s := 0; s < k; s++ {
-				p := cl.Peer(s)
-				if p == nil || !p.Alive() {
-					continue
-				}
-				if _, err := store.Publish(s, p.Loops(), p.Ranks()); err != nil {
-					fmt.Fprintln(os.Stderr, "dprnode: publish:", err)
-				}
-			}
-		}
-	}()
 	srv := &http.Server{Handler: serve.NewHandler(fe, topk, col).Mux()}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -51,9 +51,7 @@ func main() {
 		fmt.Print(webgraph.ComputeStats(g).String())
 	}
 	if *cut {
-		rows, err := experiments.PartitionCut(experiments.Workload{
-			Pages: *pages, Sites: cfg.Sites, Seed: *seed,
-		}, *k)
+		rows, err := experiments.PartitionCut(experiments.Workload{Source: g, Seed: *seed}, *k)
 		if err != nil {
 			fatal(err)
 		}

@@ -100,6 +100,12 @@ func TestGenwebCut(t *testing.T) {
 	if !strings.Contains(out, "by-site") || !strings.Contains(out, "random") {
 		t.Fatalf("cut table missing:\n%s", out)
 	}
+	// The cut measures the crawl genweb generated, shape flags included.
+	sparse := run(t, "genweb", "-pages", "4000", "-cut", "-k", "8", "-degree", "4", "-extfrac", "0.2")
+	table := func(out string) string { return out[strings.Index(out, "partition cut"):] }
+	if table(sparse) == table(out) {
+		t.Fatalf("-degree 4 -extfrac 0.2 cut the same as the default crawl:\n%s", sparse)
+	}
 }
 
 func TestBwtableReproducesTable1(t *testing.T) {
@@ -195,6 +201,27 @@ func TestDprsimNonFiniteMaxTime(t *testing.T) {
 		}
 		if msg := stderr.String(); !strings.Contains(msg, "MaxTime") || strings.Contains(msg, "goroutine") {
 			t.Fatalf("-maxtime %s: want a MaxTime error and no stack trace, got:\n%s", v, msg)
+		}
+	}
+}
+
+// TestDprsimBadRankerCounts: a negative -k is refused, not read as
+// "the default", and a non-positive -ks entry is an error naming K, not
+// a makeslice panic building the ring.
+func TestDprsimBadRankerCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "cut", "-pages", "2000", "-k", "-3"},
+		{"-exp", "hops", "-ks", "-5"},
+		{"-exp", "hops", "-ks", "8,0"},
+	} {
+		var stderr strings.Builder
+		cmd := exec.Command(filepath.Join(builtDir, "dprsim"), args...)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("%v exited 0", args)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "K =") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: want an error naming K and no stack trace, got:\n%s", args, msg)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 
 var serveURLRx = regexp.MustCompile(`serving: (http://[^/\s]+)`)
 
-// TestServeSmokeDprnode is half of `make serve-smoke`: boot a demo
+// TestServeSmokeDprnode is part of `make serve-smoke`: boot a demo
 // cluster with the query tier and internal load generator on, hit
 // /search over HTTP while it ranks, and check the query metrics land
 // on the same /metrics endpoint obs-smoke scrapes.
@@ -123,6 +124,27 @@ func TestServeSmokeDprnode(t *testing.T) {
 	}
 }
 
+var servedRx = regexp.MustCompile(`served (\d+) load-gen queries, max served staleness (\d+) rounds`)
+
+// TestServeSmokeDprnodeFreshness runs a short demo to convergence with
+// the query tier and load generator on. The peers publish through the
+// checkpoint seam every 2 rounds, so the load generator is answered
+// from the first rounds on, and no shard was ever served more than
+// 2·2−1 = 3 rounds stale (the closing line's high-water mark).
+func TestServeSmokeDprnodeFreshness(t *testing.T) {
+	out := run(t, "dprnode", "-demo", "-pages", "2500", "-k", "3", "-target", "1e-9",
+		"-serve", "127.0.0.1:0", "-qps", "200")
+	m := servedRx.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no serving summary line:\n%s", out)
+	}
+	answered, _ := strconv.Atoi(m[1])
+	stale, _ := strconv.Atoi(m[2])
+	if answered == 0 || stale > 3 {
+		t.Fatalf("answered %d load-gen queries with max served staleness %d, want > 0 and ≤ 3:\n%s", answered, stale, out)
+	}
+}
+
 // get fetches a URL, tolerating non-200 statuses (unlike obsScrape).
 func get(t *testing.T, url string) (body string, status int) {
 	t.Helper()
@@ -138,7 +160,7 @@ func get(t *testing.T, url string) (body string, status int) {
 	return string(raw), resp.StatusCode
 }
 
-// TestServeSmokeDprsim is the other half of `make serve-smoke`: the
+// TestServeSmokeDprsim is the last part of `make serve-smoke`: the
 // deterministic serving sweep at a toy scale must report the QPS,
 // latency percentile, and staleness columns.
 func TestServeSmokeDprsim(t *testing.T) {

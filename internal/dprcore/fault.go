@@ -137,6 +137,19 @@ func (c FaultConfig) PartitionMinority(node int) bool {
 	return c.PartitionFrac > 0 && latticeHash01(c.Seed, node, saltPartition) < c.PartitionFrac
 }
 
+// MajorityNode returns the lowest of nodes 0..k-1 on the majority side
+// of the partition — where a serving frontend sits, so the minority is
+// what drops out of its fan-outs. When every node is on the minority
+// side nothing is cut, and it returns 0: always a node on the ring.
+func (c FaultConfig) MajorityNode(k int) int {
+	for n := 0; n < k; n++ {
+		if !c.PartitionMinority(n) {
+			return n
+		}
+	}
+	return 0
+}
+
 // Straggler reports whether node is one of the seeded stragglers.
 // False whenever StraggleFrac is zero.
 func (c FaultConfig) Straggler(node int) bool {

@@ -452,3 +452,40 @@ func TestLatticeMembershipPureAndProportional(t *testing.T) {
 		t.Error("zero config has lattice members")
 	}
 }
+
+// TestMajorityNodeStaysOnTheRing: the frontend's node is always one of
+// the k rankers. With seed 1 and k = 2 a 60 % partition puts both
+// rankers on the minority side, so nothing is cut and node 0 is as good
+// as any; index k, past the ring, could hash to the other side and cut
+// every shard off.
+func TestMajorityNodeStaysOnTheRing(t *testing.T) {
+	cut := FaultConfig{PartitionFrac: 0.6, PartitionTo: 10, Seed: 1}
+	if !cut.PartitionMinority(0) || !cut.PartitionMinority(1) {
+		t.Fatal("seed 1 no longer puts both of k = 2 on the minority side; pick another seed")
+	}
+	if at := cut.MajorityNode(2); at != 0 {
+		t.Fatalf("MajorityNode(2) = %d with every node on the minority side, want 0", at)
+	}
+	for k := 1; k <= 64; k++ {
+		at := cut.MajorityNode(k)
+		if at < 0 || at >= k {
+			t.Fatalf("MajorityNode(%d) = %d, off the ring", k, at)
+		}
+		for n := 0; n < at; n++ {
+			if !cut.PartitionMinority(n) {
+				t.Fatalf("MajorityNode(%d) = %d skips majority node %d", k, at, n)
+			}
+		}
+		if cut.PartitionMinority(at) {
+			for n := 0; n < k; n++ {
+				if !cut.PartitionMinority(n) {
+					t.Fatalf("MajorityNode(%d) = %d on the minority side while node %d is not", k, at, n)
+				}
+			}
+		}
+	}
+	var none FaultConfig
+	if at := none.MajorityNode(5); at != 0 {
+		t.Fatalf("MajorityNode without a partition = %d, want 0", at)
+	}
+}

@@ -199,8 +199,11 @@ type cluster struct {
 }
 
 // BuildOverlay constructs the requested overlay over the k ranker IDs
-// of nodeid.RankerIDs.
+// of nodeid.RankerIDs; k must be positive.
 func BuildOverlay(kind OverlayKind, k int) (overlay.Network, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("engine: overlay of K = %d rankers, must be positive", k)
+	}
 	ids := nodeid.RankerIDs(k)
 	switch kind {
 	case Pastry:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"p2prank/internal/dprcore"
@@ -306,6 +307,12 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+	// A ring of no rankers is an error, not a makeslice panic.
+	for _, k := range []int{0, -5} {
+		if _, err := BuildOverlay(Pastry, k); err == nil || !strings.Contains(err.Error(), "K =") {
+			t.Errorf("BuildOverlay(Pastry, %d): err %v, want one naming K", k, err)
 		}
 	}
 }

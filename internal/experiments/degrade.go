@@ -94,20 +94,11 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 	if stragFrac > 0 {
 		fcfg.StraggleFactor = 1
 	}
-	at := 0
-	for at < k && fcfg.PartitionMinority(at) {
-		at++
-	}
-	health, err := serve.NewLatticeHealth(fcfg, at, func() float64 { return float64(b.qi.Load()) })
+	health, err := serve.NewLatticeHealth(fcfg, fcfg.MajorityNode(k), func() float64 { return float64(b.qi.Load()) })
 	if err != nil {
 		return nil, err
 	}
-	// Both frontends index the same crawl: draw its text once.
-	terms, err := search.DrawTerms(sb.graph, sb.text)
-	if err != nil {
-		return nil, err
-	}
-	deg, err := serve.NewFrontendFrom(terms, sb.ov, sb.assign, sb.store, serve.Config{
+	deg, err := serve.NewFrontendFrom(sb.tm, sb.ov, sb.assign, sb.store, serve.Config{
 		Text:      sb.text,
 		Health:    health,
 		Admission: serve.Admission{StalenessBound: degradeStalenessBound},
@@ -117,17 +108,11 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 	}
 	b.deg = deg
 	b.dq = deg.NewQuerier()
-
-	// Ground truth: a health-free, cache-free frontend over the same
-	// snapshots. Degraded answers are scored against what the full
-	// fan-out would have returned at the same instant.
-	base, err := serve.NewFrontendFrom(terms, sb.ov, sb.assign, sb.store, serve.Config{
-		Text: sb.text, CacheEntries: -1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	b.base = base.NewQuerier()
+	// Ground truth: the serve bench's own health-free frontend over the
+	// same snapshots, so degraded answers are scored against what the
+	// full fan-out would have returned at the same instant. Its cache
+	// is keyed by store version: a hit returns what a scan would.
+	b.base = sb.fe.NewQuerier()
 	return b, nil
 }
 

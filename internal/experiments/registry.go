@@ -291,7 +291,17 @@ func Usage() string {
 
 // Run executes the experiment with its defaults filled into p.
 func (e Experiment) Run(p Params) (*Result, error) {
-	if p.K <= 0 {
+	// Zero takes the experiment's K; a negative one is a mistake, not a
+	// request for the default.
+	if p.K < 0 {
+		return nil, fmt.Errorf("experiments: %s: K = %d, must be positive", e.Name, p.K)
+	}
+	for _, k := range p.Ks {
+		if k <= 0 {
+			return nil, fmt.Errorf("experiments: %s: Ks entry K = %d, must be positive", e.Name, k)
+		}
+	}
+	if p.K == 0 {
 		p.K = e.K
 	}
 	if len(p.Ks) == 0 {

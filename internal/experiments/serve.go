@@ -12,7 +12,6 @@ import (
 	"p2prank/internal/search"
 	"p2prank/internal/serve"
 	"p2prank/internal/vecmath"
-	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
 
@@ -31,9 +30,9 @@ type ServeBench struct {
 	pub    *serve.Publisher
 	assign *partition.Assignment
 	ranks  vecmath.Vec
-	graph  *webgraph.Graph
 	ov     overlay.Network
 	text   search.Config
+	tm     *search.TermMatrix // the crawl's text, drawn once for every frontend
 
 	queries []search.Request
 	terms   []int32 // backing array for all query term slices
@@ -89,18 +88,18 @@ func NewServeBench(w Workload, k, queries int) (*ServeBench, error) {
 		pub:    serve.NewPublisher(store, nil),
 		assign: assign,
 		ranks:  res.Ranks,
-		graph:  g,
 		ov:     ov,
 		text:   text,
 	}
 	if err := b.Republish(); err != nil {
 		return nil, err
 	}
-	fe, err := serve.NewFrontend(g, ov, assign, store, serve.Config{Text: text})
-	if err != nil {
+	if b.tm, err = search.DrawTerms(g, text); err != nil {
 		return nil, err
 	}
-	b.fe = fe
+	if b.fe, err = serve.NewFrontendFrom(b.tm, ov, assign, store, serve.Config{Text: text}); err != nil {
+		return nil, err
+	}
 
 	rng := xrand.New(w.Seed ^ 0x5e12e)
 	b.terms = make([]int32, 0, queries*2)
