@@ -88,9 +88,9 @@ serve-smoke:
 	$(GO) test -run TestServeSmoke -v ./internal/clitest/
 
 # The examples run end to end: searchdemo (engine.Run's deployment
-# feeding the query tier) and tcpcluster (live peers, one killed
-# mid-run), each required to exit 0 and print its result line
-# (internal/clitest).
+# feeding the query tier), tcpcluster (live peers, one killed mid-run),
+# and educrawl and transports (experiments run through the registry),
+# each required to exit 0 and print its result line (internal/clitest).
 examples-smoke:
 	$(GO) test -count=1 -run TestExamplesRun -v ./internal/clitest/
 

@@ -34,6 +34,21 @@ func benchWorkload() experiments.Workload {
 	return experiments.Workload{Pages: 10000, Sites: 100, Seed: 1}
 }
 
+// runExperiment runs the named experiment, failing the benchmark on
+// any error.
+func runExperiment(b *testing.B, name string, p experiments.Params) *experiments.Result {
+	b.Helper()
+	e, err := experiments.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.Run(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig6RelativeError regenerates Figure 6: DPR1's relative
 // error against centralized PageRank over time for the three (p, T1,
 // T2) settings. Reported metrics are the final relative errors (%) of
@@ -41,10 +56,7 @@ func benchWorkload() experiments.Workload {
 func BenchmarkFig6RelativeError(b *testing.B) {
 	var lastA, lastC float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchWorkload(), 100, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExperiment(b, "fig6", experiments.Params{Workload: benchWorkload(), K: 100, MaxTime: 60})
 		lastA, lastC = res.Curves[0].Last(), res.Curves[2].Last()
 	}
 	b.ReportMetric(lastA, "relerr%%_A_final")
@@ -57,10 +69,7 @@ func BenchmarkFig6RelativeError(b *testing.B) {
 func BenchmarkFig7Monotonic(b *testing.B) {
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchWorkload(), 100, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExperiment(b, "fig7", experiments.Params{Workload: benchWorkload(), K: 100, MaxTime: 60})
 		for _, c := range res.Curves {
 			for j := 1; j < c.Len(); j++ {
 				if c.Values[j] < c.Values[j-1]-1e-12 {
@@ -80,11 +89,8 @@ func BenchmarkFig7Monotonic(b *testing.B) {
 func BenchmarkFig8Iterations(b *testing.B) {
 	var row experiments.Fig8Row
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8(benchWorkload(), []int{100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		row = rows[0]
+		res := runExperiment(b, "fig8", experiments.Params{Workload: benchWorkload(), Ks: []int{100}})
+		row = res.Rows.([]experiments.Fig8Row)[0]
 	}
 	b.ReportMetric(row.DPR1, "iters_DPR1")
 	b.ReportMetric(row.DPR2, "iters_DPR2")
@@ -113,11 +119,8 @@ func BenchmarkTable1Model(b *testing.B) {
 func BenchmarkTransmissionScaling(b *testing.B) {
 	var row experiments.TransmissionRow
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Transmission(benchWorkload(), []int{32}, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		row = rows[0]
+		res := runExperiment(b, "transmission", experiments.Params{Workload: benchWorkload(), Ks: []int{32}, MaxTime: 20})
+		row = res.Rows.([]experiments.TransmissionRow)[0]
 	}
 	if row.IndirectMsgs >= row.DirectMsgs {
 		b.Fatalf("indirect %.0f msgs/iter not below direct %.0f", row.IndirectMsgs, row.DirectMsgs)
@@ -131,11 +134,8 @@ func BenchmarkTransmissionScaling(b *testing.B) {
 func BenchmarkPartitionCut(b *testing.B) {
 	var rows []experiments.CutRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.PartitionCut(benchWorkload(), 32)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExperiment(b, "cut", experiments.Params{Workload: benchWorkload(), K: 32})
+		rows = res.Rows.([]experiments.CutRow)
 	}
 	for _, r := range rows {
 		switch r.Strategy {
@@ -150,15 +150,13 @@ func BenchmarkPartitionCut(b *testing.B) {
 }
 
 // BenchmarkOverlayHops measures Pastry lookup hop counts at N=1000,
-// the h(N) input of Table 1 (paper: ≈2.5).
+// the h(N) input of Table 1 (paper: ≈2.5), through the hops
+// experiment (which measures Chord beside it).
 func BenchmarkOverlayHops(b *testing.B) {
 	var h float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.OverlayHops(engine.Pastry, []int{1000}, 500, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h = rows[0].Hops
+		res := runExperiment(b, "hops", experiments.Params{Ks: []int{1000}})
+		h = res.Rows.([]experiments.HopsRow)[0].Hops // Pastry's row
 	}
 	b.ReportMetric(h, "hops_N1000")
 }
@@ -347,20 +345,24 @@ func BenchmarkAblationCodec(b *testing.B) {
 }
 
 // BenchmarkBandwidthSweep measures convergence against shrinking node
-// uplinks — the empirical form of §4.5's constraint 4.7.
+// uplinks — the empirical form of §4.5's constraint 4.7 — over the
+// bandwidth experiment's five declared uplinks.
 func BenchmarkBandwidthSweep(b *testing.B) {
-	w := experiments.Workload{Pages: 4000, Sites: 30, Seed: 7}
+	p := experiments.Params{Workload: experiments.Workload{Pages: 4000, Sites: 30, Seed: 7}, K: 12, MaxTime: 400}
 	var rows []experiments.BandwidthRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ConvergenceVsBandwidth(w, 12, []float64{0, 2000, 200}, 400)
-		if err != nil {
-			b.Fatal(err)
+		rows = runExperiment(b, "bandwidth", p).Rows.([]experiments.BandwidthRow)
+	}
+	for _, r := range rows {
+		switch r.Bandwidth {
+		case 0:
+			b.ReportMetric(r.FinalRelErr, "relerr_unlimited")
+		case 2000:
+			b.ReportMetric(r.FinalRelErr, "relerr_bw2000")
+		case 200:
+			b.ReportMetric(r.FinalRelErr, "relerr_bw200")
 		}
 	}
-	b.ReportMetric(rows[0].FinalRelErr, "relerr_unlimited")
-	b.ReportMetric(rows[1].FinalRelErr, "relerr_bw2000")
-	b.ReportMetric(rows[2].FinalRelErr, "relerr_bw200")
 }
 
 // BenchmarkIncrementalWarmStart quantifies the §4.3 dynamic-graph

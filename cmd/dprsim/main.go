@@ -30,7 +30,7 @@ func main() {
 		seed    = cliflags.Seed(flag.CommandLine)
 		k       = flag.Int("k", 0, "ranker count (0 = the experiment's paper value)")
 		ks      = flag.String("ks", "", "comma-separated ranker counts for sweeps (empty = the experiment's paper values)")
-		maxTime = flag.Float64("maxtime", 90, "virtual-time horizon for fig6/fig7")
+		maxTime = flag.Float64("maxtime", 0, "virtual-time horizon of every simulated run (0 = the experiment's own)")
 		csvPath = flag.String("csv", "", "write tables or curves as CSV to this file")
 		graph   = flag.String("graph", "", "rank this crawl file instead of generating one (text, v1, or v2 mapped)")
 		gstore  = flag.String("graphstore", "disk", "scale-experiment graph store: disk (generate to a temp file, mmap it) or mem")
@@ -50,7 +50,9 @@ func main() {
 	if *gengen != "" {
 		// Re-exec child mode for -graphstore disk: generation's transient
 		// heap lands in this short-lived process, not the measured parent.
-		if err := w.WriteToDisk(*gengen); err != nil {
+		if g, err := w.Generate(); err != nil {
+			fatal(err)
+		} else if err := webgraph.WriteMappedFile(*gengen, g); err != nil {
 			fatal(err)
 		}
 		return

@@ -51,11 +51,15 @@ func main() {
 		fmt.Print(webgraph.ComputeStats(g).String())
 	}
 	if *cut {
-		rows, err := experiments.PartitionCut(experiments.Workload{Source: g, Seed: *seed}, *k)
+		e, err := experiments.Lookup("cut")
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\npartition cut at K=%d rankers:\n%s", *k, metrics.TableOf(rows))
+		res, err := e.Run(experiments.Params{Workload: experiments.Workload{Source: g, Seed: *seed}, K: *k})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\n%s\n%s", res.Caption, metrics.TableOf(res.Rows))
 	}
 	if *out != "" {
 		asText := false

@@ -16,24 +16,26 @@ import (
 
 	"p2prank/internal/experiments"
 	"p2prank/internal/metrics"
+	"p2prank/internal/webgraph"
 )
 
 func main() {
+	// Generate the crawl once: both figures rank it, and the closing
+	// line quotes its link statistics.
 	w := experiments.Workload{Pages: 20000, Sites: 100, Seed: 7}
+	g, err := w.Generate()
+	if err != nil {
+		log.Fatal(err)
+	}
+	w.Source = g
+	stats := webgraph.ComputeStats(g)
 
 	fmt.Println("== Figure 6: relative error (%) of DPR1 vs centralized, K=100 ==")
-	fig6, err := experiments.Fig6(w, 100, 80)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("workload: %s\n", fig6.GraphStats.String())
-	printEvery(fig6.Curves, 8)
+	fmt.Printf("workload: %s\n", stats.String())
+	printEvery(figure("fig6", w).Curves, 8)
 
 	fmt.Println("\n== Figure 7: average rank of DPR1 (monotone, plateaus ≈0.3), K=100 ==")
-	fig7, err := experiments.Fig7(w, 100, 80)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fig7 := figure("fig7", w)
 	printEvery(fig7.Curves, 8)
 	for _, c := range fig7.Curves {
 		for i := 1; i < c.Len(); i++ {
@@ -45,8 +47,21 @@ func main() {
 	fmt.Println("\nTheorem 4.1 verified: every curve is monotone non-decreasing.")
 	fmt.Printf("converged average rank (curve A): %.3f — well below 1 because %d of %d links leave the crawl.\n",
 		fig7.Curves[0].Last(),
-		fig7.GraphStats.ExternalLinks,
-		fig7.GraphStats.ExternalLinks+fig7.GraphStats.InternalLinks)
+		stats.ExternalLinks,
+		stats.ExternalLinks+stats.InternalLinks)
+}
+
+// figure runs the named figure experiment at K=100 to virtual time 80.
+func figure(name string, w experiments.Workload) *experiments.Result {
+	e, err := experiments.Lookup(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := e.Run(experiments.Params{Workload: w, K: 100, MaxTime: 80})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 // printEvery prints each curve as CSV, sampled every nth point to keep

@@ -20,10 +20,15 @@ import (
 func main() {
 	fmt.Println("== measured per-iteration traffic: direct vs indirect (§4.4) ==")
 	w := experiments.Workload{Pages: 10000, Sites: 64, Seed: 3}
-	rows, err := experiments.Transmission(w, []int{8, 16, 32, 64}, 30)
+	e, err := experiments.Lookup("transmission")
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, err := e.Run(experiments.Params{Workload: w, Ks: []int{8, 16, 32, 64}, MaxTime: 30})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows := res.Rows.([]experiments.TransmissionRow)
 	fmt.Print(metrics.TableOf(rows))
 
 	last := rows[len(rows)-1]

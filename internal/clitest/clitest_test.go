@@ -46,7 +46,8 @@ func TestMain(m *testing.M) {
 	builtDir = dir
 	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
 		"p2prank/cmd/genweb", "p2prank/cmd/dprsim", "p2prank/cmd/bwtable", "p2prank/cmd/dprnode",
-		"p2prank/examples/searchdemo", "p2prank/examples/tcpcluster")
+		"p2prank/examples/searchdemo", "p2prank/examples/tcpcluster",
+		"p2prank/examples/educrawl", "p2prank/examples/transports")
 	cmd.Dir = repoRoot()
 	if out, err := cmd.CombinedOutput(); err != nil {
 		panic("building cmds: " + err.Error() + "\n" + string(out))
@@ -226,6 +227,32 @@ func TestDprsimBadRankerCounts(t *testing.T) {
 	}
 }
 
+// TestDprsimBadServeInputs: a non-positive -topk, a negative -qps and
+// a storm too short for its schedule are refused before any tier is
+// built, with an error naming the field — not a failed first query, a
+// silent closed loop, or a stack trace.
+func TestDprsimBadServeInputs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "serve", "-ks", "16", "-topk", "0"}, "TopK"},
+		{[]string{"-exp", "degrade", "-k", "16", "-topk", "-1"}, "TopK"},
+		{[]string{"-exp", "serve", "-ks", "16", "-queries", "200", "-qps", "-5"}, "QPS"},
+		{[]string{"-exp", "degrade", "-k", "16", "-queries", "16"}, "Queries"},
+	} {
+		var stderr strings.Builder
+		cmd := exec.Command(filepath.Join(builtDir, "dprsim"), c.args...)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("%v exited 0", c.args)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.want) || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: want an error naming %s and no stack trace, got:\n%s", c.args, c.want, msg)
+		}
+	}
+}
+
 func TestDprnodeDemo(t *testing.T) {
 	out := run(t, "dprnode", "-demo", "-pages", "1500", "-k", "3", "-target", "1e-4")
 	if !strings.Contains(out, "converged to relative error") {
@@ -303,15 +330,22 @@ func TestDprnodeMultiProcess(t *testing.T) {
 // with the registry: every `-exp NAME  summary` line `dprsim -h` prints
 // must appear there verbatim, and -h must list at least the paper's
 // three figures.
-// TestExamplesRun runs two examples end to end: searchdemo, whose
-// query tier routes over the ring and partition engine.Run deployed,
-// and tcpcluster, whose live peers converge and survive a killed peer.
+// TestExamplesRun runs four examples end to end: searchdemo, whose
+// query tier routes over the ring and partition engine.Run deployed;
+// tcpcluster, whose live peers converge and survive a killed peer; and
+// educrawl and transports, which run experiments through the registry.
 func TestExamplesRun(t *testing.T) {
 	if out := run(t, "searchdemo"); !strings.Contains(out, "static index: 240000 postings") {
 		t.Fatalf("searchdemo output lacks the static index line:\n%s", out)
 	}
 	if out := run(t, "tcpcluster"); !strings.Contains(out, "final relative error vs centralized: ") {
 		t.Fatalf("tcpcluster output lacks the final error line:\n%s", out)
+	}
+	if out := run(t, "educrawl"); !strings.Contains(out, "Theorem 4.1 verified") {
+		t.Fatalf("educrawl output lacks the monotonicity verdict:\n%s", out)
+	}
+	if out := run(t, "transports"); !strings.Contains(out, "indirect uses") {
+		t.Fatalf("transports output lacks the direct/indirect comparison:\n%s", out)
 	}
 }
 

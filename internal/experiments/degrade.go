@@ -11,8 +11,8 @@ import (
 	"p2prank/internal/serve"
 )
 
-// DegradeBench is the deterministic half of the degraded-serving
-// experiment: the ServeBench crawl and query plan, served through a
+// degradeBench is the deterministic half of the degraded-serving
+// experiment: the serveBench crawl and query plan, served through a
 // SECOND frontend whose shard health comes from the fault lattice and
 // whose admission controller sheds on staleness. The bench's "clock"
 // is the query index — the partition window, staleness ticks, and
@@ -35,8 +35,8 @@ import (
 //
 // Stragglers (StraggleFrac of the shards) are slow for the whole storm:
 // every query touching one hedges to the replica snapshot.
-type DegradeBench struct {
-	*ServeBench
+type degradeBench struct {
+	*serveBench
 
 	deg  *serve.Frontend
 	dq   *serve.Querier
@@ -60,19 +60,17 @@ type DegradeBench struct {
 // publishers have stalled and load should be refused.
 const degradeStalenessBound = 3
 
-// NewDegradeBench builds the degraded tier next to the baseline one.
+// newDegradeBench builds the degraded tier next to the baseline one.
 // partFrac is the fraction of shards cut off during the partition
-// window, stragFrac the fraction hedging all storm long.
-func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*DegradeBench, error) {
-	if queries < 32 {
-		return nil, fmt.Errorf("experiments: degrade needs >= 32 queries for its schedule, got %d", queries)
-	}
-	sb, err := NewServeBench(w, k, queries)
+// window, stragFrac the fraction hedging all storm long. The schedule
+// needs at least minStormQueries queries, which Run checks.
+func newDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*degradeBench, error) {
+	sb, err := newServeBench(w, k, queries)
 	if err != nil {
 		return nil, err
 	}
-	b := &DegradeBench{
-		ServeBench: sb,
+	b := &degradeBench{
+		serveBench: sb,
 		winFrom:    queries / 4,
 		winTo:      queries / 2,
 		row: DegradeRow{
@@ -116,9 +114,20 @@ func NewDegradeBench(w Workload, k, queries int, partFrac, stragFrac float64) (*
 	return b, nil
 }
 
+// degradeStorm is one degrade cell: the storm over K rankers under one
+// fault mix.
+func degradeStorm(x *env, c faultMix) (DegradeRow, error) {
+	x.logf("degrade K=%d queries=%d partition=%.0f%% stragglers=%.0f%%...", x.K, x.Queries, 100*c.part, 100*c.strag)
+	b, err := newDegradeBench(ScaleWorkload(x.K, x.Seed), x.K, x.Queries, c.part, c.strag)
+	if err != nil {
+		return DegradeRow{}, err
+	}
+	return b.Run(x.Meter.Clock, x.QPS, x.TopK)
+}
+
 // Run drives the whole storm on clock, paced at qps when it is
 // positive, topk results per query.
-func (b *DegradeBench) Run(clock serve.Clock, qps, topk int) (DegradeRow, error) {
+func (b *degradeBench) Run(clock serve.Clock, qps, topk int) (DegradeRow, error) {
 	var (
 		resp search.Response
 		req  search.Request
@@ -159,7 +168,7 @@ func (b *DegradeBench) Run(clock serve.Clock, qps, topk int) (DegradeRow, error)
 
 // advance runs the schedule up to query i, ahead of serving it. Query
 // 0 needs none: the clock starts there and nothing is due.
-func (b *DegradeBench) advance(i int) error {
+func (b *degradeBench) advance(i int) error {
 	b.qi.Store(int64(i))
 	q := len(b.queries)
 	if tick := q / 16; tick > 0 && i > 0 && i%tick == 0 {
@@ -177,7 +186,7 @@ func (b *DegradeBench) advance(i int) error {
 // error swallowed), degraded answers are scored against the
 // ground-truth fan-out, and the first full-coverage answer after the
 // heal pins the recovery time. Any other error ends the storm.
-func (b *DegradeBench) record(i int, req search.Request, resp *search.Response, err error) error {
+func (b *degradeBench) record(i int, req search.Request, resp *search.Response, err error) error {
 	if err != nil {
 		if errors.Is(err, search.ErrOverloaded) {
 			b.row.Shed++
@@ -210,7 +219,7 @@ func (b *DegradeBench) record(i int, req search.Request, resp *search.Response, 
 // rankErr is the recall loss of a degraded answer: the fraction of the
 // ground-truth top-k pages the partial fan-out failed to return.
 // Queries whose ground truth is empty carry no signal and are skipped.
-func (b *DegradeBench) rankErr(req search.Request, resp *search.Response) (float64, bool) {
+func (b *degradeBench) rankErr(req search.Request, resp *search.Response) (float64, bool) {
 	if err := b.base.Serve(req, &b.full); err != nil {
 		return 0, false
 	}

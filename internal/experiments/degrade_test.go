@@ -12,7 +12,7 @@ import (
 func runDegradeBench(t *testing.T, part, strag float64) DegradeRow {
 	t.Helper()
 	const k, queries = 32, 800
-	b, err := NewDegradeBench(ScaleWorkload(k, 7), k, queries, part, strag)
+	b, err := newDegradeBench(ScaleWorkload(k, 7), k, queries, part, strag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,10 @@ func TestDegradeTable(t *testing.T) {
 }
 
 func TestDegradeBenchValidation(t *testing.T) {
-	if _, err := NewDegradeBench(ScaleWorkload(8, 1), 8, 16, 0.3, 0); err == nil {
+	e, _ := Lookup("degrade")
+	p := toyParams("degrade")
+	p.K, p.Queries = 8, 16
+	if _, err := e.Run(p); err == nil {
 		t.Fatal("accepted a storm too short for the schedule")
 	}
 }

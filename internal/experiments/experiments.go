@@ -1,11 +1,12 @@
 // Package experiments is the paper's evaluation section as code. Each
-// sweep is a typed function (Fig6, Fig8, Transmission, ...) whose rows
-// declare their own table columns in `tab` struct tags, and each
 // `dprsim -exp` scenario is one entry of the registry in registry.go:
-// a name, a summary, defaults, and a run function returning the tables
-// and curves to print. cmd/dprsim and the top-level benchmark harness
-// both consume these, so the numbers printed by either always come from
-// the same code.
+// a name, a summary, its paper defaults, the cells it sweeps and the
+// run of one cell. Experiment.Run is the one way to run any of them: it
+// validates and defaults the Params, fans the cells out, and returns
+// typed rows whose `tab` struct tags declare their table columns.
+// cmd/dprsim, the top-level benchmark harness and the examples all go
+// through it, so the numbers printed by any of them come from the same
+// code.
 //
 // Scale note: the paper ranks ~1M real pages (Google programming
 // contest crawl, 100 .edu sites) on a simulator. The presets default to
@@ -15,6 +16,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"p2prank/internal/bwmodel"
@@ -22,12 +24,10 @@ import (
 	"p2prank/internal/engine"
 	"p2prank/internal/metrics"
 	"p2prank/internal/overlay"
-	"p2prank/internal/par"
 	"p2prank/internal/partition"
 	"p2prank/internal/simnet"
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
-	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
@@ -35,80 +35,6 @@ import (
 // defaultAlpha mirrors engine.Config's Alpha default; presets that rely
 // on the default pass it to engine.Reference explicitly.
 const defaultAlpha = 0.85
-
-// bed is the front half every simulated sweep shares: the workload's
-// crawl and its centralized reference ranks (the dominant fixed cost),
-// computed once for all of the sweep's runs.
-type bed struct {
-	w   Workload
-	g   *webgraph.Graph
-	ref vecmath.Vec
-}
-
-func newBed(w Workload) (*bed, error) {
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := engine.Reference(g, defaultAlpha)
-	if err != nil {
-		return nil, err
-	}
-	return &bed{w: w, g: g, ref: ref}, nil
-}
-
-// config is one run's engine configuration on the bed: hash-by-site
-// partition and indirect transmission, the paper's recommended set-up,
-// sampled every sampleEvery up to maxTime — for the caller to adjust.
-func (b *bed) config(k int, p dprcore.Params, sampleEvery, maxTime float64) engine.Config {
-	return engine.Config{
-		Params:      p,
-		Graph:       b.g,
-		K:           k,
-		Seed:        b.w.Seed,
-		Reference:   b.ref,
-		Strategy:    partition.BySite,
-		Transport:   transport.Indirect,
-		SampleEvery: sampleEvery,
-		MaxTime:     maxTime,
-	}
-}
-
-// cells fills one row per cell. Cells are independent simulations —
-// each owns its simulator and rng — so they run on the worker pool; the
-// error returned is the one a serial loop would have stopped at.
-func cells[R any](n int, cell func(i int) (R, error)) ([]R, error) {
-	rows, errs := make([]R, n), make([]error, n)
-	par.Default().Run(n, func(i int) { rows[i], errs[i] = cell(i) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// sweep is cells on w's bed.
-func sweep[R any](w Workload, n int, cell func(b *bed, i int) (R, error)) ([]R, error) {
-	b, err := newBed(w)
-	if err != nil {
-		return nil, err
-	}
-	return cells(n, func(i int) (R, error) { return cell(b, i) })
-}
-
-func checkK(ks ...int) error {
-	if len(ks) == 0 {
-		return fmt.Errorf("experiments: no ranker counts")
-	}
-	for _, k := range ks {
-		if k <= 0 {
-			return fmt.Errorf("experiments: k = %d, must be positive", k)
-		}
-	}
-	return nil
-}
 
 // Workload describes the synthetic crawl a preset runs on.
 type Workload struct {
@@ -127,15 +53,7 @@ type Workload struct {
 }
 
 func (w *Workload) defaults() {
-	if w.Pages == 0 {
-		w.Pages = 20000
-	}
-	if w.Sites == 0 {
-		w.Sites = 100
-	}
-	if w.Seed == 0 {
-		w.Seed = 1
-	}
+	w.Pages, w.Sites, w.Seed = cmp.Or(w.Pages, 20000), cmp.Or(w.Sites, 100), cmp.Or(w.Seed, 1)
 }
 
 // Generate builds the workload's crawl, or returns Source when one is
@@ -153,80 +71,17 @@ func (w Workload) Generate() (*webgraph.Graph, error) {
 	return webgraph.Generate(cfg)
 }
 
-// WriteToDisk generates the workload's crawl and writes it at path in
-// the version-2 mapped format, without retaining the in-memory graph.
-// Pair with webgraph.OpenMapped to run presets at scales where the
-// graph must not live in this process's heap.
-func (w Workload) WriteToDisk(path string) error {
-	g, err := w.Generate()
-	if err != nil {
-		return err
-	}
-	return webgraph.WriteMappedFile(path, g)
-}
-
-// curveParams are the three (p, T1, T2) settings of Figures 6 and 7.
-var curveParams = []struct {
+// curve is one of the three (p, T1, T2) settings of Figures 6 and 7.
+type curve struct {
 	name     string
 	sendProb float64
 	t1, t2   float64
-}{
+}
+
+var curves = []curve{
 	{"A (p=1, T1=0, T2=6)", 1.0, 0, 6},
 	{"B (p=0.7, T1=0, T2=6)", 0.7, 0, 6},
 	{"C (p=0.7, T1=0, T2=15)", 0.7, 0, 15},
-}
-
-// FigureResult is a set of named curves over virtual time.
-type FigureResult struct {
-	// Curves holds one series per paper curve (A, B, C).
-	Curves []*metrics.Series
-	// Graph statistics for the caption.
-	GraphStats webgraph.Stats
-}
-
-// Fig6 reproduces Figure 6: relative error of DPR1 against centralized
-// PageRank over time, at K rankers (paper: 1000), for the three
-// loss/speed settings.
-func Fig6(w Workload, k int, maxTime float64) (*FigureResult, error) {
-	return overTime(w, k, maxTime, func(s *dprcore.Sample) float64 {
-		return s.RelErr * 100 // the paper plots percent
-	})
-}
-
-// Fig7 reproduces Figure 7: the monotone average-rank sequence of DPR1
-// at K rankers (paper: 100). The converged level sits near 0.25–0.3
-// because 8/15 of links leave the dataset.
-func Fig7(w Workload, k int, maxTime float64) (*FigureResult, error) {
-	return overTime(w, k, maxTime, func(s *dprcore.Sample) float64 {
-		return s.AvgRank
-	})
-}
-
-func overTime(w Workload, k int, maxTime float64, metric func(*dprcore.Sample) float64) (*FigureResult, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
-	}
-	if maxTime <= 0 {
-		return nil, fmt.Errorf("experiments: maxTime = %v, must be positive", maxTime)
-	}
-	b, err := newBed(w)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := cells(len(curveParams), func(ci int) (*metrics.Series, error) {
-		cp := curveParams[ci]
-		p := dprcore.Params{Alg: dprcore.DPR1, SendProb: cp.sendProb, T1: cp.t1, T2: cp.t2}
-		run, err := engine.Run(b.config(k, p, 1, maxTime))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: curve %q: %w", cp.name, err)
-		}
-		s := metrics.NewSeries(cp.name)
-		for i := range run.Samples {
-			s.Add(run.Samples[i].Time, metric(&run.Samples[i]))
-		}
-		return s, nil
-	})
-	return &FigureResult{Curves: curves, GraphStats: webgraph.ComputeStats(b.g)}, err
 }
 
 // Fig8Row is one point of Figure 8: iterations to reach the threshold
@@ -238,48 +93,40 @@ type Fig8Row struct {
 	CPR  float64 `tab:"CPR" fmt:"%.0f"`
 }
 
-// Fig8 reproduces Figure 8: the number of iterations each algorithm
-// needs to reach relative error 0.01%, versus the number of page
-// rankers (paper: 2..10000; p=1, T1=T2=15). Pages are partitioned by
-// site hash, the paper's recommended strategy; note that a 100-site
-// crawl occupies at most 100 rankers, which is also why the paper's
-// curve is flat from K=100 to K=10000.
-func Fig8(w Workload, ks []int) ([]Fig8Row, error) {
-	if err := checkK(ks...); err != nil {
-		return nil, err
-	}
-	b, err := newBed(w)
+// fig8Target is Figure 8's threshold relative error, the paper's 0.01%.
+const fig8Target = 1e-4
+
+// fig8Loops is one Figure 8 cell: the iterations alg needs to reach
+// fig8Target at K rankers (p=1, T1=T2=15), pages partitioned by site
+// hash, the paper's recommended strategy. A 100-site crawl occupies at
+// most 100 rankers, which is also why the paper's curve is flat from
+// K=100 to K=10000.
+func fig8Loops(x *env, c pair[dprcore.Algorithm]) (float64, error) {
+	cfg := x.config(c.k, dprcore.Params{Alg: c.v, T1: 15, T2: 15}, 5)
+	cfg.TargetRelErr = fig8Target
+	run, err := engine.Run(cfg)
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("experiments: fig8 K=%d %v: %w", c.k, c.v, err)
 	}
-	const target = 1e-4 // the paper's 0.01%
-	cpr, err := engine.CPRIterationsFrom(b.g, defaultAlpha, target, b.ref)
+	if run.ConvergedAt < 0 {
+		return 0, fmt.Errorf("experiments: fig8 K=%d %v did not converge (rel err %v)", c.k, c.v, run.RelErr)
+	}
+	return run.LoopsAtConvergence, nil
+}
+
+// fig8Rows joins the (K, DPR1) and (K, DPR2) cells into one row per K,
+// beside the centralized iteration count.
+func fig8Rows(x *env, loops []float64, res *Result) error {
+	cpr, err := engine.CPRIterationsFrom(x.g, defaultAlpha, fig8Target, x.ref)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Every (K, algorithm) cell is its own simulation.
-	algs := []dprcore.Algorithm{dprcore.DPR1, dprcore.DPR2}
-	loops, err := cells(len(ks)*len(algs), func(job int) (float64, error) {
-		k, alg := ks[job/len(algs)], algs[job%len(algs)]
-		cfg := b.config(k, dprcore.Params{Alg: alg, T1: 15, T2: 15}, 5, 6000)
-		cfg.TargetRelErr = target
-		run, err := engine.Run(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("experiments: fig8 K=%d %v: %w", k, alg, err)
-		}
-		if run.ConvergedAt < 0 {
-			return 0, fmt.Errorf("experiments: fig8 K=%d %v did not converge (rel err %v)", k, alg, run.RelErr)
-		}
-		return run.LoopsAtConvergence, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig8Row, len(ks))
-	for i, k := range ks {
+	rows := make([]Fig8Row, len(x.Ks))
+	for i, k := range x.Ks {
 		rows[i] = Fig8Row{K: k, DPR1: loops[2*i], DPR2: loops[2*i+1], CPR: float64(cpr)}
 	}
-	return rows, nil
+	res.Rows = rows
+	return nil
 }
 
 // TransmissionRow compares measured per-iteration traffic of the two
@@ -298,57 +145,44 @@ type TransmissionRow struct {
 	AvgNeighbors      float64
 }
 
-// Transmission measures both transports at each ranker population and
-// returns rows pairing measurement with the §4.4 model. Pages are
+// transmissionHalf measures one transport at K rankers and fills its
+// half of the row; the indirect half carries the §4.4 model. Pages are
 // partitioned by URL hash so all ranker pairs communicate, the regime
 // formulas 4.1–4.4 assume.
-func Transmission(w Workload, ks []int, timePerRun float64) ([]TransmissionRow, error) {
-	if err := checkK(ks...); err != nil {
-		return nil, err
-	}
-	if timePerRun <= 0 {
-		return nil, fmt.Errorf("experiments: timePerRun must be positive")
-	}
-	// One simulation per (K, transport) cell, each filling its own half
-	// of a row; the halves are joined below.
-	kinds := []transport.Kind{transport.Direct, transport.Indirect}
-	halves, err := sweep(w, len(ks)*len(kinds), func(b *bed, job int) (TransmissionRow, error) {
-		k, kind := ks[job/len(kinds)], kinds[job%len(kinds)]
-		cfg := b.config(k, dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3}, timePerRun, timePerRun) // one sample, at the end
-		cfg.Strategy = partition.ByPage
-		cfg.Transport = kind
-		run, err := engine.Run(cfg)
-		if err != nil {
-			return TransmissionRow{}, fmt.Errorf("experiments: transmission K=%d %v: %w", k, kind, err)
-		}
-		iters := run.LoopsAtConvergence
-		if iters == 0 {
-			iters = 1
-		}
-		msgs := float64(run.NetStats.MessagesSent) / iters
-		bytes := float64(run.NetStats.BytesSent) / iters
-		if kind == transport.Direct {
-			return TransmissionRow{DirectMsgs: msgs, DirectBytes: bytes}, nil
-		}
-		p := bwmodel.Params{
-			W: float64(b.w.Pages), N: float64(k),
-			H: run.AvgHops, L: 100, R: 48, G: run.AvgNeighbors,
-		}
-		return TransmissionRow{
-			K: k, IndirectMsgs: msgs, IndirectBytes: bytes,
-			ModelDirectMsgs: p.DirectMessages(), ModelIndirectMsgs: p.IndirectMessages(),
-			AvgHops: run.AvgHops, AvgNeighbors: run.AvgNeighbors,
-		}, nil
-	})
+func transmissionHalf(x *env, c pair[transport.Kind]) (TransmissionRow, error) {
+	cfg := x.config(c.k, dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3}, x.MaxTime) // one sample, at the end
+	cfg.Strategy = partition.ByPage
+	cfg.Transport = c.v
+	run, err := engine.Run(cfg)
 	if err != nil {
-		return nil, err
+		return TransmissionRow{}, fmt.Errorf("experiments: transmission K=%d %v: %w", c.k, c.v, err)
 	}
-	rows := make([]TransmissionRow, len(ks))
+	iters := cmp.Or(run.LoopsAtConvergence, 1)
+	msgs := float64(run.NetStats.MessagesSent) / iters
+	bytes := float64(run.NetStats.BytesSent) / iters
+	if c.v == transport.Direct {
+		return TransmissionRow{DirectMsgs: msgs, DirectBytes: bytes}, nil
+	}
+	p := bwmodel.Params{
+		W: float64(x.Pages), N: float64(c.k),
+		H: run.AvgHops, L: 100, R: 48, G: run.AvgNeighbors,
+	}
+	return TransmissionRow{
+		K: c.k, IndirectMsgs: msgs, IndirectBytes: bytes,
+		ModelDirectMsgs: p.DirectMessages(), ModelIndirectMsgs: p.IndirectMessages(),
+		AvgHops: run.AvgHops, AvgNeighbors: run.AvgNeighbors,
+	}, nil
+}
+
+// transmissionRows joins each K's direct and indirect halves.
+func transmissionRows(_ *env, halves []TransmissionRow, res *Result) error {
+	rows := make([]TransmissionRow, len(halves)/2)
 	for i := range rows {
 		rows[i] = halves[2*i+1]
 		rows[i].DirectMsgs, rows[i].DirectBytes = halves[2*i].DirectMsgs, halves[2*i].DirectBytes
 	}
-	return rows, nil
+	res.Rows = rows
+	return nil
 }
 
 // TrafficRow is one §4.4 traffic measurement taken at the telemetry
@@ -376,53 +210,40 @@ type TrafficRow struct {
 	ModelBytes float64 `tab:"model D_it" fmt:"%.0f"`
 }
 
-// Traffic reproduces the §4.4 message/data cost table from telemetry:
-// each ranker population runs DPR1 under indirect transmission with a
-// telemetry.Collector attached, and every measured column comes from the
+// traffic runs DPR1 at K rankers under indirect transmission with a
+// telemetry.Collector attached: every measured column comes from the
 // collector's Summary — counted at the dprcore seam the paper's model
 // describes, not reverse-engineered from transport totals. Pages are
 // partitioned by URL hash so all ranker pairs communicate, the regime
 // the formulas assume.
-func Traffic(w Workload, ks []int, timePerRun float64) ([]TrafficRow, error) {
-	if err := checkK(ks...); err != nil {
-		return nil, err
+func traffic(x *env, k int) (TrafficRow, error) {
+	p := dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3, Observer: telemetry.NewCollector(k)}
+	cfg := x.config(k, p, x.MaxTime) // one sample, at the end
+	cfg.Strategy = partition.ByPage
+	run, err := engine.Run(cfg)
+	if err != nil {
+		return TrafficRow{}, fmt.Errorf("experiments: traffic K=%d: %w", k, err)
 	}
-	if timePerRun <= 0 {
-		return nil, fmt.Errorf("experiments: timePerRun must be positive")
+	sum := run.Telemetry
+	if sum == nil {
+		return TrafficRow{}, fmt.Errorf("experiments: traffic K=%d: no telemetry summary", k)
 	}
-	return sweep(w, len(ks), func(b *bed, i int) (TrafficRow, error) {
-		k := ks[i]
-		p := dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3, Observer: telemetry.NewCollector(k)}
-		cfg := b.config(k, p, timePerRun, timePerRun) // one sample, at the end
-		cfg.Strategy = partition.ByPage
-		run, err := engine.Run(cfg)
-		if err != nil {
-			return TrafficRow{}, fmt.Errorf("experiments: traffic K=%d: %w", k, err)
-		}
-		sum := run.Telemetry
-		if sum == nil {
-			return TrafficRow{}, fmt.Errorf("experiments: traffic K=%d: no telemetry summary", k)
-		}
-		iters := sum.MeanRounds()
-		if iters == 0 {
-			iters = 1
-		}
-		h := sum.MeanChunkHops()
-		bytesPerIter := float64(sum.PayloadBytes) / iters
-		return TrafficRow{
-			K:             k,
-			MeanRounds:    sum.MeanRounds(),
-			ChunksPerIter: float64(sum.Chunks) / iters,
-			MsgsPerIter:   float64(sum.ChunkHops) / iters,
-			BytesPerIter:  bytesPerIter,
-			AvgHops:       h,
-			ModelMsgs: bwmodel.Params{
-				W: float64(b.w.Pages), N: float64(k),
-				H: h, L: telemetry.DefaultBytesPerLink, R: 48, G: run.AvgNeighbors,
-			}.IndirectMessages(),
-			ModelBytes: h * bytesPerIter,
-		}, nil
-	})
+	iters := cmp.Or(sum.MeanRounds(), 1)
+	h := sum.MeanChunkHops()
+	bytesPerIter := float64(sum.PayloadBytes) / iters
+	return TrafficRow{
+		K:             k,
+		MeanRounds:    sum.MeanRounds(),
+		ChunksPerIter: float64(sum.Chunks) / iters,
+		MsgsPerIter:   float64(sum.ChunkHops) / iters,
+		BytesPerIter:  bytesPerIter,
+		AvgHops:       h,
+		ModelMsgs: bwmodel.Params{
+			W: float64(x.Pages), N: float64(k),
+			H: h, L: telemetry.DefaultBytesPerLink, R: 48, G: run.AvgNeighbors,
+		}.IndirectMessages(),
+		ModelBytes: h * bytesPerIter,
+	}, nil
 }
 
 // CutRow is the §4.1 partition comparison at one strategy.
@@ -433,32 +254,20 @@ type CutRow struct {
 	MinPages int                `tab:"min pages/ranker"`
 }
 
-// PartitionCut measures the fraction of internal links crossing ranker
-// boundaries under each partitioning strategy — the evidence behind
-// §4.1's recommendation of hash-by-site.
-func PartitionCut(w Workload, k int) ([]CutRow, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
-	}
-	w.defaults()
-	g, err := w.Generate()
+// cut measures the fraction of internal links crossing ranker
+// boundaries under one partitioning strategy at K rankers — the
+// evidence behind §4.1's recommendation of hash-by-site.
+func cut(x *env, strat partition.Strategy) (CutRow, error) {
+	ov, err := engine.BuildOverlay(engine.Pastry, x.K)
 	if err != nil {
-		return nil, err
+		return CutRow{}, err
 	}
-	ov, err := engine.BuildOverlay(engine.Pastry, k)
+	a, err := partition.Assign(x.g, ov, strat, x.Seed)
 	if err != nil {
-		return nil, err
+		return CutRow{}, err
 	}
-	var rows []CutRow
-	for _, strat := range []partition.Strategy{partition.BySite, partition.ByPage, partition.Random} {
-		a, err := partition.Assign(g, ov, strat, w.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c := partition.Cut(g, a)
-		rows = append(rows, CutRow{Strategy: strat, CutFrac: c.CutFrac(), MaxPages: c.MaxPages, MinPages: c.MinPages})
-	}
-	return rows, nil
+	c := partition.Cut(x.g, a)
+	return CutRow{Strategy: strat, CutFrac: c.CutFrac(), MaxPages: c.MaxPages, MinPages: c.MinPages}, nil
 }
 
 // HopsRow pairs an overlay population with its measured mean lookup
@@ -470,23 +279,22 @@ type HopsRow struct {
 	PaperH  float64            `tab:"paper model" fmt:"%.2f"`
 }
 
-// OverlayHops measures mean lookup hop counts at each population.
-func OverlayHops(kind engine.OverlayKind, ns []int, samples int, seed uint64) ([]HopsRow, error) {
-	if samples <= 0 {
-		return nil, fmt.Errorf("experiments: samples must be positive")
-	}
-	rng := xrand.New(seed)
-	rows := make([]HopsRow, 0, len(ns))
-	for _, n := range ns {
+// hops measures one overlay's mean lookup hop count at every
+// population. All of them draw from one rng stream, so one overlay is
+// one cell.
+func hops(x *env, kind engine.OverlayKind) ([]HopsRow, error) {
+	rng := xrand.New(x.Seed)
+	rows := make([]HopsRow, len(x.Ks))
+	for i, n := range x.Ks {
 		ov, err := engine.BuildOverlay(kind, n)
 		if err != nil {
 			return nil, err
 		}
-		h, err := overlay.AvgHops(ov, samples, rng)
+		h, err := overlay.AvgHops(ov, 1000, rng) // sampled lookups
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, HopsRow{N: n, Hops: h, PaperH: bwmodel.PastryHops(float64(n)), Overlay: kind})
+		rows[i] = HopsRow{N: n, Hops: h, PaperH: bwmodel.PastryHops(float64(n)), Overlay: kind}
 	}
 	return rows, nil
 }
@@ -504,33 +312,20 @@ type BandwidthRow struct {
 	FinalRelErr float64 `tab:"final rel err" fmt:"%.2e"`
 }
 
-// ConvergenceVsBandwidth reruns the same DPR1 workload under shrinking
-// per-node uplink budgets. The paper's §4.5 argues analytically that
-// bandwidth bounds the iteration interval and hence convergence time;
-// here the simulator serializes every message through the sender's
-// uplink, so the effect is measured instead of modeled.
-func ConvergenceVsBandwidth(w Workload, k int, bws []float64, maxTime float64) ([]BandwidthRow, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
+// bandwidth reruns the DPR1 workload under one per-node uplink budget.
+// The paper's §4.5 argues analytically that bandwidth bounds the
+// iteration interval and hence convergence time; here the simulator
+// serializes every message through the sender's uplink, so the effect
+// is measured instead of modeled.
+func bandwidth(x *env, bw float64) (BandwidthRow, error) {
+	cfg := x.config(x.K, dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3}, 1)
+	cfg.TargetRelErr = 1e-4
+	cfg.Net = simnet.NetConfig{MinLatency: 0.05, MaxLatency: 0.15, NodeBandwidth: bw}
+	run, err := engine.Run(cfg)
+	if err != nil {
+		return BandwidthRow{}, fmt.Errorf("experiments: bandwidth %v: %w", bw, err)
 	}
-	if len(bws) == 0 {
-		return nil, fmt.Errorf("experiments: no bandwidth values")
-	}
-	for _, bw := range bws {
-		if bw < 0 {
-			return nil, fmt.Errorf("experiments: negative bandwidth %v", bw)
-		}
-	}
-	return sweep(w, len(bws), func(b *bed, i int) (BandwidthRow, error) {
-		cfg := b.config(k, dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3}, 1, maxTime)
-		cfg.TargetRelErr = 1e-4
-		cfg.Net = simnet.NetConfig{MinLatency: 0.05, MaxLatency: 0.15, NodeBandwidth: bws[i]}
-		run, err := engine.Run(cfg)
-		if err != nil {
-			return BandwidthRow{}, fmt.Errorf("experiments: bandwidth %v: %w", bws[i], err)
-		}
-		return BandwidthRow{Bandwidth: bws[i], ConvergedAt: run.ConvergedAt, FinalRelErr: run.RelErr}, nil
-	})
+	return BandwidthRow{Bandwidth: bw, ConvergedAt: run.ConvergedAt, FinalRelErr: run.RelErr}, nil
 }
 
 // FaultRow records convergence under one transport fault severity.
@@ -546,35 +341,27 @@ type FaultRow struct {
 	Dropped int64 `tab:"chunks dropped"`
 }
 
-// Faults reruns the same DPR1 workload under increasing message-drop
-// rates injected at the dprcore.FaultSender seam — loss below the
-// algorithm's own SendProb parameter, the regime Theorem 4.1 says must
-// still converge. Delays and duplicates ride along at a fixed low rate
-// so all three fault kinds are exercised.
-func Faults(w Workload, k int, drops []float64, maxTime float64) ([]FaultRow, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
+// faults reruns the DPR1 workload under one message-drop rate injected
+// at the dprcore.FaultSender seam — loss below the algorithm's own
+// SendProb parameter, the regime Theorem 4.1 says must still converge.
+// Delays and duplicates ride along at a fixed low rate so all three
+// fault kinds are exercised.
+func faults(x *env, drop float64) (FaultRow, error) {
+	cfg := x.config(x.K, dprcore.Params{Alg: dprcore.DPR1, T1: 0, T2: 6}, 2)
+	cfg.TargetRelErr = 1e-4
+	if drop > 0 {
+		cfg.Fault = dprcore.FaultConfig{DropProb: drop, DelayProb: 0.05, MeanDelay: 5, DupProb: 0.05}
 	}
-	if len(drops) == 0 {
-		return nil, fmt.Errorf("experiments: no drop probabilities")
+	run, err := engine.Run(cfg)
+	if err != nil {
+		return FaultRow{}, fmt.Errorf("experiments: drop %v: %w", drop, err)
 	}
-	return sweep(w, len(drops), func(b *bed, i int) (FaultRow, error) {
-		cfg := b.config(k, dprcore.Params{Alg: dprcore.DPR1, T1: 0, T2: 6}, 2, maxTime)
-		cfg.TargetRelErr = 1e-4
-		if drops[i] > 0 {
-			cfg.Fault = dprcore.FaultConfig{DropProb: drops[i], DelayProb: 0.05, MeanDelay: 5, DupProb: 0.05}
-		}
-		run, err := engine.Run(cfg)
-		if err != nil {
-			return FaultRow{}, fmt.Errorf("experiments: drop %v: %w", drops[i], err)
-		}
-		return FaultRow{
-			DropProb:    drops[i],
-			ConvergedAt: run.ConvergedAt,
-			FinalRelErr: run.RelErr,
-			Dropped:     run.FaultStats.Dropped,
-		}, nil
-	})
+	return FaultRow{
+		DropProb:    drop,
+		ConvergedAt: run.ConvergedAt,
+		FinalRelErr: run.RelErr,
+		Dropped:     run.FaultStats.Dropped,
+	}, nil
 }
 
 // ChurnRow records convergence under one churn severity: a number of
@@ -594,61 +381,58 @@ type ChurnRow struct {
 	Recoveries int64 `tab:"recoveries"`
 }
 
-// Churn reruns the same DPR1 workload while crashing an increasing
-// number of rankers mid-run. Every run carries 10% injected loss, the
-// reliable delivery layer, and round-cadence checkpoints; each crashed
-// ranker restarts from its last checkpoint a fixed outage later. The
-// outage windows sit early in the run so convergence has to ride out
-// the churn rather than finish before it.
-func Churn(w Workload, k int, crashes []int, maxTime float64) ([]ChurnRow, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
+// crashCounts sweeps none → half the rankers crashing (0, 2, 4, 8 at
+// the default K=16), scaled to K.
+func crashCounts(p Params) []int {
+	crashes := []int{0}
+	for c := p.K / 8; c <= p.K/2 && c > 0; c *= 2 {
+		crashes = append(crashes, c)
 	}
-	if len(crashes) == 0 {
-		return nil, fmt.Errorf("experiments: no crash counts")
-	}
-	for _, c := range crashes {
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("experiments: %d crashes with %d rankers", c, k)
+	return crashes
+}
+
+// churn reruns the DPR1 workload while crashing the first crashes
+// rankers mid-run. Every run carries 10% injected loss, the reliable
+// delivery layer, and round-cadence checkpoints; each crashed ranker
+// restarts from its last checkpoint a fixed outage later. The outage
+// windows sit early in the run so convergence has to ride out the
+// churn rather than finish before it.
+func churn(x *env, crashes int) (ChurnRow, error) {
+	cfg := x.config(x.K, dprcore.Params{
+		Alg: dprcore.DPR1, T1: 0.5, T2: 3,
+		Fault:    dprcore.FaultConfig{DropProb: 0.1},
+		Reliable: dprcore.ReliableConfig{Timeout: 10},
+		// Per-round checkpoints: the crashes land early in the
+		// ramp, and a sparser cadence would turn them into cold
+		// restarts instead of recoveries.
+		Checkpoint: dprcore.CheckpointConfig{Every: 1},
+	}, 2)
+	cfg.TargetRelErr = 1e-4
+	// Stagger the outages across the convergence ramp (these T1/T2
+	// settings reach 1e-4 around t≈16-20): ranker j crashes at 6+2j and
+	// returns 7 time units later, so the run has to converge through
+	// the churn, not after it.
+	cfg.Churn = make([]dprcore.ChurnEvent, crashes)
+	for j := range cfg.Churn {
+		cfg.Churn[j] = dprcore.ChurnEvent{
+			Ranker:    j,
+			CrashAt:   6 + 2*float64(j),
+			RestartAt: 13 + 2*float64(j),
+			Restart:   dprcore.RestartCheckpoint,
 		}
 	}
-	return sweep(w, len(crashes), func(b *bed, i int) (ChurnRow, error) {
-		cfg := b.config(k, dprcore.Params{
-			Alg: dprcore.DPR1, T1: 0.5, T2: 3,
-			Fault:    dprcore.FaultConfig{DropProb: 0.1},
-			Reliable: dprcore.ReliableConfig{Timeout: 10},
-			// Per-round checkpoints: the crashes land early in the
-			// ramp, and a sparser cadence would turn them into cold
-			// restarts instead of recoveries.
-			Checkpoint: dprcore.CheckpointConfig{Every: 1},
-		}, 2, maxTime)
-		cfg.TargetRelErr = 1e-4
-		// Stagger the outages across the convergence ramp (these
-		// T1/T2 settings reach 1e-4 around t≈16-20): ranker j crashes
-		// at 6+2j and returns 7 time units later, so the run has to
-		// converge through the churn, not after it.
-		cfg.Churn = make([]dprcore.ChurnEvent, crashes[i])
-		for j := range cfg.Churn {
-			cfg.Churn[j] = dprcore.ChurnEvent{
-				Ranker:    j,
-				CrashAt:   6 + 2*float64(j),
-				RestartAt: 13 + 2*float64(j),
-				Restart:   dprcore.RestartCheckpoint,
-			}
-		}
-		run, err := engine.Run(cfg)
-		if err != nil {
-			return ChurnRow{}, fmt.Errorf("experiments: churn %d: %w", crashes[i], err)
-		}
-		return ChurnRow{
-			Crashes:     crashes[i],
-			ConvergedAt: run.ConvergedAt,
-			FinalRelErr: run.RelErr,
-			Retries:     run.ReliableStats.Retries,
-			Acks:        run.ReliableStats.Acks,
-			Recoveries:  run.Recoveries,
-		}, nil
-	})
+	run, err := engine.Run(cfg)
+	if err != nil {
+		return ChurnRow{}, fmt.Errorf("experiments: churn %d: %w", crashes, err)
+	}
+	return ChurnRow{
+		Crashes:     crashes,
+		ConvergedAt: run.ConvergedAt,
+		FinalRelErr: run.RelErr,
+		Retries:     run.ReliableStats.Retries,
+		Acks:        run.ReliableStats.Acks,
+		Recoveries:  run.Recoveries,
+	}, nil
 }
 
 // ScaleRow is one decade of the paper-scale run: DPR at K rankers on a
@@ -679,12 +463,6 @@ type ScaleRow struct {
 	Validation []bwmodel.ValidationRow
 }
 
-// ScaleMaxTime is the virtual-time horizon of one scale run: with
-// T1 = T2 = 3 it gives every ranker ~10 iterations — enough for the
-// per-iteration traffic rates to reach steady state without paying for
-// a full convergence run at 10⁵ nodes.
-const ScaleMaxTime = 30.0
-
 // ScaleWorkload returns the proportionally sized crawl for K rankers:
 // 20 pages per ranker (the Fig-6 ratio of 20k pages / 1k rankers),
 // keeping per-ranker work constant as K sweeps 10³ → 10⁵. The serving
@@ -694,72 +472,101 @@ func ScaleWorkload(k int, seed uint64) Workload {
 	return Workload{Pages: 20 * k, Sites: 100, Seed: seed}
 }
 
-// ScaleRun executes one decade of the scale experiment: DPR under
-// indirect transmission at K rankers, pages partitioned by URL hash
+// scale is one decade of the scale experiment: DPR1 then DPR2 under
+// indirect transmission at K rankers on the K's crawl — ranked off the
+// Meter's on-disk store when it has one — pages partitioned by URL hash
 // (the all-pairs regime the §4.4 formulas assume), fixed network
-// latency with batched delivery — the configuration the calendar-queue
-// scheduler and the coalesced network layer exist for. The returned
-// row carries the measured traffic and the bwmodel validation;
-// reference ranks are computed per run (the graph differs per K).
-func ScaleRun(w Workload, k int, alg dprcore.Algorithm) (*ScaleRow, error) {
-	if err := checkK(k); err != nil {
-		return nil, err
+// latency with batched delivery: the configuration the calendar-queue
+// scheduler and the coalesced network layer exist for. With T1 = T2 = 3
+// the default horizon of 30 gives every ranker ~10 iterations, enough
+// for the per-iteration traffic rates to reach steady state without
+// paying for a full convergence run at 10⁵ nodes. Each run is timed on
+// the Meter (reference ranks included: the graph differs per K), and
+// its row carries the measured traffic and the bwmodel validation.
+func scale(x *env, k int) ([]*ScaleRow, error) {
+	w, store, release := ScaleWorkload(k, x.Seed), "mem", func() {}
+	if x.Meter.OnDisk != nil {
+		src, done, err := x.Meter.OnDisk(w)
+		if err != nil {
+			return nil, err
+		}
+		w.Source, store, release = src, "disk", done
 	}
-	const maxTime = ScaleMaxTime
-	w.defaults()
-	g, err := w.Generate()
-	if err != nil {
-		return nil, err
+	defer release()
+	var rows []*ScaleRow
+	for _, alg := range []dprcore.Algorithm{dprcore.DPR1, dprcore.DPR2} {
+		x.logf("scale %v K=%d pages=%d store=%s...", alg, k, w.Pages, store)
+		start := x.Meter.Clock.Now()
+		g, err := w.Generate()
+		if err != nil {
+			return nil, err
+		}
+		res, err := engine.Run(engine.Config{
+			Params:      dprcore.Params{Alg: alg, T1: 3, T2: 3, Observer: telemetry.NewCollector(k)},
+			Graph:       g,
+			K:           k,
+			Seed:        w.Seed,
+			SampleEvery: x.MaxTime, // one sample at the end
+			MaxTime:     x.MaxTime,
+			Strategy:    partition.ByPage,
+			Transport:   transport.Indirect,
+			// Fixed latency makes same-instant deliveries to one node
+			// coalesce into one event per (destination, instant).
+			Net: simnet.NetConfig{MinLatency: 0.1, MaxLatency: 0.1},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: scale K=%d: %w", k, err)
+		}
+		sum := res.Telemetry
+		if sum == nil {
+			return nil, fmt.Errorf("experiments: scale K=%d: no telemetry summary", k)
+		}
+		iters := cmp.Or(sum.MeanRounds(), 1)
+		size := transport.DefaultSizeModel()
+		ts := res.TransportStats
+		obs := bwmodel.IndirectObserved{
+			Hops:             res.AvgHops,
+			MsgsPerIter:      float64(ts.DataMessages) / iters,
+			SeamBytesPerIter: float64(sum.PayloadBytes) / iters,
+			WireBytesPerIter: float64(ts.DataBytes-ts.DataMessages*size.HeaderBytes) / iters,
+			IterInterval:     x.MaxTime / iters,
+			NodeSendRate:     float64(res.NetStats.BytesSent) / (float64(k) * x.MaxTime),
+		}
+		p := bwmodel.Params{
+			W: float64(w.Pages), N: float64(k), H: bwmodel.PastryHops(float64(k)),
+			L: telemetry.DefaultBytesPerLink, R: 48, G: res.AvgNeighbors,
+		}
+		row := &ScaleRow{
+			K:           k,
+			Pages:       w.Pages,
+			Alg:         alg,
+			RelErr:      res.RelErr,
+			MeanRounds:  sum.MeanRounds(),
+			Events:      res.Events,
+			Messages:    res.NetStats.MessagesSent,
+			Bytes:       res.NetStats.BytesSent,
+			AvgHops:     res.AvgHops,
+			Validation:  bwmodel.ValidateIndirect(p, obs),
+			WallSeconds: x.Meter.Clock.Now().Sub(start).Seconds(),
+			PeakRSSMB:   x.Meter.PeakRSSMB(),
+		}
+		if row.WallSeconds > 0 {
+			row.EventsPerSec = float64(row.Events) / row.WallSeconds
+		}
+		rows = append(rows, row)
 	}
-	cfg := engine.Config{
-		Params:      dprcore.Params{Alg: alg, T1: 3, T2: 3, Observer: telemetry.NewCollector(k)},
-		Graph:       g,
-		K:           k,
-		Seed:        w.Seed,
-		SampleEvery: maxTime, // one sample at the end
-		MaxTime:     maxTime,
-		Strategy:    partition.ByPage,
-		Transport:   transport.Indirect,
-		// Fixed latency makes same-instant deliveries to one node
-		// coalesce into one event per (destination, instant).
-		Net: simnet.NetConfig{MinLatency: 0.1, MaxLatency: 0.1},
+	return rows, nil
+}
+
+// scaleTables is the scale experiment's layout: the headline
+// wall-time/memory/throughput table, then one bwmodel-vs-telemetry
+// validation table per run.
+func scaleTables(rows []*ScaleRow) []*metrics.Table {
+	tables := []*metrics.Table{metrics.TableOf(rows)}
+	for _, r := range rows {
+		t := bwmodel.ValidationTable(r.Validation)
+		t.Title = fmt.Sprintf("%s K=%d: model vs telemetry", r.Alg, r.K)
+		tables = append(tables, t)
 	}
-	res, err := engine.Run(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scale K=%d: %w", k, err)
-	}
-	sum := res.Telemetry
-	if sum == nil {
-		return nil, fmt.Errorf("experiments: scale K=%d: no telemetry summary", k)
-	}
-	iters := sum.MeanRounds()
-	if iters <= 0 {
-		iters = 1
-	}
-	size := transport.DefaultSizeModel()
-	ts := res.TransportStats
-	obs := bwmodel.IndirectObserved{
-		Hops:             res.AvgHops,
-		MsgsPerIter:      float64(ts.DataMessages) / iters,
-		SeamBytesPerIter: float64(sum.PayloadBytes) / iters,
-		WireBytesPerIter: float64(ts.DataBytes-ts.DataMessages*size.HeaderBytes) / iters,
-		IterInterval:     maxTime / iters,
-		NodeSendRate:     float64(res.NetStats.BytesSent) / (float64(k) * maxTime),
-	}
-	p := bwmodel.Params{
-		W: float64(w.Pages), N: float64(k), H: bwmodel.PastryHops(float64(k)),
-		L: telemetry.DefaultBytesPerLink, R: 48, G: res.AvgNeighbors,
-	}
-	return &ScaleRow{
-		K:          k,
-		Pages:      w.Pages,
-		Alg:        alg,
-		RelErr:     res.RelErr,
-		MeanRounds: sum.MeanRounds(),
-		Events:     res.Events,
-		Messages:   res.NetStats.MessagesSent,
-		Bytes:      res.NetStats.BytesSent,
-		AvgHops:    res.AvgHops,
-		Validation: bwmodel.ValidateIndirect(p, obs),
-	}, nil
+	return tables
 }

@@ -1,22 +1,45 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"p2prank/internal/engine"
-	"p2prank/internal/metrics"
 	"p2prank/internal/partition"
 )
 
 // Small workload for fast tests; the real presets default bigger.
 func smallWorkload() Workload { return Workload{Pages: 3000, Sites: 20, Seed: 1} }
 
-func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(smallWorkload(), 16, 60)
+// run runs the named experiment, failing the test on any error.
+func run(t *testing.T, name string, p Params) *Result {
+	t.Helper()
+	e, err := Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := e.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// text is the result as the terminal would show it.
+func text(t *testing.T, res *Result) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := res.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func TestFig6Shape(t *testing.T) {
+	res := run(t, "fig6", Params{Workload: smallWorkload(), K: 16, MaxTime: 60})
 	if len(res.Curves) != 3 {
 		t.Fatalf("%d curves, want 3 (A, B, C)", len(res.Curves))
 	}
@@ -37,10 +60,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7(smallWorkload(), 8, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig7", Params{Workload: smallWorkload(), K: 8, MaxTime: 80})
 	for _, c := range res.Curves {
 		// Monotone non-decreasing average rank (Theorem 4.1).
 		for i := 1; i < c.Len(); i++ {
@@ -57,10 +77,8 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8ShapeAndOrdering(t *testing.T) {
-	rows, err := Fig8(Workload{Pages: 2500, Sites: 20, Seed: 23}, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "fig8", Params{Workload: Workload{Pages: 2500, Sites: 20, Seed: 23}, Ks: []int{2, 8}})
+	rows := res.Rows.([]Fig8Row)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -72,18 +90,14 @@ func TestFig8ShapeAndOrdering(t *testing.T) {
 			t.Errorf("K=%d: DPR2 %.1f not above DPR1 %.1f", r.K, r.DPR2, r.DPR1)
 		}
 	}
-	out := metrics.TableOf(rows).String()
-	if !strings.Contains(out, "DPR1") || !strings.Contains(out, "CPR") {
+	if out := text(t, res); !strings.Contains(out, "DPR1") || !strings.Contains(out, "CPR") {
 		t.Fatalf("render missing columns:\n%s", out)
 	}
 }
 
 func TestTransmissionModelAgreement(t *testing.T) {
-	rows, err := Transmission(Workload{Pages: 3000, Sites: 30, Seed: 3}, []int{24}, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
+	res := run(t, "transmission", Params{Workload: Workload{Pages: 3000, Sites: 30, Seed: 3}, Ks: []int{24}, MaxTime: 30})
+	r := res.Rows.([]TransmissionRow)[0]
 	if r.IndirectMsgs >= r.DirectMsgs {
 		t.Fatalf("indirect %.0f msgs/iter not below direct %.0f at K=24", r.IndirectMsgs, r.DirectMsgs)
 	}
@@ -96,17 +110,14 @@ func TestTransmissionModelAgreement(t *testing.T) {
 	if r.IndirectMsgs > r.ModelIndirectMsgs*20 {
 		t.Fatalf("indirect measurement %.0f wildly above model %.0f", r.IndirectMsgs, r.ModelIndirectMsgs)
 	}
-	out := metrics.TableOf(rows).String()
-	if !strings.Contains(out, "model S_it") {
+	if out := text(t, res); !strings.Contains(out, "model S_it") {
 		t.Fatalf("render missing model column:\n%s", out)
 	}
 }
 
 func TestPartitionCutOrdering(t *testing.T) {
-	rows, err := PartitionCut(Workload{Pages: 8000, Sites: 50, Seed: 5}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, "cut", Params{Workload: Workload{Pages: 8000, Sites: 50, Seed: 5}, K: 16})
+	rows := res.Rows.([]CutRow)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -124,47 +135,145 @@ func TestPartitionCutOrdering(t *testing.T) {
 	if bySite >= byPage || bySite >= random {
 		t.Fatalf("by-site cut %.3f not smallest (by-page %.3f, random %.3f)", bySite, byPage, random)
 	}
-	out := metrics.TableOf(rows).String()
-	if !strings.Contains(out, "by-site") {
+	if out := text(t, res); !strings.Contains(out, "by-site") {
 		t.Fatalf("render missing strategy:\n%s", out)
 	}
 }
 
 func TestOverlayHops(t *testing.T) {
-	rows, err := OverlayHops(engine.Pastry, []int{50, 400}, 300, 1)
-	if err != nil {
-		t.Fatal(err)
+	rows := run(t, "hops", Params{Ks: []int{50, 400}}).Rows.([]HopsRow)
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 2 overlays × 2 populations", len(rows))
 	}
-	if rows[1].Hops <= rows[0].Hops {
-		t.Fatalf("hops did not grow with N: %+v", rows)
+	for i, kind := range []engine.OverlayKind{engine.Pastry, engine.Chord} {
+		small, big := rows[2*i], rows[2*i+1]
+		if small.Overlay != kind || big.Overlay != kind {
+			t.Fatalf("rows %d and %d are not %v: %+v", 2*i, 2*i+1, kind, rows)
+		}
+		if big.Hops <= small.Hops {
+			t.Fatalf("%v hops did not grow with N: %+v", kind, rows)
+		}
 	}
 }
 
+// Seed 0 is the documented default seed 1 for every experiment, hops
+// included.
+func TestHopsSeedDefault(t *testing.T) {
+	zero := text(t, run(t, "hops", Params{Ks: []int{50}}))
+	one := text(t, run(t, "hops", Params{Workload: Workload{Seed: 1}, Ks: []int{50}}))
+	if zero != one {
+		t.Fatalf("seed 0 and seed 1 differ:\n%s\n%s", zero, one)
+	}
+}
+
+// TestValidation: Run refuses a bad Params up front, with an error that
+// names the field, before it builds anything.
 func TestValidation(t *testing.T) {
-	w := smallWorkload()
-	if _, err := Fig6(w, 0, 10); err == nil {
-		t.Error("k=0 accepted")
+	storming := func(p Params) Params {
+		if p.Queries == 0 {
+			p.Queries = 400
+		}
+		if p.TopK == 0 {
+			p.TopK = 5
+		}
+		p.Meter = toyParams("serve").Meter
+		return p
 	}
-	if _, err := Fig6(w, 4, 0); err == nil {
-		t.Error("maxTime=0 accepted")
+	for _, c := range []struct {
+		exp  string
+		p    Params
+		want string
+	}{
+		{"cut", Params{K: -3}, "K = -3"},
+		{"fig6", Params{K: -1}, "K = -1"},
+		{"hops", Params{Ks: []int{-5}}, "K = -5"},
+		{"fig8", Params{Ks: []int{8, 0}}, "K = 0"},
+		{"fig7", Params{MaxTime: -1}, "MaxTime"},
+		{"fig7", Params{MaxTime: math.NaN()}, "MaxTime"},
+		{"bandwidth", Params{MaxTime: math.Inf(1)}, "MaxTime"},
+		{"churn", Params{MaxTime: math.Inf(-1)}, "MaxTime"},
+		{"serve", storming(Params{TopK: -1}), "TopK"},
+		{"degrade", storming(Params{TopK: -2}), "TopK"},
+		{"serve", Params{Queries: 400, Meter: storming(Params{}).Meter}, "TopK"},
+		{"serve", storming(Params{QPS: -5}), "QPS"},
+		{"fig8", Params{QPS: -5}, "QPS"},
+		{"serve", storming(Params{Queries: -1}), "Queries"},
+		{"degrade", storming(Params{Queries: 16}), "Queries"},
+	} {
+		e, err := Lookup(c.exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(c.p); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %+v: error %v, want one naming %q", c.exp, c.p, err, c.want)
+		}
 	}
-	if _, err := Fig8(w, nil); err == nil {
-		t.Error("empty ks accepted")
+}
+
+// The churn sweep refuses bad parameters through Run, and the crash
+// counts it derives from K always start at zero and stay below K, so
+// some ranker is up throughout every run.
+func TestChurnValidation(t *testing.T) {
+	e, err := Lookup("churn")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Fig8(w, []int{-1}); err == nil {
-		t.Error("negative k accepted")
+	for _, p := range []Params{{K: -4}, {MaxTime: -10}, {MaxTime: math.NaN()}} {
+		if _, err := e.Run(p); err == nil {
+			t.Errorf("churn %+v accepted", p)
+		}
 	}
-	if _, err := Transmission(w, nil, 5); err == nil {
-		t.Error("empty ks accepted")
+	cells := e.plan.(plan[int, ChurnRow]).cells
+	for k := 1; k <= 64; k++ {
+		crashes := cells(Params{K: k})
+		if len(crashes) == 0 || crashes[0] != 0 {
+			t.Errorf("K=%d: crash counts %v, want a zero-crash baseline first", k, crashes)
+		}
+		for _, c := range crashes {
+			if c < 0 || c >= k {
+				t.Errorf("K=%d: crash count %d out of [0, K)", k, c)
+			}
+		}
 	}
-	if _, err := Transmission(w, []int{4}, 0); err == nil {
-		t.Error("zero time accepted")
+}
+
+// The bandwidth sweep refuses bad parameters through Run, and its
+// declared bandwidths are non-empty, non-negative and include the
+// unlimited (0) baseline.
+func TestConvergenceVsBandwidthValidation(t *testing.T) {
+	e, err := Lookup("bandwidth")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := PartitionCut(w, 0); err == nil {
-		t.Error("k=0 accepted")
+	for _, p := range []Params{{K: -4}, {MaxTime: -10}, {MaxTime: math.Inf(1)}} {
+		if _, err := e.Run(p); err == nil {
+			t.Errorf("bandwidth %+v accepted", p)
+		}
 	}
-	if _, err := OverlayHops(engine.Pastry, []int{10}, 0, 1); err == nil {
-		t.Error("zero samples accepted")
+	bws := e.plan.(plan[float64, BandwidthRow]).cells(Params{})
+	if len(bws) == 0 || bws[0] != 0 {
+		t.Fatalf("bandwidths %v, want the unlimited baseline first", bws)
+	}
+	for _, bw := range bws {
+		if bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
+			t.Errorf("declared bandwidth %v, want finite and non-negative", bw)
+		}
+	}
+}
+
+// A wall-clock experiment with no Meter is refused with ErrNoMeter,
+// not a nil-clock panic.
+func TestTimedExperimentsNeedMeter(t *testing.T) {
+	for _, name := range []string{"scale", "serve", "degrade"} {
+		e, _ := Lookup(name)
+		p := Params{Ks: []int{16}, Queries: 400, TopK: 5}
+		if _, err := e.Run(p); !errors.Is(err, ErrNoMeter) {
+			t.Errorf("%s without a Meter: error %v, want ErrNoMeter", name, err)
+		}
+		p.Meter.Clock = frozenClock{}
+		if _, err := e.Run(p); !errors.Is(err, ErrNoMeter) {
+			t.Errorf("%s without PeakRSSMB: error %v, want ErrNoMeter", name, err)
+		}
 	}
 }
 
@@ -182,12 +291,12 @@ func TestWorkloadDefaults(t *testing.T) {
 // Bandwidth starvation delays convergence — the measured form of the
 // §4.5 constraint.
 func TestConvergenceVsBandwidth(t *testing.T) {
-	rows, err := ConvergenceVsBandwidth(Workload{Pages: 4000, Sites: 30, Seed: 7}, 12,
-		[]float64{0, 50000, 2000, 200}, 600)
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "bandwidth", Params{Workload: Workload{Pages: 4000, Sites: 30, Seed: 7}, K: 12, MaxTime: 600})
+	rows := res.Rows.([]BandwidthRow)
+	unlimited, ample, tight, starved := rows[0], rows[1], rows[3], rows[4]
+	if unlimited.Bandwidth != 0 || tight.Bandwidth != 2000 || starved.Bandwidth != 200 {
+		t.Fatalf("declared bandwidths moved: %+v", rows)
 	}
-	unlimited, ample, tight, starved := rows[0], rows[1], rows[2], rows[3]
 	if unlimited.ConvergedAt < 0 || ample.ConvergedAt < 0 {
 		t.Fatalf("well-provisioned runs did not converge: %+v", rows)
 	}
@@ -202,8 +311,7 @@ func TestConvergenceVsBandwidth(t *testing.T) {
 	if starved.FinalRelErr <= tight.FinalRelErr {
 		t.Fatalf("starved uplink not worse than tight: %+v", rows)
 	}
-	out := metrics.TableOf(rows).String()
-	if !strings.Contains(out, "unlimited") {
+	if out := text(t, res); !strings.Contains(out, "unlimited") {
 		t.Fatalf("render missing unlimited row:\n%s", out)
 	}
 }
@@ -211,11 +319,12 @@ func TestConvergenceVsBandwidth(t *testing.T) {
 // Churn sweep: the zero-crash row converges cleanly, churned rows
 // still converge and their counters show the recovery machinery ran.
 func TestChurnSweep(t *testing.T) {
-	rows, err := Churn(smallWorkload(), 8, []int{0, 2}, 600)
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, "churn", Params{Workload: smallWorkload(), K: 8, MaxTime: 600})
+	rows := res.Rows.([]ChurnRow)
+	calm, churned := rows[0], rows[2]
+	if calm.Crashes != 0 || churned.Crashes != 2 {
+		t.Fatalf("crash counts %d and %d, want 0 and 2: %+v", calm.Crashes, churned.Crashes, rows)
 	}
-	calm, churned := rows[0], rows[1]
 	if calm.ConvergedAt < 0 || churned.ConvergedAt < 0 {
 		t.Fatalf("runs did not converge: %+v", rows)
 	}
@@ -225,34 +334,7 @@ func TestChurnSweep(t *testing.T) {
 	if churned.Retries == 0 || churned.Acks == 0 {
 		t.Fatalf("churned row never exercised the reliable layer: %+v", churned)
 	}
-	out := metrics.TableOf(rows).String()
-	if !strings.Contains(out, "recoveries") {
+	if out := text(t, res); !strings.Contains(out, "recoveries") {
 		t.Fatalf("render missing recoveries column:\n%s", out)
-	}
-}
-
-func TestChurnValidation(t *testing.T) {
-	w := smallWorkload()
-	if _, err := Churn(w, 0, []int{0}, 10); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := Churn(w, 4, nil, 10); err == nil {
-		t.Error("empty crash list accepted")
-	}
-	if _, err := Churn(w, 4, []int{4}, 10); err == nil {
-		t.Error("crashes >= k accepted")
-	}
-}
-
-func TestConvergenceVsBandwidthValidation(t *testing.T) {
-	w := smallWorkload()
-	if _, err := ConvergenceVsBandwidth(w, 0, []float64{0}, 10); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := ConvergenceVsBandwidth(w, 4, nil, 10); err == nil {
-		t.Error("empty bandwidth list accepted")
-	}
-	if _, err := ConvergenceVsBandwidth(w, 4, []float64{-1}, 10); err == nil {
-		t.Error("negative bandwidth accepted")
 	}
 }

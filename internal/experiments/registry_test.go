@@ -24,17 +24,21 @@ func (frozenClock) Sleep(time.Duration, <-chan struct{}) bool { return true }
 // captured at, from the pre-registry renderers: the deterministic
 // experiments by `dprsim -exp NAME -pages 2000 -sites 15 -seed 3` plus
 // the K flags below, the wall-clock ones by the old Render* functions
-// over rows whose caller-measured fields were left zero.
+// over rows whose caller-measured fields were left zero. MaxTime is the
+// horizon each golden ran to: 20 for the figures, 400 for the
+// convergence sweeps, the experiment's own default for the rest.
 func toyParams(name string) Params {
 	p := Params{
 		Workload: Workload{Pages: 2000, Sites: 15, Seed: 3},
-		MaxTime:  40, Queries: 400, TopK: 5,
+		Queries:  400, TopK: 5,
 		Meter: Meter{Clock: frozenClock{}, PeakRSSMB: func() float64 { return 0 }},
 	}
 	switch name {
 	case "fig6", "fig7":
 		p.K, p.MaxTime = 6, 20
-	case "bandwidth", "cut", "faults", "churn":
+	case "bandwidth", "faults", "churn":
+		p.K, p.MaxTime = 8, 400
+	case "cut":
 		p.K = 8
 	case "fig8":
 		p.Ks = []int{2, 8}
@@ -79,10 +83,10 @@ func TestEveryExperiment(t *testing.T) {
 			if text.String() != string(want) {
 				t.Errorf("text differs from golden:\n--- got\n%s--- want\n%s", text.String(), want)
 			}
-			if len(res.Tables)+len(res.Curves) == 0 {
+			if len(res.tables())+len(res.Curves) == 0 {
 				t.Fatal("no tables and no curves")
 			}
-			for _, tab := range res.Tables {
+			for _, tab := range res.tables() {
 				if len(tab.Rows) == 0 {
 					t.Errorf("table %q has no rows", tab.Title)
 				}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"p2prank/internal/dprcore"
@@ -15,13 +16,13 @@ import (
 	"p2prank/internal/xrand"
 )
 
-// ServeBench is the deterministic half of the serving experiment: a
+// serveBench is the deterministic half of the serving experiment: a
 // ranked crawl sharded over K rankers, snapshots published through the
 // real checkpoint seam (EncodeRankSnapshot → Publisher.Save), and a
 // pre-drawn query workload. Run times the query storm on whatever
 // serve.Clock the command injects: this package is in the nowallclock
 // analyzer's scope, like the rest of the simulation path.
-type ServeBench struct {
+type serveBench struct {
 	K     int
 	Pages int
 
@@ -41,19 +42,13 @@ type ServeBench struct {
 	scores  []float64
 }
 
-// NewServeBench ranks the workload centrally (the serving tier is
+// newServeBench ranks the workload centrally (the serving tier is
 // downstream of ranking; how the ranks were computed is irrelevant to
 // query cost), builds the overlay and hash partition, publishes every
 // shard at round 1 through the checkpoint seam, and pre-draws queries:
 // 1–3 terms each, term popularity skewed quartically toward the low
 // vocabulary ids so the cache has something to hit.
-func NewServeBench(w Workload, k, queries int) (*ServeBench, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("experiments: serve k = %d, must be positive", k)
-	}
-	if queries <= 0 {
-		return nil, fmt.Errorf("experiments: serve queries = %d, must be positive", queries)
-	}
+func newServeBench(w Workload, k, queries int) (*serveBench, error) {
 	w.defaults()
 	g, err := w.Generate()
 	if err != nil {
@@ -78,10 +73,8 @@ func NewServeBench(w Workload, k, queries int) (*ServeBench, error) {
 	text := search.DefaultConfig()
 	// Keep per-term posting lists (and so shards-per-query) roughly
 	// constant as the crawl scales.
-	if v := w.Pages / 40; v > text.Vocabulary {
-		text.Vocabulary = v
-	}
-	b := &ServeBench{
+	text.Vocabulary = max(text.Vocabulary, w.Pages/40)
+	b := &serveBench{
 		K:      k,
 		Pages:  w.Pages,
 		store:  store,
@@ -104,22 +97,13 @@ func NewServeBench(w Workload, k, queries int) (*ServeBench, error) {
 	rng := xrand.New(w.Seed ^ 0x5e12e)
 	b.terms = make([]int32, 0, queries*2)
 	b.queries = make([]search.Request, queries)
-	vocab := int(text.Vocabulary)
 	for i := range b.queries {
 		n := 1 + rng.Intn(3)
 		start := len(b.terms)
 		for len(b.terms)-start < n {
 			f := rng.Float64()
 			f *= f
-			t := int32(f * f * float64(vocab)) // quartic skew toward low ids
-			dup := false
-			for _, prev := range b.terms[start:] {
-				if prev == t {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if t := int32(f * f * float64(text.Vocabulary)); !slices.Contains(b.terms[start:], t) { // quartic skew toward low ids
 				b.terms = append(b.terms, t)
 			}
 		}
@@ -128,9 +112,25 @@ func NewServeBench(w Workload, k, queries int) (*ServeBench, error) {
 	return b, nil
 }
 
+// serveStorm is one serve cell: the query plan as one storm over K
+// rankers' snapshots. The first cell's frontend is then served to
+// outside clients when the Meter can Expose it.
+func serveStorm(x *env, k int) (ServeRow, error) {
+	x.logf("serve K=%d queries=%d...", k, x.Queries)
+	b, err := newServeBench(ScaleWorkload(k, x.Seed), k, x.Queries)
+	if err != nil {
+		return ServeRow{}, err
+	}
+	row, err := b.Run(x.Meter.Clock, x.QPS, x.TopK)
+	if err == nil && k == x.Ks[0] && x.Meter.Expose != nil {
+		err = x.Meter.Expose(b.fe, x.TopK)
+	}
+	return row, err
+}
+
 // Tick advances every shard's staleness clock by one round, standing in
 // for the rankers' ComputeEnd hooks.
-func (b *ServeBench) Tick() {
+func (b *serveBench) Tick() {
 	for s := 0; s < b.K; s++ {
 		b.store.Advance(s)
 	}
@@ -140,7 +140,7 @@ func (b *ServeBench) Tick() {
 // the DPRS checkpoint encoding — the same bytes a ranker's
 // Checkpoint.Sink would carry — resetting staleness and minting K new
 // versions.
-func (b *ServeBench) Republish() error {
+func (b *serveBench) Republish() error {
 	b.round++
 	for s := 0; s < b.K; s++ {
 		b.scores = b.scores[:0]
@@ -187,7 +187,7 @@ type ServeRow struct {
 // staleness exercise (a tick every eighth of the plan, one republish
 // after the fifth) so the reported max staleness reflects a live
 // system, not a frozen store.
-func (b *ServeBench) Run(clock serve.Clock, qps, topk int) (ServeRow, error) {
+func (b *serveBench) Run(clock serve.Clock, qps, topk int) (ServeRow, error) {
 	var (
 		q         = b.fe.NewQuerier()
 		resp      search.Response

@@ -9,7 +9,7 @@ import (
 
 func TestServeBenchDeterministicAndServable(t *testing.T) {
 	w := ScaleWorkload(16, 7)
-	b, err := NewServeBench(w, 16, 200)
+	b, err := newServeBench(w, 16, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestServeBenchDeterministicAndServable(t *testing.T) {
 	}
 
 	// Same seed, same workload: the query plan must be identical.
-	b2, err := NewServeBench(w, 16, 200)
+	b2, err := newServeBench(w, 16, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,15 @@ func TestServeBenchDeterministicAndServable(t *testing.T) {
 }
 
 func TestServeBenchValidation(t *testing.T) {
-	if _, err := NewServeBench(ScaleWorkload(4, 1), 0, 10); err == nil {
+	e, _ := Lookup("serve")
+	p := toyParams("serve")
+	p.Ks = []int{0}
+	if _, err := e.Run(p); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewServeBench(ScaleWorkload(4, 1), 4, 0); err == nil {
+	p = toyParams("serve")
+	p.Queries = 0
+	if _, err := e.Run(p); err == nil {
 		t.Fatal("queries=0 accepted")
 	}
 }
