@@ -37,12 +37,15 @@ race:
 # transmission modes → one compute phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
 # and a crawl file in either format (binary: open, Validate, every
 # accessor, rewrite; text: parse, Validate, rewrite) —
-# the CSR storage layout against its row-major reference, the
+# the CSR storage layout against its row-major reference, Pastry
+# routing over ID sets that share long prefixes (deep table rows hashed
+# IDs never fill, each table's row structure, and the XOR prefix length
+# against a bit-by-bit reference), the
 # response cache's slab against an unbounded map, and the serve tier's
 # plan and scan (shard bitmaps, page signatures) against the static
 # index on random small tiers, each over its seed corpus and whatever
 # ten seconds of mutation reach (go test takes one -fuzz target per
-# run). The CSR, cache and plan targets cap minimization: shrinking each
+# run). The CSR, cache, plan and Pastry targets cap minimization: shrinking each
 # new-coverage input for the default minute would leave the pass a few
 # thousand inputs.
 fuzz:
@@ -56,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpenGraph -fuzztime 10s ./internal/webgraph/
 	$(GO) test -run '^$$' -fuzz FuzzReadText -fuzztime 10s ./internal/webgraph/
 	$(GO) test -run '^$$' -fuzz FuzzCSRKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/
+	$(GO) test -run '^$$' -fuzz FuzzPastryRoutes -fuzztime 10s -fuzzminimizetime 1s ./internal/pastry/
 
 # Failure-path suite under the race detector: one crash/restart churn
 # schedule run by both drivers (and refused the same way by both when

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -325,6 +326,10 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 	if index < 0 || index >= k {
 		fatal(fmt.Errorf("index %d out of range for k=%d", index, k))
 	}
+	peers, err := parsePeers(peersFlag, index, k)
+	if err != nil {
+		fatal(err)
+	}
 	g, err := webgraph.Open(graphPath)
 	if err != nil {
 		fatal(err)
@@ -356,18 +361,8 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 		fatal(err)
 	}
 	defer peer.Close()
-	if peersFlag != "" {
-		for _, part := range strings.Split(peersFlag, ",") {
-			kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-			if len(kv) != 2 {
-				fatal(fmt.Errorf("bad -peers entry %q", part))
-			}
-			idx, err := strconv.Atoi(kv[0])
-			if err != nil {
-				fatal(fmt.Errorf("bad -peers index %q: %w", kv[0], err))
-			}
-			peer.SetPeer(int32(idx), kv[1])
-		}
+	for _, pa := range peers {
+		peer.SetPeer(pa.index, pa.addr)
 	}
 	peer.Start()
 	fmt.Printf("ranker %d/%d listening on %s (%d pages, %v)\n",
@@ -388,6 +383,51 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 				peer.Loops(), peer.ChunksSent(), r.Sum())
 		}
 	}
+}
+
+// peerAddr is one -peers entry: another ranker's index and address.
+type peerAddr struct {
+	index int32
+	addr  string
+}
+
+// parsePeers reads -peers, comma-separated idx=host:port entries, for
+// ranker self of k. It refuses every entry that is malformed, whose
+// index is outside [0, k), is self, or repeats an earlier entry's, and
+// names each one in the error.
+func parsePeers(spec string, self, k int) ([]peerAddr, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var (
+		out  []peerAddr
+		bad  []error
+		seen = make(map[int64]bool)
+	)
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		idxText, addr, ok := strings.Cut(part, "=")
+		idx, err := strconv.ParseInt(idxText, 10, 32)
+		switch {
+		case !ok || addr == "":
+			bad = append(bad, fmt.Errorf("%q: want idx=host:port", part))
+		case err != nil:
+			bad = append(bad, fmt.Errorf("%q: index: %w", part, err))
+		case idx < 0 || idx >= int64(k):
+			bad = append(bad, fmt.Errorf("%q: index %d outside 0..%d", part, idx, k-1))
+		case idx == int64(self):
+			bad = append(bad, fmt.Errorf("%q: index %d is this ranker", part, idx))
+		case seen[idx]:
+			bad = append(bad, fmt.Errorf("%q: index %d named twice", part, idx))
+		default:
+			seen[idx] = true
+			out = append(out, peerAddr{int32(idx), addr})
+		}
+	}
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("bad -peers: %w", errors.Join(bad...))
+	}
+	return out, nil
 }
 
 func fatal(err error) {

@@ -18,25 +18,9 @@ import (
 	"p2prank/internal/nodeid"
 )
 
-// Config parameterizes the overlay.
-type Config struct {
-	// SuccessorListLen is the number of immediate successors each node
-	// tracks (fault tolerance and the last routing step). Default 8.
-	SuccessorListLen int
-}
-
-// DefaultConfig returns Chord's standard parameters.
-func DefaultConfig() Config { return Config{SuccessorListLen: 8} }
-
-func (c *Config) validate() error {
-	if c.SuccessorListLen == 0 {
-		c.SuccessorListLen = 8
-	}
-	if c.SuccessorListLen < 1 {
-		return fmt.Errorf("chord: SuccessorListLen %d must be positive", c.SuccessorListLen)
-	}
-	return nil
-}
+// successors is the length of each node's successor list (fault
+// tolerance and the last routing step).
+const successors = 8
 
 type state struct {
 	// fingers[k] is the node index of successor(id + 2^k), deduplicated
@@ -49,18 +33,15 @@ type state struct {
 
 // Overlay is a Chord ring over a fixed membership.
 type Overlay struct {
-	cfg   Config
 	ids   []nodeid.ID
 	nodes []state
 	// sorted holds every node index, ordered by ID.
 	sorted []int
 }
 
-// New builds a Chord overlay over the given node IDs.
-func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// New builds a Chord overlay over the given node IDs, each tracking
+// eight successors.
+func New(ids []nodeid.ID) (*Overlay, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("chord: no nodes")
 	}
@@ -69,7 +50,6 @@ func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
 		return nil, fmt.Errorf("chord: %w", err)
 	}
 	o := &Overlay{
-		cfg:    cfg,
 		ids:    append([]nodeid.ID(nil), ids...),
 		nodes:  make([]state, len(ids)),
 		sorted: sorted,
@@ -88,10 +68,7 @@ func (o *Overlay) NodeID(i int) nodeid.ID { return o.ids[i] }
 // table from the sorted ring.
 func (o *Overlay) build() {
 	n := len(o.sorted)
-	succN := o.cfg.SuccessorListLen
-	if succN > n-1 {
-		succN = n - 1
-	}
+	succN := min(successors, n-1)
 	for pos, idx := range o.sorted {
 		st := &o.nodes[idx]
 		st.pred = o.sorted[(pos-1+n)%n]

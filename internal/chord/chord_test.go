@@ -21,7 +21,7 @@ func makeIDs(n int) []nodeid.ID {
 
 func newOverlay(t testing.TB, n int) *Overlay {
 	t.Helper()
-	o, err := New(makeIDs(n), DefaultConfig())
+	o, err := New(makeIDs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +38,13 @@ func randKeys(n int, seed uint64) []nodeid.ID {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, DefaultConfig()); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("empty membership accepted")
 	}
 	ids := makeIDs(3)
 	ids[1] = ids[2]
-	if _, err := New(ids, DefaultConfig()); err == nil {
+	if _, err := New(ids); err == nil {
 		t.Error("duplicate IDs accepted")
-	}
-	if _, err := New(makeIDs(2), Config{SuccessorListLen: -1}); err == nil {
-		t.Error("negative successor list accepted")
 	}
 }
 
@@ -195,7 +192,7 @@ func BenchmarkBuild500(b *testing.B) {
 	ids := makeIDs(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(ids, DefaultConfig()); err != nil {
+		if _, err := New(ids); err != nil {
 			b.Fatal(err)
 		}
 	}

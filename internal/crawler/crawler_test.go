@@ -137,7 +137,7 @@ func TestRecrawlPartitionDeterminism(t *testing.T) {
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

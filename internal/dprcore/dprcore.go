@@ -111,8 +111,6 @@ type Params struct {
 	// InnerEpsilon is DPR1's GroupPageRank termination threshold
 	// (runtimes default it to 1e-10).
 	InnerEpsilon float64
-	// InnerMaxIter bounds DPR1's inner loop (0 = 10000).
-	InnerMaxIter int
 	// SendProb is the probability that the Y vector for a destination
 	// group is successfully sent in a loop (the paper's parameter p;
 	// p = 1 means lossless; runtimes default it to 1).
@@ -121,7 +119,8 @@ type Params struct {
 	// runtime's time units (virtual units in-sim, nanoseconds live).
 	// Each loop's mean is drawn uniformly from [T1, T2] by its runtime;
 	// T1 = T2 pins every loop to the same mean. Runtime defaults differ
-	// (engine: 15/15, the Figure 8 setting; netpeer: Config.MeanWait).
+	// (engine: 15/15, the Figure 8 setting; netpeer: 50ms a peer,
+	// ClusterConfig.MeanWait a cluster).
 	T1, T2 float64
 	// Fault injects deterministic message faults (drop/delay/duplicate)
 	// at the Sender seam, below the algorithm's own SendProb loss — the
@@ -154,9 +153,6 @@ func (p *Params) Defaults(t1, t2 float64) {
 	if p.InnerEpsilon == 0 {
 		p.InnerEpsilon = 1e-10
 	}
-	if p.InnerMaxIter == 0 {
-		p.InnerMaxIter = 10000
-	}
 	if p.SendProb == 0 {
 		p.SendProb = 1
 	}
@@ -175,9 +171,6 @@ func (p *Params) validateLoop() error {
 	}
 	if p.InnerEpsilon < 0 {
 		return fmt.Errorf("dprcore: negative InnerEpsilon %v", p.InnerEpsilon)
-	}
-	if p.InnerMaxIter == 0 {
-		p.InnerMaxIter = 10000
 	}
 	if p.SendProb < 0 || p.SendProb > 1 {
 		return fmt.Errorf("dprcore: SendProb %v outside [0,1]", p.SendProb)

@@ -114,7 +114,7 @@ func BuildGroups(g *webgraph.Graph, a *partition.Assignment, alpha float64) ([]*
 		for li, p := range pages {
 			deg[li] = int32(g.OutDegree(p))
 		}
-		sys, err := pagerank.NewGroupSystem(len(pages), inner[i], deg, nil, alpha)
+		sys, err := pagerank.NewGroupSystem(len(pages), inner[i], deg, alpha)
 		if err != nil {
 			return nil, fmt.Errorf("dprcore: group %d: %w", i, err)
 		}

@@ -18,6 +18,10 @@ import (
 // validation, not a bug trap.
 var ErrBadChunk = errors.New("dprcore: bad chunk")
 
+// innerMaxIter bounds DPR1's inner GroupPageRank solve. ‖A‖∞ ≤ α < 1
+// makes the solve converge for any positive ε long before it.
+const innerMaxIter = 10000
+
 // Loop is one page ranker's algorithmic state and update rule, shared
 // verbatim by every runtime. Its afferent state is one slot per group
 // that links here (Group.AffSrcs), so it holds nothing for the rest of
@@ -175,7 +179,7 @@ func (l *Loop) ComputePhase() {
 		opt := pagerank.Options{
 			Alpha:   l.p.Alpha,
 			Epsilon: l.p.InnerEpsilon,
-			MaxIter: l.p.InnerMaxIter,
+			MaxIter: innerMaxIter,
 		}
 		res, err := l.grp.Sys.SolveInPlace(l.r, l.x, l.scratch, opt)
 		if err != nil {

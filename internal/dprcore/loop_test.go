@@ -19,7 +19,7 @@ import (
 // exactly.
 func testGroup(t testing.TB, idx int, eff map[int32][]EffEntry) *Group {
 	t.Helper()
-	sys, err := pagerank.NewGroupSystem(2, nil, []int32{1, 2}, nil, 0.85)
+	sys, err := pagerank.NewGroupSystem(2, nil, []int32{1, 2}, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}

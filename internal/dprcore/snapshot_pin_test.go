@@ -37,7 +37,7 @@ func buildEquivGroups(t *testing.T) []*dprcore.Group {
 	for i := range ids {
 		ids[i] = nodeid.Hash("equiv-ranker-" + string(rune('0'+i)))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,8 +78,6 @@ type Config struct {
 	Seed uint64
 	// Net configures the simulated network (zero → DefaultNetConfig).
 	Net simnet.NetConfig
-	// Size configures wire sizes (zero → DefaultSizeModel).
-	Size transport.SizeModel
 	// Codec optionally encodes score chunks on the wire (see
 	// internal/codec): message sizes then reflect the real encoding,
 	// and lossy codecs genuinely perturb the exchanged scores. Nil
@@ -130,9 +128,6 @@ func (c *Config) validate() (*dprcore.Deployment, error) {
 	c.Params.Defaults(15, 15)
 	if c.Net == (simnet.NetConfig{}) {
 		c.Net = simnet.DefaultNetConfig()
-	}
-	if c.Size == (transport.SizeModel{}) {
-		c.Size = transport.DefaultSizeModel()
 	}
 	//p2plint:allow floateq -- unset-field detection on a config value, not a computed score
 	if c.SampleEvery == 0 {
@@ -207,9 +202,9 @@ func BuildOverlay(kind OverlayKind, k int) (overlay.Network, error) {
 	ids := nodeid.RankerIDs(k)
 	switch kind {
 	case Pastry:
-		return pastry.New(ids, pastry.DefaultConfig())
+		return pastry.New(ids)
 	case Chord:
-		return chord.New(ids, chord.DefaultConfig())
+		return chord.New(ids)
 	}
 	return nil, fmt.Errorf("engine: unknown overlay kind %d", int(kind))
 }
@@ -220,7 +215,7 @@ func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab, err := transport.NewFabric(net, dep.Ring, cfg.Transport, cfg.Size)
+	fab, err := transport.NewFabric(net, dep.Ring, cfg.Transport, transport.DefaultSizeModel())
 	if err != nil {
 		return nil, err
 	}

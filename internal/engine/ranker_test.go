@@ -22,7 +22,7 @@ func makeAssignment(t testing.TB, g *webgraph.Graph, k int, strat partition.Stra
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func BenchmarkDPR1Loop(b *testing.B) {
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		b.Fatal(err)
 	}

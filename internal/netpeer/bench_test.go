@@ -19,7 +19,7 @@ import (
 func BenchmarkPeerHandleFrame(b *testing.B) {
 	const k = 16
 	g := genGraph(b, 2000, 7)
-	ov, err := pastry.New(nodeid.RankerIDs(k), pastry.DefaultConfig())
+	ov, err := pastry.New(nodeid.RankerIDs(k))
 	if err != nil {
 		b.Fatal(err)
 	}

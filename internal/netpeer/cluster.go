@@ -27,7 +27,8 @@ type ClusterConfig struct {
 	K int
 	// Strategy is the partitioning strategy (default BySite).
 	Strategy partition.Strategy
-	// MeanWait is each peer's mean loop pause (default 30ms).
+	// MeanWait is each peer's mean loop pause (default 30ms): sugar
+	// for T1 = T2 = MeanWait nanoseconds, used when T1/T2 are zero.
 	MeanWait time.Duration
 	// Indirect switches the cluster to §4.4 indirect transmission:
 	// score frames hop along the Pastry overlay through intermediate
@@ -94,7 +95,7 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 		cfg.MeanWait = 30 * time.Millisecond
 	}
 	cfg.Params.Defaults(float64(cfg.MeanWait), float64(cfg.MeanWait))
-	ring, err := pastry.New(nodeid.RankerIDs(cfg.K), pastry.DefaultConfig())
+	ring, err := pastry.New(nodeid.RankerIDs(cfg.K))
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ import (
 // Fault, Observer) live in the embedded dprcore.Params, the same
 // configuration surface the simulator's engine.Config embeds — see
 // DESIGN.md §9. On the live stack T1/T2 are wall-clock nanoseconds;
-// most callers leave them zero and set MeanWait instead. An Observer
+// left zero, every loop's mean pause is 50ms. An Observer
 // that is a *telemetry.Collector additionally gets the wall clock
 // for trace timestamps and overlay route lengths for hop attribution.
 type Config struct {
@@ -51,11 +51,6 @@ type Config struct {
 	dprcore.Params
 	// Group is the peer's page group (a dprcore.Deployment's Groups[i]).
 	Group *dprcore.Group
-	// MeanWait is the mean of the exponentially distributed pause
-	// between loops (default 50ms) — the convenience spelling of the
-	// common fixed-mean case. When T1/T2 are zero it maps onto
-	// T1 = T2 = MeanWait nanoseconds; explicit T1/T2 win.
-	MeanWait time.Duration
 	// Seed drives the peer's private randomness (default 1).
 	Seed uint64
 	// Overlay, when non-nil, switches the peer to indirect
@@ -74,13 +69,7 @@ func (c *Config) validate() error {
 	if c.Group == nil {
 		return errors.New("netpeer: Group is required")
 	}
-	if c.MeanWait < 0 {
-		return fmt.Errorf("netpeer: negative MeanWait")
-	}
-	if c.MeanWait == 0 && c.T1 == 0 && c.T2 == 0 {
-		c.MeanWait = 50 * time.Millisecond
-	}
-	c.Params.Defaults(float64(c.MeanWait), float64(c.MeanWait))
+	c.Params.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("netpeer: %w", err)
 	}
@@ -197,7 +186,7 @@ func (w stopWaiter) Wait(d float64) bool {
 
 // wallClock is the peer's dprcore.Clock — the only place the live
 // stack touches wall time on behalf of the core. Times are float64
-// nanoseconds, matching Config.MeanWait's unit after conversion.
+// nanoseconds, the unit of a live peer's T1/T2.
 type wallClock struct{}
 
 func (wallClock) Now() float64 { return float64(time.Now().UnixNano()) }

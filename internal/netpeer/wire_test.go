@@ -146,7 +146,6 @@ func TestPeerConfigValidation(t *testing.T) {
 		{Group: grp, Params: dprcore.Params{InnerEpsilon: -1}},
 		{Group: grp, Params: dprcore.Params{SendProb: -0.5}},
 		{Group: grp, Params: dprcore.Params{SendProb: 1.5}},
-		{Group: grp, MeanWait: -1},
 		{Group: grp, Params: dprcore.Params{T1: 5, T2: 1}},
 		{Group: grp, Params: dprcore.Params{Fault: dprcore.FaultConfig{DropProb: 2}}},
 	}
@@ -291,7 +290,7 @@ func FuzzReadFrame(f *testing.F) {
 	// Two by-page groups, each linking to the other, as StartCluster
 	// would cut them.
 	g := genGraph(f, 300, 61)
-	ov, err := pastry.New(nodeid.RankerIDs(2), pastry.DefaultConfig())
+	ov, err := pastry.New(nodeid.RankerIDs(2))
 	if err != nil {
 		f.Fatal(err)
 	}

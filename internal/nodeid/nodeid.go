@@ -1,6 +1,6 @@
 // Package nodeid implements the 128-bit circular identifier space shared
 // by the Pastry and Chord overlays: hashing of node names and page keys,
-// digit extraction for prefix routing (Pastry), ring arithmetic and
+// hex-digit extraction for prefix routing (Pastry), ring arithmetic and
 // interval tests (Chord), and distance comparisons.
 package nodeid
 
@@ -160,38 +160,32 @@ func BetweenIncl(m, a, b ID) bool {
 	return d.Cmp(b.Sub(a)) <= 0 && d.Cmp(ID{}) > 0
 }
 
-// Digit returns the i-th base-2^b digit of x counting from the most
-// significant end, as Pastry's prefix routing reads IDs. It panics if b
-// does not divide 128 evenly into digit positions or i is out of range.
-func (x ID) Digit(i, b int) int {
-	nDigits := Bits / b
-	if b <= 0 || Bits%b != 0 {
-		panic(fmt.Sprintf("nodeid: digit width %d does not divide %d", b, Bits))
+// DigitBits is Pastry's b: routing reads an ID as base-2^b digits,
+// and b = 4 (hex digits) is the setting behind the paper's hop counts.
+const DigitBits = 4
+
+// Digits is the number of base-2^b digits in an ID.
+const Digits = Bits / DigitBits
+
+// Digit returns the i-th hex digit of x counting from the most
+// significant end, as Pastry's prefix routing reads IDs. It panics if i
+// is out of range.
+func (x ID) Digit(i int) int {
+	if i < 0 || i >= Digits {
+		panic(fmt.Sprintf("nodeid: digit index %d out of range (%d digits)", i, Digits))
 	}
-	if i < 0 || i >= nDigits {
-		panic(fmt.Sprintf("nodeid: digit index %d out of range (%d digits)", i, nDigits))
+	word := x.Hi
+	if i >= Digits/2 {
+		word, i = x.Lo, i-Digits/2
 	}
-	shift := Bits - (i+1)*b
-	var word uint64
-	if shift >= 64 {
-		word = x.Hi >> uint(shift-64)
-	} else if shift+b <= 64 {
-		word = x.Lo >> uint(shift)
-	} else {
-		// Digit straddles the word boundary.
-		word = x.Hi<<uint(64-shift) | x.Lo>>uint(shift)
-	}
-	return int(word & ((1 << uint(b)) - 1))
+	return int(word >> uint(64-DigitBits*(i+1)) & (1<<DigitBits - 1))
 }
 
-// CommonPrefixLen returns the number of leading base-2^b digits shared
-// by x and y.
-func CommonPrefixLen(x, y ID, b int) int {
-	nDigits := Bits / b
-	for i := 0; i < nDigits; i++ {
-		if x.Digit(i, b) != y.Digit(i, b) {
-			return i
-		}
+// CommonPrefixLen returns the number of leading hex digits shared by x
+// and y: the leading zero bits of x XOR y, in whole digits.
+func CommonPrefixLen(x, y ID) int {
+	if d := x.Hi ^ y.Hi; d != 0 {
+		return bits.LeadingZeros64(d) / DigitBits
 	}
-	return nDigits
+	return (64 + bits.LeadingZeros64(x.Lo^y.Lo)) / DigitBits
 }

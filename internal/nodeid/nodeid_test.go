@@ -151,8 +151,8 @@ func TestBetweenIncl(t *testing.T) {
 }
 
 func TestDigitRoundTrip(t *testing.T) {
-	// With b=4 there are 32 hex digits; Digit(i,4) must equal the i-th
-	// hex character of String().
+	// There are 32 hex digits; Digit(i) must equal the i-th hex
+	// character of String().
 	r := xrand.New(7)
 	const hex = "0123456789abcdef"
 	for i := 0; i < 50; i++ {
@@ -160,7 +160,7 @@ func TestDigitRoundTrip(t *testing.T) {
 		s := x.String()
 		for d := 0; d < 32; d++ {
 			want := int([]byte(s)[d])
-			got := x.Digit(d, 4)
+			got := x.Digit(d)
 			if hex[got] != byte(want) {
 				t.Fatalf("id %s digit %d = %d, want hex %c", s, d, got, want)
 			}
@@ -169,26 +169,26 @@ func TestDigitRoundTrip(t *testing.T) {
 }
 
 func TestDigitWordBoundary(t *testing.T) {
-	// b=1: digit 63 is the lowest bit of Hi, digit 64 the highest of Lo.
-	x := ID{Hi: 1, Lo: 1 << 63}
-	if x.Digit(63, 1) != 1 || x.Digit(64, 1) != 1 {
-		t.Fatal("bit digits around the word boundary wrong")
+	// Digit 15 is the lowest nibble of Hi, digit 16 the highest of Lo.
+	x := ID{Hi: 0xa, Lo: 0xb << 60}
+	if x.Digit(15) != 0xa || x.Digit(16) != 0xb {
+		t.Fatal("digits around the word boundary wrong")
 	}
-	if x.Digit(0, 1) != 0 || x.Digit(127, 1) != 0 {
-		t.Fatal("outer bits wrong")
+	if x.Digit(0) != 0 || x.Digit(31) != 0 {
+		t.Fatal("outer digits wrong")
 	}
 }
 
 func TestDigitPanics(t *testing.T) {
 	x := ID{}
-	for _, c := range []struct{ i, b int }{{0, 3}, {0, 0}, {-1, 4}, {32, 4}} {
+	for _, i := range []int{-1, 32} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Digit(%d,%d) did not panic", c.i, c.b)
+					t.Errorf("Digit(%d) did not panic", i)
 				}
 			}()
-			x.Digit(c.i, c.b)
+			x.Digit(i)
 		}()
 	}
 }
@@ -196,11 +196,17 @@ func TestDigitPanics(t *testing.T) {
 func TestCommonPrefixLen(t *testing.T) {
 	x := ID{Hi: 0xabcd_0000_0000_0000}
 	y := ID{Hi: 0xabce_0000_0000_0000}
-	if got := CommonPrefixLen(x, y, 4); got != 3 {
+	if got := CommonPrefixLen(x, y); got != 3 {
 		t.Fatalf("prefix len = %d, want 3", got)
 	}
-	if got := CommonPrefixLen(x, x, 4); got != 32 {
+	if got := CommonPrefixLen(x, x); got != 32 {
 		t.Fatalf("self prefix len = %d, want 32", got)
+	}
+	// Across the word boundary: Hi equal, Lo differing in digit 16+1.
+	u := ID{Hi: 7, Lo: 0x0f00_0000_0000_0000}
+	v := ID{Hi: 7, Lo: 0x0e00_0000_0000_0000}
+	if got := CommonPrefixLen(u, v); got != 17 {
+		t.Fatalf("low-word prefix len = %d, want 17", got)
 	}
 }
 

@@ -21,9 +21,9 @@ func buildOverlay(t *testing.T, kind string, k int) Network {
 		err error
 	)
 	if kind == "pastry" {
-		ov, err = pastry.New(ids, pastry.DefaultConfig())
+		ov, err = pastry.New(ids)
 	} else {
-		ov, err = chord.New(ids, chord.DefaultConfig())
+		ov, err = chord.New(ids)
 	}
 	if err != nil {
 		t.Fatal(err)

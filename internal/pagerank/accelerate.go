@@ -37,15 +37,7 @@ func OpenAccelerated(g *webgraph.Graph, opt Options, every int) (Result, error) 
 		return Result{}, err
 	}
 	n := g.NumPages()
-	e := opt.E
-	if e == nil {
-		e = vecmath.Const(n, 1)
-	}
-	if len(e) != n {
-		return Result{}, fmt.Errorf("pagerank: E has length %d, want %d", len(e), n)
-	}
-	betaE := e.Clone()
-	betaE.Scale(1 - opt.Alpha)
+	betaE := vecmath.Const(n, 1-opt.Alpha)
 
 	r := vecmath.Const(n, 1)
 	next := vecmath.NewVec(n)

@@ -62,11 +62,6 @@ func TestAcceleratedValidation(t *testing.T) {
 	if _, err := OpenAccelerated(g, bad, 5); err == nil {
 		t.Error("bad alpha accepted")
 	}
-	withE := Defaults()
-	withE.E = vecmath.Const(3, 1)
-	if _, err := OpenAccelerated(g, withE, 5); err == nil {
-		t.Error("wrong-length E accepted")
-	}
 }
 
 func TestAcceleratedEmptyGraph(t *testing.T) {

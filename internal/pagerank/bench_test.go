@@ -77,7 +77,7 @@ func BenchmarkNewGroupSystem(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewGroupSystem(len(pages), links, deg, nil, 0.85); err != nil {
+		if _, err := NewGroupSystem(len(pages), links, deg, 0.85); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,10 +20,10 @@ type GroupSystem struct {
 // of pages in the group, links are (src,dst) pairs in local indices,
 // source-ascending (so that every row of A receives its columns in
 // order: dprcore.BuildGroups walks the pages that way), deg[u] is the
-// TOTAL out-degree of local page u (inner + efferent + external), e is
-// the E vector restricted to the group (nil for the paper's E(v)=1),
-// and alpha is the real-link rank fraction.
-func NewGroupSystem(n int, links [][2]int32, deg []int32, e vecmath.Vec, alpha float64) (*GroupSystem, error) {
+// TOTAL out-degree of local page u (inner + efferent + external), and
+// alpha is the real-link rank fraction. The source vector is the
+// paper's E(v) = 1.
+func NewGroupSystem(n int, links [][2]int32, deg []int32, alpha float64) (*GroupSystem, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("pagerank: alpha = %v, must be in (0,1)", alpha)
 	}
@@ -52,15 +52,7 @@ func NewGroupSystem(n int, links [][2]int32, deg []int32, e vecmath.Vec, alpha f
 	if err != nil {
 		return nil, err
 	}
-	if e == nil {
-		e = vecmath.Const(n, 1)
-	}
-	if len(e) != n {
-		return nil, fmt.Errorf("pagerank: E has length %d, want %d", len(e), n)
-	}
-	be := e.Clone()
-	be.Scale(1 - alpha)
-	return &GroupSystem{A: a, BetaE: be}, nil
+	return &GroupSystem{A: a, BetaE: vecmath.Const(n, 1-alpha)}, nil
 }
 
 // N returns the number of pages in the group.

@@ -28,10 +28,6 @@ type Options struct {
 	// links (the damping factor c of classic PageRank). β = 1 − Alpha
 	// goes to virtual links. Must be in (0, 1).
 	Alpha float64
-	// E is the rank-source vector. For Open/GroupSystem the paper uses
-	// E(v) = 1 for all pages; for Classic it must be a distribution
-	// (entries summing to 1). Nil selects those defaults.
-	E vecmath.Vec
 	// Epsilon terminates iteration when ‖R_{i+1} − R_i‖₁ ≤ Epsilon.
 	Epsilon float64
 	// MaxIter bounds the number of iterations; 0 means 10000.
@@ -41,7 +37,7 @@ type Options struct {
 }
 
 // Defaults returns the paper's standard parameters: α = 0.85,
-// ε = 1e-10, uniform E.
+// ε = 1e-10.
 func Defaults() Options {
 	return Options{Alpha: 0.85, Epsilon: 1e-10, MaxIter: 10000}
 }
@@ -145,15 +141,8 @@ func Open(g *webgraph.Graph, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	n := g.NumPages()
-	e := opt.E
-	if e == nil {
-		e = vecmath.Const(n, 1)
-	}
-	if len(e) != n {
-		return Result{}, fmt.Errorf("pagerank: E has length %d, want %d", len(e), n)
-	}
-	sys := &GroupSystem{A: a, BetaE: e.Clone()}
-	sys.BetaE.Scale(1 - opt.Alpha)
+	// The paper's source vector E(v) = 1 for every page.
+	sys := &GroupSystem{A: a, BetaE: vecmath.Const(n, 1-opt.Alpha)}
 	r0 := vecmath.Const(n, 1)
 	return sys.Solve(r0, nil, opt)
 }
@@ -171,13 +160,8 @@ func Classic(g *webgraph.Graph, opt Options) (Result, error) {
 	if n == 0 {
 		return Result{Ranks: vecmath.NewVec(0), Converged: true}, nil
 	}
-	e := opt.E
-	if e == nil {
-		e = vecmath.Const(n, 1/float64(n))
-	}
-	if len(e) != n {
-		return Result{}, fmt.Errorf("pagerank: E has length %d, want %d", len(e), n)
-	}
+	// The uniform source distribution E(v) = 1/n.
+	e := vecmath.Const(n, 1/float64(n))
 	// Closed system: only internal links exist, degree is internal
 	// degree, damping c = Alpha folded into the matrix.
 	a, err := buildTransposed(g, func(_ int32, internalDeg int) float64 {

@@ -177,18 +177,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestBadEVector(t *testing.T) {
-	g := chain(t)
-	opt := Defaults()
-	opt.E = vecmath.Const(99, 1)
-	if _, err := Open(g, opt); err == nil {
-		t.Error("wrong-length E accepted by Open")
-	}
-	if _, err := Classic(g, opt); err == nil {
-		t.Error("wrong-length E accepted by Classic")
-	}
-}
-
 func TestNotConvergedError(t *testing.T) {
 	g := genGraph(t, 2000, 1)
 	opt := Defaults()
@@ -311,7 +299,7 @@ func TestGroupSolutionNonNegativeProperty(t *testing.T) {
 		for i := range x {
 			x[i] = r.Float64() * 3
 		}
-		sys, err := NewGroupSystem(n, links, deg, nil, 0.85)
+		sys, err := NewGroupSystem(n, links, deg, 0.85)
 		if err != nil {
 			return true // invalid random instance; skip
 		}
@@ -341,7 +329,7 @@ func TestGroupMonotoneInXProperty(t *testing.T) {
 				links = append(links, [2]int32{int32(u), int32(r.Intn(n))})
 			}
 		}
-		sys, err := NewGroupSystem(n, links, deg, nil, 0.85)
+		sys, err := NewGroupSystem(n, links, deg, 0.85)
 		if err != nil {
 			return true
 		}
@@ -365,22 +353,19 @@ func TestGroupMonotoneInXProperty(t *testing.T) {
 
 func TestNewGroupSystemErrors(t *testing.T) {
 	deg := []int32{1, 1}
-	if _, err := NewGroupSystem(2, [][2]int32{{0, 5}}, deg, nil, 0.85); err == nil {
+	if _, err := NewGroupSystem(2, [][2]int32{{0, 5}}, deg, 0.85); err == nil {
 		t.Error("out-of-range link accepted")
 	}
-	if _, err := NewGroupSystem(2, nil, []int32{1}, nil, 0.85); err == nil {
+	if _, err := NewGroupSystem(2, nil, []int32{1}, 0.85); err == nil {
 		t.Error("short degree vector accepted")
 	}
-	if _, err := NewGroupSystem(2, nil, deg, nil, 1.5); err == nil {
+	if _, err := NewGroupSystem(2, nil, deg, 1.5); err == nil {
 		t.Error("alpha out of range accepted")
 	}
-	if _, err := NewGroupSystem(2, [][2]int32{{0, 1}}, []int32{0, 0}, nil, 0.85); err == nil {
+	if _, err := NewGroupSystem(2, [][2]int32{{0, 1}}, []int32{0, 0}, 0.85); err == nil {
 		t.Error("zero degree with links accepted")
 	}
-	if _, err := NewGroupSystem(2, nil, deg, vecmath.Const(5, 1), 0.85); err == nil {
-		t.Error("wrong-length E accepted")
-	}
-	if _, err := NewGroupSystem(2, [][2]int32{{1, 0}, {0, 0}}, deg, nil, 0.85); err == nil {
+	if _, err := NewGroupSystem(2, [][2]int32{{1, 0}, {0, 0}}, deg, 0.85); err == nil {
 		t.Error("links out of source order accepted")
 	}
 }
@@ -428,7 +413,7 @@ func TestDirectFillsMatchNewCSR(t *testing.T) {
 	if !reflect.DeepEqual(a, want) {
 		t.Error("BuildTransition differs from the entry build over the same links")
 	}
-	sys, err := NewGroupSystem(n, links, deg, nil, alpha)
+	sys, err := NewGroupSystem(n, links, deg, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +423,7 @@ func TestDirectFillsMatchNewCSR(t *testing.T) {
 }
 
 func TestGroupSystemEmpty(t *testing.T) {
-	sys, err := NewGroupSystem(0, nil, nil, nil, 0.85)
+	sys, err := NewGroupSystem(0, nil, nil, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +478,7 @@ func TestGroupDecompositionConsistency(t *testing.T) {
 				}
 			}
 		}
-		sys, err := NewGroupSystem(sizes[gi], links, deg, nil, opt.Alpha)
+		sys, err := NewGroupSystem(sizes[gi], links, deg, opt.Alpha)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func makeOverlay(t testing.TB, k int) *pastry.Overlay {
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	o, err := pastry.New(ids, pastry.DefaultConfig())
+	o, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -14,29 +15,40 @@ import (
 // node's first ℓ digits and have digit d at position ℓ.
 func TestRoutingTableEntryInvariant(t *testing.T) {
 	o := newOverlay(t, 150)
-	b := o.cfg.B
+	if err := checkTables(o); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkTables holds every node's routing table to Pastry's structure:
+// an entry in row r shares exactly r digits with its node and has its
+// column as digit r, and the table ends at the node's deepest filled
+// row.
+func checkTables(o *Overlay) error {
 	for i := 0; i < o.NumNodes(); i++ {
 		st := &o.nodes[i]
-		if st.table == nil {
-			continue
-		}
 		self := o.NodeID(i)
-		for row := 0; row < o.rows; row++ {
-			for d := 0; d < o.fanout; d++ {
-				e := st.table[row*o.fanout+d]
+		for r := range st.table {
+			filled := false
+			for d, e := range st.table[r] {
 				if e < 0 {
 					continue
 				}
-				eid := o.NodeID(e)
-				if got := nodeid.CommonPrefixLen(self, eid, b); got < row {
-					t.Fatalf("node %d row %d col %d: entry shares only %d digits", i, row, d, got)
+				filled = true
+				eid := o.NodeID(int(e))
+				if got := nodeid.CommonPrefixLen(self, eid); got != r {
+					return fmt.Errorf("node %d row %d col %d: entry shares %d digits", i, r, d, got)
 				}
-				if got := eid.Digit(row, b); got != d {
-					t.Fatalf("node %d row %d col %d: entry digit %d", i, row, d, got)
+				if got := eid.Digit(r); got != d {
+					return fmt.Errorf("node %d row %d col %d: entry digit %d", i, r, d, got)
 				}
+			}
+			if !filled && r == len(st.table)-1 {
+				return fmt.Errorf("node %d: last table row %d is empty", i, r)
 			}
 		}
 	}
+	return nil
 }
 
 // Leaf sets must hold exactly the nearest ring neighbors on each side.
@@ -55,7 +67,7 @@ func TestLeafSetInvariant(t *testing.T) {
 		pos[idx] = p
 	}
 	n := len(ring)
-	half := o.cfg.LeafSize / 2
+	half := leafHalf
 	for i := 0; i < o.NumNodes(); i++ {
 		want := map[int]bool{}
 		for k := 1; k <= half; k++ {
@@ -82,7 +94,6 @@ func TestLeafSetInvariant(t *testing.T) {
 // distance shrinks.
 func TestRouteProgressInvariant(t *testing.T) {
 	o := newOverlay(t, 200)
-	b := o.cfg.B
 	for _, key := range randKeys(100, 77) {
 		cur := 3
 		for hop := 0; hop < 64; hop++ {
@@ -90,8 +101,8 @@ func TestRouteProgressInvariant(t *testing.T) {
 			if next == cur {
 				break
 			}
-			curPfx := nodeid.CommonPrefixLen(o.NodeID(cur), key, b)
-			nextPfx := nodeid.CommonPrefixLen(o.NodeID(next), key, b)
+			curPfx := nodeid.CommonPrefixLen(o.NodeID(cur), key)
+			nextPfx := nodeid.CommonPrefixLen(o.NodeID(next), key)
 			if nextPfx < curPfx {
 				// Allowed only via the leaf-set rule, which must then
 				// deliver the final owner.

@@ -1,9 +1,9 @@
 // Package pastry implements the Pastry structured overlay (Rowstron &
 // Druschel, Middleware 2001) at the fidelity the paper's experiments
-// need: per-node routing tables over base-2^b digits, leaf sets, prefix
-// routing with the leaf-set shortcut, and the ~log_{2^b}(N) lookup hop
-// counts that drive Table 1 (h ≈ 2.5 at N=1000, 3.5 at 10⁴, 4.0 at 10⁵
-// for b=4).
+// need: per-node routing tables over hex digits (b = 4), 16-node leaf
+// sets, prefix routing with the leaf-set shortcut, and the ~log₁₆(N)
+// lookup hop counts that drive Table 1 (h ≈ 2.5 at N=1000, 3.5 at 10⁴,
+// 4.0 at 10⁵). These are the paper's settings, so they are constants.
 //
 // Membership is fixed at construction: New computes every leaf set and
 // routing table once, the state Pastry's join protocol converges to. The
@@ -20,61 +20,38 @@ import (
 	"p2prank/internal/nodeid"
 )
 
-// Config parameterizes the overlay.
-type Config struct {
-	// B is the number of bits per routing digit (the Pastry parameter
-	// b); 2^B is the routing-table fan-out. Must divide 128. Default 4.
-	B int
-	// LeafSize is the total leaf-set size (split evenly between the
-	// clockwise and counter-clockwise sides). Default 16.
-	LeafSize int
-}
+// fanout is 2^b, the number of columns in a routing-table row.
+const fanout = 1 << nodeid.DigitBits
 
-// DefaultConfig returns Pastry's standard parameters: b=4, |L|=16.
-func DefaultConfig() Config { return Config{B: 4, LeafSize: 16} }
+// leafHalf is half the leaf-set size |L| = 16: the nearest nodes kept
+// on each side of the ring.
+const leafHalf = 8
 
-func (c *Config) validate() error {
-	if c.B == 0 {
-		c.B = 4
-	}
-	if c.LeafSize == 0 {
-		c.LeafSize = 16
-	}
-	if c.B <= 0 || nodeid.Bits%c.B != 0 {
-		return fmt.Errorf("pastry: digit width %d must divide %d", c.B, nodeid.Bits)
-	}
-	if c.LeafSize < 2 || c.LeafSize%2 != 0 {
-		return fmt.Errorf("pastry: LeafSize %d must be a positive even number", c.LeafSize)
-	}
-	return nil
-}
+// row is one routing-table row: the node index for each digit value at
+// the row's position, or -1.
+type row [fanout]int32
 
 // state is one node's routing state.
 type state struct {
-	// leaves holds the leaf set: the LeafSize/2 nearest nodes on each
-	// side of the ring, by node index.
+	// leaves holds the leaf set: the leafHalf nearest nodes on each side
+	// of the ring, by node index.
 	leaves []int
-	// table[row*fanout+col] is a node index or -1.
-	table []int
+	// table holds rows 0 through the node's deepest filled row; rows
+	// past it would be empty.
+	table []row
 }
 
 // Overlay is a Pastry network over a fixed set of member nodes.
 type Overlay struct {
-	cfg    Config
-	fanout int
-	rows   int
-	ids    []nodeid.ID
-	nodes  []state
+	ids   []nodeid.ID
+	nodes []state
 	// sorted holds every node index, ordered by ID.
 	sorted []int
 }
 
-// New builds a Pastry overlay over the given node IDs.
-// Duplicate IDs are rejected: the ring needs distinct points.
-func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// New builds a Pastry overlay over the given node IDs with b = 4 and
+// |L| = 16. Duplicate IDs are rejected: the ring needs distinct points.
+func New(ids []nodeid.ID) (*Overlay, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("pastry: no nodes")
 	}
@@ -83,14 +60,12 @@ func New(ids []nodeid.ID, cfg Config) (*Overlay, error) {
 		return nil, fmt.Errorf("pastry: %w", err)
 	}
 	o := &Overlay{
-		cfg:    cfg,
-		fanout: 1 << uint(cfg.B),
-		rows:   nodeid.Bits / cfg.B,
 		ids:    append([]nodeid.ID(nil), ids...),
 		nodes:  make([]state, len(ids)),
 		sorted: sorted,
 	}
 	o.buildLeafSets()
+	o.allocTables()
 	o.buildTables(0, len(o.sorted), 0)
 	return o, nil
 }
@@ -101,14 +76,11 @@ func (o *Overlay) NumNodes() int { return len(o.ids) }
 // NodeID returns node i's ring identifier.
 func (o *Overlay) NodeID(i int) nodeid.ID { return o.ids[i] }
 
-// buildLeafSets assigns each node its LeafSize/2 ring neighbors on each
+// buildLeafSets assigns each node its leafHalf ring neighbors on each
 // side.
 func (o *Overlay) buildLeafSets() {
 	n := len(o.sorted)
-	half := o.cfg.LeafSize / 2
-	if half > n-1 {
-		half = n - 1
-	}
+	half := min(leafHalf, n-1)
 	for pos, idx := range o.sorted {
 		st := &o.nodes[idx]
 		st.leaves = make([]int, 0, 2*half)
@@ -119,26 +91,56 @@ func (o *Overlay) buildLeafSets() {
 	}
 }
 
+// allocTables gives each node rows 0 through its deepest filled row,
+// all -1, carved from one slab. A node's deepest filled row is the most
+// digits it shares with any other node, and the nodes sharing the most
+// with it are its ring neighbours.
+func (o *Overlay) allocTables() {
+	n := len(o.sorted)
+	if n == 1 {
+		return
+	}
+	depth := make([]int, n)
+	total := 0
+	for pos, idx := range o.sorted {
+		self := o.ids[idx]
+		depth[pos] = 1 + max(
+			nodeid.CommonPrefixLen(self, o.ids[o.sorted[(pos+1)%n]]),
+			nodeid.CommonPrefixLen(self, o.ids[o.sorted[(pos-1+n)%n]]))
+		total += depth[pos]
+	}
+	slab := make([]row, total)
+	for r := range slab {
+		for d := range slab[r] {
+			slab[r][d] = -1
+		}
+	}
+	for pos, idx := range o.sorted {
+		o.nodes[idx].table = slab[:depth[pos]:depth[pos]]
+		slab = slab[depth[pos]:]
+	}
+}
+
 // buildTables recursively partitions the sorted nodes by digit.
 // All nodes in sorted[lo:hi] share the first `depth` digits; each gets
 // row `depth` of its routing table filled with one representative per
 // differing digit.
 func (o *Overlay) buildTables(lo, hi, depth int) {
-	if hi-lo <= 1 || depth >= o.rows {
+	if hi-lo <= 1 {
 		return
 	}
 	// Partition [lo,hi) by the digit at position depth. The slice is
 	// sorted, so each digit occupies a contiguous subrange.
 	type span struct{ lo, hi int }
-	spans := make([]span, o.fanout)
+	var spans [fanout]span
 	for d := range spans {
 		spans[d] = span{-1, -1}
 	}
 	i := lo
 	for i < hi {
-		d := o.ids[o.sorted[i]].Digit(depth, o.cfg.B)
+		d := o.ids[o.sorted[i]].Digit(depth)
 		j := i
-		for j < hi && o.ids[o.sorted[j]].Digit(depth, o.cfg.B) == d {
+		for j < hi && o.ids[o.sorted[j]].Digit(depth) == d {
 			j++
 		}
 		spans[d] = span{i, j}
@@ -148,34 +150,25 @@ func (o *Overlay) buildTables(lo, hi, depth int) {
 	// subrange. The representative is the subrange member nearest the
 	// node's ring position, which is what Pastry's locality-aware
 	// construction degenerates to without a proximity metric.
-	for d := 0; d < o.fanout; d++ {
-		sp := spans[d]
+	for d, sp := range spans {
 		if sp.lo < 0 {
 			continue
 		}
 		for k := sp.lo; k < sp.hi; k++ {
-			idx := o.sorted[k]
-			st := &o.nodes[idx]
-			if st.table == nil {
-				st.table = make([]int, o.rows*o.fanout)
-				for t := range st.table {
-					st.table[t] = -1
-				}
-			}
-			row := st.table[depth*o.fanout : (depth+1)*o.fanout]
-			for d2 := 0; d2 < o.fanout; d2++ {
-				if d2 == d || spans[d2].lo < 0 {
+			r := &o.nodes[o.sorted[k]].table[depth]
+			for d2, sp2 := range spans {
+				if d2 == d || sp2.lo < 0 {
 					continue
 				}
 				// Nearest member of spans[d2] to position k keeps
 				// entries varied across nodes yet deterministic.
-				row[d2] = o.sorted[nearestIn(spans[d2].lo, spans[d2].hi, k)]
+				r[d2] = int32(o.sorted[nearestIn(sp2.lo, sp2.hi, k)])
 			}
 		}
 	}
-	for d := 0; d < o.fanout; d++ {
-		if spans[d].lo >= 0 {
-			o.buildTables(spans[d].lo, spans[d].hi, depth+1)
+	for _, sp := range spans {
+		if sp.lo >= 0 {
+			o.buildTables(sp.lo, sp.hi, depth+1)
 		}
 	}
 }
@@ -237,10 +230,10 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 	}
 	// 2. Prefix routing: forward to the table entry matching one more
 	// digit of the key.
-	l := nodeid.CommonPrefixLen(self, key, o.cfg.B)
-	if l < o.rows && st.table != nil {
-		if t := st.table[l*o.fanout+key.Digit(l, o.cfg.B)]; t >= 0 {
-			return t
+	l := nodeid.CommonPrefixLen(self, key)
+	if l < len(st.table) {
+		if t := st.table[l][key.Digit(l)]; t >= 0 {
+			return int(t)
 		}
 	}
 	// 3. Rare case: any known node sharing ≥ l digits with the key and
@@ -252,7 +245,7 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 		if c < 0 {
 			return
 		}
-		if nodeid.CommonPrefixLen(o.ids[c], key, o.cfg.B) < l {
+		if nodeid.CommonPrefixLen(o.ids[c], key) < l {
 			return
 		}
 		d := nodeid.AbsDist(o.ids[c], key)
@@ -263,9 +256,9 @@ func (o *Overlay) NextHop(i int, key nodeid.ID) int {
 	for _, c := range st.leaves {
 		consider(c)
 	}
-	if st.table != nil {
-		for _, c := range st.table {
-			consider(c)
+	for r := range st.table {
+		for _, c := range st.table[r] {
+			consider(int(c))
 		}
 	}
 	return best
@@ -306,11 +299,11 @@ func (o *Overlay) Neighbors(i int) []int {
 	// Collected into a slice and deduplicated after sorting: the routing
 	// table is mostly empty slots, so a set sized for it costs far more
 	// than the handful of links it ends up holding.
-	var out []int
-	for _, cs := range [2][]int{st.leaves, st.table} {
-		for _, c := range cs {
-			if c >= 0 && c != i {
-				out = append(out, c)
+	out := append([]int(nil), st.leaves...)
+	for r := range st.table {
+		for _, c := range st.table[r] {
+			if c >= 0 {
+				out = append(out, int(c))
 			}
 		}
 	}

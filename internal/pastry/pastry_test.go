@@ -22,7 +22,7 @@ func makeIDs(n int) []nodeid.ID {
 
 func newOverlay(t testing.TB, n int) *Overlay {
 	t.Helper()
-	o, err := New(makeIDs(n), DefaultConfig())
+	o, err := New(makeIDs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +39,13 @@ func randKeys(n int, seed uint64) []nodeid.ID {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, DefaultConfig()); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("empty membership accepted")
 	}
 	ids := makeIDs(3)
 	ids[2] = ids[0]
-	if _, err := New(ids, DefaultConfig()); err == nil {
+	if _, err := New(ids); err == nil {
 		t.Error("duplicate IDs accepted")
-	}
-	if _, err := New(makeIDs(3), Config{B: 3}); err == nil {
-		t.Error("non-dividing digit width accepted")
-	}
-	if _, err := New(makeIDs(3), Config{LeafSize: 5}); err == nil {
-		t.Error("odd leaf size accepted")
 	}
 }
 
@@ -253,7 +247,7 @@ func BenchmarkBuild1000(b *testing.B) {
 	ids := makeIDs(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(ids, DefaultConfig()); err != nil {
+		if _, err := New(ids); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func newFixture(t testing.TB, pages, k int) *fixture {
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func benchFrontend(b *testing.B, shards int) (*serve.Frontend, *serve.Store) {
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"p2prank/internal/nodeid"
+	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
 	"p2prank/internal/pastry"
 	"p2prank/internal/search"
@@ -30,7 +31,7 @@ func buildInputs(t testing.TB, pages, k int) (*webgraph.Graph, *pastry.Overlay, 
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +189,49 @@ func TestFrontendTextModelValidation(t *testing.T) {
 	}
 	if _, err := NewFrontendFrom(tm, ov, assign, store, Config{Text: search.Config{Vocabulary: 400}}); err != nil {
 		t.Errorf("matching text model rejected: %v", err)
+	}
+}
+
+// A frontend routes each query over its overlay to every candidate
+// shard's ranker, so the overlay must hold exactly one node per shard:
+// a missing overlay, or a ring shorter than the assignment, would send
+// the first query that reaches a shard past the ring off its end.
+func TestFrontendRefusesMismatchedOverlay(t *testing.T) {
+	g, _, assign, store := buildInputs(t, 300, 4)
+	for s, pages := range assign.Pages {
+		if _, err := store.Publish(s, 1, make([]float64, len(pages))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short, err := pastry.New(nodeid.RankerIDs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := search.DrawTerms(g, search.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ov   overlay.Network
+	}{{"2-node ring", short}, {"nil", nil}} {
+		for ctor, fn := range []func() (*Frontend, error){
+			func() (*Frontend, error) { return NewFrontend(g, c.ov, assign, store, Config{CacheEntries: -1}) },
+			func() (*Frontend, error) { return NewFrontendFrom(tm, c.ov, assign, store, Config{CacheEntries: -1}) },
+		} {
+			fe, err := fn()
+			if err != nil {
+				continue
+			}
+			// Accepted: serve single-term queries from shard 0 until
+			// one reaches a shard the overlay does not hold.
+			q := fe.NewQuerier()
+			var resp search.Response
+			for term := int32(0); term < 50; term++ {
+				_ = q.Serve(search.Request{Terms: []int32{term}, K: 5}, &resp) // the construction already failed the test
+			}
+			t.Errorf("constructor %d accepted a %s overlay for %d shards", ctor, c.name, assign.K)
+		}
 	}
 }
 

@@ -279,7 +279,7 @@ func (g *blockGate) ShardState(int) serve.ShardState {
 func TestAdmissionShedsOverInflightLimit(t *testing.T) {
 	f := newFixture(t, 800, 4, -1)
 	gate := &blockGate{entered: make(chan struct{}), release: make(chan struct{})}
-	fe := degradedFrontend(t, f, -1, gate, serve.Admission{MaxInflight: 1, RetryAfterSeconds: 2.5})
+	fe := degradedFrontend(t, f, -1, gate, serve.Admission{MaxInflight: 1})
 
 	req := search.Request{Terms: []int32{0}, K: 5}
 	done := make(chan error, 1)
@@ -295,8 +295,8 @@ func TestAdmissionShedsOverInflightLimit(t *testing.T) {
 		t.Fatalf("second query got %v, want ErrOverloaded", err)
 	}
 	var oe *search.OverloadError
-	if !errors.As(err, &oe) || oe.RetryAfter != 2.5 {
-		t.Fatalf("shed error carries retry-after %+v, want 2.5s", oe)
+	if !errors.As(err, &oe) || oe.RetryAfter != 1 {
+		t.Fatalf("shed error carries retry-after %+v, want 1s", oe)
 	}
 	close(gate.release)
 	if err := <-done; err != nil {

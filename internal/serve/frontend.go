@@ -34,6 +34,14 @@ type Config struct {
 	Admission Admission
 }
 
+// retryAfterSeconds is the wait a shed query is told to take before
+// retrying: the Retry-After header's whole-second minimum.
+const retryAfterSeconds = 1
+
+// errShed is the prebuilt shed error, so refusing a query under
+// overload allocates nothing.
+var errShed error = &search.OverloadError{RetryAfter: retryAfterSeconds}
+
 // Frontend is the distributed-top-k query tier: one term-major index
 // says which shards hold which terms and where in each shard, so a
 // query's plan is also its scan's directions. It fans a query out to
@@ -82,9 +90,6 @@ type Frontend struct {
 
 	health Health
 	adm    Admission
-	// overloadErr is the prebuilt shed error, so refusing a query under
-	// overload allocates nothing either.
-	overloadErr error
 
 	inflight atomic.Int64
 	shed     atomic.Int64
@@ -135,6 +140,14 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 	}
 	if assign.K != store.NumShards() {
 		return nil, fmt.Errorf("serve: assignment has %d shards, store %d", assign.K, store.NumShards())
+	}
+	// Queries are routed over the overlay to each shard's ranker, so it
+	// must hold one node per shard.
+	if ov == nil {
+		return nil, fmt.Errorf("serve: frontend needs an overlay")
+	}
+	if ov.NumNodes() != assign.K {
+		return nil, fmt.Errorf("serve: overlay has %d nodes, assignment %d shards", ov.NumNodes(), assign.K)
 	}
 	if int64(pages)*int64(text.TermsPerPage) > math.MaxInt32 {
 		return nil, fmt.Errorf("serve: %d pages of %d terms overflow the index's 32-bit offsets", pages, text.TermsPerPage)
@@ -244,10 +257,6 @@ func NewFrontendFrom(tm *search.TermMatrix, ov overlay.Network, assign *partitio
 	}
 	f.health = cfg.Health
 	f.adm = cfg.Admission
-	if f.adm.RetryAfterSeconds == 0 {
-		f.adm.RetryAfterSeconds = 1
-	}
-	f.overloadErr = &search.OverloadError{RetryAfter: f.adm.RetryAfterSeconds}
 	return f, nil
 }
 
@@ -381,13 +390,13 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			if n := f.inflight.Add(1); n > f.adm.MaxInflight {
 				f.inflight.Add(-1)
 				f.shed.Add(1)
-				return f.overloadErr
+				return errShed
 			}
 			defer f.inflight.Add(-1)
 		}
 		if f.adm.StalenessBound > 0 && f.overBound() {
 			f.shed.Add(1)
-			return f.overloadErr
+			return errShed
 		}
 	}
 	// The cache is keyed by store version, and a version names a state

@@ -97,9 +97,6 @@ type Admission struct {
 	// staleness is reported as lost coverage, not used to refuse the
 	// queries the reachable side can still answer.
 	StalenessBound int64
-	// RetryAfterSeconds is the hint carried by the shed error
-	// (default 1s).
-	RetryAfterSeconds float64
 }
 
 // validate checks the admission knobs.
@@ -109,9 +106,6 @@ func (a Admission) validate() error {
 	}
 	if a.StalenessBound < 0 {
 		return fmt.Errorf("serve: Admission.StalenessBound %d negative", a.StalenessBound)
-	}
-	if a.RetryAfterSeconds < 0 {
-		return fmt.Errorf("serve: Admission.RetryAfterSeconds %v negative", a.RetryAfterSeconds)
 	}
 	return nil
 }

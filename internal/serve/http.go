@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -86,14 +85,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if serveErr != nil {
 		switch {
 		case errors.Is(serveErr, search.ErrOverloaded):
-			// Shed, not failed: tell the client when to come back. The
-			// header is whole seconds per RFC 9110, minimum 1.
-			var oe *search.OverloadError
-			retry := 1.0
-			if errors.As(serveErr, &oe) && oe.RetryAfter > retry {
-				retry = oe.RetryAfter
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry))))
+			// Shed, not failed: tell the client when to come back, in
+			// whole seconds per RFC 9110.
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 			http.Error(w, serveErr.Error(), http.StatusTooManyRequests)
 		case errors.Is(serveErr, search.ErrStaleIndex):
 			http.Error(w, serveErr.Error(), http.StatusServiceUnavailable)

@@ -77,7 +77,7 @@ func FuzzFrontendPlan(f *testing.F) {
 		for i := range ids {
 			ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 		}
-		ov, err := pastry.New(ids, pastry.DefaultConfig())
+		ov, err := pastry.New(ids)
 		if err != nil {
 			t.Fatal(err)
 		}

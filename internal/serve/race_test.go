@@ -34,7 +34,7 @@ func TestConcurrentPublishQueryNoTornVersion(t *testing.T) {
 	}
 	// One shard: every page local, every query consults exactly the
 	// snapshot under concurrent replacement.
-	ov, err := pastry.New([]nodeid.ID{nodeid.Hash("ranker-0")}, pastry.DefaultConfig())
+	ov, err := pastry.New([]nodeid.ID{nodeid.Hash("ranker-0")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func newFixtureAs(t testing.TB, pages, k, cacheEntries int, by partition.Strateg
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

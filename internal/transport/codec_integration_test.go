@@ -314,7 +314,7 @@ func TestSetCodecOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []nodeid.ID{nodeid.Hash("a"), nodeid.Hash("b")}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func newHarness(t testing.TB, k int, kind Kind) *harness {
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
 	}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRegisterErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []nodeid.ID{nodeid.Hash("a"), nodeid.Hash("b")}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestNewFabricValidation(t *testing.T) {
 	sim := simnet.New(1)
 	net, _ := simnet.NewNetwork(sim, simnet.DefaultNetConfig())
 	ids := []nodeid.ID{nodeid.Hash("a")}
-	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
