@@ -39,8 +39,9 @@ race:
 # accessor, rewrite; text: parse, Validate, rewrite) —
 # the CSR storage layout against its row-major reference, Pastry
 # routing over ID sets that share long prefixes (deep table rows hashed
-# IDs never fill, each table's row structure, and the XOR prefix length
-# against a bit-by-bit reference), the
+# IDs never fill, every member pair's next hop against a reference copy
+# of the routing rule, each table's row structure, and the XOR prefix
+# length against a bit-by-bit reference), the
 # response cache's slab against an unbounded map, and the serve tier's
 # plan and scan (shard bitmaps, page signatures) against the static
 # index on random small tiers, each over its seed corpus and whatever

@@ -32,7 +32,7 @@ func main() {
 		ks      = flag.String("ks", "", "comma-separated ranker counts for sweeps (empty = the experiment's paper values)")
 		maxTime = flag.Float64("maxtime", 0, "virtual-time horizon of every simulated run (0 = the experiment's own)")
 		csvPath = flag.String("csv", "", "write tables or curves as CSV to this file")
-		graph   = flag.String("graph", "", "rank this crawl file instead of generating one (text, v1, or v2 mapped)")
+		graph   = flag.String("graph", "", "rank this crawl file instead of generating one (text or mapped)")
 		gstore  = flag.String("graphstore", "disk", "scale-experiment graph store: disk (generate to a temp file, mmap it) or mem")
 		gengen  = flag.String("gengraph", "", "internal: write the -pages/-sites/-seed workload to this path in mapped format and exit")
 		queries = flag.Int("queries", 5000, "serve-experiment query count per K")

@@ -201,8 +201,8 @@ func (r *pairRecorder) ChunkSent(ranker int, c telemetry.ChunkStats) {
 
 // Routing and hop attribution have one path at every K. This run sits
 // above the node counts the old dense memos and the sampled-mean hop
-// estimate were gated on: every chunk is routed through the fabric's
-// router and the hops telemetry attributes are exactly the overlay's.
+// estimate were gated on: every chunk is routed by the overlay itself
+// and the hops telemetry attributes are exactly the overlay's.
 func TestHopAttributionExactAtLargeK(t *testing.T) {
 	const k = 4500
 	g := genGraph(t, 3*k, 21)

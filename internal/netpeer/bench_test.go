@@ -14,8 +14,8 @@ import (
 // an indirect peer of a K = 16 ring: one chunk it delivers, fifteen it
 // relays toward every other ranker (it knows no peer address, so no
 // frame is written), and one addressed outside the ring. The relay step
-// reuses its boxes and routes through the peer's memoized router, so
-// the gate holds it at 0 allocs/op.
+// reuses its boxes and asks the overlay for each next hop, so the gate
+// holds it at 0 allocs/op.
 func BenchmarkPeerHandleFrame(b *testing.B) {
 	const k = 16
 	g := genGraph(b, 2000, 7)

@@ -69,6 +69,9 @@ func (c *Config) validate() error {
 	if c.Group == nil {
 		return errors.New("netpeer: Group is required")
 	}
+	if c.Overlay != nil && c.Group.Index >= c.Overlay.NumNodes() {
+		return fmt.Errorf("netpeer: group index %d is outside the %d-node overlay", c.Group.Index, c.Overlay.NumNodes())
+	}
 	c.Params.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("netpeer: %w", err)
@@ -106,8 +109,6 @@ type Peer struct {
 	// frames it drained after unlocking.
 	mu   sync.Mutex
 	loop *dprcore.Loop
-	// router routes the relay steps (nil: direct); used under mu.
-	router *overlay.Router
 
 	out   *outbox
 	stack dprcore.Stack // the fault→reliable chain over out
@@ -231,19 +232,14 @@ func listen(addr string, cfg Config, epoch time.Time) (*Peer, error) {
 		ln.Close()
 		return nil, err
 	}
-	if cfg.Overlay != nil {
-		p.router = overlay.NewRouter(cfg.Overlay)
-	}
 	if cfg.Observer != nil {
 		// A collector gets the wall clock (the live stack's Clock) and
-		// overlay route lengths — mirroring the simulator's wiring in
-		// engine.build. The collector calls hops under its own mutex,
-		// which is what lets the single-owner Router memoize behind it.
-		hops := func(src, dst int) int { return 1 }
-		if cfg.Overlay != nil {
-			hops = overlay.NewRouter(cfg.Overlay).Hops
-		}
-		telemetry.Attach(cfg.Observer, wallClock{}, hops)
+		// the route lengths of the overlay the relays route over (1 hop
+		// each without one) — mirroring the simulator's wiring in
+		// engine.build.
+		telemetry.Attach(cfg.Observer, wallClock{}, func(src, dst int) int {
+			return transport.RouteHops(cfg.Overlay, src, dst)
+		})
 	}
 	// Each peer resolves its loop's mean wait from [T1, T2] with its own
 	// seed-keyed stream, so a heterogeneous wait range gives every peer a
@@ -396,7 +392,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 // loop or a readLoop): its boxes are that goroutine's own, so nothing
 // it drains outlives the lock shared.
 func (p *Peer) newRelay() *transport.Relay {
-	rl := transport.NewRelay(p.router, new([][]transport.ScoreChunk), p.stack.Reliable != nil)
+	rl := transport.NewRelay(p.cfg.Overlay, new([][]transport.ScoreChunk), p.stack.Reliable != nil)
 	return &rl
 }
 

@@ -139,6 +139,12 @@ func TestPeerConfigValidation(t *testing.T) {
 	}
 	defer cl.Close()
 	grp := cl.Peers[0].cfg.Group
+	ov, err := pastry.New(nodeid.RankerIDs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := *grp
+	third.Index = 3
 	bad := []Config{
 		{Group: grp, Params: dprcore.Params{Alg: dprcore.Algorithm(9)}},
 		{Group: grp, Params: dprcore.Params{Alpha: 2}},
@@ -148,6 +154,8 @@ func TestPeerConfigValidation(t *testing.T) {
 		{Group: grp, Params: dprcore.Params{SendProb: 1.5}},
 		{Group: grp, Params: dprcore.Params{T1: 5, T2: 1}},
 		{Group: grp, Params: dprcore.Params{Fault: dprcore.FaultConfig{DropProb: 2}}},
+		// A relay step would index past the ring at the first chunk.
+		{Group: &third, Overlay: ov},
 	}
 	for i, cfg := range bad {
 		if _, err := Listen("127.0.0.1:0", cfg); err == nil {

@@ -21,7 +21,10 @@ import (
 
 // Network is a structured overlay over a fixed set of member nodes,
 // addressed by dense indices 0..NumNodes()-1. Implementations must be
-// deterministic: the same membership yields the same routes.
+// deterministic: the same membership yields the same routes. They are
+// immutable once built and safe for concurrent use, so every ranker,
+// relay and querier routes through one Network without a lock or a
+// cache of its own.
 type Network interface {
 	// NumNodes returns the number of member nodes.
 	NumNodes() int
@@ -64,13 +67,21 @@ func Route(n Network, from int, key nodeid.ID) ([]int, error) {
 }
 
 // Hops returns the number of overlay hops from node i to the owner of
-// key (0 when i is the owner).
+// key (0 when i is the owner), walking the route without storing it. It
+// fails where Route does.
+//
+//p2plint:hotpath -- telemetry's hop attribution, once per chunk sent
 func Hops(n Network, from int, key nodeid.ID) (int, error) {
-	p, err := Route(n, from, key)
-	if err != nil {
-		return 0, err
+	for cur, h := from, 0; ; h++ {
+		next := n.NextHop(cur, key)
+		if next == cur {
+			return h, nil
+		}
+		if h >= maxRouteHops {
+			return 0, fmt.Errorf("overlay: route from %d to %s exceeded %d hops", from, key, maxRouteHops)
+		}
+		cur = next
 	}
-	return len(p) - 1, nil
 }
 
 // AvgHops estimates the mean lookup hop count by routing `samples`

@@ -284,6 +284,17 @@ func (o *Overlay) leafRoute(i int, key nodeid.ID) (int, bool) {
 	if !nodeid.BetweenIncl(key, o.ids[ccw], o.ids[cw]) && key != o.ids[ccw] {
 		return 0, false
 	}
+	// A key that is this node's or a leaf's own ID, as every rank-path
+	// key is a ranker's, belongs to that node at distance zero: an ID
+	// match finds it without comparing distances.
+	if key == o.ids[i] {
+		return i, true
+	}
+	for _, c := range st.leaves {
+		if o.ids[c] == key {
+			return c, true
+		}
+	}
 	best := i
 	for _, c := range st.leaves {
 		best = o.closerToKey(best, c, key)

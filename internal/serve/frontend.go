@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"p2prank/internal/overlay"
@@ -95,10 +94,6 @@ type Frontend struct {
 	shed     atomic.Int64
 	hedged   atomic.Int64
 	degraded atomic.Int64
-
-	// routeMu serializes lazy overlay route lookups: queriers memoize
-	// hop counts per (origin, shard) and only route on cold entries.
-	routeMu sync.Mutex
 }
 
 // pageBlock is up to 32 of an entry's shard-local pages: bit i of mask
@@ -493,7 +488,7 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 		q.scanShard(c, f.pages[s], snap.Scores, len(req.Terms))
 		h := hopRow[s]
 		if h < 0 {
-			routed, err := f.route(req.From, int(s))
+			routed, err := overlay.Hops(f.ov, req.From, f.ov.NodeID(int(s)))
 			if err != nil {
 				return err
 			}
@@ -724,12 +719,4 @@ func (q *Querier) hopRow(from int) []int32 {
 		q.hopRows[from] = row
 	}
 	return row
-}
-
-// route is a cold hop-row entry's overlay lookup, serialized on
-// routeMu and released on every exit.
-func (f *Frontend) route(from, shard int) (int, error) {
-	f.routeMu.Lock()
-	defer f.routeMu.Unlock()
-	return overlay.Hops(f.ov, from, f.ov.NodeID(shard))
 }

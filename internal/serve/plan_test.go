@@ -155,7 +155,7 @@ func TestOverBoundMatchesMaxOverReachable(t *testing.T) {
 }
 
 // An origin outside the overlay is refused before any per-query work —
-// no hop row, no route lookup, so no panic under routeMu — and the
+// no hop row, no route walk, so no out-of-range panic — and the
 // tier keeps answering cold-route queries afterwards.
 func TestServeRefusesOriginOutsideOverlay(t *testing.T) {
 	const k = 64

@@ -121,3 +121,62 @@ func TestConcurrentPublishQueryNoTornVersion(t *testing.T) {
 		t.Fatalf("store ended at version %d, want %d", v, publishes)
 	}
 }
+
+// TestConcurrentColdRoutes has several queriers fill cold hop rows at
+// once, each from origins of its own, with no lock around routing:
+// the overlay is immutable after construction. Every answer's lookup
+// hops must match the same request served alone afterwards.
+func TestConcurrentColdRoutes(t *testing.T) {
+	const (
+		k        = 64
+		queriers = 4
+	)
+	f := newFixture(t, 2000, k, -1)
+	queries := [][]int32{{0}, {1}, {2}, {0, 1}}
+	serveAll := func(q *serve.Querier, w int) ([]search.Cost, error) {
+		var costs []search.Cost
+		var resp search.Response
+		for from := w; from < k; from += queriers {
+			for _, terms := range queries {
+				if err := q.Serve(search.Request{Terms: terms, K: 5, From: from}, &resp); err != nil {
+					return nil, fmt.Errorf("origin %d, terms %v: %v", from, terms, err)
+				}
+				costs = append(costs, resp.Cost)
+			}
+		}
+		return costs, nil
+	}
+	got := make([][]search.Cost, queriers)
+	errs := make([]error, queriers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < queriers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w], errs[w] = serveAll(f.fe.NewQuerier(), w)
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	routed := 0
+	for w := 0; w < queriers; w++ {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		want, err := serveAll(f.fe.NewQuerier(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[w][i] != want[i] {
+				t.Fatalf("querier %d answer %d: cost %+v concurrently, %+v alone", w, i, got[w][i], want[i])
+			}
+			routed += want[i].LookupHops
+		}
+	}
+	if routed == 0 {
+		t.Fatal("no query routed a hop: the test exercises nothing")
+	}
+}

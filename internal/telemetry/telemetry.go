@@ -44,9 +44,8 @@ type ClockSetter interface {
 // HopsSetter is implemented by collectors that attribute overlay hop
 // counts to emitted chunks. The runtime injects a (src, dst) → hops
 // function derived from its overlay — exact route lengths at every
-// cluster size (an overlay.Router's Hops), 1 under direct transmission;
-// chunks count 1 hop without one. The function is single-owner: a
-// collector calls it only from its serialized ChunkSent path.
+// cluster size (transport.RouteHops, an allocation-free overlay.Hops
+// walk), 1 under direct transmission; chunks count 1 hop without one.
 type HopsSetter interface {
 	SetHops(func(src, dst int) int)
 }

@@ -24,24 +24,25 @@ type Receiver interface {
 // Relay is one node's step of §4.4's transmission, the one rule both
 // wires (Fabric and netpeer) run. A chunk addressed to the node goes to
 // its Receiver; one addressed to another node of the ring is queued
-// under its next hop (without a router, under its destination: a direct
-// node relays nothing); any other chunk, or a refused one, is rejected.
-// Queued chunks leave as one Batch per next hop in ascending hop order.
-// Each arriving batch owes one Ack per source — the newest round
-// delivered, in first-delivery order — sent before the batch's relays.
-// A Relay belongs to one goroutine (or one lock).
+// under its next hop on the overlay (without one, under its
+// destination: a direct node relays nothing); any other chunk, or a
+// refused one, is rejected. Queued chunks leave as one Batch per next
+// hop in ascending hop order. Each arriving batch owes one Ack per
+// source — the newest round delivered, in first-delivery order — sent
+// before the batch's relays. A Relay belongs to one goroutine (or one
+// lock); the overlay it routes over may be shared.
 type Relay struct {
-	router *overlay.Router // nil: direct transmission
+	ov     overlay.Network // nil: direct transmission
 	free   *[][]ScoreChunk // the boxes' chunk-slice freelist
 	acking bool            // Arrive records acks
 	boxes  []Batch         // one per occupied next hop
 	acks   []Ack
 }
 
-// NewRelay returns a node's step over router (nil: direct). Its boxes
-// draw chunk slices from free; acking turns on Arrive's acks.
-func NewRelay(router *overlay.Router, free *[][]ScoreChunk, acking bool) Relay {
-	return Relay{router: router, free: free, acking: acking}
+// NewRelay returns a node's step over overlay ov (nil: direct). Its
+// boxes draw chunk slices from free; acking turns on Arrive's acks.
+func NewRelay(ov overlay.Network, free *[][]ScoreChunk, acking bool) Relay {
+	return Relay{ov: ov, free: free, acking: acking}
 }
 
 // Arrive runs the step over a batch arriving at node self. It returns
@@ -59,7 +60,7 @@ func (r *Relay) Arrive(self int, chunks []ScoreChunk, rcv Receiver) (acks []Ack,
 			} else if r.acking {
 				r.ack(self, c)
 			}
-		case r.router != nil && dst >= 0 && dst < r.router.NumNodes():
+		case r.ov != nil && dst >= 0 && dst < r.ov.NumNodes():
 			r.Queue(self, c)
 			relayed++
 		default:
@@ -85,8 +86,8 @@ func (r *Relay) ack(self int, c ScoreChunk) {
 // its own ID).
 func (r *Relay) Queue(self int, c ScoreChunk) {
 	next := int(c.DstGroup)
-	if r.router != nil {
-		next = r.router.NextHop(self, next)
+	if r.ov != nil {
+		next = r.ov.NextHop(self, r.ov.NodeID(next))
 	}
 	for i := range r.boxes {
 		if r.boxes[i].Hop == next {

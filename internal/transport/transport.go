@@ -143,18 +143,17 @@ type ChunkCodec interface {
 
 // Fabric wires every ranker to the simulated network with the selected
 // transmission pattern. Create with NewFabric, then Register each
-// ranker before any Send. Its per-pair state is what was actually
-// used — one overlay.Router entry per (node, destination) routed and one
-// relay box per occupied next hop — so it has one shape at every K. The
-// overlay must stay static for the fabric's lifetime.
+// ranker before any Send. Every hop is routed by the overlay itself,
+// so the fabric's only per-pair state is one relay box per occupied
+// next hop, and it has one shape at every K.
 type Fabric struct {
 	kind Kind
 	size SizeModel
 	net  *simnet.Network
-	// router answers every routing question: the next hop of each chunk
-	// at each node (indirect), the lookup path of each direct send, and
-	// the hop count telemetry attributes to a chunk (Hops).
-	router *overlay.Router
+	// ov answers every routing question: the next hop of each chunk at
+	// each node (indirect), the lookup path of each direct send, and the
+	// hop count telemetry attributes to a chunk (Hops).
+	ov     overlay.Network
 	addrs  []simnet.NodeAddr
 	del    []Deliver
 	relays []Relay                                 // ranker i's step
@@ -200,14 +199,14 @@ func NewFabric(net *simnet.Network, ov overlay.Network, kind Kind, size SizeMode
 		kind:   kind,
 		size:   size,
 		net:    net,
-		router: overlay.NewRouter(ov),
+		ov:     ov,
 		addrs:  make([]simnet.NodeAddr, k),
 		del:    make([]Deliver, k),
 		relays: make([]Relay, k),
 	}
-	var route *overlay.Router // nil: a direct sender relays nothing
+	var route overlay.Network // nil: a direct sender relays nothing
 	if kind == Indirect {
-		route = f.router
+		route = ov
 	}
 	for i := range f.addrs {
 		f.addrs[i] = simnet.NodeAddr(-1)
@@ -282,15 +281,29 @@ func (f *Fabric) SetCodec(c ChunkCodec) error {
 }
 
 // Hops returns the number of network trips a chunk sent by ranker src
-// takes to reach group dst: the overlay route length under indirect
-// transmission, 1 under direct (the payload takes one trip after the
-// lookup). It is the hop source telemetry collectors are handed; call
-// it from the simulation goroutine, like Send.
+// takes to reach group dst (see RouteHops). It is the hop function the
+// simulator hands telemetry.
 func (f *Fabric) Hops(src, dst int) int {
 	if f.kind == Direct {
 		return 1
 	}
-	return f.router.Hops(src, dst)
+	return RouteHops(f.ov, src, dst)
+}
+
+// RouteHops returns the number of network trips a chunk takes from
+// ranker src to ranker dst: its overlay route length over ov under
+// indirect transmission, 1 under direct (ov nil: the payload takes one
+// trip after the lookup). Both drivers hand telemetry this walk. An
+// overlay that routes in a cycle is a broken ring and panics.
+func RouteHops(ov overlay.Network, src, dst int) int {
+	if ov == nil {
+		return 1
+	}
+	h, err := overlay.Hops(ov, src, ov.NodeID(dst))
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // Stats returns transport-level counters. Network-level byte totals live
@@ -409,11 +422,16 @@ func (f *Fabric) recycle(m *dataMsg) {
 // message straight to the destination.
 func (f *Fabric) sendDirect(from int, chunk ScoreChunk) {
 	dst := int(chunk.DstGroup)
-	// Lookup messages hop along the overlay route.
+	// Lookup messages hop along the overlay route, which ends at dst:
+	// every node owns its own ID. A walk longer than the ring is a
+	// broken one.
 	lsize := f.size.LookupBytes + f.size.HeaderBytes
-	cur := from
-	for h := f.router.Hops(from, dst); h > 0; h-- {
-		next := f.router.NextHop(cur, dst)
+	key := f.ov.NodeID(dst)
+	for cur, h := from, 0; cur != dst; h++ {
+		if h == len(f.addrs) {
+			panic(fmt.Sprintf("transport: lookup from %d to %d exceeded %d hops", from, dst, h))
+		}
+		next := f.ov.NextHop(cur, key)
 		f.stats.LookupMessages++
 		f.stats.LookupBytes += lsize
 		if !f.net.Send(f.addrs[cur], f.addrs[next], lookupMsg{}, lsize) {

@@ -306,6 +306,46 @@ func TestNewFabricValidation(t *testing.T) {
 	}
 }
 
+// bounceOverlay is a broken three-node ring: nodes 0 and 1 forward to
+// each other whatever the key, so no route reaches node 2.
+type bounceOverlay struct{ *pastry.Overlay }
+
+func (bounceOverlay) NextHop(i int, _ nodeid.ID) int { return (i + 1) % 2 }
+
+// A ring that routes in a cycle is a bug, not input: telemetry's hop
+// count and a direct send's lookup walk panic on it instead of looping.
+func TestCyclicOverlayPanics(t *testing.T) {
+	for _, kind := range []Kind{Indirect, Direct} {
+		sim := simnet.New(1)
+		net, _ := simnet.NewNetwork(sim, simnet.DefaultNetConfig())
+		ov, err := pastry.New(nodeid.RankerIDs(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab, err := NewFabric(net, bounceOverlay{ov}, kind, DefaultSizeModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := fab.Register(i, func(ScoreChunk) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: cyclic route not detected", kind)
+				}
+			}()
+			if kind == Indirect {
+				fab.Hops(0, 2)
+			} else {
+				_ = fab.Send(0, ScoreChunk{SrcGroup: 0, DstGroup: 2})
+			}
+		}()
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if Direct.String() != "direct" || Indirect.String() != "indirect" {
 		t.Fatal("kind names wrong")
