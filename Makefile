@@ -92,10 +92,12 @@ obs-smoke:
 serve-smoke:
 	$(GO) test -run TestServeSmoke -v ./internal/clitest/
 
-# The examples run end to end: searchdemo (engine.Run's deployment
-# feeding the query tier), tcpcluster (live peers, one killed mid-run),
-# and educrawl and transports (experiments run through the registry),
-# each required to exit 0 and print its result line (internal/clitest).
+# The examples run end to end: quickstart (README's first example:
+# generate, rank centrally and distributedly, compare), searchdemo
+# (engine.Run's deployment feeding the query tier), tcpcluster (live
+# peers, one killed mid-run), and educrawl and transports (experiments
+# run through the registry), each required to exit 0 and print its
+# result line (internal/clitest).
 examples-smoke:
 	$(GO) test -count=1 -run TestExamplesRun -v ./internal/clitest/
 

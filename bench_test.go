@@ -17,13 +17,11 @@ import (
 
 	"p2prank/internal/bwmodel"
 	"p2prank/internal/codec"
-	"p2prank/internal/crawler"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/experiments"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
-	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
 	"p2prank/internal/transport"
 	"p2prank/internal/webgraph"
@@ -151,12 +149,12 @@ func BenchmarkPartitionCut(b *testing.B) {
 
 // BenchmarkOverlayHops measures Pastry lookup hop counts at N=1000,
 // the h(N) input of Table 1 (paper: ≈2.5), through the hops
-// experiment (which measures Chord beside it).
+// experiment.
 func BenchmarkOverlayHops(b *testing.B) {
 	var h float64
 	for i := 0; i < b.N; i++ {
 		res := runExperiment(b, "hops", experiments.Params{Ks: []int{1000}})
-		h = res.Rows.([]experiments.HopsRow)[0].Hops // Pastry's row
+		h = res.Rows.([]experiments.HopsRow)[0].Hops
 	}
 	b.ReportMetric(h, "hops_N1000")
 }
@@ -220,31 +218,6 @@ func BenchmarkAblationInnerEpsilon(b *testing.B) {
 				loops = res.LoopsAtConvergence
 			}
 			b.ReportMetric(loops, "iters")
-		})
-	}
-}
-
-// BenchmarkAblationOverlay compares Pastry against Chord as the DPR
-// substrate: convergence is overlay-independent, hop counts are not.
-func BenchmarkAblationOverlay(b *testing.B) {
-	g := ablationGraph(b)
-	for _, kind := range []engine.OverlayKind{engine.Pastry, engine.Chord} {
-		b.Run(kind.String(), func(b *testing.B) {
-			var hops, msgs float64
-			for i := 0; i < b.N; i++ {
-				res, err := engine.Run(engine.Config{
-					Params: dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3},
-					Graph:  g, K: 64, Overlay: kind,
-					MaxTime: 60, SampleEvery: 10,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hops = res.AvgHops
-				msgs = float64(res.NetStats.MessagesSent) / res.LoopsAtConvergence
-			}
-			b.ReportMetric(hops, "avg_hops")
-			b.ReportMetric(msgs, "msgs/iter")
 		})
 	}
 }
@@ -363,82 +336,4 @@ func BenchmarkBandwidthSweep(b *testing.B) {
 			b.ReportMetric(r.FinalRelErr, "relerr_bw200")
 		}
 	}
-}
-
-// BenchmarkIncrementalWarmStart quantifies the §4.3 dynamic-graph
-// extension: error at the first sample with and without carrying ranks
-// across a recrawl.
-func BenchmarkIncrementalWarmStart(b *testing.B) {
-	w := ablationGraph(b)
-	c, err := crawler.New(w, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var phases []engine.Phase
-	var prevToWeb []int32
-	for !c.Done() {
-		c.Crawl(w.NumPages() / 4)
-		g, toWeb, err := c.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ph := engine.Phase{Graph: g}
-		if prevToWeb != nil {
-			ph.CarryOver = crawler.CarryOver(prevToWeb, toWeb)
-		}
-		phases = append(phases, ph)
-		prevToWeb = toWeb
-	}
-	cfg := engine.Config{
-		Params: dprcore.Params{Alg: dprcore.DPR1, T1: 5, T2: 5},
-		K:      8, MaxTime: 400, SampleEvery: 1,
-		TargetRelErr: 1e-8,
-	}
-	var warmFirst, coldFirst float64
-	for i := 0; i < b.N; i++ {
-		results, err := engine.RunIncremental(cfg, phases)
-		if err != nil {
-			b.Fatal(err)
-		}
-		coldCfg := cfg
-		coldCfg.Graph = phases[len(phases)-1].Graph
-		cold, err := engine.Run(coldCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warmFirst = results[len(results)-1].Samples[0].RelErr
-		coldFirst = cold.Samples[0].RelErr
-	}
-	b.ReportMetric(warmFirst, "warm_first_relerr")
-	b.ReportMetric(coldFirst, "cold_first_relerr")
-}
-
-// BenchmarkExtrapolation compares plain vs extrapolated centralized
-// PageRank (the paper's reference [8]) at a slow-mixing α.
-func BenchmarkExtrapolation(b *testing.B) {
-	g := ablationGraph(b)
-	opt := pagerank.Defaults()
-	opt.Alpha = 0.95
-	b.Run("plain", func(b *testing.B) {
-		var iters int
-		for i := 0; i < b.N; i++ {
-			res, err := pagerank.Open(g, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			iters = res.Iterations
-		}
-		b.ReportMetric(float64(iters), "iterations")
-	})
-	b.Run("extrapolated", func(b *testing.B) {
-		var iters int
-		for i := 0; i < b.N; i++ {
-			res, err := pagerank.OpenAccelerated(g, opt, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			iters = res.Iterations
-		}
-		b.ReportMetric(float64(iters), "iterations")
-	})
 }

@@ -35,6 +35,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *sites < 0 {
+		fatal(fmt.Errorf("-sites = %d, must not be negative (0 scales with -pages)", *sites))
+	}
 	cfg := webgraph.DefaultGenConfig(*pages)
 	if *sites > 0 {
 		cfg.Sites = *sites

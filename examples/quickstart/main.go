@@ -45,7 +45,6 @@ func main() {
 		K:            8,
 		Strategy:     partition.BySite,
 		Transport:    transport.Indirect,
-		Overlay:      engine.Pastry,
 		MaxTime:      500,
 		TargetRelErr: 1e-8,
 	})

@@ -46,7 +46,7 @@ func TestMain(m *testing.M) {
 	builtDir = dir
 	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
 		"p2prank/cmd/genweb", "p2prank/cmd/dprsim", "p2prank/cmd/bwtable", "p2prank/cmd/dprnode",
-		"p2prank/examples/searchdemo", "p2prank/examples/tcpcluster",
+		"p2prank/examples/quickstart", "p2prank/examples/searchdemo", "p2prank/examples/tcpcluster",
 		"p2prank/examples/educrawl", "p2prank/examples/transports")
 	cmd.Dir = repoRoot()
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -82,6 +82,21 @@ func TestGenwebStats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A crawl smaller than the default site floor generates, and a negative
+// site count is refused rather than read as "scale with -pages".
+func TestGenwebTinyAndNegativeSites(t *testing.T) {
+	if out := run(t, "genweb", "-pages", "3"); !strings.Contains(out, "pages=3") {
+		t.Fatalf("3-page crawl stats missing:\n%s", out)
+	}
+	if out := run(t, "dprsim", "-exp", "cut", "-pages", "3", "-k", "2"); !strings.Contains(out, "cut fraction") {
+		t.Fatalf("3-page cut malformed:\n%s", out)
+	}
+	out, err := exec.Command(filepath.Join(builtDir, "genweb"), "-sites", "-1").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-sites") {
+		t.Fatalf("genweb -sites -1: err %v, output %q; want a refusal naming -sites", err, out)
 	}
 }
 
@@ -326,15 +341,15 @@ func TestDprnodeMultiProcess(t *testing.T) {
 	}
 }
 
-// TestReadmeListsEveryExperiment keeps README's experiment list in step
-// with the registry: every `-exp NAME  summary` line `dprsim -h` prints
-// must appear there verbatim, and -h must list at least the paper's
-// three figures.
-// TestExamplesRun runs four examples end to end: searchdemo, whose
-// query tier routes over the ring and partition engine.Run deployed;
-// tcpcluster, whose live peers converge and survive a killed peer; and
-// educrawl and transports, which run experiments through the registry.
+// TestExamplesRun runs five examples end to end: quickstart, README's
+// first example; searchdemo, whose query tier routes over the ring and
+// partition engine.Run deployed; tcpcluster, whose live peers converge
+// and survive a killed peer; and educrawl and transports, which run
+// experiments through the registry.
 func TestExamplesRun(t *testing.T) {
+	if out := run(t, "quickstart"); !strings.Contains(out, "relative error vs centralized: ") {
+		t.Fatalf("quickstart output lacks the relative error line:\n%s", out)
+	}
 	if out := run(t, "searchdemo"); !strings.Contains(out, "static index: 240000 postings") {
 		t.Fatalf("searchdemo output lacks the static index line:\n%s", out)
 	}
@@ -349,6 +364,10 @@ func TestExamplesRun(t *testing.T) {
 	}
 }
 
+// TestReadmeListsEveryExperiment keeps README's experiment list in step
+// with the registry: every `-exp NAME  summary` line `dprsim -h` prints
+// must appear there verbatim, and -h must list at least the paper's
+// three figures.
 func TestReadmeListsEveryExperiment(t *testing.T) {
 	out := run(t, "dprsim", "-h")
 	readme, err := os.ReadFile(filepath.Join(repoRoot(), "README.md"))

@@ -31,6 +31,7 @@ var (
 	testName  = regexp.MustCompile(`(?:\b([a-z][a-z0-9]*)\.)?\b((?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*)`)
 	makeCmd   = regexp.MustCompile(`\bmake((?:\s+[a-z][a-z0-9-]*)+)`)
 	makeRule  = regexp.MustCompile(`^([a-z][a-z0-9-]*)\s*:([^=]|$)`)
+	repoPath  = regexp.MustCompile(`(?:^|[^\w./-])(?:p2prank/)?((?:internal|cmd|examples|bench)/[\w./-]*)`)
 )
 
 // typeRef names a type: its package and its name.
@@ -225,8 +226,9 @@ func makeTargets(t *testing.T, root string) map[string]bool {
 // that field or method, declared or promoted from a type it embeds;
 // every Test/Benchmark/Fuzz name is a test
 // function — in the named package when qualified; every `make X` is a
-// Makefile rule. A passage that recounts removed code goes between
-// historyOpen and historyClose lines.
+// Makefile rule; and every backticked internal/, cmd/, examples/ or
+// bench/ path exists in the tree. A passage that recounts removed code
+// goes between historyOpen and historyClose lines.
 func TestDocsNameRealCode(t *testing.T) {
 	root := repoRoot()
 	mod := goPackages(t, root)
@@ -278,6 +280,11 @@ func TestDocsNameRealCode(t *testing.T) {
 					ref := typeRef{m[1], m[2]}
 					if mod.types[ref.pkg][ref.name] != nil && !mod.hasMember(ref, m[3], map[typeRef]bool{}) {
 						t.Errorf("%s: %s.%s.%s: type %s.%s has no field or method %s", where, m[1], m[2], m[3], m[1], m[2], m[3])
+					}
+				}
+				for _, m := range repoPath.FindAllStringSubmatch(span, -1) {
+					if _, err := os.Stat(filepath.Join(root, strings.TrimRight(m[1], "."))); err != nil {
+						t.Errorf("%s: `%s`: no such path in the repo", where, m[1])
 					}
 				}
 				for _, m := range makeCmd.FindAllStringSubmatch(span, -1) {

@@ -57,8 +57,7 @@ type Loop struct {
 	// 1: a slot whose Round is 0 has received nothing.
 	latest []transport.ScoreChunk
 
-	loops   int64
-	stepped bool
+	loops int64
 
 	// pending is the sender's unacked-chunk probe (set when the sender
 	// is a ReliableSender), so snapshots capture the in-flight outbox.
@@ -105,24 +104,6 @@ func NewLoop(grp *Group, p Params, meanWait float64, sender Sender, rng RNG) (*L
 // Group returns the loop's page group.
 func (l *Loop) Group() *Group { return l.grp }
 
-// SetInitialRanks warm-starts the loop from a previous run's ranks —
-// how an incremental recrawl avoids ranking from scratch (§4.3's
-// dynamic-graph setting). It must be called before the first
-// ComputePhase. Note the Theorem 4.1/4.2 monotonicity guarantees are
-// stated for R0 = 0; a warm start trades them for a head start, and
-// the contraction still drives the ranks to the fixed point.
-func (l *Loop) SetInitialRanks(r vecmath.Vec) error {
-	if l.stepped {
-		return fmt.Errorf("dprcore: ranker %d: SetInitialRanks after first iteration", l.grp.Index)
-	}
-	if len(r) != l.grp.N() {
-		return fmt.Errorf("dprcore: ranker %d: initial ranks have length %d, want %d",
-			l.grp.Index, len(r), l.grp.N())
-	}
-	copy(l.r, r)
-	return nil
-}
-
 // Ranks returns the loop's current rank vector. The slice is live;
 // callers must copy before mutating or crossing an iteration.
 func (l *Loop) Ranks() vecmath.Vec { return l.r }
@@ -167,7 +148,6 @@ func (l *Loop) Deliver(chunk transport.ScoreChunk) error {
 // compute phases at the same instant. Observer hooks fire here from
 // that concurrent context; collectors handle per-ranker concurrency.
 func (l *Loop) ComputePhase() {
-	l.stepped = true
 	round := l.loops + 1
 	if l.obs != nil {
 		l.obs.ComputeStart(l.grp.Index, round)

@@ -158,20 +158,6 @@ func TestDeliverRejectsBadChunks(t *testing.T) {
 	}
 }
 
-func TestSetInitialRanksAfterStepFails(t *testing.T) {
-	l, err := NewLoop(testGroup(t, 0, nil), testParams(), testMeanWait, &recordSender{}, constRNG{e: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SetInitialRanks(vecmath.Vec{0.5, 0.5, 0.5}); err == nil {
-		t.Fatal("wrong-length initial ranks accepted")
-	}
-	l.ComputePhase()
-	if err := l.SetInitialRanks(vecmath.Vec{0.5, 0.5}); err == nil {
-		t.Fatal("SetInitialRanks accepted after first iteration")
-	}
-}
-
 func TestPublishYMergesAndScales(t *testing.T) {
 	// Two efferent entries toward group 1's page 0 (from both local
 	// pages) and one toward page 1: publishY must merge the adjacent
@@ -186,9 +172,7 @@ func TestPublishYMergesAndScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SetInitialRanks(vecmath.Vec{1, 2}); err != nil {
-		t.Fatal(err)
-	}
+	copy(l.r, vecmath.Vec{1, 2})
 	l.loops++ // bypass ComputePhase: publish the hand-set ranks directly
 	l.publishY()
 	if len(s.sends) != 1 || s.flushes != 1 {

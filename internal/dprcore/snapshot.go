@@ -271,7 +271,6 @@ func (l *Loop) Restore(data []byte) error {
 		return r.err
 	}
 	l.loops = loops
-	l.stepped = true
 	for _, c := range pending {
 		if err := l.sender.Send(l.grp.Index, c); err != nil {
 			return fmt.Errorf("dprcore: ranker %d: resend pending: %w", l.grp.Index, err)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"p2prank/internal/chord"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
@@ -25,26 +24,13 @@ import (
 	"p2prank/internal/xrand"
 )
 
-// OverlayKind selects the structured overlay implementation.
+// OverlayKind names a structured overlay. Pastry, the overlay the
+// paper runs on, is its only value; the type stays only because the
+// benchmark harness under bench/ calls BuildOverlay(Pastry, k).
 type OverlayKind int
 
-const (
-	// Pastry is the overlay the paper runs on.
-	Pastry OverlayKind = iota
-	// Chord demonstrates overlay-independence of the ranking layer.
-	Chord
-)
-
-// String returns the overlay name.
-func (k OverlayKind) String() string {
-	switch k {
-	case Pastry:
-		return "pastry"
-	case Chord:
-		return "chord"
-	}
-	return fmt.Sprintf("OverlayKind(%d)", int(k))
-}
+// Pastry is the overlay the paper runs on.
+const Pastry OverlayKind = 0
 
 // Config describes one experiment. Zero values select the defaults
 // noted per field; Graph, K, and MaxTime are required.
@@ -72,8 +58,6 @@ type Config struct {
 	// value is Direct; the paper's scalable scheme, and what every
 	// experiment preset sets, is transport.Indirect.
 	Transport transport.Kind
-	// Overlay selects Pastry or Chord (default Pastry).
-	Overlay OverlayKind
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// Net configures the simulated network (zero → DefaultNetConfig).
@@ -139,7 +123,7 @@ func (c *Config) validate() (*dprcore.Deployment, error) {
 	if math.IsInf(c.TargetRelErr, 0) || !(c.TargetRelErr >= 0) {
 		return nil, fmt.Errorf("engine: TargetRelErr %v must be finite and non-negative", c.TargetRelErr)
 	}
-	ring, err := BuildOverlay(c.Overlay, c.K)
+	ring, err := BuildOverlay(Pastry, c.K)
 	if err != nil {
 		return nil, err
 	}
@@ -193,20 +177,16 @@ type cluster struct {
 	rankers []*ranker
 }
 
-// BuildOverlay constructs the requested overlay over the k ranker IDs
-// of nodeid.RankerIDs; k must be positive.
+// BuildOverlay builds the Pastry ring over the k ranker IDs of
+// nodeid.RankerIDs; k must be positive and kind must be Pastry.
 func BuildOverlay(kind OverlayKind, k int) (overlay.Network, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("engine: overlay of K = %d rankers, must be positive", k)
 	}
-	ids := nodeid.RankerIDs(k)
-	switch kind {
-	case Pastry:
-		return pastry.New(ids)
-	case Chord:
-		return chord.New(ids)
+	if kind != Pastry {
+		return nil, fmt.Errorf("engine: unknown overlay kind %d", int(kind))
 	}
-	return nil, fmt.Errorf("engine: unknown overlay kind %d", int(kind))
+	return pastry.New(nodeid.RankerIDs(k))
 }
 
 func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {
@@ -261,19 +241,9 @@ func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {
 
 // Run executes one experiment, ranking from R0 = 0.
 func Run(cfg Config) (*Result, error) {
-	return run(cfg, nil)
-}
-
-// run executes one experiment, optionally warm-starting every ranker
-// from the global vector initial (page-indexed; nil means R0 = 0).
-func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	dep, err := cfg.validate()
 	if err != nil {
 		return nil, err
-	}
-	if initial != nil && len(initial) != cfg.Graph.NumPages() {
-		return nil, fmt.Errorf("engine: initial ranks have length %d, want %d",
-			len(initial), cfg.Graph.NumPages())
 	}
 	ref := cfg.Reference
 	if ref == nil {
@@ -288,17 +258,6 @@ func run(cfg Config, initial vecmath.Vec) (*Result, error) {
 	cl, err := build(cfg, dep)
 	if err != nil {
 		return nil, err
-	}
-	if initial != nil {
-		for _, rk := range cl.rankers {
-			local := vecmath.NewVec(rk.Group().N())
-			for li, p := range rk.Group().Pages {
-				local[li] = initial[p]
-			}
-			if err := rk.SetInitialRanks(local); err != nil {
-				return nil, err
-			}
-		}
 	}
 	res := &Result{Record: dprcore.Record{ConvergedAt: -1, Final: vecmath.NewVec(cfg.Graph.NumPages())},
 		Reference: ref, Deployment: dep}

@@ -156,20 +156,6 @@ func TestSeedChangesSchedule(t *testing.T) {
 	}
 }
 
-func TestChordOverlayWorks(t *testing.T) {
-	g := genGraph(t, 2000, 9)
-	cfg := baseConfig(g)
-	cfg.Overlay = Chord
-	cfg.TargetRelErr = 1e-5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ConvergedAt < 0 {
-		t.Fatalf("Chord run did not converge (rel err %v)", res.RelErr)
-	}
-}
-
 func TestDirectTransportWorks(t *testing.T) {
 	g := genGraph(t, 2000, 11)
 	cfg := baseConfig(g)
@@ -302,7 +288,6 @@ func TestConfigValidation(t *testing.T) {
 		{Graph: g, K: 4, MaxTime: 10, Params: dprcore.Params{T1: -1, T2: 2}}, // negative wait
 		{Graph: g, K: 4, MaxTime: 10, SampleEvery: -1},
 		{Graph: g, K: 4, MaxTime: 10, TargetRelErr: -1},
-		{Graph: g, K: 4, MaxTime: 10, Overlay: OverlayKind(9)},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -314,6 +299,9 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := BuildOverlay(Pastry, k); err == nil || !strings.Contains(err.Error(), "K =") {
 			t.Errorf("BuildOverlay(Pastry, %d): err %v, want one naming K", k, err)
 		}
+	}
+	if _, err := BuildOverlay(OverlayKind(9), 4); err == nil {
+		t.Error("BuildOverlay accepted an overlay kind other than Pastry")
 	}
 }
 
@@ -426,15 +414,6 @@ func TestFig8Ordering(t *testing.T) {
 	}
 	if dpr2 < float64(cpr)*0.8 {
 		t.Fatalf("DPR2 used %.1f iterations, CPR %d — paper says DPR2 ≳ CPR", dpr2, cpr)
-	}
-}
-
-func TestOverlayKindString(t *testing.T) {
-	if Pastry.String() != "pastry" || Chord.String() != "chord" {
-		t.Fatal("overlay names wrong")
-	}
-	if OverlayKind(9).String() == "" {
-		t.Fatal("unknown overlay name empty")
 	}
 }
 

@@ -69,16 +69,6 @@ func newRanker(grp *dprcore.Group, p dprcore.Params, meanWait float64, sim *simn
 // Group returns the ranker's page group.
 func (rk *ranker) Group() *dprcore.Group { return rk.loop.Group() }
 
-// SetInitialRanks warm-starts the ranker from a previous run's ranks —
-// how an incremental recrawl avoids ranking from scratch (§4.3's
-// dynamic-graph setting). It must be called before Start.
-func (rk *ranker) SetInitialRanks(r vecmath.Vec) error {
-	if rk.started {
-		return fmt.Errorf("ranker %d: SetInitialRanks after Start", rk.Group().Index)
-	}
-	return rk.loop.SetInitialRanks(r)
-}
-
 // Ranks returns the ranker's current rank vector. The slice is live;
 // callers must copy before mutating or crossing a simulation step.
 func (rk *ranker) Ranks() vecmath.Vec { return rk.loop.Ranks() }

@@ -93,28 +93,3 @@ func TestWarmCrashBeforeStart(t *testing.T) {
 	}
 	rk.Stop()
 }
-
-func TestSetInitialRanksValidation(t *testing.T) {
-	g := genGraph(t, 400, 57)
-	sim, rankers, _ := simCluster(t, g, 2, baseParams(dprcore.DPR1), 57)
-	rk := rankers[0]
-	if err := rk.SetInitialRanks(make([]float64, 3)); err == nil {
-		t.Error("wrong-length initial ranks accepted")
-	}
-	warm := make([]float64, rk.Group().N())
-	for i := range warm {
-		warm[i] = 0.5
-	}
-	if err := rk.SetInitialRanks(warm); err != nil {
-		t.Fatal(err)
-	}
-	if rk.Ranks()[0] != 0.5 {
-		t.Fatal("initial ranks not applied")
-	}
-	rk.Start()
-	if err := rk.SetInitialRanks(warm); err == nil {
-		t.Error("SetInitialRanks after Start accepted")
-	}
-	sim.RunUntil(5)
-	rk.Stop()
-}

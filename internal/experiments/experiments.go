@@ -270,23 +270,22 @@ func cut(x *env, strat partition.Strategy) (CutRow, error) {
 	return CutRow{Strategy: strat, CutFrac: c.CutFrac(), MaxPages: c.MaxPages, MinPages: c.MinPages}, nil
 }
 
-// HopsRow pairs an overlay population with its measured mean lookup
+// HopsRow pairs a Pastry population with its measured mean lookup
 // hops — the h(N) inputs of Table 1.
 type HopsRow struct {
-	Overlay engine.OverlayKind `tab:"overlay"`
-	N       int                `tab:"N"`
-	Hops    float64            `tab:"measured hops" fmt:"%.2f"`
-	PaperH  float64            `tab:"paper model" fmt:"%.2f"`
+	N      int     `tab:"N"`
+	Hops   float64 `tab:"measured hops" fmt:"%.2f"`
+	PaperH float64 `tab:"paper model" fmt:"%.2f"`
 }
 
-// hops measures one overlay's mean lookup hop count at every
-// population. All of them draw from one rng stream, so one overlay is
-// one cell.
-func hops(x *env, kind engine.OverlayKind) ([]HopsRow, error) {
+// hops measures Pastry's mean lookup hop count at every population in
+// ns. All of them draw from one rng stream, so the whole sweep is one
+// cell.
+func hops(x *env, ns []int) ([]HopsRow, error) {
 	rng := xrand.New(x.Seed)
-	rows := make([]HopsRow, len(x.Ks))
-	for i, n := range x.Ks {
-		ov, err := engine.BuildOverlay(kind, n)
+	rows := make([]HopsRow, len(ns))
+	for i, n := range ns {
+		ov, err := engine.BuildOverlay(engine.Pastry, n)
 		if err != nil {
 			return nil, err
 		}
@@ -294,7 +293,7 @@ func hops(x *env, kind engine.OverlayKind) ([]HopsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows[i] = HopsRow{N: n, Hops: h, PaperH: bwmodel.PastryHops(float64(n)), Overlay: kind}
+		rows[i] = HopsRow{N: n, Hops: h, PaperH: bwmodel.PastryHops(float64(n))}
 	}
 	return rows, nil
 }

@@ -30,6 +30,7 @@ type Experiment struct {
 	Summary string
 	// K, Ks and MaxTime are the defaults for the same Params fields
 	// (the paper's values); one the experiment does not read is zero.
+	// Exactly one of K and Ks is set, and Run refuses the other.
 	K       int
 	Ks      []int
 	MaxTime float64
@@ -346,21 +347,13 @@ var registry = []Experiment{
 			cells:   these(partition.BySite, partition.ByPage, partition.Random),
 			cell:    cut,
 		}},
-	{Name: "hops", Summary: "overlay hop counts vs N", Ks: []int{100, 1000, 10000},
-		plan: plan[engine.OverlayKind, []HopsRow]{
+	{Name: "hops", Summary: "Pastry hop counts vs N", Ks: []int{100, 1000, 10000},
+		plan: plan[[]int, []HopsRow]{
 			need:  pure,
-			cells: these(engine.Pastry, engine.Chord),
+			cells: func(p Params) [][]int { return [][]int{p.Ks} },
 			cell:  hops,
 			rows: func(_ *env, out [][]HopsRow, res *Result) error {
-				// One table per overlay.
-				res.Rows = slices.Concat(out...)
-				res.layout = func() []*metrics.Table {
-					tables := make([]*metrics.Table, len(out))
-					for i, rows := range out {
-						tables[i] = metrics.TableOf(rows)
-					}
-					return tables
-				}
+				res.Rows = out[0]
 				return nil
 			},
 		}},
@@ -453,6 +446,14 @@ func (e Experiment) Run(p Params) (*Result, error) {
 		if k <= 0 {
 			return bad("Ks entry K = %d, must be positive", k)
 		}
+	}
+	// Every entry takes one ranker count or a sweep of them; the field
+	// it does not take would otherwise be dropped without a word.
+	if p.K != 0 && e.K == 0 {
+		return bad("K = %d given, but it sweeps Ks (set Ks instead)", p.K)
+	}
+	if len(p.Ks) > 0 && len(e.Ks) == 0 {
+		return bad("Ks = %v given, but it runs at one K (set K instead)", p.Ks)
 	}
 	if p.MaxTime < 0 || math.IsNaN(p.MaxTime) || math.IsInf(p.MaxTime, 0) {
 		return bad("MaxTime = %v, must be finite and positive", p.MaxTime)

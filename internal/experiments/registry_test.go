@@ -66,6 +66,9 @@ func TestEveryExperiment(t *testing.T) {
 		if seen[e.Name] || e.Name == "" || e.Summary == "" {
 			t.Fatalf("experiment %q: duplicate name or missing name/summary", e.Name)
 		}
+		if (e.K == 0) == (len(e.Ks) == 0) {
+			t.Fatalf("experiment %q: sets K = %d and Ks = %v, want exactly one", e.Name, e.K, e.Ks)
+		}
 		seen[e.Name] = true
 		t.Run(e.Name, func(t *testing.T) {
 			res, err := e.Run(toyParams(e.Name))

@@ -1,7 +1,7 @@
-// Package nodeid implements the 128-bit circular identifier space shared
-// by the Pastry and Chord overlays: hashing of node names and page keys,
-// hex-digit extraction for prefix routing (Pastry), ring arithmetic and
-// interval tests (Chord), and distance comparisons.
+// Package nodeid implements the 128-bit circular identifier space of
+// the Pastry overlay: hashing of node names and page keys, hex-digit
+// extraction for prefix routing, and the ring distances and interval
+// test the leaf set decides ownership with.
 package nodeid
 
 import (
@@ -32,7 +32,7 @@ func FromBytes(b []byte) ID {
 }
 
 // Hash derives an ID from an arbitrary name (node address, page URL,
-// site hostname) with SHA-1, as Pastry and Chord both prescribe.
+// site hostname) with SHA-1, as Pastry prescribes.
 func Hash(name string) ID {
 	return HashBytes([]byte(name))
 }
@@ -58,7 +58,7 @@ func RankerIDs(k int) []ID {
 }
 
 // Ring returns the indices of ids in ring order (ascending ID), the
-// order both overlays build their state from. The ring needs distinct
+// order Pastry builds its state from. The ring needs distinct
 // points, so a duplicate ID is an error.
 func Ring(ids []ID) ([]int, error) {
 	order := make([]int, len(ids))
@@ -95,38 +95,12 @@ func (x ID) Cmp(y ID) int {
 	return 0
 }
 
-// Add returns x + y mod 2^128.
-func (x ID) Add(y ID) ID {
-	lo, carry := bits.Add64(x.Lo, y.Lo, 0)
-	hi, _ := bits.Add64(x.Hi, y.Hi, carry)
-	return ID{Hi: hi, Lo: lo}
-}
-
 // Sub returns x − y mod 2^128 (the clockwise distance from y to x).
 func (x ID) Sub(y ID) ID {
 	lo, borrow := bits.Sub64(x.Lo, y.Lo, 0)
 	hi, _ := bits.Sub64(x.Hi, y.Hi, borrow)
 	return ID{Hi: hi, Lo: lo}
 }
-
-// AddPow2 returns x + 2^k mod 2^128. It panics unless 0 ≤ k < Bits.
-// Chord uses it to compute finger targets.
-func (x ID) AddPow2(k int) ID {
-	if k < 0 || k >= Bits {
-		panic(fmt.Sprintf("nodeid: AddPow2 exponent %d out of range", k))
-	}
-	var p ID
-	if k < 64 {
-		p.Lo = 1 << uint(k)
-	} else {
-		p.Hi = 1 << uint(k-64)
-	}
-	return x.Add(p)
-}
-
-// Distance returns the clockwise ring distance from x to y: the amount
-// to add to x to reach y.
-func Distance(x, y ID) ID { return y.Sub(x) }
 
 // AbsDist returns min(clockwise, counter-clockwise) distance between x
 // and y — the metric Pastry's leaf set uses to pick the numerically
@@ -140,18 +114,9 @@ func AbsDist(x, y ID) ID {
 	return d2
 }
 
-// Between reports whether m lies in the open ring interval (a, b),
-// walking clockwise from a to b. When a == b the interval covers the
-// whole ring minus {a}.
-func Between(m, a, b ID) bool {
-	if a == b {
-		return m != a
-	}
-	return m.Sub(a).Cmp(b.Sub(a)) < 0 && m != a
-}
-
 // BetweenIncl reports whether m lies in the half-open interval (a, b]
-// clockwise. Chord's successor test.
+// clockwise: Pastry's test that a key falls inside the arc its leaf
+// set spans.
 func BetweenIncl(m, a, b ID) bool {
 	if a == b {
 		return true

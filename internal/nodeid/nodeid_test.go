@@ -43,49 +43,26 @@ func TestCmp(t *testing.T) {
 	}
 }
 
-func TestAddSubInverse(t *testing.T) {
+// Sub is antisymmetric on the ring: y − x is the negation of x − y.
+func TestSubAntisymmetric(t *testing.T) {
 	f := func(h1, l1, h2, l2 uint64) bool {
 		x := ID{Hi: h1, Lo: l1}
 		y := ID{Hi: h2, Lo: l2}
-		return x.Add(y).Sub(y) == x
+		return y.Sub(x) == (ID{}).Sub(x.Sub(y))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestAddCarry(t *testing.T) {
-	x := ID{Hi: 0, Lo: ^uint64(0)}
-	got := x.Add(ID{Lo: 1})
-	if got != (ID{Hi: 1, Lo: 0}) {
-		t.Fatalf("carry failed: %v", got)
+func TestSubBorrow(t *testing.T) {
+	x := ID{Hi: 1, Lo: 0}
+	if got := x.Sub(ID{Lo: 1}); got != (ID{Hi: 0, Lo: ^uint64(0)}) {
+		t.Fatalf("borrow failed: %v", got)
 	}
-	// Wraparound at the top of the ring.
-	top := ID{Hi: ^uint64(0), Lo: ^uint64(0)}
-	if top.Add(ID{Lo: 1}) != (ID{}) {
+	// Wraparound at the bottom of the ring.
+	if (ID{}).Sub(ID{Lo: 1}) != (ID{Hi: ^uint64(0), Lo: ^uint64(0)}) {
 		t.Fatal("ring wraparound failed")
-	}
-}
-
-func TestAddPow2(t *testing.T) {
-	if got := (ID{}).AddPow2(0); got != (ID{Lo: 1}) {
-		t.Fatalf("2^0: %v", got)
-	}
-	if got := (ID{}).AddPow2(64); got != (ID{Hi: 1}) {
-		t.Fatalf("2^64: %v", got)
-	}
-	if got := (ID{}).AddPow2(127); got != (ID{Hi: 1 << 63}) {
-		t.Fatalf("2^127: %v", got)
-	}
-	for _, k := range []int{-1, 128} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddPow2(%d) did not panic", k)
-				}
-			}()
-			(ID{}).AddPow2(k)
-		}()
 	}
 }
 
@@ -110,27 +87,6 @@ func TestAbsDistPicksShorterArc(t *testing.T) {
 	d := ID{Hi: ^uint64(0), Lo: ^uint64(0) - 2}
 	if AbsDist(c, d) != (ID{Lo: 5}) {
 		t.Fatalf("AbsDist across zero = %v", AbsDist(c, d))
-	}
-}
-
-func TestBetween(t *testing.T) {
-	a, b := ID{Lo: 10}, ID{Lo: 20}
-	if !Between(ID{Lo: 15}, a, b) {
-		t.Error("15 should be in (10,20)")
-	}
-	if Between(ID{Lo: 10}, a, b) || Between(ID{Lo: 20}, a, b) {
-		t.Error("endpoints must be excluded")
-	}
-	// Wrapping interval (20, 10): 25 and 5 are inside, 15 is not.
-	if !Between(ID{Lo: 25}, b, a) || !Between(ID{Lo: 5}, b, a) {
-		t.Error("wrapping interval membership failed")
-	}
-	if Between(ID{Lo: 15}, b, a) {
-		t.Error("15 should not be in wrapped (20,10)")
-	}
-	// Degenerate interval covers everything except the endpoint.
-	if !Between(ID{Lo: 5}, a, a) || Between(a, a, a) {
-		t.Error("degenerate interval semantics wrong")
 	}
 }
 
@@ -220,16 +176,16 @@ func TestFromBytesBigEndian(t *testing.T) {
 	}
 }
 
-// Property: Between(m,a,b) partitions the ring: for m ∉ {a,b}, m is in
-// exactly one of (a,b) and (b,a).
-func TestBetweenPartitionProperty(t *testing.T) {
+// Property: BetweenIncl(m,a,b) partitions the ring: for m ∉ {a,b}, m is
+// in exactly one of (a,b] and (b,a].
+func TestBetweenInclPartitionProperty(t *testing.T) {
 	f := func(s uint64) bool {
 		r := xrand.New(s)
 		m, a, b := randID(r), randID(r), randID(r)
 		if m == a || m == b || a == b {
 			return true
 		}
-		return Between(m, a, b) != Between(m, b, a)
+		return BetweenIncl(m, a, b) != BetweenIncl(m, b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -4,27 +4,18 @@ import (
 	"fmt"
 	"testing"
 
-	"p2prank/internal/chord"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/pastry"
 	"p2prank/internal/xrand"
 )
 
-func buildOverlay(t *testing.T, kind string, k int) Network {
+func buildOverlay(t *testing.T, k int) Network {
 	t.Helper()
 	ids := make([]nodeid.ID, k)
 	for i := range ids {
 		ids[i] = nodeid.Hash(fmt.Sprintf("router-test-%d", i))
 	}
-	var (
-		ov  Network
-		err error
-	)
-	if kind == "pastry" {
-		ov, err = pastry.New(ids)
-	} else {
-		ov, err = chord.New(ids)
-	}
+	ov, err := pastry.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,25 +23,23 @@ func buildOverlay(t *testing.T, kind string, k int) Network {
 }
 
 // Hops walks the route Route stores: one hop fewer than the path's
-// nodes for every pair, on both overlays, from one node to thousands.
+// nodes for every pair, from one node to thousands.
 func TestHopsMatchesRoute(t *testing.T) {
-	for _, kind := range []string{"pastry", "chord"} {
-		for _, k := range []int{1, 2, 64, 5000} {
-			ov := buildOverlay(t, kind, k)
-			rng := xrand.New(uint64(k))
-			for s := 0; s < 2000; s++ {
-				from, dst := rng.Intn(k), rng.Intn(k)
-				path, err := Route(ov, from, ov.NodeID(dst))
-				if err != nil {
-					t.Fatal(err)
-				}
-				h, err := Hops(ov, from, ov.NodeID(dst))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h != len(path)-1 {
-					t.Fatalf("%s K=%d: Hops(%d, %d) = %d, route %v", kind, k, from, dst, h, path)
-				}
+	for _, k := range []int{1, 2, 64, 5000} {
+		ov := buildOverlay(t, k)
+		rng := xrand.New(uint64(k))
+		for s := 0; s < 2000; s++ {
+			from, dst := rng.Intn(k), rng.Intn(k)
+			path, err := Route(ov, from, ov.NodeID(dst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := Hops(ov, from, ov.NodeID(dst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != len(path)-1 {
+				t.Fatalf("K=%d: Hops(%d, %d) = %d, route %v", k, from, dst, h, path)
 			}
 		}
 	}
@@ -60,7 +49,7 @@ func TestHopsMatchesRoute(t *testing.T) {
 // nothing.
 func TestHopsAllocatesNothing(t *testing.T) {
 	const k = 2000
-	ov := buildOverlay(t, "pastry", k)
+	ov := buildOverlay(t, k)
 	rng := xrand.New(5)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := Hops(ov, rng.Intn(k), ov.NodeID(rng.Intn(k))); err != nil {

@@ -1,6 +1,6 @@
 // Package overlay defines the surface the distributed page-ranking layer
-// consumes from a structured P2P network, and helpers shared by the
-// Pastry and Chord implementations.
+// consumes from a structured P2P network — Pastry in this reproduction —
+// and the route helpers built on it.
 //
 // The paper uses the overlay for exactly three things: mapping a key
 // (page-group hash) to the responsible page ranker, looking up the
@@ -36,9 +36,8 @@ type Network interface {
 	// the owner of key. It returns i itself when i is the owner.
 	NextHop(i int, key nodeid.ID) int
 	// Neighbors returns the overlay links of node i — the nodes it can
-	// reach in one hop (leaf set and routing table for Pastry,
-	// successors and fingers for Chord). The result is sorted and
-	// contains no duplicates or i itself.
+	// reach in one hop (Pastry's leaf set and routing table). The
+	// result is sorted and contains no duplicates or i itself.
 	Neighbors(i int) []int
 }
 

@@ -49,11 +49,12 @@ type GenConfig struct {
 
 // DefaultGenConfig returns the paper-calibrated configuration scaled to
 // the requested number of pages. Sites scale as pages/10000 (the paper's
-// dataset has 1M pages over 100 sites) but never fewer than 4.
+// dataset has 1M pages over 100 sites) but never fewer than 4, unless
+// there are fewer pages than that: then each page is its own site.
 func DefaultGenConfig(pages int) GenConfig {
 	sites := pages / 10000
 	if sites < 4 {
-		sites = 4
+		sites = min(4, pages)
 	}
 	return GenConfig{
 		Pages:          pages,

@@ -156,6 +156,17 @@ func TestDefaultGenConfigScaling(t *testing.T) {
 	if c := DefaultGenConfig(1000000); c.Sites != 100 {
 		t.Errorf("1M-page graph sites = %d, want 100 (paper's dataset)", c.Sites)
 	}
+	// A crawl of fewer than 4 pages gets one site per page, not a site
+	// count Generate refuses.
+	for pages := 1; pages <= 3; pages++ {
+		c := DefaultGenConfig(pages)
+		if c.Sites != pages {
+			t.Errorf("%d-page graph sites = %d, want %d", pages, c.Sites, pages)
+		}
+		if _, err := Generate(c); err != nil {
+			t.Errorf("%d-page default crawl: %v", pages, err)
+		}
+	}
 }
 
 func BenchmarkGenerate10k(b *testing.B) {

@@ -65,7 +65,8 @@ type Graph struct {
 
 // Store and Mapped are the two names this type used to be split under.
 // bench/ (its own module, frozen to feature PRs) is their only user;
-// ROADMAP item 5's [benchmark] re-baseline removes both lines.
+// the benchmark re-baseline (ROADMAP, "Numbers a script wrote") removes
+// both lines.
 type (
 	Store  = *Graph
 	Mapped = Graph
