@@ -23,12 +23,13 @@ test:
 # The layers with real goroutines: sockets (netpeer), the loop core
 # they drive (dprcore), the transport fabric, the simulator
 # (compute-phase batching), the worker pool, and everything the
-# parallel kernels touch — the index builds (search, serve) included.
+# parallel kernels touch — the index builds (search, serve) and by-page
+# hashing (partition) included.
 race:
 	$(GO) test -race ./internal/netpeer/... ./internal/dprcore/... ./internal/transport/... \
 		./internal/simnet/... ./internal/vecmath/... ./internal/pagerank/... \
 		./internal/engine/... ./internal/par/... ./internal/telemetry/... \
-		./internal/search/... ./internal/serve/...
+		./internal/search/... ./internal/serve/... ./internal/partition/...
 
 # The places bytes enter from outside — /search parameter parsing, the
 # -fault and -reliable specs (parsed, then Validate, every float
@@ -37,7 +38,10 @@ race:
 # transmission modes → one compute phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
 # and a crawl file in either format (binary: open, Validate, every
 # accessor, rewrite; text: parse, Validate, rewrite) —
-# the CSR storage layout against its row-major reference, Pastry
+# the CSR storage layout against its row-major reference, every
+# ranker's group layout (pages, degrees, efferent entries, offsets, merged
+# counts, afferent transpose) against a counting-map recount on random
+# crawls, strategies and ring sizes, Pastry
 # routing over ID sets that share long prefixes (deep table rows hashed
 # IDs never fill, every member pair's next hop against a reference copy
 # of the routing rule, each table's row structure, and the XOR prefix
@@ -46,7 +50,7 @@ race:
 # plan and scan (shard bitmaps, page signatures) against the static
 # index on random small tiers, each over its seed corpus and whatever
 # ten seconds of mutation reach (go test takes one -fuzz target per
-# run). The CSR, cache, plan and Pastry targets cap minimization: shrinking each
+# run). The CSR, cache, plan, group and Pastry targets cap minimization: shrinking each
 # new-coverage input for the default minute would leave the pass a few
 # thousand inputs.
 fuzz:
@@ -61,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadText -fuzztime 10s ./internal/webgraph/
 	$(GO) test -run '^$$' -fuzz FuzzCSRKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzPastryRoutes -fuzztime 10s -fuzzminimizetime 1s ./internal/pastry/
+	$(GO) test -run '^$$' -fuzz FuzzBuildGroups -fuzztime 10s -fuzzminimizetime 1s ./internal/dprcore/
 
 # Failure-path suite under the race detector: one crash/restart churn
 # schedule run by both drivers (and refused the same way by both when

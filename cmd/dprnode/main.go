@@ -74,6 +74,15 @@ func main() {
 	)
 	flag.Parse()
 
+	// The load generator and the query tier would fail these quietly
+	// (every query refused, or the handler's default k): refuse them in
+	// dprsim's words before anything is built.
+	if *topk <= 0 {
+		fatal(fmt.Errorf("TopK = %d, must be positive", *topk))
+	}
+	if *qps < 0 {
+		fatal(fmt.Errorf("QPS = %d, must not be negative", *qps))
+	}
 	if *srvAddr == "" && *qps > 0 {
 		fatal(fmt.Errorf("-qps requires -serve"))
 	}

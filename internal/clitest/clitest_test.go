@@ -268,6 +268,35 @@ func TestDprsimBadServeInputs(t *testing.T) {
 	}
 }
 
+// TestDprnodeBadServeInputs: dprnode refuses a non-positive -topk and
+// a negative -qps with dprsim's wording, before it builds a crawl or a
+// cluster — not a load generator whose every query fails, or a banner
+// advertising a k the handler does not use.
+func TestDprnodeBadServeInputs(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-topk", "0"}, "TopK = 0, must be positive"},
+		{[]string{"-topk", "-3"}, "TopK = -3, must be positive"},
+		{[]string{"-qps", "-5"}, "QPS = -5, must not be negative"},
+	} {
+		args := append([]string{"-demo", "-k", "3", "-pages", "2000", "-serve", "127.0.0.1:0", "-qps", "200"}, c.args...)
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(filepath.Join(builtDir, "dprnode"), args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("%v exited 0:\n%s", c.args, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.want) || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: want %q and no stack trace, got:\n%s", c.args, c.want, msg)
+		}
+		if out := stdout.String(); out != "" {
+			t.Fatalf("%v: refused after starting:\n%s", c.args, out)
+		}
+	}
+}
+
 func TestDprnodeDemo(t *testing.T) {
 	out := run(t, "dprnode", "-demo", "-pages", "1500", "-k", "3", "-target", "1e-4")
 	if !strings.Contains(out, "converged to relative error") {

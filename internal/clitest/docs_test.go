@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -32,6 +33,8 @@ var (
 	makeCmd   = regexp.MustCompile(`\bmake((?:\s+[a-z][a-z0-9-]*)+)`)
 	makeRule  = regexp.MustCompile(`^([a-z][a-z0-9-]*)\s*:([^=]|$)`)
 	repoPath  = regexp.MustCompile(`(?:^|[^\w./-])(?:p2prank/)?((?:internal|cmd|examples|bench)/[\w./-]*)`)
+	flagToken = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
+	shellSep  = regexp.MustCompile(`\|\||&&|[|;]`)
 )
 
 // typeRef names a type: its package and its name.
@@ -220,20 +223,136 @@ func makeTargets(t *testing.T, root string) map[string]bool {
 	return targets
 }
 
+// docCommands are the commands whose flags a code span is held to.
+var docCommands = []string{"dprsim", "dprnode", "genweb", "bwtable", "benchgate", "p2plint"}
+
+// flagNameArg maps each flag-registering method of package flag (and
+// of a *flag.FlagSet) to the position of its name argument.
+var flagNameArg = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "String": 0, "Float64": 0, "Duration": 0,
+	"Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "StringVar": 1,
+	"Float64Var": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
+}
+
+// flagCalls walks the non-test Go files of dir. It returns, per
+// top-level function, the flag names its flag calls register and the
+// cliflags functions it calls.
+func flagCalls(t *testing.T, dir string) (names, helpers map[string]map[string]bool) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, helpers = map[string]map[string]bool{}, map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range paths {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			names[fn.Name.Name], helpers[fn.Name.Name] = map[string]bool{}, map[string]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "cliflags" {
+					helpers[fn.Name.Name][sel.Sel.Name] = true
+				}
+				if i, ok := flagNameArg[sel.Sel.Name]; ok && i < len(call.Args) {
+					if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil {
+							names[fn.Name.Name][name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return names, helpers
+}
+
+// commandFlags returns the flags each of docCommands registers: those
+// its own flag calls name, and those of the cliflags functions it
+// calls. -h and -help are every command's.
+func commandFlags(t *testing.T, root string) map[string]map[string]bool {
+	t.Helper()
+	shared, _ := flagCalls(t, filepath.Join(root, "internal", "cliflags"))
+	flags := map[string]map[string]bool{}
+	for _, cmd := range docCommands {
+		names, helpers := flagCalls(t, filepath.Join(root, "cmd", cmd))
+		set := map[string]bool{"h": true, "help": true}
+		for fn := range names {
+			for name := range names[fn] {
+				set[name] = true
+			}
+			for h := range helpers[fn] {
+				for name := range shared[h] {
+					set[name] = true
+				}
+			}
+		}
+		if len(set) == 2 {
+			t.Fatalf("cmd/%s: found no flag calls", cmd)
+		}
+		flags[cmd] = set
+	}
+	return flags
+}
+
+// spanFlags returns each (command, flag) pair in a code span that runs
+// one of the commands in flags, bare (`dprsim -exp fig6`) or as `go
+// run ./cmd/dprsim -exp fig6`. A shell separator ends a command.
+func spanFlags(span string, flags map[string]map[string]bool) (uses [][2]string) {
+	span = strings.Trim(span, "`")
+	for _, seg := range shellSep.Split(span, -1) {
+		cmd := ""
+		for _, f := range strings.Fields(seg) {
+			if cmd == "" {
+				if name := path.Base(f); flags[name] != nil && (f == name || strings.Contains(f, "cmd/"+name)) {
+					cmd = name
+				}
+				continue
+			}
+			if m := flagToken.FindStringSubmatch(f); m != nil {
+				uses = append(uses, [2]string{cmd, m[1]})
+			}
+		}
+	}
+	return uses
+}
+
 // TestDocsNameRealCode keeps the documents naming code that exists:
 // every backticked `pkg.Ident` whose pkg is one of the module's
 // packages is declared there, and in `pkg.Type.Member` the type has
 // that field or method, declared or promoted from a type it embeds;
 // every Test/Benchmark/Fuzz name is a test
 // function — in the named package when qualified; every `make X` is a
-// Makefile rule; and every backticked internal/, cmd/, examples/ or
-// bench/ path exists in the tree. A passage that recounts removed code
-// goes between historyOpen and historyClose lines.
+// Makefile rule; every backticked internal/, cmd/, examples/ or
+// bench/ path exists in the tree; and a span that runs one of
+// docCommands gives it only flags it registers. A passage that
+// recounts removed code goes between historyOpen and historyClose
+// lines.
 func TestDocsNameRealCode(t *testing.T) {
 	root := repoRoot()
 	mod := goPackages(t, root)
 	pkgs := mod.names
 	targets := makeTargets(t, root)
+	flags := commandFlags(t, root)
 	anyPkg := func(name string) bool {
 		for _, names := range pkgs {
 			if names[name] {
@@ -285,6 +404,11 @@ func TestDocsNameRealCode(t *testing.T) {
 				for _, m := range repoPath.FindAllStringSubmatch(span, -1) {
 					if _, err := os.Stat(filepath.Join(root, strings.TrimRight(m[1], "."))); err != nil {
 						t.Errorf("%s: `%s`: no such path in the repo", where, m[1])
+					}
+				}
+				for _, use := range spanFlags(span, flags) {
+					if !flags[use[0]][use[1]] {
+						t.Errorf("%s: %s: %s has no flag -%s", where, span, use[0], use[1])
 					}
 				}
 				for _, m := range makeCmd.FindAllStringSubmatch(span, -1) {

@@ -1,9 +1,7 @@
 package dprcore
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
@@ -58,25 +56,29 @@ func (g *Group) N() int { return len(g.Pages) }
 
 // BuildGroups slices the graph into one Group per ranker according to
 // the assignment. alpha is the real-link rank fraction of §3.
+//
+// The efferent tables are laid out by counting passes, not a sort.
+// Every cross-group link is a record (destination page, source page),
+// and a destination page v owns a slot of records; the slots are
+// ordered by (GroupOf[v], LocalIdx[v]). A counting pass sizes each
+// slot, a placing pass walks the sources in ascending order into their
+// slots, and a dealing pass walks the slots in order and hands each
+// record to its source's group. A group therefore meets its records in
+// (destination group, destination page, source page) order: parallel
+// links side by side and every destination's entries in their final
+// order.
 func BuildGroups(g *webgraph.Graph, a *partition.Assignment, alpha float64) ([]*Group, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("dprcore: alpha = %v, must be in (0,1)", alpha)
 	}
-	groups := make([]*Group, a.K)
-	// One record per cross-group link. Sorting a group's records by
-	// (dstGroup, dstLocal, localSrc) puts parallel links side by side
-	// and every destination's entries in their final order, without a
-	// counting map per group.
-	type effLink struct {
-		dstGroup           int32
-		dstLocal, localSrc int32
-	}
-	// One counting pass sizes every group's two lists exactly, so each
-	// kind is a single allocation carved into per-group spans.
+	n := g.NumPages()
+	// The counting pass: each group's inner and efferent link counts,
+	// and in slot[v] the number of cross-group links into page v.
 	innerN := make([]int, a.K)
 	effN := make([]int, a.K)
-	innerLinks, effLinks := 0, 0
-	for p := 0; p < g.NumPages(); p++ {
+	slot := make([]int, n)
+	innerLinks := 0
+	for p := range n {
 		gu := a.GroupOf[p]
 		for _, v := range g.InternalOut(int32(p)) {
 			if a.GroupOf[v] == gu {
@@ -84,32 +86,42 @@ func BuildGroups(g *webgraph.Graph, a *partition.Assignment, alpha float64) ([]*
 				innerLinks++
 			} else {
 				effN[gu]++
-				effLinks++
+				slot[v]++
 			}
 		}
 	}
+	// A prefix sum in slot order turns each count into the slot's start:
+	// its cursor for the placing pass.
+	effLinks := 0
+	for _, pages := range a.Pages {
+		for _, v := range pages {
+			slot[v], effLinks = effLinks, effLinks+slot[v]
+		}
+	}
+	// The inner lists are one allocation carved into per-group spans.
 	inner := make([][][2]int32, a.K)
-	eff := make([][]effLink, a.K)
 	innerAll := make([][2]int32, innerLinks)
-	effAll := make([]effLink, effLinks)
 	for i := range a.K {
 		inner[i], innerAll = innerAll[:0:innerN[i]], innerAll[innerN[i]:]
-		eff[i], effAll = effAll[:0:effN[i]], effAll[effN[i]:]
 	}
-	for p := 0; p < g.NumPages(); p++ {
+	// The placing pass: sources in ascending order, so each slot's
+	// records end up ascending. Afterwards slot[v] is the end of v's
+	// records.
+	src := make([]int32, effLinks)
+	for p := range n {
 		u := int32(p)
 		gu := a.GroupOf[u]
 		for _, v := range g.InternalOut(u) {
-			gv := a.GroupOf[v]
-			if gu == gv {
+			if a.GroupOf[v] == gu {
 				inner[gu] = append(inner[gu], [2]int32{a.LocalIdx[u], a.LocalIdx[v]})
 			} else {
-				eff[gu] = append(eff[gu], effLink{gv, a.LocalIdx[v], a.LocalIdx[u]})
+				src[slot[v]] = u
+				slot[v]++
 			}
 		}
 	}
-	for i := 0; i < a.K; i++ {
-		pages := a.Pages[i]
+	groups := make([]*Group, a.K)
+	for i, pages := range a.Pages {
 		deg := make([]int32, len(pages))
 		for li, p := range pages {
 			deg[li] = int32(g.OutDegree(p))
@@ -118,48 +130,45 @@ func BuildGroups(g *webgraph.Graph, a *partition.Assignment, alpha float64) ([]*
 		if err != nil {
 			return nil, fmt.Errorf("dprcore: group %d: %w", i, err)
 		}
-		links := eff[i]
-		slices.SortFunc(links, func(x, y effLink) int {
-			if c := cmp.Compare(x.dstGroup, y.dstGroup); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(x.dstLocal, y.dstLocal); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.localSrc, y.localSrc)
-		})
-		grp := &Group{
+		groups[i] = &Group{
 			Index:    i,
 			Pages:    pages,
 			Deg:      deg,
 			Sys:      sys,
-			Eff:      make([]EffEntry, 0, len(links)),
-			EffLinks: int64(len(links)),
+			Eff:      make([]EffEntry, 0, effN[i]),
+			EffLinks: int64(effN[i]),
 		}
-		// One pass over the sorted records: a new dstGroup opens a
-		// destination, a repeated record is a parallel link, a new
-		// dstLocal is one more entry of the chunk Y merges to.
-		for j, l := range links {
-			newDst := j == 0 || l.dstGroup != links[j-1].dstGroup
-			if newDst {
-				grp.EffDsts = append(grp.EffDsts, l.dstGroup)
-				grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
-				grp.EffMerged = append(grp.EffMerged, 0)
-			} else if l == links[j-1] {
-				grp.Eff[len(grp.Eff)-1].Links++
-				continue
-			}
-			if newDst || l.dstLocal != links[j-1].dstLocal {
-				grp.EffMerged[len(grp.EffMerged)-1]++
-			}
-			grp.Eff = append(grp.Eff, EffEntry{LocalSrc: l.localSrc, DstLocal: l.dstLocal, Links: 1})
-		}
-		grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
-		groups[i] = grp
 	}
-	// AffSrcs is the transpose of EffDsts; filling it in group order
-	// leaves every list ascending.
+	// The dealing pass. For the receiving group, a new destination
+	// group opens a destination, a record equal to the last one is a
+	// parallel link, and a new destination page is one more entry of
+	// the chunk Y merges to.
+	next := 0
+	for gv, pages := range a.Pages {
+		for dl, v := range pages {
+			for _, u := range src[next:slot[v]] {
+				grp := groups[a.GroupOf[u]]
+				e := EffEntry{LocalSrc: a.LocalIdx[u], DstLocal: int32(dl), Links: 1}
+				d := len(grp.EffDsts) - 1
+				if d < 0 || grp.EffDsts[d] != int32(gv) {
+					grp.EffDsts = append(grp.EffDsts, int32(gv))
+					grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
+					grp.EffMerged = append(grp.EffMerged, 1)
+				} else if last := &grp.Eff[len(grp.Eff)-1]; last.DstLocal != e.DstLocal {
+					grp.EffMerged[d]++
+				} else if last.LocalSrc == e.LocalSrc {
+					last.Links++
+					continue
+				}
+				grp.Eff = append(grp.Eff, e)
+			}
+			next = slot[v]
+		}
+	}
+	// Close each offset table. AffSrcs is the transpose of EffDsts;
+	// filling it in group order leaves every list ascending.
 	for i, grp := range groups {
+		grp.EffOff = append(grp.EffOff, int32(len(grp.Eff)))
 		for _, dst := range grp.EffDsts {
 			groups[dst].AffSrcs = append(groups[dst].AffSrcs, int32(i))
 		}

@@ -17,6 +17,7 @@ import (
 
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
+	"p2prank/internal/par"
 	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
@@ -59,6 +60,9 @@ type Assignment struct {
 	Pages [][]int32
 }
 
+// hashBlock is the number of pages one by-page hashing shard covers.
+const hashBlock = 2048
+
 // Assign partitions the pages of g over the rankers of the overlay ov
 // using the given strategy. seed is used only by Random. The hashing
 // strategies place a page on the overlay owner of its hash key, exactly
@@ -85,9 +89,18 @@ func Assign(g *webgraph.Graph, ov overlay.Network, strat Strategy, seed uint64) 
 			a.GroupOf[p] = siteOwner[g.SiteOf(int32(p))]
 		}
 	case ByPage:
-		for p := range a.GroupOf {
-			a.GroupOf[p] = int32(ov.Owner(nodeid.Hash(g.URL(int32(p)))))
-		}
+		// Hashing is most of the work, so fixed spans of pages hash on
+		// the worker pool. The spans depend only on the page count and
+		// each writes only its own pages' GroupOf, so the result is the
+		// serial one at any worker count.
+		n := len(a.GroupOf)
+		par.Default().Run(par.Blocks(n, hashBlock), func(b int) {
+			var buf [64]byte
+			for p := b * hashBlock; p < min(n, (b+1)*hashBlock); p++ {
+				url := webgraph.AppendURL(buf[:0], g, int32(p))
+				a.GroupOf[p] = int32(ov.Owner(nodeid.HashBytes(url)))
+			}
+		})
 	case Random:
 		rng := xrand.New(seed)
 		for p := range a.GroupOf {

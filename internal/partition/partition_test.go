@@ -80,6 +80,14 @@ func TestAssignByPageCoversAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAssignment(t, g, a)
+	// The hashing runs in 2048-page shards on the worker pool (here a
+	// full one and a partial one); every page must still land on the
+	// owner of its URL's hash.
+	for p := 0; p < g.NumPages(); p++ {
+		if want := int32(ov.Owner(nodeid.Hash(g.URL(int32(p))))); a.GroupOf[p] != want {
+			t.Fatalf("page %d: group %d, its URL hashes to %d", p, a.GroupOf[p], want)
+		}
+	}
 	// With 3000 pages over 8 rankers, every ranker should get some.
 	for grp, ps := range a.Pages {
 		if len(ps) == 0 {
@@ -210,6 +218,19 @@ func BenchmarkAssignBySite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Assign(g, ov, BySite, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAssignByPage hashes every URL of a 40,000-page crawl onto
+// eight rankers, the live cluster benchmark's shape.
+func BenchmarkAssignByPage(b *testing.B) {
+	g := makeGraph(b, 40000)
+	ov := makeOverlay(b, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Assign(g, ov, ByPage, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
