@@ -48,7 +48,8 @@ race:
 # length against a bit-by-bit reference), the
 # response cache's slab against an unbounded map, and the serve tier's
 # plan and scan (shard bitmaps, page signatures) against the static
-# index on random small tiers, each over its seed corpus and whatever
+# index on random small tiers, and the Zipf sampler's guided search
+# against a search of the whole CDF, each over its seed corpus and whatever
 # ten seconds of mutation reach (go test takes one -fuzz target per
 # run). The CSR, cache, plan, group and Pastry targets cap minimization: shrinking each
 # new-coverage input for the default minute would leave the pass a few
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCSRKernels -fuzztime 10s -fuzzminimizetime 1s ./internal/vecmath/
 	$(GO) test -run '^$$' -fuzz FuzzPastryRoutes -fuzztime 10s -fuzzminimizetime 1s ./internal/pastry/
 	$(GO) test -run '^$$' -fuzz FuzzBuildGroups -fuzztime 10s -fuzzminimizetime 1s ./internal/dprcore/
+	$(GO) test -run '^$$' -fuzz FuzzZipfSample -fuzztime 10s ./internal/xrand/
 
 # Failure-path suite under the race detector: one crash/restart churn
 # schedule run by both drivers (and refused the same way by both when

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -74,6 +75,19 @@ func main() {
 	)
 	flag.Parse()
 
+	// A demo cluster cannot reach a target that is not a positive finite
+	// relative error, and a ranker count below one would reach the
+	// banner before netpeer refused it: refuse both before anything is
+	// built.
+	if *k <= 0 {
+		fatal(fmt.Errorf("K = %d, must be positive", *k))
+	}
+	if *demo && !(*target > 0) {
+		fatal(fmt.Errorf("Target = %v, must be positive", *target))
+	}
+	if *demo && math.IsInf(*target, 1) {
+		fatal(fmt.Errorf("Target = %v, must be finite", *target))
+	}
 	// The load generator and the query tier would fail these quietly
 	// (every query refused, or the handler's default k): refuse them in
 	// dprsim's words before anything is built.

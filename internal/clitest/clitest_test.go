@@ -271,7 +271,10 @@ func TestDprsimBadServeInputs(t *testing.T) {
 // TestDprnodeBadServeInputs: dprnode refuses a non-positive -topk and
 // a negative -qps with dprsim's wording, before it builds a crawl or a
 // cluster — not a load generator whose every query fails, or a banner
-// advertising a k the handler does not use.
+// advertising a k the handler does not use. The same holds, within a
+// few seconds, for a -target no run can reach (it used to rank until
+// Converge's two-minute deadline) and a -k below one (it used to print
+// the banner first).
 func TestDprnodeBadServeInputs(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -280,12 +283,25 @@ func TestDprnodeBadServeInputs(t *testing.T) {
 		{[]string{"-topk", "0"}, "TopK = 0, must be positive"},
 		{[]string{"-topk", "-3"}, "TopK = -3, must be positive"},
 		{[]string{"-qps", "-5"}, "QPS = -5, must not be negative"},
+		{[]string{"-target", "0"}, "Target = 0, must be positive"},
+		{[]string{"-target", "-1e-6"}, "Target = -1e-06, must be positive"},
+		{[]string{"-target", "NaN"}, "Target = NaN, must be positive"},
+		{[]string{"-target", "+Inf"}, "Target = +Inf, must be finite"},
+		{[]string{"-k", "0"}, "K = 0, must be positive"},
+		{[]string{"-k", "-2"}, "K = -2, must be positive"},
 	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		args := append([]string{"-demo", "-k", "3", "-pages", "2000", "-serve", "127.0.0.1:0", "-qps", "200"}, c.args...)
 		var stdout, stderr strings.Builder
-		cmd := exec.Command(filepath.Join(builtDir, "dprnode"), args...)
+		cmd := exec.CommandContext(ctx, filepath.Join(builtDir, "dprnode"), args...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err == nil {
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if timedOut {
+			t.Fatalf("%v: not refused within 5 s:\n%s", c.args, stdout.String())
+		}
+		if err == nil {
 			t.Fatalf("%v exited 0:\n%s", c.args, stdout.String())
 		}
 		if msg := stderr.String(); !strings.Contains(msg, c.want) || strings.Contains(msg, "goroutine") {

@@ -2,6 +2,7 @@ package netpeer
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -259,8 +260,13 @@ func (cl *Cluster) RelErr() float64 {
 // Converge samples the cluster every 20 ms of Elapsed until the
 // relative error reaches target or timeout expires, and returns the
 // run record, its counters summed over every peer the cluster ran,
-// churned ones included. A churn restart that failed returns at once.
+// churned ones included. A churn restart that failed returns at once,
+// and so does a target that is not a positive finite number, which no
+// run can reach.
 func (cl *Cluster) Converge(target float64, timeout time.Duration) (*dprcore.Record, error) {
+	if !(target > 0) || math.IsInf(target, 1) {
+		return nil, fmt.Errorf("netpeer: converge target = %v, must be positive and finite", target)
+	}
 	rec := &dprcore.Record{ConvergedAt: -1}
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()

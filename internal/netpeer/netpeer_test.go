@@ -1,7 +1,9 @@
 package netpeer
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +101,17 @@ func TestClusterConvergesDPR1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// A target that is not a positive finite relative error is refused
+	// at once, not polled for until the timeout.
+	for _, target := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		start := time.Now()
+		if _, err := cl.Converge(target, time.Minute); err == nil || !strings.Contains(err.Error(), "must be positive and finite") {
+			t.Fatalf("Converge(%v) = %v, want the target refused", target, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Converge(%v) took %v to refuse", target, d)
+		}
+	}
 	if _, err := cl.Converge(1e-6, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}

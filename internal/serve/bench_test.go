@@ -13,12 +13,15 @@ import (
 	"p2prank/internal/webgraph"
 )
 
-func benchFrontend(b *testing.B, shards int) (*serve.Frontend, *serve.Store) {
+// benchFrontend builds a tier of that many by-site shards of 100
+// pages, each published once, with cfg's Health and Admission and the
+// cache off.
+func benchFrontend(b *testing.B, shards int, cfg serve.Config) (*serve.Frontend, *serve.Store) {
 	b.Helper()
-	cfg := webgraph.DefaultGenConfig(shards * 100)
-	cfg.Sites = shards * 2
-	cfg.Seed = 21
-	g, err := webgraph.Generate(cfg)
+	gen := webgraph.DefaultGenConfig(shards * 100)
+	gen.Sites = shards * 2
+	gen.Seed = 21
+	g, err := webgraph.Generate(gen)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,12 +50,13 @@ func benchFrontend(b *testing.B, shards int) (*serve.Frontend, *serve.Store) {
 			b.Fatal(err)
 		}
 	}
-	text := search.DefaultConfig()
-	text.Vocabulary = 1000
-	text.TermsPerPage = 10
+	cfg.Text = search.DefaultConfig()
+	cfg.Text.Vocabulary = 1000
+	cfg.Text.TermsPerPage = 10
 	// Cache disabled: the benchmark measures the full merge path, not
 	// cache hits.
-	fe, err := serve.NewFrontend(g, ov, assign, store, serve.Config{Text: text, CacheEntries: -1})
+	cfg.CacheEntries = -1
+	fe, err := serve.NewFrontend(g, ov, assign, store, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,13 +68,56 @@ func benchFrontend(b *testing.B, shards int) (*serve.Frontend, *serve.Store) {
 // 100 pages, cache off, reused Querier and Response. Gated at
 // 0 allocs/op.
 func BenchmarkQueryTopK(b *testing.B) {
-	fe, _ := benchFrontend(b, 64)
-	benchQueries(b, fe, []search.Request{
-		{Terms: []int32{0}, K: 10},
-		{Terms: []int32{1, 2}, K: 10},
-		{Terms: []int32{3, 4, 5}, K: 10},
-		{Terms: []int32{7, 11}, K: 100},
-	})
+	fe, _ := benchFrontend(b, 64, serve.Config{})
+	benchQueries(b, fe, topKQueries)
+}
+
+// topKQueries are BenchmarkQueryTopK's and BenchmarkQueryDegraded's.
+var topKQueries = []search.Request{
+	{Terms: []int32{0}, K: 10},
+	{Terms: []int32{1, 2}, K: 10},
+	{Terms: []int32{3, 4, 5}, K: 10},
+	{Terms: []int32{7, 11}, K: 100},
+}
+
+// BenchmarkQueryDegraded is BenchmarkQueryTopK's tier read through its
+// degraded path: a LatticeHealth with the partition up and stragglers
+// hedged to their replicas, and staleness admission with every shard
+// behind the cut past the bound, so each query walks the over-bound
+// list, finds it all unreachable, and is admitted. Gated at
+// 0 allocs/op.
+func BenchmarkQueryDegraded(b *testing.B) {
+	const shards, bound = 64, 2
+	fcfg := dprcore.FaultConfig{
+		PartitionFrac: 0.3, PartitionFrom: 0, PartitionTo: 1,
+		StraggleFrac: 0.25, StraggleFactor: 1, Seed: 5,
+	}
+	at := fcfg.MajorityNode(shards)
+	health, err := serve.NewLatticeHealth(fcfg, at, func() float64 { return 0.5 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	fe, store := benchFrontend(b, shards, serve.Config{Health: health, Admission: serve.Admission{StalenessBound: bound}})
+	cut := 0
+	for s := 0; s < shards; s++ {
+		// A second publish gives the stragglers a replica to hedge to.
+		if _, err := store.Publish(s, 2, store.Snapshot(s).Scores); err != nil {
+			b.Fatal(err)
+		}
+		if fcfg.PartitionMinority(s) != fcfg.PartitionMinority(at) {
+			cut++
+			for i := 0; i <= bound; i++ {
+				store.Advance(s)
+			}
+		}
+	}
+	if cut == 0 {
+		b.Fatal("no shard behind the cut")
+	}
+	benchQueries(b, fe, topKQueries)
+	if st := fe.DegradeStats(); st.Shed != 0 || st.Hedged == 0 || st.Degraded == 0 {
+		b.Fatalf("degrade stats %+v: want no shed, some hedged and degraded", st)
+	}
 }
 
 // BenchmarkQueryFanout is the same path where the fan-out dominates —

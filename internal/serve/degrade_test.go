@@ -464,6 +464,56 @@ func TestLatticeHealthMirrorsFaultConfig(t *testing.T) {
 		t.Fatal("shard still unreachable after the heal")
 	}
 
+	// The clock-free bits come from a table the first reads fill: shards
+	// first seen out of order, past the first table's length, and by
+	// several goroutines at once must read as the config says.
+	want := func(shard int, now float64) serve.ShardState {
+		switch {
+		case cfg.PartitionActiveAt(now) && cfg.PartitionMinority(shard) != cfg.PartitionMinority(at):
+			return serve.ShardUnreachable
+		case cfg.Straggler(shard):
+			return serve.ShardSlow
+		}
+		return serve.ShardHealthy
+	}
+	const shards = 5000
+	now = 5
+	h, err = serve.NewLatticeHealth(cfg, at, func() float64 { return now })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{70, 3, 1000, 64, 63, 0, 129, 4095, 4096, shards - 1} {
+		if got, w := h.ShardState(s), want(s, now); got != w {
+			t.Fatalf("shard %d first read out of order: %v, want %v", s, got, w)
+		}
+	}
+	for _, now = range []float64{0, 5, 10} {
+		for s := shards - 1; s >= 0; s-- {
+			if got, w := h.ShardState(s), want(s, now); got != w {
+				t.Fatalf("shard %d at t=%v: %v, want %v", s, now, got, w)
+			}
+		}
+	}
+	h, err = serve.NewLatticeHealth(cfg, at, func() float64 { return 5 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < shards; i++ {
+				s := (i*7919 + g*613) % shards // a different order each
+				if got, w := h.ShardState(s), want(s, 5); got != w {
+					t.Errorf("goroutine %d, shard %d: %v, want %v", g, s, got, w)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
 	if _, err := serve.NewLatticeHealth(cfg, 0, nil); err == nil {
 		t.Error("nil time source accepted")
 	}

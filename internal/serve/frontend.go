@@ -89,6 +89,9 @@ type Frontend struct {
 
 	health Health
 	adm    Admission
+	// over is the admission controller's list of shards over the
+	// staleness bound, rebuilt on the first query after a store change.
+	over atomic.Pointer[overList]
 
 	inflight atomic.Int64
 	shed     atomic.Int64
@@ -303,19 +306,56 @@ func (f *Frontend) DegradeStats() DegradeStats {
 
 // overBound is the admission controller's staleness signal: whether
 // some shard the fan-out can still reach is more than StalenessBound
-// rounds behind. Health is asked only about shards already over the
-// bound; unreachable ones are excluded — their gap is lost coverage,
-// not a reason to refuse the queries the healthy side can answer.
+// rounds behind. It walks the list of shards over the bound and asks
+// Health about each until one is reachable; unreachable ones are
+// excluded — their gap is lost coverage, not a reason to refuse the
+// queries the healthy side can answer. Health is asked afresh every
+// query, the list only when the store has changed (see overList).
 //
 //p2plint:hotpath
 func (f *Frontend) overBound() bool {
-	for i := range f.pages {
-		if f.store.Staleness(i) > f.adm.StalenessBound &&
-			(f.health == nil || f.health.ShardState(i) != ShardUnreachable) {
+	st := f.store
+	// Loaded before the list's ticks are read, as in overShards.
+	adv, inst := st.advances.Load(), st.installed.Load()
+	l := f.over.Load()
+	if l == nil || l.store != st || l.bound != f.adm.StalenessBound || l.advances != adv || l.installed != inst {
+		l = f.overShards(adv, inst)
+	}
+	for _, s := range l.shards {
+		if f.health == nil || f.health.ShardState(int(s)) != ShardUnreachable {
 			return true
 		}
 	}
 	return false
+}
+
+// overList is the shards over the staleness bound in one store state.
+// A shard's ticks change only in Advance (the tick, then advances
+// counted) and in install (ticks zeroed, then installed counted), so
+// the counter pair read before the ticks names the state the list was
+// taken in — up to an Advance or install caught between its two steps,
+// the window settledVersion and the response cache already accept.
+type overList struct {
+	store               *Store
+	bound               int64
+	advances, installed int64
+	shards              []int32
+}
+
+// overShards lists the shards over the bound now, filed under the
+// counters the caller read first, and installs the list for the
+// queries after it. Racing rebuilds each install a correct list; a
+// query that finds an older one rebuilds again.
+func (f *Frontend) overShards(advances, installed int64) *overList {
+	//p2plint:allow hotalloc -- rebuilt once per store change, not per query
+	l := &overList{store: f.store, bound: f.adm.StalenessBound, advances: advances, installed: installed}
+	for i := range f.pages {
+		if f.store.Staleness(i) > l.bound {
+			l.shards = append(l.shards, int32(i))
+		}
+	}
+	f.over.Store(l)
+	return l
 }
 
 // Querier is a per-goroutine handle on the Frontend: it owns the

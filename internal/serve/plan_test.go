@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"p2prank/internal/search"
@@ -151,6 +153,106 @@ func TestOverBoundMatchesMaxOverReachable(t *testing.T) {
 	}
 	if shedding < 50 || admitting < 50 {
 		t.Fatalf("%d shedding draws, %d admitting: the tables do not exercise both", shedding, admitting)
+	}
+}
+
+// syncHealth is a fixed Health table, safe for concurrent use, that
+// records which shards were asked.
+type syncHealth struct {
+	state []ShardState
+	asked []atomic.Bool
+}
+
+func (h *syncHealth) ShardState(shard int) ShardState {
+	h.asked[shard].Store(true)
+	return h.state[shard]
+}
+
+// The over-bound list stays coherent while the store moves under it:
+// queriers serve while a writer advances and publishes shards of the
+// same store, and at every quiescent point overBound is the direct
+// predicate — the worst reachable staleness over the bound — and asks
+// Health only about shards over the bound. Run under -race by make race
+// and make chaos.
+func TestOverBoundCoherentUnderChurn(t *testing.T) {
+	const k, bound, phases = 16, 2, 200
+	g, ov, assign, store := buildInputs(t, 20*k, k)
+	rng := xrand.New(13)
+	h := &syncHealth{state: make([]ShardState, k), asked: make([]atomic.Bool, k)}
+	for s := range h.state {
+		h.state[s] = ShardState(rng.Intn(3))
+	}
+	fe, err := NewFrontend(g, ov, assign, store, Config{Health: h, Admission: Admission{StalenessBound: bound}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([][]float64, k)
+	for s, pages := range assign.Pages {
+		scores[s] = make([]float64, len(pages))
+		if _, err := store.Publish(s, 1, scores[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shedding, admitting := 0, 0
+	for phase := 0; phase < phases; phase++ {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := xrand.New(seed)
+			for op := 0; op < 40; op++ {
+				if s := rng.Intn(k); rng.Intn(2) == 0 {
+					store.Advance(s)
+				} else if _, err := store.Publish(s, int64(op), scores[s]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(uint64(phase))
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				q := fe.NewQuerier()
+				rng := xrand.New(seed)
+				var resp search.Response
+				for i := 0; i < 40; i++ {
+					req := search.Request{Terms: []int32{int32(rng.Intn(8))}, K: 5}
+					if err := q.Serve(req, &resp); err != nil &&
+						!errors.Is(err, search.ErrOverloaded) && !errors.Is(err, search.ErrStaleIndex) {
+						t.Error(err)
+						return
+					}
+				}
+			}(uint64(1000*phase + w))
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		var worst int64
+		for s := 0; s < k; s++ {
+			h.asked[s].Store(false)
+			if h.state[s] != ShardUnreachable {
+				worst = max(worst, store.Staleness(s))
+			}
+		}
+		if got := fe.overBound(); got != (worst > bound) {
+			t.Fatalf("phase %d: overBound %v, worst reachable staleness %d, bound %d", phase, got, worst, bound)
+		}
+		for s := range h.asked {
+			if h.asked[s].Load() && store.Staleness(s) <= bound {
+				t.Fatalf("phase %d: health asked about shard %d at staleness %d, bound %d", phase, s, store.Staleness(s), bound)
+			}
+		}
+		if worst > bound {
+			shedding++
+		} else {
+			admitting++
+		}
+	}
+	if shedding < phases/10 || admitting < phases/10 {
+		t.Fatalf("%d shedding quiescent points, %d admitting: the writer does not exercise both", shedding, admitting)
 	}
 }
 

@@ -151,12 +151,17 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 }
 
 // ZipfTable is the immutable half of a Zipf sampler: the normalized
-// CDF over [0, n) with probability proportional to 1/(i+1)^s. Building
-// it costs n math.Pow calls, so a caller that draws many short streams
-// from one distribution (one per page, say) builds the table once and
-// takes a Sampler per stream. Safe for concurrent readers.
+// CDF over [0, n) with probability proportional to 1/(i+1)^s, and a
+// guide table over it. Building it costs n math.Pow calls, so a caller
+// that draws many short streams from one distribution (one per page,
+// say) builds the table once and takes a Sampler per stream. Safe for
+// concurrent readers.
 type ZipfTable struct {
-	cdf     []float64
+	cdf []float64
+	// guide[j] is the first i with cdf[i] >= j/m, for m = len(guide)-1,
+	// the least power of two >= n. A draw u in [j/m, (j+1)/m) lands in
+	// [guide[j], guide[j+1]], so a sample searches only there.
+	guide   []int32
 	support int
 }
 
@@ -196,7 +201,22 @@ func makeZipfTable(n int, s float64) ZipfTable {
 			support++
 		}
 	}
-	return ZipfTable{cdf: cdf, support: support}
+
+	// j/m is exact, and so is u·m for a draw u = k/2^53 while m <= 2^53:
+	// the guided search returns the index the whole-CDF search would.
+	m := 1
+	for m < n {
+		m <<= 1
+	}
+	guide := make([]int32, m+1)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(m) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return ZipfTable{cdf: cdf, guide: guide, support: support}
 }
 
 // N returns the number of items the table covers.
@@ -210,14 +230,31 @@ func (t *ZipfTable) Support() int { return t.support }
 
 // Sampler binds the table to one stream. The sampler is a value: a
 // caller that draws one short stream per item keeps it on its stack.
-func (t *ZipfTable) Sampler(rng *Rand) Zipf { return Zipf{cdf: t.cdf, rng: rng} }
+func (t *ZipfTable) Sampler(rng *Rand) Zipf { return Zipf{cdf: t.cdf, guide: t.guide, rng: rng} }
 
-// Zipf is a per-stream Zipf sampler: a ZipfTable's CDF bound to one
-// Rand. It samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s, O(log n) a draw.
+// zipfIndex returns the first i with cdf[i] >= u, searching only
+// between the guide entries that bracket u.
+func zipfIndex(cdf []float64, guide []int32, u float64) int {
+	j := int(u * float64(len(guide)-1))
+	lo, hi := int(guide[j]), int(guide[j+1])
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Zipf is a per-stream Zipf sampler: a ZipfTable's CDF and guide bound
+// to one Rand. It samples integers in [0, n) with probability
+// proportional to 1/(i+1)^s.
 type Zipf struct {
-	cdf []float64
-	rng *Rand
+	cdf   []float64
+	guide []int32
+	rng   *Rand
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s using the
@@ -230,22 +267,12 @@ type Zipf struct {
 //go:noinline
 func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	t := makeZipfTable(n, s)
-	return &Zipf{cdf: t.cdf, rng: rng}
+	return &Zipf{cdf: t.cdf, guide: t.guide, rng: rng}
 }
 
 // Sample draws one index.
 func (z *Zipf) Sample() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return zipfIndex(z.cdf, z.guide, z.rng.Float64())
 }
 
 // N returns the number of items the sampler draws from.

@@ -321,6 +321,49 @@ func TestZipfTableSupport(t *testing.T) {
 	}
 }
 
+// FuzzZipfSample holds the guided search to a binary search over the
+// whole CDF, for a drawn table and draw, the draws at the ends of [0, 1)
+// and the draws on and just below a guide boundary j/m.
+func FuzzZipfSample(f *testing.F) {
+	f.Add(uint16(100), 1.0, uint64(12345))
+	f.Add(uint16(1), 0.0, uint64(0))
+	f.Add(uint16(5000), 0.0, uint64(1)<<52)
+	f.Add(uint16(5000), 50.0, ^uint64(0))  // saturated: support 2
+	f.Add(uint16(64), 16.0, uint64(7)<<40) // flat float64 tail
+	f.Add(uint16(3000), 2.5, uint64(1)<<62)
+	f.Fuzz(func(t *testing.T, n uint16, s float64, k uint64) {
+		if n == 0 || !(s >= 0) {
+			t.Skip()
+		}
+		tab := makeZipfTable(int(n), s)
+		m := uint64(len(tab.guide) - 1)
+		const ulp = 1.0 / (1 << 53)
+		j := k % m
+		for _, u := range []float64{
+			0, 1 - ulp, float64(k>>11) * ulp,
+			float64(j) / float64(m), float64(j+1)/float64(m) - ulp,
+		} {
+			if got, want := zipfIndex(tab.cdf, tab.guide, u), wholeCDFIndex(tab.cdf, u); got != want {
+				t.Fatalf("n=%d s=%v u=%v: guided search gives %d, whole-CDF search %d", n, s, u, got, want)
+			}
+		}
+	})
+}
+
+// wholeCDFIndex is the unguided binary search over all of cdf.
+func wholeCDFIndex(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
