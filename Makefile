@@ -33,9 +33,9 @@ race:
 
 # The places bytes enter from outside — /search parameter parsing, the
 # -fault and -reliable specs (parsed, then Validate, every float
-# finite), a peer's socket (frame reader → each codec, Plain / Delta /
-# Quantized → a reliable peer's delivery, relay and acks in both
-# transmission modes → one compute phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
+# finite), a peer's socket (frame reader → codec.Plain → a reliable
+# peer's delivery, relay and acks in both transmission modes → one
+# compute phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
 # and a crawl file in either format (binary: open, Validate, every
 # accessor, rewrite; text: parse, Validate, rewrite) —
 # the CSR storage layout against its row-major reference, every

@@ -16,14 +16,12 @@ import (
 	"testing"
 
 	"p2prank/internal/bwmodel"
-	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/experiments"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
-	"p2prank/internal/transport"
 	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
@@ -277,44 +275,6 @@ func BenchmarkPastryLookup(b *testing.B) {
 
 func benchName(prefix string, v float64) string {
 	return fmt.Sprintf("%s=%g", prefix, v)
-}
-
-// BenchmarkAblationCodec sweeps the wire codecs (the paper's §4.5
-// "compression" future work): bytes moved per iteration under the
-// analytic 100 B/link model, the plain binary encoding, delta
-// compression, and 16-bit-mantissa quantization.
-func BenchmarkAblationCodec(b *testing.B) {
-	g := ablationGraph(b)
-	codecs := []struct {
-		name string
-		c    transport.ChunkCodec
-	}{
-		{"paper-model", nil},
-		{"plain", codec.Plain{}},
-		{"delta", codec.Delta{}},
-		{"quantized-16", codec.NewQuantized(16)},
-	}
-	for _, cd := range codecs {
-		cd := cd
-		b.Run(cd.name, func(b *testing.B) {
-			var kb float64
-			var relerr float64
-			for i := 0; i < b.N; i++ {
-				res, err := engine.Run(engine.Config{
-					Params: dprcore.Params{Alg: dprcore.DPR1, T1: 3, T2: 3},
-					Graph:  g, K: 16, MaxTime: 60, SampleEvery: 10,
-					Codec: cd.c,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				kb = float64(res.NetStats.BytesSent) / res.LoopsAtConvergence / 1e3
-				relerr = res.RelErr
-			}
-			b.ReportMetric(kb, "KB/iter")
-			b.ReportMetric(relerr, "final_relerr")
-		})
-	}
 }
 
 // BenchmarkBandwidthSweep measures convergence against shrinking node

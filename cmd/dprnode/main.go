@@ -12,13 +12,13 @@
 //	dprnode -graph crawl.bin -k 3 -index 0 -listen :7000 \
 //	        -peers 1=host1:7000,2=host2:7000
 //
-// Both modes accept -transport indirect (route score frames hop-by-hop
-// along the Pastry overlay, §4.4), -codec (chunk encoding inside the
-// wire frames: plain, the default, delta, or quantized-N for N mantissa
-// bits), -fault (injected message
-// faults), -reliable (ack/retry/backoff delivery — pair it with -fault
-// to ride out real loss), and -obs addr:port, which serves live
-// telemetry over HTTP:
+// -pages and -target belong to demo mode, -graph, -index, -listen and
+// -peers to distributed mode; dprnode refuses a flag given to the other
+// mode. Both modes frame score chunks with codec.Plain and accept
+// -transport indirect (route score frames hop-by-hop along the Pastry
+// overlay, §4.4), -fault (injected message faults), -reliable
+// (ack/retry/backoff delivery — pair it with -fault to ride out real
+// loss), and -obs addr:port, which serves live telemetry over HTTP:
 // Prometheus text on /metrics, the JSONL event trace on /trace, and
 // pprof under /debug/pprof/. SIGQUIT dumps the trace ring to stderr.
 package main
@@ -46,7 +46,6 @@ import (
 	"p2prank/internal/search"
 	"p2prank/internal/serve"
 	"p2prank/internal/telemetry"
-	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 )
@@ -64,7 +63,6 @@ func main() {
 		obsAddr   = flag.String("obs", "", "serve telemetry over HTTP on this addr:port (empty = off)")
 
 		algName   = cliflags.Algorithm(flag.CommandLine)
-		codecName = cliflags.Codec(flag.CommandLine)
 		faultSpec = cliflags.Fault(flag.CommandLine)
 		relSpec   = cliflags.Reliable(flag.CommandLine)
 		transName = cliflags.Transport(flag.CommandLine)
@@ -75,6 +73,20 @@ func main() {
 	)
 	flag.Parse()
 
+	// Each mode ignores the other's flags: refuse one given explicitly
+	// rather than run something other than what was asked for.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "graph", "index", "listen", "peers":
+			if *demo {
+				fatal(fmt.Errorf("-%s does not apply to -demo, which generates its own crawl and cluster", f.Name))
+			}
+		case "pages", "target":
+			if !*demo {
+				fatal(fmt.Errorf("-%s requires -demo", f.Name))
+			}
+		}
+	})
 	// A demo cluster cannot reach a target that is not a positive finite
 	// relative error, and a ranker count below one would reach the
 	// banner before netpeer refused it: refuse both before anything is
@@ -105,10 +117,6 @@ func main() {
 	}
 
 	algorithm, err := cliflags.ParseAlgorithm(*algName)
-	if err != nil {
-		fatal(err)
-	}
-	wire, err := cliflags.ParseCodec(*codecName)
 	if err != nil {
 		fatal(err)
 	}
@@ -161,11 +169,11 @@ func main() {
 		params.Observer = col
 	}
 	if *demo {
-		runDemo(*pages, *k, params, *target, *seed, indirect, wire, col,
+		runDemo(*pages, *k, params, *target, *seed, indirect, col,
 			*srvAddr, *qps, *topk)
 		return
 	}
-	runPeer(*graphPath, *k, *index, *listen, *peersFlag, params, *seed, indirect, wire)
+	runPeer(*graphPath, *k, *index, *listen, *peersFlag, params, *seed, indirect)
 }
 
 // liveFault resolves a parsed -fault spec for live peers, once for both
@@ -197,7 +205,7 @@ func liveFault(fc dprcore.FaultConfig) dprcore.FaultConfig {
 // the store, so no shard is served more than 2·2−1 = 3 rounds stale.
 const servePublishEvery = 2
 
-func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, wire transport.ChunkCodec, col *telemetry.Collector, srvAddr string, qps, topk int) {
+func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, indirect bool, col *telemetry.Collector, srvAddr string, qps, topk int) {
 	gcfg := webgraph.DefaultGenConfig(pages)
 	gcfg.Seed = seed
 	g, err := webgraph.Generate(gcfg)
@@ -229,7 +237,7 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	cl, err := netpeer.StartCluster(g, netpeer.ClusterConfig{
 		Params: params,
 		K:      k, MeanWait: 20 * time.Millisecond, Seed: seed,
-		Indirect: indirect, Codec: wire,
+		Indirect: indirect,
 	})
 	if err != nil {
 		fatal(err)
@@ -342,7 +350,7 @@ func startServing(cl *netpeer.Cluster, g *webgraph.Graph, store *serve.Store, co
 	}, nil
 }
 
-func runPeer(graphPath string, k, index int, listen, peersFlag string, params dprcore.Params, seed uint64, indirect bool, wire transport.ChunkCodec) {
+func runPeer(graphPath string, k, index int, listen, peersFlag string, params dprcore.Params, seed uint64, indirect bool) {
 	if graphPath == "" {
 		fatal(fmt.Errorf("-graph is required (or use -demo)"))
 	}
@@ -374,7 +382,6 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 		Params: dep.Params,
 		Group:  dep.Groups[index],
 		Seed:   dep.PeerSeed(index),
-		Codec:  wire,
 	}
 	if indirect {
 		pcfg.Overlay = ring

@@ -57,6 +57,13 @@ func main() {
 		}
 		return
 	}
+	// Generation keeps the default site count when it exceeds the crawl
+	// size; one asked for explicitly would be replaced silently.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "sites" && *sites > *pages {
+			fatal(fmt.Errorf("-sites %d exceeds -pages %d: a site needs at least one page", *sites, *pages))
+		}
+	})
 	if *graph != "" {
 		src, err := webgraph.Open(*graph)
 		if err != nil {

@@ -1,6 +1,7 @@
 // tcpcluster runs the distributed algorithms over real TCP sockets: six
 // page-ranker peers on localhost, each with its own goroutine-driven
-// asynchronous loop, exchanging codec-framed score vectors. Early in
+// asynchronous loop, exchanging score vectors framed with codec.Plain
+// (the one wire format). Early in
 // the run one peer suspends itself — its host drops off the network
 // and comes back with the state it left with — to show the cluster
 // rides out the outage: the asynchrony model of §4.2 on a real network

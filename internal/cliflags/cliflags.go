@@ -1,7 +1,7 @@
 // Package cliflags gives the p2prank binaries one spelling and one
 // parser per command-line knob. dprnode registers every flag here;
 // dprsim registers only -seed, -serve, -qps and -topk, because its
-// experiments fix the algorithm, codec, faults, reliability and
+// experiments fix the algorithm, faults, reliability and
 // transport themselves. A flag both binaries take is registered here
 // once, so its name, default and accepted values cannot drift.
 package cliflags
@@ -13,9 +13,7 @@ import (
 	"strconv"
 	"strings"
 
-	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
-	"p2prank/internal/transport"
 )
 
 // Algorithm registers the shared -alg flag.
@@ -32,37 +30,6 @@ func ParseAlgorithm(name string) (dprcore.Algorithm, error) {
 		return dprcore.DPR2, nil
 	}
 	return 0, fmt.Errorf("unknown -alg %q (dpr1|dpr2)", name)
-}
-
-// Codec registers the shared -codec flag.
-func Codec(fs *flag.FlagSet) *string {
-	return fs.String("codec", "", "chunk encoding: plain|delta|quantized-N (empty = the default: plain on the wire)")
-}
-
-// ParseCodec maps a -codec value to a chunk codec; empty means nil, the
-// peer's default (netpeer frames with codec.Plain).
-func ParseCodec(name string) (transport.ChunkCodec, error) {
-	switch {
-	case name == "":
-		return nil, nil
-	case strings.EqualFold(name, "plain"):
-		return codec.Plain{}, nil
-	case strings.EqualFold(name, "delta"):
-		return codec.Delta{}, nil
-	case strings.HasPrefix(strings.ToLower(name), "quantized"):
-		rest := strings.TrimPrefix(strings.ToLower(name), "quantized")
-		rest = strings.TrimLeft(rest, "-:")
-		bits := 16
-		if rest != "" {
-			var err error
-			bits, err = strconv.Atoi(rest)
-			if err != nil || bits < 4 || bits > 52 {
-				return nil, fmt.Errorf("bad -codec %q: quantized bits must be 4..52", name)
-			}
-		}
-		return codec.NewQuantized(uint(bits)), nil
-	}
-	return nil, fmt.Errorf("unknown -codec %q (plain|delta|quantized-N)", name)
 }
 
 // Fault registers the shared -fault flag.

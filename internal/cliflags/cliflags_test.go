@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 )
 
@@ -27,32 +26,6 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("dpr3"); err == nil {
 		t.Error("dpr3 accepted")
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	if c, err := ParseCodec(""); err != nil || c != nil {
-		t.Errorf("empty codec = %v, %v; want nil default", c, err)
-	}
-	if c, err := ParseCodec("plain"); err != nil {
-		t.Errorf("plain: %v", err)
-	} else if _, ok := c.(codec.Plain); !ok {
-		t.Errorf("plain parsed as %T", c)
-	}
-	if c, err := ParseCodec("delta"); err != nil {
-		t.Errorf("delta: %v", err)
-	} else if _, ok := c.(codec.Delta); !ok {
-		t.Errorf("delta parsed as %T", c)
-	}
-	for _, in := range []string{"quantized", "quantized-16", "quantized:8", "Quantized-4"} {
-		if c, err := ParseCodec(in); err != nil || c == nil {
-			t.Errorf("ParseCodec(%q) = %v, %v; want quantized codec", in, c, err)
-		}
-	}
-	for _, in := range []string{"quantized-3", "quantized-53", "quantized-x", "zstd", "gob"} {
-		if _, err := ParseCodec(in); err == nil {
-			t.Errorf("ParseCodec(%q) accepted", in)
-		}
 	}
 }
 
@@ -159,7 +132,6 @@ func TestParseTransport(t *testing.T) {
 func TestSharedSpellings(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	Algorithm(fs)
-	Codec(fs)
 	Fault(fs)
 	Reliable(fs)
 	Transport(fs)
@@ -168,7 +140,7 @@ func TestSharedSpellings(t *testing.T) {
 	QPS(fs)
 	TopK(fs)
 	for name, def := range map[string]string{
-		"alg": "dpr1", "codec": "", "fault": "", "reliable": "", "transport": "direct", "seed": "1",
+		"alg": "dpr1", "fault": "", "reliable": "", "transport": "direct", "seed": "1",
 		"serve": "", "qps": "0", "topk": "10",
 	} {
 		f := fs.Lookup(name)

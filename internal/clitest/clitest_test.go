@@ -86,7 +86,9 @@ func TestGenwebStats(t *testing.T) {
 }
 
 // A crawl smaller than the default site floor generates, and a negative
-// site count is refused rather than read as "scale with -pages".
+// site count is refused rather than read as "scale with -pages". So is
+// a dprsim -sites above -pages: generation used to replace it with the
+// default count silently.
 func TestGenwebTinyAndNegativeSites(t *testing.T) {
 	if out := run(t, "genweb", "-pages", "3"); !strings.Contains(out, "pages=3") {
 		t.Fatalf("3-page crawl stats missing:\n%s", out)
@@ -97,6 +99,10 @@ func TestGenwebTinyAndNegativeSites(t *testing.T) {
 	out, err := exec.Command(filepath.Join(builtDir, "genweb"), "-sites", "-1").CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "-sites") {
 		t.Fatalf("genweb -sites -1: err %v, output %q; want a refusal naming -sites", err, out)
+	}
+	out, err = exec.Command(filepath.Join(builtDir, "dprsim"), "-exp", "cut", "-pages", "200", "-sites", "300", "-k", "4").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-sites 300") || !strings.Contains(string(out), "-pages 200") {
+		t.Fatalf("dprsim -pages 200 -sites 300: err %v, output %q; want a refusal naming both", err, out)
 	}
 }
 
@@ -274,26 +280,37 @@ func TestDprsimBadServeInputs(t *testing.T) {
 // advertising a k the handler does not use. The same holds, within a
 // few seconds, for a -target no run can reach (it used to rank until
 // Converge's two-minute deadline) and a -k below one (it used to print
-// the banner first).
+// the banner first). A flag of the other mode is refused too: -demo
+// used to rank a synthetic crawl without opening -graph, and a peer
+// ignored -pages and -target.
 func TestDprnodeBadServeInputs(t *testing.T) {
+	const crawl = "/nonexistent/crawl.bin"
+	demo := func(args ...string) []string {
+		return append([]string{"-demo", "-k", "3", "-pages", "2000", "-serve", "127.0.0.1:0", "-qps", "200"}, args...)
+	}
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-topk", "0"}, "TopK = 0, must be positive"},
-		{[]string{"-topk", "-3"}, "TopK = -3, must be positive"},
-		{[]string{"-qps", "-5"}, "QPS = -5, must not be negative"},
-		{[]string{"-target", "0"}, "Target = 0, must be positive"},
-		{[]string{"-target", "-1e-6"}, "Target = -1e-06, must be positive"},
-		{[]string{"-target", "NaN"}, "Target = NaN, must be positive"},
-		{[]string{"-target", "+Inf"}, "Target = +Inf, must be finite"},
-		{[]string{"-k", "0"}, "K = 0, must be positive"},
-		{[]string{"-k", "-2"}, "K = -2, must be positive"},
+		{demo("-topk", "0"), "TopK = 0, must be positive"},
+		{demo("-topk", "-3"), "TopK = -3, must be positive"},
+		{demo("-qps", "-5"), "QPS = -5, must not be negative"},
+		{demo("-target", "0"), "Target = 0, must be positive"},
+		{demo("-target", "-1e-6"), "Target = -1e-06, must be positive"},
+		{demo("-target", "NaN"), "Target = NaN, must be positive"},
+		{demo("-target", "+Inf"), "Target = +Inf, must be finite"},
+		{demo("-k", "0"), "K = 0, must be positive"},
+		{demo("-k", "-2"), "K = -2, must be positive"},
+		{demo("-graph", crawl), "-graph does not apply to -demo"},
+		{demo("-index", "1"), "-index does not apply to -demo"},
+		{demo("-listen", "127.0.0.1:0"), "-listen does not apply to -demo"},
+		{demo("-peers", "1=127.0.0.1:1"), "-peers does not apply to -demo"},
+		{[]string{"-graph", crawl, "-k", "2", "-pages", "200"}, "-pages requires -demo"},
+		{[]string{"-graph", crawl, "-k", "2", "-target", "1e-3"}, "-target requires -demo"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		args := append([]string{"-demo", "-k", "3", "-pages", "2000", "-serve", "127.0.0.1:0", "-qps", "200"}, c.args...)
 		var stdout, stderr strings.Builder
-		cmd := exec.CommandContext(ctx, filepath.Join(builtDir, "dprnode"), args...)
+		cmd := exec.CommandContext(ctx, filepath.Join(builtDir, "dprnode"), c.args...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		timedOut := ctx.Err() != nil

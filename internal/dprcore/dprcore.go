@@ -100,7 +100,7 @@ type RNG interface {
 // layer. Every runtime config embeds it — engine.Config (simulator) and
 // netpeer.Config/ClusterConfig (TCP) — so the algorithm knobs are
 // spelled identically everywhere and validated once, here. Runtime
-// specifics (graph, overlay, wire codec, network model) stay in the
+// specifics (graph, overlay, network model) stay in the
 // embedding configs; see DESIGN.md §9 for the full mapping.
 type Params struct {
 	// Alg selects DPR1 or DPR2.

@@ -62,11 +62,6 @@ type Config struct {
 	Seed uint64
 	// Net configures the simulated network (zero → DefaultNetConfig).
 	Net simnet.NetConfig
-	// Codec optionally encodes score chunks on the wire (see
-	// internal/codec): message sizes then reflect the real encoding,
-	// and lossy codecs genuinely perturb the exchanged scores. Nil
-	// keeps the paper's analytic l-bytes-per-link accounting.
-	Codec transport.ChunkCodec
 	// Reference optionally supplies the centralized PageRank fixed
 	// point R* (page-indexed, as returned by Reference). When nil the
 	// run computes it itself; experiment suites that run several curves
@@ -198,11 +193,6 @@ func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {
 	fab, err := transport.NewFabric(net, dep.Ring, cfg.Transport, transport.DefaultSizeModel())
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Codec != nil {
-		if err := fab.SetCodec(cfg.Codec); err != nil {
-			return nil, err
-		}
 	}
 	// A collector gets the simulator's virtual clock and the fabric's own
 	// route lengths (exact at every K: the memo the chunks are routed

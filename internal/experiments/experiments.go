@@ -71,6 +71,14 @@ func (w Workload) Generate() (*webgraph.Graph, error) {
 	return webgraph.Generate(cfg)
 }
 
+// paperModel returns the §4.5 bandwidth model of w pages on n rankers
+// with h hops and g overlay neighbors, pricing links and lookups at the
+// l and r the simulated fabric charges (transport.DefaultSizeModel).
+func paperModel(w, n, h, g float64) bwmodel.Params {
+	size := transport.DefaultSizeModel()
+	return bwmodel.Params{W: w, N: n, H: h, L: float64(size.BytesPerLink), R: float64(size.LookupBytes), G: g}
+}
+
 // curve is one of the three (p, T1, T2) settings of Figures 6 and 7.
 type curve struct {
 	name     string
@@ -163,10 +171,7 @@ func transmissionHalf(x *env, c pair[transport.Kind]) (TransmissionRow, error) {
 	if c.v == transport.Direct {
 		return TransmissionRow{DirectMsgs: msgs, DirectBytes: bytes}, nil
 	}
-	p := bwmodel.Params{
-		W: float64(x.Pages), N: float64(c.k),
-		H: run.AvgHops, L: 100, R: 48, G: run.AvgNeighbors,
-	}
+	p := paperModel(float64(x.Pages), float64(c.k), run.AvgHops, run.AvgNeighbors)
 	return TransmissionRow{
 		K: c.k, IndirectMsgs: msgs, IndirectBytes: bytes,
 		ModelDirectMsgs: p.DirectMessages(), ModelIndirectMsgs: p.IndirectMessages(),
@@ -238,11 +243,8 @@ func traffic(x *env, k int) (TrafficRow, error) {
 		MsgsPerIter:   float64(sum.ChunkHops) / iters,
 		BytesPerIter:  bytesPerIter,
 		AvgHops:       h,
-		ModelMsgs: bwmodel.Params{
-			W: float64(x.Pages), N: float64(k),
-			H: h, L: telemetry.DefaultBytesPerLink, R: 48, G: run.AvgNeighbors,
-		}.IndirectMessages(),
-		ModelBytes: h * bytesPerIter,
+		ModelMsgs:     paperModel(float64(x.Pages), float64(k), h, run.AvgNeighbors).IndirectMessages(),
+		ModelBytes:    h * bytesPerIter,
 	}, nil
 }
 
@@ -531,10 +533,7 @@ func scale(x *env, k int) ([]*ScaleRow, error) {
 			IterInterval:     x.MaxTime / iters,
 			NodeSendRate:     float64(res.NetStats.BytesSent) / (float64(k) * x.MaxTime),
 		}
-		p := bwmodel.Params{
-			W: float64(w.Pages), N: float64(k), H: bwmodel.PastryHops(float64(k)),
-			L: telemetry.DefaultBytesPerLink, R: 48, G: res.AvgNeighbors,
-		}
+		p := paperModel(float64(w.Pages), float64(k), bwmodel.PastryHops(float64(k)), res.AvgNeighbors)
 		row := &ScaleRow{
 			K:           k,
 			Pages:       w.Pages,

@@ -7,9 +7,9 @@ import (
 )
 
 // floatPackages are the packages whose float64 values are rank scores
-// or their building blocks. Iteration order, codec quantization, and
-// FP non-associativity all perturb low bits, so exact ==/!= between
-// two computed scores is almost always a bug; comparisons must go
+// or their building blocks. Iteration order and FP non-associativity
+// perturb low bits, so exact ==/!= between two computed scores is
+// almost always a bug; comparisons must go
 // through an epsilon (vecmath.RelErr1, math.Abs < eps) or carry a
 // //p2plint:allow floateq annotation explaining why exactness is
 // intended (e.g. a sort tie-break that only needs *some* strict total

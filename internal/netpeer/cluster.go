@@ -11,7 +11,6 @@ import (
 	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
 	"p2prank/internal/pastry"
-	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 )
@@ -35,9 +34,6 @@ type ClusterConfig struct {
 	// score frames hop along the Pastry overlay through intermediate
 	// peers instead of going point-to-point.
 	Indirect bool
-	// Codec is the chunk encoding all peers frame with (see
-	// internal/codec; nil means codec.Plain).
-	Codec transport.ChunkCodec
 	// Seed makes partitioning and waits reproducible (default 1).
 	Seed uint64
 	// Churn crashes and restarts peers on the schedule the simulator
@@ -161,7 +157,6 @@ func (cl *Cluster) newPeer(i int, snap []byte) (*Peer, error) {
 		Params:  dep.Params,
 		Group:   dep.Groups[i],
 		Seed:    dep.PeerSeed(i),
-		Codec:   cl.cfg.Codec,
 		Overlay: cl.ov,
 	}, cl.epoch)
 	if err == nil && snap != nil {

@@ -1,7 +1,7 @@
 // Package netpeer runs page rankers as real network peers: each peer
 // listens on a TCP socket, executes its asynchronous DPR loop in its own
 // goroutine on wall-clock time, and exchanges score vectors with the
-// other rankers over length-prefixed codec frames (see wire.go).
+// other rankers over length-prefixed codec.Plain frames (see wire.go).
 //
 // The simulator (internal/engine) is where the paper's measurements
 // come from; netpeer exists to demonstrate that the same algorithms run
@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/overlay"
 	"p2prank/internal/telemetry"
@@ -58,11 +57,6 @@ type Config struct {
 	// ranker indices) instead of going straight to their destination.
 	// All peers of a cluster must share the same overlay construction.
 	Overlay overlay.Network
-	// Codec encodes score chunks inside the wire frames (see
-	// internal/codec; nil means codec.Plain) — lossy codecs genuinely
-	// quantize the exchanged scores. All peers of a cluster must use
-	// the same codec.
-	Codec transport.ChunkCodec
 }
 
 func (c *Config) validate() error {
@@ -78,9 +72,6 @@ func (c *Config) validate() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Codec == nil {
-		c.Codec = codec.Plain{}
 	}
 	return nil
 }
@@ -378,7 +369,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 		p.connMu.Unlock()
 	}()
 	rl := p.newRelay()
-	dec := newFrameReader(p.cfg.Codec, conn)
+	dec := newFrameReader(conn)
 	for {
 		f, err := dec.readFrame()
 		if err != nil {
@@ -503,7 +494,7 @@ func (p *Peer) conn(group int32, addr string) (*peerConn, error) {
 		c.Close()
 		return cached, nil
 	}
-	pc = &peerConn{c: c, w: newFrameWriter(p.cfg.Codec, c)}
+	pc = &peerConn{c: c, w: newFrameWriter(c)}
 	p.conns[group] = pc
 	return pc, nil
 }

@@ -7,11 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/partition"
-	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 )
@@ -322,45 +320,5 @@ func TestDirectClusterNeverRelays(t *testing.T) {
 		if p.ChunksRelayed() != 0 {
 			t.Fatalf("direct peer %d relayed %d chunks", i, p.ChunksRelayed())
 		}
-	}
-}
-
-func TestCodecWireCluster(t *testing.T) {
-	g := genGraph(t, 1000, 21)
-	for _, cd := range []transport.ChunkCodec{codec.Plain{}, codec.Delta{}, codec.NewQuantized(20)} {
-		cl, err := StartCluster(g, ClusterConfig{
-			Params: dprcore.Params{Alg: dprcore.DPR1},
-			K:      4, MeanWait: 8 * time.Millisecond, Codec: cd,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", cd.Name(), err)
-		}
-		if _, err := cl.Converge(1e-4, 30*time.Second); err != nil {
-			cl.Close()
-			t.Fatalf("%s: %v", cd.Name(), err)
-		}
-		cl.Close()
-	}
-}
-
-func TestCodecWireIndirectCluster(t *testing.T) {
-	cfg := webgraph.DefaultGenConfig(1200)
-	cfg.Sites = 25
-	cfg.Seed = 23
-	g, err := webgraph.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := StartCluster(g, ClusterConfig{
-		Params: dprcore.Params{Alg: dprcore.DPR1},
-		K:      32, MeanWait: 10 * time.Millisecond,
-		Indirect: true, Codec: codec.Delta{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Converge(1e-4, 30*time.Second); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -7,30 +7,27 @@ import (
 	"io"
 	"net"
 
+	"p2prank/internal/codec"
 	"p2prank/internal/transport"
 )
 
 // The wire format is one frame per write: a uvarint chunk count, then
-// per chunk a uvarint byte length followed by its transport.ChunkCodec
-// encoding (internal/codec — the same compact encodings the simulator
-// sizes messages with, codec.Plain unless Config.Codec says otherwise);
+// per chunk a uvarint byte length followed by its codec.Plain encoding;
 // then a uvarint ack count followed by per-ack uvarint group and round
 // (a transport.Ack's From and Round; the reliable layer's section —
-// zero-count when reliability is off). Every length a peer advertises is capped before
-// anything is allocated for it. Both ends of a cluster must agree on
-// the codec.
+// zero-count when reliability is off). Every length a peer advertises
+// is capped before anything is allocated for it.
 
 // frameWriter writes frames to one connection. It is not
 // goroutine-safe; peerConn serializes its callers.
 type frameWriter struct {
-	codec transport.ChunkCodec
-	w     *bufio.Writer
-	buf   []byte
-	hdr   [binary.MaxVarintLen64]byte
+	w   *bufio.Writer
+	buf []byte
+	hdr [binary.MaxVarintLen64]byte
 }
 
-func newFrameWriter(codec transport.ChunkCodec, c net.Conn) *frameWriter {
-	return &frameWriter{codec: codec, w: bufio.NewWriter(c)}
+func newFrameWriter(c net.Conn) *frameWriter {
+	return &frameWriter{w: bufio.NewWriter(c)}
 }
 
 func (w *frameWriter) writeFrame(f frame) error {
@@ -39,7 +36,7 @@ func (w *frameWriter) writeFrame(f frame) error {
 		return err
 	}
 	for _, c := range f.Chunks {
-		w.buf = w.codec.Encode(w.buf[:0], c)
+		w.buf = codec.Plain{}.Encode(w.buf[:0], c)
 		n := binary.PutUvarint(w.hdr[:], uint64(len(w.buf)))
 		if _, err := w.w.Write(w.hdr[:n]); err != nil {
 			return err
@@ -67,12 +64,11 @@ func (w *frameWriter) writeFrame(f frame) error {
 
 // frameReader reads frames from one connection.
 type frameReader struct {
-	codec transport.ChunkCodec
-	r     *bufio.Reader
+	r *bufio.Reader
 }
 
-func newFrameReader(codec transport.ChunkCodec, c net.Conn) *frameReader {
-	return &frameReader{codec: codec, r: bufio.NewReader(c)}
+func newFrameReader(c net.Conn) *frameReader {
+	return &frameReader{r: bufio.NewReader(c)}
 }
 
 // maxFrameChunks, maxChunkBytes, and maxFrameAcks bound what a reader
@@ -107,7 +103,7 @@ func (r *frameReader) readFrame() (frame, error) {
 		if _, err := io.ReadFull(r.r, buf); err != nil {
 			return frame{}, err
 		}
-		c, err := r.codec.Decode(buf)
+		c, err := codec.Plain{}.Decode(buf)
 		if err != nil {
 			return frame{}, fmt.Errorf("netpeer: decoding chunk %d: %w", i, err)
 		}

@@ -125,22 +125,6 @@ type Stats struct {
 // addressed to its group.
 type Deliver func(ScoreChunk)
 
-// ChunkCodec is an optional wire encoding for score chunks (see
-// internal/codec). When a fabric has one, Send round-trips every chunk
-// through it once (encode, then decode), so lossy codecs genuinely
-// perturb the scores the rankers see, and each chunk on a data message
-// is charged its encoded length instead of the l-bytes-per-link model.
-// One round trip stands for every hop, which requires a codec to be
-// idempotent on its own output: re-encoding a decoded chunk must yield
-// the same bytes (internal/codec's codecs are, and test it). The
-// paper's §4.5 leaves compression as future work; this is where it
-// plugs in.
-type ChunkCodec interface {
-	Name() string
-	Encode(dst []byte, c ScoreChunk) []byte
-	Decode(src []byte) (ScoreChunk, error)
-}
-
 // Fabric wires every ranker to the simulated network with the selected
 // transmission pattern. Create with NewFabric, then Register each
 // ranker before any Send. Every hop is routed by the overlay itself,
@@ -158,11 +142,7 @@ type Fabric struct {
 	del    []Deliver
 	relays []Relay                                 // ranker i's step
 	onAck  func(self int, from int32, round int64) // see OnAck
-	codec  ChunkCodec
 	stats  Stats
-
-	// scratch is the codec's encode buffer, reused across chunks.
-	scratch []byte
 
 	// Freelists for the per-message carriers. The []ScoreChunk slices
 	// die once handle has processed a message (receivers copy what they
@@ -270,16 +250,6 @@ func (f *Fabric) RecordFaultDrop(from int) { f.stats.FaultDrops++ }
 // experiment harness uses it to inject host-level failures.
 func (f *Fabric) Addr(i int) simnet.NodeAddr { return f.addrs[i] }
 
-// SetCodec installs a wire codec. It must be called before any Send;
-// installing one after traffic has flowed is a programming error.
-func (f *Fabric) SetCodec(c ChunkCodec) error {
-	if f.stats != (Stats{}) {
-		return fmt.Errorf("transport: SetCodec after traffic")
-	}
-	f.codec = c
-	return nil
-}
-
 // Hops returns the number of network trips a chunk sent by ranker src
 // takes to reach group dst (see RouteHops). It is the hop function the
 // simulator hands telemetry.
@@ -313,9 +283,7 @@ func (f *Fabric) Stats() Stats { return f.stats }
 // Send queues a chunk from ranker `from` toward chunk.DstGroup. With
 // direct transmission the lookup and data messages go out immediately;
 // with indirect transmission the chunk sits in the outbox until Flush.
-// With a codec installed the chunk travels as it decodes from its wire
-// form; a chunk the codec cannot round-trip is an error. Sending to
-// yourself is a programming error.
+// Sending to yourself is a programming error.
 //
 //p2plint:hotpath -- per-chunk send path, every exchanged score crosses it
 func (f *Fabric) Send(from int, chunk ScoreChunk) error {
@@ -328,14 +296,6 @@ func (f *Fabric) Send(from int, chunk ScoreChunk) error {
 	}
 	if dst == from {
 		return fmt.Errorf("transport: ranker %d sending to itself", from)
-	}
-	if f.codec != nil {
-		f.scratch = f.codec.Encode(f.scratch[:0], chunk)
-		c, err := f.codec.Decode(f.scratch)
-		if err != nil {
-			return fmt.Errorf("transport: codec %s: %w", f.codec.Name(), err)
-		}
-		chunk = c
 	}
 	if f.kind == Direct {
 		f.sendDirect(from, chunk)
@@ -368,20 +328,14 @@ func (f *Fabric) Flush(from int) error {
 	return nil
 }
 
-// pack turns chunks into one wire message and its size: the analytic
-// l-bytes-per-link model without a codec, the real encoded size with
-// one.
+// pack turns chunks into one wire message and its size under the
+// analytic l-bytes-per-link model.
 func (f *Fabric) pack(chunks []ScoreChunk) (*dataMsg, int64) {
 	m := f.getMsg()
 	m.chunks = chunks
 	payload := f.size.HeaderBytes
 	for _, c := range chunks {
-		if f.codec == nil {
-			payload += f.size.chunkBytes(c)
-			continue
-		}
-		f.scratch = f.codec.Encode(f.scratch[:0], c)
-		payload += int64(len(f.scratch))
+		payload += f.size.chunkBytes(c)
 	}
 	return m, payload
 }
