@@ -33,7 +33,8 @@ race:
 
 # The places bytes enter from outside — /search parameter parsing, the
 # -fault and -reliable specs (parsed, then Validate, every float
-# finite), a peer's socket (frame reader → codec.Plain → a reliable
+# finite, every time the spec's milliseconds × 10⁶ ns, -reliable
+# refusing every key but timeout), a peer's socket (frame reader → codec.Plain → a reliable
 # peer's delivery, relay and acks in both transmission modes → one
 # compute phase), a checkpoint file (Loop.Restore held to DecodeSnapshotRanks),
 # and a crawl file in either format (binary: open, Validate, every

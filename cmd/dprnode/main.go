@@ -17,10 +17,20 @@
 // mode. Both modes frame score chunks with codec.Plain and accept
 // -transport indirect (route score frames hop-by-hop along the Pastry
 // overlay, §4.4), -fault (injected message faults), -reliable
-// (ack/retry/backoff delivery — pair it with -fault to ride out real
-// loss), and -obs addr:port, which serves live telemetry over HTTP:
-// Prometheus text on /metrics, the JSONL event trace on /trace, and
-// pprof under /debug/pprof/. SIGQUIT dumps the trace ring to stderr.
+// (ack/retry/backoff delivery with one knob, its timeout — pair it
+// with -fault to ride out real loss), and -obs addr:port, which serves
+// live telemetry over HTTP: Prometheus text on /metrics, the JSONL
+// event trace on /trace, and pprof under /debug/pprof/. SIGQUIT dumps
+// the trace ring to stderr.
+//
+// Every time in -fault and -reliable is in milliseconds, whatever its
+// size:
+//
+//	dprnode -demo -fault drop=0.2,partition=0.3,pto=8000 -reliable 20
+//
+// drops a fifth of the score chunks, cuts the cluster for its first
+// 8 s and retransmits an unacked chunk after 20 ms, backing off from
+// there.
 package main
 
 import (
@@ -124,17 +134,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fault = liveFault(fault)
 	reliable, err := cliflags.ParseReliable(*relSpec)
 	if err != nil {
 		fatal(err)
-	}
-	if reliable.Enabled() && reliable.Timeout < float64(time.Millisecond) {
-		// Same unit bridge as -fault: the shared spec's small values are
-		// meant as milliseconds on the nanosecond-clock live peers.
-		reliable.Timeout *= float64(time.Millisecond)
-		reliable.MaxTimeout *= float64(time.Millisecond)
-		reliable.Cooldown *= float64(time.Millisecond)
 	}
 	indirect, err := cliflags.ParseTransport(*transName)
 	if err != nil {
@@ -164,6 +166,9 @@ func main() {
 		}()
 	}
 
+	// The lattice seed is left to dprcore.Deploy, which defaults it to
+	// -seed in both modes, so -demo, every distributed peer and the
+	// serving frontend cut the same partition minority and stragglers.
 	params := dprcore.Params{Alg: algorithm, Fault: fault, Reliable: reliable}
 	if col != nil {
 		params.Observer = col
@@ -174,30 +179,6 @@ func main() {
 		return
 	}
 	runPeer(*graphPath, *k, *index, *listen, *peersFlag, params, *seed, indirect)
-}
-
-// liveFault resolves a parsed -fault spec for live peers, once for both
-// modes. The spec is unit-agnostic, and live peers run on nanoseconds,
-// where its small virtual-unit times round to nothing: small delays,
-// partition windows and straggler hold-backs are read as milliseconds.
-// The lattice seed is left to dprcore.Deploy, which defaults it to
-// -seed in both modes, so -demo, every distributed peer and the serving
-// frontend cut the same partition minority and stragglers.
-func liveFault(fc dprcore.FaultConfig) dprcore.FaultConfig {
-	const ms = float64(time.Millisecond)
-	if fc.Enabled() && fc.MeanDelay > 0 && fc.MeanDelay < ms {
-		fc.MeanDelay *= ms
-	}
-	if fc.PartitionFrac > 0 && fc.PartitionTo < ms {
-		// The -pto default (MaxFloat64, "never heals") is already past
-		// the threshold.
-		fc.PartitionFrom *= ms
-		fc.PartitionTo *= ms
-	}
-	if fc.StraggleFrac > 0 && fc.StraggleFactor > 0 && fc.StraggleFactor < ms {
-		fc.StraggleFactor *= ms
-	}
-	return fc
 }
 
 // servePublishEvery is the demo's checkpoint cadence with -serve, in

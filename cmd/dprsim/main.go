@@ -26,7 +26,7 @@ func main() {
 	var (
 		exp     = flag.String("exp", experiments.All()[0].Name, "experiment (listed above)")
 		pages   = flag.Int("pages", 20000, "crawl size")
-		sites   = flag.Int("sites", 100, "site count (the paper's dataset has 100)")
+		sites   = flag.Int("sites", 0, "site count, at most -pages (0 = the paper's 100, or the generator's own under 100 pages)")
 		seed    = cliflags.Seed(flag.CommandLine)
 		k       = flag.Int("k", 0, "ranker count (0 = the experiment's paper value)")
 		ks      = flag.String("ks", "", "comma-separated ranker counts for sweeps (empty = the experiment's paper values)")
@@ -57,13 +57,6 @@ func main() {
 		}
 		return
 	}
-	// Generation keeps the default site count when it exceeds the crawl
-	// size; one asked for explicitly would be replaced silently.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sites" && *sites > *pages {
-			fatal(fmt.Errorf("-sites %d exceeds -pages %d: a site needs at least one page", *sites, *pages))
-		}
-	})
 	if *graph != "" {
 		src, err := webgraph.Open(*graph)
 		if err != nil {

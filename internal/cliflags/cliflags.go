@@ -3,7 +3,10 @@
 // dprsim registers only -seed, -serve, -qps and -topk, because its
 // experiments fix the algorithm, faults, reliability and
 // transport themselves. A flag both binaries take is registered here
-// once, so its name, default and accepted values cannot drift.
+// once, so its name, default and accepted values cannot drift. The
+// -fault and -reliable specs therefore serve live peers only: every
+// time in them is read in milliseconds and returned in the nanoseconds
+// a live peer's clock counts, whatever its size.
 package cliflags
 
 import (
@@ -12,6 +15,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"time"
 
 	"p2prank/internal/dprcore"
 )
@@ -35,20 +39,34 @@ func ParseAlgorithm(name string) (dprcore.Algorithm, error) {
 // Fault registers the shared -fault flag.
 func Fault(fs *flag.FlagSet) *string {
 	return fs.String("fault", "",
-		"message faults: drop=P[,delay=P][,meandelay=D][,dup=P]"+
-			"[,partition=F,pfrom=T,pto=T][,straggle=F,sfactor=D][,fseed=N] (empty = none)")
+		"message faults, times in ms: drop=P[,delay=P][,meandelay=MS][,dup=P]"+
+			"[,partition=F,pfrom=MS,pto=MS][,straggle=F,sfactor=MS][,fseed=N] (empty = none)")
+}
+
+// ms is one millisecond in the nanoseconds live peers count time in.
+const ms = float64(time.Millisecond)
+
+// nanos reads a spec time given in milliseconds as nanoseconds. A
+// finite time too large for that is refused; NaN and ±Inf pass through
+// for the config's Validate to judge.
+func nanos(flagName, part string, v float64) (float64, error) {
+	ns := v * ms
+	if math.IsInf(ns, 0) && !math.IsInf(v, 0) {
+		return 0, fmt.Errorf("bad %s value %q: %v ms overflows nanoseconds", flagName, part, v)
+	}
+	return ns, nil
 }
 
 // ParseFault maps a -fault spec — comma-separated key=value pairs with
 // keys drop, delay, meandelay, dup, partition, pfrom, pto, straggle,
-// sfactor, fseed — onto a dprcore.FaultConfig. The delay mean defaults
-// to 5 time units when delays are enabled without an explicit
-// meandelay, and the straggler hold-back likewise defaults to 5 units;
-// a partition without an explicit pto never heals, and pto=Inf says the
-// same thing out loud: both set PartitionTo to math.MaxFloat64. Any
-// other NaN or infinite value is an error. Times are in the runtime's
-// units (virtual units in-sim; the live CLI bridges small values to
-// milliseconds, see dprnode).
+// sfactor, fseed — onto a dprcore.FaultConfig for live peers. Every
+// time (meandelay, pfrom, pto, sfactor) is read in milliseconds and
+// returned in nanoseconds, whatever its size. The delay mean defaults
+// to 5 ms when delays are enabled without an explicit meandelay, and
+// the straggler hold-back likewise defaults to 5 ms; a partition
+// without an explicit pto never heals, and pto=Inf says the same thing
+// out loud: both set PartitionTo to math.MaxFloat64. Any other NaN or
+// infinite value is an error.
 func ParseFault(spec string) (dprcore.FaultConfig, error) {
 	var fc dprcore.FaultConfig
 	if spec == "" {
@@ -69,22 +87,23 @@ func ParseFault(spec string) (dprcore.FaultConfig, error) {
 		case "delay":
 			fc.DelayProb = v
 		case "meandelay", "mean-delay":
-			fc.MeanDelay = v
+			fc.MeanDelay, err = nanos("-fault", part, v)
 		case "dup":
 			fc.DupProb = v
 		case "partition":
 			fc.PartitionFrac = v
 		case "pfrom", "partition-from":
-			fc.PartitionFrom = v
+			fc.PartitionFrom, err = nanos("-fault", part, v)
 		case "pto", "partition-to":
 			if math.IsInf(v, 1) {
-				v = math.MaxFloat64
+				fc.PartitionTo = math.MaxFloat64
+			} else {
+				fc.PartitionTo, err = nanos("-fault", part, v)
 			}
-			fc.PartitionTo = v
 		case "straggle":
 			fc.StraggleFrac = v
 		case "sfactor", "straggle-factor":
-			fc.StraggleFactor = v
+			fc.StraggleFactor, err = nanos("-fault", part, v)
 		case "fseed", "fault-seed":
 			// NaN, ±Inf and floats past uint64's range convert to
 			// implementation-defined seeds.
@@ -95,15 +114,18 @@ func ParseFault(spec string) (dprcore.FaultConfig, error) {
 		default:
 			return fc, fmt.Errorf("unknown -fault key %q (drop|delay|meandelay|dup|partition|pfrom|pto|straggle|sfactor|fseed)", kv[0])
 		}
+		if err != nil {
+			return fc, err
+		}
 	}
 	if fc.DelayProb > 0 && fc.MeanDelay == 0 {
-		fc.MeanDelay = 5
+		fc.MeanDelay = 5 * ms
 	}
 	if fc.PartitionFrac > 0 && fc.PartitionTo == 0 {
 		fc.PartitionTo = math.MaxFloat64
 	}
 	if fc.StraggleFrac > 0 && fc.StraggleFactor == 0 {
-		fc.StraggleFactor = 5
+		fc.StraggleFactor = 5 * ms
 	}
 	if err := fc.Validate(); err != nil {
 		return fc, fmt.Errorf("bad -fault %q: %w", spec, err)
@@ -114,14 +136,14 @@ func ParseFault(spec string) (dprcore.FaultConfig, error) {
 // Reliable registers the shared -reliable flag.
 func Reliable(fs *flag.FlagSet) *string {
 	return fs.String("reliable", "",
-		"reliable delivery: timeout=D[,backoff=F][,maxtimeout=D][,jitter=F][,attempts=N][,cooldown=D] (empty = off)")
+		"reliable delivery: the retransmission timeout in ms, as MS or timeout=MS (empty = off)")
 }
 
-// ParseReliable maps a -reliable spec — comma-separated key=value pairs
-// with keys timeout, backoff, maxtimeout, jitter, attempts, cooldown —
-// onto a dprcore.ReliableConfig. A bare number is shorthand for
-// timeout=N. Durations are in the runtime's time units (virtual units
-// in-sim, nanoseconds live); NaN and infinite values are errors.
+// ParseReliable maps a -reliable spec onto a dprcore.ReliableConfig.
+// The layer has one knob, its retransmission timeout, given as a bare
+// number or as timeout=MS; any other key is refused by name. The
+// timeout is read in milliseconds and returned in nanoseconds; NaN and
+// infinite values are errors.
 func ParseReliable(spec string) (dprcore.ReliableConfig, error) {
 	var rc dprcore.ReliableConfig
 	if spec == "" {
@@ -130,38 +152,15 @@ func ParseReliable(spec string) (dprcore.ReliableConfig, error) {
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		kv := strings.SplitN(part, "=", 2)
-		if len(kv) == 1 {
-			v, err := strconv.ParseFloat(kv[0], 64)
-			if err != nil {
-				return rc, fmt.Errorf("bad -reliable entry %q (want key=value or a bare timeout)", part)
-			}
-			rc.Timeout = v
-			continue
+		if len(kv) == 2 && !strings.EqualFold(kv[0], "timeout") {
+			return rc, fmt.Errorf("unknown -reliable key %q (the one knob is timeout)", kv[0])
 		}
-		v, err := strconv.ParseFloat(kv[1], 64)
+		v, err := strconv.ParseFloat(kv[len(kv)-1], 64)
 		if err != nil {
-			return rc, fmt.Errorf("bad -reliable value %q: %w", part, err)
+			return rc, fmt.Errorf("bad -reliable entry %q (want a timeout in ms, bare or as timeout=MS)", part)
 		}
-		switch strings.ToLower(kv[0]) {
-		case "timeout":
-			rc.Timeout = v
-		case "backoff":
-			rc.Backoff = v
-		case "maxtimeout", "max-timeout":
-			rc.MaxTimeout = v
-		case "jitter":
-			rc.Jitter = v
-		case "attempts", "maxattempts":
-			// NaN, ±Inf and floats past int's range convert to
-			// implementation-defined ints.
-			if !(v >= 0 && v <= math.MaxInt32) {
-				return rc, fmt.Errorf("bad -reliable value %q: attempts outside [0, %d]", part, math.MaxInt32)
-			}
-			rc.MaxAttempts = int(v)
-		case "cooldown":
-			rc.Cooldown = v
-		default:
-			return rc, fmt.Errorf("unknown -reliable key %q (timeout|backoff|maxtimeout|jitter|attempts|cooldown)", kv[0])
+		if rc.Timeout, err = nanos("-reliable", part, v); err != nil {
+			return rc, err
 		}
 	}
 	if err := rc.Validate(); err != nil {

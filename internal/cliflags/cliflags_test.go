@@ -3,6 +3,7 @@ package cliflags
 import (
 	"flag"
 	"math"
+	"strings"
 	"testing"
 
 	"p2prank/internal/dprcore"
@@ -38,7 +39,7 @@ func TestParseFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.DropProb != 0.1 || fc.DelayProb != 0.2 || fc.MeanDelay != 3 || fc.DupProb != 0.05 {
+	if fc.DropProb != 0.1 || fc.DelayProb != 0.2 || fc.MeanDelay != 3*ms || fc.DupProb != 0.05 {
 		t.Fatalf("parsed %+v", fc)
 	}
 	// Delays without an explicit mean get the documented default.
@@ -46,12 +47,45 @@ func TestParseFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.MeanDelay != 5 {
-		t.Fatalf("MeanDelay = %v; want default 5", fc.MeanDelay)
+	if fc.MeanDelay != 5*ms {
+		t.Fatalf("MeanDelay = %v; want the default 5 ms", fc.MeanDelay)
 	}
-	for _, bad := range []string{"drop", "drop=x", "jitter=1", "drop=2"} {
+	for _, bad := range []string{"drop", "drop=x", "jitter=1", "drop=2", "delay=0.5,meandelay=1e303"} {
 		if _, err := ParseFault(bad); err == nil {
 			t.Errorf("ParseFault(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseTimesAreMilliseconds pins the one unit rule of both specs:
+// every time is read in milliseconds and returned in nanoseconds,
+// whatever its size — 2000000 is 2000 s, not 2 ms already in
+// nanoseconds.
+func TestParseTimesAreMilliseconds(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want dprcore.FaultConfig
+	}{
+		{
+			spec: "delay=0.5,meandelay=3,partition=0.3,pfrom=2,pto=9,straggle=0.25,sfactor=4",
+			want: dprcore.FaultConfig{DelayProb: 0.5, MeanDelay: 3 * ms, PartitionFrac: 0.3, PartitionFrom: 2 * ms,
+				PartitionTo: 9 * ms, StraggleFrac: 0.25, StraggleFactor: 4 * ms},
+		},
+		{
+			spec: "delay=0.5,meandelay=2000000,partition=0.3,pfrom=1000000,pto=8000000",
+			want: dprcore.FaultConfig{DelayProb: 0.5, MeanDelay: 2e12, PartitionFrac: 0.3, PartitionFrom: 1e12, PartitionTo: 8e12},
+		},
+		{spec: "partition=0.4,pfrom=0,pto=8000", want: dprcore.FaultConfig{PartitionFrac: 0.4, PartitionTo: 8e9}},
+		{spec: "partition=0.3,pfrom=5", want: dprcore.FaultConfig{PartitionFrac: 0.3, PartitionFrom: 5 * ms, PartitionTo: math.MaxFloat64}},
+		{spec: "straggle=0.25,fseed=42", want: dprcore.FaultConfig{StraggleFrac: 0.25, StraggleFactor: 5 * ms, Seed: 42}},
+	} {
+		if got, err := ParseFault(tc.spec); err != nil || got != tc.want {
+			t.Errorf("ParseFault(%q) = %+v, %v\nwant %+v", tc.spec, got, err, tc.want)
+		}
+	}
+	for spec, want := range map[string]float64{"20": 20 * ms, "timeout=20": 20 * ms, "timeout=2000000": 2e12, "0.5": 0.5 * ms} {
+		if got, err := ParseReliable(spec); err != nil || got.Timeout != want {
+			t.Errorf("ParseReliable(%q) = %+v, %v; want Timeout %v ns", spec, got, err, want)
 		}
 	}
 }
@@ -61,22 +95,22 @@ func TestParseReliable(t *testing.T) {
 	if err != nil || rc.Enabled() {
 		t.Fatalf("empty spec = %+v, %v; want disabled", rc, err)
 	}
-	rc, err = ParseReliable("timeout=10,backoff=2,maxtimeout=80,jitter=0.2,attempts=4,cooldown=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.Timeout != 10 || rc.Backoff != 2 || rc.MaxTimeout != 80 ||
-		rc.Jitter != 0.2 || rc.MaxAttempts != 4 || rc.Cooldown != 100 {
-		t.Fatalf("parsed %+v", rc)
-	}
 	// A bare number is shorthand for timeout=N.
 	rc, err = ParseReliable("25")
-	if err != nil || rc.Timeout != 25 {
-		t.Fatalf("bare timeout = %+v, %v; want Timeout 25", rc, err)
+	if err != nil || rc.Timeout != 25*ms {
+		t.Fatalf("bare timeout = %+v, %v; want Timeout 25 ms", rc, err)
 	}
-	for _, bad := range []string{"timeout=x", "speed=1", "timeout=-1", "timeout=1,backoff=0.5"} {
+	for _, bad := range []string{"timeout=x", "speed=1", "timeout=-1", "timeout", "timeout=1e303"} {
 		if _, err := ParseReliable(bad); err == nil {
 			t.Errorf("ParseReliable(%q) accepted", bad)
+		}
+	}
+	// The layer's other settings are constants: each key that once set
+	// one is refused by name.
+	for _, key := range removedReliableKeys {
+		spec := "timeout=10," + key + "=2"
+		if _, err := ParseReliable(spec); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseReliable(%q) = %v; want a refusal naming %s", spec, err, key)
 		}
 	}
 }
@@ -95,11 +129,7 @@ func TestParseNonFinite(t *testing.T) {
 			t.Errorf("ParseFault(%q) accepted: %+v", spec, fc)
 		}
 	}
-	for _, spec := range []string{
-		"timeout=NaN", "NaN", "Inf", "timeout=+Inf", "timeout=1,backoff=Inf", "timeout=1,maxtimeout=NaN",
-		"timeout=1,jitter=-Inf", "timeout=1,cooldown=Infinity", "timeout=1,attempts=NaN", "timeout=1,attempts=Inf",
-		"timeout=1,attempts=1e300",
-	} {
+	for _, spec := range []string{"timeout=NaN", "NaN", "Inf", "timeout=+Inf", "-Infinity"} {
 		if rc, err := ParseReliable(spec); err == nil {
 			t.Errorf("ParseReliable(%q) accepted: %+v", spec, rc)
 		}
@@ -109,6 +139,11 @@ func TestParseNonFinite(t *testing.T) {
 		if err != nil || fc.PartitionTo != math.MaxFloat64 || !fc.PartitionActiveAt(1e300) {
 			t.Errorf("ParseFault(%q) = %+v, %v; want a partition that never heals", spec, fc, err)
 		}
+	}
+	// A finite pto too large for nanoseconds is refused, not turned into
+	// a partition that never heals.
+	if fc, err := ParseFault("partition=0.3,pto=1e303"); err == nil {
+		t.Errorf("ParseFault(pto=1e303) accepted: %+v", fc)
 	}
 }
 

@@ -288,10 +288,11 @@ func TestDprnodeBadServeInputs(t *testing.T) {
 	demo := func(args ...string) []string {
 		return append([]string{"-demo", "-k", "3", "-pages", "2000", "-serve", "127.0.0.1:0", "-qps", "200"}, args...)
 	}
-	for _, c := range []struct {
+	type badRun struct {
 		args []string
 		want string
-	}{
+	}
+	runs := []badRun{
 		{demo("-topk", "0"), "TopK = 0, must be positive"},
 		{demo("-topk", "-3"), "TopK = -3, must be positive"},
 		{demo("-qps", "-5"), "QPS = -5, must not be negative"},
@@ -307,7 +308,14 @@ func TestDprnodeBadServeInputs(t *testing.T) {
 		{demo("-peers", "1=127.0.0.1:1"), "-peers does not apply to -demo"},
 		{[]string{"-graph", crawl, "-k", "2", "-pages", "200"}, "-pages requires -demo"},
 		{[]string{"-graph", crawl, "-k", "2", "-target", "1e-3"}, "-target requires -demo"},
-	} {
+	}
+	// The reliable layer's one knob is its timeout: every key that once
+	// set another of its values is refused by name.
+	for _, key := range []string{"backoff", "maxtimeout", "max-timeout", "jitter", "attempts", "maxattempts", "cooldown"} {
+		runs = append(runs, badRun{demo("-reliable", key+"=3"), `unknown -reliable key "` + key + `"`})
+	}
+	runs = append(runs, badRun{demo("-reliable", "timeout=20,cooldown=2000000"), `unknown -reliable key "cooldown"`})
+	for _, c := range runs {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		var stdout, stderr strings.Builder
 		cmd := exec.CommandContext(ctx, filepath.Join(builtDir, "dprnode"), c.args...)

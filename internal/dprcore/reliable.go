@@ -15,78 +15,42 @@ type ReliableConfig struct {
 	// Timeout is the base retransmission timeout in the runtime's time
 	// units (virtual units in-sim, nanoseconds live): an unacked chunk
 	// is re-sent after roughly this long. Positive enables the layer.
+	// The backoff, cap, jitter, attempt bound and cooldown are the
+	// fixed constants below, scaled by Timeout where they are times.
 	Timeout float64
-	// Backoff multiplies the timeout after every expiry (default 2).
-	Backoff float64
-	// MaxTimeout caps the backed-off timeout (default 16 × Timeout).
-	MaxTimeout float64
-	// Jitter spreads deadlines: each one is stretched by a uniform
-	// factor in [1, 1+Jitter) drawn from the layer's private RNG stream
-	// (default 0.1). Negative disables jitter explicitly.
-	Jitter float64
-	// MaxAttempts bounds retransmissions of one chunk; a destination
-	// that outlives them trips the dead-peer circuit breaker
-	// (default 6).
-	MaxAttempts int
-	// Cooldown is how long an open circuit suppresses traffic to a
-	// presumed-dead peer before the next send probes it again
-	// (default 10 × Timeout).
-	Cooldown float64
 }
+
+// The reliable layer's fixed tuning, relative to Timeout.
+const (
+	// relBackoff multiplies the timeout after every expiry.
+	relBackoff = 2
+	// relMaxTimeout caps the backed-off timeout, in Timeouts.
+	relMaxTimeout = 16
+	// relJitter stretches each deadline by a uniform factor in
+	// [1, 1+relJitter) drawn from the layer's private RNG stream.
+	relJitter = 0.1
+	// relMaxAttempts bounds retransmissions of one chunk; a destination
+	// that outlives them trips the dead-peer circuit breaker.
+	relMaxAttempts = 6
+	// relCooldown is how long, in Timeouts, an open circuit suppresses
+	// traffic to a presumed-dead peer before the next send probes it.
+	relCooldown = 10
+)
 
 // Enabled reports whether the config turns the reliable layer on.
 func (c ReliableConfig) Enabled() bool { return c.Timeout > 0 }
 
-// Validate checks the knobs. The zero value is valid (disabled). Every
-// duration and factor must be finite: the comparisons below are false
-// for NaN, and an infinite timeout has no time.Duration.
+// Validate checks the timeout. The zero value is valid (disabled). It
+// must be finite: the comparisons below are false for NaN, and an
+// infinite timeout has no time.Duration.
 func (c ReliableConfig) Validate() error {
-	for _, d := range []struct {
-		name string
-		v    float64
-	}{{"Timeout", c.Timeout}, {"Backoff", c.Backoff}, {"MaxTimeout", c.MaxTimeout}, {"Jitter", c.Jitter}, {"Cooldown", c.Cooldown}} {
-		if math.IsNaN(d.v) || math.IsInf(d.v, 0) {
-			return fmt.Errorf("dprcore: reliable %s %v is not finite", d.name, d.v)
-		}
+	if math.IsNaN(c.Timeout) || math.IsInf(c.Timeout, 0) {
+		return fmt.Errorf("dprcore: reliable Timeout %v is not finite", c.Timeout)
 	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("dprcore: reliable Timeout %v negative", c.Timeout)
 	}
-	if c.Backoff != 0 && c.Backoff < 1 {
-		return fmt.Errorf("dprcore: reliable Backoff %v < 1", c.Backoff)
-	}
-	if c.MaxTimeout < 0 || c.Cooldown < 0 {
-		return fmt.Errorf("dprcore: reliable MaxTimeout/Cooldown negative")
-	}
-	if c.Jitter >= 1 {
-		return fmt.Errorf("dprcore: reliable Jitter %v must be < 1", c.Jitter)
-	}
-	if c.MaxAttempts < 0 {
-		return fmt.Errorf("dprcore: reliable MaxAttempts %d negative", c.MaxAttempts)
-	}
 	return nil
-}
-
-// withDefaults returns the config with zero fields resolved.
-func (c ReliableConfig) withDefaults() ReliableConfig {
-	if c.Backoff == 0 {
-		c.Backoff = 2
-	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 16 * c.Timeout
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
-	} else if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 6
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 10 * c.Timeout
-	}
-	return c
 }
 
 // ReliableStats aggregates a ReliableSender's counters.
@@ -118,7 +82,7 @@ type relSlot struct {
 	nextAt   float64 // deadline of the next retransmission
 	armed    bool    // a timer callback is in flight
 	// brokenUntil, when in the future, means the circuit to dst is open:
-	// the peer blew through MaxAttempts without acking and sends are
+	// the peer blew through relMaxAttempts without acking and sends are
 	// suppressed until the cooldown passes.
 	brokenUntil float64
 
@@ -176,7 +140,7 @@ func NewReliableSender(inner Sender, clock Clock, rng RNG, cfg ReliableConfig) (
 	if inner == nil || clock == nil || rng == nil {
 		return nil, fmt.Errorf("dprcore: nil dependency")
 	}
-	return &ReliableSender{inner: inner, clock: clock, rng: rng, cfg: cfg.withDefaults()}, nil
+	return &ReliableSender{inner: inner, clock: clock, rng: rng, cfg: cfg}, nil
 }
 
 // Observe installs o as the retry/ack observer (nil uninstalls). Call
@@ -208,10 +172,7 @@ func (s *ReliableSender) slot(from, dst int) *relSlot {
 // deadline sets the slot's next retransmission deadline d units out,
 // stretched by the jitter draw. Callers hold mu.
 func (s *ReliableSender) deadline(sl *relSlot, now, d float64) {
-	if s.cfg.Jitter > 0 {
-		d *= 1 + s.cfg.Jitter*s.rng.Float64()
-	}
-	sl.nextAt = now + d
+	sl.nextAt = now + d*(1+relJitter*s.rng.Float64())
 }
 
 // arm schedules the slot's timer callback for its deadline unless one
@@ -291,21 +252,18 @@ func (s *ReliableSender) expire(sl *relSlot) {
 		return
 	}
 	sl.attempts++
-	if sl.attempts > s.cfg.MaxAttempts {
+	if sl.attempts > relMaxAttempts {
 		// Dead-peer circuit breaker: stop burning the network on a peer
-		// that has stopped acking. The first send after Cooldown probes
-		// it again; any ack closes the circuit immediately.
-		sl.brokenUntil = now + s.cfg.Cooldown
+		// that has stopped acking. The first send after the cooldown
+		// probes it again; any ack closes the circuit immediately.
+		sl.brokenUntil = now + relCooldown*s.cfg.Timeout
 		sl.active = false
 		s.stats.BreakerTrips++
 		s.mu.Unlock()
 		return
 	}
 	s.stats.Retries++
-	sl.timeout *= s.cfg.Backoff
-	if sl.timeout > s.cfg.MaxTimeout {
-		sl.timeout = s.cfg.MaxTimeout
-	}
+	sl.timeout = min(sl.timeout*relBackoff, relMaxTimeout*s.cfg.Timeout)
 	s.deadline(sl, now, sl.timeout)
 	s.arm(sl, now)
 	from, chunk, attempt, obs := sl.from, sl.chunk, sl.attempts, s.obs

@@ -24,17 +24,8 @@ func (o *countObs) AckReceived(ranker, dst int, r int64)  { o.acked++ }
 func (o *countObs) Recovered(ranker int, r int64)         { o.recovered++ }
 
 func TestReliableConfigValidate(t *testing.T) {
-	for name, cfg := range map[string]ReliableConfig{
-		"negative timeout": {Timeout: -1},
-		"backoff < 1":      {Timeout: 1, Backoff: 0.5},
-		"jitter >= 1":      {Timeout: 1, Jitter: 1},
-		"negative max":     {Timeout: 1, MaxTimeout: -1},
-		"negative cool":    {Timeout: 1, Cooldown: -1},
-		"negative tries":   {Timeout: 1, MaxAttempts: -1},
-	} {
-		if cfg.Validate() == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	if (ReliableConfig{Timeout: -1}).Validate() == nil {
+		t.Error("negative timeout accepted")
 	}
 	if err := (ReliableConfig{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
@@ -63,13 +54,12 @@ func TestNewReliableSenderValidation(t *testing.T) {
 }
 
 // relFixture builds a reliable sender over a recordSender on a
-// hand-cranked clock, with jitter disabled so deadlines are exact.
+// hand-cranked clock, drawing zero jitter so deadlines are exact.
 func relFixture(t *testing.T, cfg ReliableConfig) (*ReliableSender, *recordSender, *fakeClock) {
 	t.Helper()
 	inner := &recordSender{}
 	clk := &fakeClock{}
-	cfg.Jitter = -1
-	rel, err := NewReliableSender(inner, clk, constRNG{f: 0.5, e: 1}, cfg)
+	rel, err := NewReliableSender(inner, clk, constRNG{f: 0, e: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +67,7 @@ func relFixture(t *testing.T, cfg ReliableConfig) (*ReliableSender, *recordSende
 }
 
 func TestReliableSenderRetriesWithBackoffUntilAck(t *testing.T) {
-	rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 10, Backoff: 2, MaxTimeout: 100})
+	rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 10})
 	obs := &countObs{}
 	rel.Observe(obs)
 	if err := rel.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
@@ -154,17 +144,43 @@ func TestReliableNewerSendSupersedesPending(t *testing.T) {
 	}
 }
 
+// relExpiries are the expiry times of a chunk sent at 0 with Timeout 1
+// and zero jitter that nothing acks: six retransmissions, the timeout
+// doubling from 1 up to its cap of 16, then the expiry that finds the
+// attempts exhausted and trips the breaker.
+var relExpiries = []float64{1, 3, 7, 15, 31, 47, 63}
+
+// crank advances clk through relExpiries shifted by t0, one deadline at
+// a time, so each expiry re-arms from its own deadline.
+func crank(clk *fakeClock, t0 float64) {
+	for _, at := range relExpiries {
+		clk.advance(t0 + at)
+	}
+}
+
 func TestReliableBreakerTripsSuppressesAndRecovers(t *testing.T) {
-	rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 10, Backoff: 1.001, MaxAttempts: 2, Cooldown: 1000})
+	rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 1})
 	if err := rel.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(10) // retry 1
-	clk.advance(21) // retry 2
-	clk.advance(32) // attempts exhausted: the breaker trips
+	for i, at := range relExpiries[:6] {
+		clk.advance(at - 0.01)
+		if st := rel.Stats(); st.Retries != int64(i) {
+			t.Fatalf("t=%v: %d retries, want %d before the deadline at %v", clk.now, st.Retries, i, at)
+		}
+		clk.advance(at)
+		if st := rel.Stats(); st.Retries != int64(i+1) || st.BreakerTrips != 0 {
+			t.Fatalf("t=%v: stats %+v, want retry %d and no trip", at, st, i+1)
+		}
+	}
+	clk.advance(62.99)
+	if rel.Broken(1) {
+		t.Fatal("breaker tripped before the seventh expiry")
+	}
+	clk.advance(63) // attempts exhausted: the breaker trips
 	st := rel.Stats()
-	if st.BreakerTrips != 1 || st.Retries != 2 {
-		t.Fatalf("stats = %+v, want 1 trip after 2 retries", st)
+	if st.BreakerTrips != 1 || st.Retries != 6 {
+		t.Fatalf("stats = %+v, want 1 trip after 6 retries", st)
 	}
 	if !rel.Broken(1) {
 		t.Fatal("Broken(1) = false with the circuit open")
@@ -178,6 +194,11 @@ func TestReliableBreakerTripsSuppressesAndRecovers(t *testing.T) {
 	}
 	if rel.Stats().Suppressed != 1 {
 		t.Fatalf("Suppressed = %d, want 1", rel.Stats().Suppressed)
+	}
+	// The cooldown is ten timeouts: the circuit stays open until 73.
+	clk.advance(72.99)
+	if !rel.Broken(1) {
+		t.Fatal("circuit closed before the cooldown passed")
 	}
 	// Clearing the breaker (the supervisor restarted the peer) re-arms
 	// the suppressed chunk for immediate retransmission.
@@ -284,12 +305,12 @@ func BenchmarkReliableSend(b *testing.B) {
 // whose partition blackholes the cut, so every state transition is
 // driven by the same injected fault the degraded-serving stack models.
 //
-//	open:      blackholed chunk exhausts MaxAttempts, circuit trips
-//	half-open: first send after Cooldown probes the peer; mid-partition
+//	open:      blackholed chunk exhausts its six retries, circuit trips
+//	half-open: first send after the cooldown probes the peer; mid-partition
 //	           the probe is blackholed too and the circuit re-trips
 //	closed:    post-heal the probe lands, the ack closes the circuit
 func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
-	fcfg := FaultConfig{PartitionFrac: 0.4, PartitionFrom: 0, PartitionTo: 200, Seed: 7}
+	fcfg := FaultConfig{PartitionFrac: 0.4, PartitionFrom: 0, PartitionTo: 160, Seed: 7}
 	mi, ma := latticePair(t, fcfg)
 	inner := &recordSender{}
 	clk := &fakeClock{}
@@ -297,21 +318,18 @@ func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := NewReliableSender(faults, clk, constRNG{f: 0.5, e: 1},
-		ReliableConfig{Timeout: 10, Backoff: 1.001, MaxAttempts: 2, Cooldown: 100, Jitter: -1})
+	rel, err := NewReliableSender(faults, clk, constRNG{f: 0, e: 1}, ReliableConfig{Timeout: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Open: the chunk and both retries cross the cut and vanish.
+	// Open: the chunk and all six retries cross the cut and vanish.
 	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(10)
-	clk.advance(21)
-	clk.advance(32) // attempts exhausted at the third expiry
-	if st := rel.Stats(); st.BreakerTrips != 1 || st.Retries != 2 {
-		t.Fatalf("stats %+v, want 1 trip after 2 retries", st)
+	crank(clk, 0) // attempts exhausted at the seventh expiry, t=63
+	if st := rel.Stats(); st.BreakerTrips != 1 || st.Retries != 6 {
+		t.Fatalf("stats %+v, want 1 trip after 6 retries", st)
 	}
 	if !rel.Broken(mi) {
 		t.Fatal("Broken(minority) = false with the partition swallowing every attempt")
@@ -328,19 +346,17 @@ func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
 		t.Fatalf("Suppressed = %d, want 1", st.Suppressed)
 	}
 
-	// Half-open mid-partition: the cooldown (ends ~t=132) expires while
+	// Half-open mid-partition: the cooldown (ends t=73) expires while
 	// the cut is still up, so the probe is blackholed and the circuit
-	// trips again.
-	clk.advance(140)
+	// trips again at 80+63.
+	clk.advance(80)
 	if rel.Broken(mi) {
 		t.Fatal("circuit still reported open after the cooldown elapsed")
 	}
 	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 3, 3.0)); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(150)
-	clk.advance(161)
-	clk.advance(172)
+	crank(clk, 80)
 	if st := rel.Stats(); st.BreakerTrips != 2 {
 		t.Fatalf("stats %+v, want the mid-partition probe to re-trip", st)
 	}
@@ -348,9 +364,9 @@ func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
 		t.Fatalf("mid-partition probe escaped: broken=%v sends=%d", rel.Broken(mi), len(inner.sends))
 	}
 
-	// Closed: past the heal (t=200) and the second cooldown (~t=272),
+	// Closed: past the heal (t=160) and the second cooldown (t=153),
 	// the probe lands on the wire and the ack closes the circuit.
-	clk.advance(280)
+	clk.advance(170)
 	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 4, 4.0)); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +384,7 @@ func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
 	if st := rel.Stats(); st.Acks != 1 {
 		t.Fatalf("stats %+v, want the closing ack counted", st)
 	}
-	if got := faults.Stats().Partitioned; got < 6 {
-		t.Fatalf("Stats().Partitioned = %d, want every pre-heal attempt blackholed", got)
+	if got := faults.Stats().Partitioned; got != 14 {
+		t.Fatalf("Stats().Partitioned = %d, want all 14 pre-heal attempts blackholed", got)
 	}
 }

@@ -123,7 +123,7 @@ func TestSnapshotIncludesPendingChunks(t *testing.T) {
 	// A loop whose sender is a ReliableSender snapshots the unacked
 	// outbox, and Restore re-sends it through the (new) sender chain.
 	inner := &recordSender{}
-	rel, err := NewReliableSender(inner, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10, Jitter: -1})
+	rel, err := NewReliableSender(inner, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSnapshotIncludesPendingChunks(t *testing.T) {
 	snap := l.Snapshot()
 
 	inner2 := &recordSender{}
-	rel2, err := NewReliableSender(inner2, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10, Jitter: -1})
+	rel2, err := NewReliableSender(inner2, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ var xTablePatches = map[string]snapPatch{
 func FuzzRestoreSnapshot(f *testing.F) {
 	// A loop snapshot with a filled X table and, through a reliable
 	// sender, a pending-chunk table.
-	rel, err := NewReliableSender(&recordSender{}, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10, Jitter: -1})
+	rel, err := NewReliableSender(&recordSender{}, &fakeClock{}, constRNG{f: 0.5}, ReliableConfig{Timeout: 10})
 	if err != nil {
 		f.Fatal(err)
 	}

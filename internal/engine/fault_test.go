@@ -190,12 +190,14 @@ func TestReliableBreakerRidesOutPartition(t *testing.T) {
 	cfg.Fault = dprcore.FaultConfig{
 		PartitionFrac: 0.3, PartitionFrom: 0, PartitionTo: 120, Seed: 13,
 	}
-	// Timeout 2 against T2=3 round cadence: a blackholed chunk blows
-	// through MaxAttempts well inside the 120-unit window, and the
-	// 20-unit cooldown expires several times mid-partition (re-probe,
-	// re-trip) and once more after the heal (probe succeeds, ack
-	// closes the circuit).
-	cfg.Reliable = dprcore.ReliableConfig{Timeout: 2, MaxAttempts: 2, Cooldown: 20}
+	// Every send restarts its destination's retry count, so a circuit
+	// opens only across a gap between rounds longer than the six backed-
+	// off retries (63 timeouts). Timeout 0.1 makes that 6.3 units, which
+	// waits drawn with means in [T1, T2] = [0.5, 3] leave often enough
+	// inside the 120-unit window; the 1-unit cooldown then expires mid-partition (re-probe, re-trip)
+	// and once more after the heal (probe succeeds, ack closes the
+	// circuit).
+	cfg.Reliable = dprcore.ReliableConfig{Timeout: 0.1}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,9 @@ const defaultAlpha = 0.85
 type Workload struct {
 	// Pages is the crawl size (default 20000).
 	Pages int
-	// Sites is the number of sites (default 100, the paper's count).
+	// Sites is the number of sites (default 100, the paper's count, or
+	// for a crawl under 100 pages the generator's own count). Generate
+	// refuses more sites than pages.
 	Sites int
 	// Seed drives generation and the experiment (default 1).
 	Seed uint64
@@ -53,21 +55,28 @@ type Workload struct {
 }
 
 func (w *Workload) defaults() {
-	w.Pages, w.Sites, w.Seed = cmp.Or(w.Pages, 20000), cmp.Or(w.Sites, 100), cmp.Or(w.Seed, 1)
+	w.Pages, w.Seed = cmp.Or(w.Pages, 20000), cmp.Or(w.Seed, 1)
+	if w.Sites == 0 {
+		w.Sites = 100
+		if w.Pages < w.Sites {
+			w.Sites = webgraph.DefaultGenConfig(w.Pages).Sites
+		}
+	}
 }
 
 // Generate builds the workload's crawl, or returns Source when one is
-// set.
+// set. More sites than pages is an error: a site needs at least one
+// page.
 func (w Workload) Generate() (*webgraph.Graph, error) {
 	if w.Source != nil {
 		return w.Source, nil
 	}
 	w.defaults()
-	cfg := webgraph.DefaultGenConfig(w.Pages)
-	if w.Sites <= w.Pages {
-		cfg.Sites = w.Sites
+	if w.Sites > w.Pages {
+		return nil, fmt.Errorf("experiments: -sites %d exceeds -pages %d: a site needs at least one page", w.Sites, w.Pages)
 	}
-	cfg.Seed = w.Seed
+	cfg := webgraph.DefaultGenConfig(w.Pages)
+	cfg.Sites, cfg.Seed = w.Sites, w.Seed
 	return webgraph.Generate(cfg)
 }
 
@@ -470,7 +479,7 @@ type ScaleRow struct {
 // benches use the same crawl, hash-partitioned so every ranker serves
 // a shard.
 func ScaleWorkload(k int, seed uint64) Workload {
-	return Workload{Pages: 20 * k, Sites: 100, Seed: seed}
+	return Workload{Pages: 20 * k, Seed: seed}
 }
 
 // scale is one decade of the scale experiment: DPR1 then DPR2 under

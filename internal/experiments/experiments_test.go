@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2prank/internal/partition"
+	"p2prank/internal/webgraph"
 )
 
 // Small workload for fast tests; the real presets default bigger.
@@ -288,6 +289,24 @@ func TestWorkloadDefaults(t *testing.T) {
 	}
 	if g.NumPages() != 20000 || g.NumSites() != 100 {
 		t.Fatalf("default workload: %d pages, %d sites", g.NumPages(), g.NumSites())
+	}
+	// Under 100 pages the default is the generator's own site count, as
+	// the K < 5 scale crawls use.
+	g, err = ScaleWorkload(3, 1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := webgraph.DefaultGenConfig(60).Sites; g.NumPages() != 60 || g.NumSites() != want {
+		t.Fatalf("ScaleWorkload(3): %d pages, %d sites; want 60 and %d", g.NumPages(), g.NumSites(), want)
+	}
+}
+
+// An explicit site count above the page count is refused by name, not
+// replaced by the default.
+func TestWorkloadRefusesMoreSitesThanPages(t *testing.T) {
+	g, err := Workload{Pages: 200, Sites: 300}.Generate()
+	if err == nil || !strings.Contains(err.Error(), "300") || !strings.Contains(err.Error(), "200") {
+		t.Fatalf("Workload{Pages: 200, Sites: 300}.Generate() = %v, %v; want an error naming both", g, err)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // breaker/partition acceptance: a four-peer cluster runs with reliable
 // delivery while a seeded partition (cluster seed 1 cuts peer 1 onto
 // the minority side) blackholes cross-cut frames for the first 1.2s of
-// wall time. Chunks crossing the cut blow through MaxAttempts, so the
+// wall time. Chunks crossing the cut exhaust their retries, so the
 // senders' circuits toward the far side must open (BreakerTrips,
 // Broken observed true); after the heal the post-cooldown probes land,
 // acks close every circuit, and the cluster converges to the
@@ -33,14 +33,12 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 			Fault: dprcore.FaultConfig{
 				PartitionFrac: 0.3, PartitionFrom: 0, PartitionTo: partitionTo,
 			},
-			// Trip fast relative to the window: a blackholed chunk is
-			// given up after ~24ms, and the 200ms cooldown re-probes
-			// (and re-trips) several times before the heal.
-			Reliable: dprcore.ReliableConfig{
-				Timeout:     float64(8 * time.Millisecond),
-				MaxAttempts: 2,
-				Cooldown:    float64(200 * time.Millisecond),
-			},
+			// Every send restarts its destination's retry count, so a
+			// circuit opens only across a gap between rounds longer than
+			// the six backed-off retries, 63 timeouts: ~33ms here, which
+			// 10ms mean waits leave often enough inside the window. The
+			// 5ms cooldown then re-probes (and re-trips) until the heal.
+			Reliable: dprcore.ReliableConfig{Timeout: float64(500 * time.Microsecond)},
 		},
 		K: k, MeanWait: 10 * time.Millisecond,
 	})

@@ -64,9 +64,6 @@ func (p *Pool) worker() {
 	}
 }
 
-// Workers returns the number of helper goroutines.
-func (p *Pool) Workers() int { return p.workers }
-
 var (
 	defaultOnce sync.Once
 	defaultPool *Pool

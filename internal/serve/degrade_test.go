@@ -260,57 +260,6 @@ func TestMisfitSnapshotRefused(t *testing.T) {
 	}
 }
 
-// blockGate lets one query park inside the shard loop so a second,
-// concurrent query can be observed against the in-flight limit.
-type blockGate struct {
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (g *blockGate) ShardState(int) serve.ShardState {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
-	return serve.ShardHealthy
-}
-
-func TestAdmissionShedsOverInflightLimit(t *testing.T) {
-	f := newFixture(t, 800, 4, -1)
-	gate := &blockGate{entered: make(chan struct{}), release: make(chan struct{})}
-	fe := degradedFrontend(t, f, -1, gate, serve.Admission{MaxInflight: 1})
-
-	req := search.Request{Terms: []int32{0}, K: 5}
-	done := make(chan error, 1)
-	go func() {
-		var resp search.Response
-		done <- fe.NewQuerier().Serve(req, &resp)
-	}()
-	<-gate.entered // first query is now in flight, parked mid-fan-out
-
-	var resp search.Response
-	err := fe.NewQuerier().Serve(req, &resp)
-	if !errors.Is(err, search.ErrOverloaded) {
-		t.Fatalf("second query got %v, want ErrOverloaded", err)
-	}
-	var oe *search.OverloadError
-	if !errors.As(err, &oe) || oe.RetryAfter != 1 {
-		t.Fatalf("shed error carries retry-after %+v, want 1s", oe)
-	}
-	close(gate.release)
-	if err := <-done; err != nil {
-		t.Fatalf("first query errored: %v", err)
-	}
-	if st := fe.DegradeStats(); st.Shed != 1 {
-		t.Fatalf("shed counter = %d, want 1", st.Shed)
-	}
-	// With the first query drained, admission admits again.
-	if err := fe.NewQuerier().Serve(req, &resp); err != nil {
-		t.Fatalf("post-drain query shed: %v", err)
-	}
-}
-
 func TestAdmissionShedsOnStalenessBound(t *testing.T) {
 	f := newFixture(t, 800, 4, -1)
 	h := &fakeHealth{}
@@ -327,10 +276,18 @@ func TestAdmissionShedsOnStalenessBound(t *testing.T) {
 	if err := q.Serve(req, &resp); err != nil {
 		t.Fatalf("query at the bound shed: %v", err)
 	}
-	// Past the bound: shed.
+	// Past the bound: shed, with a one-second retry-after.
 	f.store.Advance(2)
-	if err := q.Serve(req, &resp); !errors.Is(err, search.ErrOverloaded) {
+	err := q.Serve(req, &resp)
+	if !errors.Is(err, search.ErrOverloaded) {
 		t.Fatalf("query past the bound got %v, want ErrOverloaded", err)
+	}
+	var oe *search.OverloadError
+	if !errors.As(err, &oe) || oe.RetryAfter != 1 {
+		t.Fatalf("shed error carries retry-after %+v, want 1s", oe)
+	}
+	if st := fe.DegradeStats(); st.Shed != 1 {
+		t.Fatalf("shed counter = %d, want 1", st.Shed)
 	}
 	// The laggard is partitioned away: its staleness is lost coverage,
 	// not a reason to refuse queries the healthy side can answer.

@@ -93,7 +93,6 @@ type Frontend struct {
 	// staleness bound, rebuilt on the first query after a store change.
 	over atomic.Pointer[overList]
 
-	inflight atomic.Int64
 	shed     atomic.Int64
 	hedged   atomic.Int64
 	degraded atomic.Int64
@@ -420,19 +419,9 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 	if n := f.ov.NumNodes(); req.From < 0 || req.From >= n {
 		return fmt.Errorf("%w: from %d, overlay has %d nodes", search.ErrBadOrigin, req.From, n)
 	}
-	if f.adm.enabled() {
-		if f.adm.MaxInflight > 0 {
-			if n := f.inflight.Add(1); n > f.adm.MaxInflight {
-				f.inflight.Add(-1)
-				f.shed.Add(1)
-				return errShed
-			}
-			defer f.inflight.Add(-1)
-		}
-		if f.adm.StalenessBound > 0 && f.overBound() {
-			f.shed.Add(1)
-			return errShed
-		}
+	if f.adm.StalenessBound > 0 && f.overBound() {
+		f.shed.Add(1)
+		return errShed
 	}
 	// The cache is keyed by store version, and a version names a state
 	// only while no publish is between minting it and installing its

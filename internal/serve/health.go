@@ -151,35 +151,23 @@ func (h *LatticeHealth) grow(shard int) uint8 {
 	}
 }
 
-// Admission bounds the load the frontend accepts. Zero values disable
-// each check, so the zero Admission admits everything.
+// Admission bounds the load the frontend accepts. The zero Admission
+// admits everything.
 type Admission struct {
-	// MaxInflight caps concurrently served queries; the query past the
-	// cap is shed with ErrOverloaded instead of queued behind work the
-	// server cannot keep up with.
-	MaxInflight int64
 	// StalenessBound sheds queries while the worst staleness over the
 	// REACHABLE shards exceeds it, in rounds. Set it to the checkpoint
 	// cadence's 2·Every−1 guarantee: beyond that the tier is serving
 	// ranks it can no longer bound, and refusing load is what lets the
 	// publishers catch up. Partitioned shards are excluded — their
 	// staleness is reported as lost coverage, not used to refuse the
-	// queries the reachable side can still answer.
+	// queries the reachable side can still answer. Zero disables it.
 	StalenessBound int64
 }
 
-// validate checks the admission knobs.
+// validate checks the admission bound.
 func (a Admission) validate() error {
-	if a.MaxInflight < 0 {
-		return fmt.Errorf("serve: Admission.MaxInflight %d negative", a.MaxInflight)
-	}
 	if a.StalenessBound < 0 {
 		return fmt.Errorf("serve: Admission.StalenessBound %d negative", a.StalenessBound)
 	}
 	return nil
-}
-
-// enabled reports whether any admission check is active.
-func (a Admission) enabled() bool {
-	return a.MaxInflight > 0 || a.StalenessBound > 0
 }

@@ -220,27 +220,6 @@ func (m *CSR) mulVecRange(dst, x Vec, lo, hi int) {
 	}
 }
 
-// MulVecAdd computes dst += M·x without zeroing dst first.
-//
-//p2plint:hotpath -- per-iteration rank kernel, steady state must not allocate
-func (m *CSR) MulVecAdd(dst, x Vec) {
-	mustSameLen(len(dst), m.NumRows)
-	mustSameLen(len(x), m.NumCols)
-	if m.oneShard() {
-		m.mulVecAddRange(dst, x, 0, m.NumRows)
-		return
-	}
-	sp := m.shardPtr
-	//p2plint:allow hotalloc -- par fan-out above csrParMinNNZ; one closure amortized over ≥16K entries
-	par.Default().Run(len(sp)-1, func(s int) { m.mulVecAddRange(dst, x, int(sp[s]), int(sp[s+1])) })
-}
-
-func (m *CSR) mulVecAddRange(dst, x Vec, lo, hi int) {
-	for k := m.emptyEnd(lo, hi); k < hi; k++ {
-		dst[m.perm[k]] += m.slotDot(k, x)
-	}
-}
-
 // StepInto computes dst = M·x + e (+ xa when non-nil) in one fused
 // pass — the full Jacobi step R ← AR + βE + X of Algorithm 2 without
 // the two extra memory sweeps of MulVec-then-Add-then-Add. The

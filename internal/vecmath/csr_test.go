@@ -166,15 +166,6 @@ func TestCSREmpty(t *testing.T) {
 	}
 }
 
-func TestCSRMulVecAdd(t *testing.T) {
-	m := mustCSR(t, 2, 2, []entry{{0, 0, 1}, {1, 1, 1}})
-	dst := Vec{5, 5}
-	m.MulVecAdd(dst, Vec{1, 2})
-	if dst[0] != 6 || dst[1] != 7 {
-		t.Fatalf("MulVecAdd = %v", dst)
-	}
-}
-
 func TestCSRNormInf(t *testing.T) {
 	m := mustCSR(t, 2, 3, []entry{
 		{0, 0, 1}, {0, 1, -2}, {1, 2, 2.5},

@@ -153,21 +153,6 @@ func (x Vec) NormInf() float64 {
 	return m
 }
 
-// Scale multiplies every element of x by c in place.
-func (x Vec) Scale(c float64) {
-	if len(x) < parMinVec {
-		for i := range x {
-			x[i] *= c
-		}
-		return
-	}
-	parSpans(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] *= c
-		}
-	})
-}
-
 // AddConst adds c to every element of x in place.
 func (x Vec) AddConst(c float64) {
 	if len(x) < parMinVec {
@@ -234,18 +219,6 @@ func Diff1(x, y Vec) float64 {
 		lo, hi := blockSpan(b, len(x))
 		return diff1Range(x, y, lo, hi)
 	})
-}
-
-// DiffInf returns ‖x−y‖∞. It panics on length mismatch.
-func DiffInf(x, y Vec) float64 {
-	mustSameLen(len(x), len(y))
-	m := 0.0
-	for i := range x {
-		if a := math.Abs(x[i] - y[i]); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // RelErr1 returns ‖x−y‖₁ / ‖y‖₁, the relative-error metric the paper uses

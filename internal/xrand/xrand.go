@@ -11,15 +11,10 @@ package xrand
 
 import "math"
 
-// SplitMix64 is a tiny 64-bit generator used both directly and to seed
-// larger generators. The zero value is a valid generator seeded with 0.
+// SplitMix64 is a tiny 64-bit generator that seeds Rand. The zero value
+// is a valid generator seeded with 0.
 type SplitMix64 struct {
 	state uint64
-}
-
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
 }
 
 // Next returns the next 64-bit value in the stream.
@@ -127,27 +122,6 @@ func (r *Rand) Exp(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // ZipfTable is the immutable half of a Zipf sampler: the normalized
