@@ -49,8 +49,11 @@ race:
 # length against a bit-by-bit reference), the
 # response cache's slab against an unbounded map, and the serve tier's
 # plan and scan (shard bitmaps, page signatures) against the static
-# index on random small tiers, and the Zipf sampler's guided search
-# against a search of the whole CDF, each over its seed corpus and whatever
+# index on random small tiers, the Zipf sampler's guided search
+# against a search of the whole CDF, and the event queue's execution
+# order (schedules made from inside firing events: plain events, in- and
+# out-of-order deliveries, timer re-arms, ties, cut two-phase batches)
+# against a sort of everything scheduled, each over its seed corpus and whatever
 # ten seconds of mutation reach (go test takes one -fuzz target per
 # run). The CSR, cache, plan, group and Pastry targets cap minimization: shrinking each
 # new-coverage input for the default minute would leave the pass a few
@@ -69,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPastryRoutes -fuzztime 10s -fuzzminimizetime 1s ./internal/pastry/
 	$(GO) test -run '^$$' -fuzz FuzzBuildGroups -fuzztime 10s -fuzzminimizetime 1s ./internal/dprcore/
 	$(GO) test -run '^$$' -fuzz FuzzZipfSample -fuzztime 10s ./internal/xrand/
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simnet/
 
 # Failure-path suite under the race detector: one crash/restart churn
 # schedule run by both drivers (and refused the same way by both when
@@ -118,8 +122,8 @@ bench:
 	@cat BENCH_kernels.json
 
 # One decade of the paper-scale experiment (N=10⁴ rankers, bounded
-# virtual-time horizon) end to end: calendar-queue scheduler, batched
-# delivery, and the §4.4–4.5 model-vs-telemetry validation. Takes a
+# virtual-time horizon) end to end: the event queue's delivery lane,
+# batched delivery, and the §4.4–4.5 model-vs-telemetry validation. Takes a
 # minute or two; CI runs it as a non-blocking job. The full measured
 # curve (10³–10⁵) is `go run ./cmd/dprsim -exp scale`.
 scale-smoke:

@@ -32,7 +32,7 @@ import (
 )
 
 // The gated suite.
-const benchPattern = "MulVec|StepDelta|NewGroupSystem|BuildGroups|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|QueryDegraded|QueryFanout|QueryCacheChurn|SnapshotPublish|TermsOf|FrontendBuild|PeerHandleFrame"
+const benchPattern = "MulVec|StepDelta|NewGroupSystem|BuildGroups|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|DeliverFixedLatency|GraphLoad|QueryTopK|QueryDegraded|QueryFanout|QueryCacheChurn|SnapshotPublish|TermsOf|FrontendBuild|PeerHandleFrame"
 
 var benchPackages = []string{"./internal/vecmath/", "./internal/pagerank/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/search/", "./internal/serve/", "./internal/netpeer/", "."}
 

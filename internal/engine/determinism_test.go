@@ -158,11 +158,11 @@ func TestFig6FingerprintMatchesPreRefactorGolden(t *testing.T) {
 	}
 }
 
-// fig7/fig8 golden fingerprints, captured on the binary-heap scheduler
-// immediately before the calendar-queue rewrite. Together with fig6 they
-// cover all three transports/presets: the calendar queue, the Timer
-// re-arm path, and the sparse transport outbox must pop and send in the
-// exact (at, seq) order the old global heap produced.
+// fig7/fig8 golden fingerprints, captured on a scheduler that was one
+// global binary heap. Together with fig6 they cover all three
+// transports/presets: the event queue (heap plus delivery lane), the
+// Timer re-arm path, and the sparse transport outbox must pop and send
+// in the exact (at, seq) order that heap produced.
 const (
 	fig7GoldenFingerprint = 0xccd8cf73dcfebc42
 	fig8GoldenFingerprint = 0xcf7b4bf6ae1eb2ed
@@ -170,7 +170,7 @@ const (
 
 // TestSchedulerFingerprintsMatchHeapGoldens runs the fig7 and fig8
 // presets at GOMAXPROCS 1 and 8 and requires the fingerprints captured
-// on the pre-calendar-queue scheduler, bit for bit.
+// on the one-heap scheduler, bit for bit.
 func TestSchedulerFingerprintsMatchHeapGoldens(t *testing.T) {
 	g := detGraph(t)
 	presets := detPresets(g)
@@ -190,7 +190,7 @@ func TestSchedulerFingerprintsMatchHeapGoldens(t *testing.T) {
 					t.Fatalf("procs=%d: %v", procs, err)
 				}
 				if got := fingerprint(t, res); got != tc.golden {
-					t.Fatalf("procs=%d: %s fingerprint %#016x != pre-calendar-queue golden %#016x",
+					t.Fatalf("procs=%d: %s fingerprint %#016x != one-heap golden %#016x",
 						procs, tc.name, got, tc.golden)
 				}
 			}

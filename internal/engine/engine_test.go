@@ -8,6 +8,7 @@ import (
 	"p2prank/internal/dprcore"
 	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
+	"p2prank/internal/simnet"
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
@@ -325,8 +326,13 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		"warm RestartAt": func(c *Config) {
 			c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: nan, Restart: dprcore.RestartWarm}}
 		},
-		"churn CrashAt NaN": func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: nan, RestartAt: 5}} },
-		"churn RestartAt":   func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: nan}} },
+		"churn CrashAt NaN":  func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: nan, RestartAt: 5}} },
+		"churn RestartAt":    func(c *Config) { c.Churn = []dprcore.ChurnEvent{{Ranker: 0, CrashAt: 1, RestartAt: nan}} },
+		"Net MinLatency NaN": func(c *Config) { c.Net = simnet.NetConfig{MinLatency: nan, MaxLatency: 0.1} },
+		"Net MaxLatency Inf": func(c *Config) { c.Net = simnet.NetConfig{MinLatency: 0.1, MaxLatency: inf} },
+		"Net NodeBandwidth NaN": func(c *Config) {
+			c.Net = simnet.NetConfig{MinLatency: 0.1, MaxLatency: 0.1, NodeBandwidth: nan}
+		},
 	} {
 		cfg := baseConfig(g)
 		// A target lets a run that wrongly accepts MaxTime = Inf end.

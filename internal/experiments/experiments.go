@@ -486,8 +486,8 @@ func ScaleWorkload(k int, seed uint64) Workload {
 // indirect transmission at K rankers on the K's crawl — ranked off the
 // Meter's on-disk store when it has one — pages partitioned by URL hash
 // (the all-pairs regime the §4.4 formulas assume), fixed network
-// latency with batched delivery: the configuration the calendar-queue
-// scheduler and the coalesced network layer exist for. With T1 = T2 = 3
+// latency with batched delivery: the configuration the event queue's
+// in-order delivery lane and the coalesced network layer exist for. With T1 = T2 = 3
 // the default horizon of 30 gives every ranker ~10 iterations, enough
 // for the per-iteration traffic rates to reach steady state without
 // paying for a full convergence run at 10⁵ nodes. Each run is timed on

@@ -10,9 +10,9 @@ import (
 )
 
 // TestScaleSmoke runs one decade of the scale experiment (N = 10⁴,
-// bounded virtual-time horizon) end to end: calendar-queue scheduler,
-// batched delivery, sparse transport outbox, and the bwmodel validation
-// table. It takes on the order of a minute, so it is opt-in:
+// bounded virtual-time horizon) end to end: the event queue's delivery
+// lane, batched delivery, sparse transport outbox, and the bwmodel
+// validation table. It takes on the order of a minute, so it is opt-in:
 //
 //	P2PRANK_SCALE=1 go test ./internal/experiments -run TestScaleSmoke -v -timeout 20m
 func TestScaleSmoke(t *testing.T) {

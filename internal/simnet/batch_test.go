@@ -165,3 +165,77 @@ func TestBatchDeliveryDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// laneWorkload runs rankers-like traffic on a network: eight Timer
+// entities that each send to three others every wait, handlers that
+// relay every fourth message on, and plain At events between the
+// timers. check runs after every event and delivery.
+func laneWorkload(t *testing.T, cfg NetConfig, check func(*Simulator)) {
+	t.Helper()
+	s, n := batchedNet(t, 5, cfg)
+	rng := s.Rand().Fork()
+	const nodes = 8
+	var addrs [nodes]NodeAddr
+	for i := range addrs {
+		i := i
+		addrs[i] = n.AddNode(func(m Message) {
+			check(s)
+			if hop := m.Payload.(int); hop%4 != 0 && s.Now() < 20 {
+				n.Send(addrs[i], addrs[(i+hop)%nodes], hop+1, 32)
+			}
+		})
+	}
+	for i := range addrs {
+		i := i
+		var tm *Timer
+		commit := func() {
+			check(s)
+			for j := 1; j <= 3; j++ {
+				n.Send(addrs[i], addrs[rng.Intn(nodes)], j, 64)
+			}
+			s.At(s.Now()+rng.Float64(), func() { check(s) })
+			if s.Now() < 20 {
+				tm.Schedule(0.5 + rng.Float64()*2)
+			}
+		}
+		tm = s.NewComputeTimer(func() func() { return commit })
+		tm.Schedule(rng.Float64())
+	}
+	s.Run(0)
+}
+
+// TestFixedLatencyDeliveriesUseLane pins where the scale path's
+// deliveries go: under fixed latency every delivery is scheduled at
+// now + latency, which never decreases, so each one must take the
+// queue's in-order lane and the heap must hold only timers and plain
+// events. Jittered latency is the control: there some deliveries land
+// before the lane's tail and must go to the heap.
+func TestFixedLatencyDeliveriesUseLane(t *testing.T) {
+	heapDeliveries := func(s *Simulator) int {
+		k := 0
+		for _, e := range s.events.heap {
+			if e.argFn != nil {
+				k++
+			}
+		}
+		return k
+	}
+	maxLane := 0
+	laneWorkload(t, NetConfig{MinLatency: 0.1, MaxLatency: 0.1}, func(s *Simulator) {
+		if k := heapDeliveries(s); k != 0 {
+			t.Fatalf("at t=%v the heap holds %d delivery events under fixed latency", s.Now(), k)
+		}
+		maxLane = max(maxLane, s.events.lane.n)
+	})
+	if maxLane < 2 {
+		t.Fatalf("the lane never held more than %d deliveries", maxLane)
+	}
+
+	jittered := 0
+	laneWorkload(t, NetConfig{MinLatency: 0.05, MaxLatency: 0.15}, func(s *Simulator) {
+		jittered = max(jittered, heapDeliveries(s))
+	})
+	if jittered == 0 {
+		t.Fatal("no delivery ever reached the heap under jittered latency; the check above cannot fail")
+	}
+}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 
 	"p2prank/internal/xrand"
 )
@@ -43,6 +44,16 @@ func DefaultNetConfig() NetConfig {
 }
 
 func (c NetConfig) validate() error {
+	// NaN compares false with every bound below, so non-finite values
+	// are refused by name first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"MinLatency", c.MinLatency}, {"MaxLatency", c.MaxLatency}, {"NodeBandwidth", c.NodeBandwidth}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("simnet: non-finite %s %v", f.name, f.v)
+		}
+	}
 	switch {
 	case c.MinLatency < 0:
 		return fmt.Errorf("simnet: negative MinLatency %v", c.MinLatency)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -104,12 +105,26 @@ func TestFailureDuringFlight(t *testing.T) {
 
 func TestInvalidConfigs(t *testing.T) {
 	s := New(1)
-	for _, cfg := range []NetConfig{
-		{MinLatency: -1},
-		{MinLatency: 2, MaxLatency: 1},
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		cfg  NetConfig
+		name string // the field the error must name; "" for any error
+	}{
+		{NetConfig{MinLatency: -1}, ""},
+		{NetConfig{MinLatency: 2, MaxLatency: 1}, ""},
+		{NetConfig{MinLatency: nan, MaxLatency: 1}, "MinLatency"},
+		{NetConfig{MinLatency: 0.1, MaxLatency: nan}, "MaxLatency"},
+		{NetConfig{MinLatency: 0.1, MaxLatency: inf}, "MaxLatency"},
+		{NetConfig{MinLatency: -inf, MaxLatency: 1}, "MinLatency"},
+		{NetConfig{MinLatency: inf, MaxLatency: inf}, "MinLatency"},
+		{NetConfig{MinLatency: 0.1, MaxLatency: 0.1, NodeBandwidth: nan}, "NodeBandwidth"},
+		{NetConfig{NodeBandwidth: inf}, "NodeBandwidth"},
 	} {
-		if _, err := NewNetwork(s, cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
+		_, err := NewNetwork(s, c.cfg)
+		if err == nil {
+			t.Errorf("config %+v accepted", c.cfg)
+		} else if !strings.Contains(err.Error(), c.name) {
+			t.Errorf("config %+v: error %q does not name %s", c.cfg, err, c.name)
 		}
 	}
 }

@@ -17,7 +17,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"p2prank/internal/par"
 	"p2prank/internal/xrand"
@@ -55,11 +54,9 @@ func eventLess(a, b *event) bool {
 
 // eventHeap is a hand-rolled binary min-heap. container/heap would work,
 // but its interface indirection (Less/Swap calls, any boxing in
-// Push/Pop) is measurable on the simulator's hottest path. It used to be
-// the whole scheduler; today it is the building block of calendarQueue —
-// each wheel bucket and the overflow level are one of these, so a bucket
-// holding k events costs O(log k) per op instead of O(log n) over the
-// entire pending set.
+// Push/Pop) is measurable on the simulator's hottest path. It holds
+// timers, plain events and any delivery that arrives out of order; see
+// eventQueue.
 type eventHeap []*event
 
 func (h *eventHeap) push(e *event) {
@@ -100,229 +97,106 @@ func (h *eventHeap) pop() *event {
 	return e
 }
 
-// Calendar-queue sizing. The wheel starts at wheelMinBuckets and grows
-// by rebuild (power of two) toward wheelMaxBuckets as the pending set
-// grows, keeping the average bucket occupancy O(1); see DESIGN.md §14.
-const (
-	wheelMinBuckets = 1 << 10
-	wheelMaxBuckets = 1 << 20
-	// minBucketWidth guards the adaptive width against degenerate
-	// (zero/denormal) spans; virtual times in this codebase are O(1).
-	minBucketWidth = 1e-12
-)
-
-// calendarQueue is the event scheduler: a timer wheel of width-`width`
-// buckets covering the window [start, start+len(buckets)*width), each
-// bucket a small eventHeap, plus a sorted overflow heap for events
-// beyond the window. Schedule and pop are O(1) amortized: an insert
-// indexes straight into its bucket, and pop scans the occupancy bitmap
-// from cur for the first non-empty bucket.
-//
-// Correctness never depends on the layout parameters (start, width,
-// cur, bucket count): the bucket index floor((at-start)/width) is
-// monotone non-decreasing in `at` (IEEE subtraction and division by a
-// positive constant are monotone), so every event in bucket b has a
-// strictly earlier time than every event in bucket b' > b, events that
-// share a time always share a bucket (seq ties break inside the bucket
-// heap), and the overflow split is consistent with the same monotone
-// map. Pop order is therefore exactly the (at, seq) total order the old
-// global heap produced — which is what keeps every determinism
-// fingerprint unchanged.
-type calendarQueue struct {
-	buckets  []eventHeap // power-of-two count
-	occ      []uint64    // occupancy bitmap: bit b set ⇔ buckets[b] non-empty
-	start    float64     // left edge of buckets[0]
-	width    float64     // bucket width in virtual time units
-	cur      int         // first possibly-occupied bucket; all below are empty
-	overflow eventHeap   // events at or beyond the wheel window
-	n        int         // total pending (wheel + overflow)
-	nWheel   int         // pending in wheel buckets
-	anchored bool        // false until the first push (re)anchors the wheel
-	scratch  []*event    // rebuild scratch, reused across rebuilds
+// eventLane is a FIFO ring of events already in (at, seq) order: an
+// event joins at the tail only when it sorts after the tail, so the
+// head is always the lane's earliest event.
+type eventLane struct {
+	buf  []*event // power-of-two length
+	head int      // index of the earliest event
+	n    int
 }
 
-// push inserts e, anchoring the wheel on first use and growing it when
-// the pending set outruns the bucket count.
-//
-//p2plint:hotpath -- every scheduled event enters the queue here
-func (q *calendarQueue) push(e *event) {
-	q.n++
-	if !q.anchored {
-		q.anchor(e.at)
+func (l *eventLane) front() *event { return l.buf[l.head] }
+
+func (l *eventLane) tail() *event { return l.buf[(l.head+l.n-1)&(len(l.buf)-1)] }
+
+func (l *eventLane) push(e *event) {
+	if l.n == len(l.buf) {
+		l.grow()
 	}
-	if q.n > 4*len(q.buckets) && len(q.buckets) < wheelMaxBuckets {
-		q.rebuild(e)
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+func (l *eventLane) pop() *event {
+	e := l.buf[l.head]
+	l.buf[l.head] = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
+// grow doubles the ring, unrolling it to start at index 0.
+func (l *eventLane) grow() {
+	//p2plint:allow hotalloc -- ring growth to the in-flight high-water mark; steady state reuses it
+	buf := make([]*event, max(64, 2*len(l.buf)))
+	for i := 0; i < l.n; i++ {
+		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+	}
+	l.buf, l.head = buf, 0
+}
+
+// eventQueue is the event scheduler: a binary min-heap plus an in-order
+// delivery lane. Network deliveries under fixed latency are scheduled at
+// now + latency, an instant that never decreases, so they arrive sorted;
+// the lane takes each one in O(1) instead of paying heap depth. pop
+// returns whichever head is earlier under eventLess.
+//
+// Both structures are sorted by (at, seq), and seq only grows, so the
+// merge pops in exactly the (at, seq) total order one global heap
+// produces — which is what keeps every determinism fingerprint
+// unchanged. Timers and plain At events always go to the heap: a
+// far-future timer at the lane's tail would turn every later delivery
+// away from the lane.
+type eventQueue struct {
+	heap eventHeap
+	lane eventLane
+}
+
+// len returns the number of pending events in both structures.
+func (q *eventQueue) len() int { return len(q.heap) + q.lane.n }
+
+// pushDelivery enqueues a delivery event: on the lane when it sorts
+// after the lane's tail, on the heap otherwise.
+//
+//p2plint:hotpath -- every network delivery enters the queue here
+func (q *eventQueue) pushDelivery(e *event) {
+	if q.lane.n == 0 || !eventLess(e, q.lane.tail()) {
+		q.lane.push(e)
 		return
 	}
-	q.insert(e)
+	q.heap.push(e)
 }
 
-// anchor (re)positions the wheel window at `at`, keeping the adaptive
-// width from the previous epoch (the first epoch starts with a width
-// matched to the network-latency timescale; rebuild re-fits it to the
-// observed span as soon as the pending set grows).
-func (q *calendarQueue) anchor(at float64) {
-	if q.buckets == nil {
-		//p2plint:allow hotalloc -- one-time wheel allocation, reused for the simulator's lifetime
-		q.buckets = make([]eventHeap, wheelMinBuckets)
-		//p2plint:allow hotalloc -- one-time occupancy bitmap, reused for the simulator's lifetime
-		q.occ = make([]uint64, wheelMinBuckets/64)
-		q.width = 1.0 / wheelMinBuckets
-	}
-	q.start = at
-	q.cur = 0
-	q.anchored = true
-}
-
-// insert places e into its bucket, or the overflow heap when it lies
-// beyond the wheel window. Indices below cur (possible only through
-// floating-point slack or an event scheduled before the anchor) clamp
-// up to cur: the bucket heap orders by (at, seq) regardless, and every
-// later bucket holds strictly later events, so a clamp is harmless.
-func (q *calendarQueue) insert(e *event) {
-	f := (e.at - q.start) / q.width
-	if f >= float64(len(q.buckets)) {
-		q.overflow.push(e)
-		return
-	}
-	i := int(f)
-	if i < q.cur {
-		i = q.cur
-	}
-	q.buckets[i].push(e)
-	q.occ[i>>6] |= 1 << (uint(i) & 63)
-	q.nWheel++
-}
-
-// insertClamped is insert for migrate: an event whose time sits exactly
-// on the window edge can round its index to len(buckets); clamping into
-// the last bucket keeps it ahead of everything left in overflow (all of
-// which is strictly later) instead of looping back there.
-func (q *calendarQueue) insertClamped(e *event) {
-	f := (e.at - q.start) / q.width
-	i := len(q.buckets) - 1
-	if f < float64(i) {
-		i = int(f)
-		if i < q.cur {
-			i = q.cur
-		}
-	}
-	q.buckets[i].push(e)
-	q.occ[i>>6] |= 1 << (uint(i) & 63)
-	q.nWheel++
-}
-
-// migrate re-anchors a drained wheel at the earliest overflow event and
-// pulls every event inside the new window back into buckets. Called
-// from peek when nWheel == 0 and overflow is not empty.
-func (q *calendarQueue) migrate() {
-	q.anchor(q.overflow[0].at)
-	limit := q.start + float64(len(q.buckets))*q.width
-	for len(q.overflow) > 0 && q.overflow[0].at < limit {
-		q.insertClamped(q.overflow.pop())
-	}
-}
-
-// rebuild resizes the wheel to fit the pending set (optionally folding
-// in one extra event from push) and re-fits width so the observed span
-// lands ~2 events per bucket. O(n), amortized O(1) against the inserts
-// that grew the set.
-func (q *calendarQueue) rebuild(extra *event) {
-	s := q.scratch[:0]
-	if extra != nil {
-		s = append(s, extra)
-	}
-	for b := q.cur; b < len(q.buckets); b++ {
-		s = append(s, q.buckets[b]...)
-		q.buckets[b] = q.buckets[b][:0]
-	}
-	s = append(s, q.overflow...)
-	q.overflow = q.overflow[:0]
-	q.scratch = s[:0]
-
-	nb := len(q.buckets)
-	for nb < wheelMaxBuckets && len(s) > 2*nb {
-		nb *= 2
-	}
-	if nb != len(q.buckets) {
-		//p2plint:allow hotalloc -- wheel resize to the pending-set high-water mark; rare and amortized
-		q.buckets = make([]eventHeap, nb)
-		//p2plint:allow hotalloc -- occupancy bitmap resize, paired with the wheel resize
-		q.occ = make([]uint64, nb/64)
-	} else {
-		for i := range q.occ {
-			q.occ[i] = 0
-		}
-	}
-
-	minAt, maxAt := math.Inf(1), math.Inf(-1)
-	for _, e := range s {
-		if e.at < minAt {
-			minAt = e.at
-		}
-		if e.at > maxAt {
-			maxAt = e.at
-		}
-	}
-	if span := maxAt - minAt; span > 0 {
-		w := 2 * span / float64(len(s))
-		if w < minBucketWidth {
-			w = minBucketWidth
-		}
-		q.width = w
-	}
-	q.start = minAt
-	q.cur = 0
-	q.nWheel = 0
-	for i, e := range s {
-		q.insert(e)
-		s[i] = nil
-	}
+// laneFirst reports whether the lane's head is the earliest pending
+// event (false when the lane is empty).
+func (q *eventQueue) laneFirst() bool {
+	return q.lane.n > 0 && (len(q.heap) == 0 || eventLess(q.lane.front(), q.heap[0]))
 }
 
 // peek returns the earliest pending event without removing it (nil when
-// empty), advancing cur to its bucket as a side effect.
-func (q *calendarQueue) peek() *event {
-	if q.n == 0 {
+// empty).
+func (q *eventQueue) peek() *event {
+	if q.laneFirst() {
+		return q.lane.front()
+	}
+	if len(q.heap) == 0 {
 		return nil
 	}
-	if q.nWheel == 0 {
-		q.migrate()
-	}
-	w := q.cur >> 6
-	mask := ^uint64(0) << (uint(q.cur) & 63)
-	for {
-		if b := q.occ[w] & mask; b != 0 {
-			q.cur = w<<6 + bits.TrailingZeros64(b)
-			return q.buckets[q.cur][0]
-		}
-		w++
-		mask = ^uint64(0)
-	}
+	return q.heap[0]
 }
 
 // pop removes and returns the earliest pending event (nil when empty).
 //
 //p2plint:hotpath -- every executed event leaves the queue here
-func (q *calendarQueue) pop() *event {
-	if q.peek() == nil {
+func (q *eventQueue) pop() *event {
+	if q.laneFirst() {
+		return q.lane.pop()
+	}
+	if len(q.heap) == 0 {
 		return nil
 	}
-	h := &q.buckets[q.cur]
-	e := h.pop()
-	if len(*h) == 0 {
-		q.occ[q.cur>>6] &^= 1 << (uint(q.cur) & 63)
-	}
-	q.nWheel--
-	q.n--
-	if q.n == 0 {
-		// Re-anchor on the next push: the window may be far behind by
-		// the time the queue refills.
-		q.anchored = false
-	} else if len(q.buckets) > wheelMinBuckets && q.n < len(q.buckets)/16 {
-		q.rebuild(nil)
-	}
-	return e
+	return q.heap.pop()
 }
 
 // eventFreeListCap bounds the executed-event freelist. A scheduling
@@ -338,7 +212,7 @@ const eventFreeListCap = 1 << 16
 // are barred from touching the simulator).
 type Simulator struct {
 	now    float64
-	events calendarQueue
+	events eventQueue
 	seq    uint64
 	rng    *xrand.Rand
 	ran    uint64
@@ -389,7 +263,7 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) Rand() *xrand.Rand { return s.rng }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return s.events.n }
+func (s *Simulator) Pending() int { return s.events.len() }
 
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.ran }
@@ -406,7 +280,7 @@ func (s *Simulator) At(t float64, fn func()) {
 	s.seq++
 	e := s.newEvent()
 	e.at, e.seq, e.fn = t, s.seq, fn
-	s.events.push(e)
+	s.events.heap.push(e)
 }
 
 // After schedules fn d time units from now. Negative d panics.
@@ -420,7 +294,9 @@ func (s *Simulator) After(d float64, fn func()) {
 // AtArg schedules fn(arg) at absolute virtual time t. It is the
 // allocation-free sibling of At for hot schedulers (the network's
 // delivery path): the caller keeps one long-lived fn and pools its arg
-// values, so nothing escapes per event.
+// values, so nothing escapes per event. An AtArg event that does not
+// sort before the lane's tail (the latest in-order delivery still
+// pending) takes the queue's in-order lane instead of the heap.
 //
 //p2plint:hotpath -- per-message scheduling path of the simulated network
 func (s *Simulator) AtArg(t float64, fn func(any), arg any) {
@@ -433,7 +309,7 @@ func (s *Simulator) AtArg(t float64, fn func(any), arg any) {
 	s.seq++
 	e := s.newEvent()
 	e.at, e.seq, e.argFn, e.arg = t, s.seq, fn, arg
-	s.events.push(e)
+	s.events.pushDelivery(e)
 }
 
 // AfterArg schedules fn(arg) d time units from now; see AtArg. Negative
@@ -510,7 +386,7 @@ func (t *Timer) Schedule(d float64) {
 	s.seq++
 	t.e.at, t.e.seq = at, s.seq
 	t.armed = true
-	s.events.push(t.e)
+	s.events.heap.push(t.e)
 }
 
 // step executes the earliest event, batching a contiguous same-instant
@@ -520,10 +396,10 @@ func (t *Timer) Schedule(d float64) {
 //
 //p2plint:hotpath -- event dispatch loop; every simulated message passes through here
 func (s *Simulator) step(budget int) int {
-	if s.events.n == 0 {
+	e := s.events.pop()
+	if e == nil {
 		return 0
 	}
-	e := s.events.pop()
 	s.now = e.at
 	if e.compute == nil {
 		s.ran++
