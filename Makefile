@@ -48,20 +48,25 @@ race:
 # of the routing rule, each table's row structure, and the XOR prefix
 # length against a bit-by-bit reference), the
 # response cache's slab against an unbounded map, and the serve tier's
-# plan and scan (shard bitmaps, page signatures) against the static
-# index on random small tiers, the Zipf sampler's guided search
+# plan and scan (shard bitmaps, page signatures, the ceiling skip under
+# tied, heavy-tailed and per-shard-constant scores) against the static
+# index on random small tiers, its degraded path (healthy, slow and
+# unreachable shards, replicas whose ceiling differs from the primary's)
+# field by field against a reference that scans every shard, the Zipf
+# sampler's guided search
 # against a search of the whole CDF, and the event queue's execution
 # order (schedules made from inside firing events: plain events, in- and
 # out-of-order deliveries, timer re-arms, ties, cut two-phase batches)
 # against a sort of everything scheduled, each over its seed corpus and whatever
 # ten seconds of mutation reach (go test takes one -fuzz target per
-# run). The CSR, cache, plan, group and Pastry targets cap minimization: shrinking each
+# run). The CSR, cache, plan, degraded, group and Pastry targets cap minimization: shrinking each
 # new-coverage input for the default minute would leave the pass a few
 # thousand inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueryCache -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzFrontendPlan -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzFrontendDegraded -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzParseFault -fuzztime 10s ./internal/cliflags/
 	$(GO) test -run '^$$' -fuzz FuzzParseReliable -fuzztime 10s ./internal/cliflags/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/netpeer/

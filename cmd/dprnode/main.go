@@ -116,6 +116,9 @@ func main() {
 	if *topk <= 0 {
 		fatal(fmt.Errorf("TopK = %d, must be positive", *topk))
 	}
+	if *topk > serve.MaxK {
+		fatal(fmt.Errorf("TopK = %d, must be at most %d", *topk, serve.MaxK))
+	}
 	if *qps < 0 {
 		fatal(fmt.Errorf("QPS = %d, must not be negative", *qps))
 	}

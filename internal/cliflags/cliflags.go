@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"p2prank/internal/dprcore"
+	"p2prank/internal/serve"
 )
 
 // Algorithm registers the shared -alg flag.
@@ -205,5 +206,5 @@ func QPS(fs *flag.FlagSet) *int {
 
 // TopK registers the shared -topk flag: results returned per query.
 func TopK(fs *flag.FlagSet) *int {
-	return fs.Int("topk", 10, "results per query")
+	return fs.Int("topk", 10, fmt.Sprintf("results per query (at most %d)", serve.MaxK))
 }

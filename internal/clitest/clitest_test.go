@@ -248,10 +248,11 @@ func TestDprsimBadRankerCounts(t *testing.T) {
 	}
 }
 
-// TestDprsimBadServeInputs: a non-positive -topk, a negative -qps and
-// a storm too short for its schedule are refused before any tier is
-// built, with an error naming the field — not a failed first query, a
-// silent closed loop, or a stack trace.
+// TestDprsimBadServeInputs: a -topk outside [1, serve.MaxK], a
+// negative -qps and a storm too short for its schedule are refused
+// before any tier is built, with an error naming the field — not a
+// failed first query, a silent closed loop, a merge heap sized by the
+// flag, or a stack trace.
 func TestDprsimBadServeInputs(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -259,6 +260,8 @@ func TestDprsimBadServeInputs(t *testing.T) {
 	}{
 		{[]string{"-exp", "serve", "-ks", "16", "-topk", "0"}, "TopK"},
 		{[]string{"-exp", "degrade", "-k", "16", "-topk", "-1"}, "TopK"},
+		{[]string{"-exp", "serve", "-ks", "16", "-topk", "1001"}, "TopK = 1001, must be at most 1000"},
+		{[]string{"-exp", "degrade", "-k", "16", "-topk", "1001"}, "TopK = 1001, must be at most 1000"},
 		{[]string{"-exp", "serve", "-ks", "16", "-queries", "200", "-qps", "-5"}, "QPS"},
 		{[]string{"-exp", "degrade", "-k", "16", "-queries", "16"}, "Queries"},
 	} {
@@ -274,8 +277,8 @@ func TestDprsimBadServeInputs(t *testing.T) {
 	}
 }
 
-// TestDprnodeBadServeInputs: dprnode refuses a non-positive -topk and
-// a negative -qps with dprsim's wording, before it builds a crawl or a
+// TestDprnodeBadServeInputs: dprnode refuses a -topk outside
+// [1, serve.MaxK] and a negative -qps with dprsim's wording, before it builds a crawl or a
 // cluster — not a load generator whose every query fails, or a banner
 // advertising a k the handler does not use. The same holds, within a
 // few seconds, for a -target no run can reach (it used to rank until
@@ -295,6 +298,7 @@ func TestDprnodeBadServeInputs(t *testing.T) {
 	runs := []badRun{
 		{demo("-topk", "0"), "TopK = 0, must be positive"},
 		{demo("-topk", "-3"), "TopK = -3, must be positive"},
+		{demo("-topk", "1001"), "TopK = 1001, must be at most 1000"},
 		{demo("-qps", "-5"), "QPS = -5, must not be negative"},
 		{demo("-target", "0"), "Target = 0, must be positive"},
 		{demo("-target", "-1e-6"), "Target = -1e-06, must be positive"},

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2prank/internal/partition"
+	"p2prank/internal/serve"
 	"p2prank/internal/webgraph"
 )
 
@@ -191,6 +192,7 @@ func TestValidation(t *testing.T) {
 		{"churn", Params{MaxTime: math.Inf(-1)}, "MaxTime"},
 		{"serve", storming(Params{TopK: -1}), "TopK"},
 		{"degrade", storming(Params{TopK: -2}), "TopK"},
+		{"serve", storming(Params{TopK: serve.MaxK + 1}), "TopK = 1001, must be at most 1000"},
 		{"serve", Params{Queries: 400, Meter: storming(Params{}).Meter}, "TopK"},
 		{"serve", storming(Params{QPS: -5}), "QPS"},
 		{"fig8", Params{QPS: -5}, "QPS"},

@@ -466,6 +466,9 @@ func (e Experiment) Run(p Params) (*Result, error) {
 		if p.TopK <= 0 {
 			return bad("TopK = %d, must be positive", p.TopK)
 		}
+		if p.TopK > serve.MaxK {
+			return bad("TopK = %d, must be at most %d", p.TopK, serve.MaxK)
+		}
 		if p.Queries < minStormQueries {
 			return bad("Queries = %d, a storm needs at least %d", p.Queries, minStormQueries)
 		}

@@ -48,7 +48,10 @@ var errShed error = &search.OverloadError{RetryAfter: retryAfterSeconds}
 // against that shard's current snapshot, and merges the partials with a
 // bounded heap. Scores are NOT stored here — they come from the Store's
 // snapshots at query time, which is what makes serving versioned.
-// Build it once; serve queries through per-goroutine Queriers.
+// Every planned shard is consulted — it counts in Cost, Version and
+// Staleness — but only one whose snapshot's best score could still
+// enter the heap is scanned. Build it once; serve queries through
+// per-goroutine Queriers.
 type Frontend struct {
 	text  search.Config
 	ov    overlay.Network
@@ -394,7 +397,10 @@ func (f *Frontend) NewQuerier() *Querier {
 // Every shard holding all the query's terms is consulted, in ascending
 // order; what one costs is its health and snapshot reads, the posting
 // ranges the plan already found, and a slot of the origin's hop row —
-// no lookup of any kind.
+// no lookup of any kind. A consulted shard is scanned only when its
+// snapshot's ceiling, its largest score, is not below the worst posting
+// of a full heap; skipped or scanned, it counts in Cost, Version and
+// Staleness alike, so the skip changes no Response field.
 //
 // Degraded mode (Config.Health set): unreachable shards are skipped
 // and the lost coverage reported in resp.Coverage/Degraded instead of
@@ -512,9 +518,13 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			maxStale = stale
 		}
 		// A shard whose intersection comes out empty — by signature or by
-		// block — was still consulted: it counts in Cost, Version and
-		// Staleness like any other.
-		q.scanShard(c, f.pages[s], snap.Scores, len(req.Terms))
+		// block — or whose scan is skipped was still consulted: it counts
+		// in Cost, Version and Staleness like any other. The scan is
+		// skipped when the snapshot read (the replica, on a hedge) has its
+		// ceiling strictly below a full heap's worst.
+		if !q.heap.below(snap.ceiling) {
+			q.scanShard(c, f.pages[s], snap.Scores, len(req.Terms))
+		}
 		h := hopRow[s]
 		if h < 0 {
 			routed, err := overlay.Hops(f.ov, req.From, f.ov.NodeID(int(s)))

@@ -116,10 +116,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// What one request may ask for. A k sizes the merge heap and a term
-// list is kept as a cache key, so neither can be left to the client.
+// What one request may ask for. A k-posting answer is merged, cached
+// and encoded per query and a term list is kept as a cache key, so
+// neither can be left to the client. MaxK also caps a command's -topk,
+// which becomes the handler's default k and the load generator's.
 const (
-	maxRequestK     = 1000
+	MaxK            = 1000
 	maxRequestTerms = 32
 )
 
@@ -148,8 +150,8 @@ func (h *Handler) parseQuery(q url.Values) (search.Request, error) {
 		if err != nil {
 			return search.Request{}, fmt.Errorf("serve: bad k %q: %w", raw, err)
 		}
-		if k < 1 || k > maxRequestK {
-			return search.Request{}, fmt.Errorf("serve: k = %d, must be in [1, %d]", k, maxRequestK)
+		if k < 1 || k > MaxK {
+			return search.Request{}, fmt.Errorf("serve: k = %d, must be in [1, %d]", k, MaxK)
 		}
 		req.K = k
 	}

@@ -44,7 +44,7 @@ func FuzzParseQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if req.K < 1 || req.K > maxRequestK {
+		if req.K < 1 || req.K > MaxK {
 			t.Fatalf("%q: accepted k = %d", raw, req.K)
 		}
 		if req.From < 0 || req.From >= ov.NumNodes() {

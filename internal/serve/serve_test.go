@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -312,6 +313,36 @@ func TestServeValidation(t *testing.T) {
 	}
 	if err := q.Serve(search.Request{Terms: []int32{9999}, K: 3}, &resp); !errors.Is(err, search.ErrUnknownTerm) {
 		t.Errorf("out-of-vocabulary term: err = %v, want ErrUnknownTerm", err)
+	}
+}
+
+// A query's K is the client's, so it must not size anything by itself:
+// the merge heap grows only with the postings it keeps. A K of 1<<20 on
+// the 300-page tier used to reserve a heap of a million postings,
+// 16 MB, before the first shard was scanned.
+func TestHugeKAllocatesByPostings(t *testing.T) {
+	f := newFixture(t, 300, 4, -1)
+	ix, err := search.Build(f.g, f.ranks, f.ov, f.assign, f.text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := search.Request{Terms: []int32{0}, K: 1 << 20}
+	var got, want search.Response
+	q := f.fe.NewQuerier()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := q.Serve(req, &got); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("a K = %d query returning %d postings allocated %d bytes, want under 1 MB", req.K, len(got.Postings), n)
+	}
+	if err := ix.Serve(req, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Postings) == 0 || !slices.Equal(got.Postings, want.Postings) {
+		t.Fatalf("K = %d: %d postings, static index %d", req.K, len(got.Postings), len(want.Postings))
 	}
 }
 

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"p2prank/internal/telemetry"
@@ -35,6 +36,10 @@ type ShardSnapshot struct {
 	// Scores are the shard's local-page-indexed ranks (the group's
 	// Pages order). Readers must not modify them.
 	Scores []float64
+	// ceiling is the largest of Scores, −Inf when there are none; a NaN
+	// never raises it. A query whose full merge heap's worst score is
+	// strictly above it skips the shard's scan.
+	ceiling float64
 }
 
 type shardSlot struct {
@@ -88,17 +93,23 @@ func (s *Store) NumShards() int { return len(s.shards) }
 func (s *Store) Version() int64 { return s.version.Load() }
 
 // Publish installs a new snapshot for shard: scores are copied (the
-// caller's buffer is typically reused), a fresh global version is
-// minted, and the shard's staleness ticks reset to zero. Returns the
-// minted version.
+// caller's buffer is typically reused) and their ceiling taken in the
+// same pass, a fresh global version is minted, and the shard's
+// staleness ticks reset to zero. Returns the minted version.
 func (s *Store) Publish(shard int, round int64, scores []float64) (int64, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return 0, fmt.Errorf("serve: publish to shard %d of %d", shard, len(s.shards))
 	}
 	cp := make([]float64, len(scores))
-	copy(cp, scores)
+	top := math.Inf(-1)
+	for i, x := range scores {
+		cp[i] = x
+		if x > top {
+			top = x
+		}
+	}
 	v := s.mint()
-	s.install(&ShardSnapshot{Shard: shard, Version: v, Round: round, Scores: cp})
+	s.install(&ShardSnapshot{Shard: shard, Version: v, Round: round, Scores: cp, ceiling: top})
 	if s.tel != nil {
 		s.tel.SnapshotPublished(shard, v, round)
 	}

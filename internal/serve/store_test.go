@@ -67,7 +67,7 @@ func TestQueryInsidePublishIsNotCached(t *testing.T) {
 	if n, _ := fe.cache.usage(); n != 0 {
 		t.Errorf("an answer computed inside a publish was cached (%d entries)", n)
 	}
-	store.install(&ShardSnapshot{Shard: 0, Version: v, Round: 2, Scores: scores(2)})
+	store.install(&ShardSnapshot{Shard: 0, Version: v, Round: 2, Scores: scores(2), ceiling: 2})
 	serve(2)
 	hits, _ := fe.CacheStats()
 	serve(2)

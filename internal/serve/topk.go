@@ -23,15 +23,13 @@ func worse(a, b search.Posting) bool {
 	return a.Page > b.Page
 }
 
-// reset prepares the heap for a query keeping at most k results.
+// reset prepares the heap for a query keeping at most k results. It
+// reserves nothing: k is the client's, so the heap grows only as far as
+// the postings it keeps, to the querier's high-water mark, then reuses.
 //
 //p2plint:hotpath
 func (h *topK) reset(k int) {
 	h.k = k
-	if cap(h.items) < k {
-		//p2plint:allow hotalloc -- heap grows to the querier's k high-water mark, then reuses
-		h.items = make([]search.Posting, 0, k)
-	}
 	h.items = h.items[:0]
 }
 
