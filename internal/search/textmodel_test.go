@@ -1,7 +1,10 @@
 package search
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"runtime"
 	"slices"
@@ -76,6 +79,33 @@ func TestDrawMatchesReference(t *testing.T) {
 				t.Fatalf("%+v page %d: matrix row %v, reference %v", cfg, p, tm.Row(p), want)
 			}
 		}
+	}
+}
+
+// The text model's draws are pinned: every term matrix, serving
+// tier and golden built over the default model depends on them, so the
+// hash of the default matrix over the default 2000-page crawl (seed 1)
+// must not move when the model's code does.
+func TestTermMatrixPinned(t *testing.T) {
+	g, err := webgraph.Generate(webgraph.DefaultGenConfig(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := DrawTerms(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [4]byte
+	for p := int32(0); p < int32(g.NumPages()); p++ {
+		for _, term := range tm.Row(p) {
+			binary.LittleEndian.PutUint32(buf[:], uint32(term))
+			h.Write(buf[:])
+		}
+	}
+	const want = "0x9dd8baca2c2cba0f"
+	if got := fmt.Sprintf("%#016x", h.Sum64()); got != want {
+		t.Fatalf("term matrix hashes to %s, pinned %s", got, want)
 	}
 }
 
