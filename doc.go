@@ -6,8 +6,10 @@
 //
 // Start at examples/quickstart for the whole workflow in one file,
 // DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// paper-vs-measured results. bench_test.go in this directory
-// regenerates every figure and table of the paper's evaluation:
+// paper-vs-measured results. `go run ./cmd/dprsim -exp NAME`
+// regenerates each figure and table of the paper's evaluation, and
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench Experiment -benchtime 1x ./internal/experiments/
+//
+// times every one of them at the size its golden file pins.
 package p2prank

@@ -106,6 +106,22 @@ func TestGenwebTinyAndNegativeSites(t *testing.T) {
 	}
 }
 
+// A non-finite shape flag is refused by the field it sets: NaN and Inf
+// degrees used to write a crawl of no links, a NaN external fraction
+// one with almost none leaving it.
+func TestGenwebNonFiniteShapeRefused(t *testing.T) {
+	for _, c := range []struct{ flag, value, field string }{
+		{"-degree", "NaN", "MeanOutDegree"},
+		{"-degree", "Inf", "MeanOutDegree"},
+		{"-extfrac", "NaN", "ExternalFrac"},
+	} {
+		out, err := exec.Command(filepath.Join(builtDir, "genweb"), "-pages", "1000", c.flag, c.value).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.field) {
+			t.Errorf("genweb %s %s: err %v, output %q; want a refusal naming %s", c.flag, c.value, err, out, c.field)
+		}
+	}
+}
+
 func TestGenwebWriteAndDprnodeLoad(t *testing.T) {
 	graph := filepath.Join(t.TempDir(), "crawl.bin")
 	run(t, "genweb", "-pages", "2000", "-out", graph)

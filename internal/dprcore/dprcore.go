@@ -108,9 +108,6 @@ type Params struct {
 	// Alpha is the real-link rank fraction (must match the Group's;
 	// runtimes default it to 0.85).
 	Alpha float64
-	// InnerEpsilon is DPR1's GroupPageRank termination threshold
-	// (runtimes default it to 1e-10).
-	InnerEpsilon float64
 	// SendProb is the probability that the Y vector for a destination
 	// group is successfully sent in a loop (the paper's parameter p;
 	// p = 1 means lossless; runtimes default it to 1).
@@ -129,8 +126,11 @@ type Params struct {
 	// Reliable layers acknowledged delivery — retransmission with
 	// exponential backoff and a dead-peer circuit breaker — above the
 	// fault seam (see ReliableSender), so retries are exercised under
-	// injected loss. The zero value disables it; enabling it draws
-	// jitter from a private RNG stream and never perturbs the loop's.
+	// injected loss. Every send restarts its destination's retry count,
+	// so the breaker opens only when no new round reaches a destination
+	// for all six backed-off retries, 63·Timeout. The zero value
+	// disables it; enabling it draws jitter from a private RNG stream
+	// and never perturbs the loop's.
 	Reliable ReliableConfig
 	// Checkpoint snapshots each loop's recoverable state on a round
 	// cadence (see CheckpointConfig), enabling restart-from-checkpoint
@@ -150,9 +150,6 @@ func (p *Params) Defaults(t1, t2 float64) {
 	if p.Alpha == 0 {
 		p.Alpha = 0.85
 	}
-	if p.InnerEpsilon == 0 {
-		p.InnerEpsilon = 1e-10
-	}
 	if p.SendProb == 0 {
 		p.SendProb = 1
 	}
@@ -168,9 +165,6 @@ func (p *Params) validateLoop() error {
 	}
 	if p.Alpha <= 0 || p.Alpha >= 1 {
 		return fmt.Errorf("dprcore: alpha = %v, must be in (0,1)", p.Alpha)
-	}
-	if p.InnerEpsilon < 0 {
-		return fmt.Errorf("dprcore: negative InnerEpsilon %v", p.InnerEpsilon)
 	}
 	if p.SendProb < 0 || p.SendProb > 1 {
 		return fmt.Errorf("dprcore: SendProb %v outside [0,1]", p.SendProb)

@@ -18,9 +18,13 @@ import (
 // validation, not a bug trap.
 var ErrBadChunk = errors.New("dprcore: bad chunk")
 
-// innerMaxIter bounds DPR1's inner GroupPageRank solve. ‖A‖∞ ≤ α < 1
-// makes the solve converge for any positive ε long before it.
-const innerMaxIter = 10000
+// innerEpsilon is DPR1's GroupPageRank termination threshold, and
+// innerMaxIter bounds the solve: ‖A‖∞ ≤ α < 1 makes it converge for any
+// positive ε long before it.
+const (
+	innerEpsilon = 1e-10
+	innerMaxIter = 10000
+)
 
 // Loop is one page ranker's algorithmic state and update rule, shared
 // verbatim by every runtime. Its afferent state is one slot per group
@@ -158,7 +162,7 @@ func (l *Loop) ComputePhase() {
 	case DPR1:
 		opt := pagerank.Options{
 			Alpha:   l.p.Alpha,
-			Epsilon: l.p.InnerEpsilon,
+			Epsilon: innerEpsilon,
 			MaxIter: innerMaxIter,
 		}
 		res, err := l.grp.Sys.SolveInPlace(l.r, l.x, l.scratch, opt)

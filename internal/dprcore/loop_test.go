@@ -51,7 +51,7 @@ func testGroup(t testing.TB, idx int, eff map[int32][]EffEntry) *Group {
 }
 
 func testParams() Params {
-	return Params{Alg: DPR1, Alpha: 0.85, InnerEpsilon: 1e-12, SendProb: 1}
+	return Params{Alg: DPR1, Alpha: 0.85, SendProb: 1}
 }
 
 const testMeanWait = 10
@@ -245,7 +245,6 @@ func TestNewLoopValidation(t *testing.T) {
 		"bad alg":       {grp, Params{Alg: Algorithm(7), Alpha: 0.85}, 10, &recordSender{}, constRNG{}, "algorithm"},
 		"alpha 0":       {grp, Params{Alg: DPR1}, 10, &recordSender{}, constRNG{}, "alpha"},
 		"alpha 1.2":     {grp, Params{Alg: DPR1, Alpha: 1.2}, 10, &recordSender{}, constRNG{}, "alpha"},
-		"neg epsilon":   {grp, Params{Alg: DPR1, Alpha: 0.85, InnerEpsilon: -1}, 10, &recordSender{}, constRNG{}, "InnerEpsilon"},
 		"sendprob 1.5":  {grp, Params{Alg: DPR1, Alpha: 0.85, SendProb: 1.5}, 10, &recordSender{}, constRNG{}, "SendProb"},
 		"neg mean wait": {grp, ok, -1, &recordSender{}, constRNG{}, "mean wait"},
 	} {

@@ -58,7 +58,7 @@ func buildEquivGroups(t *testing.T) []*dprcore.Group {
 // map-based loop produced (captured at the parent of that change).
 func TestSnapshotBytesPinned(t *testing.T) {
 	groups := buildEquivGroups(t)
-	p := dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, InnerEpsilon: 1e-10, SendProb: 0.7}
+	p := dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, SendProb: 0.7}
 	s := &loopbackSender{}
 	root := xrand.New(99)
 	for _, grp := range groups {

@@ -35,7 +35,7 @@ const Pastry OverlayKind = 0
 // Config describes one experiment. Zero values select the defaults
 // noted per field; Graph, K, and MaxTime are required.
 //
-// The algorithm knobs (Alg, Alpha, InnerEpsilon, SendProb, T1/T2,
+// The algorithm knobs (Alg, Alpha, SendProb, T1/T2,
 // Fault, Observer) live in the embedded dprcore.Params, the
 // configuration surface shared with netpeer — see DESIGN.md §9.
 // Engine-specific notes: T1/T2 are in virtual time units and default
@@ -355,19 +355,9 @@ func Reference(g *webgraph.Graph, alpha float64) (vecmath.Vec, error) {
 
 // CPRIterations returns the number of centralized power-iteration steps
 // (starting from R0 = 0, like the distributed algorithms) needed to
-// bring the relative error against the fixed point below target. This
-// is the CPR curve of Figure 8.
-func CPRIterations(g *webgraph.Graph, alpha, target float64) (int, error) {
-	star, err := Reference(g, alpha)
-	if err != nil {
-		return 0, err
-	}
-	return CPRIterationsFrom(g, alpha, target, star)
-}
-
-// CPRIterationsFrom is CPRIterations with the fixed point star already
-// in hand (see Reference).
-func CPRIterationsFrom(g *webgraph.Graph, alpha, target float64, star vecmath.Vec) (int, error) {
+// bring the relative error against the fixed point star (see
+// Reference) below target. This is the CPR curve of Figure 8.
+func CPRIterations(g *webgraph.Graph, alpha, target float64, star vecmath.Vec) (int, error) {
 	if target <= 0 {
 		return 0, fmt.Errorf("engine: target must be positive, got %v", target)
 	}

@@ -362,7 +362,11 @@ func TestSampleEveryBeyondMaxTime(t *testing.T) {
 
 func TestCPRIterations(t *testing.T) {
 	g := genGraph(t, 2000, 21)
-	it, err := CPRIterations(g, 0.85, 1e-4)
+	star, err := Reference(g, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := CPRIterations(g, 0.85, 1e-4, star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +375,14 @@ func TestCPRIterations(t *testing.T) {
 	if it < 5 || it > 60 {
 		t.Fatalf("CPR iterations = %d, implausible", it)
 	}
-	it2, err := CPRIterations(g, 0.85, 1e-2)
+	it2, err := CPRIterations(g, 0.85, 1e-2, star)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it2 >= it {
 		t.Fatalf("looser target needs %d ≥ %d iterations", it2, it)
 	}
-	if _, err := CPRIterations(g, 0.85, 0); err == nil {
+	if _, err := CPRIterations(g, 0.85, 0, star); err == nil {
 		t.Fatal("zero target accepted")
 	}
 }
@@ -390,7 +394,11 @@ func TestCPRIterations(t *testing.T) {
 func TestFig8Ordering(t *testing.T) {
 	g := genGraph(t, 2500, 23)
 	const target = 1e-4
-	cpr, err := CPRIterations(g, 0.85, target)
+	star, err := Reference(g, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpr, err := CPRIterations(g, 0.85, target, star)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestSimAndDriveEmitIdenticalChunkSequences(t *testing.T) {
 		t.Fatal("no group has pages and efferent links; pick another seed")
 	}
 	p := dprcore.Params{
-		Alg: dprcore.DPR1, Alpha: 0.85, InnerEpsilon: 1e-10,
+		Alg: dprcore.DPR1, Alpha: 0.85,
 		SendProb: 0.7, // < 1, so commit-phase coin flips are exercised
 	}
 	const meanWait = 5.0

@@ -150,10 +150,9 @@ func assemble(g *webgraph.Graph, a *partition.Assignment, rankers []*ranker) vec
 
 func baseParams(alg dprcore.Algorithm) dprcore.Params {
 	return dprcore.Params{
-		Alg:          alg,
-		Alpha:        0.85,
-		InnerEpsilon: 1e-10,
-		SendProb:     1,
+		Alg:      alg,
+		Alpha:    0.85,
+		SendProb: 1,
 	}
 }
 
@@ -365,7 +364,6 @@ func TestRankerConfigValidation(t *testing.T) {
 		{dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, SendProb: -0.1}, 1},
 		{dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, SendProb: 2}, 1},
 		{dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, SendProb: 1}, -1},
-		{dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, InnerEpsilon: -1, SendProb: 1}, 1},
 	}
 	for i, tc := range bad {
 		if _, err := newRanker(groups[0], tc.p, tc.meanWait, sim, sender, rng); err == nil {
@@ -428,7 +426,7 @@ func BenchmarkDPR1Loop(b *testing.B) {
 	sim := simnet.New(1)
 	sender := &instantSender{}
 	rankers := make([]*ranker, 8)
-	rp := dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, InnerEpsilon: 1e-10, SendProb: 1}
+	rp := dprcore.Params{Alg: dprcore.DPR1, Alpha: 0.85, SendProb: 1}
 	root := xrand.New(1)
 	for i := range rankers {
 		rk, err := newRanker(groups[i], rp, 1, sim, sender, root.Fork())

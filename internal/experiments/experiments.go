@@ -134,7 +134,7 @@ func fig8Loops(x *env, c pair[dprcore.Algorithm]) (float64, error) {
 // fig8Rows joins the (K, DPR1) and (K, DPR2) cells into one row per K,
 // beside the centralized iteration count.
 func fig8Rows(x *env, loops []float64, res *Result) error {
-	cpr, err := engine.CPRIterationsFrom(x.g, defaultAlpha, fig8Target, x.ref)
+	cpr, err := engine.CPRIterations(x.g, defaultAlpha, fig8Target, x.ref)
 	if err != nil {
 		return err
 	}

@@ -121,6 +121,24 @@ func TestEveryExperiment(t *testing.T) {
 	}
 }
 
+// BenchmarkExperiment times every registered experiment at the size
+// its golden pins (toyParams), so the goldens and the timings share one
+// parameter table:
+//
+//	go test -run '^$' -bench Experiment -benchtime 1x ./internal/experiments/
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range All() {
+		p := toyParams(e.Name)
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestLookupAndUsage(t *testing.T) {
 	for _, e := range All() {
 		got, err := Lookup(e.Name)

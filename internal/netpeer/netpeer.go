@@ -38,7 +38,7 @@ import (
 
 // Config parameterizes one peer.
 //
-// The algorithm knobs (Alg, Alpha, InnerEpsilon, SendProb, T1/T2,
+// The algorithm knobs (Alg, Alpha, SendProb, T1/T2,
 // Fault, Observer) live in the embedded dprcore.Params, the same
 // configuration surface the simulator's engine.Config embeds — see
 // DESIGN.md §9. On the live stack T1/T2 are wall-clock nanoseconds;

@@ -185,7 +185,6 @@ func TestPeerConfigValidation(t *testing.T) {
 		{Group: grp, Params: dprcore.Params{Alg: dprcore.Algorithm(9)}},
 		{Group: grp, Params: dprcore.Params{Alpha: 2}},
 		{Group: grp, Params: dprcore.Params{Alpha: -1}},
-		{Group: grp, Params: dprcore.Params{InnerEpsilon: -1}},
 		{Group: grp, Params: dprcore.Params{SendProb: -0.5}},
 		{Group: grp, Params: dprcore.Params{SendProb: 1.5}},
 		{Group: grp, Params: dprcore.Params{T1: 5, T2: 1}},

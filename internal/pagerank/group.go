@@ -106,9 +106,6 @@ func (s *GroupSystem) SolveInPlace(r, x, scratch vecmath.Vec, opt Options) (Resu
 		cur, next = next, cur
 		res.Iterations = it + 1
 		res.FinalDelta = delta
-		if opt.TrackResiduals {
-			res.Residuals = append(res.Residuals, delta)
-		}
 		if delta <= opt.Epsilon {
 			res.Converged = true
 			break

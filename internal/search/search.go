@@ -18,9 +18,7 @@ package search
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -34,6 +32,13 @@ import (
 	"p2prank/internal/xrand"
 )
 
+// skew is the Zipf exponent of term popularity: 1, natural-language-
+// like. At skew 1 every term's probability is at least 1/(V·H_V), far
+// above float64 resolution for any vocabulary that fits in memory, so
+// every term can be drawn and any TermsPerPage ≤ Vocabulary is
+// reachable.
+const skew = 1.0
+
 // Config parameterizes the synthetic text model and index.
 type Config struct {
 	// Vocabulary is the number of distinct terms (default 5000).
@@ -41,20 +46,12 @@ type Config struct {
 	// TermsPerPage is how many distinct terms each page contains
 	// (default 12).
 	TermsPerPage int
-	// Skew is the Zipf exponent of term popularity (default 1.0 —
-	// natural-language-like).
-	Skew float64
 }
 
 // DefaultConfig returns the standard text model.
 func DefaultConfig() Config {
-	return Config{Vocabulary: 5000, TermsPerPage: 12, Skew: 1.0}
+	return Config{Vocabulary: 5000, TermsPerPage: 12}
 }
-
-// ErrTooFewTerms reports a text model no page can be drawn from: the
-// skew is so steep that the float64 Zipf table gives fewer than
-// TermsPerPage terms any probability at all.
-var ErrTooFewTerms = errors.New("search: skew leaves fewer drawable terms than TermsPerPage")
 
 // WithDefaults returns the config with zero fields filled in, or an
 // error for out-of-range values — the exported spelling of the
@@ -74,16 +71,13 @@ type model struct {
 }
 
 // compile fills in cfg's defaults, validates it and attaches the Zipf
-// table for (Vocabulary, Skew).
+// table for its Vocabulary.
 func compile(cfg Config) (model, error) {
 	if cfg.Vocabulary == 0 {
 		cfg.Vocabulary = 5000
 	}
 	if cfg.TermsPerPage == 0 {
 		cfg.TermsPerPage = 12
-	}
-	if cfg.Skew == 0 {
-		cfg.Skew = 1.0
 	}
 	m := model{cfg: cfg}
 	if cfg.Vocabulary < 1 || cfg.TermsPerPage < 1 {
@@ -94,48 +88,35 @@ func compile(cfg Config) (model, error) {
 		return m, fmt.Errorf("search: TermsPerPage %d exceeds vocabulary %d",
 			cfg.TermsPerPage, cfg.Vocabulary)
 	}
-	if cfg.Skew < 0 || math.IsNaN(cfg.Skew) {
-		return m, fmt.Errorf("search: skew %v must be non-negative", cfg.Skew)
-	}
-	m.zipf = zipfTable(cfg.Vocabulary, cfg.Skew)
-	if n := m.zipf.Support(); n < cfg.TermsPerPage {
-		return m, fmt.Errorf("%w: skew %v reaches %d of %d terms, TermsPerPage is %d",
-			ErrTooFewTerms, cfg.Skew, n, cfg.Vocabulary, cfg.TermsPerPage)
-	}
+	m.zipf = zipfTable(cfg.Vocabulary)
 	return m, nil
 }
 
-// tables memoizes the Zipf table per (Vocabulary, Skew). The table is
+// tables memoizes the Zipf table per Vocabulary. The table is
 // an immutable pure function of its key, so the memo is invisible to
 // callers; it exists because the table costs Vocabulary math.Pow calls
 // — a thousand times one page's draw — and TermsOf takes a Config, not
 // a compiled model.
 var tables struct {
 	sync.Mutex
-	m map[tableKey]*xrand.ZipfTable
-}
-
-type tableKey struct {
-	vocabulary int
-	skew       float64
+	m map[int]*xrand.ZipfTable
 }
 
 // maxTables bounds the memo: a process sweeping text models keeps the
 // recent ones instead of every one.
 const maxTables = 16
 
-func zipfTable(vocabulary int, skew float64) *xrand.ZipfTable {
-	key := tableKey{vocabulary, skew}
+func zipfTable(vocabulary int) *xrand.ZipfTable {
 	tables.Lock()
 	defer tables.Unlock()
-	if t := tables.m[key]; t != nil {
+	if t := tables.m[vocabulary]; t != nil {
 		return t
 	}
 	if tables.m == nil || len(tables.m) >= maxTables {
-		tables.m = make(map[tableKey]*xrand.ZipfTable)
+		tables.m = make(map[int]*xrand.ZipfTable)
 	}
 	t := xrand.NewZipfTable(vocabulary, skew)
-	tables.m[key] = t
+	tables.m[vocabulary] = t
 	return t
 }
 

@@ -2,7 +2,6 @@ package search
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"p2prank/internal/nodeid"
 	"p2prank/internal/webgraph"
@@ -24,7 +22,7 @@ import (
 func referenceTermsOf(g *webgraph.Graph, p int32, cfg Config) []int32 {
 	id := nodeid.Hash(g.URL(p))
 	rng := xrand.New(id.Lo ^ id.Hi)
-	z := xrand.NewZipf(rng, cfg.Vocabulary, cfg.Skew)
+	z := xrand.NewZipf(rng, cfg.Vocabulary, skew)
 	seen := make(map[int32]bool, cfg.TermsPerPage)
 	out := make([]int32, 0, cfg.TermsPerPage)
 	for len(out) < cfg.TermsPerPage {
@@ -54,9 +52,9 @@ func TestDrawMatchesReference(t *testing.T) {
 	g := crawl(t, 2000)
 	for _, cfg := range []Config{
 		DefaultConfig(),
-		{Vocabulary: 300, TermsPerPage: 6, Skew: 0},        // zero Skew: filled in as 1.0
-		{Vocabulary: 5000, TermsPerPage: 12, Skew: 1e-300}, // flat
-		{Vocabulary: 40, TermsPerPage: 25, Skew: 1.3},      // most draws are repeats
+		{Vocabulary: 300, TermsPerPage: 6},
+		{Vocabulary: 40, TermsPerPage: 25}, // most draws are repeats
+		{Vocabulary: 12, TermsPerPage: 12}, // every page holds every term
 	} {
 		tm, err := DrawTerms(g, cfg)
 		if err != nil {
@@ -115,7 +113,7 @@ func TestDrawAcrossMoreModelsThanMemoized(t *testing.T) {
 	g := crawl(t, 50)
 	for round := 0; round < 2; round++ {
 		for v := 20; v < 20+2*maxTables; v++ {
-			cfg := Config{Vocabulary: v, TermsPerPage: 5, Skew: 0.7}
+			cfg := Config{Vocabulary: v, TermsPerPage: 5}
 			got, err := TermsOf(g, 7, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -141,36 +139,6 @@ func TestAppendTermsNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("appendTerms with dst supplied allocates %.1f times per page, want 0", allocs)
-	}
-}
-
-// A skew so steep that the float64 CDF saturates after two terms used
-// to spin TermsOf's rejection loop forever. Every entry point must
-// refuse the model instead; the watchdog turns a relapse into a
-// failure rather than a hung test binary.
-func TestSteepSkewRejected(t *testing.T) {
-	f := newFixture(t, 300, 4)
-	steep := Config{Vocabulary: 5000, TermsPerPage: 12, Skew: 50}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := steep.WithDefaults(); !errors.Is(err, ErrTooFewTerms) {
-			t.Errorf("WithDefaults: %v, want ErrTooFewTerms", err)
-		}
-		if _, err := TermsOf(f.g, 0, steep); !errors.Is(err, ErrTooFewTerms) {
-			t.Errorf("TermsOf: %v, want ErrTooFewTerms", err)
-		}
-		if _, err := DrawTerms(f.g, steep); !errors.Is(err, ErrTooFewTerms) {
-			t.Errorf("DrawTerms: %v, want ErrTooFewTerms", err)
-		}
-		if _, err := Build(f.g, f.ranks, f.ov, f.assign, steep); !errors.Is(err, ErrTooFewTerms) {
-			t.Errorf("Build: %v, want ErrTooFewTerms", err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		t.Fatal("steep-skew text model still spinning after 3 s")
 	}
 }
 

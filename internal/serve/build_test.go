@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -56,7 +55,7 @@ func buildInputs(t testing.TB, pages, k int) (*webgraph.Graph, *pastry.Overlay, 
 // slice.
 func TestFrontendBuildMatchesDefinition(t *testing.T) {
 	g, ov, assign, store := buildInputs(t, 3000, 40)
-	text := search.Config{Vocabulary: 300, TermsPerPage: 7, Skew: 0.9}
+	text := search.Config{Vocabulary: 300, TermsPerPage: 7}
 
 	// want[t][s] lists the local indices of shard s's pages holding t.
 	want := make([]map[int32][]int32, text.Vocabulary)
@@ -176,9 +175,8 @@ func TestFrontendBuildMatchesDefinition(t *testing.T) {
 
 func TestFrontendTextModelValidation(t *testing.T) {
 	g, ov, assign, store := buildInputs(t, 300, 4)
-	steep := search.Config{Vocabulary: 5000, TermsPerPage: 12, Skew: 50}
-	if _, err := NewFrontend(g, ov, assign, store, Config{Text: steep}); !errors.Is(err, search.ErrTooFewTerms) {
-		t.Errorf("steep skew: %v, want ErrTooFewTerms", err)
+	if _, err := NewFrontend(g, ov, assign, store, Config{Text: search.Config{Vocabulary: 5, TermsPerPage: 12}}); err == nil {
+		t.Error("frontend accepted more terms per page than the vocabulary holds")
 	}
 	tm, err := search.DrawTerms(g, search.Config{Vocabulary: 400})
 	if err != nil {

@@ -55,12 +55,9 @@ func FuzzFrontendDegraded(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, kByte uint8, size uint16, vocabByte, perPageByte, layout uint8, health, queries []byte) {
 		k := 1 + int(kByte)%64
 		pages := min(1200, k*(1+int(size)%300))
-		text := search.Config{Vocabulary: 1 + int(vocabByte)%64, Skew: 1}
+		text := search.Config{Vocabulary: 1 + int(vocabByte)%64}
 		text.TermsPerPage = 1 + int(perPageByte)%min(8, text.Vocabulary)
-		tm, ov, assign, ok := fuzzTier(t, seed, k, pages, text)
-		if !ok {
-			return
-		}
+		tm, ov, assign := fuzzTier(t, seed, k, pages, text)
 		store, err := NewStore(k)
 		if err != nil {
 			t.Fatal(err)
@@ -147,8 +144,8 @@ func FuzzFrontendDegraded(f *testing.F) {
 					if len(sp) == 2 {
 						stale += read.round - sp[0].round
 						read = sp[0]
+						want.Hedged++
 					}
-					want.Hedged++
 				}
 				if want.Version == 0 || read.version < want.Version {
 					want.Version = read.version

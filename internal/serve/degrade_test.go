@@ -182,6 +182,40 @@ func TestHedgedReadServesReplica(t *testing.T) {
 	}
 }
 
+// A slow shard published only once has no replica: the primary is read,
+// so nothing is hedged, and the answer is a full one the cache keeps.
+func TestSlowShardWithoutReplicaIsNotHedged(t *testing.T) {
+	f := newFixture(t, 1500, 8, -1)
+	h := &fakeHealth{}
+	fe := degradedFrontend(t, f, 0, h, serve.Admission{})
+	req, shards := wideQuery(t, f, fe)
+	slow := shards[0]
+	if f.store.Replica(slow) != nil {
+		t.Fatal("replica present after a single publish")
+	}
+	h.set(slow, serve.ShardSlow)
+
+	q := fe.NewQuerier()
+	var resp search.Response
+	req.K-- // a request wideQuery did not already put in the cache
+	if err := q.Serve(req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Hedged != 0 || resp.Degraded || resp.Coverage != 1 {
+		t.Fatalf("hedged %d, degraded %v, coverage %v; want a full answer from primaries", resp.Hedged, resp.Degraded, resp.Coverage)
+	}
+	if st := fe.DegradeStats(); st.Hedged != 0 {
+		t.Fatalf("hedged counter = %d, want 0", st.Hedged)
+	}
+	hits, _ := fe.CacheStats()
+	if err := q.Serve(req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := fe.CacheStats(); again != hits+1 {
+		t.Fatalf("repeat query: %d cache hits, want %d", again, hits+1)
+	}
+}
+
 // TestMisfitSnapshotRefused: the store takes a score vector of any
 // length, but the scan indexes it by local page. A snapshot that does
 // not score exactly its shard's pages is refused like a missing one —

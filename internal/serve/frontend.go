@@ -496,6 +496,8 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 			// The primary read would miss its deadline: hedge to the
 			// replica snapshot. One publish older — the gap between the
 			// two snapshots' rounds is real staleness and is accounted.
+			// A shard published once has no replica yet: the primary is
+			// read, and nothing was hedged.
 			if prev := f.store.Replica(int(s)); prev != nil {
 				if !f.fits(prev, s) {
 					// Only Health makes a shard slow: a replica that does
@@ -505,8 +507,8 @@ func (q *Querier) Serve(req search.Request, resp *search.Response) error {
 				}
 				stale += snap.Round - prev.Round
 				snap = prev
+				resp.Hedged++
 			}
-			resp.Hedged++
 		}
 		if snap.Version < req.MinVersion {
 			return fmt.Errorf("%w: shard %d at version %d, want >= %d", search.ErrStaleIndex, s, snap.Version, req.MinVersion)

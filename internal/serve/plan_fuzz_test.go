@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -75,12 +74,9 @@ func FuzzFrontendPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, kByte uint8, size uint16, vocabByte, perPageByte, layout uint8, queries []byte) {
 		k := 1 + int(kByte)%200
 		pages := min(2000, k*(1+int(size)%800))
-		text := search.Config{Vocabulary: 1 + int(vocabByte), Skew: 1}
+		text := search.Config{Vocabulary: 1 + int(vocabByte)}
 		text.TermsPerPage = 1 + int(perPageByte)%min(12, text.Vocabulary)
-		tm, ov, assign, ok := fuzzTier(t, seed, k, pages, text)
-		if !ok {
-			return
-		}
+		tm, ov, assign := fuzzTier(t, seed, k, pages, text)
 		ranks := fuzzRanks(layout, xrand.New(seed), assign)
 		store, err := NewStore(k)
 		if err != nil {
@@ -138,9 +134,8 @@ func FuzzFrontendPlan(f *testing.F) {
 
 // fuzzTier draws a random small tier: a crawl of that many pages over k
 // Pastry rankers, partitioned at random, and its term matrix under
-// text. ok is false when the text model cannot draw TermsPerPage
-// distinct terms.
-func fuzzTier(t *testing.T, seed uint64, k, pages int, text search.Config) (*search.TermMatrix, *pastry.Overlay, *partition.Assignment, bool) {
+// text.
+func fuzzTier(t *testing.T, seed uint64, k, pages int, text search.Config) (*search.TermMatrix, *pastry.Overlay, *partition.Assignment) {
 	t.Helper()
 	gcfg := webgraph.DefaultGenConfig(pages)
 	gcfg.Sites = min(gcfg.Sites, pages)
@@ -163,13 +158,10 @@ func fuzzTier(t *testing.T, seed uint64, k, pages int, text search.Config) (*sea
 		t.Fatal(err)
 	}
 	tm, err := search.DrawTerms(g, text)
-	if errors.Is(err, search.ErrTooFewTerms) {
-		return nil, nil, nil, false
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tm, ov, assign, true
+	return tm, ov, assign
 }
 
 // fuzzRanks draws one score per page in one of three layouts, layout

@@ -2,23 +2,45 @@ package webgraph
 
 import (
 	"fmt"
+	"math"
 
 	"p2prank/internal/xrand"
 )
 
+// The generator's shape, calibrated to the statistics of the Google
+// programming-contest dataset the paper evaluated on: ~1M pages over
+// 100 .edu sites with 15M links of which only 7M stay inside the
+// dataset, and ~90% of internal links staying within their site.
+const (
+	// siteSkew is the Zipf exponent for site sizes.
+	siteSkew = 0.8
+	// externalSpread makes external-link probability heterogeneous
+	// across sites: half the sites use ExternalFrac − spread, half
+	// ExternalFrac + spread (clamped to [0,1], then shifted so the
+	// page-weighted mean is ExternalFrac). Real crawls have
+	// internal-heavy sites; because their pages cite each other (90% of
+	// internal links are intra-site) they form slowly-decaying cores
+	// that dominate centralized PageRank's iteration count — and under
+	// by-site partitioning they are exactly what DPR1's inner loop
+	// solves in one shot, the effect behind Figure 8.
+	externalSpread = 0.4
+	// intraSiteFrac is the fraction of internal links that stay within
+	// the source page's site (≈0.9 per Cho & Garcia-Molina, which the
+	// paper's §4.1 partitioning argument relies on).
+	intraSiteFrac = 0.9
+	// pageSkew is the Zipf exponent for choosing link destinations
+	// within a site: popular pages attract more links.
+	pageSkew = 0.7
+)
+
 // GenConfig parameterizes the synthetic crawl generator. The defaults
-// (see DefaultGenConfig) are calibrated to the statistics of the Google
-// programming-contest dataset the paper evaluated on: ~1M pages over 100
-// .edu sites with 15M links of which only 7M stay inside the dataset,
-// and ~90% of internal links staying within their site.
+// (see DefaultGenConfig) match the paper's dataset.
 type GenConfig struct {
 	// Pages is the total number of pages to generate.
 	Pages int
 	// Sites is the number of sites; pages are spread over sites with a
-	// Zipf distribution of exponent SiteSkew.
+	// Zipf distribution of site sizes.
 	Sites int
-	// SiteSkew is the Zipf exponent for site sizes (0 = uniform).
-	SiteSkew float64
 	// MeanOutDegree is the mean total out-degree d(u), counting both
 	// internal and external links. Degrees are Zipf-skewed so a few
 	// hub pages link heavily, as in real crawls.
@@ -26,23 +48,6 @@ type GenConfig struct {
 	// ExternalFrac is the fraction of links that point outside the
 	// crawl (8/15 in the paper's dataset).
 	ExternalFrac float64
-	// ExternalSpread makes external-link probability heterogeneous
-	// across sites: half the sites use ExternalFrac − Spread, half
-	// ExternalFrac + Spread (clamped to [0,1], mean roughly
-	// preserved). Real crawls have internal-heavy sites; because their
-	// pages cite each other (90% of internal links are intra-site)
-	// they form slowly-decaying cores that dominate centralized
-	// PageRank's iteration count — and under by-site partitioning they
-	// are exactly what DPR1's inner loop solves in one shot, the
-	// effect behind Figure 8. 0 yields homogeneous sites.
-	ExternalSpread float64
-	// IntraSiteFrac is the fraction of internal links that stay within
-	// the source page's site (≈0.9 per Cho & Garcia-Molina, which the
-	// paper's §4.1 partitioning argument relies on).
-	IntraSiteFrac float64
-	// PageSkew is the Zipf exponent for choosing link destinations
-	// within a site: popular pages attract more links.
-	PageSkew float64
 	// Seed makes generation reproducible.
 	Seed uint64
 }
@@ -57,15 +62,11 @@ func DefaultGenConfig(pages int) GenConfig {
 		sites = min(4, pages)
 	}
 	return GenConfig{
-		Pages:          pages,
-		Sites:          sites,
-		SiteSkew:       0.8,
-		MeanOutDegree:  15,
-		ExternalFrac:   8.0 / 15.0,
-		ExternalSpread: 0.4,
-		IntraSiteFrac:  0.9,
-		PageSkew:       0.7,
-		Seed:           1,
+		Pages:         pages,
+		Sites:         sites,
+		MeanOutDegree: 15,
+		ExternalFrac:  8.0 / 15.0,
+		Seed:          1,
 	}
 }
 
@@ -77,16 +78,10 @@ func (c GenConfig) validate() error {
 		return fmt.Errorf("webgraph: Sites = %d, must be positive", c.Sites)
 	case c.Sites > c.Pages:
 		return fmt.Errorf("webgraph: more sites (%d) than pages (%d)", c.Sites, c.Pages)
-	case c.MeanOutDegree < 0:
-		return fmt.Errorf("webgraph: negative MeanOutDegree %v", c.MeanOutDegree)
-	case c.ExternalFrac < 0 || c.ExternalFrac > 1:
+	case !(c.MeanOutDegree >= 0) || math.IsInf(c.MeanOutDegree, 1):
+		return fmt.Errorf("webgraph: MeanOutDegree %v, must be finite and non-negative", c.MeanOutDegree)
+	case !(c.ExternalFrac >= 0 && c.ExternalFrac <= 1):
 		return fmt.Errorf("webgraph: ExternalFrac %v outside [0,1]", c.ExternalFrac)
-	case c.ExternalSpread < 0 || c.ExternalSpread > 1:
-		return fmt.Errorf("webgraph: ExternalSpread %v outside [0,1]", c.ExternalSpread)
-	case c.IntraSiteFrac < 0 || c.IntraSiteFrac > 1:
-		return fmt.Errorf("webgraph: IntraSiteFrac %v outside [0,1]", c.IntraSiteFrac)
-	case c.SiteSkew < 0 || c.PageSkew < 0:
-		return fmt.Errorf("webgraph: negative skew exponent")
 	}
 	return nil
 }
@@ -106,7 +101,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	for s := 0; s < cfg.Sites; s++ {
 		siteOfPage[s] = int32(s)
 	}
-	siteZipf := xrand.NewZipf(rng, cfg.Sites, cfg.SiteSkew)
+	siteZipf := xrand.NewZipf(rng, cfg.Sites, siteSkew)
 	for p := cfg.Sites; p < cfg.Pages; p++ {
 		siteOfPage[p] = int32(siteZipf.Sample())
 	}
@@ -131,14 +126,14 @@ func Generate(cfg GenConfig) (*Graph, error) {
 			return ps[0]
 		}
 		if siteSampler[s] == nil {
-			siteSampler[s] = xrand.NewZipf(rng, len(ps), cfg.PageSkew)
+			siteSampler[s] = xrand.NewZipf(rng, len(ps), pageSkew)
 		}
 		return ps[siteSampler[s].Sample()]
 	}
 
 	// 2. Emit links. Out-degree per page is 1 + Zipf-ish tail with the
 	// requested mean; destination is external with prob ExternalFrac,
-	// otherwise intra-site with prob IntraSiteFrac, otherwise a page of
+	// otherwise intra-site with prob intraSiteFrac, otherwise a page of
 	// a random other site.
 	// Per-site external-link probability: a two-point mixture around
 	// ExternalFrac, assigned by alternating size rank and then shifted
@@ -157,21 +152,19 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	for s := range siteExtProb {
 		q := cfg.ExternalFrac
 		if s%2 == 0 {
-			q -= cfg.ExternalSpread
+			q -= externalSpread
 		} else {
-			q += cfg.ExternalSpread
+			q += externalSpread
 		}
 		siteExtProb[s] = clamp01(q)
 	}
-	if cfg.ExternalSpread > 0 {
-		weighted := 0.0
-		for p := 0; p < cfg.Pages; p++ {
-			weighted += siteExtProb[siteOfPage[p]]
-		}
-		shift := cfg.ExternalFrac - weighted/float64(cfg.Pages)
-		for s := range siteExtProb {
-			siteExtProb[s] = clamp01(siteExtProb[s] + shift)
-		}
+	weighted := 0.0
+	for p := 0; p < cfg.Pages; p++ {
+		weighted += siteExtProb[siteOfPage[p]]
+	}
+	shift := cfg.ExternalFrac - weighted/float64(cfg.Pages)
+	for s := range siteExtProb {
+		siteExtProb[s] = clamp01(siteExtProb[s] + shift)
 	}
 	degSampler := newDegreeSampler(rng, cfg.MeanOutDegree)
 	for p := 0; p < cfg.Pages; p++ {
@@ -186,7 +179,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 				continue
 			}
 			var dst int32
-			if rng.Float64() < cfg.IntraSiteFrac || cfg.Sites == 1 {
+			if rng.Float64() < intraSiteFrac || cfg.Sites == 1 {
 				dst = pickInSite(siteOfPage[p])
 			} else {
 				// Choose a different site, Zipf-skewed.

@@ -2,6 +2,7 @@ package webgraph
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -69,8 +70,8 @@ func TestGenerateCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ComputeStats(g)
-	if math.Abs(s.IntraSiteFrac()-cfg.IntraSiteFrac) > 0.03 {
-		t.Errorf("intra-site fraction = %.3f, want ~%.2f", s.IntraSiteFrac(), cfg.IntraSiteFrac)
+	if math.Abs(s.IntraSiteFrac()-intraSiteFrac) > 0.03 {
+		t.Errorf("intra-site fraction = %.3f, want ~%.2f", s.IntraSiteFrac(), intraSiteFrac)
 	}
 	if math.Abs(s.ExternalFrac()-cfg.ExternalFrac) > 0.03 {
 		t.Errorf("external fraction = %.3f, want ~%.3f", s.ExternalFrac(), cfg.ExternalFrac)
@@ -117,19 +118,27 @@ func TestGenerateNoSelfLinks(t *testing.T) {
 	}
 }
 
+// Every out-of-range field is refused by name; NaN and ±Inf used to
+// slip past the range checks and generate a crawl of no links (degree)
+// or a near-internal one (external fraction).
 func TestGenerateConfigValidation(t *testing.T) {
-	bad := []GenConfig{
-		{Pages: 0, Sites: 1},
-		{Pages: 10, Sites: 0},
-		{Pages: 10, Sites: 20},
-		{Pages: 10, Sites: 2, MeanOutDegree: -1},
-		{Pages: 10, Sites: 2, ExternalFrac: 1.5},
-		{Pages: 10, Sites: 2, IntraSiteFrac: -0.1},
-		{Pages: 10, Sites: 2, SiteSkew: -1},
-	}
-	for i, cfg := range bad {
-		if _, err := Generate(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	for _, c := range []struct {
+		cfg  GenConfig
+		want string
+	}{
+		{GenConfig{Pages: 0, Sites: 1}, "Pages"},
+		{GenConfig{Pages: 10, Sites: 0}, "Sites"},
+		{GenConfig{Pages: 10, Sites: 20}, "more sites"},
+		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: -1}, "MeanOutDegree"},
+		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: math.NaN()}, "MeanOutDegree"},
+		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: math.Inf(1)}, "MeanOutDegree"},
+		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: math.Inf(-1)}, "MeanOutDegree"},
+		{GenConfig{Pages: 10, Sites: 2, ExternalFrac: 1.5}, "ExternalFrac"},
+		{GenConfig{Pages: 10, Sites: 2, ExternalFrac: math.NaN()}, "ExternalFrac"},
+		{GenConfig{Pages: 10, Sites: 2, ExternalFrac: math.Inf(-1)}, "ExternalFrac"},
+	} {
+		if _, err := Generate(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err = %v, want a mention of %s", c.cfg, err, c.want)
 		}
 	}
 }
