@@ -30,7 +30,7 @@ func main() {
 		stats   = flag.Bool("stats", false, "print structural statistics (with -out bin, also the on-disk section sizes)")
 		cut     = flag.Bool("cut", false, "print the §4.1 partition-cut comparison")
 		k       = flag.Int("k", 32, "number of rankers for -cut")
-		degree  = flag.Float64("degree", 15, "mean total out-degree")
+		degree  = flag.Float64("degree", 15, "mean total out-degree: 0 (no links) or at least 1")
 		extfrac = flag.Float64("extfrac", 8.0/15.0, "fraction of links leaving the crawl")
 	)
 	flag.Parse()

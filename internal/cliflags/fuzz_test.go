@@ -22,7 +22,8 @@ func nonFinite(cfg any) string {
 }
 
 // removedReliableKeys once set the reliable layer's backoff, cap,
-// jitter, attempt bound and cooldown, which are constants now.
+// jitter and attempt bound, which are constants now, and the breaker's
+// cooldown, which is gone.
 var removedReliableKeys = []string{"backoff", "maxtimeout", "max-timeout", "jitter", "attempts", "maxattempts", "cooldown"}
 
 // specSeeds are the flag help strings' shapes, times either side of

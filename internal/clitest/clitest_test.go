@@ -108,12 +108,14 @@ func TestGenwebTinyAndNegativeSites(t *testing.T) {
 
 // A non-finite shape flag is refused by the field it sets: NaN and Inf
 // degrees used to write a crawl of no links, a NaN external fraction
-// one with almost none leaving it.
+// one with almost none leaving it. A degree in (0, 1) is refused too:
+// every linking page gets at least one link, so it used to mean 1.
 func TestGenwebNonFiniteShapeRefused(t *testing.T) {
 	for _, c := range []struct{ flag, value, field string }{
 		{"-degree", "NaN", "MeanOutDegree"},
 		{"-degree", "Inf", "MeanOutDegree"},
 		{"-extfrac", "NaN", "ExternalFrac"},
+		{"-degree", "0.5", "MeanOutDegree 0.5, must be finite and 0 or at least 1"},
 	} {
 		out, err := exec.Command(filepath.Join(builtDir, "genweb"), "-pages", "1000", c.flag, c.value).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), c.field) {

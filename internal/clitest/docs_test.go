@@ -35,6 +35,9 @@ var (
 	repoPath  = regexp.MustCompile(`(?:^|[^\w./-])(?:p2prank/)?((?:internal|cmd|examples|bench)/[\w./-]*)`)
 	flagToken = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 	shellSep  = regexp.MustCompile(`\|\||&&|[|;]`)
+	// roadmapItem is a citation of a ROADMAP item by number; the
+	// numbers change whenever the ROADMAP is re-anchored.
+	roadmapItem = regexp.MustCompile(`(?i)\broadmap(?:'s)?\s+items?\s+\d+`)
 )
 
 // typeRef names a type: its package and its name.
@@ -346,7 +349,8 @@ func spanFlags(span string, flags map[string]map[string]bool) (uses [][2]string)
 // bench/ path exists in the tree; and a span that runs one of
 // docCommands gives it only flags it registers. A passage that
 // recounts removed code goes between historyOpen and historyClose
-// lines.
+// lines. No line, history or not, cites a ROADMAP item by number: an
+// item is cited by its title.
 func TestDocsNameRealCode(t *testing.T) {
 	root := repoRoot()
 	mod := goPackages(t, root)
@@ -369,6 +373,9 @@ func TestDocsNameRealCode(t *testing.T) {
 		history := false
 		for i, line := range strings.Split(string(data), "\n") {
 			where := doc + ":" + strconv.Itoa(i+1)
+			if m := roadmapItem.FindString(line); m != "" {
+				t.Errorf("%s: %q: cite a ROADMAP item by its title, not its number", where, m)
+			}
 			switch strings.TrimSpace(line) {
 			case historyOpen:
 				history = true

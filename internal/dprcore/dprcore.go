@@ -124,13 +124,11 @@ type Params struct {
 	// FaultSender both runtimes share. The zero value injects nothing.
 	Fault FaultConfig
 	// Reliable layers acknowledged delivery — retransmission with
-	// exponential backoff and a dead-peer circuit breaker — above the
-	// fault seam (see ReliableSender), so retries are exercised under
-	// injected loss. Every send restarts its destination's retry count,
-	// so the breaker opens only when no new round reaches a destination
-	// for all six backed-off retries, 63·Timeout. The zero value
-	// disables it; enabling it draws jitter from a private RNG stream
-	// and never perturbs the loop's.
+	// exponential backoff — above the fault seam (see ReliableSender),
+	// so retries are exercised under injected loss. A chunk still
+	// unacked after six retries is abandoned; nothing suppresses later
+	// rounds. The zero value disables it; enabling it draws jitter from
+	// a private RNG stream and never perturbs the loop's.
 	Reliable ReliableConfig
 	// Checkpoint snapshots each loop's recoverable state on a round
 	// cadence (see CheckpointConfig), enabling restart-from-checkpoint

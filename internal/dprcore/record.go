@@ -96,6 +96,4 @@ func (rec *Record) Tally(s Stack) {
 	rec.FaultStats.Straggled += f.Straggled
 	rec.ReliableStats.Retries += r.Retries
 	rec.ReliableStats.Acks += r.Acks
-	rec.ReliableStats.BreakerTrips += r.BreakerTrips
-	rec.ReliableStats.Suppressed += r.Suppressed
 }

@@ -15,8 +15,8 @@ type ReliableConfig struct {
 	// Timeout is the base retransmission timeout in the runtime's time
 	// units (virtual units in-sim, nanoseconds live): an unacked chunk
 	// is re-sent after roughly this long. Positive enables the layer.
-	// The backoff, cap, jitter, attempt bound and cooldown are the
-	// fixed constants below, scaled by Timeout where they are times.
+	// The backoff, cap, jitter and attempt bound are the fixed
+	// constants below, scaled by Timeout where they are times.
 	Timeout float64
 }
 
@@ -29,12 +29,10 @@ const (
 	// relJitter stretches each deadline by a uniform factor in
 	// [1, 1+relJitter) drawn from the layer's private RNG stream.
 	relJitter = 0.1
-	// relMaxAttempts bounds retransmissions of one chunk; a destination
-	// that outlives them trips the dead-peer circuit breaker.
+	// relMaxAttempts bounds retransmissions of one chunk; a chunk still
+	// unacked after them is abandoned, and the next round's Send goes
+	// straight to the wire.
 	relMaxAttempts = 6
-	// relCooldown is how long, in Timeouts, an open circuit suppresses
-	// traffic to a presumed-dead peer before the next send probes it.
-	relCooldown = 10
 )
 
 // Enabled reports whether the config turns the reliable layer on.
@@ -59,10 +57,6 @@ type ReliableStats struct {
 	Retries int64
 	// Acks is the number of acks that cleared a pending chunk.
 	Acks int64
-	// BreakerTrips counts circuits opened on presumed-dead peers.
-	BreakerTrips int64
-	// Suppressed counts sends swallowed while a circuit was open.
-	Suppressed int64
 }
 
 // relSlot tracks the newest unacknowledged chunk from one ranker to one
@@ -81,10 +75,6 @@ type relSlot struct {
 	timeout  float64 // current backed-off timeout
 	nextAt   float64 // deadline of the next retransmission
 	armed    bool    // a timer callback is in flight
-	// brokenUntil, when in the future, means the circuit to dst is open:
-	// the peer blew through relMaxAttempts without acking and sends are
-	// suppressed until the cooldown passes.
-	brokenUntil float64
 
 	// check is the timer callback, built once per slot so re-arming a
 	// retransmission timer allocates nothing.
@@ -94,7 +84,8 @@ type relSlot struct {
 // ReliableSender wraps a Sender with acknowledged delivery: every chunk
 // is tracked until the destination acks its round, retransmitted on
 // timeout with exponential backoff and RNG-drawn jitter, and abandoned
-// behind a circuit breaker once the peer looks dead. Both stacks use it
+// after relMaxAttempts retransmissions; nothing holds back the next
+// round's send to the same destination. Both stacks use it
 // unchanged — in-sim the Clock is the simulator (timers are serial
 // virtual-time events, runs stay bit-reproducible), live it is the wall
 // clock (timers fire on goroutines, the internal mutex serializes
@@ -200,20 +191,6 @@ func (s *ReliableSender) Send(from int, chunk transport.ScoreChunk) error {
 	s.mu.Lock()
 	sl := s.slot(from, int(chunk.DstGroup))
 	now := s.clock.Now()
-	if sl.brokenUntil > now {
-		// Circuit open: the peer is presumed dead. Track the newest
-		// chunk so state is current when the circuit closes, but keep
-		// it off the wire until the cooldown passes.
-		sl.chunk = chunk
-		sl.round = chunk.Round
-		sl.active = true
-		sl.attempts = 0
-		sl.timeout = s.cfg.Timeout
-		s.stats.Suppressed++
-		s.mu.Unlock()
-		return nil
-	}
-	sl.brokenUntil = 0
 	sl.chunk = chunk
 	sl.round = chunk.Round
 	sl.active = true
@@ -235,11 +212,11 @@ func (s *ReliableSender) Flush(from int) error {
 }
 
 // expire is the timer callback: retransmit the pending chunk if its
-// deadline truly passed, or trip the breaker once attempts run out.
+// deadline truly passed, or abandon it once attempts run out.
 func (s *ReliableSender) expire(sl *relSlot) {
 	s.mu.Lock()
 	sl.armed = false
-	if !sl.active || sl.brokenUntil > 0 {
+	if !sl.active {
 		s.mu.Unlock()
 		return
 	}
@@ -253,12 +230,9 @@ func (s *ReliableSender) expire(sl *relSlot) {
 	}
 	sl.attempts++
 	if sl.attempts > relMaxAttempts {
-		// Dead-peer circuit breaker: stop burning the network on a peer
-		// that has stopped acking. The first send after the cooldown
-		// probes it again; any ack closes the circuit immediately.
-		sl.brokenUntil = now + relCooldown*s.cfg.Timeout
+		// Give the chunk up. Nothing else changes: the next Send to
+		// this destination goes out and is retried afresh.
 		sl.active = false
-		s.stats.BreakerTrips++
 		s.mu.Unlock()
 		return
 	}
@@ -284,10 +258,9 @@ func (s *ReliableSender) expire(sl *relSlot) {
 }
 
 // Ack records a cumulative acknowledgement from destination dst
-// covering from's chunks up to and including round. An ack also closes
-// the destination's circuit: a peer that acks is alive. An ack naming
-// a destination from has never sent to is ignored: on the live wire
-// the group is outside input.
+// covering from's chunks up to and including round. An ack naming a
+// destination from has never sent to is ignored: on the live wire the
+// group is outside input.
 func (s *ReliableSender) Ack(from int, dst int32, round int64) {
 	s.mu.Lock()
 	if from >= len(s.slots) || dst < 0 || int(dst) >= len(s.slots[from]) {
@@ -299,13 +272,11 @@ func (s *ReliableSender) Ack(from int, dst int32, round int64) {
 		s.mu.Unlock()
 		return
 	}
-	sl.brokenUntil = 0
 	if !sl.active || sl.round > round {
 		s.mu.Unlock()
 		return // nothing pending, or the pending chunk is newer
 	}
 	sl.active = false
-	sl.attempts = 0
 	s.stats.Acks++
 	obs := s.obs
 	s.mu.Unlock()
@@ -323,53 +294,10 @@ func (s *ReliableSender) Forget(from int) {
 		for _, sl := range s.slots[from] {
 			if sl != nil {
 				sl.active = false
-				sl.attempts = 0
-				sl.brokenUntil = 0
 			}
 		}
 	}
 	s.mu.Unlock()
-}
-
-// ClearBreaker closes every sender's circuit toward destination group
-// dst — a supervisor calls it right after restarting the peer, so
-// traffic resumes immediately instead of waiting out the cooldown. A
-// chunk that was suppressed while the circuit was open is re-armed for
-// immediate retransmission.
-func (s *ReliableSender) ClearBreaker(dst int) {
-	s.mu.Lock()
-	now := s.clock.Now()
-	for _, row := range s.slots {
-		if dst >= len(row) || row[dst] == nil {
-			continue
-		}
-		sl := row[dst]
-		if sl.brokenUntil == 0 {
-			continue
-		}
-		sl.brokenUntil = 0
-		if sl.active {
-			sl.timeout = s.cfg.Timeout
-			sl.nextAt = now
-			s.arm(sl, now)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Broken reports whether any sender's circuit to destination group dst
-// is currently open — the reliable layer's "this peer stopped acking"
-// signal, which supervisors combine with connection-level liveness.
-func (s *ReliableSender) Broken(dst int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	for _, row := range s.slots {
-		if dst < len(row) && row[dst] != nil && row[dst].brokenUntil > now {
-			return true
-		}
-	}
-	return false
 }
 
 // PendingChunks appends from's unacknowledged chunks to dst in

@@ -144,75 +144,64 @@ func TestReliableNewerSendSupersedesPending(t *testing.T) {
 	}
 }
 
-// relExpiries are the expiry times of a chunk sent at 0 with Timeout 1
-// and zero jitter that nothing acks: six retransmissions, the timeout
-// doubling from 1 up to its cap of 16, then the expiry that finds the
-// attempts exhausted and trips the breaker.
-var relExpiries = []float64{1, 3, 7, 15, 31, 47, 63}
+// relExpiries are the retransmission times of a chunk sent at 0 with
+// Timeout 1 and zero jitter that nothing acks: the timeout doubles from
+// 1 up to its cap of 16, and after the sixth retransmission the next
+// expiry, at 63, finds the attempts exhausted.
+var relExpiries = []float64{1, 3, 7, 15, 31, 47}
 
-// crank advances clk through relExpiries shifted by t0, one deadline at
-// a time, so each expiry re-arms from its own deadline.
-func crank(clk *fakeClock, t0 float64) {
-	for _, at := range relExpiries {
-		clk.advance(t0 + at)
-	}
-}
-
-func TestReliableBreakerTripsSuppressesAndRecovers(t *testing.T) {
-	rel, inner, clk := relFixture(t, ReliableConfig{Timeout: 1})
-	if err := rel.Send(0, chunk(0, 1, 1, 1.0)); err != nil {
+// TestReliableRetriesBoundedThenAbandoned pins the retry schedule and
+// its bound. The sender sits above a FaultSender whose partition
+// blackholes the cut until 63, so every attempt is swallowed by the
+// same fault the degraded-serving stack models: six retransmissions on
+// the backed-off schedule, then the chunk is abandoned — no seventh
+// retransmission, nothing pending — and the next round's send, just
+// past the heal, reaches the wire at once.
+func TestReliableRetriesBoundedThenAbandoned(t *testing.T) {
+	fcfg := FaultConfig{PartitionFrac: 0.4, PartitionFrom: 0, PartitionTo: 63, Seed: 7}
+	mi, ma := latticePair(t, fcfg)
+	inner := &recordSender{}
+	clk := &fakeClock{}
+	faults, err := NewFaultSender(inner, clk, constRNG{}, fcfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, at := range relExpiries[:6] {
+	rel, err := NewReliableSender(faults, clk, constRNG{f: 0, e: 1}, ReliableConfig{Timeout: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 1, 1.0)); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range relExpiries {
 		clk.advance(at - 0.01)
 		if st := rel.Stats(); st.Retries != int64(i) {
 			t.Fatalf("t=%v: %d retries, want %d before the deadline at %v", clk.now, st.Retries, i, at)
 		}
 		clk.advance(at)
-		if st := rel.Stats(); st.Retries != int64(i+1) || st.BreakerTrips != 0 {
-			t.Fatalf("t=%v: stats %+v, want retry %d and no trip", at, st, i+1)
+		if st := rel.Stats(); st.Retries != int64(i+1) {
+			t.Fatalf("t=%v: %d retries, want %d", at, st.Retries, i+1)
 		}
 	}
-	clk.advance(62.99)
-	if rel.Broken(1) {
-		t.Fatal("breaker tripped before the seventh expiry")
+	clk.advance(63) // the seventh expiry: attempts exhausted
+	if got := faults.Stats().Partitioned; got != 7 || len(inner.sends) != 0 {
+		t.Fatalf("%d blackholed, %d crossed the cut; want the send and its 6 retries blackholed", got, len(inner.sends))
 	}
-	clk.advance(63) // attempts exhausted: the breaker trips
-	st := rel.Stats()
-	if st.BreakerTrips != 1 || st.Retries != 6 {
-		t.Fatalf("stats = %+v, want 1 trip after 6 retries", st)
+	if got := rel.PendingChunks(ma, nil); len(got) != 0 {
+		t.Fatalf("PendingChunks = %v after the retries ran out, want none", got)
 	}
-	if !rel.Broken(1) {
-		t.Fatal("Broken(1) = false with the circuit open")
-	}
-	n := len(inner.sends)
-	if err := rel.Send(0, chunk(0, 1, 2, 2.0)); err != nil {
+	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 2, 2.0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(inner.sends) != n {
-		t.Fatal("send reached the wire with the circuit open")
+	if len(inner.sends) != 1 || inner.sends[0].Round != 2 {
+		t.Fatalf("next round's send did not reach the wire at once: %d sends", len(inner.sends))
 	}
-	if rel.Stats().Suppressed != 1 {
-		t.Fatalf("Suppressed = %d, want 1", rel.Stats().Suppressed)
-	}
-	// The cooldown is ten timeouts: the circuit stays open until 73.
-	clk.advance(72.99)
-	if !rel.Broken(1) {
-		t.Fatal("circuit closed before the cooldown passed")
-	}
-	// Clearing the breaker (the supervisor restarted the peer) re-arms
-	// the suppressed chunk for immediate retransmission.
-	rel.ClearBreaker(1)
-	if rel.Broken(1) {
-		t.Fatal("Broken(1) = true after ClearBreaker")
-	}
-	clk.advance(clk.now)
-	if len(inner.sends) != n+1 || inner.sends[len(inner.sends)-1].Round != 2 {
-		t.Fatalf("suppressed chunk not retransmitted after ClearBreaker (%d sends)", len(inner.sends))
-	}
-	rel.Ack(0, 1, 2)
-	if rel.Broken(1) {
-		t.Fatal("ack left the circuit open")
+	rel.Ack(ma, int32(mi), 2)
+	clk.advance(2000)
+	st := rel.Stats()
+	if st.Retries != 6 || st.Acks != 1 || faults.Stats().Partitioned != 7 || len(inner.sends) != 1 {
+		t.Fatalf("stats %+v, %d blackholed, %d sends; want no seventh retransmission and the ack counted",
+			st, faults.Stats().Partitioned, len(inner.sends))
 	}
 }
 
@@ -296,95 +285,5 @@ func BenchmarkReliableSend(b *testing.B) {
 			b.Fatal(err)
 		}
 		rel.Ack(0, 1, c.Round)
-	}
-}
-
-// TestReliableBreakerPartitionOpenProbeCloseAcrossHeal walks the
-// breaker's full state machine against the partition fault rather than
-// a silent null sender: the reliable layer sits above a FaultSender
-// whose partition blackholes the cut, so every state transition is
-// driven by the same injected fault the degraded-serving stack models.
-//
-//	open:      blackholed chunk exhausts its six retries, circuit trips
-//	half-open: first send after the cooldown probes the peer; mid-partition
-//	           the probe is blackholed too and the circuit re-trips
-//	closed:    post-heal the probe lands, the ack closes the circuit
-func TestReliableBreakerPartitionOpenProbeCloseAcrossHeal(t *testing.T) {
-	fcfg := FaultConfig{PartitionFrac: 0.4, PartitionFrom: 0, PartitionTo: 160, Seed: 7}
-	mi, ma := latticePair(t, fcfg)
-	inner := &recordSender{}
-	clk := &fakeClock{}
-	faults, err := NewFaultSender(inner, clk, constRNG{}, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := NewReliableSender(faults, clk, constRNG{f: 0, e: 1}, ReliableConfig{Timeout: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Open: the chunk and all six retries cross the cut and vanish.
-	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 1, 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	crank(clk, 0) // attempts exhausted at the seventh expiry, t=63
-	if st := rel.Stats(); st.BreakerTrips != 1 || st.Retries != 6 {
-		t.Fatalf("stats %+v, want 1 trip after 6 retries", st)
-	}
-	if !rel.Broken(mi) {
-		t.Fatal("Broken(minority) = false with the partition swallowing every attempt")
-	}
-	if len(inner.sends) != 0 {
-		t.Fatalf("%d chunks crossed an active partition", len(inner.sends))
-	}
-
-	// Still open: the next round's send is suppressed, not retried.
-	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 2, 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	if st := rel.Stats(); st.Suppressed != 1 {
-		t.Fatalf("Suppressed = %d, want 1", st.Suppressed)
-	}
-
-	// Half-open mid-partition: the cooldown (ends t=73) expires while
-	// the cut is still up, so the probe is blackholed and the circuit
-	// trips again at 80+63.
-	clk.advance(80)
-	if rel.Broken(mi) {
-		t.Fatal("circuit still reported open after the cooldown elapsed")
-	}
-	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 3, 3.0)); err != nil {
-		t.Fatal(err)
-	}
-	crank(clk, 80)
-	if st := rel.Stats(); st.BreakerTrips != 2 {
-		t.Fatalf("stats %+v, want the mid-partition probe to re-trip", st)
-	}
-	if !rel.Broken(mi) || len(inner.sends) != 0 {
-		t.Fatalf("mid-partition probe escaped: broken=%v sends=%d", rel.Broken(mi), len(inner.sends))
-	}
-
-	// Closed: past the heal (t=160) and the second cooldown (t=153),
-	// the probe lands on the wire and the ack closes the circuit.
-	clk.advance(170)
-	if err := rel.Send(ma, chunk(int32(ma), int32(mi), 4, 4.0)); err != nil {
-		t.Fatal(err)
-	}
-	if len(inner.sends) != 1 || inner.sends[0].Round != 4 {
-		t.Fatalf("post-heal probe did not reach the wire: %d sends", len(inner.sends))
-	}
-	rel.Ack(ma, int32(mi), 4)
-	if rel.Broken(mi) {
-		t.Fatal("ack left the circuit open")
-	}
-	clk.advance(2000)
-	if len(inner.sends) != 1 {
-		t.Fatalf("retransmitted after the closing ack (%d sends)", len(inner.sends))
-	}
-	if st := rel.Stats(); st.Acks != 1 {
-		t.Fatalf("stats %+v, want the closing ack counted", st)
-	}
-	if got := faults.Stats().Partitioned; got != 14 {
-		t.Fatalf("Stats().Partitioned = %d, want all 14 pre-heal attempts blackholed", got)
 	}
 }

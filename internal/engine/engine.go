@@ -291,11 +291,6 @@ func Run(cfg Config) (*Result, error) {
 			if err := rk.Restart(snap); err != nil {
 				panic(fmt.Sprintf("engine: restart ranker %d: %v", ev.Ranker, err))
 			}
-			if cl.stack.Reliable != nil {
-				// Senders whose breaker gave the crashed ranker up resume
-				// immediately on restart instead of waiting out the cooldown.
-				cl.stack.Reliable.ClearBreaker(ev.Ranker)
-			}
 		})
 	}
 	ranker := func(i int) dprcore.Ranker { return cl.rankers[i] }

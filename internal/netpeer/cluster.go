@@ -215,10 +215,6 @@ func (cl *Cluster) restartPeer(i int, snap []byte, recovered bool) error {
 		}
 		peer.SetPeer(int32(j), q.Addr())
 		q.SetPeer(int32(i), peer.Addr())
-		if q.stack.Reliable != nil {
-			// Senders that gave the dead peer up resume immediately.
-			q.stack.Reliable.ClearBreaker(i)
-		}
 	}
 	cl.mu.Unlock()
 	peer.Start()

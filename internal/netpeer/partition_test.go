@@ -8,16 +8,14 @@ import (
 	"p2prank/internal/webgraph"
 )
 
-// TestClusterReliableBreakerAcrossPartitionHeal is the live half of the
-// breaker/partition acceptance: a four-peer cluster runs with reliable
-// delivery while a seeded partition (cluster seed 1 cuts peer 1 onto
-// the minority side) blackholes cross-cut frames for the first 1.2s of
-// wall time. Chunks crossing the cut exhaust their retries, so the
-// senders' circuits toward the far side must open (BreakerTrips,
-// Broken observed true); after the heal the post-cooldown probes land,
-// acks close every circuit, and the cluster converges to the
-// fault-free tolerance.
-func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
+// TestClusterReliableAcrossPartitionHeal is the live half of the
+// reliable-under-partition acceptance: a four-peer cluster runs with
+// reliable delivery while a seeded partition (cluster seed 1 cuts peer
+// 1 onto the minority side) blackholes cross-cut frames for the first
+// 1.2s of wall time. Chunks crossing the cut exhaust their retries and
+// are abandoned; after the heal acks flow again and the cluster
+// converges to the fault-free tolerance.
+func TestClusterReliableAcrossPartitionHeal(t *testing.T) {
 	gc := webgraph.DefaultGenConfig(1200)
 	gc.Sites = 20 // spread cross-group traffic over every peer pair
 	gc.Seed = 17
@@ -25,7 +23,6 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 4
 	partitionTo := float64(1200 * time.Millisecond)
 	cl, err := StartCluster(g, ClusterConfig{
 		Params: dprcore.Params{
@@ -33,14 +30,9 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 			Fault: dprcore.FaultConfig{
 				PartitionFrac: 0.3, PartitionFrom: 0, PartitionTo: partitionTo,
 			},
-			// Every send restarts its destination's retry count, so a
-			// circuit opens only across a gap between rounds longer than
-			// the six backed-off retries, 63 timeouts: ~33ms here, which
-			// 10ms mean waits leave often enough inside the window. The
-			// 5ms cooldown then re-probes (and re-trips) until the heal.
-			Reliable: dprcore.ReliableConfig{Timeout: float64(500 * time.Microsecond)},
+			Reliable: dprcore.ReliableConfig{Timeout: float64(5 * time.Millisecond)},
 		},
-		K: k, MeanWait: 10 * time.Millisecond,
+		K: 4, MeanWait: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,45 +46,12 @@ func TestClusterReliableBreakerAcrossPartitionHeal(t *testing.T) {
 		t.Fatal("expected peer 1 on the minority side of the seed-1 cut")
 	}
 
-	// Open: watch for a circuit across the cut (either direction) while
-	// the partition is up. Broken() self-clears once the cooldown
-	// lapses, so also require the monotonic trip counter.
-	sawBroken := false
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var trips int64
-		for i := 0; i < k; i++ {
-			trips += cl.Peer(i).stack.Reliable.Stats().BreakerTrips
-			for j := 0; j < k; j++ {
-				if i != j && cut.PartitionMinority(i) != cut.PartitionMinority(j) && cl.Peer(i).stack.Reliable.Broken(j) {
-					sawBroken = true
-				}
-			}
-		}
-		if trips > 0 && sawBroken {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no circuit opened across the cut in 10s (trips=%d sawBroken=%v)", trips, sawBroken)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// Closed: after the heal the probes get acked and the cluster
-	// reaches the fault-free fixed point.
 	rec, err := cl.Converge(1e-6, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			if i != j && cl.Peer(i).stack.Reliable.Broken(j) {
-				t.Fatalf("peer %d's circuit to %d still open after convergence", i, j)
-			}
-		}
-	}
 	if rec.ReliableStats.Acks == 0 {
-		t.Fatal("no acks after the heal — circuits never closed by traffic")
+		t.Fatal("no acks after the heal")
 	}
 	if rec.FaultStats.Partitioned == 0 {
 		t.Fatal("partition window blackholed nothing")

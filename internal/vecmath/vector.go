@@ -184,22 +184,6 @@ func (x Vec) Add(y Vec) {
 	})
 }
 
-// Axpy computes x += a·y in place. It panics on length mismatch.
-func (x Vec) Axpy(a float64, y Vec) {
-	mustSameLen(len(x), len(y))
-	if len(x) < parMinVec {
-		for i := range x {
-			x[i] += a * y[i]
-		}
-		return
-	}
-	parSpans(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] += a * y[i]
-		}
-	})
-}
-
 func diff1Range(x, y Vec, lo, hi int) float64 {
 	s := 0.0
 	for i := lo; i < hi; i++ {

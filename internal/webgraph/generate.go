@@ -43,7 +43,8 @@ type GenConfig struct {
 	Sites int
 	// MeanOutDegree is the mean total out-degree d(u), counting both
 	// internal and external links. Degrees are Zipf-skewed so a few
-	// hub pages link heavily, as in real crawls.
+	// hub pages link heavily, as in real crawls. It is 0 (no links) or
+	// at least 1: every linking page gets at least one link.
 	MeanOutDegree float64
 	// ExternalFrac is the fraction of links that point outside the
 	// crawl (8/15 in the paper's dataset).
@@ -78,8 +79,8 @@ func (c GenConfig) validate() error {
 		return fmt.Errorf("webgraph: Sites = %d, must be positive", c.Sites)
 	case c.Sites > c.Pages:
 		return fmt.Errorf("webgraph: more sites (%d) than pages (%d)", c.Sites, c.Pages)
-	case !(c.MeanOutDegree >= 0) || math.IsInf(c.MeanOutDegree, 1):
-		return fmt.Errorf("webgraph: MeanOutDegree %v, must be finite and non-negative", c.MeanOutDegree)
+	case !(c.MeanOutDegree == 0 || c.MeanOutDegree >= 1) || math.IsInf(c.MeanOutDegree, 1):
+		return fmt.Errorf("webgraph: MeanOutDegree %v, must be finite and 0 or at least 1", c.MeanOutDegree)
 	case !(c.ExternalFrac >= 0 && c.ExternalFrac <= 1):
 		return fmt.Errorf("webgraph: ExternalFrac %v outside [0,1]", c.ExternalFrac)
 	}

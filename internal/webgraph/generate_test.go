@@ -133,6 +133,7 @@ func TestGenerateConfigValidation(t *testing.T) {
 		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: math.NaN()}, "MeanOutDegree"},
 		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: math.Inf(1)}, "MeanOutDegree"},
 		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: math.Inf(-1)}, "MeanOutDegree"},
+		{GenConfig{Pages: 10, Sites: 2, MeanOutDegree: 0.5}, "0 or at least 1"},
 		{GenConfig{Pages: 10, Sites: 2, ExternalFrac: 1.5}, "ExternalFrac"},
 		{GenConfig{Pages: 10, Sites: 2, ExternalFrac: math.NaN()}, "ExternalFrac"},
 		{GenConfig{Pages: 10, Sites: 2, ExternalFrac: math.Inf(-1)}, "ExternalFrac"},

@@ -135,8 +135,7 @@ type ZipfTable struct {
 	// guide[j] is the first i with cdf[i] >= j/m, for m = len(guide)-1,
 	// the least power of two >= n. A draw u in [j/m, (j+1)/m) lands in
 	// [guide[j], guide[j+1]], so a sample searches only there.
-	guide   []int32
-	support int
+	guide []int32
 }
 
 // NewZipfTable builds the CDF over n items with exponent s. It panics
@@ -165,17 +164,6 @@ func makeZipfTable(n int, s float64) ZipfTable {
 	}
 	cdf[n-1] = 1 // guard against rounding
 
-	// A sampler sees u = k/2^53, k in [0, 2^53), and returns the first i
-	// with cdf[i] >= u: item i can come out iff some such u lies in
-	// (cdf[i-1], cdf[i]]. Scaling by 2^53 is exact, so this count is.
-	const scale = 1 << 53
-	support := 1 // u = 0 always lands on item 0
-	for i := 1; i < n; i++ {
-		if math.Floor(math.Min(cdf[i]*scale, scale-1)) > cdf[i-1]*scale {
-			support++
-		}
-	}
-
 	// j/m is exact, and so is u·m for a draw u = k/2^53 while m <= 2^53:
 	// the guided search returns the index the whole-CDF search would.
 	m := 1
@@ -190,17 +178,11 @@ func makeZipfTable(n int, s float64) ZipfTable {
 		}
 		guide[j] = int32(i)
 	}
-	return ZipfTable{cdf: cdf, guide: guide, support: support}
+	return ZipfTable{cdf: cdf, guide: guide}
 }
 
 // N returns the number of items the table covers.
 func (t *ZipfTable) N() int { return len(t.cdf) }
-
-// Support returns how many of the N items a sampler can actually return.
-// A steep exponent saturates the float64 CDF after a few items; a
-// caller that rejects until it holds k distinct items must check
-// k <= Support first or never finish.
-func (t *ZipfTable) Support() int { return t.support }
 
 // Sampler binds the table to one stream. The sampler is a value: a
 // caller that draws one short stream per item keeps it on its stack.

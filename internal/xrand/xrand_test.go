@@ -250,43 +250,6 @@ func TestZipfTableSharedAcrossStreams(t *testing.T) {
 	}
 }
 
-func TestZipfTableSupport(t *testing.T) {
-	for _, c := range []struct {
-		n    int
-		s    float64
-		want int
-	}{
-		{5000, 1, 5000},
-		{10, 0, 10},
-		{1, 3, 1},
-		// 2^-50 is the last term float64 can add to 1: the CDF is
-		// {1-ε, 1, 1, …} and only items 0 and 1 can be drawn.
-		{5000, 50, 2},
-		{5000, math.Inf(1), 1},
-	} {
-		tab := NewZipfTable(c.n, c.s)
-		if got := tab.Support(); got != c.want {
-			t.Errorf("n=%d s=%v: Support = %d, want %d", c.n, c.s, got, c.want)
-		}
-	}
-	// Nothing outside the count comes out: a table whose tail is flat
-	// in float64 (exponent 16, items past ~10 add less than an ulp).
-	tab := NewZipfTable(64, 16)
-	reached := map[int]bool{}
-	z := tab.Sampler(New(5))
-	for i := 0; i < 200000; i++ {
-		reached[z.Sample()] = true
-	}
-	if len(reached) > tab.Support() {
-		t.Fatalf("drew %d distinct items, Support says %d", len(reached), tab.Support())
-	}
-	for i := range reached {
-		if i > 0 && tab.cdf[i] == tab.cdf[i-1] {
-			t.Fatalf("drew item %d, which has no probability mass", i)
-		}
-	}
-}
-
 // FuzzZipfSample holds the guided search to a binary search over the
 // whole CDF, for a drawn table and draw, the draws at the ends of [0, 1)
 // and the draws on and just below a guide boundary j/m.
