@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -35,8 +36,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *sites < 0 {
-		fatal(fmt.Errorf("-sites = %d, must not be negative (0 scales with -pages)", *sites))
+	if err := checkShape(*pages, *sites, *degree, *extfrac); err != nil {
+		fatal(err)
 	}
 	cfg := webgraph.DefaultGenConfig(*pages)
 	if *sites > 0 {
@@ -102,6 +103,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d pages, %d internal links)\n",
 			*out, g.NumPages(), g.NumInternalLinks())
 	}
+}
+
+// checkShape refuses, by flag name, the shape values webgraph.Generate
+// would refuse by GenConfig field name.
+func checkShape(pages, sites int, degree, extfrac float64) error {
+	switch {
+	case pages <= 0:
+		return fmt.Errorf("-pages %d, must be positive", pages)
+	case sites < 0:
+		return fmt.Errorf("-sites = %d, must not be negative (0 scales with -pages)", sites)
+	case sites > pages:
+		return fmt.Errorf("-sites %d exceeds -pages %d: a site needs at least one page", sites, pages)
+	case !(degree == 0 || degree >= 1) || math.IsInf(degree, 1):
+		return fmt.Errorf("-degree %v, must be finite and 0 or at least 1", degree)
+	case !(extfrac >= 0 && extfrac <= 1):
+		return fmt.Errorf("-extfrac %v outside [0,1]", extfrac)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -106,20 +106,27 @@ func TestGenwebTinyAndNegativeSites(t *testing.T) {
 	}
 }
 
-// A non-finite shape flag is refused by the field it sets: NaN and Inf
-// degrees used to write a crawl of no links, a NaN external fraction
-// one with almost none leaving it. A degree in (0, 1) is refused too:
-// every linking page gets at least one link, so it used to mean 1.
+// A shape flag webgraph.Generate would refuse is refused by the flag's
+// own name, not the GenConfig field it sets: NaN and Inf degrees used to
+// write a crawl of no links, a NaN external fraction one with almost
+// none leaving it. A degree in (0, 1) is refused too: every linking
+// page gets at least one link, so it used to mean 1.
 func TestGenwebNonFiniteShapeRefused(t *testing.T) {
-	for _, c := range []struct{ flag, value, field string }{
-		{"-degree", "NaN", "MeanOutDegree"},
-		{"-degree", "Inf", "MeanOutDegree"},
-		{"-extfrac", "NaN", "ExternalFrac"},
-		{"-degree", "0.5", "MeanOutDegree 0.5, must be finite and 0 or at least 1"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-degree", "NaN"}, "-degree NaN, must be finite"},
+		{[]string{"-degree", "Inf"}, "-degree +Inf, must be finite"},
+		{[]string{"-degree", "0.5"}, "-degree 0.5, must be finite and 0 or at least 1"},
+		{[]string{"-extfrac", "NaN"}, "-extfrac NaN outside [0,1]"},
+		{[]string{"-extfrac", "1.5"}, "-extfrac 1.5 outside [0,1]"},
+		{[]string{"-sites", "3000", "-pages", "2000"}, "-sites 3000 exceeds -pages 2000"},
 	} {
-		out, err := exec.Command(filepath.Join(builtDir, "genweb"), "-pages", "1000", c.flag, c.value).CombinedOutput()
-		if err == nil || !strings.Contains(string(out), c.field) {
-			t.Errorf("genweb %s %s: err %v, output %q; want a refusal naming %s", c.flag, c.value, err, out, c.field)
+		args := append([]string{"-pages", "1000"}, c.args...)
+		out, err := exec.Command(filepath.Join(builtDir, "genweb"), args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Errorf("genweb %s: err %v, output %q; want a refusal containing %q", strings.Join(c.args, " "), err, out, c.want)
 		}
 	}
 }

@@ -58,3 +58,21 @@ func BenchmarkPeerHandleFrame(b *testing.B) {
 		b.Fatalf("relayed %d and rejected %d over %d frames", p.ChunksRelayed(), p.ChunksRejected(), b.N)
 	}
 }
+
+// BenchmarkStartCluster starts and closes a K = 8 cluster over a
+// 40k-page crawl: deploy, bind, mesh and start, the cost a live run pays
+// before its first round. It opens sockets, so it stays out of the
+// allocation gate.
+func BenchmarkStartCluster(b *testing.B) {
+	g := genGraph(b, 40000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl, err := StartCluster(g, ClusterConfig{Params: dprcore.Params{Alg: dprcore.DPR2}, K: 8,
+			Strategy: partition.ByPage, Indirect: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cl.Close()
+	}
+}

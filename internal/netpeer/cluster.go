@@ -54,7 +54,10 @@ type Cluster struct {
 	// Deployment is the crawl as the peers rank it: the resolved
 	// parameters, the Pastry ring, the partition and every group.
 	Deployment *dprcore.Deployment
-	// Reference is the centralized fixed point R*.
+	// Reference is the centralized fixed point R*, the yardstick of
+	// RelErr and Converge. No peer needs it, so StartCluster does not
+	// solve it: it stays nil until the first RelErr or Converge has
+	// solved it, once, from the crawl the cluster keeps.
 	Reference vecmath.Vec
 
 	cfg ClusterConfig
@@ -62,6 +65,15 @@ type Cluster struct {
 	// epoch is the cluster's one time axis: churn times and every
 	// peer's fault windows, restarted peers' included, count from here.
 	epoch time.Time
+
+	// g is the crawl, kept for the reference; refOnce solves Reference
+	// from it on first use, and refErr is that solve's error.
+	g       *webgraph.Graph
+	refOnce sync.Once
+	refErr  error
+	// relMu guards relBuf, the vector RelErr assembles into.
+	relMu  sync.Mutex
+	relBuf vecmath.Vec
 
 	// mu guards Peers (restarts swap entries), timers, churnErr and
 	// gone (the replaced peers' counters, the restarts' Recoveries).
@@ -76,8 +88,10 @@ type Cluster struct {
 }
 
 // StartCluster deploys g over K peers on a Pastry ring (dprcore.Deploy),
-// computes the centralized reference, starts one TCP peer per group on
-// 127.0.0.1, interconnects them, and starts their ranking loops.
+// starts one TCP peer per group on 127.0.0.1, interconnects them, and
+// starts their ranking loops. The centralized reference is solved from
+// g only when RelErr or Converge first needs it, so g must stay valid
+// (a mapped crawl open) until Close.
 func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if g == nil {
 		return nil, fmt.Errorf("netpeer: nil graph")
@@ -100,11 +114,7 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netpeer: %w", err)
 	}
-	ref, err := dprcore.Reference(g, dep.Params.Alpha)
-	if err != nil {
-		return nil, fmt.Errorf("netpeer: %w", err)
-	}
-	cl := &Cluster{Deployment: dep, Reference: ref, cfg: cfg, epoch: time.Now()}
+	cl := &Cluster{Deployment: dep, cfg: cfg, g: g, epoch: time.Now()}
 	if cfg.Indirect {
 		cl.ov = ring
 	}
@@ -234,29 +244,69 @@ func (cl *Cluster) Peer(i int) *Peer {
 
 // Assemble snapshots every peer's local ranks into one global vector.
 func (cl *Cluster) Assemble() vecmath.Vec {
-	out := vecmath.NewVec(len(cl.Reference))
-	cl.mu.Lock()
-	peers := append([]*Peer(nil), cl.Peers...)
-	cl.mu.Unlock()
-	cl.Deployment.Assemble(out, func(i int) dprcore.Ranker { return peers[i] })
+	out := vecmath.NewVec(len(cl.Deployment.Assign.GroupOf))
+	cl.assembleInto(out)
 	return out
 }
 
+// assembleInto writes every peer's local ranks into the page-indexed
+// dst, each copied under its peer's lock.
+func (cl *Cluster) assembleInto(dst vecmath.Vec) {
+	for i := range cl.Deployment.Groups {
+		cl.Peer(i).scatterRanks(dst)
+	}
+}
+
+// reference returns R*, solving it on the first call. A crawl closed
+// before then (a mapped one reads as empty) is an error, not a vector
+// of the wrong length.
+func (cl *Cluster) reference() (vecmath.Vec, error) {
+	cl.refOnce.Do(func() {
+		ref, err := dprcore.Reference(cl.g, cl.Deployment.Params.Alpha)
+		if n := len(cl.Deployment.Assign.GroupOf); err == nil && len(ref) != n {
+			err = fmt.Errorf("crawl has %d pages, the deployment %d: closed before the reference was solved", len(ref), n)
+		}
+		if err != nil {
+			cl.refErr = fmt.Errorf("netpeer: %w", err)
+			return
+		}
+		cl.Reference = ref
+	})
+	return cl.Reference, cl.refErr
+}
+
 // RelErr returns the current relative error against the centralized
-// reference.
+// reference, solving it on the first call; NaN if that solve failed.
+// Once the reference exists it allocates nothing: every call assembles
+// into the one vector the cluster keeps for it.
 func (cl *Cluster) RelErr() float64 {
-	return vecmath.RelErr1(cl.Assemble(), cl.Reference)
+	ref, err := cl.reference()
+	if err != nil {
+		return math.NaN()
+	}
+	cl.relMu.Lock()
+	defer cl.relMu.Unlock()
+	if cl.relBuf == nil {
+		cl.relBuf = vecmath.NewVec(len(ref))
+	}
+	cl.assembleInto(cl.relBuf)
+	return vecmath.RelErr1(cl.relBuf, ref)
 }
 
 // Converge samples the cluster every 20 ms of Elapsed until the
 // relative error reaches target or timeout expires, and returns the
 // run record, its counters summed over every peer the cluster ran,
-// churned ones included. A churn restart that failed returns at once,
-// and so does a target that is not a positive finite number, which no
-// run can reach.
+// churned ones included. The centralized reference is solved first,
+// before the first sample and the timeout start, and a failed solve is
+// returned. A churn restart that failed returns at once, and so does a
+// target that is not a positive finite number, which no run can reach.
 func (cl *Cluster) Converge(target float64, timeout time.Duration) (*dprcore.Record, error) {
 	if !(target > 0) || math.IsInf(target, 1) {
 		return nil, fmt.Errorf("netpeer: converge target = %v, must be positive and finite", target)
+	}
+	ref, err := cl.reference()
+	if err != nil {
+		return nil, err
 	}
 	rec := &dprcore.Record{ConvergedAt: -1}
 	tick := time.NewTicker(20 * time.Millisecond)
@@ -268,7 +318,7 @@ func (cl *Cluster) Converge(target float64, timeout time.Duration) (*dprcore.Rec
 		if err != nil {
 			return nil, err
 		}
-		if cl.Deployment.Sample(rec, cl.Elapsed(), cl.Reference, target, func(i int) dprcore.Ranker { return peers[i] }) {
+		if cl.Deployment.Sample(rec, cl.Elapsed(), ref, target, func(i int) dprcore.Ranker { return peers[i] }) {
 			break
 		}
 		if time.Now().After(deadline) {

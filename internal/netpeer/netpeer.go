@@ -291,6 +291,17 @@ func (p *Peer) Ranks() vecmath.Vec {
 	return p.loop.Ranks().Clone()
 }
 
+// scatterRanks copies the local ranks into dst at the group's global
+// page IDs.
+func (p *Peer) scatterRanks(dst vecmath.Vec) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := p.loop.Ranks()
+	for li, pg := range p.cfg.Group.Pages {
+		dst[pg] = r[li]
+	}
+}
+
 // snapshot returns the loop's encoded state (dprcore.Loop.Snapshot).
 func (p *Peer) snapshot() []byte {
 	p.mu.Lock()

@@ -2,8 +2,10 @@ package netpeer
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,9 +188,132 @@ func TestPeerMonotoneUnderRealAsync(t *testing.T) {
 		}
 		prev = cur
 	}
-	// And bounded by the centralized fixed point (Theorem 4.2).
+	// And bounded by the centralized fixed point (Theorem 4.2), which
+	// the first RelErr solves.
+	cl.RelErr()
 	if !vecmath.Dominates(cl.Reference, prev, 1e-9) {
 		t.Fatal("Theorem 4.2 violated over real TCP: ranks exceeded R*")
+	}
+}
+
+// startOracleCluster starts the small DPR2 cluster the oracle tests
+// share.
+func startOracleCluster(t *testing.T, g *webgraph.Graph) *Cluster {
+	t.Helper()
+	cl, err := StartCluster(g, ClusterConfig{Params: dprcore.Params{Alg: dprcore.DPR2}, K: 3, MeanWait: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// StartCluster solves no R*: the first RelErr does, with the very call
+// every driver measures against, so the oracle is bit-identical to
+// dprcore.Reference.
+func TestReferenceSolvedOnFirstUse(t *testing.T) {
+	g := genGraph(t, 800, 7)
+	cl := startOracleCluster(t, g)
+	defer cl.Close()
+	if cl.Reference != nil {
+		t.Fatal("StartCluster solved the reference")
+	}
+	if e := cl.RelErr(); !(e >= 0) {
+		t.Fatalf("RelErr = %v", e)
+	}
+	want, err := dprcore.Reference(g, cl.Deployment.Params.Alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.Reference) != len(want) {
+		t.Fatalf("reference has %d pages, want %d", len(cl.Reference), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(cl.Reference[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("reference[%d] = %v, dprcore.Reference %v", i, cl.Reference[i], want[i])
+		}
+	}
+}
+
+// RelErr and Converge racing for the first use solve R* once: every
+// caller, and the Reference field, sees one backing array.
+func TestReferenceSharedAcrossCallers(t *testing.T) {
+	g := genGraph(t, 800, 7)
+	cl := startOracleCluster(t, g)
+	defer cl.Close()
+	var wg sync.WaitGroup
+	seen := make([]*float64, 4)
+	errs := make([]error, 4)
+	for w := range seen {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w%2 == 0 {
+				cl.RelErr()
+			} else {
+				_, errs[w] = cl.Converge(1e-3, 30*time.Second)
+			}
+			ref, err := cl.reference()
+			if err == nil {
+				seen[w] = &ref[0]
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, p := range seen {
+		if errs[w] != nil {
+			t.Fatalf("caller %d: %v", w, errs[w])
+		}
+		if p == nil || p != &cl.Reference[0] {
+			t.Fatalf("caller %d saw a reference of its own", w)
+		}
+	}
+}
+
+// Once the reference exists RelErr assembles into the cluster's one
+// buffer: polling it allocates nothing (measured after Close, so no
+// peer allocates beside it), while Assemble still hands out a fresh
+// vector.
+func TestRelErrAllocatesNothing(t *testing.T) {
+	g := genGraph(t, 800, 7)
+	cl := startOracleCluster(t, g)
+	cl.RelErr()
+	cl.Close()
+	if a := testing.AllocsPerRun(20, func() { cl.RelErr() }); a != 0 {
+		t.Fatalf("RelErr allocates %v times per call", a)
+	}
+	if a, b := cl.Assemble(), cl.Assemble(); &a[0] == &b[0] || &a[0] == &cl.relBuf[0] {
+		t.Fatal("Assemble returned a shared vector")
+	}
+	if e, want := cl.RelErr(), vecmath.RelErr1(cl.Assemble(), cl.Reference); e != want {
+		t.Fatalf("RelErr = %v, the assembled vector's %v", e, want)
+	}
+}
+
+// A mapped crawl closed before the first use leaves no reference to
+// solve: Converge returns the error and RelErr reads NaN, instead of
+// measuring against an empty vector.
+func TestReferenceErrorOnClosedCrawl(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crawl.bin")
+	if err := webgraph.WriteMappedFile(path, genGraph(t, 800, 7)); err != nil {
+		t.Fatal(err)
+	}
+	g, err := webgraph.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := startOracleCluster(t, g)
+	defer cl.Close()
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Converge(1e-3, time.Second); err == nil || !strings.Contains(err.Error(), "closed before the reference was solved") {
+		t.Fatalf("Converge = %v, want the oracle's error", err)
+	}
+	if e := cl.RelErr(); !math.IsNaN(e) {
+		t.Fatalf("RelErr = %v, want NaN", e)
+	}
+	if cl.Reference != nil {
+		t.Fatal("a failed solve set Reference")
 	}
 }
 

@@ -128,8 +128,9 @@ func Open(g *webgraph.Graph, opt Options) (Result, error) {
 	n := g.NumPages()
 	// The paper's source vector E(v) = 1 for every page.
 	sys := &GroupSystem{A: a, BetaE: vecmath.Const(n, 1-opt.Alpha)}
-	r0 := vecmath.Const(n, 1)
-	return sys.Solve(r0, nil, opt)
+	// From R = 1, in place: Solve's clone of the start would be one more
+	// n-vector.
+	return sys.SolveInPlace(vecmath.Const(n, 1), nil, vecmath.NewVec(n), opt)
 }
 
 // ErrorBound returns the a-posteriori bound of Theorem 3.3:
