@@ -50,9 +50,7 @@ import (
 
 	"p2prank/internal/cliflags"
 	"p2prank/internal/dprcore"
-	"p2prank/internal/engine"
 	"p2prank/internal/netpeer"
-	"p2prank/internal/partition"
 	"p2prank/internal/search"
 	"p2prank/internal/serve"
 	"p2prank/internal/telemetry"
@@ -350,27 +348,12 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 		fatal(err)
 	}
 	defer g.Close()
-	// Every process builds the same ranker ring (nodeid.RankerIDs) and
-	// deploys the crawl over it as StartCluster does, so independent
-	// processes agree on the partition, the lattice and the routes.
-	ring, err := engine.BuildOverlay(engine.Pastry, k)
-	if err != nil {
-		fatal(err)
-	}
-	params.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
-	dep, err := dprcore.Deploy(g, ring, partition.BySite, params, seed, nil)
-	if err != nil {
-		fatal(err)
-	}
-	pcfg := netpeer.Config{
-		Params: dep.Params,
-		Group:  dep.Groups[index],
-		Seed:   dep.PeerSeed(index),
-	}
-	if indirect {
-		pcfg.Overlay = ring
-	}
-	peer, err := netpeer.Listen(listen, pcfg)
+	// Every process deploys the crawl as StartCluster does, so
+	// independent processes agree on the partition, the lattice and the
+	// routes.
+	peer, err := netpeer.Listen(listen, g, netpeer.ClusterConfig{
+		Params: params, K: k, Seed: seed, Indirect: indirect,
+	}, index)
 	if err != nil {
 		fatal(err)
 	}
@@ -380,7 +363,7 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 	}
 	peer.Start()
 	fmt.Printf("ranker %d/%d listening on %s (%d pages, %v)\n",
-		index, k, peer.Addr(), dep.Groups[index].N(), params.Alg)
+		index, k, peer.Addr(), len(peer.Ranks()), params.Alg)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -3,9 +3,11 @@ package dprcore
 import (
 	"fmt"
 
+	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
+	"p2prank/internal/pastry"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 )
@@ -21,7 +23,8 @@ type Deployment struct {
 	Params Params
 	// Seed is the run seed (1 when Deploy was given 0).
 	Seed uint64
-	// Ring is the overlay the pages are partitioned over.
+	// Ring is the Pastry ring over nodeid.RankerIDs(K) the pages are
+	// partitioned over.
 	Ring overlay.Network
 	// Assign maps every page to its ranker.
 	Assign *partition.Assignment
@@ -32,10 +35,29 @@ type Deployment struct {
 	Checkpoints *MemCheckpointer
 }
 
-// Deploy partitions g over ring with strategy and builds every ranker's
-// group. p must carry the driver's wait defaults (Params.Defaults); it
-// is validated here along with the churn schedule (ChurnCheckpoints).
-func Deploy(g *webgraph.Graph, ring overlay.Network, strategy partition.Strategy, p Params, seed uint64, churn []ChurnEvent) (*Deployment, error) {
+// Ring builds the ring k page rankers share: Pastry over the k IDs of
+// nodeid.RankerIDs. It refuses k ≤ 0. Deploy builds its ring here, and
+// so does code that partitions without deploying.
+func Ring(k int) (overlay.Network, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("dprcore: K = %d, must be positive", k)
+	}
+	ring, err := pastry.New(nodeid.RankerIDs(k))
+	if err != nil {
+		return nil, err
+	}
+	return ring, nil
+}
+
+// Deploy builds the ring of k rankers (Ring), partitions g over it with
+// strategy and builds every ranker's group. p must carry the driver's
+// wait defaults (Params.Defaults); it is validated here along with the
+// churn schedule (ChurnCheckpoints).
+func Deploy(g *webgraph.Graph, k int, strategy partition.Strategy, p Params, seed uint64, churn []ChurnEvent) (*Deployment, error) {
+	ring, err := Ring(k)
+	if err != nil {
+		return nil, err
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -45,7 +67,7 @@ func Deploy(g *webgraph.Graph, ring overlay.Network, strategy partition.Strategy
 	if p.Fault.Enabled() && p.Fault.Seed == 0 {
 		p.Fault.Seed = seed
 	}
-	ckpt, err := ChurnCheckpoints(&p, ring.NumNodes(), churn)
+	ckpt, err := ChurnCheckpoints(&p, k, churn)
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ type RNG interface {
 
 // Params is the one shared configuration surface of the DPR loop
 // layer. Every runtime config embeds it — engine.Config (simulator) and
-// netpeer.Config/ClusterConfig (TCP) — so the algorithm knobs are
+// netpeer.ClusterConfig (TCP) — so the algorithm knobs are
 // spelled identically everywhere and validated once, here. Runtime
 // specifics (graph, overlay, network model) stay in the
 // embedding configs; see DESIGN.md §9 for the full mapping.

@@ -181,10 +181,6 @@ type FaultSender struct {
 	// obs, when set, is notified of every injected fault. Nil-checked
 	// like the loop's observer: no observer, no extra work.
 	obs telemetry.Observer
-	// rec, when the wrapped sender exposes it, is told about every drop
-	// so transport stats keep injected loss separate from send-time
-	// drops (see transport.Stats.FaultDrops).
-	rec dropRecorder
 
 	// epoch is the clock reading partition windows are measured from:
 	// construction, unless NewStack put it on the driver's epoch, so the
@@ -211,13 +207,6 @@ type FaultStats struct {
 	Straggled int64
 }
 
-// dropRecorder is the probe a wrapped sender may implement to account
-// for chunks the fault injector discarded above it. *transport.Fabric
-// implements it.
-type dropRecorder interface {
-	RecordFaultDrop(from int)
-}
-
 // NewFaultSender wraps inner. clock may be nil when DelayProb is zero;
 // rng must be a stream private to this wrapper.
 func NewFaultSender(inner Sender, clock Clock, rng RNG, cfg FaultConfig) (*FaultSender, error) {
@@ -234,9 +223,6 @@ func NewFaultSender(inner Sender, clock Clock, rng RNG, cfg FaultConfig) (*Fault
 	if clock != nil {
 		f.epoch = clock.Now()
 	}
-	if r, ok := inner.(dropRecorder); ok {
-		f.rec = r
-	}
 	return f, nil
 }
 
@@ -251,20 +237,20 @@ func (f *FaultSender) Observe(o telemetry.Observer) { f.obs = o }
 func (f *FaultSender) Send(from int, chunk transport.ScoreChunk) error {
 	if f.cfg.PartitionFrac > 0 && f.cfg.PartitionActiveAt(f.clock.Now()-f.epoch) &&
 		f.cfg.PartitionMinority(from) != f.cfg.PartitionMinority(int(chunk.DstGroup)) {
-		f.inject(from, telemetry.FaultPartition, true)
+		f.inject(from, telemetry.FaultPartition)
 		return nil
 	}
 	if f.cfg.StraggleFrac > 0 && f.cfg.Straggler(from) {
-		f.inject(from, telemetry.FaultStraggle, false)
+		f.inject(from, telemetry.FaultStraggle)
 		f.sendAfter(f.cfg.StraggleFactor, from, chunk)
 		return nil
 	}
 	if f.cfg.DropProb > 0 && f.rng.Float64() < f.cfg.DropProb {
-		f.inject(from, telemetry.FaultDrop, true)
+		f.inject(from, telemetry.FaultDrop)
 		return nil
 	}
 	if f.cfg.DelayProb > 0 && f.rng.Float64() < f.cfg.DelayProb {
-		f.inject(from, telemetry.FaultDelay, false)
+		f.inject(from, telemetry.FaultDelay)
 		f.sendAfter(f.rng.Exp(f.cfg.MeanDelay), from, chunk)
 		return nil
 	}
@@ -272,20 +258,16 @@ func (f *FaultSender) Send(from int, chunk transport.ScoreChunk) error {
 		return err
 	}
 	if f.cfg.DupProb > 0 && f.rng.Float64() < f.cfg.DupProb {
-		f.inject(from, telemetry.FaultDup, false)
+		f.inject(from, telemetry.FaultDup)
 		return f.inner.Send(from, chunk)
 	}
 	return nil
 }
 
 // inject counts one fault of kind on from's chunk and tells the
-// observer; lost says the chunk is gone for good, which the wrapped
-// sender's drop accounting also hears.
-func (f *FaultSender) inject(from int, kind telemetry.FaultKind, lost bool) {
+// observer.
+func (f *FaultSender) inject(from int, kind telemetry.FaultKind) {
 	f.counts[kind].Add(1)
-	if lost && f.rec != nil {
-		f.rec.RecordFaultDrop(from)
-	}
 	if f.obs != nil {
 		f.obs.FaultInjected(from, kind)
 	}

@@ -156,7 +156,7 @@ func (l *Loop) ComputePhase() {
 	if l.obs != nil {
 		l.obs.ComputeStart(l.grp.Index, round)
 	}
-	srcs, xEntries := l.refreshX()
+	l.refreshX()
 	var st telemetry.ComputeStats
 	switch l.p.Alg {
 	case DPR1:
@@ -193,7 +193,6 @@ func (l *Loop) ComputePhase() {
 		}
 	}
 	if l.obs != nil {
-		st.XSources, st.XEntries = srcs, xEntries
 		l.obs.ComputeEnd(l.grp.Index, round, st)
 	}
 }
@@ -221,24 +220,20 @@ func (l *Loop) Step() {
 	l.CommitPhase()
 }
 
-// refreshX assembles X from the newest chunk of every source group,
-// returning the source and entry counts for telemetry. Sources are
-// summed in ascending group order so floating-point rounding is
-// reproducible.
-func (l *Loop) refreshX() (sources, entries int) {
+// refreshX assembles X from the newest chunk of every source group.
+// Sources are summed in ascending group order so floating-point
+// rounding is reproducible.
+func (l *Loop) refreshX() {
 	l.x.Zero()
 	for i := range l.latest {
 		c := &l.latest[i]
 		if c.Round == 0 {
 			continue
 		}
-		sources++
-		entries += len(c.Entries)
 		for _, e := range c.Entries {
 			l.x[e.DstLocal] += e.Value
 		}
 	}
-	return sources, entries
 }
 
 // publishY computes Y = BR per destination group and hands it to the

@@ -1,6 +1,6 @@
 // Package engine orchestrates a full distributed page-ranking
-// experiment: it builds the overlay, partitions the crawl, wires K
-// asynchronous rankers to a transport fabric over the simulated
+// experiment: it deploys the crawl onto K asynchronous rankers on a
+// Pastry ring, wires them to a transport fabric over the simulated
 // network, runs them against the centralized reference vector, and
 // records the time series behind the paper's Figures 6–8. Each ranker
 // is one dprcore.Loop under the simulator driver in ranker.go.
@@ -11,11 +11,9 @@ import (
 	"math"
 
 	"p2prank/internal/dprcore"
-	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
-	"p2prank/internal/pastry"
 	"p2prank/internal/simnet"
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
@@ -26,7 +24,8 @@ import (
 
 // OverlayKind names a structured overlay. Pastry, the overlay the
 // paper runs on, is its only value; the type stays only because the
-// benchmark harness under bench/ calls BuildOverlay(Pastry, k).
+// benchmark harness under bench/ calls BuildOverlay(Pastry, k) —
+// nothing else does.
 type OverlayKind int
 
 // Pastry is the overlay the paper runs on.
@@ -89,9 +88,9 @@ type Config struct {
 // zero mean would schedule unboundedly many loops at one instant.
 const MinMeanWait = 0.1
 
-// validate checks the engine's own fields and deploys the crawl
-// (dprcore.Deploy) over the configured overlay with the simulator's
-// wait defaults, leaving the resolved parameters in c.
+// validate checks the engine's own fields and deploys the crawl over
+// K rankers (dprcore.Deploy) with the simulator's wait defaults,
+// leaving the resolved parameters in c.
 func (c *Config) validate() (*dprcore.Deployment, error) {
 	if c.Graph == nil {
 		return nil, fmt.Errorf("engine: Graph is required")
@@ -118,11 +117,7 @@ func (c *Config) validate() (*dprcore.Deployment, error) {
 	if math.IsInf(c.TargetRelErr, 0) || !(c.TargetRelErr >= 0) {
 		return nil, fmt.Errorf("engine: TargetRelErr %v must be finite and non-negative", c.TargetRelErr)
 	}
-	ring, err := BuildOverlay(Pastry, c.K)
-	if err != nil {
-		return nil, err
-	}
-	dep, err := dprcore.Deploy(c.Graph, ring, c.Strategy, c.Params, c.Seed, c.Churn)
+	dep, err := dprcore.Deploy(c.Graph, c.K, c.Strategy, c.Params, c.Seed, c.Churn)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -172,16 +167,15 @@ type cluster struct {
 	rankers []*ranker
 }
 
-// BuildOverlay builds the Pastry ring over the k ranker IDs of
-// nodeid.RankerIDs; k must be positive and kind must be Pastry.
+// BuildOverlay returns dprcore.Ring(k); kind must be Pastry. Only the
+// benchmark harness under bench/ calls it: every driver gets its ring
+// from dprcore.Deploy, and code that partitions without deploying
+// calls dprcore.Ring.
 func BuildOverlay(kind OverlayKind, k int) (overlay.Network, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("engine: overlay of K = %d rankers, must be positive", k)
-	}
 	if kind != Pastry {
 		return nil, fmt.Errorf("engine: unknown overlay kind %d", int(kind))
 	}
-	return pastry.New(nodeid.RankerIDs(k))
+	return dprcore.Ring(k)
 }
 
 func build(cfg Config, dep *dprcore.Deployment) (*cluster, error) {

@@ -269,7 +269,7 @@ type CutRow struct {
 // boundaries under one partitioning strategy at K rankers — the
 // evidence behind §4.1's recommendation of hash-by-site.
 func cut(x *env, strat partition.Strategy) (CutRow, error) {
-	ov, err := engine.BuildOverlay(engine.Pastry, x.K)
+	ov, err := dprcore.Ring(x.K)
 	if err != nil {
 		return CutRow{}, err
 	}
@@ -296,7 +296,7 @@ func hops(x *env, ns []int) ([]HopsRow, error) {
 	rng := xrand.New(x.Seed)
 	rows := make([]HopsRow, len(ns))
 	for i, n := range ns {
-		ov, err := engine.BuildOverlay(engine.Pastry, n)
+		ov, err := dprcore.Ring(n)
 		if err != nil {
 			return nil, err
 		}

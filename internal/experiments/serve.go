@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"p2prank/internal/dprcore"
-	"p2prank/internal/engine"
 	"p2prank/internal/overlay"
 	"p2prank/internal/pagerank"
 	"p2prank/internal/partition"
@@ -58,7 +57,7 @@ func newServeBench(w Workload, k, queries int) (*serveBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	ov, err := engine.BuildOverlay(engine.Pastry, k)
+	ov, err := dprcore.Ring(k)
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"p2prank/internal/dprcore"
-	"p2prank/internal/nodeid"
 	"p2prank/internal/partition"
-	"p2prank/internal/pastry"
 	"p2prank/internal/transport"
 )
 
@@ -19,27 +17,16 @@ import (
 func BenchmarkPeerHandleFrame(b *testing.B) {
 	const k = 16
 	g := genGraph(b, 2000, 7)
-	ov, err := pastry.New(nodeid.RankerIDs(k))
-	if err != nil {
-		b.Fatal(err)
-	}
-	assign, err := partition.Assign(g, ov, partition.ByPage, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups, err := dprcore.BuildGroups(g, assign, 0.85)
-	if err != nil {
-		b.Fatal(err)
-	}
-	grp := groups[0]
-	if len(grp.AffSrcs) == 0 {
-		b.Fatal("group 0 has no afferent group; pick another seed")
-	}
-	p, err := Listen("127.0.0.1:0", Config{Params: dprcore.Params{Alg: dprcore.DPR2}, Group: grp, Overlay: ov})
+	p, err := Listen("127.0.0.1:0", g, ClusterConfig{Params: dprcore.Params{Alg: dprcore.DPR2}, K: k,
+		Strategy: partition.ByPage, Indirect: true}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer p.Close()
+	grp := p.grp
+	if len(grp.AffSrcs) == 0 {
+		b.Fatal("group 0 has no afferent group; pick another seed")
+	}
 	src := grp.AffSrcs[0]
 	chunks := []transport.ScoreChunk{{SrcGroup: src, DstGroup: 0, Links: 1,
 		Entries: []transport.ScoreEntry{{DstLocal: 0, Value: 0.5}}}}

@@ -7,19 +7,20 @@ import (
 	"time"
 
 	"p2prank/internal/dprcore"
-	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
-	"p2prank/internal/pastry"
 	"p2prank/internal/vecmath"
 	"p2prank/internal/webgraph"
 )
 
-// ClusterConfig parameterizes StartCluster. The algorithm knobs (Alg,
-// Alpha, SendProb, Fault, Observer, …) live in the embedded
-// dprcore.Params and are handed to every peer unchanged; an Observer
-// is shared by all peers of the cluster (the collectors are
-// goroutine-safe and keyed by ranker index).
+// ClusterConfig parameterizes StartCluster, and Listen's lone peer. The
+// algorithm knobs (Alg, Alpha, SendProb, Fault, Observer, …) live in
+// the embedded dprcore.Params and are handed to every peer unchanged;
+// on the live stack T1/T2 are wall-clock nanoseconds. An Observer is
+// shared by all peers of the cluster (the collectors are goroutine-safe
+// and keyed by ranker index); one that is a *telemetry.Collector also
+// gets the wall clock for trace timestamps and overlay route lengths
+// for hop attribution.
 type ClusterConfig struct {
 	// Params are the shared DPR loop parameters (see dprcore.Params).
 	dprcore.Params
@@ -42,7 +43,8 @@ type ClusterConfig struct {
 	// starts the peers, that every peer's fault windows are measured
 	// from too (see Cluster.Elapsed). A crash closes the peer; a restart
 	// binds a fresh one on a new port, restores the state the event's
-	// Restart mode picks, and re-meshes it.
+	// Restart mode picks, and re-meshes it. Listen refuses a schedule:
+	// only a Cluster runs one.
 	Churn []dprcore.ChurnEvent
 }
 
@@ -60,8 +62,7 @@ type Cluster struct {
 	// solved it, once, from the crawl the cluster keeps.
 	Reference vecmath.Vec
 
-	cfg ClusterConfig
-	ov  overlay.Network // the ring in indirect mode, nil in direct
+	ov overlay.Network // the ring in indirect mode, nil in direct
 	// epoch is the cluster's one time axis: churn times and every
 	// peer's fault windows, restarted peers' included, count from here.
 	epoch time.Time
@@ -93,32 +94,12 @@ type Cluster struct {
 // g only when RelErr or Converge first needs it, so g must stay valid
 // (a mapped crawl open) until Close.
 func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
-	if g == nil {
-		return nil, fmt.Errorf("netpeer: nil graph")
-	}
-	if cfg.K <= 0 {
-		return nil, fmt.Errorf("netpeer: K = %d, must be positive", cfg.K)
-	}
-	if cfg.MeanWait < 0 {
-		return nil, fmt.Errorf("netpeer: negative MeanWait")
-	}
-	if cfg.MeanWait == 0 && cfg.T1 == 0 && cfg.T2 == 0 {
-		cfg.MeanWait = 30 * time.Millisecond
-	}
-	cfg.Params.Defaults(float64(cfg.MeanWait), float64(cfg.MeanWait))
-	ring, err := pastry.New(nodeid.RankerIDs(cfg.K))
+	dep, ov, err := deploy(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	dep, err := dprcore.Deploy(g, ring, cfg.Strategy, cfg.Params, cfg.Seed, cfg.Churn)
-	if err != nil {
-		return nil, fmt.Errorf("netpeer: %w", err)
-	}
-	cl := &Cluster{Deployment: dep, cfg: cfg, g: g, epoch: time.Now()}
-	if cfg.Indirect {
-		cl.ov = ring
-	}
-	for i := 0; i < cfg.K; i++ {
+	cl := &Cluster{Deployment: dep, ov: ov, g: g, epoch: time.Now()}
+	for i := range dep.Groups {
 		peer, err := cl.newPeer(i, nil)
 		if err != nil {
 			cl.Close()
@@ -156,19 +137,38 @@ func StartCluster(g *webgraph.Graph, cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
+// deploy is the one deploy step of StartCluster and Listen: cfg's
+// MeanWait default (30ms, used when T1/T2 are zero), then the
+// deployment, then the ring the peers relay over when Indirect (nil in
+// direct mode).
+func deploy(g *webgraph.Graph, cfg ClusterConfig) (*dprcore.Deployment, overlay.Network, error) {
+	if g == nil {
+		return nil, nil, fmt.Errorf("netpeer: nil graph")
+	}
+	if cfg.MeanWait < 0 {
+		return nil, nil, fmt.Errorf("netpeer: negative MeanWait")
+	}
+	if cfg.MeanWait == 0 && cfg.T1 == 0 && cfg.T2 == 0 {
+		cfg.MeanWait = 30 * time.Millisecond
+	}
+	cfg.Params.Defaults(float64(cfg.MeanWait), float64(cfg.MeanWait))
+	dep, err := dprcore.Deploy(g, cfg.K, cfg.Strategy, cfg.Params, cfg.Seed, cfg.Churn)
+	if err != nil {
+		return nil, nil, fmt.Errorf("netpeer: %w", err)
+	}
+	if !cfg.Indirect {
+		return dep, nil, nil
+	}
+	return dep, dep.Ring, nil
+}
+
 // newPeer builds and binds the peer for group i with the deployment's
 // parameters — one fault lattice, cut by the run seed — on the
 // cluster's epoch, its loop restored from snap when non-nil (pending
 // chunks in it re-enter through the sender chain). The caller starts
 // it and meshes its address.
 func (cl *Cluster) newPeer(i int, snap []byte) (*Peer, error) {
-	dep := cl.Deployment
-	p, err := listen("127.0.0.1:0", Config{
-		Params:  dep.Params,
-		Group:   dep.Groups[i],
-		Seed:    dep.PeerSeed(i),
-		Overlay: cl.ov,
-	}, cl.epoch)
+	p, err := listen("127.0.0.1:0", cl.Deployment, cl.ov, i, cl.epoch)
 	if err == nil && snap != nil {
 		if err = p.loop.Restore(snap); err != nil {
 			p.Close()

@@ -33,48 +33,9 @@ import (
 	"p2prank/internal/telemetry"
 	"p2prank/internal/transport"
 	"p2prank/internal/vecmath"
+	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
-
-// Config parameterizes one peer.
-//
-// The algorithm knobs (Alg, Alpha, SendProb, T1/T2,
-// Fault, Observer) live in the embedded dprcore.Params, the same
-// configuration surface the simulator's engine.Config embeds — see
-// DESIGN.md §9. On the live stack T1/T2 are wall-clock nanoseconds;
-// left zero, every loop's mean pause is 50ms. An Observer
-// that is a *telemetry.Collector additionally gets the wall clock
-// for trace timestamps and overlay route lengths for hop attribution.
-type Config struct {
-	// Params are the shared DPR loop parameters (see dprcore.Params).
-	dprcore.Params
-	// Group is the peer's page group (a dprcore.Deployment's Groups[i]).
-	Group *dprcore.Group
-	// Seed drives the peer's private randomness (default 1).
-	Seed uint64
-	// Overlay, when non-nil, switches the peer to indirect
-	// transmission: frames hop along overlay routes (NextHop over
-	// ranker indices) instead of going straight to their destination.
-	// All peers of a cluster must share the same overlay construction.
-	Overlay overlay.Network
-}
-
-func (c *Config) validate() error {
-	if c.Group == nil {
-		return errors.New("netpeer: Group is required")
-	}
-	if c.Overlay != nil && c.Group.Index >= c.Overlay.NumNodes() {
-		return fmt.Errorf("netpeer: group index %d is outside the %d-node overlay", c.Group.Index, c.Overlay.NumNodes())
-	}
-	c.Params.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
-	if err := c.Params.Validate(); err != nil {
-		return fmt.Errorf("netpeer: %w", err)
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return nil
-}
 
 // frame is the single wire message: a batch of score chunks plus any
 // cumulative delivery acknowledgements riding back (reliable mode).
@@ -88,8 +49,10 @@ type frame struct {
 // Peer is one live page ranker: a dprcore.Loop plus the TCP runtime
 // that drives it.
 type Peer struct {
-	cfg Config
-	ln  net.Listener
+	grp *dprcore.Group
+	// ov is the ring frames hop along in indirect mode, nil in direct.
+	ov overlay.Network
+	ln net.Listener
 
 	// mu serializes the loop's phases (rank goroutine) against chunk
 	// deliveries (read goroutines). Frames are never written while mu is
@@ -185,27 +148,38 @@ func (wallClock) Now() float64 { return float64(time.Now().UnixNano()) }
 
 func (wallClock) After(d float64, fn func()) { time.AfterFunc(time.Duration(d), fn) }
 
-// Listen creates a peer bound to addr ("127.0.0.1:0" picks a free
-// port) and starts accepting score traffic. Call SetPeer to teach it
-// the other rankers' addresses, then Start to begin ranking. The
-// peer's fault windows are measured from its own construction; a
-// Cluster's peers share the cluster's epoch instead.
-func Listen(addr string, cfg Config) (*Peer, error) {
-	return listen(addr, cfg, time.Now())
-}
-
-// listen is Listen with the epoch the peer's fault windows are
-// measured from.
-func listen(addr string, cfg Config, epoch time.Time) (*Peer, error) {
-	if err := cfg.validate(); err != nil {
+// Listen deploys g as StartCluster does — one ClusterConfig, so every
+// process given the same crawl and config cuts the same partition,
+// lattice and routes — and binds ranker i of it to addr ("127.0.0.1:0"
+// picks a free port), accepting score traffic. Call SetPeer to teach it
+// the other rankers' addresses, then Start to begin ranking. The peer's
+// fault windows are measured from its own construction. Churn must be
+// empty: only a Cluster schedules outages.
+func Listen(addr string, g *webgraph.Graph, cfg ClusterConfig, i int) (*Peer, error) {
+	if len(cfg.Churn) > 0 {
+		return nil, errors.New("netpeer: Churn needs a Cluster; a lone peer schedules no outages")
+	}
+	dep, ov, err := deploy(g, cfg)
+	if err != nil {
 		return nil, err
 	}
+	if i < 0 || i >= len(dep.Groups) {
+		return nil, fmt.Errorf("netpeer: index %d outside [0, %d)", i, len(dep.Groups))
+	}
+	return listen(addr, dep, ov, i, time.Now())
+}
+
+// listen binds ranker i of dep to addr, relaying over ov (nil: direct),
+// with its fault windows measured from epoch.
+func listen(addr string, dep *dprcore.Deployment, ov overlay.Network, i int, epoch time.Time) (*Peer, error) {
+	params, seed := dep.Params, dep.PeerSeed(i)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netpeer: listen: %w", err)
 	}
 	p := &Peer{
-		cfg:      cfg,
+		grp:      dep.Groups[i],
+		ov:       ov,
 		ln:       ln,
 		out:      &outbox{},
 		peers:    make(map[int32]string),
@@ -216,30 +190,30 @@ func listen(addr string, cfg Config, epoch time.Time) (*Peer, error) {
 	// Faults and then the reliable layer fork their streams from a
 	// seed-keyed root of their own, so enabling them never changes the
 	// loop's randomness.
-	root := xrand.New(cfg.Seed ^ 0x6c62272e07bb0142)
+	root := xrand.New(seed ^ 0x6c62272e07bb0142)
 	p.stack, err = dprcore.NewStack(p.out, wallClock{}, float64(epoch.UnixNano()),
-		func() dprcore.RNG { return root.Fork() }, cfg.Params)
+		func() dprcore.RNG { return root.Fork() }, params)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	if cfg.Observer != nil {
+	if params.Observer != nil {
 		// A collector gets the wall clock (the live stack's Clock) and
 		// the route lengths of the overlay the relays route over (1 hop
 		// each without one) — mirroring the simulator's wiring in
 		// engine.build.
-		telemetry.Attach(cfg.Observer, wallClock{}, func(src, dst int) int {
-			return transport.RouteHops(cfg.Overlay, src, dst)
+		telemetry.Attach(params.Observer, wallClock{}, func(src, dst int) int {
+			return transport.RouteHops(ov, src, dst)
 		})
 	}
 	// Each peer resolves its loop's mean wait from [T1, T2] with its own
 	// seed-keyed stream, so a heterogeneous wait range gives every peer a
 	// distinct pace — the live analogue of the engine's per-ranker draw.
-	mean := cfg.T1
-	if cfg.T2 > cfg.T1 {
-		mean += xrand.New(cfg.Seed^0x94d049bb133111eb).Float64() * (cfg.T2 - cfg.T1)
+	mean := params.T1
+	if params.T2 > params.T1 {
+		mean += xrand.New(seed^0x94d049bb133111eb).Float64() * (params.T2 - params.T1)
 	}
-	loop, err := dprcore.NewLoop(cfg.Group, cfg.Params, mean, p.stack.Sender, xrand.New(cfg.Seed))
+	loop, err := dprcore.NewLoop(p.grp, params, mean, p.stack.Sender, xrand.New(seed))
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -254,7 +228,7 @@ func listen(addr string, cfg Config, epoch time.Time) (*Peer, error) {
 func (p *Peer) Addr() string { return p.ln.Addr().String() }
 
 // Group returns the peer's ranker index.
-func (p *Peer) Group() int { return p.cfg.Group.Index }
+func (p *Peer) Group() int { return p.grp.Index }
 
 // SetPeer registers the address of another ranker's group.
 func (p *Peer) SetPeer(group int32, addr string) {
@@ -297,7 +271,7 @@ func (p *Peer) scatterRanks(dst vecmath.Vec) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r := p.loop.Ranks()
-	for li, pg := range p.cfg.Group.Pages {
+	for li, pg := range p.grp.Pages {
 		dst[pg] = r[li]
 	}
 }
@@ -394,7 +368,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 // loop or a readLoop): its boxes are that goroutine's own, so nothing
 // it drains outlives the lock shared.
 func (p *Peer) newRelay() *transport.Relay {
-	rl := transport.NewRelay(p.cfg.Overlay, new([][]transport.ScoreChunk), p.stack.Reliable != nil)
+	rl := transport.NewRelay(p.ov, new([][]transport.ScoreChunk), p.stack.Reliable != nil)
 	return &rl
 }
 
@@ -411,11 +385,11 @@ func (d *deliverer) Receive(_ int, c transport.ScoreChunk) bool { return d.loop.
 func (p *Peer) handleFrame(rl *transport.Relay, f frame) {
 	if p.stack.Reliable != nil {
 		for _, a := range f.Acks {
-			p.stack.Reliable.Ack(p.cfg.Group.Index, a.From, a.Round)
+			p.stack.Reliable.Ack(p.grp.Index, a.From, a.Round)
 		}
 	}
 	p.mu.Lock()
-	acks, relayed, rejected := rl.Arrive(p.cfg.Group.Index, f.Chunks, (*deliverer)(p))
+	acks, relayed, rejected := rl.Arrive(p.grp.Index, f.Chunks, (*deliverer)(p))
 	batches := rl.Drain()
 	p.mu.Unlock()
 	p.relayed.Add(int64(relayed))
@@ -436,7 +410,7 @@ func (p *Peer) rankLoop() {
 		p.loop.ComputePhase()
 		p.loop.CommitPhase()
 		for _, c := range p.out.drain() {
-			rl.Queue(p.cfg.Group.Index, c)
+			rl.Queue(p.grp.Index, c)
 		}
 		batches := rl.Drain()
 		p.mu.Unlock()

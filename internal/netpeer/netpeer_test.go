@@ -27,14 +27,14 @@ func genGraph(t testing.TB, pages int, seed uint64) *webgraph.Graph {
 	return g
 }
 
-// TestDriversDeployAlike holds the three places a crawl becomes K
-// rankers to one deployment: engine.Run, StartCluster and a single
-// dprnode process calling dprcore.Deploy over engine.BuildOverlay's
-// ring with the live wait default. One graph, K, strategy, seed, fault
-// config and churn schedule must give one partition, one set of groups
-// and one resolved α, fault-lattice seed and checkpoint cadence — and
-// dprnode -serve's frontend, which routes over StartCluster's ring,
-// then owns every site alike with the rankers.
+// TestDriversDeployAlike holds the places a crawl becomes K rankers to
+// one deployment: engine.Run, StartCluster and the deploy step a lone
+// Listen peer (a dprnode process) binds its ranker from. One graph, K,
+// strategy, seed, fault config and churn schedule must give one
+// partition, one set of groups and one resolved α, fault-lattice seed
+// and checkpoint cadence — and dprnode -serve's frontend, which routes
+// over StartCluster's ring, then owns every site alike with the
+// rankers.
 func TestDriversDeployAlike(t *testing.T) {
 	const k, seed = 6, 3
 	g := genGraph(t, 800, 29)
@@ -47,19 +47,13 @@ func TestDriversDeployAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := StartCluster(g, ClusterConfig{Params: params, K: k, Strategy: partition.BySite,
-		Seed: seed, Churn: churn})
+	live := ClusterConfig{Params: params, K: k, Strategy: partition.BySite, Seed: seed, Churn: churn}
+	cl, err := StartCluster(g, live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
-	ring, err := engine.BuildOverlay(engine.Pastry, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := params
-	pp.Defaults(float64(50*time.Millisecond), float64(50*time.Millisecond))
-	proc, err := dprcore.Deploy(g, ring, partition.BySite, pp, seed, churn)
+	lone, _, err := deploy(g, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +69,7 @@ func TestDriversDeployAlike(t *testing.T) {
 		t.Fatalf("engine resolved Fault.Seed %d, Checkpoint.Every %d; want %d, 5",
 			want.Params.Fault.Seed, want.Params.Checkpoint.Every, seed)
 	}
-	for name, got := range map[string]*dprcore.Deployment{"StartCluster": cl.Deployment, "dprnode": proc} {
+	for name, got := range map[string]*dprcore.Deployment{"StartCluster": cl.Deployment, "Listen": lone} {
 		if !reflect.DeepEqual(got.Assign, want.Assign) || len(got.Groups) != k {
 			t.Errorf("%s: partition differs from engine.Run's (%d groups)", name, len(got.Groups))
 		}
@@ -324,24 +318,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := StartCluster(nil, ClusterConfig{K: 2}); err == nil {
 		t.Error("nil graph accepted")
-	}
-	if _, err := Listen("127.0.0.1:0", Config{}); err == nil {
-		t.Error("nil group accepted")
-	}
-	cl, err := StartCluster(g, ClusterConfig{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	grp := cl.Peers[0]
-	_ = grp
-	bad := []Config{
-		{Group: nil},
-	}
-	for i, cfg := range bad {
-		if _, err := Listen("127.0.0.1:0", cfg); err == nil {
-			t.Errorf("config %d accepted", i)
-		}
 	}
 }
 

@@ -88,7 +88,7 @@ func TestClusterRestartKeepsPartitionAxis(t *testing.T) {
 	// injector that re-opened the window would blackhole its chunks.
 	fault.Seed = 1
 	crosses := false
-	for _, dst := range old.cfg.Group.EffDsts {
+	for _, dst := range old.grp.EffDsts {
 		crosses = crosses || fault.PartitionMinority(1) != fault.PartitionMinority(int(dst))
 	}
 	if !fault.PartitionMinority(1) || !crosses {

@@ -12,11 +12,9 @@ import (
 
 	"p2prank/internal/codec"
 	"p2prank/internal/dprcore"
-	"p2prank/internal/nodeid"
-	"p2prank/internal/overlay"
 	"p2prank/internal/partition"
-	"p2prank/internal/pastry"
 	"p2prank/internal/transport"
+	"p2prank/internal/webgraph"
 	"p2prank/internal/xrand"
 )
 
@@ -167,34 +165,48 @@ func TestWireTruncation(t *testing.T) {
 	}
 }
 
+// Listen deploys as StartCluster does and refuses what it refuses, in
+// its words; it also refuses an index outside the ring and a churn
+// schedule, which only a Cluster runs.
 func TestPeerConfigValidation(t *testing.T) {
 	g := genGraph(t, 300, 61)
-	cl, err := StartCluster(g, ClusterConfig{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	grp := cl.Peers[0].cfg.Group
-	ov, err := pastry.New(nodeid.RankerIDs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	third := *grp
-	third.Index = 3
-	bad := []Config{
-		{Group: grp, Params: dprcore.Params{Alg: dprcore.Algorithm(9)}},
-		{Group: grp, Params: dprcore.Params{Alpha: 2}},
-		{Group: grp, Params: dprcore.Params{Alpha: -1}},
-		{Group: grp, Params: dprcore.Params{SendProb: -0.5}},
-		{Group: grp, Params: dprcore.Params{SendProb: 1.5}},
-		{Group: grp, Params: dprcore.Params{T1: 5, T2: 1}},
-		{Group: grp, Params: dprcore.Params{Fault: dprcore.FaultConfig{DropProb: 2}}},
-		// A relay step would index past the ring at the first chunk.
-		{Group: &third, Overlay: ov},
-	}
-	for i, cfg := range bad {
-		if _, err := Listen("127.0.0.1:0", cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	churn := []dprcore.ChurnEvent{{Ranker: 1, CrashAt: 1, RestartAt: 2}}
+	for _, c := range []struct {
+		g   *webgraph.Graph
+		cfg ClusterConfig
+		i   int
+		// want is the lone peer's own refusal; empty, StartCluster's.
+		want string
+	}{
+		{g, ClusterConfig{K: 2}, -1, "netpeer: index -1 outside [0, 2)"},
+		{g, ClusterConfig{K: 2}, 2, "netpeer: index 2 outside [0, 2)"},
+		{g, ClusterConfig{K: 2, Churn: churn}, 0, "netpeer: Churn needs a Cluster; a lone peer schedules no outages"},
+		{nil, ClusterConfig{K: 2}, 0, ""},
+		{g, ClusterConfig{K: 0}, 0, ""},
+		{g, ClusterConfig{K: 2, MeanWait: -1}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{Alg: dprcore.Algorithm(9)}}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{Alpha: 2}}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{Alpha: -1}}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{SendProb: -0.5}}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{SendProb: 1.5}}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{T1: 5, T2: 1}}, 0, ""},
+		{g, ClusterConfig{K: 2, Params: dprcore.Params{Fault: dprcore.FaultConfig{DropProb: 2}}}, 0, ""},
+	} {
+		want := c.want
+		if want == "" {
+			cl, err := StartCluster(c.g, c.cfg)
+			if err == nil {
+				cl.Close()
+				t.Fatalf("StartCluster accepted %+v", c.cfg)
+			}
+			want = err.Error()
+		}
+		p, err := Listen("127.0.0.1:0", c.g, c.cfg, c.i)
+		if err == nil {
+			p.Close()
+			t.Errorf("Listen(%+v, %d) accepted", c.cfg, c.i)
+		} else if err.Error() != want {
+			t.Errorf("Listen(%+v, %d) = %q, want %q", c.cfg, c.i, err, want)
 		}
 	}
 }
@@ -223,7 +235,7 @@ func TestPeerSurvivesHostileChunks(t *testing.T) {
 	}
 	defer cl.Close()
 	p := cl.Peers[1]
-	grp := p.cfg.Group
+	grp := p.grp
 	if len(grp.AffSrcs) == 0 {
 		t.Fatal("peer 1 has no afferent group; pick another seed")
 	}
@@ -329,34 +341,23 @@ func TestPeerSurvivesHostileAck(t *testing.T) {
 // indirect, direct); the rest is the stream.
 func FuzzReadFrame(f *testing.F) {
 	// Two by-page groups, each linking to the other, as StartCluster
-	// would cut them.
+	// would cut them; the peers are ranker 0 of each.
 	g := genGraph(f, 300, 61)
-	ov, err := pastry.New(nodeid.RankerIDs(2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	assign, err := partition.Assign(g, ov, partition.ByPage, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	groups, err := dprcore.BuildGroups(g, assign, 0.85)
-	if err != nil {
-		f.Fatal(err)
-	}
-	grp := groups[0]
 	// No retransmission timer fires within a fuzz pass.
 	params := dprcore.Params{Alg: dprcore.DPR2, Alpha: 0.85, SendProb: 1,
 		Reliable: dprcore.ReliableConfig{Timeout: float64(time.Hour)}}
 	var peers [2]*Peer
 	var relays [2]*transport.Relay
-	for mode, o := range []overlay.Network{ov, nil} {
-		p, err := Listen("127.0.0.1:0", Config{Params: params, Group: grp, Overlay: o})
+	for mode, indirect := range []bool{true, false} {
+		p, err := Listen("127.0.0.1:0", g, ClusterConfig{Params: params, K: 2, Strategy: partition.ByPage,
+			Indirect: indirect}, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Cleanup(func() { p.Close() })
 		peers[mode], relays[mode] = p, p.newRelay()
 	}
+	grp := peers[0].grp
 	// A chunk the peer delivers, one it relays toward group 1 (indirect
 	// mode) or rejects (direct), one addressed outside the ring, and an
 	// ack for the round the peer committed.

@@ -64,20 +64,10 @@ func (s *GroupSystem) Step(dst, r, x vecmath.Vec) {
 	s.A.StepInto(dst, r, s.BetaE, x)
 }
 
-// Solve runs Algorithm 2 (GroupPageRank): iterate Step from r0 until
-// ‖R_{i+1} − R_i‖₁ ≤ opt.Epsilon. This is the inner loop of DPR1. The
-// returned Result owns a fresh rank vector; r0 is not modified.
-func (s *GroupSystem) Solve(r0, x vecmath.Vec, opt Options) (Result, error) {
-	n := s.N()
-	if len(r0) != n {
-		return Result{}, fmt.Errorf("pagerank: r0 has length %d, want %d", len(r0), n)
-	}
-	return s.SolveInPlace(r0.Clone(), x, vecmath.NewVec(n), opt)
-}
-
-// SolveInPlace is Solve without the allocations: it iterates from the
-// ranks already in r, using scratch (same length, no aliasing) as the
-// swap buffer, and leaves the fixed point in r. Result.Ranks is r
+// SolveInPlace runs Algorithm 2 (GroupPageRank): iterate Step from
+// the ranks already in r until ‖R_{i+1} − R_i‖₁ ≤ opt.Epsilon, using
+// scratch (same length, no aliasing) as the swap buffer, and leave the
+// fixed point in r. This is the inner loop of DPR1. Result.Ranks is r
 // itself. The distributed loop calls this once per ranker wakeup, so
 // the steady state allocates nothing.
 func (s *GroupSystem) SolveInPlace(r, x, scratch vecmath.Vec, opt Options) (Result, error) {

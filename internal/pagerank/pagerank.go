@@ -128,8 +128,7 @@ func Open(g *webgraph.Graph, opt Options) (Result, error) {
 	n := g.NumPages()
 	// The paper's source vector E(v) = 1 for every page.
 	sys := &GroupSystem{A: a, BetaE: vecmath.Const(n, 1-opt.Alpha)}
-	// From R = 1, in place: Solve's clone of the start would be one more
-	// n-vector.
+	// From R = 1, in place: the start is the result vector.
 	return sys.SolveInPlace(vecmath.Const(n, 1), nil, vecmath.NewVec(n), opt)
 }
 

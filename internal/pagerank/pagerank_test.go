@@ -256,7 +256,7 @@ func TestGroupSolutionNonNegativeProperty(t *testing.T) {
 		if err != nil {
 			return true // invalid random instance; skip
 		}
-		res, err := sys.Solve(vecmath.NewVec(n), x, Defaults())
+		res, err := sys.SolveInPlace(vecmath.NewVec(n), x, vecmath.NewVec(n), Defaults())
 		if err != nil {
 			return false
 		}
@@ -292,8 +292,8 @@ func TestGroupMonotoneInXProperty(t *testing.T) {
 			x2[i] = r.Float64()
 			x1[i] = x2[i] + r.Float64() // x1 ≥ x2
 		}
-		res1, err1 := sys.Solve(vecmath.NewVec(n), x1, Defaults())
-		res2, err2 := sys.Solve(vecmath.NewVec(n), x2, Defaults())
+		res1, err1 := sys.SolveInPlace(vecmath.NewVec(n), x1, vecmath.NewVec(n), Defaults())
+		res2, err2 := sys.SolveInPlace(vecmath.NewVec(n), x2, vecmath.NewVec(n), Defaults())
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -380,7 +380,7 @@ func TestGroupSystemEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Solve(vecmath.NewVec(0), nil, Defaults())
+	res, err := sys.SolveInPlace(vecmath.NewVec(0), nil, vecmath.NewVec(0), Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestGroupDecompositionConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Solve(vecmath.NewVec(sizes[gi]), x, opt)
+		res, err := sys.SolveInPlace(vecmath.NewVec(sizes[gi]), x, vecmath.NewVec(sizes[gi]), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

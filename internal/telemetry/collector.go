@@ -34,7 +34,7 @@ type ServingStats struct {
 
 // Collector is the Observer both runtimes attach: the simulator through
 // engine.Config.Observer (engine.Run copies Summary() into
-// Result.Telemetry), live peers through netpeer.Config.Observer, with
+// Result.Telemetry), live peers through netpeer.ClusterConfig.Observer, with
 // dprnode -obs serving WriteMetrics and DumpTrace over HTTP. One
 // collector serves a whole cluster; hooks arrive from the simulator's
 // compute workers or from many peer and timer goroutines, and one mutex

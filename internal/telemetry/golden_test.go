@@ -17,7 +17,7 @@ func scriptedRun(c *Collector) {
 	c.SetHops(func(src, dst int) int { return src + dst + 2 })
 
 	c.ComputeStart(0, 1)
-	c.ComputeEnd(0, 1, ComputeStats{InnerIterations: 4, Residual: 1e-8, XSources: 1, XEntries: 4})
+	c.ComputeEnd(0, 1, ComputeStats{InnerIterations: 4, Residual: 1e-8})
 	clk.t = 101
 	c.ComputeEnd(1, 1, ComputeStats{InnerIterations: 200, Residual: 2.5e-3}) // past the last bucket
 	c.ChunkSent(0, ChunkStats{Dst: 1, Round: 1, Entries: 3, Links: 5})

@@ -70,10 +70,6 @@ type ComputeStats struct {
 	// Residual is the last inner step's ‖ΔR‖₁ (DPR1) or the step's
 	// ‖ΔR‖∞ (DPR2, computed only when an observer is installed).
 	Residual float64
-	// XSources is how many source groups contributed to the refreshed X.
-	XSources int
-	// XEntries is the total entry count summed into X.
-	XEntries int
 }
 
 // ChunkStats describes one score chunk handed to the Sender during a

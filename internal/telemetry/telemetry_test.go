@@ -24,7 +24,7 @@ func TestCollectorAggregates(t *testing.T) {
 	c.SetHops(func(src, dst int) int { return 3 })
 
 	c.ComputeStart(0, 1)
-	c.ComputeEnd(0, 1, ComputeStats{InnerIterations: 5, Residual: 1e-9, XSources: 1, XEntries: 4})
+	c.ComputeEnd(0, 1, ComputeStats{InnerIterations: 5, Residual: 1e-9})
 	c.ChunkSent(0, ChunkStats{Dst: 1, Round: 1, Entries: 2, Links: 7})
 	clk.t = 20
 	c.ComputeStart(1, 1)

@@ -96,6 +96,9 @@ func (m SizeModel) chunkBytes(c ScoreChunk) int64 {
 
 // Stats are transport-level counters, split by message role so the
 // formula 4.1–4.4 comparison can separate lookup overhead from payload.
+// The counts include messages the network refused at send time (an
+// endpoint down; simnet.Stats.MessagesDropped counts those): a real
+// sender burns upstream bandwidth on a message that never arrives.
 type Stats struct {
 	DataMessages   int64
 	DataBytes      int64
@@ -104,21 +107,6 @@ type Stats struct {
 	// RelayedChunks counts chunk forwardings performed by intermediate
 	// nodes (indirect transmission only).
 	RelayedChunks int64
-	// AckMessages and AckBytes count reliable-delivery acknowledgements
-	// (zero unless a ReliableSender is layered above the fabric).
-	AckMessages int64
-	AckBytes    int64
-	// DroppedMessages counts messages the simulated network refused at
-	// send time (an endpoint down). The byte counters
-	// above still include them — a real sender burns upstream bandwidth
-	// on a message that never arrives.
-	DroppedMessages int64
-	// FaultDrops counts chunks the fault injector discarded above the
-	// fabric (dprcore.FaultSender reports them via RecordFaultDrop).
-	// They never reach the wire, so they are deliberately excluded from
-	// DroppedMessages and the byte counters — churn-experiment loss
-	// accounting needs injected loss and send-time loss kept apart.
-	FaultDrops int64
 }
 
 // Deliver is the callback a ranker registers to receive score chunks
@@ -233,18 +221,11 @@ func (f *Fabric) Receive(i int, c ScoreChunk) bool {
 // routing, no lookup (the acker learned the address from the chunk).
 func (f *Fabric) sendAck(a Ack) {
 	size := f.size.HeaderBytes + ackPayloadBytes
-	f.stats.AckMessages++
-	f.stats.AckBytes += size
+	// A refused ack is lost like any message to a down host; the
+	// network counts it (simnet.Stats.MessagesDropped).
 	//p2plint:allow hotalloc -- one boxed Ack per ack message, only when reliable delivery is on
-	if !f.net.Send(f.addrs[a.From], f.addrs[a.To], a, size) {
-		f.stats.DroppedMessages++
-	}
+	_ = f.net.Send(f.addrs[a.From], f.addrs[a.To], a, size)
 }
-
-// RecordFaultDrop counts one chunk the fault injector discarded before
-// it reached the fabric (see Stats.FaultDrops). dprcore.FaultSender
-// probes for this method and calls it from commit context.
-func (f *Fabric) RecordFaultDrop(from int) { f.stats.FaultDrops++ }
 
 // Addr returns the simulated-network address of ranker i's host. The
 // experiment harness uses it to inject host-level failures.
@@ -320,7 +301,6 @@ func (f *Fabric) Flush(from int) error {
 		f.stats.DataMessages++
 		f.stats.DataBytes += payload
 		if !f.net.Send(f.addrs[from], f.addrs[b.Hop], msg, payload) {
-			f.stats.DroppedMessages++
 			f.recycle(msg) // refused at send time: nothing will deliver it
 		}
 	}
@@ -388,16 +368,13 @@ func (f *Fabric) sendDirect(from int, chunk ScoreChunk) {
 		next := f.ov.NextHop(cur, key)
 		f.stats.LookupMessages++
 		f.stats.LookupBytes += lsize
-		if !f.net.Send(f.addrs[cur], f.addrs[next], lookupMsg{}, lsize) {
-			f.stats.DroppedMessages++
-		}
+		_ = f.net.Send(f.addrs[cur], f.addrs[next], lookupMsg{}, lsize) // a refusal is counted by the network
 		cur = next
 	}
 	msg, payload := f.pack(append(pop(&f.chunkSlices), chunk))
 	f.stats.DataMessages++
 	f.stats.DataBytes += payload
 	if !f.net.Send(f.addrs[from], f.addrs[dst], msg, payload) {
-		f.stats.DroppedMessages++
 		f.recycle(msg) // refused at send time: nothing will deliver it
 	}
 }
