@@ -109,12 +109,12 @@ obs-smoke:
 serve-smoke:
 	$(GO) test -run TestServeSmoke -v ./internal/clitest/
 
-# The examples run end to end: quickstart (README's first example:
-# generate, rank centrally and distributedly, compare), searchdemo
-# (engine.Run's deployment feeding the query tier), tcpcluster (live
-# peers, one killed mid-run), and educrawl and transports (experiments
-# run through the registry), each required to exit 0 and print its
-# result line (internal/clitest).
+# The three examples run end to end: quickstart (README's first
+# example: generate, rank centrally and distributedly, compare),
+# searchdemo (engine.Run's deployment feeding the query tier) and
+# tcpcluster (live peers, one killed mid-run), each required to exit 0
+# and print its result line (internal/clitest). The paper's tables and
+# figures are `dprsim -exp` entries, held by their goldens.
 examples-smoke:
 	$(GO) test -count=1 -run TestExamplesRun -v ./internal/clitest/
 

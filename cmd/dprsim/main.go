@@ -33,7 +33,6 @@ func main() {
 		maxTime = flag.Float64("maxtime", 0, "virtual-time horizon of every simulated run (0 = the experiment's own)")
 		csvPath = flag.String("csv", "", "write tables or curves as CSV to this file")
 		graph   = flag.String("graph", "", "rank this crawl file instead of generating one (text or mapped)")
-		gstore  = flag.String("graphstore", "disk", "scale-experiment graph store: disk (generate to a temp file, mmap it) or mem")
 		gengen  = flag.String("gengraph", "", "internal: write the -pages/-sites/-seed workload to this path in mapped format and exit")
 		queries = flag.Int("queries", 5000, "serve-experiment query count per K")
 		srvAddr = cliflags.ServeAddr(flag.CommandLine)
@@ -48,8 +47,9 @@ func main() {
 
 	w := experiments.Workload{Pages: *pages, Sites: *sites, Seed: *seed}
 	if *gengen != "" {
-		// Re-exec child mode for -graphstore disk: generation's transient
-		// heap lands in this short-lived process, not the measured parent.
+		// Re-exec child mode for the scale sweep's mapped workload:
+		// generation's transient heap lands in this short-lived process,
+		// not the measured parent.
 		if g, err := w.Generate(); err != nil {
 			fatal(err)
 		} else if err := webgraph.WriteMappedFile(*gengen, g); err != nil {
@@ -76,14 +76,7 @@ func main() {
 	// The process side of the wall-clock experiments: the clock, VmHWM,
 	// and the two things only a command may do — re-exec itself to build
 	// a graph off-heap, and listen on a socket.
-	meter := experiments.Meter{Clock: serve.WallClock{}, PeakRSSMB: peakRSSMB}
-	switch *gstore {
-	case "disk":
-		meter.OnDisk = mappedWorkload
-	case "mem":
-	default:
-		fatal(fmt.Errorf("unknown -graphstore %q (want disk or mem)", *gstore))
-	}
+	meter := experiments.Meter{Clock: serve.WallClock{}, PeakRSSMB: peakRSSMB, OnDisk: mappedWorkload}
 	if *srvAddr != "" {
 		meter.Expose = func(fe *serve.Frontend, topk int) error {
 			ln, err := net.Listen("tcp", *srvAddr)

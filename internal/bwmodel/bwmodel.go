@@ -208,22 +208,31 @@ func ValidationTable(rows []ValidationRow) *metrics.Table {
 	return t
 }
 
-// Table1Row is one row of Table 1.
+// Table1Row is one row of Table 1 with formulas 4.1–4.4 evaluated
+// beside it, in the units the table prints; `dprsim -exp table1` lays
+// the rows out by their tags.
 type Table1Row struct {
-	N                float64
-	Hops             float64
-	IterationSeconds float64
-	BottleneckBps    float64
+	N    float64 `tab:"N" fmt:"%.0f"`
+	Hops float64 `tab:"h" fmt:"%.1f"`
+	// IterationSeconds is constraint 4.6's minimal iteration interval T.
+	IterationSeconds float64 `tab:"T (s)" fmt:"%.0f"`
+	// BottleneckKBps is constraint 4.7's per-node bandwidth at that T.
+	BottleneckKBps float64 `tab:"bottleneck (KB/s)" fmt:"%.0f"`
+	// IndirectGB and DirectGB are formulas 4.1 and 4.2, D_it and D_dt.
+	IndirectGB float64 `tab:"D_it (GB)" fmt:"%.1f"`
+	DirectGB   float64 `tab:"D_dt (GB)" fmt:"%.1f"`
+	// IndirectMsgs and DirectMsgs are formulas 4.3 and 4.4, S_it and S_dt.
+	IndirectMsgs float64 `tab:"S_it (msgs)" fmt:"%.3g"`
+	DirectMsgs   float64 `tab:"S_dt (msgs)" fmt:"%.3g"`
+	// CrossoverN is g/(h+1), the population above which indirect
+	// transmission sends fewer messages.
+	CrossoverN float64 `tab:"crossover g/(h+1)" fmt:"%.1f"`
 }
 
-// Table1 evaluates the model at the paper's three ranker populations
-// (10³, 10⁴, 10⁵) with its default parameters: the minimal time between
-// iterations and the per-node bottleneck bandwidth that implies.
-func Table1() ([]Table1Row, error) {
-	return Table1For(DefaultParams(), []float64{1e3, 1e4, 1e5})
-}
-
-// Table1For evaluates the model at arbitrary ranker populations.
+// Table1For evaluates the model at each ranker population in ns, with
+// h from PastryHops: the minimal time between iterations, the per-node
+// bottleneck bandwidth that implies, and both schemes' per-iteration
+// costs. DefaultParams gives the paper's Table 1 at 10³, 10⁴, 10⁵.
 func Table1For(base Params, ns []float64) ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, len(ns))
 	for _, n := range ns {
@@ -238,31 +247,12 @@ func Table1For(base Params, ns []float64) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Table1Row{N: n, Hops: p.H, IterationSeconds: t, BottleneckBps: b})
+		rows = append(rows, Table1Row{
+			N: n, Hops: p.H, IterationSeconds: t, BottleneckKBps: b / 1e3,
+			IndirectGB: p.IndirectDataBytes() / 1e9, DirectGB: p.DirectDataBytes() / 1e9,
+			IndirectMsgs: p.IndirectMessages(), DirectMsgs: p.DirectMessages(),
+			CrossoverN: p.MessageCrossoverN(),
+		})
 	}
 	return rows, nil
-}
-
-// RenderTable1 formats rows like the paper's Table 1.
-func RenderTable1(rows []Table1Row) string {
-	t := metrics.NewTable("# of Page Rankers", "Avg Hops", "Time per Iteration", "Bottleneck Bandwidth Needed")
-	for _, r := range rows {
-		t.AddRow(
-			fmt.Sprintf("%.0f", r.N),
-			fmt.Sprintf("%.1f", r.Hops),
-			fmt.Sprintf("%.0fs", r.IterationSeconds),
-			formatBps(r.BottleneckBps),
-		)
-	}
-	return t.String()
-}
-
-func formatBps(b float64) string {
-	switch {
-	case b >= 1e6:
-		return fmt.Sprintf("%.0fMB/s", b/1e6)
-	case b >= 1e3:
-		return fmt.Sprintf("%.0fKB/s", b/1e3)
-	}
-	return fmt.Sprintf("%.0fB/s", b)
 }

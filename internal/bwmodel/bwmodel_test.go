@@ -2,23 +2,22 @@ package bwmodel
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 // The headline reproduction: Table 1's exact numbers.
 func TestTable1MatchesPaper(t *testing.T) {
-	rows, err := Table1()
+	rows, err := Table1For(DefaultParams(), []float64{1e3, 1e4, 1e5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []struct {
-		n, seconds, bps float64
+		n, seconds, kbps float64
 	}{
-		{1e3, 7500, 100e3},
-		{1e4, 10500, 10e3},
-		{1e5, 12000, 1e3},
+		{1e3, 7500, 100},
+		{1e4, 10500, 10},
+		{1e5, 12000, 1},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows", len(rows))
@@ -31,8 +30,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 		if math.Abs(r.IterationSeconds-w.seconds) > 1e-6 {
 			t.Errorf("N=%v: T = %v s, paper says %v s", w.n, r.IterationSeconds, w.seconds)
 		}
-		if math.Abs(r.BottleneckBps-w.bps)/w.bps > 1e-9 {
-			t.Errorf("N=%v: B = %v B/s, paper says %v B/s", w.n, r.BottleneckBps, w.bps)
+		if math.Abs(r.BottleneckKBps-w.kbps)/w.kbps > 1e-9 {
+			t.Errorf("N=%v: B = %v KB/s, paper says %v KB/s", w.n, r.BottleneckKBps, w.kbps)
 		}
 	}
 }
@@ -146,25 +145,6 @@ func TestConstraintConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestRenderTable1(t *testing.T) {
-	rows, err := Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderTable1(rows)
-	for _, want := range []string{"1000", "7500s", "100KB/s", "10KB/s", "1KB/s", "12000s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatBps(t *testing.T) {
-	if formatBps(100e6) != "100MB/s" || formatBps(10e3) != "10KB/s" || formatBps(500) != "500B/s" {
-		t.Fatal("bandwidth formatting wrong")
-	}
-}
-
 func TestTable1ForCustomN(t *testing.T) {
 	rows, err := Table1For(DefaultParams(), []float64{256})
 	if err != nil {
@@ -172,5 +152,21 @@ func TestTable1ForCustomN(t *testing.T) {
 	}
 	if len(rows) != 1 || math.Abs(rows[0].Hops-2) > 1e-12 {
 		t.Fatalf("rows = %+v", rows)
+	}
+	// Formulas 4.1–4.4 and the crossover at h = 2, in the row's units.
+	r := rows[0]
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"D_it (GB)", r.IndirectGB, 2 * 100 * 3e9 / 1e9},
+		{"D_dt (GB)", r.DirectGB, (100*3e9 + 2*48*256*256) / 1e9},
+		{"S_it", r.IndirectMsgs, 32 * 256},
+		{"S_dt", r.DirectMsgs, 3 * 256 * 256},
+		{"g/(h+1)", r.CrossoverN, 32.0 / 3},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9*c.want {
+			t.Errorf("N=256: %s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

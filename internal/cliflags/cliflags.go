@@ -87,15 +87,15 @@ func ParseFault(spec string) (dprcore.FaultConfig, error) {
 			fc.DropProb = v
 		case "delay":
 			fc.DelayProb = v
-		case "meandelay", "mean-delay":
+		case "meandelay":
 			fc.MeanDelay, err = nanos("-fault", part, v)
 		case "dup":
 			fc.DupProb = v
 		case "partition":
 			fc.PartitionFrac = v
-		case "pfrom", "partition-from":
+		case "pfrom":
 			fc.PartitionFrom, err = nanos("-fault", part, v)
-		case "pto", "partition-to":
+		case "pto":
 			if math.IsInf(v, 1) {
 				fc.PartitionTo = math.MaxFloat64
 			} else {
@@ -103,9 +103,9 @@ func ParseFault(spec string) (dprcore.FaultConfig, error) {
 			}
 		case "straggle":
 			fc.StraggleFrac = v
-		case "sfactor", "straggle-factor":
+		case "sfactor":
 			fc.StraggleFactor, err = nanos("-fault", part, v)
-		case "fseed", "fault-seed":
+		case "fseed":
 			// NaN, ±Inf and floats past uint64's range convert to
 			// implementation-defined seeds.
 			if !(v >= 0 && v < 1<<64) {

@@ -55,6 +55,13 @@ func TestParseFault(t *testing.T) {
 			t.Errorf("ParseFault(%q) accepted", bad)
 		}
 	}
+	// Each knob has one spelling: the long ones are refused by name.
+	for _, key := range removedFaultKeys {
+		spec := "delay=0.5,partition=0.3,straggle=0.25," + key + "=2"
+		if _, err := ParseFault(spec); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseFault(%q) = %v; want a refusal naming %s", spec, err, key)
+		}
+	}
 }
 
 // TestParseTimesAreMilliseconds pins the one unit rule of both specs:

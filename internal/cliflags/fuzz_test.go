@@ -1,9 +1,9 @@
 package cliflags
 
 import (
-	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,9 +26,16 @@ func nonFinite(cfg any) string {
 // cooldown, which is gone.
 var removedReliableKeys = []string{"backoff", "maxtimeout", "max-timeout", "jitter", "attempts", "maxattempts", "cooldown"}
 
+// removedFaultKeys are the long spellings -fault once accepted beside
+// meandelay, pfrom, pto, sfactor and fseed.
+var removedFaultKeys = []string{"mean-delay", "partition-from", "partition-to", "straggle-factor", "fault-seed"}
+
+// faultKeys are the keys -fault accepts.
+var faultKeys = []string{"drop", "delay", "meandelay", "dup", "partition", "pfrom", "pto", "straggle", "sfactor", "fseed"}
+
 // specSeeds are the flag help strings' shapes, times either side of
 // 1 ms, the non-finite cases that once passed validation, and every
-// removed -reliable key.
+// removed -reliable and -fault key.
 var specSeeds = []string{
 	"", "drop=0.1,delay=0.2,meandelay=3,dup=0.05", "delay=0.5", "drop=2", "drop",
 	"partition=0.3,pfrom=2,pto=9", "partition=0.3,pto=Inf", "straggle=0.25,sfactor=4,fseed=7",
@@ -37,13 +44,12 @@ var specSeeds = []string{
 	"timeout=20", "timeout=-1", "partition=0.3,pto=1e303", "timeout=2000000",
 	"timeout=20,backoff=2", "timeout=20,maxtimeout=80", "timeout=20,max-timeout=80", "timeout=20,jitter=0.2",
 	"timeout=20,attempts=4", "timeout=20,maxattempts=4", "timeout=20,cooldown=2000000",
+	"partition=0.3,partition-from=2", "partition=0.3,partition-to=9", "straggle=0.25,straggle-factor=4", "fault-seed=7",
 }
 
 // specValues reads an accepted spec back: each key's last value, with
-// the long spellings folded onto the short ones and a bare number filed
-// under timeout.
+// a bare number filed under timeout.
 func specValues(spec string) map[string]float64 {
-	long := map[string]string{"mean-delay": "meandelay", "partition-from": "pfrom", "partition-to": "pto", "straggle-factor": "sfactor"}
 	vals := map[string]float64{}
 	if spec == "" {
 		return vals
@@ -54,14 +60,14 @@ func specValues(spec string) map[string]float64 {
 		if len(kv) == 2 {
 			key = strings.ToLower(kv[0])
 		}
-		key = cmp.Or(long[key], key)
 		vals[key], _ = strconv.ParseFloat(kv[len(kv)-1], 64)
 	}
 	return vals
 }
 
 // FuzzParseFault: a -fault spec either fails to parse or yields a
-// config Validate accepts with every float field finite, and every time
+// config Validate accepts with every float field finite and only the
+// keys the flag's help names, and every time
 // in it is the spec's value × 10⁶ ns — milliseconds whatever the size —
 // or the documented default: 5 ms for meandelay and sfactor, and the
 // never-healing math.MaxFloat64 for a partition's omitted or Inf pto.
@@ -81,6 +87,11 @@ func FuzzParseFault(f *testing.F) {
 			t.Fatalf("ParseFault(%q) = %+v: %s is not finite", spec, fc, name)
 		}
 		vals := specValues(spec)
+		for key := range vals {
+			if !slices.Contains(faultKeys, key) {
+				t.Fatalf("ParseFault(%q) accepted key %q; the keys are %v", spec, key, faultKeys)
+			}
+		}
 		or := func(v float64, on bool, dflt float64) float64 {
 			if v == 0 && on {
 				return dflt

@@ -45,9 +45,8 @@ func TestMain(m *testing.M) {
 	}
 	builtDir = dir
 	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"p2prank/cmd/genweb", "p2prank/cmd/dprsim", "p2prank/cmd/bwtable", "p2prank/cmd/dprnode",
-		"p2prank/examples/quickstart", "p2prank/examples/searchdemo", "p2prank/examples/tcpcluster",
-		"p2prank/examples/educrawl", "p2prank/examples/transports")
+		"p2prank/cmd/genweb", "p2prank/cmd/dprsim", "p2prank/cmd/dprnode",
+		"p2prank/examples/quickstart", "p2prank/examples/searchdemo", "p2prank/examples/tcpcluster")
 	cmd.Dir = repoRoot()
 	if out, err := cmd.CombinedOutput(); err != nil {
 		panic("building cmds: " + err.Error() + "\n" + string(out))
@@ -155,12 +154,26 @@ func TestGenwebCut(t *testing.T) {
 	}
 }
 
-func TestBwtableReproducesTable1(t *testing.T) {
-	out := run(t, "bwtable")
-	for _, want := range []string{"7500s", "10500s", "12000s", "100KB/s", "10KB/s", "1KB/s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table 1 value %q missing:\n%s", want, out)
+// TestDprsimTable1: the registry's table1 prints the paper's Table 1 —
+// T = 7500/10500/12000 s and 100/10/1 KB/s at N = 10³/10⁴/10⁵ — with
+// the experiment's default Ks.
+func TestDprsimTable1(t *testing.T) {
+	out := run(t, "dprsim", "-exp", "table1")
+	rows := map[string][2]string{"1000": {"7500", "100"}, "10000": {"10500", "10"}, "100000": {"12000", "1"}}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 {
+			continue
 		}
+		if want, ok := rows[f[0]]; ok {
+			if f[2] != want[0] || f[3] != want[1] {
+				t.Errorf("N=%s: T = %s s, bottleneck %s KB/s; Table 1 says %s s, %s KB/s", f[0], f[2], f[3], want[0], want[1])
+			}
+			delete(rows, f[0])
+		}
+	}
+	if len(rows) != 0 {
+		t.Fatalf("rows for N in %v missing:\n%s", rows, out)
 	}
 }
 
@@ -440,11 +453,12 @@ func TestDprnodeMultiProcess(t *testing.T) {
 	}
 }
 
-// TestExamplesRun runs five examples end to end: quickstart, README's
-// first example; searchdemo, whose query tier routes over the ring and
-// partition engine.Run deployed; tcpcluster, whose live peers converge
-// and survive a killed peer; and educrawl and transports, which run
-// experiments through the registry.
+// TestExamplesRun runs the three examples end to end: quickstart,
+// README's first example; searchdemo, whose query tier routes over the
+// ring and partition engine.Run deployed; and tcpcluster, whose live
+// peers converge and survive a killed peer. Figures 6 and 7 and the
+// §4.4 traffic comparison are `dprsim -exp` entries, held by
+// experiments.TestFig7Shape and the fig6, fig7 and transmission goldens.
 func TestExamplesRun(t *testing.T) {
 	if out := run(t, "quickstart"); !strings.Contains(out, "relative error vs centralized: ") {
 		t.Fatalf("quickstart output lacks the relative error line:\n%s", out)
@@ -455,36 +469,39 @@ func TestExamplesRun(t *testing.T) {
 	if out := run(t, "tcpcluster"); !strings.Contains(out, "final relative error vs centralized: ") {
 		t.Fatalf("tcpcluster output lacks the final error line:\n%s", out)
 	}
-	if out := run(t, "educrawl"); !strings.Contains(out, "Theorem 4.1 verified") {
-		t.Fatalf("educrawl output lacks the monotonicity verdict:\n%s", out)
-	}
-	if out := run(t, "transports"); !strings.Contains(out, "indirect uses") {
-		t.Fatalf("transports output lacks the direct/indirect comparison:\n%s", out)
-	}
 }
 
 // TestReadmeListsEveryExperiment keeps README's experiment list in step
-// with the registry: every `-exp NAME  summary` line `dprsim -h` prints
-// must appear there verbatim, and -h must list at least the paper's
-// three figures.
+// with the registry, both ways: every `-exp NAME  summary` line in the
+// Experiments block `dprsim -h` prints appears in README verbatim, every
+// README line starting `  -exp ` is one of them, and -h lists at least
+// the paper's three figures.
 func TestReadmeListsEveryExperiment(t *testing.T) {
 	out := run(t, "dprsim", "-h")
 	readme, err := os.ReadFile(filepath.Join(repoRoot(), "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed := 0
-	for _, line := range strings.Split(string(out), "\n") {
-		if !strings.HasPrefix(line, "  -exp ") {
-			continue
-		}
-		listed++
-		if !strings.Contains(string(readme), line+"\n") {
-			t.Errorf("README.md is missing the registry line %q", line)
+	start, end := strings.Index(out, "Experiments:\n"), strings.Index(out, "\nFlags:\n")
+	if start < 0 || end < start {
+		t.Fatalf("dprsim -h has no Experiments block before Flags:\n%s", out)
+	}
+	registry := map[string]bool{}
+	for _, line := range strings.Split(out[start:end], "\n") {
+		if strings.HasPrefix(line, "  -exp ") {
+			registry[line] = true
+			if !strings.Contains(string(readme), line+"\n") {
+				t.Errorf("README.md is missing the registry line %q", line)
+			}
 		}
 	}
-	if listed < 3 {
-		t.Fatalf("dprsim -h listed %d experiments:\n%s", listed, out)
+	if len(registry) < 3 {
+		t.Fatalf("dprsim -h listed %d experiments:\n%s", len(registry), out)
+	}
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "  -exp ") && !registry[line] {
+			t.Errorf("README.md lists %q, which is no registry line", line)
+		}
 	}
 }
 

@@ -227,7 +227,7 @@ func makeTargets(t *testing.T, root string) map[string]bool {
 }
 
 // docCommands are the commands whose flags a code span is held to.
-var docCommands = []string{"dprsim", "dprnode", "genweb", "bwtable", "benchgate", "p2plint"}
+var docCommands = []string{"dprsim", "dprnode", "genweb", "benchgate", "p2plint"}
 
 // flagNameArg maps each flag-registering method of package flag (and
 // of a *flag.FlagSet) to the position of its name argument.

@@ -116,8 +116,8 @@ type Params struct {
 	// runtime's time units (virtual units in-sim, nanoseconds live).
 	// Each loop's mean is drawn uniformly from [T1, T2] by its runtime;
 	// T1 = T2 pins every loop to the same mean. Runtime defaults differ
-	// (engine: 15/15, the Figure 8 setting; netpeer: 50ms a peer,
-	// ClusterConfig.MeanWait a cluster).
+	// (engine: 15/15, the Figure 8 setting; netpeer: ClusterConfig.MeanWait,
+	// 30ms, for a cluster and a lone Listen peer alike).
 	T1, T2 float64
 	// Fault injects deterministic message faults (drop/delay/duplicate)
 	// at the Sender seam, below the algorithm's own SendProb loss — the

@@ -309,6 +309,16 @@ func hops(x *env, ns []int) ([]HopsRow, error) {
 	return rows, nil
 }
 
+// table1 evaluates §4.5's model at one ranker population with the
+// paper's parameters (bwmodel.DefaultParams).
+func table1(_ *env, n int) (bwmodel.Table1Row, error) {
+	rows, err := bwmodel.Table1For(bwmodel.DefaultParams(), []float64{float64(n)})
+	if err != nil {
+		return bwmodel.Table1Row{}, err
+	}
+	return rows[0], nil
+}
+
 // BandwidthRow records convergence under one per-node bandwidth budget
 // — the measured counterpart of §4.5's constraint 4.7.
 type BandwidthRow struct {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"p2prank/internal/bwmodel"
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/metrics"
@@ -333,6 +334,14 @@ var registry = []Experiment{
 			caption: "§4.4: per-iteration message/data counts from the telemetry seam",
 			cells:   ks,
 			cell:    traffic,
+		}},
+	{Name: "table1", Summary: "§4.5 Table 1 and formulas 4.1–4.4 (analytic)", Ks: []int{1000, 10000, 100000},
+		plan: plan[int, bwmodel.Table1Row]{
+			caption: "Table 1: minimal iteration interval and node bottleneck bandwidth, with formulas 4.1–4.4\n" +
+				"(W=3e+09 pages, l=100 B, r=48 B, g=32, bisection budget 100 MB/s)",
+			need:  pure,
+			cells: ks,
+			cell:  table1,
 		}},
 	{Name: "bandwidth", Summary: "convergence vs node uplink bandwidth", K: 16, MaxTime: 900,
 		plan: plan[float64, BandwidthRow]{

@@ -127,12 +127,6 @@ type Response struct {
 	Hedged int
 }
 
-// Server answers search requests — implemented by the static Index and
-// by the snapshot-backed query tier (internal/serve.Querier).
-type Server interface {
-	Serve(req Request, resp *Response) error
-}
-
 // Serve answers a conjunctive top-k query from the frozen build-time
 // rank vector. It intersects posting lists smallest-first (the
 // standard conjunctive plan) and accounts hop costs to each distinct

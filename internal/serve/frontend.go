@@ -386,11 +386,12 @@ func (f *Frontend) NewQuerier() *Querier {
 	return &Querier{f: f, hopRows: make(map[int][]int32)}
 }
 
-// Serve implements search.Server: distributed conjunctive top-k over
-// the current snapshots. The response's Version is the oldest snapshot
-// version consulted, its Staleness the worst rounds-behind over the
-// consulted shards, and its Cost the overlay lookup hops from
-// req.From to each consulted shard plus one response message each.
+// Serve answers req as search.Index.Serve does, with distributed
+// conjunctive top-k over the current snapshots. The response's Version
+// is the oldest snapshot version consulted, its Staleness the worst
+// rounds-behind over the consulted shards, and its Cost the overlay
+// lookup hops from req.From to each consulted shard plus one response
+// message each.
 // Results go into resp.Postings[:0]; with a warm Querier and a reused
 // Response the steady-state path performs zero allocations.
 //
